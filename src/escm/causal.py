@@ -16,7 +16,7 @@ operationally exogenous is a modeling choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .engine import Objective, ObjectiveTerm, Point, Ref
 from .errors import EnergyDomainError, QueryError, SolverError
@@ -219,13 +219,8 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
             if not 0.0 <= s.lam <= 1.0:
                 raise QueryError("soft surgery weight must lie in [0, 1]")
             replacement = _compile_replacement(model, s.target, s.expr, s.params)
-            original = model.local_term(s.target).compiled
-            pieces = []
-            if s.lam < 1.0:
-                pieces.append((1.0 - s.lam, original))
-            if s.lam > 0.0:
-                pieces.append((s.lam, replacement))
-            terms[s.target] = ObjectiveTerm(s.target, pieces)
+            terms[s.target] = ObjectiveTerm.blend(
+                s.target, s.lam, model.local_term(s.target).compiled, replacement)
             soft_targets.append(s.target)
 
     ordered = [terms[t.owner] for t in base_terms if t.owner in terms]
@@ -358,11 +353,7 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
         if ref not in free_set and ref not in clamps:
             clamps[ref] = explanation.point.get(ref)
 
-    cfg = cfg or SolverConfig()
-    predict_cfg = SolverConfig(
-        tol_grad=cfg.tol_grad, max_iter=cfg.max_iter,
-        levenberg_lambda0=cfg.levenberg_lambda0, lambda_growth=cfg.lambda_growth,
-        lambda_max=cfg.lambda_max, armijo_c=cfg.armijo_c, init="point")
+    predict_cfg = replace(cfg or SolverConfig(), init="point")
     eq = solve(edited.objective, clamps=clamps, free=free,
                cfg=predict_cfg, init_point=explanation.point)
     values = {}
@@ -466,8 +457,7 @@ def disjunctive_select(model: Model, evidence, target: str, values,
 
     energies: dict[tuple[float, ...], float] = {}
     for value, res in branches.items():
-        edited = apply_surgery(model, hard(model, target, value))
-        e = edited.objective.value(res.post)
+        e = res.equilibrium.energy
         if surgery.control is not None and surgery.rho:
             e += surgery.rho * evaluate_readout(model, surgery.control,
                                                 explanation.point, s=value)

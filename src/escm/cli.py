@@ -2,7 +2,8 @@
 
 Every command prints one JSON report to stdout (keys sorted, shortest
 round-trip floats) and uses the exit-code contract: 0 success, 1 model
-validation error, 2 solver/numerical failure, 3 query or usage error.
+validation error, 2 solver/numerical failure (including running out of
+memory), 3 query or usage error.
 Commands that sample require an explicit --seed; nothing reads the clock
 except the timing field, which --no-timing removes for byte-identical
 reruns.
@@ -209,29 +210,25 @@ def _cmd_disjunct(model: Model, args) -> dict:
 def _cmd_diagnose(model: Model, args) -> dict:
     point = _point_from_overrides(model, _read_json_arg(args.point, "--point"))
     tol = args.tol if args.tol is not None else diagnostics.STRUCTURAL_TOL
-    lap = []
-    for a, i in diagnostics.nondesc_pairs(model):
-        report = diagnostics.lap_check(model, a, i, point, tol=tol)
-        lap.append({
-            "pair": [a, i],
-            "max_abs_z": report.max_abs_z,
-            "max_abs_theta": report.max_abs_theta,
-            "passed": report.passed,
-        })
-    icm = []
-    for node in model.dag.nodes:
-        report = diagnostics.icm_check(model, node, point, tol=tol)
-        icm.append({
-            "node": node,
-            "max_abs_first": report.max_abs_first,
-            "max_abs_mixed": report.max_abs_mixed,
-            "passed": report.passed,
-        })
+    lap = [diagnostics.lap_check(model, a, i, point, tol=tol)
+           for a, i in diagnostics.nondesc_pairs(model)]
+    icm = [diagnostics.icm_check(model, node, point, tol=tol) for node in model.dag.nodes]
     results = {
-        "lap": lap,
-        "icm": icm,
-        "lap_penalty": diagnostics.lap_penalty(model, [point]),
-        "icm_penalty": diagnostics.icm_penalty(model, [point]),
+        "lap": [{
+            "pair": list(r.pair),
+            "max_abs_z": r.max_abs_z,
+            "max_abs_theta": r.max_abs_theta,
+            "passed": r.passed,
+        } for r in lap],
+        "icm": [{
+            "node": r.node,
+            "max_abs_first": r.max_abs_first,
+            "max_abs_mixed": r.max_abs_mixed,
+            "passed": r.passed,
+        } for r in icm],
+        # the unit-weight penalties of this one point, from the same reports
+        "lap_penalty": diagnostics._penalty([lap], 1.0, 1.0),
+        "icm_penalty": diagnostics._penalty([icm], 1.0, 1.0),
         "tol": tol,
     }
     if model.dynamics is not None:
@@ -363,9 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("model", help="model file (JSON)")
         p.add_argument("--no-timing", action="store_true",
                        help="omit the timing field (byte-identical reruns)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint for branch sweeps (results are "
-                            "deterministic and merge in fixed order)")
         p.add_argument("--mask-policy", choices=("strict", "warn"), default="strict",
                        help="treat parent-mask violations as errors or record them")
         return p
@@ -472,8 +466,6 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     report: dict = {"command": args.command, "diagnostics": {}}
     try:
-        if args.threads < 1:
-            raise QueryError("--threads must be at least 1")
         if args.command == "gen-corpus":
             report["results"] = _cmd_gen_corpus(args)
             report["model_hash"] = None
@@ -488,6 +480,10 @@ def run(argv=None) -> int:
         code = EXIT_VALIDATION
     except (SolverError, EnergyDomainError, NonConvexBlockError) as err:
         report["error"] = {"type": type(err).__name__, "message": str(err)}
+        code = EXIT_SOLVER
+    except MemoryError as err:
+        # numpy raises a private subclass; report the builtin's name
+        report["error"] = {"type": "MemoryError", "message": str(err)}
         code = EXIT_SOLVER
     except (QueryError, PairError, ClassViolationError, EscmError) as err:
         report["error"] = {"type": type(err).__name__, "message": str(err)}

@@ -79,6 +79,9 @@ class LapReport:
     def passed(self) -> bool:
         return max(self.max_abs_z, self.max_abs_theta) <= self.tol
 
+    def _penalty_blocks(self):
+        return self.pair, self.z_block, self.theta_block
+
 
 def lap_check(model: Model, a: str, i: str, point: Point,
               tol: float = STRUCTURAL_TOL) -> LapReport:
@@ -100,12 +103,26 @@ def lap_check(model: Model, a: str, i: str, point: Point,
     )
 
 
-def _pair_weight(weights, pair: tuple[str, str], default: float) -> float:
-    if weights is None:
-        return default
+def _weight(weights, key, default: float) -> float:
     if isinstance(weights, dict):
-        return float(weights.get(pair, default))
-    return float(weights)
+        return float(weights.get(key, default))
+    return 1.0 if weights is None else float(weights)
+
+
+def _penalty(reports_by_sample, first, second, default: float = 0.0) -> float:
+    """Mean over samples of the weighted squared Frobenius norms of each
+    report's two blocks, summed in report order.
+
+    ``first``/``second`` weight the two blocks: a scalar, or a dict keyed by
+    the report's pair or node with ``default`` for missing keys.
+    """
+    total = 0.0
+    for reports in reports_by_sample:
+        for report in reports:
+            key, block_1, block_2 = report._penalty_blocks()
+            total += _weight(first, key, default) * float(np.sum(block_1 ** 2))
+            total += _weight(second, key, default) * float(np.sum(block_2 ** 2))
+    return total / len(reports_by_sample)
 
 
 def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
@@ -119,15 +136,8 @@ def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
     if not samples:
         raise QueryError("lap_penalty needs at least one sample point")
     pairs = nondesc_pairs(model)
-    total = 0.0
-    for point in samples:
-        for pair in pairs:
-            report = lap_check(model, pair[0], pair[1], point)
-            w_l = _pair_weight(lam, pair, default if isinstance(lam, dict) else 1.0)
-            w_m = _pair_weight(mu, pair, default if isinstance(mu, dict) else 1.0)
-            total += w_l * float(np.sum(report.z_block ** 2))
-            total += w_m * float(np.sum(report.theta_block ** 2))
-    return total / len(samples)
+    return _penalty([[lap_check(model, a, i, point) for a, i in pairs]
+                     for point in samples], lam, mu, default)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +167,9 @@ class IcmReport:
     def passed(self) -> bool:
         return self.passed_first and self.passed_mixed
 
+    def _penalty_blocks(self):
+        return self.node, self.d_residual_d_parent, self.mixed_parent_own
+
 
 def icm_check(model: Model, i: str, point: Point,
               tol: float = STRUCTURAL_TOL) -> IcmReport:
@@ -170,7 +183,6 @@ def icm_check(model: Model, i: str, point: Point,
     attributed to the parent side of the check."""
     if model.var(i).kind != "endogenous":
         raise QueryError(f"{i!r} is not endogenous")
-    objective = Objective.from_model(model)
     zi = [("z", k) for k in model.coord_indices("z", i)]
     seen: dict[Ref, None] = {}
     for p in model.dag.parents(i):
@@ -186,14 +198,19 @@ def icm_check(model: Model, i: str, point: Point,
         return IcmReport(i, [], own_labels, np.zeros((di, 0)), np.zeros((di, 0, do)),
                          0.0, 0.0, tol)
 
-    active = zi + parent_refs + own_refs
-    full = objective.derivatives(point, order=3, active=active)
-    rows = [objective.gidx(r) for r in zi]
-    cols_p = [objective.gidx(r) for r in parent_refs]
-    cols_o = [objective.gidx(r) for r in own_refs]
-    first = full.hess[np.ix_(rows, cols_p)]
-    mixed = (full.third[np.ix_(rows, cols_p, cols_o)]
-             if do else np.zeros((di, dp, 0)))
+    # Only terms that read z_i enter its residual, and a parameter none of
+    # them reads has exactly zero derivatives there: it maps to the zero
+    # slot k.  Shared parameters sit in both sets and hold one slot.
+    terms = [t for t in Objective.from_model(model).terms if not set(zi).isdisjoint(t.refs)]
+    read = {r for t in terms for r in t.refs}
+    full = Objective(model, terms).derivatives(
+        point, order=3, active=[r for r in zi + parent_refs + own_refs if r in read])
+    slot = {ref: j for j, ref in enumerate(full.active)}
+    k = len(slot)
+    rows, cols_p, cols_o = ([slot.get(r, k) for r in refs]
+                            for refs in (zi, parent_refs, own_refs))
+    first = np.pad(full.hess, (0, 1))[np.ix_(rows, cols_p)]
+    mixed = np.pad(full.third, (0, 1))[np.ix_(rows, cols_p, cols_o)]
     return IcmReport(
         node=i,
         parent_params=parent_labels,
@@ -212,24 +229,12 @@ def icm_penalty(model: Model, samples: list[Point], alpha=1.0, beta=1.0,
     parent-parameter derivatives and the mixed parent-own interactions."""
     if not samples:
         raise QueryError("icm_penalty needs at least one sample point")
-    total = 0.0
-    for point in samples:
-        for node in model.dag.nodes:
-            report = icm_check(model, node, point)
-            w_a = _pair_weight(alpha, node, default if isinstance(alpha, dict) else 1.0)
-            w_b = _pair_weight(beta, node, default if isinstance(beta, dict) else 1.0)
-            total += w_a * float(np.sum(report.d_residual_d_parent ** 2))
-            total += w_b * float(np.sum(report.mixed_parent_own ** 2))
-    return total / len(samples)
+    return _penalty([[icm_check(model, node, point) for node in model.dag.nodes]
+                     for point in samples], alpha, beta, default)
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium geometry
-
-
-def _free_z_positions(objective: Objective, eq: Equilibrium) -> tuple[list[int], list[Ref]]:
-    refs = [r for r in eq.free if r[0] == "z"]
-    return [i for i, r in enumerate(eq.free) if r[0] == "z"], refs
 
 
 def causal_metric(target, eq: Equilibrium, subset=None, scales=None,
@@ -242,21 +247,18 @@ def causal_metric(target, eq: Equilibrium, subset=None, scales=None,
     energy rescalings via the term attribution blocks.
     """
     objective = _as_objective(target)
-    _, z_refs = _free_z_positions(objective, eq)
+    z_refs = [r for r in eq.free if r[0] == "z"]
     if not z_refs:
         raise QueryError("equilibrium has no free z coordinates")
-    rows = [objective.gidx(r) for r in z_refs]
 
+    full = objective.derivatives(eq.point, order=2, attribution=scales is not None,
+                                 active=z_refs)
     if scales is None:
-        full = objective.derivatives(eq.point, order=2)
-        metric = full.hess[np.ix_(rows, rows)]
+        metric = full.hess
     else:
-        second = objective.second_order(eq.point)
-        z_idx = [r[1] for r in z_refs]
-        metric = np.zeros((len(z_idx), len(z_idx)))
-        for owner, blocks in second.attribution.items():
-            a = float(scales.get(owner, 1.0))
-            metric = metric + a * blocks["zz"][np.ix_(z_idx, z_idx)]
+        metric = np.zeros((len(z_refs), len(z_refs)))
+        for owner, block in full.owner_hess.items():
+            metric = metric + float(scales.get(owner, 1.0)) * block
 
     try:
         np.linalg.cholesky(metric)
@@ -334,28 +336,24 @@ def susceptibility(target, eq: Equilibrium, wrt) -> np.ndarray:
     if wref in eq.free:
         raise QueryError("cannot differentiate with respect to a free coordinate")
 
-    free_gidx = np.array([objective.gidx(r) for r in eq.free], dtype=int)
-    full = objective.derivatives(eq.point, order=2)
-    rhs_full = full.hess[free_gidx, objective.gidx(wref)]
-    response = np.zeros(len(eq.free))
+    nfree = len(eq.free)
+    hess = objective.derivatives(eq.point, order=2, active=list(eq.free) + [wref]).hess
+    h_ff, rhs = hess[:nfree, :nfree], hess[:nfree, nfree]
+    response = np.zeros(nfree)
 
     support = _exact_zero_support(objective, eq, wref)
     if support is not None:
         if not support:
             return response
         pos = [eq.free.index(r) for r in support]
-        sub = full.hess[np.ix_(free_gidx[pos], free_gidx[pos])]
-        try:
-            response[pos] = np.linalg.solve(sub, -rhs_full[pos])
-        except np.linalg.LinAlgError:
-            raise SingularSystemError("free-block curvature is singular") from None
-        return response
-
-    h_ff = full.hess[np.ix_(free_gidx, free_gidx)]
+        h_ff, rhs = h_ff[np.ix_(pos, pos)], rhs[pos]
+    else:
+        pos = slice(None)
     try:
-        return np.linalg.solve(h_ff, -rhs_full)
+        response[pos] = np.linalg.solve(h_ff, -rhs)
     except np.linalg.LinAlgError:
         raise SingularSystemError("free-block curvature is singular") from None
+    return response
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import _penalty, nondesc_pairs
 from .engine import Objective, ObjectiveTerm, Point, Ref
 from .errors import QueryError, SingularSystemError, SolverError
 from .expr import compile_expr, parse_expr
@@ -124,12 +125,7 @@ class _Field:
                 local = model.local_term(name)
                 replacement = compile_expr(parse_expr(s.expr),
                                            model.term_resolver(local))
-                pieces = []
-                if s.lam < 1.0:
-                    pieces.append((1.0 - s.lam, base))
-                if s.lam > 0.0:
-                    pieces.append((s.lam, replacement))
-                self.rows.append(("term", ObjectiveTerm(name, pieces)))
+                self.rows.append(("term", ObjectiveTerm.blend(name, s.lam, base, replacement)))
             else:
                 self.rows.append(("term", ObjectiveTerm(name, [(1.0, base)])))
 
@@ -275,6 +271,9 @@ class DynLapReport:
     def passed(self) -> bool:
         return max(self.max_abs_z, self.max_abs_theta) <= self.tol
 
+    def _penalty_blocks(self):
+        return self.pair, self.z_block, self.theta_block
+
 
 def _component_derivs(model: Model, point: Point, theta_owner: str | None):
     """Jacobian dF/dz and, when requested, dF/dtheta_owner, exactly."""
@@ -364,6 +363,9 @@ class DynIcmReport:
     def passed(self) -> bool:
         return max(self.max_abs_first, self.max_abs_mixed) <= self.tol
 
+    def _penalty_blocks(self):
+        return self.node, self.first, self.mixed
+
 
 def dyn_icm_check(model: Model, i: str, point: Point,
                   tol: float = 1e-10) -> DynIcmReport:
@@ -407,31 +409,14 @@ def dyn_lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0) -> floa
     """Sampled penalty mirroring the static locality aggregation."""
     if not samples:
         raise QueryError("dyn_lap_penalty needs at least one sample point")
-    from .diagnostics import _pair_weight, nondesc_pairs
-
-    total = 0.0
-    for point in samples:
-        for pair in nondesc_pairs(model):
-            report = dyn_lap_check(model, pair[0], pair[1], point)
-            w_l = _pair_weight(lam, pair, 0.0 if isinstance(lam, dict) else 1.0)
-            w_m = _pair_weight(mu, pair, 0.0 if isinstance(mu, dict) else 1.0)
-            total += w_l * float(np.sum(report.z_block ** 2))
-            total += w_m * float(np.sum(report.theta_block ** 2))
-    return total / len(samples)
+    pairs = nondesc_pairs(model)
+    return _penalty([[dyn_lap_check(model, a, i, point) for a, i in pairs]
+                     for point in samples], lam, mu)
 
 
 def dyn_icm_penalty(model: Model, samples: list[Point], alpha=1.0, beta=1.0) -> float:
     """Sampled penalty mirroring the static independence aggregation."""
     if not samples:
         raise QueryError("dyn_icm_penalty needs at least one sample point")
-    from .diagnostics import _pair_weight
-
-    total = 0.0
-    for point in samples:
-        for node in model.dag.nodes:
-            report = dyn_icm_check(model, node, point)
-            w_a = _pair_weight(alpha, node, 0.0 if isinstance(alpha, dict) else 1.0)
-            w_b = _pair_weight(beta, node, 0.0 if isinstance(beta, dict) else 1.0)
-            total += w_a * float(np.sum(report.first ** 2))
-            total += w_b * float(np.sum(report.mixed ** 2))
-    return total / len(samples)
+    return _penalty([[dyn_icm_check(model, node, point) for node in model.dag.nodes]
+                     for point in samples], alpha, beta)

@@ -1,10 +1,12 @@
 """Energy evaluation with exact first, second and third derivatives.
 
 All differentiation is forward-mode on the expression AST (see
-:mod:`escm.jets`): no symbolic expansion, no finite differences.  Each
-additive term is evaluated on its own small active-coordinate set and
-scattered into global blocks, so coordinates a term never mentions
-contribute exact zeros and the assembled ``H_zz`` is bitwise symmetric.
+:mod:`escm.jets`): no symbolic expansion, no finite differences.  A caller
+names the coordinates it differentiates with respect to; the result is
+indexed by position in that list, so its size follows the query and not
+the model.  Each additive term is evaluated on the active coordinates it
+reads and added into those positions, so coordinates a term never mentions
+contribute exact zeros and the assembled Hessian is bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -103,25 +105,30 @@ class ObjectiveTerm:
         order = {"z": 0, "u": 1, "theta": 2}
         self.refs = tuple(sorted(seen, key=lambda r: (order[r[0]], r[1])))
 
+    @classmethod
+    def blend(cls, owner: str, lam: float, original: CompiledExpr,
+              replacement: CompiledExpr) -> "ObjectiveTerm":
+        """``(1 - lam) * original + lam * replacement``; a piece of weight
+        zero is dropped, so lam = 0 or 1 leaves a single plain piece."""
+        pieces = []
+        if lam < 1.0:
+            pieces.append((1.0 - lam, original))
+        if lam > 0.0:
+            pieces.append((lam, replacement))
+        return cls(owner, pieces)
 
-class FullDerivatives:
-    """Value/gradient/Hessian (and optionally third tensor) over the stacked
-    coordinate vector (z, u, theta)."""
 
-    def __init__(self, objective: "Objective", order: int, attribution: bool):
-        d = objective.dim
-        self.objective = objective
-        self.value = 0.0
-        self.grad = np.zeros(d)
-        self.hess = np.zeros((d, d)) if order >= 2 else None
-        self.third = np.zeros((d, d, d)) if order >= 3 else None
-        self.owner_hess: dict[str, np.ndarray] | None = {} if attribution else None
+@dataclass
+class _Derivatives:
+    """Value and derivatives with respect to ``active``, indexed by position
+    in it; ``owner_hess`` maps a term owner to its Hessian contribution."""
 
-    def block(self, rows: str, cols: str) -> np.ndarray:
-        return self.hess[self.objective.space_slice(rows), self.objective.space_slice(cols)]
-
-    def grad_block(self, space: str) -> np.ndarray:
-        return self.grad[self.objective.space_slice(space)]
+    active: tuple[Ref, ...]
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray | None
+    third: np.ndarray | None
+    owner_hess: dict[str, np.ndarray] | None
 
 
 class Objective:
@@ -138,9 +145,6 @@ class Objective:
     def from_model(cls, model: Model) -> "Objective":
         terms = [ObjectiveTerm(t.label, [(1.0, t.compiled)]) for t in model.terms]
         return cls(model, terms)
-
-    def gidx(self, ref: Ref) -> int:
-        return self._offsets[ref[0]] + ref[1]
 
     def space_slice(self, space: str) -> slice:
         start = self._offsets[space]
@@ -209,57 +213,67 @@ class Objective:
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,
-                    active: Iterable[Ref] | None = None) -> FullDerivatives:
-        """Assemble exact derivatives up to ``order`` over (z, u, theta).
+                    active: Iterable[Ref] | None = None) -> _Derivatives:
+        """Exact derivatives up to ``order`` with respect to ``active``.
 
-        ``active`` restricts differentiation to a coordinate subset; frozen
-        coordinates enter as constants (their rows/columns stay zero).
+        ``grad``, ``hess`` and ``third`` (and every ``owner_hess`` block)
+        are indexed by position in ``active``, with repeated refs removed
+        in order: shapes (k,), (k, k) and (k, k, k).  ``active=None`` means
+        every coordinate in stacked (z, u, theta) order.  Coordinates not
+        in ``active`` enter as constants.
         """
         self.check_point(point)
-        active_set = None if active is None else set(active)
-        out = FullDerivatives(self, order, attribution)
+        if active is None:
+            active = [(space, j) for space, n in
+                      (("z", self.nz), ("u", self.nu), ("theta", self.ntheta))
+                      for j in range(n)]
+        refs = tuple(dict.fromkeys(active))
+        slot = {ref: j for j, ref in enumerate(refs)}
+        k = len(refs)
+        value = 0.0
+        grad = np.zeros(k)
+        hess = np.zeros((k, k)) if order >= 2 else None
+        third = np.zeros((k, k, k)) if order >= 3 else None
+        owner_hess = {} if attribution else None
         for term in self.terms:
-            term_active = [r for r in term.refs
-                           if active_set is None or r in active_set]
+            term_active = [r for r in term.refs if r in slot]
             result = self.term_jet(term, point, term_active, order)
             if not isinstance(result, Jet):
-                out.value += result
+                value += result
                 continue
-            out.value += result.value
-            g = np.array([self.gidx(r) for r in term_active], dtype=int)
-            out.grad[g] += result.grad
+            value += result.value
+            g = [slot[r] for r in term_active]
+            grad[g] += result.grad
             if order >= 2:
-                out.hess[np.ix_(g, g)] += result.hess
-                if out.owner_hess is not None:
-                    block = out.owner_hess.setdefault(term.owner, np.zeros((self.dim, self.dim)))
+                hess[np.ix_(g, g)] += result.hess
+                if owner_hess is not None:
+                    block = owner_hess.setdefault(term.owner, np.zeros((k, k)))
                     block[np.ix_(g, g)] += result.hess
             if order >= 3:
-                out.third[np.ix_(g, g, g)] += result.third
-        return out
+                third[np.ix_(g, g, g)] += result.third
+        return _Derivatives(refs, value, grad, hess, third, owner_hess)
 
     def first_order(self, point: Point) -> FirstOrder:
         full = self.derivatives(point, order=1)
         return FirstOrder(
             value=full.value,
-            grad_z=full.grad_block("z").copy(),
-            grad_u=full.grad_block("u").copy(),
-            grad_theta=full.grad_block("theta").copy(),
+            grad_z=full.grad[self.space_slice("z")],
+            grad_u=full.grad[self.space_slice("u")],
+            grad_theta=full.grad[self.space_slice("theta")],
         )
 
     def second_order(self, point: Point) -> SecondOrder:
         full = self.derivatives(point, order=2, attribution=True)
-        attribution = {}
         zs, us, ts = (self.space_slice(s) for s in ("z", "u", "theta"))
-        for owner, block in full.owner_hess.items():
-            attribution[owner] = {
-                "zz": block[zs, zs].copy(),
-                "zu": block[zs, us].copy(),
-                "ztheta": block[zs, ts].copy(),
-            }
+        attribution = {
+            owner: {"zz": block[zs, zs].copy(), "zu": block[zs, us].copy(),
+                    "ztheta": block[zs, ts].copy()}
+            for owner, block in full.owner_hess.items()
+        }
         return SecondOrder(
-            h_zz=full.block("z", "z").copy(),
-            h_zu=full.block("z", "u").copy(),
-            h_ztheta=full.block("z", "theta").copy(),
+            h_zz=full.hess[zs, zs].copy(),
+            h_zu=full.hess[zs, us].copy(),
+            h_ztheta=full.hess[zs, ts].copy(),
             attribution=attribution,
         )
 
@@ -314,6 +328,7 @@ class PairEnergy:
         self.active = list(dict.fromkeys(
             self.zi_refs + self.za_refs + self.ti_refs + self.ta_refs))
         self.theta_a_labels = [model.labels("theta")[k] for _, k in self.ta_refs]
+        self._hess: np.ndarray | None = None
 
     def _point_with(self, zi=None, za=None) -> Point:
         p = self.point.copy()
@@ -327,19 +342,20 @@ class PairEnergy:
         return self._objective.value(self._point_with(zi, za))
 
     def gradient(self, zi=None, za=None) -> dict[str, np.ndarray]:
-        full = self._objective.derivatives(self._point_with(zi, za),
-                                           order=1, active=self.active)
-        gi = np.array([full.grad[self._objective.gidx(r)] for r in self.zi_refs])
-        ga = np.array([full.grad[self._objective.gidx(r)] for r in self.za_refs])
-        return {"z_i": gi, "z_a": ga}
+        grad = self._objective.derivatives(self._point_with(zi, za),
+                                           order=1, active=self.active).grad
+        return {"z_i": grad[self._positions(self.zi_refs)],
+                "z_a": grad[self._positions(self.za_refs)]}
+
+    def _positions(self, refs: list[Ref]) -> list[int]:
+        return [self.active.index(r) for r in refs]
 
     def _cross(self, rows: list[Ref], cols: list[Ref]) -> np.ndarray:
-        full = self._objective.derivatives(self.point, order=2, active=self.active)
-        r = [self._objective.gidx(x) for x in rows]
-        c = [self._objective.gidx(x) for x in cols]
-        if not r or not c:
-            return np.zeros((len(r), len(c)))
-        return full.hess[np.ix_(r, c)]
+        # one order-2 evaluation at the anchor serves every cross block
+        if self._hess is None:
+            self._hess = self._objective.derivatives(
+                self.point, order=2, active=self.active).hess
+        return self._hess[np.ix_(self._positions(rows), self._positions(cols))]
 
     def cross_zz(self) -> np.ndarray:
         """Exact block of mixed partials d2E/(dz_i dz_a)."""

@@ -164,14 +164,9 @@ class InducedScm:
             if isinstance(s, HardSurgery):
                 hard_values[s.target] = np.asarray(s.value, dtype=float)
             elif isinstance(s, SoftSurgery):
-                original = self.model.local_term(s.target).compiled
-                replacement = _compile_replacement(self.model, s.target, s.expr, s.params)
-                pieces = []
-                if s.lam < 1.0:
-                    pieces.append((1.0 - s.lam, original))
-                if s.lam > 0.0:
-                    pieces.append((s.lam, replacement))
-                soft_terms[s.target] = ObjectiveTerm(s.target, pieces)
+                soft_terms[s.target] = ObjectiveTerm.blend(
+                    s.target, s.lam, self.model.local_term(s.target).compiled,
+                    _compile_replacement(self.model, s.target, s.expr, s.params))
             else:
                 raise QueryError("only hard/soft surgeries apply to the induced model")
         point = Point.for_model(self.model, u=u, theta=theta)

@@ -130,20 +130,16 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
         raise QueryError("duplicate free coordinates")
 
     point = _initial_point(objective, cfg, init_point, clamps)
-    gidx = np.array([objective.gidx(r) for r in free_refs], dtype=int)
-    nfree = len(gidx)
+    nfree = len(free_refs)
 
     energy = objective.value(point)
     trace = [energy]
     iterations = 0
     lam = 0.0
-    hess_free = np.zeros((0, 0))
-    residual = 0.0
 
     while True:
-        full = objective.derivatives(point, order=2)
-        grad_free = full.grad[gidx]
-        hess_free = full.hess[np.ix_(gidx, gidx)] if nfree else np.zeros((0, 0))
+        full = objective.derivatives(point, order=2, active=free_refs)
+        grad_free, hess_free = full.grad, full.hess
         residual = float(np.max(np.abs(grad_free))) if nfree else 0.0
         if residual <= cfg.tol_grad:
             break
@@ -178,7 +174,7 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
             if e_new == energy:
                 # Flat bottom: accept only if the step strictly reduces the
                 # residual, preserving energy monotonicity.
-                g_new = objective.derivatives(candidate, order=1).grad[gidx]
+                g_new = objective.derivatives(candidate, order=1, active=free_refs).grad
                 if float(np.max(np.abs(g_new))) < residual:
                     accepted = (candidate, e_new)
                     break

@@ -290,3 +290,26 @@ def test_exogenous_evidence_supported(chain2):
     # stationarity: z1 - 2*(2 - 2*z1 - u2) = 0 and u2 = (2 - 2*z1)/2,
     # which solves to z1 = 2/3
     assert abs(explanation.point.z[0] - 2.0 / 3.0) < 1e-9
+
+
+def test_select_branch_energy_is_edited_energy_at_the_branch_equilibrium(chain2):
+    sel = disjunctive_select(chain2, EVIDENCE, "Z1", [0.0, 1.0],
+                             readouts={"phi": "z.Z2"}, hold={"hold": ["z.Z2"]})
+    env = disjunctive_envelope(chain2, EVIDENCE, "Z1", [0.0, 1.0], {"phi": "z.Z2"},
+                               hold={"hold": ["z.Z2"]})
+    for value, branch in env.branches.items():
+        edited = apply_surgery(chain2, hard(chain2, "Z1", value))
+        assert sel.branch_energies[value] == edited.objective.value(branch.post)
+
+
+def test_blend_drops_zero_weight_pieces(chain2):
+    from escm.engine import ObjectiveTerm
+
+    original = chain2.local_term("Z2").compiled
+    replacement = chain2.local_term("Z1").compiled
+    assert ObjectiveTerm.blend("local:Z2", 0.0, original, replacement).pieces == \
+        ((1.0, original),)
+    assert ObjectiveTerm.blend("local:Z2", 1.0, original, replacement).pieces == \
+        ((1.0, replacement),)
+    assert ObjectiveTerm.blend("local:Z2", 0.25, original, replacement).pieces == \
+        ((0.75, original), (0.25, replacement))

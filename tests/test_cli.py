@@ -291,3 +291,52 @@ def test_exit_code_contract_on_malformed_corpus(capsys, tmp_path):
         code, report = invoke(capsys, *argv)
         assert code == 3, argv
         assert "error" in report
+
+
+def test_memory_error_maps_to_solver_exit_code(capsys, chain2_path, monkeypatch):
+    from escm import cli
+
+    class _ArrayMemoryError(MemoryError):
+        """Stand-in for numpy's private subclass."""
+
+    def exhausted(model, args):
+        raise _ArrayMemoryError("Unable to allocate 10.1 GiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "diagnose", exhausted)
+    code, report = invoke(capsys, "diagnose", chain2_path, "--no-timing")
+    assert code == cli.EXIT_SOLVER == 2
+    assert report["error"] == {"type": "MemoryError",
+                               "message": "Unable to allocate 10.1 GiB"}
+
+
+def test_threads_option_is_gone(capsys, chain2_path):
+    assert run(["solve", chain2_path, "--threads", "2"]) == 3
+
+
+def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, monkeypatch):
+    from escm import Point, diagnostics
+
+    path = tmp_path / "chain2_z3.json"
+    path.write_text(json.dumps(chain2_z3.to_dict()), encoding="utf-8")
+    calls = {"lap": 0, "icm": 0}
+    lap_check, icm_check = diagnostics.lap_check, diagnostics.icm_check
+
+    def counted_lap(*args, **kwargs):
+        calls["lap"] += 1
+        return lap_check(*args, **kwargs)
+
+    def counted_icm(*args, **kwargs):
+        calls["icm"] += 1
+        return icm_check(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "lap_check", counted_lap)
+    monkeypatch.setattr(diagnostics, "icm_check", counted_icm)
+    code, report = invoke(capsys, "diagnose", str(path), "--no-timing")
+    assert code == 0
+    assert calls == {"lap": len(diagnostics.nondesc_pairs(chain2_z3)),
+                     "icm": len(chain2_z3.dag.nodes)}
+    monkeypatch.undo()
+    point = Point.for_model(chain2_z3)
+    assert report["results"]["lap_penalty"] == diagnostics.lap_penalty(chain2_z3, [point])
+    assert report["results"]["lap_penalty"] == pytest.approx(0.18, abs=1e-15)
+    assert report["results"]["icm_penalty"] == diagnostics.icm_penalty(chain2_z3, [point])

@@ -373,3 +373,15 @@ def test_singular_gauge_rejected():
 def test_probe_unknown_owner_rejected(chain2):
     with pytest.raises(QueryError):
         apply_gauge(chain2, GaugeTransform(scale={"nope": 2.0}))
+
+
+def test_icm_check_at_80_nodes_differentiates_only_its_coordinates():
+    from escm.corpus import random_quadratic_model
+
+    model = parse_model(random_quadratic_model(np.random.default_rng(0), 80, density=0.3))
+    point = Point.for_model(model)
+    node = max(model.dag.nodes, key=lambda v: len(model.dag.parents(v)))
+    report = icm_check(model, node, point)
+    assert report.parent_params
+    assert report.passed
+    assert report.max_abs_first == 0.0 and report.max_abs_mixed == 0.0

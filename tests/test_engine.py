@@ -216,3 +216,65 @@ def test_pair_energy_value_and_gradient_queries(chain2_z3):
     assert pair.value(zi=[1.0], za=[2.0]) == pytest.approx(0.5 + 0.3 * 2.0)
     grads = pair.gradient()
     assert grads["z_i"][0] == pytest.approx(2.0 + 0.3 * 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Positional derivative blocks over an active subset
+
+
+def test_active_subset_blocks_equal_all_coordinate_blocks():
+    from escm.corpus import random_quadratic_model
+
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 6):
+        model = parse_model(random_quadratic_model(rng, n, density=0.5))
+        objective = Objective.from_model(model)
+        point = Point.for_model(model, z=rng.normal(size=model.nz),
+                                u=rng.normal(size=model.nu))
+        coords = objective.derivatives(point, order=1).active
+        assert list(coords[:model.nz]) == [("z", j) for j in range(model.nz)]
+        for order in (1, 2, 3):
+            full = objective.derivatives(point, order=order)
+            for _ in range(4):
+                k = int(rng.integers(1, len(coords) + 1))
+                pos = list(rng.choice(len(coords), size=k, replace=False))
+                active = [coords[p] for p in pos]
+                # a repeated ref holds one slot, at its first position
+                part = objective.derivatives(point, order=order,
+                                             active=active + active[:1])
+                assert part.active == tuple(active)
+                assert part.value == full.value
+                assert part.grad.shape == (k,)
+                assert np.array_equal(part.grad, full.grad[pos])
+                if order >= 2:
+                    assert part.hess.shape == (k, k)
+                    assert np.array_equal(part.hess, full.hess[np.ix_(pos, pos)])
+                if order >= 3:
+                    assert part.third.shape == (k, k, k)
+                    assert np.array_equal(part.third, full.third[np.ix_(pos, pos, pos)])
+
+
+def test_owner_hessians_are_positional_and_off_without_attribution(chain2_z3):
+    objective = Objective.from_model(chain2_z3)
+    p = Point.for_model(chain2_z3)
+    active = [("z", 2), ("z", 0)]
+    full = objective.derivatives(p, order=2, attribution=True, active=active)
+    assert full.owner_hess["global"].tolist() == [[0.0, 0.3], [0.3, 0.0]]
+    assert set(full.owner_hess) == {"Z1", "Z2", "Z3", "global"}
+    assert sum(full.owner_hess.values()).tolist() == full.hess.tolist()
+    assert objective.derivatives(p, order=2, active=active).owner_hess is None
+
+
+def test_pair_energy_evaluates_derivatives_once(chain2_z3, monkeypatch):
+    calls = []
+    original = Objective.derivatives
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Objective, "derivatives", counted)
+    pair = effective_energy_pair(chain2_z3, "Z1", "Z3", Point.for_model(chain2_z3))
+    assert pair.cross_zz().tolist() == [[0.3]]
+    assert pair.cross_ztheta().shape == (1, 0)
+    assert calls == [2]
