@@ -12,6 +12,7 @@ reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -210,8 +211,8 @@ def _cmd_disjunct(model: Model, args) -> dict:
 def _cmd_diagnose(model: Model, args) -> dict:
     point = _point_from_overrides(model, _read_json_arg(args.point, "--point"))
     tol = args.tol if args.tol is not None else diagnostics.STRUCTURAL_TOL
-    lap = [diagnostics.lap_check(model, a, i, point, tol=tol)
-           for a, i in diagnostics.nondesc_pairs(model)]
+    pairs = diagnostics.nondesc_pairs(model)
+    lap = diagnostics._lap_reports(model, pairs, point, tol)
     icm = [diagnostics.icm_check(model, node, point, tol=tol) for node in model.dag.nodes]
     results = {
         "lap": [{
@@ -233,11 +234,11 @@ def _cmd_diagnose(model: Model, args) -> dict:
     }
     if model.dynamics is not None:
         results["dyn_lap"] = [{
-            "pair": [a, i],
-            "max_abs_z": (r := dynamics.dyn_lap_check(model, a, i, point, tol=tol)).max_abs_z,
+            "pair": list(r.pair),
+            "max_abs_z": r.max_abs_z,
             "max_abs_theta": r.max_abs_theta,
             "passed": r.passed,
-        } for a, i in diagnostics.nondesc_pairs(model)]
+        } for r in dynamics._dyn_lap_reports(model, pairs, point, tol)]
         results["dyn_icm"] = [{
             "node": node,
             "max_abs_first": (r := dynamics.dyn_icm_check(model, node, point, tol=tol)).max_abs_first,
@@ -347,6 +348,7 @@ def _cmd_gen_corpus(args) -> dict:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="escm",
@@ -480,6 +482,8 @@ def run(argv=None) -> int:
         code = EXIT_VALIDATION
     except (SolverError, EnergyDomainError, NonConvexBlockError) as err:
         report["error"] = {"type": type(err).__name__, "message": str(err)}
+        if getattr(err, "diagnostics", None):
+            report["error"]["diagnostics"] = jsonable(err.diagnostics)
         code = EXIT_SOLVER
     except MemoryError as err:
         # numpy raises a private subclass; report the builtin's name

@@ -2,11 +2,12 @@
 
 Locality checks ask whether a non-descendant's state or parameters enter a
 module's effective stationarity condition: exact mixed partials of the
-pair energy must vanish.  Mechanism-independence checks ask whether parent
-parameters deform a module's residual: first and mixed second parameter
-derivatives of the residual must vanish.  Both are computed exactly, so
-clean models fail only at exactly zero and planted coefficients are
-recovered bit-for-bit.
+pair energy must vanish.  Module i's energy does not depend on A, so the
+checks of all pairs with the same i read their blocks from one Hessian.
+Mechanism-independence checks ask whether parent parameters deform a
+module's residual: first and mixed second parameter derivatives of the
+residual must vanish.  Both are computed exactly, so clean models fail
+only at exactly zero and planted coefficients are recovered bit-for-bit.
 
 The probe heads measure what a model commits to numerically at shared
 sample points in a fixed chart: per-module energies, partials, gradients,
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Objective, Point, Ref, _as_objective
+from .engine import (Objective, Point, Ref, _as_objective, _module_terms,
+                     _require_nondescendant)
 from .errors import IndefiniteMetricError, QueryError, SingularSystemError
 from .model import Model
 from .solver import Equilibrium, normalize_refs, schur_effective_hessian
@@ -55,9 +57,8 @@ def nondesc_pairs(model: Model) -> list[tuple[str, str]]:
     """All ordered pairs (A, i) with i a non-descendant of A."""
     out = []
     for a in model.dag.nodes:
-        for i in model.dag.nodes:
-            if i != a and i in model.nondescendants(a):
-                out.append((a, i))
+        nondesc = model.nondescendants(a)
+        out.extend((a, i) for i in model.dag.nodes if i in nondesc)
     return out
 
 
@@ -86,21 +87,54 @@ class LapReport:
 def lap_check(model: Model, a: str, i: str, point: Point,
               tol: float = STRUCTURAL_TOL) -> LapReport:
     """Exact cross-partials of module i's pair energy with respect to the
-    state and parameters of non-descendant A."""
-    from .engine import effective_energy_pair
+    state and parameters of non-descendant A: the blocks d2E_i/(dz_i dz_A)
+    and d2E_i/(dz_i dtheta_A), equal to ``effective_energy_pair``'s
+    ``cross_zz`` and ``cross_ztheta``."""
+    return _lap_reports(model, [(a, i)], point, tol)[0]
 
-    pair = effective_energy_pair(model, a, i, point)
-    z_block = pair.cross_zz()
-    theta_block = pair.cross_ztheta()
-    return LapReport(
-        pair=(a, i),
-        z_block=z_block,
-        theta_block=theta_block,
-        theta_labels=pair.theta_a_labels,
-        max_abs_z=float(np.max(np.abs(z_block))) if z_block.size else 0.0,
-        max_abs_theta=float(np.max(np.abs(theta_block))) if theta_block.size else 0.0,
-        tol=tol,
-    )
+
+def _lap_reports(model: Model, pairs, point: Point,
+                 tol: float = STRUCTURAL_TOL) -> list[LapReport]:
+    """``lap_check`` of every (A, i) pair, in order, with one order-2
+    derivative call per module i.
+
+    Module i's energy is the same for every A, so one Hessian over z_i and
+    the z_A and theta_A of all of i's pairs holds every block.  A
+    coordinate none of i's terms reads has exactly zero cross-partials and
+    maps to the zero slot k, which keeps the Hessian sized by what the
+    terms read rather than by the model.
+    """
+    sources: dict[str, list[str]] = {}
+    for a, i in pairs:
+        _require_nondescendant(model, a, i)
+        sources.setdefault(i, []).append(a)
+    named = dict.fromkeys(v for pair in pairs for v in pair)
+    z_refs = {v: [("z", k) for k in model.coord_indices("z", v)] for v in named}
+    theta_refs = {v: [("theta", k) for k in model.module_theta_refs(v)] for v in named}
+    theta_labels = model.labels("theta")
+    reports = {}
+    for i, sources_i in sources.items():
+        objective = Objective(model, _module_terms(model, i))
+        read = {r for t in objective.terms for r in t.refs}
+        wanted = z_refs[i] + [r for a in sources_i for r in z_refs[a] + theta_refs[a]]
+        full = objective.derivatives(point, order=2,
+                                     active=[r for r in wanted if r in read])
+        slot = {ref: j for j, ref in enumerate(full.active)}
+        k = len(slot)
+        zi_rows = np.pad(full.hess, (0, 1))[[slot.get(r, k) for r in z_refs[i]]]
+        for a in sources_i:
+            z_block = zi_rows[:, [slot.get(r, k) for r in z_refs[a]]]
+            theta_block = zi_rows[:, [slot.get(r, k) for r in theta_refs[a]]]
+            reports[(a, i)] = LapReport(
+                pair=(a, i),
+                z_block=z_block,
+                theta_block=theta_block,
+                theta_labels=[theta_labels[r[1]] for r in theta_refs[a]],
+                max_abs_z=float(np.max(np.abs(z_block))) if z_block.size else 0.0,
+                max_abs_theta=float(np.max(np.abs(theta_block))) if theta_block.size else 0.0,
+                tol=tol,
+            )
+    return [reports[pair] for pair in pairs]
 
 
 def _weight(weights, key, default: float) -> float:
@@ -136,8 +170,8 @@ def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
     if not samples:
         raise QueryError("lap_penalty needs at least one sample point")
     pairs = nondesc_pairs(model)
-    return _penalty([[lap_check(model, a, i, point) for a, i in pairs]
-                     for point in samples], lam, mu, default)
+    return _penalty([_lap_reports(model, pairs, point) for point in samples],
+                    lam, mu, default)
 
 
 # ---------------------------------------------------------------------------

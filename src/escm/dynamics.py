@@ -5,6 +5,9 @@ obey the same parent mask as local energy terms.  Hard interventions act
 as feedback control, replacing the target's component with
 ``gain * (value - z_target)``; soft interventions blend in a replacement
 field.  Integration is classical fixed-step fourth-order Runge-Kutta.
+
+The dynamic locality check reads dF_i/dz_A and dF_i/dtheta_A from one
+exact field Jacobian per point, shared by every (A, i) pair.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import _penalty, nondesc_pairs
-from .engine import Objective, ObjectiveTerm, Point, Ref
+from .engine import Objective, ObjectiveTerm, Point, Ref, _require_nondescendant
 from .errors import QueryError, SingularSystemError, SolverError
 from .expr import compile_expr, parse_expr
 from .model import Model
@@ -141,18 +144,29 @@ class _Field:
 
     def jacobian(self, z: np.ndarray, point: Point) -> np.ndarray:
         point.z[:] = z
+        return self.derivatives(point)[0]
+
+    def derivatives(self, point: Point, theta_refs=()):
+        """dF/dz (n, n) and dF/dtheta (n, len(theta_refs)) at the point,
+        exactly, with one order-1 jet per component."""
+        col = {ref: j for j, ref in enumerate(theta_refs)}
         n = len(self.rows)
         jac = np.zeros((n, n))
+        dtheta = np.zeros((n, len(col)))
         for k, (kind, payload) in enumerate(self.rows):
             if kind == "hard":
                 jac[k, k] = -payload.gain
                 continue
-            z_refs = [r for r in payload.refs if r[0] == "z"]
-            jet = self.objective.term_jet(payload, point, z_refs, order=1)
-            if hasattr(jet, "grad"):
-                for ref, g in zip(z_refs, jet.grad):
+            active = [r for r in payload.refs if r[0] == "z" or r in col]
+            jet = self.objective.term_jet(payload, point, active, order=1)
+            if not hasattr(jet, "grad"):
+                continue
+            for ref, g in zip(active, jet.grad):
+                if ref[0] == "z":
                     jac[k, ref[1]] = g
-        return jac
+                else:
+                    dtheta[k, col[ref]] = g
+        return jac, dtheta
 
 
 def integrate(model: Model, z0, u, surgeries=(), t_end: float = 10.0,
@@ -275,52 +289,44 @@ class DynLapReport:
         return self.pair, self.z_block, self.theta_block
 
 
-def _component_derivs(model: Model, point: Point, theta_owner: str | None):
-    """Jacobian dF/dz and, when requested, dF/dtheta_owner, exactly."""
-    components = _require_dynamics(model)
-    objective = Objective.from_model(model)
-    nodes = [v.name for v in model.endogenous]
-    n = len(nodes)
-    theta_refs: list[Ref] = []
-    if theta_owner is not None:
-        theta_refs = [("theta", k)
-                      for k in model.module_theta_refs(theta_owner, dynamics=True)]
-    jac = np.zeros((n, n))
-    dtheta = np.zeros((n, len(theta_refs)))
-    for k, name in enumerate(nodes):
-        term = ObjectiveTerm(name, [(1.0, components[name].compiled)])
-        active = [r for r in term.refs if r[0] == "z"] + \
-                 [r for r in theta_refs if r in term.refs]
-        jet = objective.term_jet(term, point, active, order=1)
-        if not hasattr(jet, "grad"):
-            continue
-        for ref, g in zip(active, jet.grad):
-            if ref[0] == "z":
-                jac[k, ref[1]] = g
-            else:
-                dtheta[k, theta_refs.index(ref)] = g
-    return nodes, jac, dtheta, theta_refs
+def _field_derivs(model: Model, point: Point):
+    """dF/dz and dF/dtheta over every theta coordinate the field reads."""
+    field_fn = _Field(model)
+    theta_refs = sorted({r for _, term in field_fn.rows for r in term.refs
+                         if r[0] == "theta"})
+    jac, dtheta = field_fn.derivatives(point, theta_refs)
+    return jac, dtheta, theta_refs
 
 
 def dyn_lap_check(model: Model, a: str, i: str, point: Point,
                   tol: float = 1e-10, eliminate=()) -> DynLapReport:
     """Exact partials dF_i/dz_a and dF_i/dtheta_a; i must be a
-    non-descendant of a.
+    non-descendant of a.  Both are entries of the field Jacobian at the
+    point, which ``escm diagnose`` and ``dyn_lap_penalty`` build once and
+    share among all pairs.
 
     ``eliminate`` names coordinates removed by substitution: the check then
     applies to the reduced field obtained by solving those components'
     stationarity and chaining through them.
     """
-    from .errors import PairError
+    return _dyn_lap_reports(model, [(a, i)], point, tol, eliminate)[0]
 
-    if i == a or i in model.descendants(a):
-        raise PairError(f"{i!r} is {a!r} or one of its descendants")
-    nodes, jac, dtheta, _ = _component_derivs(model, point, theta_owner=a)
-    index = {name: k for k, name in enumerate(nodes)}
+
+def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
+                     eliminate=()) -> list[DynLapReport]:
+    """``dyn_lap_check`` of every (A, i) pair, in order, sliced from one
+    field Jacobian at the point (reduced once when ``eliminate`` is set).
+    A theta coordinate the field does not read maps to the zero column m.
+    """
+    for a, i in pairs:
+        _require_nondescendant(model, a, i)
+    jac, dtheta, theta_refs = _field_derivs(model, point)
+    nodes = [v.name for v in model.endogenous]
     eliminated = tuple(eliminate)
     if eliminated:
-        if i in eliminated or a in eliminated:
+        if any(a in eliminated or i in eliminated for a, i in pairs):
             raise QueryError("cannot eliminate the pair coordinates themselves")
+        index = {name: k for k, name in enumerate(nodes)}
         drop = [index[name] for name in eliminated]
         keep = [k for k in range(len(nodes)) if k not in set(drop)]
         j_cc = jac[np.ix_(drop, drop)]
@@ -329,25 +335,30 @@ def dyn_lap_check(model: Model, a: str, i: str, point: Point,
             solve_ct = np.linalg.solve(j_cc, dtheta[drop])
         except np.linalg.LinAlgError:
             raise SingularSystemError("eliminated block is singular") from None
-        jac_red = jac[np.ix_(keep, keep)] - jac[np.ix_(keep, drop)] @ solve_cf
-        dtheta_red = dtheta[keep] - jac[np.ix_(keep, drop)] @ solve_ct
-        kept_names = [nodes[k] for k in keep]
-        row = kept_names.index(i)
-        col = kept_names.index(a)
-        z_block = jac_red[row:row + 1, col:col + 1]
-        theta_block = dtheta_red[row:row + 1, :]
-    else:
-        z_block = jac[index[i]:index[i] + 1, index[a]:index[a] + 1]
-        theta_block = dtheta[index[i]:index[i] + 1, :]
-    return DynLapReport(
-        pair=(a, i),
-        z_block=z_block,
-        theta_block=theta_block,
-        max_abs_z=float(np.max(np.abs(z_block))) if z_block.size else 0.0,
-        max_abs_theta=float(np.max(np.abs(theta_block))) if theta_block.size else 0.0,
-        tol=tol,
-        eliminated=eliminated,
-    )
+        j_kd = jac[np.ix_(keep, drop)]
+        jac, dtheta = jac[np.ix_(keep, keep)] - j_kd @ solve_cf, dtheta[keep] - j_kd @ solve_ct
+        nodes = [nodes[k] for k in keep]
+    row = {name: k for k, name in enumerate(nodes)}
+    col = {ref: j for j, ref in enumerate(theta_refs)}
+    m = len(col)
+    cols = {a: [col.get(("theta", k), m) for k in model.module_theta_refs(a, dynamics=True)]
+            for a in dict.fromkeys(a for a, _ in pairs)}
+    dtheta = np.pad(dtheta, ((0, 0), (0, 1)))
+    reports = []
+    for a, i in pairs:
+        r, c = row[i], row[a]
+        z_block = jac[r:r + 1, c:c + 1]
+        theta_block = dtheta[np.ix_([r], cols[a])]
+        reports.append(DynLapReport(
+            pair=(a, i),
+            z_block=z_block,
+            theta_block=theta_block,
+            max_abs_z=float(np.max(np.abs(z_block))) if z_block.size else 0.0,
+            max_abs_theta=float(np.max(np.abs(theta_block))) if theta_block.size else 0.0,
+            tol=tol,
+            eliminated=eliminated,
+        ))
+    return reports
 
 
 @dataclass
@@ -410,8 +421,8 @@ def dyn_lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0) -> floa
     if not samples:
         raise QueryError("dyn_lap_penalty needs at least one sample point")
     pairs = nondesc_pairs(model)
-    return _penalty([[dyn_lap_check(model, a, i, point) for a, i in pairs]
-                     for point in samples], lam, mu)
+    return _penalty([_dyn_lap_reports(model, pairs, point) for point in samples],
+                    lam, mu)
 
 
 def dyn_icm_penalty(model: Model, samples: list[Point], alpha=1.0, beta=1.0) -> float:

@@ -294,6 +294,26 @@ def second_order(target, point: Point) -> SecondOrder:
     return _as_objective(target).second_order(point)
 
 
+def _require_nondescendant(model: Model, a: str, i: str) -> None:
+    if i == a or i in model.descendants(a):
+        raise PairError(f"{i!r} is {a!r} or one of its descendants")
+
+
+def _module_terms(model: Model, i: str) -> list[ObjectiveTerm]:
+    """The terms of module ``i``'s effective energy: its local term, its
+    paired exogenous term and the global term."""
+    local = model.local_term(i)
+    terms = [ObjectiveTerm(local.label, [(1.0, local.compiled)])]
+    paired = model.paired_exo(i)
+    if paired is not None and paired in model.term_by_label:
+        exo = model.term_by_label[paired]
+        if exo.owner_kind == "exo":
+            terms.append(ObjectiveTerm(exo.label, [(1.0, exo.compiled)]))
+    if model.global_term is not None:
+        terms.append(ObjectiveTerm("global", [(1.0, model.global_term.compiled)]))
+    return terms
+
+
 class PairEnergy:
     """Effective energy of module ``i`` relative to ``a``.
 
@@ -303,22 +323,11 @@ class PairEnergy:
     """
 
     def __init__(self, model: Model, a: str, i: str, point: Point):
-        if i == a or i in model.descendants(a):
-            raise PairError(f"{i!r} is {a!r} or one of its descendants")
+        _require_nondescendant(model, a, i)
         self.model = model
         self.a, self.i = a, i
         self.point = point.copy()
-
-        terms = [ObjectiveTerm(model.local_term(i).label,
-                               [(1.0, model.local_term(i).compiled)])]
-        paired = model.paired_exo(i)
-        if paired is not None and paired in model.term_by_label:
-            exo = model.term_by_label[paired]
-            if exo.owner_kind == "exo":
-                terms.append(ObjectiveTerm(exo.label, [(1.0, exo.compiled)]))
-        if model.global_term is not None:
-            terms.append(ObjectiveTerm("global", [(1.0, model.global_term.compiled)]))
-        self._objective = Objective(model, terms)
+        self._objective = Objective(model, _module_terms(model, i))
 
         self.zi_refs = [("z", k) for k in model.coord_indices("z", i)]
         self.za_refs = [("z", k) for k in model.coord_indices("z", a)]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from escm import parse_model
 from escm.cli import run
 from escm.report import canonical_json
 from tests.conftest import CHAIN2_DYNAMICS, chain2_dict
@@ -314,29 +315,78 @@ def test_threads_option_is_gone(capsys, chain2_path):
 
 
 def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, monkeypatch):
-    from escm import Point, diagnostics
+    """One order-2 derivative call per module that is i in a pair, one
+    field derivative pass per report with dynamics, one icm_check per node,
+    and penalties equal to lap_penalty/icm_penalty."""
+    from escm import Point, diagnostics, dynamics
+    from escm.engine import Objective
 
-    path = tmp_path / "chain2_z3.json"
-    path.write_text(json.dumps(chain2_z3.to_dict()), encoding="utf-8")
-    calls = {"lap": 0, "icm": 0}
-    lap_check, icm_check = diagnostics.lap_check, diagnostics.icm_check
+    spec = chain2_z3.to_dict()
+    spec["dynamics"] = CHAIN2_DYNAMICS + [{"var": "Z3", "expr": "-z.Z3"}]
+    models = {"static": chain2_z3, "dynamic": parse_model(spec)}
+    pairs = diagnostics.nondesc_pairs(chain2_z3)
+    assert len(pairs) > len({i for _, i in pairs})  # some module is i twice
 
-    def counted_lap(*args, **kwargs):
-        calls["lap"] += 1
-        return lap_check(*args, **kwargs)
+    derivatives, field_derivs = Objective.derivatives, dynamics._field_derivs
+    icm_check = diagnostics.icm_check
+    for name, model in models.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(model.to_dict()), encoding="utf-8")
+        calls = {"order2": 0, "field": 0, "icm": 0}
 
-    def counted_icm(*args, **kwargs):
-        calls["icm"] += 1
-        return icm_check(*args, **kwargs)
+        def counted_derivatives(self, point, order=2, *args, **kwargs):
+            calls["order2"] += order == 2
+            return derivatives(self, point, order, *args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "lap_check", counted_lap)
-    monkeypatch.setattr(diagnostics, "icm_check", counted_icm)
-    code, report = invoke(capsys, "diagnose", str(path), "--no-timing")
-    assert code == 0
-    assert calls == {"lap": len(diagnostics.nondesc_pairs(chain2_z3)),
-                     "icm": len(chain2_z3.dag.nodes)}
-    monkeypatch.undo()
-    point = Point.for_model(chain2_z3)
-    assert report["results"]["lap_penalty"] == diagnostics.lap_penalty(chain2_z3, [point])
-    assert report["results"]["lap_penalty"] == pytest.approx(0.18, abs=1e-15)
-    assert report["results"]["icm_penalty"] == diagnostics.icm_penalty(chain2_z3, [point])
+        def counted_field(*args, **kwargs):
+            calls["field"] += 1
+            return field_derivs(*args, **kwargs)
+
+        def counted_icm(*args, **kwargs):
+            calls["icm"] += 1
+            return icm_check(*args, **kwargs)
+
+        monkeypatch.setattr(Objective, "derivatives", counted_derivatives)
+        monkeypatch.setattr(dynamics, "_field_derivs", counted_field)
+        monkeypatch.setattr(diagnostics, "icm_check", counted_icm)
+        code, report = invoke(capsys, "diagnose", str(path), "--no-timing")
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == {"order2": len({i for _, i in pairs}),
+                         "field": int(model.dynamics is not None),
+                         "icm": len(model.dag.nodes)}
+        point = Point.for_model(model)
+        results = report["results"]
+        assert results["lap_penalty"] == diagnostics.lap_penalty(model, [point])
+        assert results["lap_penalty"] == pytest.approx(0.18, abs=1e-15)
+        assert results["icm_penalty"] == diagnostics.icm_penalty(model, [point])
+        assert [tuple(e["pair"]) for e in results["lap"]] == pairs
+        assert ("dyn_lap" in results) == (model.dynamics is not None)
+
+
+def test_solver_failure_reports_diagnostics(capsys, tmp_path):
+    spec = chain2_dict()
+    # quartic, so one Newton step from zero cannot land on the minimum
+    spec["terms"][0]["expr"] = "0.5*sq(z.Z1 - u.U1) + 0.1*pow(z.Z1, 4)"
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, report = invoke(capsys, "solve", str(path), "--context", '{"u.U1":1,"u.U2":0.5}',
+                          "--max-iter", "1", "--tol", "1e-30", "--no-timing")
+    assert code == 2
+    error = report["error"]
+    assert error["type"] == "SolverError"
+    diagnostics = error["diagnostics"]
+    assert set(diagnostics) == {"residual", "iterations", "energy", "point"}
+    assert diagnostics["iterations"] == 1
+    assert diagnostics["residual"] > 1e-30
+    assert set(diagnostics["point"]) == {"z", "u", "theta"}
+    assert diagnostics["point"]["u"] == [1.0, 0.5]
+    assert len(diagnostics["point"]["z"]) == 2
+
+
+def test_parser_is_built_once_and_usage_errors_still_exit_3(capsys, chain2_path):
+    from escm import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["solve", chain2_path, "--max-iter", "many"]) == 3
+    assert run(["solve", chain2_path, "--no-timing"]) == 0

@@ -24,9 +24,11 @@ from escm import (
     solve,
     susceptibility,
 )
-from escm.diagnostics import HEADS, nondesc_pairs
+from escm.corpus import random_quadratic_model
+from escm.diagnostics import HEADS, _lap_reports, nondesc_pairs
+from escm.engine import Objective, effective_energy_pair
 from tests.conftest import chain2_dict
-from tests.genmodels import planted_case
+from tests.genmodels import planted_case, random_interior_point, random_smooth_model
 
 ISO_QUADRATIC = {
     "variables": [{"name": "Z1", "kind": "endogenous"},
@@ -385,3 +387,95 @@ def test_icm_check_at_80_nodes_differentiates_only_its_coordinates():
     assert report.parent_params
     assert report.passed
     assert report.max_abs_first == 0.0 and report.max_abs_mixed == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched locality reports
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_batch_matches_pair_energy(model, point) -> int:
+    """Every report of the batch over all non-descendant pairs carries the
+    blocks of ``effective_energy_pair``, bit for bit; returns the count."""
+    pairs = nondesc_pairs(model)
+    reports = _lap_reports(model, pairs, point)
+    assert [r.pair for r in reports] == pairs
+    for (a, i), report in zip(pairs, reports):
+        pair = effective_energy_pair(model, a, i, point)
+        _assert_same_bits(report.z_block, pair.cross_zz())
+        _assert_same_bits(report.theta_block, pair.cross_ztheta())
+        assert report.theta_labels == pair.theta_a_labels
+        single = lap_check(model, a, i, point)
+        _assert_same_bits(single.z_block, report.z_block)
+        _assert_same_bits(single.theta_block, report.theta_block)
+        assert (single.max_abs_z, single.max_abs_theta) == \
+            (report.max_abs_z, report.max_abs_theta)
+    return len(pairs)
+
+
+def test_lap_batch_equals_per_pair_blocks_on_planted_corpus():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for index in range(25):
+        case = planted_case(rng, index)
+        seen.add(case["kind"])
+        model = case["model"]
+        point = Point(z=rng.uniform(-1, 1, model.nz), u=rng.uniform(-1, 1, model.nu),
+                      theta=model.theta_defaults())
+        _assert_batch_matches_pair_energy(model, point)
+        if case["kind"] in ("lap_z", "lap_theta"):
+            a, i = case["where"]
+            (report,) = [r for r in _lap_reports(model, nondesc_pairs(model), point)
+                         if r.pair == (a, i)]
+            assert max(report.max_abs_z, report.max_abs_theta) == abs(case["coeff"])
+    assert {"lap_z", "lap_theta"} <= seen
+
+
+def test_lap_batch_equals_per_pair_blocks_on_smooth_models():
+    rng = np.random.default_rng(12)
+    compared = 0
+    for _ in range(30):
+        model = random_smooth_model(rng, max_nodes=5)
+        compared += _assert_batch_matches_pair_energy(model, random_interior_point(rng, model))
+    assert compared > 30
+
+
+def test_lap_batch_with_dense_global_term(monkeypatch):
+    """A global term reading every z couples every pair; the batch still
+    equals the per-pair blocks, and no module's derivative call is larger
+    than what its terms read."""
+    spec = random_quadratic_model(np.random.default_rng(3), 8, density=0.3)
+    total = " + ".join(f"z.Z{k + 1}" for k in range(8))
+    spec["terms"].append({"owner": "global", "expr": f"0.05*sq({total})"})
+    model = parse_model(spec)
+    point = Point(z=np.linspace(-1, 1, model.nz), u=np.zeros(model.nu),
+                  theta=model.theta_defaults())
+
+    sizes = []
+    derivatives = Objective.derivatives
+
+    def recorded(self, *args, **kwargs):
+        out = derivatives(self, *args, **kwargs)
+        read = {r for t in self.terms for r in t.refs}
+        assert set(out.active) <= read
+        sizes.append(len(out.active))
+        return out
+
+    monkeypatch.setattr(Objective, "derivatives", recorded)
+    reports = _lap_reports(model, nondesc_pairs(model), point)
+    monkeypatch.undo()
+    assert len(sizes) == len({i for _, i in nondesc_pairs(model)})
+    # a root module's pairs name every other node; the global term reads
+    # every z and no parameter, so its active set is exactly the z block
+    assert max(sizes) == model.nz
+    assert not any(r.passed for r in reports)
+    _assert_batch_matches_pair_energy(model, point)
+
+
+def test_lap_batch_rejects_descendant_pairs(chain2):
+    with pytest.raises(PairError):
+        _lap_reports(chain2, [("Z2", "Z1"), ("Z1", "Z2")], Point.for_model(chain2))

@@ -14,14 +14,16 @@ from escm import (
     solve,
     steady_state,
 )
+from escm.diagnostics import _lap_reports, nondesc_pairs
 from escm.dynamics import (
+    _dyn_lap_reports,
     dyn_icm_check,
     dyn_icm_penalty,
     dyn_lap_check,
     dyn_lap_penalty,
     dyn_surgery_from_dict,
 )
-from escm.engine import Objective
+from escm.engine import Objective, ObjectiveTerm, effective_energy_pair
 from tests.conftest import chain2_dict
 from escm.corpus import random_quadratic_model
 
@@ -207,3 +209,112 @@ def test_requires_dynamics(chain2):
         integrate(chain2, [0.0, 0.0], [0.0, 0.0], t_end=1.0, dt=0.1)
     with pytest.raises(QueryError):
         steady_state(chain2, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Batched dynamic locality reports
+
+
+def _per_pair_reference(model, a, i, point, eliminate=()):
+    """dF_i/dz_a and dF_i/dtheta_a rebuilt for one pair: one order-1 jet
+    per component over the z coordinates and theta_a, then, with
+    ``eliminate``, the reduced field of that pair alone."""
+    objective = Objective.from_model(model)
+    nodes = [v.name for v in model.endogenous]
+    theta_refs = [("theta", k) for k in model.module_theta_refs(a, dynamics=True)]
+    jac = np.zeros((len(nodes), len(nodes)))
+    dtheta = np.zeros((len(nodes), len(theta_refs)))
+    components = {c.var: c for c in model.dynamics}
+    for k, name in enumerate(nodes):
+        term = ObjectiveTerm(name, [(1.0, components[name].compiled)])
+        active = [r for r in term.refs if r[0] == "z"] + \
+                 [r for r in theta_refs if r in term.refs]
+        jet = objective.term_jet(term, point, active, order=1)
+        for ref, g in zip(active, getattr(jet, "grad", ())):
+            if ref[0] == "z":
+                jac[k, ref[1]] = g
+            else:
+                dtheta[k, theta_refs.index(ref)] = g
+    if eliminate:
+        drop = [nodes.index(name) for name in eliminate]
+        keep = [k for k in range(len(nodes)) if k not in drop]
+        j_cc = jac[np.ix_(drop, drop)]
+        j_kd = jac[np.ix_(keep, drop)]
+        jac, dtheta = (jac[np.ix_(keep, keep)] - j_kd @ np.linalg.solve(j_cc, jac[np.ix_(drop, keep)]),
+                       dtheta[keep] - j_kd @ np.linalg.solve(j_cc, dtheta[drop]))
+        nodes = [nodes[k] for k in keep]
+    r, c = nodes.index(i), nodes.index(a)
+    return jac[r:r + 1, c:c + 1], dtheta[r:r + 1, :]
+
+
+def _planted_dynamics_model(rng, kind):
+    """A corpus model with dynamics and, for the lap kinds, one violation
+    planted in both the energy (global term) and the field of module i."""
+    spec = random_quadratic_model(rng, int(rng.integers(4, 7)), density=0.4,
+                                  dynamics=True)
+    if kind is None:
+        return parse_model(spec), None
+    model = parse_model(spec)
+    pairs = nondesc_pairs(model)
+    a, i = pairs[int(rng.integers(len(pairs)))]
+    c = repr(float(rng.uniform(0.3, 1.5)))
+    component = next(d for d in spec["dynamics"] if d["var"] == i)
+    if kind == "lap_z":
+        spec["terms"].append({"owner": "global", "expr": f"{c}*z.{a}*z.{i}"})
+        component["expr"] += f" + {c}*z.{a}"
+    else:
+        local_a = next(t for t in spec["terms"] if t["owner"] == f"local:{a}")
+        local_a.setdefault("params", {})["p_lap"] = 1.0
+        spec["terms"].append({"owner": "global", "expr": f"{c}*theta.{a}.p_lap*z.{i}"})
+        component["expr"] += f" + {c}*theta.{a}.p_lap"
+    return parse_model(spec, mask_policy="warn"), (a, i)
+
+
+def test_dyn_lap_batch_equals_per_pair_reference():
+    rng = np.random.default_rng(21)
+    for index in range(12):
+        kind = (None, "lap_z", "lap_theta")[index % 3]
+        model, where = _planted_dynamics_model(rng, kind)
+        point = Point(z=rng.uniform(-1, 1, model.nz), u=rng.uniform(-1, 1, model.nu),
+                      theta=model.theta_defaults())
+        pairs = nondesc_pairs(model)
+        reports = _dyn_lap_reports(model, pairs, point)
+        assert [r.pair for r in reports] == pairs
+        for (a, i), report in zip(pairs, reports):
+            z_block, theta_block = _per_pair_reference(model, a, i, point)
+            for got, want in ((report.z_block, z_block), (report.theta_block, theta_block)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            single = dyn_lap_check(model, a, i, point)
+            assert single.z_block.tobytes() == report.z_block.tobytes()
+            assert single.theta_block.tobytes() == report.theta_block.tobytes()
+            assert report.passed == ((a, i) != where)
+        # the static batch of the same model matches the pair energies and
+        # flags the planted pair too
+        static = _lap_reports(model, pairs, point)
+        for (a, i), report in zip(pairs, static):
+            pair = effective_energy_pair(model, a, i, point)
+            assert report.z_block.tobytes() == pair.cross_zz().tobytes()
+            assert report.theta_block.tobytes() == pair.cross_ztheta().tobytes()
+        passed = {r.pair: r.passed for r in static}
+        assert all(passed.values()) if where is None else not passed[where]
+
+
+def test_dyn_lap_batch_with_elimination():
+    rng = np.random.default_rng(22)
+    model, where = _planted_dynamics_model(rng, "lap_z")
+    point = Point(z=rng.uniform(-1, 1, model.nz), u=rng.uniform(-1, 1, model.nu),
+                  theta=model.theta_defaults())
+    eliminate = tuple(n for n in model.dag.nodes if n not in where)[:2]
+    pairs = [(a, i) for a, i in nondesc_pairs(model)
+             if a not in eliminate and i not in eliminate]
+    reports = _dyn_lap_reports(model, pairs, point, eliminate=eliminate)
+    # the batch solves the eliminated block for every theta column at once,
+    # so LAPACK may round differently from the per-pair solve
+    for (a, i), report in zip(pairs, reports):
+        z_block, theta_block = _per_pair_reference(model, a, i, point, eliminate)
+        np.testing.assert_allclose(report.z_block, z_block, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(report.theta_block, theta_block, rtol=1e-15, atol=1e-15)
+        assert report.eliminated == eliminate
+    assert not reports[pairs.index(where)].passed
+    with pytest.raises(QueryError):
+        _dyn_lap_reports(model, pairs + [("Z3", "Z1")], point, eliminate=eliminate)
