@@ -197,8 +197,7 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
     if len(set(targets)) != len(targets):
         raise QueryError("multiple surgeries on the same target")
 
-    base_terms = Objective.from_model(model).terms
-    terms = {t.owner: t for t in base_terms}
+    terms = {t.label: t.objective_term for t in model.terms}
     clamps: dict[Ref, float] = {}
     hard_targets: list[str] = []
     soft_targets: list[str] = []
@@ -223,8 +222,7 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
                 s.target, s.lam, model.local_term(s.target).compiled, replacement)
             soft_targets.append(s.target)
 
-    ordered = [terms[t.owner] for t in base_terms if t.owner in terms]
-    return EditedEnergy(Objective(model, ordered), clamps,
+    return EditedEnergy(Objective(model, terms.values()), clamps,
                         tuple(hard_targets), tuple(soft_targets), surgeries)
 
 
@@ -268,7 +266,7 @@ def abduct(model: Model, evidence: Evidence | dict, cfg: SolverConfig | None = N
     else free, from a deterministic zero initialization (the minimal-norm
     tie-break among solver-reachable minimizers).
     """
-    if isinstance(evidence, dict):
+    if not isinstance(evidence, Evidence):
         evidence = Evidence.from_dict(model, evidence)
     cfg = cfg or SolverConfig()
     eq = solve(model, clamps=evidence.clamps, cfg=cfg)

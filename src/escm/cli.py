@@ -34,7 +34,7 @@ from .errors import (
 )
 from .model import Model, parse_model
 from .report import canonical_json, jsonable, model_hash
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, normalize_clamps, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -50,24 +50,28 @@ def _read_model(path: str, mask_policy: str = "strict") -> Model:
     return parse_model(text, mask_policy=mask_policy)
 
 
-def _read_json_arg(raw: str, what: str):
-    """Inline JSON, or @path to read a JSON file."""
+def _read_json_arg(raw: str, what: str, kind: type = dict):
+    """Inline JSON, or @path to read a JSON file; the value must be a JSON
+    object, or a list when ``kind`` is ``list``."""
     if raw is None:
         return None
     try:
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(raw)
+                value = json.load(fh)
+        else:
+            value = json.loads(raw)
     except (OSError, json.JSONDecodeError) as err:
         raise QueryError(f"bad {what}: {err}") from None
+    if not isinstance(value, kind):
+        raise QueryError(f"{what} must be a JSON {'list' if kind is list else 'object'}")
+    return value
 
 
 def _point_from_overrides(model: Model, overrides: dict | None) -> Point:
     point = Point.for_model(model)
-    for label, value in (overrides or {}).items():
-        space, idx = model.parse_coord(label)
-        getattr(point, space)[idx] = float(value)
+    for ref, value in normalize_clamps(model, overrides or {}).items():
+        point.set(ref, value)
     return point
 
 
@@ -121,17 +125,16 @@ def _cmd_validate(model: Model, args) -> dict:
 
 
 def _cmd_solve(model: Model, args) -> dict:
-    context = _read_json_arg(args.context, "--context") or {}
-    clamps = {label: float(v) for label, v in context.items()}
+    context = _read_json_arg(args.context, "--context")
     free = None
     if args.free:
         free = [s.strip() for s in args.free.split(",") if s.strip()]
-    eq = solve(model, clamps=clamps, free=free, cfg=_solver_config(args))
+    eq = solve(model, clamps=context, free=free, cfg=_solver_config(args))
     return _equilibrium_payload(model, eq)
 
 
 def _cmd_abduct(model: Model, args) -> dict:
-    evidence = _read_json_arg(args.evidence, "--evidence") or {}
+    evidence = _read_json_arg(args.evidence, "--evidence")
     explanation = causal.abduct(model, evidence, cfg=_solver_config(args))
     return {
         **_point_payload(model, explanation.point),
@@ -146,7 +149,7 @@ def _load_query(model: Model, args) -> dict:
     if getattr(args, "evidence", None):
         query["evidence"] = _read_json_arg(args.evidence, "--evidence")
     if getattr(args, "surgeries", None):
-        query["surgeries"] = _read_json_arg(args.surgeries, "--surgeries")
+        query["surgeries"] = _read_json_arg(args.surgeries, "--surgeries", list)
     if getattr(args, "readouts", None):
         query["readouts"] = _read_json_arg(args.readouts, "--readouts")
     return query
@@ -249,8 +252,8 @@ def _cmd_diagnose(model: Model, args) -> dict:
 
 
 def _cmd_probes(model: Model, args) -> dict:
-    raw_points = _read_json_arg(args.points, "--points")
-    if not isinstance(raw_points, list) or not raw_points:
+    raw_points = _read_json_arg(args.points, "--points", list)
+    if not raw_points or not all(isinstance(entry, dict) for entry in raw_points):
         raise QueryError("--points must be a non-empty JSON list of coordinate objects")
     points = [_point_from_overrides(model, entry) for entry in raw_points]
     base = _point_from_overrides(model, _read_json_arg(args.base, "--base")) \
@@ -288,10 +291,8 @@ def _cmd_reduce_check(model: Model, args) -> dict:
 
 def _cmd_pushforward(model: Model, args) -> dict:
     sampler = _read_json_arg(args.sampler, "--sampler")
-    if not isinstance(sampler, dict):
-        raise QueryError("--sampler must be a JSON object keyed by exogenous variable")
     surgeries = [causal.surgery_from_dict(model, s)
-                 for s in (_read_json_arg(args.surgeries, "--surgeries") or [])]
+                 for s in (_read_json_arg(args.surgeries, "--surgeries", list) or [])]
     stats = _read_json_arg(args.stats, "--stats") or None
     report = reduction.pushforward_check(
         model, sampler, trials=args.trials, surgeries=surgeries,
@@ -308,21 +309,20 @@ def _cmd_pushforward(model: Model, args) -> dict:
 
 
 def _cmd_simulate(model: Model, args) -> dict:
-    context = _read_json_arg(args.context, "--context") or {}
     u = np.zeros(model.nu)
-    for label, value in context.items():
-        space, idx = model.parse_coord(label)
+    for (space, idx), value in normalize_clamps(
+            model, _read_json_arg(args.context, "--context") or {}).items():
         if space != "u":
             raise QueryError("simulate --context sets exogenous coordinates only")
-        u[idx] = float(value)
+        u[idx] = value
     z0 = np.zeros(model.nz)
-    for label, value in (_read_json_arg(args.z0, "--z0") or {}).items():
-        space, idx = model.parse_coord(label)
+    for (space, idx), value in normalize_clamps(
+            model, _read_json_arg(args.z0, "--z0") or {}).items():
         if space != "z":
             raise QueryError("--z0 sets endogenous coordinates only")
-        z0[idx] = float(value)
+        z0[idx] = value
     surgeries = [dynamics.dyn_surgery_from_dict(model, s)
-                 for s in (_read_json_arg(args.surgeries, "--surgeries") or [])]
+                 for s in (_read_json_arg(args.surgeries, "--surgeries", list) or [])]
     trajectory = dynamics.integrate(model, z0, u, surgeries,
                                     t_end=args.t_end, dt=args.dt)
     stride = max(1, args.stride)

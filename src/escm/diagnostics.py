@@ -53,6 +53,10 @@ HEADS = ("H_E", "H_dE", "H_gradE", "H_deltaE", "H_Hess")
 STRUCTURAL_TOL = 1e-10
 
 
+def _max_abs(block: np.ndarray) -> float:
+    return float(np.max(np.abs(block))) if block.size else 0.0
+
+
 def nondesc_pairs(model: Model) -> list[tuple[str, str]]:
     """All ordered pairs (A, i) with i a non-descendant of A."""
     out = []
@@ -130,8 +134,8 @@ def _lap_reports(model: Model, pairs, point: Point,
                 z_block=z_block,
                 theta_block=theta_block,
                 theta_labels=[theta_labels[r[1]] for r in theta_refs[a]],
-                max_abs_z=float(np.max(np.abs(z_block))) if z_block.size else 0.0,
-                max_abs_theta=float(np.max(np.abs(theta_block))) if theta_block.size else 0.0,
+                max_abs_z=_max_abs(z_block),
+                max_abs_theta=_max_abs(theta_block),
                 tol=tol,
             )
     return [reports[pair] for pair in pairs]
@@ -235,7 +239,8 @@ def icm_check(model: Model, i: str, point: Point,
     # Only terms that read z_i enter its residual, and a parameter none of
     # them reads has exactly zero derivatives there: it maps to the zero
     # slot k.  Shared parameters sit in both sets and hold one slot.
-    terms = [t for t in Objective.from_model(model).terms if not set(zi).isdisjoint(t.refs)]
+    terms = [t.objective_term for t in model.terms
+             if not set(zi).isdisjoint(t.objective_term.refs)]
     read = {r for t in terms for r in t.refs}
     full = Objective(model, terms).derivatives(
         point, order=3, active=[r for r in zi + parent_refs + own_refs if r in read])
@@ -251,8 +256,8 @@ def icm_check(model: Model, i: str, point: Point,
         own_params=own_labels,
         d_residual_d_parent=first,
         mixed_parent_own=mixed,
-        max_abs_first=float(np.max(np.abs(first))) if first.size else 0.0,
-        max_abs_mixed=float(np.max(np.abs(mixed))) if mixed.size else 0.0,
+        max_abs_first=_max_abs(first),
+        max_abs_mixed=_max_abs(mixed),
         tol=tol,
     )
 
@@ -467,15 +472,13 @@ def _per_term_z_derivs(model: Model, point: Point, order: int):
     for term in objective.terms:
         z_refs = [r for r in term.refs if r[0] == "z"]
         jet = objective.term_jet(term, point, z_refs, order)
-        value = jet.value if hasattr(jet, "value") else float(jet)
+        idx = np.array([r[1] for r in z_refs], dtype=int)
         grad = np.zeros(model.nz)
         hess = np.zeros((model.nz, model.nz))
-        if hasattr(jet, "grad"):
-            idx = np.array([r[1] for r in z_refs], dtype=int)
-            grad[idx] = jet.grad
-            if order >= 2:
-                hess[np.ix_(idx, idx)] = jet.hess
-        out[term.owner] = (value, grad, hess)
+        grad[idx] = jet.grad
+        if order >= 2:
+            hess[np.ix_(idx, idx)] = jet.hess
+        out[term.owner] = (jet.value, grad, hess)
     return out
 
 

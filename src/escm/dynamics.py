@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _penalty, nondesc_pairs
-from .engine import Objective, ObjectiveTerm, Point, Ref, _require_nondescendant
+from .diagnostics import _max_abs, _penalty, nondesc_pairs
+from .engine import (Objective, ObjectiveTerm, Point, Ref, _evaluate_term,
+                     _require_nondescendant)
 from .errors import QueryError, SingularSystemError, SolverError
 from .expr import compile_expr, parse_expr
 from .model import Model
@@ -122,15 +123,14 @@ class _Field:
             if name in hard:
                 self.rows.append(("hard", hard[name]))
                 continue
-            base = components[name].compiled
             if name in soft:
                 s = soft[name]
-                local = model.local_term(name)
                 replacement = compile_expr(parse_expr(s.expr),
-                                           model.term_resolver(local))
-                self.rows.append(("term", ObjectiveTerm.blend(name, s.lam, base, replacement)))
+                                           model.term_resolver(model.local_term(name)))
+                self.rows.append(("term", ObjectiveTerm.blend(
+                    name, s.lam, components[name].compiled, replacement)))
             else:
-                self.rows.append(("term", ObjectiveTerm(name, [(1.0, base)])))
+                self.rows.append(("term", components[name].objective_term))
 
     def value(self, z: np.ndarray, point: Point) -> np.ndarray:
         point.z[:] = z
@@ -139,7 +139,7 @@ class _Field:
             if kind == "hard":
                 out[k] = payload.gain * (payload.value - z[k])
             else:
-                out[k] = self.objective._term_value(payload, point)
+                out[k] = _evaluate_term(payload, {r: point.get(r) for r in payload.refs})
         return out
 
     def jacobian(self, z: np.ndarray, point: Point) -> np.ndarray:
@@ -159,8 +159,6 @@ class _Field:
                 continue
             active = [r for r in payload.refs if r[0] == "z" or r in col]
             jet = self.objective.term_jet(payload, point, active, order=1)
-            if not hasattr(jet, "grad"):
-                continue
             for ref, g in zip(active, jet.grad):
                 if ref[0] == "z":
                     jac[k, ref[1]] = g
@@ -353,8 +351,8 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
             pair=(a, i),
             z_block=z_block,
             theta_block=theta_block,
-            max_abs_z=float(np.max(np.abs(z_block))) if z_block.size else 0.0,
-            max_abs_theta=float(np.max(np.abs(theta_block))) if theta_block.size else 0.0,
+            max_abs_z=_max_abs(z_block),
+            max_abs_theta=_max_abs(theta_block),
             tol=tol,
             eliminated=eliminated,
         ))
@@ -384,7 +382,6 @@ def dyn_icm_check(model: Model, i: str, point: Point,
     components = _require_dynamics(model)
     if i not in components:
         raise QueryError(f"no dynamics component for {i!r}")
-    objective = Objective.from_model(model)
     seen: dict[Ref, None] = {}
     for p in model.dag.parents(i):
         for k in model.module_theta_refs(p, dynamics=True):
@@ -394,24 +391,20 @@ def dyn_icm_check(model: Model, i: str, point: Point,
     dp, do = len(parent_refs), len(own_refs)
     if dp == 0:
         return DynIcmReport(i, np.zeros((1, 0)), np.zeros((1, 0, do)), 0.0, 0.0, tol)
-    term = ObjectiveTerm(i, [(1.0, components[i].compiled)])
     # shared parameters may sit in both sets; evaluate on unique slots
     active = list(dict.fromkeys(parent_refs + own_refs))
     slot = {ref: k for k, ref in enumerate(active)}
-    jet = objective.term_jet(term, point, active, order=2)
-    first = np.zeros((1, dp))
-    mixed = np.zeros((1, dp, do))
-    if hasattr(jet, "grad"):
-        for a, pref in enumerate(parent_refs):
-            first[0, a] = jet.grad[slot[pref]]
-            for b, oref in enumerate(own_refs):
-                mixed[0, a, b] = jet.hess[slot[pref], slot[oref]]
+    jet = Objective.from_model(model).term_jet(components[i].objective_term, point,
+                                               active, order=2)
+    cols_p = [slot[r] for r in parent_refs]
+    first = jet.grad[None, cols_p]
+    mixed = jet.hess[np.ix_(cols_p, [slot[r] for r in own_refs])][None]
     return DynIcmReport(
         node=i,
         first=first,
         mixed=mixed,
-        max_abs_first=float(np.max(np.abs(first))) if first.size else 0.0,
-        max_abs_mixed=float(np.max(np.abs(mixed))) if mixed.size else 0.0,
+        max_abs_first=_max_abs(first),
+        max_abs_mixed=_max_abs(mixed),
         tol=tol,
     )
 

@@ -1,12 +1,16 @@
 """Energy evaluation with exact first, second and third derivatives.
 
 All differentiation is forward-mode on the expression AST (see
-:mod:`escm.jets`): no symbolic expansion, no finite differences.  A caller
-names the coordinates it differentiates with respect to; the result is
-indexed by position in that list, so its size follows the query and not
-the model.  Each additive term is evaluated on the active coordinates it
-reads and added into those positions, so coordinates a term never mentions
-contribute exact zeros and the assembled Hessian is bitwise symmetric.
+:mod:`escm.jets`): no symbolic expansion, no finite differences.  Each
+model term is compiled once at parse into an :class:`ObjectiveTerm`, which
+every evaluation reads; only surgery builds new ones.  A caller names the
+coordinates it differentiates with respect to; the result is indexed by
+position in that list, so its size follows the query and not the model.
+``term_jet`` always returns a jet over those coordinates.  ``derivatives``
+evaluates only the terms that read one of them and adds each into the
+positions it reads, so coordinates a term never mentions contribute exact
+zeros and the assembled Hessian is bitwise symmetric; it returns no
+energy value, which ``value`` computes.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EnergyDomainError, PairError, QueryError
-from .expr import CompiledExpr, Env
-from .jets import Jet, seed
-from .model import Model
+from .expr import Env
+from .jets import Jet, lift, seed
+from .model import Model, ObjectiveTerm
 
 __all__ = [
     "Point",
@@ -86,45 +90,12 @@ class SecondOrder:
     attribution: dict[str, dict[str, np.ndarray]]
 
 
-class ObjectiveTerm:
-    """One additive contribution: a weighted sum of compiled expressions.
-
-    Plain model terms have a single piece with weight 1; blended terms
-    produced by soft surgery carry two.
-    """
-
-    __slots__ = ("owner", "pieces", "refs")
-
-    def __init__(self, owner: str, pieces: Sequence[tuple[float, CompiledExpr]]):
-        self.owner = owner
-        self.pieces = tuple(pieces)
-        seen: dict[Ref, None] = {}
-        for _, compiled in self.pieces:
-            for ref in compiled.refs:
-                seen.setdefault(ref, None)
-        order = {"z": 0, "u": 1, "theta": 2}
-        self.refs = tuple(sorted(seen, key=lambda r: (order[r[0]], r[1])))
-
-    @classmethod
-    def blend(cls, owner: str, lam: float, original: CompiledExpr,
-              replacement: CompiledExpr) -> "ObjectiveTerm":
-        """``(1 - lam) * original + lam * replacement``; a piece of weight
-        zero is dropped, so lam = 0 or 1 leaves a single plain piece."""
-        pieces = []
-        if lam < 1.0:
-            pieces.append((1.0 - lam, original))
-        if lam > 0.0:
-            pieces.append((lam, replacement))
-        return cls(owner, pieces)
-
-
 @dataclass
 class _Derivatives:
-    """Value and derivatives with respect to ``active``, indexed by position
-    in it; ``owner_hess`` maps a term owner to its Hessian contribution."""
+    """Derivatives with respect to ``active``, indexed by position in it;
+    ``owner_hess`` maps a term owner to its Hessian contribution."""
 
     active: tuple[Ref, ...]
-    value: float
     grad: np.ndarray
     hess: np.ndarray | None
     third: np.ndarray | None
@@ -143,8 +114,7 @@ class Objective:
 
     @classmethod
     def from_model(cls, model: Model) -> "Objective":
-        terms = [ObjectiveTerm(t.label, [(1.0, t.compiled)]) for t in model.terms]
-        return cls(model, terms)
+        return cls(model, [t.objective_term for t in model.terms])
 
     def space_slice(self, space: str) -> slice:
         start = self._offsets[space]
@@ -170,51 +140,26 @@ class Objective:
         self.check_point(point)
         total = 0.0
         for term in self.terms:
-            total += self._term_value(term, point)
+            total += _evaluate_term(term, {ref: point.get(ref) for ref in term.refs})
         return total
-
-    def _term_value(self, term: ObjectiveTerm, point: Point) -> float:
-        leaves = {ref: point.get(ref) for ref in term.refs}
-        env = Env(leaves)
-        try:
-            return sum(coeff * compiled.evaluate(env) for coeff, compiled in term.pieces)
-        except EnergyDomainError as err:
-            if err.owner is not None:
-                raise
-            raise EnergyDomainError(err.base_message, owner=term.owner,
-                                    fragment=err.fragment) from None
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
-                 active: Sequence[Ref], order: int):
+                 active: Sequence[Ref], order: int) -> Jet:
         """Evaluate one term with the given coordinates active; everything
-        else is frozen at the point.  Returns a Jet (or float when no active
-        coordinate occurs in the term)."""
+        else is frozen at the point.  The jet is over all of ``active``,
+        with exact zeros where the term does not read a coordinate."""
         slot = {ref: j for j, ref in enumerate(active)}
         k = len(active)
-        leaves = {}
-        for ref in term.refs:
-            if ref in slot:
-                leaves[ref] = seed(point.get(ref), slot[ref], k, order)
-            else:
-                leaves[ref] = point.get(ref)
-        env = Env(leaves)
-        total = None
-        try:
-            for coeff, compiled in term.pieces:
-                piece = compiled.evaluate(env)
-                piece = piece * coeff if isinstance(piece, Jet) else coeff * piece
-                total = piece if total is None else total + piece
-        except EnergyDomainError as err:
-            if err.owner is not None:
-                raise
-            raise EnergyDomainError(err.base_message, owner=term.owner,
-                                    fragment=err.fragment) from None
-        return total
+        leaves = {ref: seed(point.get(ref), slot[ref], k, order) if ref in slot
+                  else point.get(ref) for ref in term.refs}
+        total = _evaluate_term(term, leaves)
+        return total if isinstance(total, Jet) else lift(total, k, order)
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,
                     active: Iterable[Ref] | None = None) -> _Derivatives:
-        """Exact derivatives up to ``order`` with respect to ``active``.
+        """Exact derivatives up to ``order`` with respect to ``active``;
+        only the terms that read an active coordinate are evaluated.
 
         ``grad``, ``hess`` and ``third`` (and every ``owner_hess`` block)
         are indexed by position in ``active``, with repeated refs removed
@@ -230,33 +175,30 @@ class Objective:
         refs = tuple(dict.fromkeys(active))
         slot = {ref: j for j, ref in enumerate(refs)}
         k = len(refs)
-        value = 0.0
         grad = np.zeros(k)
         hess = np.zeros((k, k)) if order >= 2 else None
         third = np.zeros((k, k, k)) if order >= 3 else None
         owner_hess = {} if attribution else None
         for term in self.terms:
             term_active = [r for r in term.refs if r in slot]
-            result = self.term_jet(term, point, term_active, order)
-            if not isinstance(result, Jet):
-                value += result
+            if not term_active:
                 continue
-            value += result.value
+            jet = self.term_jet(term, point, term_active, order)
             g = [slot[r] for r in term_active]
-            grad[g] += result.grad
+            grad[g] += jet.grad
             if order >= 2:
-                hess[np.ix_(g, g)] += result.hess
+                hess[np.ix_(g, g)] += jet.hess
                 if owner_hess is not None:
                     block = owner_hess.setdefault(term.owner, np.zeros((k, k)))
-                    block[np.ix_(g, g)] += result.hess
+                    block[np.ix_(g, g)] += jet.hess
             if order >= 3:
-                third[np.ix_(g, g, g)] += result.third
-        return _Derivatives(refs, value, grad, hess, third, owner_hess)
+                third[np.ix_(g, g, g)] += jet.third
+        return _Derivatives(refs, grad, hess, third, owner_hess)
 
     def first_order(self, point: Point) -> FirstOrder:
         full = self.derivatives(point, order=1)
         return FirstOrder(
-            value=full.value,
+            value=self.value(point),
             grad_z=full.grad[self.space_slice("z")],
             grad_u=full.grad[self.space_slice("u")],
             grad_theta=full.grad[self.space_slice("theta")],
@@ -276,6 +218,23 @@ class Objective:
             h_ztheta=full.hess[zs, ts].copy(),
             attribution=attribution,
         )
+
+
+def _evaluate_term(term: ObjectiveTerm, leaves: dict):
+    """Weighted sum of ``term``'s pieces with its refs bound to ``leaves``
+    (floats or jets); a domain error is re-raised naming the term's owner."""
+    env = Env(leaves)
+    total = None
+    try:
+        for coeff, compiled in term.pieces:
+            piece = coeff * compiled.evaluate(env)
+            total = piece if total is None else total + piece
+    except EnergyDomainError as err:
+        if err.owner is not None:
+            raise
+        raise EnergyDomainError(err.base_message, owner=term.owner,
+                                fragment=err.fragment) from None
+    return total
 
 
 def _as_objective(target) -> Objective:
@@ -302,15 +261,14 @@ def _require_nondescendant(model: Model, a: str, i: str) -> None:
 def _module_terms(model: Model, i: str) -> list[ObjectiveTerm]:
     """The terms of module ``i``'s effective energy: its local term, its
     paired exogenous term and the global term."""
-    local = model.local_term(i)
-    terms = [ObjectiveTerm(local.label, [(1.0, local.compiled)])]
+    terms = [model.local_term(i).objective_term]
     paired = model.paired_exo(i)
     if paired is not None and paired in model.term_by_label:
         exo = model.term_by_label[paired]
         if exo.owner_kind == "exo":
-            terms.append(ObjectiveTerm(exo.label, [(1.0, exo.compiled)]))
+            terms.append(exo.objective_term)
     if model.global_term is not None:
-        terms.append(ObjectiveTerm("global", [(1.0, model.global_term.compiled)]))
+        terms.append(model.global_term.objective_term)
     return terms
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     CycleError,
@@ -157,12 +158,46 @@ class Dag:
         return out
 
 
+class ObjectiveTerm:
+    """One additive contribution: a weighted sum of compiled expressions.
+
+    ``parse_model`` builds one for every model term and dynamics component,
+    with a single piece of weight 1; edit code builds the others, such as
+    the two-piece blends of soft surgery.
+    """
+
+    __slots__ = ("owner", "pieces", "refs")
+
+    def __init__(self, owner: str, pieces: Sequence[tuple[float, CompiledExpr]]):
+        self.owner = owner
+        self.pieces = tuple(pieces)
+        seen: dict[tuple[str, int], None] = {}
+        for _, compiled in self.pieces:
+            for ref in compiled.refs:
+                seen.setdefault(ref, None)
+        order = {"z": 0, "u": 1, "theta": 2}
+        self.refs = tuple(sorted(seen, key=lambda r: (order[r[0]], r[1])))
+
+    @classmethod
+    def blend(cls, owner: str, lam: float, original: CompiledExpr,
+              replacement: CompiledExpr) -> "ObjectiveTerm":
+        """``(1 - lam) * original + lam * replacement``; a piece of weight
+        zero is dropped, so lam = 0 or 1 leaves a single plain piece."""
+        pieces = []
+        if lam < 1.0:
+            pieces.append((1.0 - lam, original))
+        if lam > 0.0:
+            pieces.append((lam, replacement))
+        return cls(owner, pieces)
+
+
 @dataclass
 class EnergyTerm:
     """One additive energy contribution.
 
     ``owner_kind`` is "local", "exo" or "global"; ``owner`` is the variable
     name for local/exo terms and the literal string "global" otherwise.
+    ``compiled`` and ``objective_term`` are set once by ``parse_model``.
     """
 
     owner_kind: str
@@ -170,6 +205,7 @@ class EnergyTerm:
     expr: Expr
     params: dict[str, float] = field(default_factory=dict)
     compiled: CompiledExpr | None = None
+    objective_term: ObjectiveTerm | None = None
 
     @property
     def label(self) -> str:
@@ -181,6 +217,7 @@ class DynComponent:
     var: str
     expr: Expr
     compiled: CompiledExpr | None = None
+    objective_term: ObjectiveTerm | None = None
 
 
 class Model:
@@ -584,11 +621,13 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
     # to parameters declared later in the file.
     for term in model.terms:
         term.compiled = compile_expr(term.expr, model.term_resolver(term, warnings=warnings))
+        term.objective_term = ObjectiveTerm(term.label, [(1.0, term.compiled)])
     if model.dynamics is not None:
         for comp in model.dynamics:
             local = model.local_term(comp.var)
             comp.compiled = compile_expr(
                 comp.expr, model.term_resolver(local, warnings=warnings))
+            comp.objective_term = ObjectiveTerm(comp.var, [(1.0, comp.compiled)])
     model.mask_warnings = tuple(warnings or [])
     return model
 

@@ -38,18 +38,6 @@ __all__ = [
 _BRACKET_LIMIT = 1e12
 
 
-def _term_grad(objective: Objective, term: ObjectiveTerm, point: Point,
-               refs: list[Ref]) -> np.ndarray:
-    jet = objective.term_jet(term, point, refs, order=1)
-    return jet.grad if hasattr(jet, "grad") else np.zeros(len(refs))
-
-
-def _term_hess(objective: Objective, term: ObjectiveTerm, point: Point,
-               refs: list[Ref]) -> np.ndarray:
-    jet = objective.term_jet(term, point, refs, order=2)
-    return jet.hess if hasattr(jet, "hess") else np.zeros((len(refs), len(refs)))
-
-
 def _scalar_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
                    ref: Ref, node: str) -> float:
     """Argmin of a strictly convex scalar slice via bracketed root finding."""
@@ -57,13 +45,13 @@ def _scalar_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     def dphi(x: float) -> float:
         p = point.copy()
         p.set(ref, x)
-        return float(_term_grad(objective, term, p, [ref])[0])
+        return float(objective.term_jet(term, p, [ref], order=1).grad[0])
 
     x0 = point.get(ref)
     # Strictly convex slices may still have zero curvature at isolated
     # points (quartics at their minimum); only negative curvature disproves
     # convexity outright.
-    curv = float(_term_hess(objective, term, point, [ref])[0, 0])
+    curv = float(objective.term_jet(term, point, [ref], order=2).hess[0, 0])
     if curv < 0.0:
         raise NonConvexBlockError(node, f"z={x0:g}")
     g0 = dphi(x0)
@@ -89,7 +77,7 @@ def _scalar_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     root = brentq(dphi, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
     p = point.copy()
     p.set(ref, float(root))
-    if float(_term_hess(objective, term, p, [ref])[0, 0]) < 0.0:
+    if float(objective.term_jet(term, p, [ref], order=2).hess[0, 0]) < 0.0:
         raise NonConvexBlockError(node, f"z={root:g}")
     return float(root)
 
@@ -103,15 +91,15 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     # Multi-component block: guarded Newton on the block gradient.
     p = point.copy()
     for _ in range(100):
-        g = _term_grad(objective, term, p, refs)
+        g = objective.term_jet(term, p, refs, order=1).grad
         if float(np.max(np.abs(g))) <= 1e-12:
-            h = _term_hess(objective, term, p, refs)
+            h = objective.term_jet(term, p, refs, order=2).hess
             try:
                 np.linalg.cholesky(h)
             except np.linalg.LinAlgError:
                 raise NonConvexBlockError(node, "block minimizer") from None
             return np.array([p.get(r) for r in refs])
-        h = _term_hess(objective, term, p, refs)
+        h = objective.term_jet(term, p, refs, order=2).hess
         try:
             np.linalg.cholesky(h)
             step = np.linalg.solve(h, -g)
@@ -123,7 +111,7 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
             cand = p.copy()
             for r, s in zip(refs, step):
                 cand.set(r, cand.get(r) + t * float(s))
-            g_new = _term_grad(objective, term, cand, refs)
+            g_new = objective.term_jet(term, cand, refs, order=1).grad
             if float(g_new @ g_new) < base:
                 p = cand
                 break
@@ -143,13 +131,12 @@ class InducedScm:
     def __post_init__(self):
         self.order = self.model.dag.topo_order()
         self._objective = Objective.from_model(self.model)
-        self._terms = {t.owner: t for t in self._objective.terms
-                       if self.model.term_by_label[t.owner].owner_kind == "local"}
 
     def mechanism(self, node: str, point: Point,
                   override: ObjectiveTerm | None = None) -> np.ndarray:
         """f_node: best response given parent and exogenous values in ``point``."""
-        term = override if override is not None else self._terms[node]
+        term = override if override is not None else \
+            self.model.local_term(node).objective_term
         refs = [("z", i) for i in self.model.coord_indices("z", node)]
         return _block_argmin(self._objective, term, point, refs, node)
 
@@ -198,11 +185,11 @@ def induce_scm(model: Model, probe_points: list[Point] | None = None) -> Induced
     scm = InducedScm(model)
     probes = probe_points or [Point.for_model(model)]
     objective = Objective.from_model(model)
-    terms = {t.owner: t for t in objective.terms}
     for node in scm.order:
+        term = model.local_term(node).objective_term
         refs = [("z", i) for i in model.coord_indices("z", node)]
         for p in probes:
-            h = _term_hess(objective, terms[node], p, refs)
+            h = objective.term_jet(term, p, refs, order=2).hess
             # negative curvature disproves blockwise convexity; zero is
             # inconclusive (e.g. quartics at their minimum) and admitted
             if float(np.min(np.linalg.eigvalsh(h))) < 0.0:
@@ -226,14 +213,14 @@ def forward_init(model: Model, clamps: dict[Ref, float]) -> Point:
     for ref, val in clamps.items():
         point.set(ref, val)
     objective = Objective.from_model(model)
-    terms = {t.owner: t for t in objective.terms}
     for node in model.dag.topo_order():
         refs = [("z", i) for i in model.coord_indices("z", node)]
         unclamped = [r for r in refs if r not in clamps]
         if not unclamped:
             continue
         try:
-            values = _block_argmin(objective, terms[node], point, unclamped, node)
+            values = _block_argmin(objective, model.local_term(node).objective_term,
+                                   point, unclamped, node)
         except NonConvexBlockError:
             continue  # leave this block at its current values
         for r, v in zip(unclamped, values):
@@ -429,7 +416,6 @@ def contraction_factor(model: Model, points: list[Point], iterations: int = 60) 
     """
     _require_separable(model, "the contraction estimate")
     objective = Objective.from_model(model)
-    terms = {t.owner: t for t in objective.terms}
     worst = 0.0
     for point in points:
         jac = np.zeros((model.nz, model.nz))
@@ -440,7 +426,8 @@ def contraction_factor(model: Model, points: list[Point], iterations: int = 60) 
                 continue
             parent_refs = [("z", i) for p in parents for i in model.coord_indices("z", p)]
             refs = own + parent_refs
-            h = _term_hess(objective, terms[node], point, refs)
+            h = objective.term_jet(model.local_term(node).objective_term, point, refs,
+                                   order=2).hess
             h_oo = h[: len(own), : len(own)]
             h_op = h[: len(own), len(own):]
             try:

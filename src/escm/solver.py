@@ -69,11 +69,18 @@ def normalize_refs(objective_or_model, items) -> list[Ref]:
 
 
 def normalize_clamps(objective_or_model, clamps) -> dict[Ref, float]:
+    """Map coordinate labels (or refs) to finite float values; raises
+    :class:`QueryError` on anything else."""
+    if not isinstance(clamps, dict):
+        raise QueryError("clamps must map coordinates to values")
     refs = normalize_refs(objective_or_model, clamps.keys())
     values = list(clamps.values())
     out: dict[Ref, float] = {}
     for ref, val in zip(refs, values):
-        val = float(val)
+        try:
+            val = float(val)
+        except (TypeError, ValueError):
+            raise QueryError(f"clamp value for {ref} is not a number: {val!r}") from None
         if not np.isfinite(val):
             raise QueryError(f"clamp value for {ref} is not finite")
         if ref in out and out[ref] != val:

@@ -390,3 +390,21 @@ def test_parser_is_built_once_and_usage_errors_still_exit_3(capsys, chain2_path)
     assert cli._build_parser() is cli._build_parser()
     assert run(["solve", chain2_path, "--max-iter", "many"]) == 3
     assert run(["solve", chain2_path, "--no-timing"]) == 0
+
+
+@pytest.mark.parametrize("path_fixture, argv", [
+    ("chain2_path", ("diagnose", "--point", '{"z.Z1":"abc"}')),
+    ("chain2_path", ("diagnose", "--point", "[1]")),
+    ("chain2_path", ("solve", "--context", "[1,2]")),
+    ("chain2_path", ("solve", "--context", '{"u.U1":"x"}')),
+    ("chain2_dyn_path", ("simulate", "--context", '{"u.U1":"x"}')),
+    ("chain2_path", ("abduct", "--evidence", '{"z.Z1":null}')),
+    ("chain2_path", ("probes", "--points", "[{}]", "--gauge", "[]")),
+    ("chain2_path", ("counterfactual", "--query", "[]")),
+])
+def test_malformed_json_arguments_are_query_errors(capsys, request, path_fixture, argv):
+    command, *options = argv
+    path = request.getfixturevalue(path_fixture)
+    code, report = invoke(capsys, command, path, *options, "--no-timing")
+    assert code == 3
+    assert report["error"]["type"] == "QueryError"

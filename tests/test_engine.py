@@ -96,7 +96,7 @@ def test_additivity_over_terms():
     p = random_interior_point(rng, model)
     total = evaluate(model, p).value
     objective = Objective.from_model(model)
-    by_term = sum(objective._term_value(t, p) for t in objective.terms)
+    by_term = sum(objective.term_jet(t, p, [], order=1).value for t in objective.terms)
     assert total == pytest.approx(by_term, rel=1e-15)
 
 
@@ -243,7 +243,6 @@ def test_active_subset_blocks_equal_all_coordinate_blocks():
                 part = objective.derivatives(point, order=order,
                                              active=active + active[:1])
                 assert part.active == tuple(active)
-                assert part.value == full.value
                 assert part.grad.shape == (k,)
                 assert np.array_equal(part.grad, full.grad[pos])
                 if order >= 2:
@@ -278,3 +277,92 @@ def test_pair_energy_evaluates_derivatives_once(chain2_z3, monkeypatch):
     assert pair.cross_zz().tolist() == [[0.3]]
     assert pair.cross_ztheta().shape == (1, 0)
     assert calls == [2]
+
+
+def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkeypatch):
+    from escm.jets import Jet
+
+    calls = []
+    term_jet = Objective.term_jet
+
+    def counted(self, term, *args, **kwargs):
+        calls.append(term)
+        return term_jet(self, term, *args, **kwargs)
+
+    monkeypatch.setattr(Objective, "term_jet", counted)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        model = random_smooth_model(rng)
+        objective = Objective.from_model(model)
+        p = random_interior_point(rng, model)
+        active = [("z", j) for j in range(model.nz)]
+        k = len(active)
+        unread = [t for t in objective.terms if set(t.refs).isdisjoint(active)]
+        assert unread  # every exogenous term reads only its u
+        for term in unread:
+            jet = objective.term_jet(term, p, active, 3)
+            assert isinstance(jet, Jet)
+            assert np.array_equal(jet.grad, np.zeros(k))
+            assert np.array_equal(jet.hess, np.zeros((k, k)))
+            assert np.array_equal(jet.third, np.zeros((k, k, k)))
+            assert jet.value == Objective(model, [term]).value(p)
+        # the shares add up, in term order, to the energy bit for bit
+        assert sum(objective.term_jet(t, p, active, 3).value
+                   for t in objective.terms) == objective.value(p)
+
+        for sub in (active, [("u", 0)], [("theta", j) for j in range(model.ntheta)]):
+            calls.clear()
+            objective.derivatives(p, order=2, active=sub)
+            assert calls == [t for t in objective.terms if not set(t.refs).isdisjoint(sub)]
+
+
+def test_terms_are_built_once_at_parse(tmp_path, capsys, monkeypatch):
+    """After parse, only edits build terms: diagnose, solve and a hard
+    counterfactual build none, and a soft edit builds just its blend."""
+    import json
+
+    from escm import cli
+    from escm.corpus import random_quadratic_model
+    from escm.engine import ObjectiveTerm
+
+    rng = np.random.default_rng(23)
+    specs = {"static30": random_quadratic_model(rng, 30, density=0.3),
+             "dynamic18": random_quadratic_model(rng, 18, density=0.3, dynamics=True),
+             "query40": random_quadratic_model(rng, 40, density=0.3)}
+    paths, parsed = {}, {}
+    for name, spec in specs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec), encoding="utf-8")
+        m = parse_model(spec)
+        # parse builds one term per model term and dynamics component
+        parsed[name] = [t.label for t in m.terms] + [c.var for c in m.dynamics or ()]
+    model = parse_model(specs["query40"])
+
+    built = []
+    init = ObjectiveTerm.__init__
+
+    def counted(self, owner, pieces):
+        built.append(owner)
+        init(self, owner, pieces)
+
+    monkeypatch.setattr(ObjectiveTerm, "__init__", counted)
+
+    def built_after_parse(command, name, *options):
+        built.clear()
+        assert cli.run([command, str(paths[name]), *options, "--no-timing"]) == 0
+        capsys.readouterr()
+        assert built[:len(parsed[name])] == parsed[name]
+        return built[len(parsed[name]):]
+
+    assert built_after_parse("diagnose", "static30") == []
+    assert built_after_parse("diagnose", "dynamic18") == []
+    assert built_after_parse("solve", "query40", "--context", '{"u.U1": 1, "u.U2": -0.5}') == []
+    query = {"evidence": {"z.Z1": 0.5, "z.Z40": -0.3},
+             "surgeries": [{"kind": "hard", "target": "Z3", "value": 1.0}],
+             "readouts": {"phi": "z.Z40"}}
+    assert built_after_parse("counterfactual", "query40", "--query", json.dumps(query)) == []
+    query["surgeries"] = [{"kind": "soft", "target": "Z3", "lambda": 0.5,
+                           "expr": "0.5*sq(z.Z3 - 1)"}]
+    assert built_after_parse("counterfactual", "query40", "--query", json.dumps(query)) == ["Z3"]
+    first, second = Objective.from_model(model), Objective.from_model(model)
+    assert all(a is b for a, b in zip(first.terms, second.terms))
