@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .engine import Objective, ObjectiveTerm, Point, Ref
+import numpy as np
+
+from .engine import Objective, ObjectiveTerm, Point
 from .errors import EnergyDomainError, QueryError, SolverError
 from .expr import CompiledExpr, Env, compile_expr, parse_expr
 from .model import Model
-from .solver import Equilibrium, SolverConfig, normalize_clamps, normalize_refs, solve
+from .solver import (Equilibrium, SolverConfig, finite_number, normalize_clamps,
+                     normalize_refs, solve)
 
 __all__ = [
     "HardSurgery",
@@ -47,14 +50,10 @@ __all__ = [
 
 
 def _as_vector(value, dim: int, what: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        vec = (float(value),)
-    else:
-        vec = tuple(float(v) for v in value)
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+    vec = tuple(finite_number(v, what) for v in items)
     if len(vec) != dim:
         raise QueryError(f"{what}: expected {dim} component(s), got {len(vec)}")
-    if not all(math.isfinite(v) for v in vec):
-        raise QueryError(f"{what}: value is not finite")
     return vec
 
 
@@ -111,26 +110,34 @@ def soft(model: Model, target: str, lam: float, expr: str, params=None) -> SoftS
     decl = model.var(target)
     if decl.kind != "endogenous":
         raise QueryError(f"surgery target {target!r} is not endogenous")
+    lam = finite_number(lam, "soft surgery weight")
     if not 0.0 <= lam <= 1.0:
         raise QueryError("soft surgery weight must lie in [0, 1]")
-    params = {k: float(v) for k, v in (params or {}).items()}
+    if not isinstance(expr, str):
+        raise QueryError(f"soft surgery expression {expr!r} is not a string")
+    if not isinstance(params or {}, dict):
+        raise QueryError("soft surgery params must map names to numbers")
+    params = {k: finite_number(v, f"soft surgery param {k!r}") for k, v in (params or {}).items()}
     # compile now so mask violations surface at construction time
     _compile_replacement(model, target, expr, params)
-    return SoftSurgery(target, float(lam), expr, params)
+    return SoftSurgery(target, lam, expr, params)
 
 
 def disjunctive(model: Model, target: str, values, rho=0.0, control=None, tau=0.0) -> DisjunctiveSurgery:
     decl = model.var(target)
     if decl.kind != "endogenous":
         raise QueryError(f"surgery target {target!r} is not endogenous")
-    if not values:
+    if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
+        raise QueryError(f"disjunctive values must be a list, not {values!r}")
+    vecs = sorted({_as_vector(v, decl.dim, f"do({target} in S)") for v in values})
+    if not vecs:
         raise QueryError("disjunctive surgery needs a non-empty value set")
+    rho, tau = finite_number(rho, "rho"), finite_number(tau, "tau")
     if rho < 0 or tau < 0:
         raise QueryError("rho and tau must be non-negative")
-    vecs = sorted({_as_vector(v, decl.dim, f"do({target} in S)") for v in values})
     if control is not None:
-        compile_expr(parse_expr(control), model.readout_resolver(s_dim=decl.dim))
-    return DisjunctiveSurgery(target, tuple(vecs), float(rho), control, float(tau))
+        _compile_readout(model, control, s_dim=decl.dim)
+    return DisjunctiveSurgery(target, tuple(vecs), rho, control, tau)
 
 
 def surgery_from_dict(model: Model, data: dict) -> Surgery:
@@ -163,7 +170,7 @@ def _compile_replacement(model: Model, target: str, expr: str,
     def resolve(sym):
         if (sym.parts[0] == "theta" and len(sym.parts) == 3
                 and sym.parts[1] == target and sym.parts[2] in params):
-            return ("const", params[sym.parts[2]])
+            return float(params[sym.parts[2]])
         return base(sym)
 
     return compile_expr(parse_expr(expr), resolve)
@@ -174,7 +181,7 @@ class EditedEnergy:
     """Objective after surgery, plus the clamp set hard surgery induces."""
 
     objective: Objective
-    clamps: dict[Ref, float]
+    clamps: dict[int, float]
     hard_targets: tuple[str, ...]
     soft_targets: tuple[str, ...]
     surgeries: tuple[Surgery, ...]
@@ -193,26 +200,25 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
     if isinstance(surgeries, (HardSurgery, SoftSurgery, DisjunctiveSurgery)):
         surgeries = [surgeries]
     surgeries = tuple(surgeries)
+    if not all(isinstance(s, (HardSurgery, SoftSurgery)) for s in surgeries):
+        raise QueryError("only hard and soft surgeries edit the energy; expand a disjunctive "
+                         "one branchwise (use disjunctive_envelope or disjunctive_select)")
     targets = [s.target for s in surgeries]
     if len(set(targets)) != len(targets):
         raise QueryError("multiple surgeries on the same target")
 
     terms = {t.label: t.objective_term for t in model.terms}
-    clamps: dict[Ref, float] = {}
+    clamps: dict[int, float] = {}
     hard_targets: list[str] = []
     soft_targets: list[str] = []
     for s in surgeries:
-        if isinstance(s, DisjunctiveSurgery):
-            raise QueryError("disjunctive surgery must be expanded branchwise "
-                             "(use disjunctive_envelope or disjunctive_select)")
         decl = model.var(s.target)
         if decl.kind != "endogenous":
             raise QueryError(f"surgery target {s.target!r} is not endogenous")
         if isinstance(s, HardSurgery):
             value = _as_vector(s.value, decl.dim, f"do({s.target})")
             del terms[s.target]  # children still read the clamped value
-            for k, idx in enumerate(model.coord_indices("z", s.target)):
-                clamps[("z", idx)] = value[k]
+            clamps.update(zip(model.coord_indices(s.target), value))
             hard_targets.append(s.target)
         else:
             if not 0.0 <= s.lam <= 1.0:
@@ -234,14 +240,13 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
 class Evidence:
     """Clamp values for a subset of z (and optionally u) coordinates."""
 
-    clamps: dict[Ref, float]
+    clamps: dict[int, float]
 
     @classmethod
     def from_dict(cls, model: Model, data: dict) -> "Evidence":
         clamps = normalize_clamps(model, data)
-        for ref in clamps:
-            if ref[0] == "theta":
-                raise QueryError("evidence on parameters is not supported")
+        if any(ref in model.coords("theta") for ref in clamps):
+            raise QueryError("evidence on parameters is not supported")
         return cls(clamps)
 
 
@@ -253,8 +258,8 @@ class Explanation:
     model: Model
     point: Point
     selector: str
-    clamped: tuple[Ref, ...]
-    free: tuple[Ref, ...]
+    clamped: tuple[int, ...]
+    free: tuple[int, ...]
     residual: float
     equilibrium: Equilibrium
 
@@ -274,7 +279,7 @@ def abduct(model: Model, evidence: Evidence | dict, cfg: SolverConfig | None = N
         model=model,
         point=eq.point,
         selector=f"min-norm(init={cfg.init})",
-        clamped=tuple(evidence.clamps),
+        clamped=tuple(eq.clamps),
         free=eq.free,
         residual=eq.residual,
         equilibrium=eq,
@@ -293,43 +298,48 @@ class CounterfactualResult:
     readouts: dict[str, float]
     explanation: Explanation
     equilibrium: Equilibrium
-    free: tuple[Ref, ...]
+    free: tuple[int, ...]
+
+
+def _compile_readout(model: Model, source, s_dim: int | None = None) -> CompiledExpr:
+    if not isinstance(source, str):
+        raise QueryError(f"readout {source!r} is not an expression string")
+    return compile_expr(parse_expr(source), model.readout_resolver(s_dim=s_dim))
+
+
+def _read(compiled: CompiledExpr, point: Point, s=None) -> float:
+    """A compiled readout at a point; ``s`` fills the indices past it."""
+    values = point.x.tolist()
+    if s is not None:
+        values += [float(v) for v in s]
+    return float(compiled.evaluate(Env(values)))
 
 
 def evaluate_readout(model: Model, source: str, point: Point, s=None) -> float:
     """Evaluate a named readout expression at a point."""
-    s_dim = None if s is None else len(s)
-    compiled = compile_expr(parse_expr(source), model.readout_resolver(s_dim=s_dim))
-    leaves = {}
-    for ref in compiled.refs:
-        if ref[0] == "s":
-            leaves[ref] = float(s[ref[1]])
-        else:
-            leaves[ref] = point.get(ref)
-    return float(compiled.evaluate(Env(leaves)))
+    return _read(_compile_readout(model, source, None if s is None else len(s)), point, s)
 
 
-def _default_free(model: Model, edited: EditedEnergy) -> list[Ref]:
+def _default_free(model: Model, edited: EditedEnergy) -> list[int]:
     free_vars: set[str] = set(edited.soft_targets)
     for target in edited.targets:
         free_vars |= set(model.descendants(target))
-    refs: list[Ref] = []
-    for name in model.dag.topo_order():
-        if name in free_vars:
-            refs.extend(("z", i) for i in model.coord_indices("z", name))
-    return [r for r in refs if r not in edited.clamps]
+    return [i for name in model.dag.topo_order() if name in free_vars
+            for i in model.coord_indices(name) if i not in edited.clamps]
 
 
-def _apply_hold_override(model: Model, default: list[Ref], hold) -> list[Ref]:
+def _apply_hold_override(model: Model, default: list[int], hold) -> list[int]:
     if hold is None:
         return default
-    if not isinstance(hold, dict) or set(hold) - {"free", "hold"}:
+    if (not isinstance(hold, dict) or set(hold) - {"free", "hold"}
+            or not all(isinstance(v, (list, tuple)) for v in hold.values())):
         raise QueryError("hold override must be {'free': [...], 'hold': [...]}")
     free = default if "free" not in hold else normalize_refs(model, hold["free"])
     held = set(normalize_refs(model, hold.get("hold", [])))
     overlap = held.intersection(free) if "free" in hold else set()
     if overlap:
-        raise QueryError(f"coordinates both free and held: {sorted(overlap)}")
+        raise QueryError("coordinates both free and held: "
+                         f"{[model.coord_label(i) for i in sorted(overlap)]}")
     return [r for r in free if r not in held]
 
 
@@ -338,18 +348,13 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
     free = _apply_hold_override(model, _default_free(model, edited), hold)
     for ref in free:
         if ref in edited.clamps:
-            raise QueryError(f"coordinate {ref} is clamped by a hard surgery")
+            raise QueryError(f"coordinate {model.coord_label(ref)} is clamped by a hard surgery")
 
+    # every other z and u coordinate holds its abducted value
     clamps = dict(edited.clamps)
-    free_set = set(free)
-    for i in range(model.nz):
-        ref = ("z", i)
-        if ref not in free_set and ref not in clamps:
-            clamps[ref] = explanation.point.get(ref)
-    for i in range(model.nu):
-        ref = ("u", i)
-        if ref not in free_set and ref not in clamps:
-            clamps[ref] = explanation.point.get(ref)
+    state = np.array([*model.coords("z"), *model.coords("u")], dtype=np.intp)
+    held = state[~np.isin(state, [*free, *clamps])]
+    clamps.update(zip(held.tolist(), explanation.point.x[held].tolist()))
 
     predict_cfg = replace(cfg or SolverConfig(), init="point")
     eq = solve(edited.objective, clamps=clamps, free=free,

@@ -68,10 +68,15 @@ def _read_json_arg(raw: str, what: str, kind: type = dict):
     return value
 
 
-def _point_from_overrides(model: Model, overrides: dict | None) -> Point:
+def _point_from_overrides(model: Model, overrides: dict | None,
+                          space: str | None = None) -> Point:
+    """The zero point (default parameters) with ``overrides`` applied; with
+    ``space``, every override must be a coordinate of that space."""
     point = Point.for_model(model)
     for ref, value in normalize_clamps(model, overrides or {}).items():
-        point.set(ref, value)
+        if space is not None and ref not in model.coords(space):
+            raise QueryError(f"{model.coord_label(ref)} is not a {space} coordinate")
+        point.x[ref] = value
     return point
 
 
@@ -140,7 +145,7 @@ def _cmd_abduct(model: Model, args) -> dict:
         **_point_payload(model, explanation.point),
         "selector": explanation.selector,
         "residual": explanation.residual,
-        "clamped": [model.coord_label(*ref) for ref in explanation.clamped],
+        "clamped": [model.coord_label(ref) for ref in explanation.clamped],
     }
 
 
@@ -152,6 +157,10 @@ def _load_query(model: Model, args) -> dict:
         query["surgeries"] = _read_json_arg(args.surgeries, "--surgeries", list)
     if getattr(args, "readouts", None):
         query["readouts"] = _read_json_arg(args.readouts, "--readouts")
+    if not isinstance(query.get("surgeries", []), list):
+        raise QueryError("query surgeries must be a JSON list")
+    if not isinstance(query.get("readouts", {}), dict):
+        raise QueryError("query readouts must map names to expressions")
     return query
 
 
@@ -170,7 +179,7 @@ def _cmd_counterfactual(model: Model, args) -> dict:
         "pre": _point_payload(model, result.pre),
         "post": _point_payload(model, result.post),
         "readouts": result.readouts,
-        "free": [model.coord_label(*ref) for ref in result.free],
+        "free": [model.coord_label(ref) for ref in result.free],
         "residual": result.equilibrium.residual,
     }
 
@@ -263,11 +272,8 @@ def _cmd_probes(model: Model, args) -> dict:
     gauge = None
     if args.gauge:
         payload = _read_json_arg(args.gauge, "--gauge")
-        gauge = diagnostics.GaugeTransform(
-            scale=payload.get("scale", {}),
-            offset=payload.get("offset", {}),
-            j=np.asarray(payload["j"], dtype=float) if payload.get("j") is not None else None,
-        )
+        gauge = diagnostics.GaugeTransform(scale=payload.get("scale", {}),
+                                           offset=payload.get("offset", {}), j=payload.get("j"))
     for head in heads:
         report = diagnostics.probe(model, head, points, base=base)
         results["heads"][head] = jsonable(report.outputs)
@@ -309,18 +315,8 @@ def _cmd_pushforward(model: Model, args) -> dict:
 
 
 def _cmd_simulate(model: Model, args) -> dict:
-    u = np.zeros(model.nu)
-    for (space, idx), value in normalize_clamps(
-            model, _read_json_arg(args.context, "--context") or {}).items():
-        if space != "u":
-            raise QueryError("simulate --context sets exogenous coordinates only")
-        u[idx] = value
-    z0 = np.zeros(model.nz)
-    for (space, idx), value in normalize_clamps(
-            model, _read_json_arg(args.z0, "--z0") or {}).items():
-        if space != "z":
-            raise QueryError("--z0 sets endogenous coordinates only")
-        z0[idx] = value
+    u = _point_from_overrides(model, _read_json_arg(args.context, "--context"), "u").u
+    z0 = _point_from_overrides(model, _read_json_arg(args.z0, "--z0"), "z").z
     surgeries = [dynamics.dyn_surgery_from_dict(model, s)
                  for s in (_read_json_arg(args.surgeries, "--surgeries", list) or [])]
     trajectory = dynamics.integrate(model, z0, u, surgeries,

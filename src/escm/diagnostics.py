@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Objective, Point, Ref, _as_objective, _module_terms,
+from .engine import (Objective, Point, _as_objective, _module_terms,
                      _require_nondescendant)
 from .errors import IndefiniteMetricError, QueryError, SingularSystemError
 from .model import Model
-from .solver import Equilibrium, normalize_refs, schur_effective_hessian
+from .solver import Equilibrium, finite_number, normalize_refs, schur_effective_hessian
 
 __all__ = [
     "LapReport",
@@ -113,9 +113,8 @@ def _lap_reports(model: Model, pairs, point: Point,
         _require_nondescendant(model, a, i)
         sources.setdefault(i, []).append(a)
     named = dict.fromkeys(v for pair in pairs for v in pair)
-    z_refs = {v: [("z", k) for k in model.coord_indices("z", v)] for v in named}
-    theta_refs = {v: [("theta", k) for k in model.module_theta_refs(v)] for v in named}
-    theta_labels = model.labels("theta")
+    z_refs = {v: model.coord_indices(v) for v in named}
+    theta_refs = {v: model.module_theta_refs(v) for v in named}
     reports = {}
     for i, sources_i in sources.items():
         objective = Objective(model, _module_terms(model, i))
@@ -133,12 +132,17 @@ def _lap_reports(model: Model, pairs, point: Point,
                 pair=(a, i),
                 z_block=z_block,
                 theta_block=theta_block,
-                theta_labels=[theta_labels[r[1]] for r in theta_refs[a]],
+                theta_labels=[_param_label(model, r) for r in theta_refs[a]],
                 max_abs_z=_max_abs(z_block),
                 max_abs_theta=_max_abs(theta_block),
                 tol=tol,
             )
     return [reports[pair] for pair in pairs]
+
+
+def _param_label(model: Model, index: int) -> str:
+    """"Z2.a" for the parameter at a flat index."""
+    return model.coord_label(index)[len("theta."):]
 
 
 def _weight(weights, key, default: float) -> float:
@@ -221,15 +225,12 @@ def icm_check(model: Model, i: str, point: Point,
     attributed to the parent side of the check."""
     if model.var(i).kind != "endogenous":
         raise QueryError(f"{i!r} is not endogenous")
-    zi = [("z", k) for k in model.coord_indices("z", i)]
-    seen: dict[Ref, None] = {}
-    for p in model.dag.parents(i):
-        for k in model.module_theta_refs(p):
-            seen.setdefault(("theta", k), None)
-    parent_refs = list(seen)
-    parent_labels = [model.coord_label("theta", r[1])[len("theta."):] for r in parent_refs]
-    own_refs = [("theta", k) for k in model.module_theta_refs(i)]
-    own_labels = [model.coord_label("theta", r[1])[len("theta."):] for r in own_refs]
+    zi = model.coord_indices(i)
+    parent_refs = list(dict.fromkeys(k for p in model.dag.parents(i)
+                                     for k in model.module_theta_refs(p)))
+    parent_labels = [_param_label(model, r) for r in parent_refs]
+    own_refs = model.module_theta_refs(i)
+    own_labels = [_param_label(model, r) for r in own_refs]
 
     di, dp, do = len(zi), len(parent_refs), len(own_refs)
     if dp == 0:
@@ -286,7 +287,7 @@ def causal_metric(target, eq: Equilibrium, subset=None, scales=None,
     energy rescalings via the term attribution blocks.
     """
     objective = _as_objective(target)
-    z_refs = [r for r in eq.free if r[0] == "z"]
+    z_refs = [r for r in eq.free if r in objective.model.coords("z")]
     if not z_refs:
         raise QueryError("equilibrium has no free z coordinates")
 
@@ -326,7 +327,7 @@ def metric_in_chart(metric: np.ndarray, chart_jacobian: np.ndarray) -> np.ndarra
 
 
 def _exact_zero_support(objective: Objective, eq: Equilibrium,
-                        wrt: Ref) -> list[Ref] | None:
+                        wrt: int) -> list[int] | None:
     """Free coordinates that can respond to ``wrt``, or None when the
     structural argument does not apply and a dense solve is required.
 
@@ -336,15 +337,16 @@ def _exact_zero_support(objective: Objective, eq: Equilibrium,
     responses are exactly zero.
     """
     model = objective.model
+    z = model.coords("z")
     if objective.has_global() or model.mask_warnings:
         return None
-    if any(r[0] != "z" for r in eq.free):
+    if any(r not in z for r in eq.free):
         return None
     retained = {t.owner for t in objective.terms}
     for ref in eq.clamps:
-        if ref[0] == "z":
+        if ref in z:
             owner = next(v.name for v in model.endogenous
-                         if ref[1] in model.coord_indices("z", v.name))
+                         if ref in model.coord_indices(v.name))
             if owner in retained:
                 return None  # conditioning on an un-edited module: dense path
     responders: set[str] = set()
@@ -357,7 +359,7 @@ def _exact_zero_support(objective: Objective, eq: Equilibrium,
             responders.add(term.owner)
             responders |= set(model.descendants(term.owner))
     return [r for r in eq.free
-            if any(r[1] in model.coord_indices("z", v) for v in responders)]
+            if any(r in model.coord_indices(v) for v in responders)]
 
 
 def susceptibility(target, eq: Equilibrium, wrt) -> np.ndarray:
@@ -369,7 +371,7 @@ def susceptibility(target, eq: Equilibrium, wrt) -> np.ndarray:
     """
     objective = _as_objective(target)
     (wref,) = normalize_refs(objective, [wrt])
-    if wref[0] == "z" and wref not in eq.clamps:
+    if wref in objective.model.coords("z") and wref not in eq.clamps:
         raise QueryError("susceptibility with respect to a z coordinate "
                          "requires it to be clamped")
     if wref in eq.free:
@@ -412,14 +414,21 @@ class GaugeTransform:
     j: np.ndarray | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.scale, dict) and isinstance(self.offset, dict)):
+            raise QueryError("gauge scale and offset must map term owners to numbers")
+        self.scale = {o: finite_number(a, f"gauge scale for {o!r}") for o, a in self.scale.items()}
+        self.offset = {o: finite_number(b, f"gauge offset for {o!r}") for o, b in self.offset.items()}
         for owner, a in self.scale.items():
             if not a > 0:
                 raise QueryError(f"gauge scale for {owner!r} must be positive")
         if self.j is not None:
-            self.j = np.asarray(self.j, dtype=float)
-            n = self.j.shape[0]
-            if self.j.shape != (n, n):
-                raise QueryError("gauge latent map must be square")
+            try:
+                self.j = np.asarray(self.j, dtype=float)
+            except (TypeError, ValueError):
+                raise QueryError("gauge latent map must be a matrix of numbers") from None
+            if self.j.ndim != 2 or self.j.shape[0] != self.j.shape[1] \
+                    or not np.all(np.isfinite(self.j)):
+                raise QueryError("gauge latent map must be a finite square matrix")
             if abs(np.linalg.det(self.j)) <= 1e-12:
                 raise QueryError("gauge latent map is singular")
 
@@ -442,7 +451,7 @@ class GaugedModel:
         if self._j_inv is None:
             return point.copy()
         pulled = point.copy()
-        pulled.z = self._j_inv @ point.z
+        pulled.z[:] = self._j_inv @ point.z
         return pulled
 
     def scale_of(self, owner: str) -> float:
@@ -468,11 +477,11 @@ def _per_term_z_derivs(model: Model, point: Point, order: int):
     """value/gradient/Hessian of each term with respect to the flat z
     vector, keyed by owner."""
     objective = Objective.from_model(model)
+    z = model.coords("z")
     out = {}
     for term in objective.terms:
-        z_refs = [r for r in term.refs if r[0] == "z"]
-        jet = objective.term_jet(term, point, z_refs, order)
-        idx = np.array([r[1] for r in z_refs], dtype=int)
+        idx = [r for r in term.refs if r in z]  # z sits at [0, nz) of the flat order
+        jet = objective.term_jet(term, point, idx, order)
         grad = np.zeros(model.nz)
         hess = np.zeros((model.nz, model.nz))
         grad[idx] = jet.grad

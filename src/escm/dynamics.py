@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import _max_abs, _penalty, nondesc_pairs
-from .engine import (Objective, ObjectiveTerm, Point, Ref, _evaluate_term,
+from .engine import (Objective, ObjectiveTerm, Point, _evaluate_term,
                      _require_nondescendant)
 from .errors import QueryError, SingularSystemError, SolverError
 from .expr import compile_expr, parse_expr
 from .model import Model
-from .solver import SolverConfig
+from .solver import SolverConfig, finite_number
 
 __all__ = [
     "Trajectory",
@@ -67,17 +67,21 @@ class DynSoftSurgery:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise QueryError("soft surgery weight must lie in [0, 1]")
+        if not isinstance(self.expr, str):
+            raise QueryError(f"soft surgery expression {self.expr!r} is not a string")
 
 
 def dyn_surgery_from_dict(model: Model, data: dict):
     if not isinstance(data, dict) or "kind" not in data:
         raise QueryError(f"bad dynamic surgery payload {data!r}")
+    target = data.get("target")
+    model.var(target)  # a QueryError unless it names a variable
     if data["kind"] == "hard":
-        return DynHardSurgery(data["target"], float(data["value"]),
-                              float(data.get("gain", 10.0)))
+        return DynHardSurgery(target, finite_number(data.get("value"), "feedback value"),
+                              finite_number(data.get("gain", 10.0), "feedback gain"))
     if data["kind"] == "soft":
-        return DynSoftSurgery(data["target"], float(data.get("lambda", data.get("lam"))),
-                              data["expr"])
+        return DynSoftSurgery(target, finite_number(data.get("lambda", data.get("lam")),
+                                                    "soft surgery weight"), data.get("expr"))
     raise QueryError(f"unknown dynamic surgery kind {data['kind']!r}")
 
 
@@ -104,7 +108,7 @@ class _Field:
     def __init__(self, model: Model, surgeries=()):
         components = _require_dynamics(model)
         self.model = model
-        self.objective = Objective.from_model(model)  # for coordinate maps
+        self.objective = Objective.from_model(model)  # evaluates the rows' jets
         self.nodes = [v.name for v in model.endogenous]
         self.rows: list[tuple[str, object]] = []
         hard: dict[str, DynHardSurgery] = {}
@@ -134,12 +138,13 @@ class _Field:
 
     def value(self, z: np.ndarray, point: Point) -> np.ndarray:
         point.z[:] = z
+        values = point.x.tolist()
         out = np.empty(len(self.rows))
         for k, (kind, payload) in enumerate(self.rows):
             if kind == "hard":
                 out[k] = payload.gain * (payload.value - z[k])
             else:
-                out[k] = _evaluate_term(payload, {r: point.get(r) for r in payload.refs})
+                out[k] = _evaluate_term(payload, values)
         return out
 
     def jacobian(self, z: np.ndarray, point: Point) -> np.ndarray:
@@ -148,8 +153,10 @@ class _Field:
 
     def derivatives(self, point: Point, theta_refs=()):
         """dF/dz (n, n) and dF/dtheta (n, len(theta_refs)) at the point,
-        exactly, with one order-1 jet per component."""
+        exactly, with one order-1 jet per component; ``theta_refs`` are
+        flat indices."""
         col = {ref: j for j, ref in enumerate(theta_refs)}
+        z = self.model.coords("z")
         n = len(self.rows)
         jac = np.zeros((n, n))
         dtheta = np.zeros((n, len(col)))
@@ -157,11 +164,11 @@ class _Field:
             if kind == "hard":
                 jac[k, k] = -payload.gain
                 continue
-            active = [r for r in payload.refs if r[0] == "z" or r in col]
+            active = [r for r in payload.refs if r in z or r in col]
             jet = self.objective.term_jet(payload, point, active, order=1)
             for ref, g in zip(active, jet.grad):
-                if ref[0] == "z":
-                    jac[k, ref[1]] = g
+                if ref in z:
+                    jac[k, ref] = g  # z sits at [0, nz) of the flat order
                 else:
                     dtheta[k, col[ref]] = g
         return jac, dtheta
@@ -290,8 +297,8 @@ class DynLapReport:
 def _field_derivs(model: Model, point: Point):
     """dF/dz and dF/dtheta over every theta coordinate the field reads."""
     field_fn = _Field(model)
-    theta_refs = sorted({r for _, term in field_fn.rows for r in term.refs
-                         if r[0] == "theta"})
+    thetas = model.coords("theta")
+    theta_refs = sorted({r for _, term in field_fn.rows for r in term.refs if r in thetas})
     jac, dtheta = field_fn.derivatives(point, theta_refs)
     return jac, dtheta, theta_refs
 
@@ -339,7 +346,7 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
     row = {name: k for k, name in enumerate(nodes)}
     col = {ref: j for j, ref in enumerate(theta_refs)}
     m = len(col)
-    cols = {a: [col.get(("theta", k), m) for k in model.module_theta_refs(a, dynamics=True)]
+    cols = {a: [col.get(k, m) for k in model.module_theta_refs(a, dynamics=True)]
             for a in dict.fromkeys(a for a, _ in pairs)}
     dtheta = np.pad(dtheta, ((0, 0), (0, 1)))
     reports = []
@@ -382,12 +389,9 @@ def dyn_icm_check(model: Model, i: str, point: Point,
     components = _require_dynamics(model)
     if i not in components:
         raise QueryError(f"no dynamics component for {i!r}")
-    seen: dict[Ref, None] = {}
-    for p in model.dag.parents(i):
-        for k in model.module_theta_refs(p, dynamics=True):
-            seen.setdefault(("theta", k), None)
-    parent_refs = list(seen)
-    own_refs = [("theta", k) for k in model.module_theta_refs(i, dynamics=True)]
+    parent_refs = list(dict.fromkeys(k for p in model.dag.parents(i)
+                                     for k in model.module_theta_refs(p, dynamics=True)))
+    own_refs = model.module_theta_refs(i, dynamics=True)
     dp, do = len(parent_refs), len(own_refs)
     if dp == 0:
         return DynIcmReport(i, np.zeros((1, 0)), np.zeros((1, 0, do)), 0.0, 0.0, tol)

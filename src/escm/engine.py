@@ -36,34 +36,31 @@ __all__ = [
     "PairEnergy",
 ]
 
-Ref = tuple[str, int]
-
 
 @dataclass
 class Point:
-    """Full assignment of values to all z-, u- and theta-coordinates."""
+    """Values of every coordinate, held in one flat float array ``x`` in
+    stacked (z, u, theta) order; ``z``, ``u`` and ``theta`` are views into
+    it, so writing one of them writes ``x``."""
 
     z: np.ndarray
     u: np.ndarray
     theta: np.ndarray
 
+    def __post_init__(self):
+        parts = [np.asarray(a, dtype=float) for a in (self.z, self.u, self.theta)]
+        self.x = np.concatenate(parts)
+        nz, nu = len(parts[0]), len(parts[1])
+        self.z, self.u, self.theta = self.x[:nz], self.x[nz:nz + nu], self.x[nz + nu:]
+
     @classmethod
     def for_model(cls, model: Model, z=None, u=None, theta=None) -> "Point":
-        return cls(
-            z=np.zeros(model.nz) if z is None else np.asarray(z, dtype=float).copy(),
-            u=np.zeros(model.nu) if u is None else np.asarray(u, dtype=float).copy(),
-            theta=model.theta_defaults() if theta is None
-            else np.asarray(theta, dtype=float).copy(),
-        )
+        return cls(z=np.zeros(model.nz) if z is None else z,
+                   u=np.zeros(model.nu) if u is None else u,
+                   theta=model.theta_defaults() if theta is None else theta)
 
     def copy(self) -> "Point":
-        return Point(self.z.copy(), self.u.copy(), self.theta.copy())
-
-    def get(self, ref: Ref) -> float:
-        return float(getattr(self, ref[0])[ref[1]])
-
-    def set(self, ref: Ref, value: float) -> None:
-        getattr(self, ref[0])[ref[1]] = value
+        return Point(self.z, self.u, self.theta)
 
 
 @dataclass
@@ -95,7 +92,7 @@ class _Derivatives:
     """Derivatives with respect to ``active``, indexed by position in it;
     ``owner_hess`` maps a term owner to its Hessian contribution."""
 
-    active: tuple[Ref, ...]
+    active: tuple[int, ...]
     grad: np.ndarray
     hess: np.ndarray | None
     third: np.ndarray | None
@@ -108,18 +105,11 @@ class Objective:
     def __init__(self, model: Model, terms: Sequence[ObjectiveTerm]):
         self.model = model
         self.terms = tuple(terms)
-        self.nz, self.nu, self.ntheta = model.nz, model.nu, model.ntheta
-        self.dim = self.nz + self.nu + self.ntheta
-        self._offsets = {"z": 0, "u": self.nz, "theta": self.nz + self.nu}
+        self.dim = model.dim
 
     @classmethod
     def from_model(cls, model: Model) -> "Objective":
         return cls(model, [t.objective_term for t in model.terms])
-
-    def space_slice(self, space: str) -> slice:
-        start = self._offsets[space]
-        size = {"z": self.nz, "u": self.nu, "theta": self.ntheta}[space]
-        return slice(start, start + size)
 
     def owners(self) -> list[str]:
         return [t.owner for t in self.terms]
@@ -128,51 +118,48 @@ class Objective:
         return any(t.owner == "global" for t in self.terms)
 
     def check_point(self, point: Point) -> None:
-        if len(point.z) != self.nz or len(point.u) != self.nu or len(point.theta) != self.ntheta:
+        if point.x.shape != (self.dim,):
             raise QueryError("point does not match the model's flat coordinate maps")
-        for arr in (point.z, point.u, point.theta):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise QueryError("point contains non-finite entries")
+        if not np.all(np.isfinite(point.x)):
+            raise QueryError("point contains non-finite entries")
 
     # -- evaluation ----------------------------------------------------------
 
     def value(self, point: Point) -> float:
         self.check_point(point)
+        values = point.x.tolist()
         total = 0.0
         for term in self.terms:
-            total += _evaluate_term(term, {ref: point.get(ref) for ref in term.refs})
+            total += _evaluate_term(term, values)
         return total
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
-                 active: Sequence[Ref], order: int) -> Jet:
-        """Evaluate one term with the given coordinates active; everything
+                 active: Sequence[int], order: int) -> Jet:
+        """Evaluate one term with the given flat indices active; everything
         else is frozen at the point.  The jet is over all of ``active``,
         with exact zeros where the term does not read a coordinate."""
         slot = {ref: j for j, ref in enumerate(active)}
         k = len(active)
-        leaves = {ref: seed(point.get(ref), slot[ref], k, order) if ref in slot
-                  else point.get(ref) for ref in term.refs}
+        x = point.x
+        leaves = {ref: seed(x.item(ref), slot[ref], k, order) if ref in slot
+                  else x.item(ref) for ref in term.refs}
         total = _evaluate_term(term, leaves)
         return total if isinstance(total, Jet) else lift(total, k, order)
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,
-                    active: Iterable[Ref] | None = None) -> _Derivatives:
+                    active: Iterable[int] | None = None) -> _Derivatives:
         """Exact derivatives up to ``order`` with respect to ``active``;
         only the terms that read an active coordinate are evaluated.
 
         ``grad``, ``hess`` and ``third`` (and every ``owner_hess`` block)
-        are indexed by position in ``active``, with repeated refs removed
+        are indexed by position in ``active``, with repeated indices removed
         in order: shapes (k,), (k, k) and (k, k, k).  ``active=None`` means
-        every coordinate in stacked (z, u, theta) order.  Coordinates not
-        in ``active`` enter as constants.
+        every flat index, ``range(dim)``.  Coordinates not in ``active``
+        enter as constants.
         """
         self.check_point(point)
-        if active is None:
-            active = [(space, j) for space, n in
-                      (("z", self.nz), ("u", self.nu), ("theta", self.ntheta))
-                      for j in range(n)]
-        refs = tuple(dict.fromkeys(active))
+        refs = tuple(dict.fromkeys(range(self.dim) if active is None else active))
         slot = {ref: j for j, ref in enumerate(refs)}
         k = len(refs)
         grad = np.zeros(k)
@@ -196,33 +183,28 @@ class Objective:
         return _Derivatives(refs, grad, hess, third, owner_hess)
 
     def first_order(self, point: Point) -> FirstOrder:
-        full = self.derivatives(point, order=1)
-        return FirstOrder(
-            value=self.value(point),
-            grad_z=full.grad[self.space_slice("z")],
-            grad_u=full.grad[self.space_slice("u")],
-            grad_theta=full.grad[self.space_slice("theta")],
-        )
+        grad = self.derivatives(point, order=1).grad
+        coords = self.model.coords
+        return FirstOrder(value=self.value(point), grad_z=grad[coords("z")],
+                          grad_u=grad[coords("u")], grad_theta=grad[coords("theta")])
 
     def second_order(self, point: Point) -> SecondOrder:
         full = self.derivatives(point, order=2, attribution=True)
-        zs, us, ts = (self.space_slice(s) for s in ("z", "u", "theta"))
+        z = self.model.coords("z")
+        zz, zu = np.ix_(z, z), np.ix_(z, self.model.coords("u"))
+        ztheta = np.ix_(z, self.model.coords("theta"))
         attribution = {
-            owner: {"zz": block[zs, zs].copy(), "zu": block[zs, us].copy(),
-                    "ztheta": block[zs, ts].copy()}
+            owner: {"zz": block[zz], "zu": block[zu], "ztheta": block[ztheta]}
             for owner, block in full.owner_hess.items()
         }
-        return SecondOrder(
-            h_zz=full.hess[zs, zs].copy(),
-            h_zu=full.hess[zs, us].copy(),
-            h_ztheta=full.hess[zs, ts].copy(),
-            attribution=attribution,
-        )
+        return SecondOrder(h_zz=full.hess[zz], h_zu=full.hess[zu],
+                           h_ztheta=full.hess[ztheta], attribution=attribution)
 
 
-def _evaluate_term(term: ObjectiveTerm, leaves: dict):
-    """Weighted sum of ``term``'s pieces with its refs bound to ``leaves``
-    (floats or jets); a domain error is re-raised naming the term's owner."""
+def _evaluate_term(term: ObjectiveTerm, leaves):
+    """Weighted sum of ``term``'s pieces, each flat index ``i`` it reads
+    bound to the float or jet ``leaves[i]``; a domain error is re-raised
+    naming the term's owner."""
     env = Env(leaves)
     total = None
     try:
@@ -287,22 +269,22 @@ class PairEnergy:
         self.point = point.copy()
         self._objective = Objective(model, _module_terms(model, i))
 
-        self.zi_refs = [("z", k) for k in model.coord_indices("z", i)]
-        self.za_refs = [("z", k) for k in model.coord_indices("z", a)]
-        self.ti_refs = [("theta", k) for k in model.module_theta_refs(i)]
-        self.ta_refs = [("theta", k) for k in model.module_theta_refs(a)]
+        self.zi_refs = model.coord_indices(i)
+        self.za_refs = model.coord_indices(a)
+        self.ti_refs = model.module_theta_refs(i)
+        self.ta_refs = model.module_theta_refs(a)
         # shared parameters may appear in both modules' sets; deduplicate
         self.active = list(dict.fromkeys(
             self.zi_refs + self.za_refs + self.ti_refs + self.ta_refs))
-        self.theta_a_labels = [model.labels("theta")[k] for _, k in self.ta_refs]
+        self.theta_a_labels = [model.coord_label(k).partition(".")[2] for k in self.ta_refs]
         self._hess: np.ndarray | None = None
 
     def _point_with(self, zi=None, za=None) -> Point:
         p = self.point.copy()
         if zi is not None:
-            p.z[self.model.var_slice("z", self.i)] = np.asarray(zi, dtype=float)
+            p.x[self.zi_refs] = np.asarray(zi, dtype=float)
         if za is not None:
-            p.z[self.model.var_slice("z", self.a)] = np.asarray(za, dtype=float)
+            p.x[self.za_refs] = np.asarray(za, dtype=float)
         return p
 
     def value(self, zi=None, za=None) -> float:
@@ -314,10 +296,10 @@ class PairEnergy:
         return {"z_i": grad[self._positions(self.zi_refs)],
                 "z_a": grad[self._positions(self.za_refs)]}
 
-    def _positions(self, refs: list[Ref]) -> list[int]:
+    def _positions(self, refs: list[int]) -> list[int]:
         return [self.active.index(r) for r in refs]
 
-    def _cross(self, rows: list[Ref], cols: list[Ref]) -> np.ndarray:
+    def _cross(self, rows: list[int], cols: list[int]) -> np.ndarray:
         # one order-2 evaluation at the anchor serves every cross block
         if self._hess is None:
             self._hess = self._objective.derivatives(

@@ -85,9 +85,10 @@ class Num(Node):
 
 
 class Sym(Node):
-    """Dotted symbol; ``ref`` is filled in by compilation."""
+    """Dotted symbol; compilation sets ``ref`` to the flat index it reads,
+    or ``const`` to the value it is bound to."""
 
-    __slots__ = ("parts", "comp", "text", "ref")
+    __slots__ = ("parts", "comp", "text", "ref", "const")
 
     def __init__(self, parts: tuple[str, ...], comp: int | None, text: str, start: int, end: int):
         self.parts = parts
@@ -95,9 +96,10 @@ class Sym(Node):
         self.text = text
         self.start, self.end = start, end
         self.ref = None
+        self.const = None
 
     def eval(self, env):
-        return env.leaf(self.ref)
+        return self.const if self.ref is None else env.leaves[self.ref]
 
     def children(self):
         return ()
@@ -347,14 +349,12 @@ def parse_expr(source: str) -> Expr:
 class CompiledExpr:
     """Expression with every symbol resolved to a coordinate or constant.
 
-    ``refs`` lists the distinct non-constant coordinates the expression
-    reads, each as a ``(space, index)`` pair with space in
-    ``{"z", "u", "theta", "s"}``.
+    ``refs`` lists the distinct flat indices the expression reads, sorted.
     """
 
     __slots__ = ("expr", "refs")
 
-    def __init__(self, expr: Expr, refs: tuple[tuple[str, int], ...]):
+    def __init__(self, expr: Expr, refs: tuple[int, ...]):
         self.expr = expr
         self.refs = refs
 
@@ -367,38 +367,33 @@ class CompiledExpr:
         return self.expr.root.eval(env)
 
 
-def compile_expr(expr: Expr, resolve: Callable[[Sym], tuple]) -> CompiledExpr:
+def compile_expr(expr: Expr, resolve: Callable[[Sym], int | float]) -> CompiledExpr:
     """Resolve all symbols via ``resolve`` and return a compiled expression.
 
-    ``resolve`` maps a :class:`Sym` to ``("const", value)`` or to a
-    ``(space, flat_index)`` pair; it raises for undeclared or masked-out
-    symbols.
+    ``resolve`` maps a :class:`Sym` to the ``int`` flat index it reads, or
+    to a ``float`` constant it is bound to; it raises for undeclared or
+    masked-out symbols.
     """
-    refs: list[tuple[str, int]] = []
-    seen = set()
+    refs = set()
     for sym in expr.symbols():
         ref = resolve(sym)
-        sym.ref = ref
-        if ref[0] != "const" and ref not in seen:
-            seen.add(ref)
-            refs.append(ref)
-    refs.sort(key=lambda r: ({"z": 0, "u": 1, "theta": 2, "s": 3}[r[0]], r[1]))
-    return CompiledExpr(expr, tuple(refs))
+        if isinstance(ref, int):
+            sym.ref, sym.const = ref, None
+            refs.add(ref)
+        else:
+            sym.ref, sym.const = None, float(ref)
+    return CompiledExpr(expr, tuple(sorted(refs)))
 
 
 class Env:
-    """Evaluation environment mapping resolved refs to floats or jets."""
+    """Evaluation environment: ``leaves[i]`` is the float or jet bound to
+    flat index ``i``."""
 
     __slots__ = ("leaves", "source")
 
-    def __init__(self, leaves: dict):
+    def __init__(self, leaves):
         self.leaves = leaves
         self.source = ""
-
-    def leaf(self, ref):
-        if ref[0] == "const":
-            return ref[1]
-        return self.leaves[ref]
 
     def fragment(self, node: Node) -> str:
         return self.source[node.start:node.end]

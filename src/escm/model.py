@@ -8,10 +8,14 @@ endogenous variable is paired with the i-th exogenous variable (by
 declaration order): that exogenous variable is the only one its local term
 and vector-field component may read.
 
-Flat coordinate indexing is deterministic: variables contribute blocks in
-declaration order (components in order), parameters contribute one slot
-per (term, name) in term declaration order with names sorted inside each
-term.
+Every coordinate is one integer index into a stacked vector: z at
+[0, nz), u at [nz, nz + nu) and theta at [nz + nu, dim).  Inside each
+space, variables contribute blocks in declaration order (components in
+order), and parameters contribute one slot per (term, name) in term
+declaration order with names sorted inside each term.  Expressions resolve
+their symbols to these indices once, at compile time.  Labels such as
+"z.Z1" or "theta.Z2.a" name a coordinate for people: ``parse_coord`` turns
+one into its index and ``coord_label`` back.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Sequence
 
 from .errors import (
     CycleError,
+    ExprSyntaxError,
     MaskViolationError,
     QueryError,
     SchemaError,
@@ -42,7 +47,7 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_SPACES = ("z", "u")
+_SPACE_OF = {"endogenous": "z", "exogenous": "u"}  # variable kind -> coordinate space
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,8 @@ class ObjectiveTerm:
 
     ``parse_model`` builds one for every model term and dynamics component,
     with a single piece of weight 1; edit code builds the others, such as
-    the two-piece blends of soft surgery.
+    the two-piece blends of soft surgery.  ``refs`` holds the sorted flat
+    indices its pieces read.
     """
 
     __slots__ = ("owner", "pieces", "refs")
@@ -171,12 +177,7 @@ class ObjectiveTerm:
     def __init__(self, owner: str, pieces: Sequence[tuple[float, CompiledExpr]]):
         self.owner = owner
         self.pieces = tuple(pieces)
-        seen: dict[tuple[str, int], None] = {}
-        for _, compiled in self.pieces:
-            for ref in compiled.refs:
-                seen.setdefault(ref, None)
-        order = {"z": 0, "u": 1, "theta": 2}
-        self.refs = tuple(sorted(seen, key=lambda r: (order[r[0]], r[1])))
+        self.refs = tuple(sorted({ref for _, compiled in self.pieces for ref in compiled.refs}))
 
     @classmethod
     def blend(cls, owner: str, lam: float, original: CompiledExpr,
@@ -241,68 +242,67 @@ class Model:
         self.exogenous = tuple(v for v in self.variables if v.kind == "exogenous")
         self._var_by_name = {v.name: v for v in self.variables}
 
-        self._offset = {"z": {}, "u": {}}
-        self._labels = {"z": [], "u": [], "theta": []}
-        for space, decls in (("z", self.endogenous), ("u", self.exogenous)):
-            cursor = 0
+        # every coordinate's label, in stacked order
+        labels: list[str] = []
+        self._coords: dict[str, range] = {}
+        self._start: dict[str, int] = {}  # variable -> flat index of its first component
+        for space, decls in {"z": self.endogenous, "u": self.exogenous}.items():
+            first = len(labels)
             for v in decls:
-                self._offset[space][v.name] = cursor
-                for k in range(v.dim):
-                    self._labels[space].append(v.name if v.dim == 1 else f"{v.name}[{k}]")
-                cursor += v.dim
-        self.nz = len(self._labels["z"])
-        self.nu = len(self._labels["u"])
+                self._start[v.name] = len(labels)
+                labels += [f"{space}.{v.name}" + (f"[{k}]" if v.dim > 1 else "")
+                           for k in range(v.dim)]
+            self._coords[space] = range(first, len(labels))
 
-        self._theta_index: dict[tuple[str, str], int] = {}
-        self._theta_slice: dict[str, tuple[int, int]] = {}
+        self._theta_index: dict[tuple[str, str], int] = {}  # (owner, name) -> flat index
+        self._theta_refs: dict[str, range] = {}  # owner -> its declared parameters
         defaults: list[float] = []
+        first = len(labels)
         for term in self.terms:
-            start = len(defaults)
+            start = len(labels)
             for name in sorted(term.params):
-                self._theta_index[(term.label, name)] = len(defaults)
-                self._labels["theta"].append(f"{term.label}.{name}")
+                self._theta_index[(term.label, name)] = len(labels)
+                labels.append(f"theta.{term.label}.{name}")
                 defaults.append(float(term.params[name]))
-            self._theta_slice[term.label] = (start, len(defaults))
-        self.ntheta = len(defaults)
+            self._theta_refs[term.label] = range(start, len(labels))
+        self._coords["theta"] = range(first, len(labels))
         self._theta_defaults = tuple(defaults)
+        self._coord_labels = labels
+        self.nz, self.nu, self.ntheta = (len(r) for r in self._coords.values())
+        self.dim = len(labels)
 
         self.term_by_label = {t.label: t for t in self.terms}
         # endo <-> exo pairing by declaration position
         self._paired_exo = {}
-        self._paired_endo = {}
         for i, endo in enumerate(self.endogenous):
             if i < len(self.exogenous):
                 self._paired_exo[endo.name] = self.exogenous[i].name
-                self._paired_endo[self.exogenous[i].name] = endo.name
 
     def var(self, name: str) -> VariableDecl:
         try:
             return self._var_by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise QueryError(f"unknown variable {name!r}") from None
 
     def var_slice(self, space: str, name: str) -> slice:
+        """The block of variable ``name`` within its space's array."""
+        v = self._var_by_name.get(name)
+        if v is None or _SPACE_OF[v.kind] != space:
+            raise QueryError(f"unknown {space!r} variable {name!r}")
+        start = self._start[name] - self._coords[space].start
+        return slice(start, start + v.dim)
+
+    def coord_indices(self, name: str) -> list[int]:
+        """Flat indices of the components of variable ``name``."""
+        v = self.var(name)
+        return list(range(self._start[v.name], self._start[v.name] + v.dim))
+
+    def coords(self, space: str) -> range:
+        """Flat indices of every coordinate of ``space``: "z", "u" or "theta"."""
         try:
-            start = self._offset[space][name]
-        except KeyError:
-            raise QueryError(f"unknown {space!r} variable {name!r}") from None
-        return slice(start, start + self._var_by_name[name].dim)
-
-    def coord_indices(self, space: str, name: str) -> list[int]:
-        s = self.var_slice(space, name)
-        return list(range(s.start, s.stop))
-
-    def theta_index(self, owner: str, param: str) -> int:
-        try:
-            return self._theta_index[(owner, param)]
-        except KeyError:
-            raise QueryError(f"unknown parameter theta.{owner}.{param}") from None
-
-    def theta_slice(self, owner: str) -> slice:
-        if owner not in self._theta_slice:
-            raise QueryError(f"no term owned by {owner!r}")
-        start, stop = self._theta_slice[owner]
-        return slice(start, stop)
+            return self._coords[space]
+        except (KeyError, TypeError):
+            raise QueryError(f"bad coordinate space {space!r}") from None
 
     def theta_defaults(self):
         import numpy as np
@@ -317,49 +317,43 @@ class Model:
         parameters are shared across mechanisms, which is what the
         independence diagnostics must attribute correctly.
         """
-        sl = self.theta_slice(owner)
-        idx = set(range(sl.start, sl.stop))
+        if owner not in self._theta_refs:
+            raise QueryError(f"no term owned by {owner!r}")
+        thetas = self._coords["theta"]
+        idx = set(self._theta_refs[owner])
         term = self.term_by_label.get(owner)
         if term is not None and term.compiled is not None:
-            idx |= {r[1] for r in term.compiled.refs if r[0] == "theta"}
+            idx |= {r for r in term.compiled.refs if r in thetas}
         if dynamics and self.dynamics is not None:
             for comp in self.dynamics:
                 if comp.var == owner and comp.compiled is not None:
-                    idx |= {r[1] for r in comp.compiled.refs if r[0] == "theta"}
+                    idx |= {r for r in comp.compiled.refs if r in thetas}
         return sorted(idx)
 
     def labels(self, space: str) -> list[str]:
-        return list(self._labels[space])
+        """Labels of one space's coordinates without the space prefix."""
+        coords = self.coords(space)
+        return [label.split(".", 1)[1] for label in self._coord_labels[coords.start:coords.stop]]
 
-    def coord_label(self, space: str, index: int) -> str:
-        return f"{space}.{self._labels[space][index]}"
+    def coord_label(self, index: int) -> str:
+        """Label of a flat index, such as "z.Z1", "u.V[2]" or "theta.Z2.a"."""
+        if not 0 <= index < self.dim:
+            raise QueryError(f"coordinate index {index} is out of range")
+        return self._coord_labels[index]
 
     def paired_exo(self, endo_name: str) -> str | None:
         return self._paired_exo.get(endo_name)
 
-    def parse_coord(self, label: str) -> tuple[str, int]:
-        """Resolve "z.Z1", "z.V[2]", "u.U1" or "theta.Z2.a" to (space, index)."""
-        parts = label.split(".")
-        if len(parts) == 3 and parts[0] == "theta":
-            return ("theta", self.theta_index(parts[1], parts[2]))
-        if len(parts) == 2 and parts[0] in _SPACES:
-            space, rest = parts
-            comp = None
-            m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$", rest)
-            if m:
-                rest, comp = m.group(1), int(m.group(2))
-            v = self.var(rest)
-            expected = "endogenous" if space == "z" else "exogenous"
-            if v.kind != expected:
-                raise QueryError(f"{label!r}: {rest!r} is not {expected}")
-            if comp is None:
-                if v.dim != 1:
-                    raise QueryError(f"{label!r}: variable has dim {v.dim}, index required")
-                comp = 0
-            if not 0 <= comp < v.dim:
-                raise QueryError(f"{label!r}: component out of range")
-            return (space, self._offset[space][rest] + comp)
-        raise QueryError(f"cannot parse coordinate {label!r}")
+    def parse_coord(self, label: str) -> int:
+        """Resolve "z.Z1", "z.V[2]", "u.U1" or "theta.Z2.a", read as an
+        expression symbol, to its flat index."""
+        try:
+            root = parse_expr(label).root
+            if not isinstance(root, Sym):
+                raise ExprSyntaxError("not a single coordinate", label, 0)
+            return self.resolver()(root)
+        except (ExprSyntaxError, UnknownSymbolError) as err:
+            raise QueryError(f"cannot parse coordinate {label!r}: {err}") from None
 
     # -- graph queries ------------------------------------------------------
 
@@ -391,11 +385,11 @@ class Model:
 
     # -- symbol resolution ---------------------------------------------------
 
-    def _resolve_var_sym(self, sym: Sym, space: str, name: str) -> tuple[str, int]:
-        if name not in self._offset[space]:
+    def _resolve_var_sym(self, sym: Sym, space: str, name: str) -> int:
+        v = self._var_by_name.get(name)
+        if v is None or _SPACE_OF[v.kind] != space:
             kind = "endogenous" if space == "z" else "exogenous"
             raise UnknownSymbolError(f"unknown {kind} variable in symbol {sym.text!r}")
-        v = self._var_by_name[name]
         comp = sym.comp
         if comp is None:
             if v.dim != 1:
@@ -405,11 +399,13 @@ class Model:
             comp = 0
         if not 0 <= comp < v.dim:
             raise UnknownSymbolError(f"component out of range in symbol {sym.text!r}")
-        return (space, self._offset[space][name] + comp)
+        return self._start[name] + comp
 
     def resolver(self, *, z_allowed=None, u_allowed=None, context="", warnings=None, s_dim=None):
         """Build a symbol resolver with optional z/u masks.
 
+        The resolver maps a symbol to its flat index; the selection-cost
+        symbol ``s[k]`` resolves past the point, to ``dim + k``.
         ``z_allowed``/``u_allowed`` are sets of variable names or None for
         unrestricted.  Parameter symbols resolve against the whole table:
         cross-module parameter sharing is representable (it is what the
@@ -425,8 +421,8 @@ class Model:
                 owner, name = sym.parts[1], sym.parts[2]
                 if (owner, name) not in self._theta_index:
                     raise UnknownSymbolError(f"unknown parameter {sym.text!r}")
-                return ("theta", self._theta_index[(owner, name)])
-            if head in _SPACES:
+                return self._theta_index[(owner, name)]
+            if head in _SPACE_OF.values():
                 if len(sym.parts) != 2:
                     raise UnknownSymbolError(f"malformed symbol {sym.text!r}")
                 name = sym.parts[1]
@@ -444,7 +440,7 @@ class Model:
                 comp = sym.comp if sym.comp is not None else 0
                 if not 0 <= comp < s_dim:
                     raise UnknownSymbolError(f"component out of range in symbol {sym.text!r}")
-                return ("s", comp)
+                return self.dim + comp
             raise UnknownSymbolError(f"unknown symbol {sym.text!r}")
 
         return resolve

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .causal import EditedEnergy, HardSurgery, SoftSurgery, _compile_replacement, apply_surgery
-from .engine import Objective, ObjectiveTerm, Point, Ref
+from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _read,
+                     apply_surgery)
+from .engine import Objective, ObjectiveTerm, Point
 from .errors import ClassViolationError, NonConvexBlockError, QueryError
 from .model import Model
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, finite_number, solve
 
 __all__ = [
     "InducedScm",
@@ -39,15 +40,15 @@ _BRACKET_LIMIT = 1e12
 
 
 def _scalar_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
-                   ref: Ref, node: str) -> float:
+                   ref: int, node: str) -> float:
     """Argmin of a strictly convex scalar slice via bracketed root finding."""
+    p = point.copy()  # ``ref`` moves along the slice; the rest stays at ``point``
 
     def dphi(x: float) -> float:
-        p = point.copy()
-        p.set(ref, x)
+        p.x[ref] = x
         return float(objective.term_jet(term, p, [ref], order=1).grad[0])
 
-    x0 = point.get(ref)
+    x0 = point.x.item(ref)
     # Strictly convex slices may still have zero curvature at isolated
     # points (quartics at their minimum); only negative curvature disproves
     # convexity outright.
@@ -75,15 +76,14 @@ def _scalar_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
             if step > _BRACKET_LIMIT:
                 raise NonConvexBlockError(node, f"z={x0:g}")
     root = brentq(dphi, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    p = point.copy()
-    p.set(ref, float(root))
+    p.x[ref] = root
     if float(objective.term_jet(term, p, [ref], order=2).hess[0, 0]) < 0.0:
         raise NonConvexBlockError(node, f"z={root:g}")
     return float(root)
 
 
 def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
-                  refs: list[Ref], node: str) -> np.ndarray:
+                  refs: list[int], node: str) -> np.ndarray:
     """Argmin of a local term over its own coordinate block, parents and
     exogenous values frozen at ``point``."""
     if len(refs) == 1:
@@ -98,7 +98,7 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
                 np.linalg.cholesky(h)
             except np.linalg.LinAlgError:
                 raise NonConvexBlockError(node, "block minimizer") from None
-            return np.array([p.get(r) for r in refs])
+            return p.x[refs]
         h = objective.term_jet(term, p, refs, order=2).hess
         try:
             np.linalg.cholesky(h)
@@ -109,8 +109,7 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
         base = float(g @ g)
         while t > 1e-16:
             cand = p.copy()
-            for r, s in zip(refs, step):
-                cand.set(r, cand.get(r) + t * float(s))
+            cand.x[refs] += t * step
             g_new = objective.term_jet(term, cand, refs, order=1).grad
             if float(g_new @ g_new) < base:
                 p = cand
@@ -137,32 +136,26 @@ class InducedScm:
         """f_node: best response given parent and exogenous values in ``point``."""
         term = override if override is not None else \
             self.model.local_term(node).objective_term
-        refs = [("z", i) for i in self.model.coord_indices("z", node)]
-        return _block_argmin(self._objective, term, point, refs, node)
+        return _block_argmin(self._objective, term, point,
+                             self.model.coord_indices(node), node)
 
     def solve(self, u, surgeries=(), theta=None) -> np.ndarray:
         """One topological forward pass; returns the full z vector."""
+        return self._forward(u, apply_surgery(self.model, surgeries), theta)
+
+    def _forward(self, u, edited: EditedEnergy, theta=None) -> np.ndarray:
+        """The forward pass of :meth:`solve` under an applied edit: hard
+        targets keep their clamps, every other node its edited term."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.model.nu,):
             raise QueryError("context u has the wrong length")
-        hard_values: dict[str, np.ndarray] = {}
-        soft_terms: dict[str, ObjectiveTerm] = {}
-        for s in surgeries:
-            if isinstance(s, HardSurgery):
-                hard_values[s.target] = np.asarray(s.value, dtype=float)
-            elif isinstance(s, SoftSurgery):
-                soft_terms[s.target] = ObjectiveTerm.blend(
-                    s.target, s.lam, self.model.local_term(s.target).compiled,
-                    _compile_replacement(self.model, s.target, s.expr, s.params))
-            else:
-                raise QueryError("only hard/soft surgeries apply to the induced model")
+        terms = {t.owner: t for t in edited.objective.terms}
         point = Point.for_model(self.model, u=u, theta=theta)
+        for ref, value in edited.clamps.items():
+            point.x[ref] = value
         for node in self.order:
-            sl = self.model.var_slice("z", node)
-            if node in hard_values:
-                point.z[sl] = hard_values[node]
-            else:
-                point.z[sl] = self.mechanism(node, point, soft_terms.get(node))
+            if node not in edited.hard_targets:
+                point.x[self.model.coord_indices(node)] = self.mechanism(node, point, terms[node])
         return point.z.copy()
 
 
@@ -187,7 +180,7 @@ def induce_scm(model: Model, probe_points: list[Point] | None = None) -> Induced
     objective = Objective.from_model(model)
     for node in scm.order:
         term = model.local_term(node).objective_term
-        refs = [("z", i) for i in model.coord_indices("z", node)]
+        refs = model.coord_indices(node)
         for p in probes:
             h = objective.term_jet(term, p, refs, order=2).hess
             # negative curvature disproves blockwise convexity; zero is
@@ -202,7 +195,7 @@ def scm_solve(scm: InducedScm, u, surgeries=(), theta=None) -> np.ndarray:
     return scm.solve(u, surgeries, theta)
 
 
-def forward_init(model: Model, clamps: dict[Ref, float]) -> Point:
+def forward_init(model: Model, clamps: dict[int, float]) -> Point:
     """Initialization by a topological best-response pass.
 
     Exact for separable blockwise-convex models; used as a solver warm
@@ -211,20 +204,17 @@ def forward_init(model: Model, clamps: dict[Ref, float]) -> Point:
     """
     point = Point.for_model(model)
     for ref, val in clamps.items():
-        point.set(ref, val)
+        point.x[ref] = val
     objective = Objective.from_model(model)
     for node in model.dag.topo_order():
-        refs = [("z", i) for i in model.coord_indices("z", node)]
-        unclamped = [r for r in refs if r not in clamps]
+        unclamped = [r for r in model.coord_indices(node) if r not in clamps]
         if not unclamped:
             continue
         try:
-            values = _block_argmin(objective, model.local_term(node).objective_term,
-                                   point, unclamped, node)
+            point.x[unclamped] = _block_argmin(
+                objective, model.local_term(node).objective_term, point, unclamped, node)
         except NonConvexBlockError:
             continue  # leave this block at its current values
-        for r, v in zip(unclamped, values):
-            point.set(r, float(v))
     return point
 
 
@@ -278,12 +268,13 @@ def _default_surgery(rng: np.random.Generator, model: Model, index: int):
 
 def _energy_side(model: Model, u: np.ndarray, surgeries,
                  cfg: SolverConfig) -> np.ndarray:
-    edited = apply_surgery(model, surgeries) if surgeries else \
-        EditedEnergy(Objective.from_model(model), {}, (), (), ())
+    """Equilibrium z in context ``u`` under ``surgeries``, given as a list
+    or as the ``EditedEnergy`` they were already applied to."""
+    edited = surgeries if isinstance(surgeries, EditedEnergy) else \
+        apply_surgery(model, surgeries)
     clamps = dict(edited.clamps)
-    for i in range(model.nu):
-        clamps[("u", i)] = float(u[i])
-    free = [("z", i) for i in range(model.nz) if ("z", i) not in edited.clamps]
+    clamps.update(zip(model.coords("u"), u.tolist()))
+    free = [i for i in model.coords("z") if i not in edited.clamps]
     eq = solve(edited.objective, clamps=clamps, free=free, cfg=cfg)
     return eq.point.z.copy()
 
@@ -303,8 +294,9 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     for t in range(trials):
         u = rng.uniform(-2.0, 2.0, size=model.nu)
         surgeries = generator(rng, model, t)
-        z_energy = _energy_side(model, u, surgeries, cfg)
-        z_scm = scm.solve(u, surgeries)
+        edited = apply_surgery(model, surgeries)
+        z_energy = _energy_side(model, u, edited, cfg)
+        z_scm = scm._forward(u, edited)
         deviation = float(np.max(np.abs(z_energy - z_scm))) if model.nz else 0.0
         worst = max(worst, deviation)
         kind = surgeries[0].kind if surgeries else "observational"
@@ -323,32 +315,33 @@ class PushforwardReport:
 
 
 def _build_sampler(model: Model, spec: dict):
-    """Independent per-variable exogenous sampler from a JSON spec."""
+    """Independent per-variable exogenous sampler from a JSON spec; a draw
+    stacks the variables' blocks in declaration order, the order of u."""
     draws = []
     for v in model.exogenous:
         entry = spec.get(v.name)
         if entry is None:
             raise QueryError(f"sampler spec missing exogenous variable {v.name!r}")
+        if not isinstance(entry, dict):
+            raise QueryError(f"sampler entry for {v.name!r} must be an object")
         dist = entry.get("dist")
         if dist == "uniform":
-            lo, hi = float(entry["lo"]), float(entry["hi"])
-            draws.append((model.var_slice("u", v.name), "uniform", (lo, hi), v.dim))
+            lo, hi = (finite_number(entry.get(key), f"sampler {key!r} of {v.name!r}")
+                      for key in ("lo", "hi"))
+            draws.append(("uniform", lo, hi, v.dim))
         elif dist in ("gauss", "normal"):
-            mu, sigma = float(entry.get("mu", 0.0)), float(entry.get("sigma", 1.0))
+            mu, sigma = (finite_number(entry.get(key, default), f"sampler {key!r} of {v.name!r}")
+                         for key, default in (("mu", 0.0), ("sigma", 1.0)))
             if sigma < 0:
                 raise QueryError(f"negative sigma for {v.name!r}")
-            draws.append((model.var_slice("u", v.name), "gauss", (mu, sigma), v.dim))
+            draws.append(("gauss", mu, sigma, v.dim))
         else:
             raise QueryError(f"unknown distribution {dist!r} for {v.name!r}")
 
     def sample(rng: np.random.Generator) -> np.ndarray:
-        u = np.zeros(model.nu)
-        for sl, kind, args, dim in draws:
-            if kind == "uniform":
-                u[sl] = rng.uniform(args[0], args[1], size=dim)
-            else:
-                u[sl] = args[0] + args[1] * rng.standard_normal(dim)
-        return u
+        return np.concatenate([np.zeros(0)] + [
+            rng.uniform(a, b, size=dim) if kind == "uniform" else a + b * rng.standard_normal(dim)
+            for kind, a, b, dim in draws])
 
     return sample
 
@@ -364,31 +357,30 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     a pointwise check, not a distributional test.
     """
     _require_separable(model, "the pushforward check")
-    from .causal import evaluate_readout
-
     scm = induce_scm(model)
     sample = _build_sampler(model, sampler_spec)
     statistics = statistics or {"z_all_max": None}
+    readouts = {name: None if source is None else _compile_readout(model, source)
+                for name, source in statistics.items()}
     rng = np.random.default_rng(seed)
     cfg = cfg or SolverConfig()
-    surgeries = list(surgeries)
+    edited = apply_surgery(model, surgeries)
 
     values_energy: dict[str, list[float]] = {k: [] for k in statistics}
     values_scm: dict[str, list[float]] = {k: [] for k in statistics}
     worst = 0.0
     for _ in range(trials):
         u = sample(rng)
-        z_energy = _energy_side(model, u, surgeries, cfg)
-        z_scm = scm.solve(u, surgeries)
+        z_energy = _energy_side(model, u, edited, cfg)
+        z_scm = scm._forward(u, edited)
         worst = max(worst, float(np.max(np.abs(z_energy - z_scm))) if model.nz else 0.0)
         p_energy = Point.for_model(model, z=z_energy, u=u)
         p_scm = Point.for_model(model, z=z_scm, u=u)
-        for name, source in statistics.items():
-            if source is None:
+        for name, compiled in readouts.items():
+            if compiled is None:
                 a, b = float(np.max(z_energy)), float(np.max(z_scm))
             else:
-                a = evaluate_readout(model, source, p_energy)
-                b = evaluate_readout(model, source, p_scm)
+                a, b = _read(compiled, p_energy), _read(compiled, p_scm)
             values_energy[name].append(a)
             values_scm[name].append(b)
             worst = max(worst, abs(a - b))
@@ -420,11 +412,11 @@ def contraction_factor(model: Model, points: list[Point], iterations: int = 60) 
     for point in points:
         jac = np.zeros((model.nz, model.nz))
         for node in model.dag.topo_order():
-            own = [("z", i) for i in model.coord_indices("z", node)]
+            own = model.coord_indices(node)
             parents = model.dag.parents(node)
             if not parents:
                 continue
-            parent_refs = [("z", i) for p in parents for i in model.coord_indices("z", p)]
+            parent_refs = [i for p in parents for i in model.coord_indices(p)]
             refs = own + parent_refs
             h = objective.term_jet(model.local_term(node).objective_term, point, refs,
                                    order=2).hess
@@ -434,9 +426,7 @@ def contraction_factor(model: Model, points: list[Point], iterations: int = 60) 
                 block = -np.linalg.solve(h_oo, h_op)
             except np.linalg.LinAlgError:
                 raise NonConvexBlockError(node, "jacobian of the best response") from None
-            rows = [i for _, i in own]
-            cols = [i for _, i in parent_refs]
-            jac[np.ix_(rows, cols)] = block
+            jac[np.ix_(own, parent_refs)] = block  # z sits at [0, nz) of the flat order
         vec = np.ones(model.nz) / np.sqrt(model.nz)
         sigma = 0.0
         gram = jac.T @ jac

@@ -11,10 +11,11 @@ iterates never increase the objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .engine import Objective, Point, Ref, _as_objective
+from .engine import Objective, Point, _as_objective
 from .errors import EnergyDomainError, QueryError, SingularSystemError, SolverError
 
 __all__ = ["SolverConfig", "Equilibrium", "solve", "schur_effective_hessian", "normalize_refs"]
@@ -39,58 +40,92 @@ class SolverConfig:
 
 @dataclass
 class Equilibrium:
-    """Solution point plus solver metadata."""
+    """Solution point plus solver metadata.
+
+    ``free`` and the keys of ``clamps`` are flat indices; ``hessian`` is
+    the free-block Hessian at the point, from which ``hessian_pd`` and
+    ``condition_number`` are computed when first read.
+    """
 
     point: Point
     residual: float
     iterations: int
-    hessian_pd: bool
-    condition_number: float
     energy: float
-    free: tuple[Ref, ...]
-    clamps: dict[Ref, float] = field(default_factory=dict)
+    free: tuple[int, ...]
+    hessian: np.ndarray
+    clamps: dict[int, float] = field(default_factory=dict)
     energy_trace: list[float] = field(default_factory=list)
 
+    @cached_property
+    def hessian_pd(self) -> bool:
+        try:
+            np.linalg.cholesky(self.hessian)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
-def normalize_refs(objective_or_model, items) -> list[Ref]:
-    """Accept coordinate labels ("z.Z1") or (space, index) pairs."""
+    @cached_property
+    def condition_number(self) -> float:
+        return float(np.linalg.cond(self.hessian)) if self.free else 1.0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def normalize_refs(objective_or_model, items) -> list[int]:
+    """Flat indices of coordinates given as labels ("z.Z1"), (space, index)
+    pairs such as ("u", 0), or flat indices; raises :class:`QueryError`
+    for anything else, an index out of range included."""
     model = objective_or_model.model if isinstance(objective_or_model, Objective) \
         else objective_or_model
-    out: list[Ref] = []
+    out: list[int] = []
     for item in items:
         if isinstance(item, str):
             out.append(model.parse_coord(item))
+            continue
+        if _is_int(item):
+            coords, index = range(model.dim), item
         else:
-            space, idx = item
-            if space not in ("z", "u", "theta"):
-                raise QueryError(f"bad coordinate space {space!r}")
-            out.append((space, int(idx)))
+            try:
+                space, index = item
+            except (TypeError, ValueError):
+                raise QueryError(f"bad coordinate {item!r}") from None
+            coords = model.coords(space)  # a QueryError unless "z", "u" or "theta"
+        if not (_is_int(index) and 0 <= index < len(coords)):
+            raise QueryError(f"coordinate {item!r} is out of range")
+        out.append(coords[index])
     return out
 
 
-def normalize_clamps(objective_or_model, clamps) -> dict[Ref, float]:
-    """Map coordinate labels (or refs) to finite float values; raises
-    :class:`QueryError` on anything else."""
+def normalize_clamps(objective_or_model, clamps) -> dict[int, float]:
+    """Map coordinates, in any form :func:`normalize_refs` accepts, to
+    finite float values; raises :class:`QueryError` on anything else."""
     if not isinstance(clamps, dict):
         raise QueryError("clamps must map coordinates to values")
     refs = normalize_refs(objective_or_model, clamps.keys())
-    values = list(clamps.values())
-    out: dict[Ref, float] = {}
-    for ref, val in zip(refs, values):
-        try:
-            val = float(val)
-        except (TypeError, ValueError):
-            raise QueryError(f"clamp value for {ref} is not a number: {val!r}") from None
-        if not np.isfinite(val):
-            raise QueryError(f"clamp value for {ref} is not finite")
+    out: dict[int, float] = {}
+    for key, ref, val in zip(clamps, refs, clamps.values()):
+        val = finite_number(val, f"clamp value for {key}")
         if ref in out and out[ref] != val:
-            raise QueryError(f"conflicting clamp values for {ref}")
+            raise QueryError(f"conflicting clamp values for {key}")
         out[ref] = val
     return out
 
 
+def finite_number(value, what: str) -> float:
+    """``value`` as a finite float; raises :class:`QueryError` otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise QueryError(f"{what} is not a number: {value!r}") from None
+    if not np.isfinite(number):
+        raise QueryError(f"{what} is not finite")
+    return number
+
+
 def _initial_point(objective: Objective, cfg: SolverConfig,
-                   init_point: Point | None, clamps: dict[Ref, float]) -> Point:
+                   init_point: Point | None, clamps: dict[int, float]) -> Point:
     model = objective.model
     if cfg.init == "zeros":
         point = Point.for_model(model)
@@ -105,7 +140,7 @@ def _initial_point(objective: Objective, cfg: SolverConfig,
     else:
         raise QueryError(f"unknown init mode {cfg.init!r}")
     for ref, val in clamps.items():
-        point.set(ref, val)
+        point.x[ref] = val
     return point
 
 
@@ -119,20 +154,19 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     :class:`SingularSystemError` when damping escalation is exhausted.
     """
     objective = _as_objective(target)
+    model = objective.model
     cfg = cfg or SolverConfig()
     clamps = normalize_clamps(objective, clamps or {})
 
     if free is None:
-        free_refs = [("z", i) for i in range(objective.nz)]
-        free_refs += [("u", i) for i in range(objective.nu)]
-        free_refs = [r for r in free_refs if r not in clamps]
+        free_refs = [i for i in (*model.coords("z"), *model.coords("u")) if i not in clamps]
     else:
         free_refs = normalize_refs(objective, free)
     for ref in free_refs:
-        if ref[0] == "theta":
+        if ref in model.coords("theta"):
             raise QueryError("theta coordinates cannot be solved for")
         if ref in clamps:
-            raise QueryError(f"coordinate {ref} is both free and clamped")
+            raise QueryError(f"coordinate {model.coord_label(ref)} is both free and clamped")
     if len(set(free_refs)) != len(free_refs):
         raise QueryError("duplicate free coordinates")
 
@@ -169,8 +203,7 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
                 lam = max(cfg.levenberg_lambda0, lam * cfg.lambda_growth)
                 continue
             candidate = point.copy()
-            for ref, delta in zip(free_refs, step):
-                candidate.set(ref, candidate.get(ref) + float(delta))
+            candidate.x[free_refs] += step
             try:
                 e_new = objective.value(candidate)
             except EnergyDomainError:
@@ -193,8 +226,7 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
             t = 1.0
             while t >= 1e-18:
                 candidate = point.copy()
-                for ref, gval in zip(free_refs, grad_free):
-                    candidate.set(ref, candidate.get(ref) - t * float(gval))
+                candidate.x[free_refs] -= t * grad_free
                 try:
                     e_new = objective.value(candidate)
                 except EnergyDomainError:
@@ -216,25 +248,13 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
         iterations += 1
         lam = 0.0  # reset after acceptance
 
-    if nfree:
-        try:
-            np.linalg.cholesky(hess_free)
-            hessian_pd = True
-        except np.linalg.LinAlgError:
-            hessian_pd = False
-        condition_number = float(np.linalg.cond(hess_free))
-    else:
-        hessian_pd = True
-        condition_number = 1.0
-
     return Equilibrium(
         point=point,
         residual=residual,
         iterations=iterations,
-        hessian_pd=hessian_pd,
-        condition_number=condition_number,
         energy=energy,
         free=tuple(free_refs),
+        hessian=hess_free,
         clamps=dict(clamps),
         energy_trace=trace,
     )

@@ -62,8 +62,7 @@ def point_of(model, **overrides) -> Point:
     p = Point.for_model(model)
     for label, value in overrides.items():
         space, rest = label.split("_", 1)
-        s, idx = model.parse_coord(f"{space}.{rest}")
-        getattr(p, s)[idx] = value
+        p.x[model.parse_coord(f"{space}.{rest}")] = value
     return p
 
 

@@ -302,7 +302,7 @@ def test_criterion_6_susceptibility():
         allowed = {owner} | set(model.descendants(owner))
         for pos, ref in enumerate(eq.free):
             name = next(v.name for v in model.endogenous
-                        if ref[1] in model.coord_indices("z", v.name))
+                        if ref in model.coord_indices(v.name))
             if name not in allowed and response[pos] != 0.0:
                 exact_zero_ok = False
     _verdict(6, "susceptibility", worst <= 1e-6 and exact_zero_ok,

@@ -74,7 +74,7 @@ def test_abduction_fully_clamped_echoes(chain2):
 def test_hard_surgery_bookkeeping(chain2):
     edited = apply_surgery(chain2, hard(chain2, "Z1", 0.0))
     assert [t.owner for t in edited.objective.terms] == ["Z2", "U1", "U2"]
-    assert edited.clamps == {("z", 0): 0.0}
+    assert edited.clamps == {0: 0.0}
     # children still read the clamped value: solving gives z2 = a*0 + u2
     clamps = dict(edited.clamps)
     clamps.update({("u", 0): 0.5, ("u", 1): 0.25})

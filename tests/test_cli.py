@@ -401,6 +401,23 @@ def test_parser_is_built_once_and_usage_errors_still_exit_3(capsys, chain2_path)
     ("chain2_path", ("abduct", "--evidence", '{"z.Z1":null}')),
     ("chain2_path", ("probes", "--points", "[{}]", "--gauge", "[]")),
     ("chain2_path", ("counterfactual", "--query", "[]")),
+    ("chain2_path", ("counterfactual", "--query", '{"readouts":[1]}')),
+    ("chain2_path", ("counterfactual", "--query", '{"readouts":{"phi":5}}')),
+    ("chain2_path", ("counterfactual", "--query", '{"surgeries":5}')),
+    ("chain2_path", ("counterfactual", "--query", '{"hold":{"hold":5}}')),
+    ("chain2_path", ("counterfactual", "--query",
+                     '{"surgeries":[{"kind":"soft","target":"Z1","lambda":"a","expr":"z.Z1"}]}')),
+    ("chain2_path", ("disjunct", "--query", '{"target":"Z1","values":5}')),
+    ("chain2_path", ("disjunct", "--query",
+                     '{"target":"Z1","values":[0,1],"mode":"select","rho":"x"}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--sampler", '{"U1":5,"U2":{}}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--sampler",
+                     '{"U1":{"dist":"uniform","hi":1},"U2":{"dist":"gauss"}}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--stats", '{"a":5}', "--sampler",
+                     '{"U1":{"dist":"gauss"},"U2":{"dist":"gauss"}}')),
+    ("chain2_path", ("probes", "--points", "[{}]", "--gauge", '{"scale":[1]}')),
+    ("chain2_path", ("probes", "--points", "[{}]", "--gauge", '{"j":"a"}')),
+    ("chain2_dyn_path", ("simulate", "--surgeries", '[{"kind":"hard"}]')),
 ])
 def test_malformed_json_arguments_are_query_errors(capsys, request, path_fixture, argv):
     command, *options = argv

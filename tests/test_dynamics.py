@@ -221,18 +221,18 @@ def _per_pair_reference(model, a, i, point, eliminate=()):
     ``eliminate``, the reduced field of that pair alone."""
     objective = Objective.from_model(model)
     nodes = [v.name for v in model.endogenous]
-    theta_refs = [("theta", k) for k in model.module_theta_refs(a, dynamics=True)]
+    theta_refs = model.module_theta_refs(a, dynamics=True)
     jac = np.zeros((len(nodes), len(nodes)))
     dtheta = np.zeros((len(nodes), len(theta_refs)))
     components = {c.var: c for c in model.dynamics}
     for k, name in enumerate(nodes):
         term = ObjectiveTerm(name, [(1.0, components[name].compiled)])
-        active = [r for r in term.refs if r[0] == "z"] + \
+        active = [r for r in term.refs if r in model.coords("z")] + \
                  [r for r in theta_refs if r in term.refs]
         jet = objective.term_jet(term, point, active, order=1)
         for ref, g in zip(active, getattr(jet, "grad", ())):
-            if ref[0] == "z":
-                jac[k, ref[1]] = g
+            if ref in model.coords("z"):
+                jac[k, ref] = g
             else:
                 dtheta[k, theta_refs.index(ref)] = g
     if eliminate:

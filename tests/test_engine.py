@@ -232,7 +232,7 @@ def test_active_subset_blocks_equal_all_coordinate_blocks():
         point = Point.for_model(model, z=rng.normal(size=model.nz),
                                 u=rng.normal(size=model.nu))
         coords = objective.derivatives(point, order=1).active
-        assert list(coords[:model.nz]) == [("z", j) for j in range(model.nz)]
+        assert list(coords[:model.nz]) == list(model.coords("z"))
         for order in (1, 2, 3):
             full = objective.derivatives(point, order=order)
             for _ in range(4):
@@ -256,7 +256,7 @@ def test_active_subset_blocks_equal_all_coordinate_blocks():
 def test_owner_hessians_are_positional_and_off_without_attribution(chain2_z3):
     objective = Objective.from_model(chain2_z3)
     p = Point.for_model(chain2_z3)
-    active = [("z", 2), ("z", 0)]
+    active = [2, 0]
     full = objective.derivatives(p, order=2, attribution=True, active=active)
     assert full.owner_hess["global"].tolist() == [[0.0, 0.3], [0.3, 0.0]]
     assert set(full.owner_hess) == {"Z1", "Z2", "Z3", "global"}
@@ -295,7 +295,7 @@ def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkey
         model = random_smooth_model(rng)
         objective = Objective.from_model(model)
         p = random_interior_point(rng, model)
-        active = [("z", j) for j in range(model.nz)]
+        active = list(model.coords("z"))
         k = len(active)
         unread = [t for t in objective.terms if set(t.refs).isdisjoint(active)]
         assert unread  # every exogenous term reads only its u
@@ -310,7 +310,7 @@ def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkey
         assert sum(objective.term_jet(t, p, active, 3).value
                    for t in objective.terms) == objective.value(p)
 
-        for sub in (active, [("u", 0)], [("theta", j) for j in range(model.ntheta)]):
+        for sub in (active, [model.coords("u")[0]], list(model.coords("theta"))):
             calls.clear()
             objective.derivatives(p, order=2, active=sub)
             assert calls == [t for t in objective.terms if not set(t.refs).isdisjoint(sub)]

@@ -165,8 +165,8 @@ def test_vector_variables_flatten_deterministically():
     }
     model = parse_model(spec)
     assert model.labels("z") == ["V[0]", "V[1]", "V[2]", "W"]
-    assert model.parse_coord("z.V[2]") == ("z", 2)
-    assert model.parse_coord("z.W") == ("z", 3)
+    assert model.parse_coord("z.V[2]") == 2
+    assert model.parse_coord("z.W") == 3
     with pytest.raises(UnknownSymbolError):
         # bare symbol needs an index once dim > 1
         parse_model({**spec, "terms": [

@@ -204,7 +204,7 @@ def test_pushforward_point_mass_reduces_to_single_check(chain2):
 
 
 def test_forward_init_matches_equilibrium(chain2):
-    point = forward_init(chain2, {("u", 0): 1.0, ("u", 1): 0.5})
+    point = forward_init(chain2, {2: 1.0, 3: 0.5})
     assert np.allclose(point.z, [1.0, 2.5], atol=1e-12)
 
 
@@ -250,3 +250,34 @@ def test_contraction_factor_small_couplings():
     chain = parse_model(chain2_dict())
     rho_chain = contraction_factor(chain, [Point.for_model(chain)])
     assert rho_chain == pytest.approx(2.0, abs=1e-9)  # df2/dz1 = a = 2
+
+
+def test_oracle_checks_build_each_edit_and_readout_once(chain2, monkeypatch):
+    """pushforward_check applies its surgeries and compiles each statistic
+    once per check, and equivalence_check applies each trial's surgeries
+    once, sharing the edit between the energy and the SCM sides."""
+    from escm import causal, reduction, soft
+
+    counts = {"apply": 0, "compile": 0, "replacement": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    edit = soft(chain2, "Z2", 0.3, "0.5*sq(z.Z2 - theta.Z2.a*z.Z1 - u.U2 - 1.5)")
+    monkeypatch.setattr(reduction, "apply_surgery", counted("apply", reduction.apply_surgery))
+    monkeypatch.setattr(reduction, "_compile_readout",
+                        counted("compile", reduction._compile_readout))
+    monkeypatch.setattr(causal, "_compile_replacement",
+                        counted("replacement", causal._compile_replacement))
+    sampler = {"U1": {"dist": "gauss"}, "U2": {"dist": "uniform", "lo": -1, "hi": 1}}
+    report = pushforward_check(chain2, sampler, trials=25, surgeries=[edit],
+                               statistics={"a": "z.Z2", "b": "z.Z1*z.Z2"}, seed=2)
+    assert report.passed
+    assert counts == {"apply": 1, "compile": 2, "replacement": 1}
+
+    counts.update(apply=0)
+    equivalence_check(chain2, trials=7, seed=3)
+    assert counts["apply"] == 7

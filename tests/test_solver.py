@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import bisect
 
 from escm import (
+    Point,
     QueryError,
     SingularSystemError,
     SolverConfig,
@@ -13,6 +14,7 @@ from escm import (
     schur_effective_hessian,
     solve,
 )
+from escm.solver import normalize_clamps, normalize_refs
 
 
 def one_var(expr: str) -> dict:
@@ -202,3 +204,78 @@ def test_schur_consistency_with_numerical_oracle():
                         - reduced_value(mp) + reduced_value(mm)) / (4 * step ** 2)
     eff = schur_effective_hessian(h, keep=keep, mode="minimize")
     assert np.allclose(eff, fd, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Flat coordinates
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"clamps": {("u", -1): 0.5, ("u", 0): 1.0}},
+    {"clamps": {("u", -1): 0.5}},
+    {"clamps": {("z", 99): 1.0}},
+    {"clamps": {("w", 0): 1.0}},
+    {"clamps": {5: 1.0}},
+    {"free": [("z", 5)]},
+    {"free": [("z", -1)]},
+    {"free": [-1]},
+    {"free": [("z", 1.0)]},
+])
+def test_out_of_range_coordinates_are_query_errors(chain2, kwargs):
+    with pytest.raises(QueryError):
+        solve(chain2, **kwargs)
+
+
+def test_label_pair_and_flat_index_normalize_to_the_same_index(chain2):
+    for label, pair in [("z.Z2", ("z", 1)), ("u.U1", ("u", 0)), ("theta.Z2.a", ("theta", 0))]:
+        flat = chain2.parse_coord(label)
+        assert normalize_refs(chain2, [label, pair, flat]) == [flat] * 3
+    assert normalize_clamps(chain2, {"u.U2": 0.5, ("u", 1): 0.5, 3: 0.5}) == {3: 0.5}
+    with pytest.raises(QueryError):
+        normalize_clamps(chain2, {"u.U2": 0.5, ("u", 1): 1.0})
+
+
+def test_parse_coord_and_coord_label_round_trip():
+    model = parse_model({
+        "variables": [{"name": "V", "kind": "endogenous", "dim": 3},
+                      {"name": "W", "kind": "endogenous"},
+                      {"name": "A", "kind": "exogenous", "dim": 2}],
+        "edges": [["V", "W"]],
+        "terms": [
+            {"owner": "local:V", "expr": "0.5*(sq(z.V[0] - u.A[1]) + sq(z.V[1]) + sq(z.V[2]))"},
+            {"owner": "local:W", "expr": "0.5*sq(z.W - theta.W.a*z.V[2] - theta.W.b)",
+             "params": {"b": 2, "a": 1}},
+            {"owner": "exo:A", "expr": "0.5*(sq(u.A[0]) + sq(u.A[1]))"},
+        ],
+    })
+    labels = [model.coord_label(i) for i in range(model.dim)]
+    assert labels == ["z.V[0]", "z.V[1]", "z.V[2]", "z.W", "u.A[0]", "u.A[1]",
+                      "theta.W.a", "theta.W.b"]
+    assert [model.parse_coord(label) for label in labels] == list(range(model.dim))
+    for bad in (-1, model.dim):
+        with pytest.raises(QueryError):
+            model.coord_label(bad)
+
+
+def test_point_views_write_the_flat_array(chain2):
+    p = Point.for_model(chain2)
+    p.z[0] = 3.0
+    p.u[1] = -1.0
+    p.theta[0] = 5.0
+    assert p.x.tolist() == [3.0, 0.0, 0.0, -1.0, 5.0]
+    q = p.copy()
+    q.x[0] = 7.0
+    assert p.z[0] == 3.0 and q.z[0] == 7.0
+
+
+def test_solver_metadata_is_computed_when_first_read(chain2, monkeypatch):
+    calls = []
+    cond, cholesky = np.linalg.cond, np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append("cond") or cond(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("cholesky") or cholesky(a))
+    eq = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5})
+    assert calls == []
+    for _ in range(2):
+        assert eq.condition_number == cond(eq.hessian)
+        assert eq.hessian_pd is True
+    assert calls == ["cond", "cholesky"]
