@@ -17,8 +17,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import causal, diagnostics, dynamics, reduction
 from .corpus import write_corpus
 from .engine import Point

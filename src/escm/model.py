@@ -349,11 +349,11 @@ class Model:
         expression symbol, to its flat index."""
         try:
             root = parse_expr(label).root
-            if not isinstance(root, Sym):
-                raise ExprSyntaxError("not a single coordinate", label, 0)
-            return self.resolver()(root)
+            if isinstance(root, Sym):
+                return self.resolver()(root)
         except (ExprSyntaxError, UnknownSymbolError) as err:
             raise QueryError(f"cannot parse coordinate {label!r}: {err}") from None
+        raise QueryError(f"cannot parse coordinate {label!r}")
 
     # -- graph queries ------------------------------------------------------
 
