@@ -82,6 +82,7 @@ CASES = {
         "--gauge", '{"scale":{"Z2":2.0},"offset":{"Z1":5.0},"j":[[1,0.5],[0,2]]}'),
     "reduce_check_chain2": ("reduce-check", "chain2", "--trials", "9", "--seed", "7"),
     "reduce_check_rq10": ("reduce-check", "rq10", "--trials", "6", "--seed", "3"),
+    "reduce_check_rq10_30": ("reduce-check", "rq10", "--trials", "30", "--seed", "11"),
     "pushforward_soft_chain2": (
         "pushforward", "chain2", "--sampler", _UNIFORM_2, "--trials", "40", "--seed", "3",
         "--surgeries", '[{"kind":"soft","target":"Z2","lambda":0.3,'
@@ -90,6 +91,10 @@ CASES = {
     "pushforward_soft_rq10": (
         "pushforward", "rq10", "--sampler", _GAUSS_10, "--trials", "20", "--seed", "5",
         "--surgeries", f'[{{"kind":"soft","target":"Z4","lambda":0.6,"expr":"{_Z4_SHIFTED}"}}]',
+        "--stats", '{"z7":"z.Z7","sum":"z.Z4 + z.Z6 + z.Z7"}'),
+    "pushforward_hard_rq10": (
+        "pushforward", "rq10", "--sampler", _GAUSS_10, "--trials", "500", "--seed", "9",
+        "--surgeries", '[{"kind":"hard","target":"Z4","value":1.5}]',
         "--stats", '{"z7":"z.Z7","sum":"z.Z4 + z.Z6 + z.Z7"}'),
     "simulate_chain2_dyn": (
         "simulate", "chain2_dyn", "--context", '{"u.U1":1,"u.U2":0.5}', "--z0", '{"z.Z2":0.1}',
