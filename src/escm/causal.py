@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Objective, ObjectiveTerm, Point
 from .errors import EnergyDomainError, QueryError, SolverError
-from .expr import CompiledExpr, Env, compile_expr, parse_expr
+from .expr import CompiledExpr, Env, compile_query
 from .model import Model
 from .solver import (Equilibrium, SolverConfig, finite_number, normalize_clamps,
                      normalize_refs, solve)
@@ -119,11 +119,21 @@ def soft(model: Model, target: str, lam: float, expr: str, params=None) -> SoftS
         raise QueryError("soft surgery params must map names to numbers")
     params = {k: finite_number(v, f"soft surgery param {k!r}") for k, v in (params or {}).items()}
     # compile now so mask violations surface at construction time
-    _compile_replacement(model, target, expr, params)
-    return SoftSurgery(target, lam, expr, params)
+    replacement = _compile_replacement(model, target, expr, params)
+    surgery = SoftSurgery(target, lam, expr, params)
+    # kept for apply_surgery; not a field, so equality, hash and JSON form
+    # stay those of the four fields
+    object.__setattr__(surgery, "_compiled", (model, replacement))
+    return surgery
 
 
 def disjunctive(model: Model, target: str, values, rho=0.0, control=None, tau=0.0) -> DisjunctiveSurgery:
+    return _disjunctive(model, target, values, rho, control, tau)[0]
+
+
+def _disjunctive(model: Model, target: str, values, rho, control,
+                 tau) -> tuple[DisjunctiveSurgery, CompiledExpr | None]:
+    """:func:`disjunctive`, plus the compiled selection cost (or None)."""
     decl = model.var(target)
     if decl.kind != "endogenous":
         raise QueryError(f"surgery target {target!r} is not endogenous")
@@ -135,9 +145,8 @@ def disjunctive(model: Model, target: str, values, rho=0.0, control=None, tau=0.
     rho, tau = finite_number(rho, "rho"), finite_number(tau, "tau")
     if rho < 0 or tau < 0:
         raise QueryError("rho and tau must be non-negative")
-    if control is not None:
-        _compile_readout(model, control, s_dim=decl.dim)
-    return DisjunctiveSurgery(target, tuple(vecs), rho, control, tau)
+    compiled = None if control is None else _compile_readout(model, control, s_dim=decl.dim)
+    return DisjunctiveSurgery(target, tuple(vecs), rho, control, tau), compiled
 
 
 def surgery_from_dict(model: Model, data: dict) -> Surgery:
@@ -173,7 +182,16 @@ def _compile_replacement(model: Model, target: str, expr: str,
             return float(params[sym.parts[2]])
         return base(sym)
 
-    return compile_expr(parse_expr(expr), resolve)
+    return compile_query(expr, resolve)
+
+
+def _replacement(model: Model, surgery: SoftSurgery) -> CompiledExpr:
+    """The compiled replacement of a soft surgery: the one :func:`soft`
+    kept for this model, else compiled now."""
+    owner, compiled = getattr(surgery, "_compiled", (None, None))
+    if owner is model:
+        return compiled
+    return _compile_replacement(model, surgery.target, surgery.expr, surgery.params)
 
 
 @dataclass
@@ -223,9 +241,8 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
         else:
             if not 0.0 <= s.lam <= 1.0:
                 raise QueryError("soft surgery weight must lie in [0, 1]")
-            replacement = _compile_replacement(model, s.target, s.expr, s.params)
             terms[s.target] = ObjectiveTerm.blend(
-                s.target, s.lam, model.local_term(s.target).compiled, replacement)
+                s.target, s.lam, model.local_term(s.target).compiled, _replacement(model, s))
             soft_targets.append(s.target)
 
     return EditedEnergy(Objective(model, terms.values()), clamps,
@@ -304,7 +321,7 @@ class CounterfactualResult:
 def _compile_readout(model: Model, source, s_dim: int | None = None) -> CompiledExpr:
     if not isinstance(source, str):
         raise QueryError(f"readout {source!r} is not an expression string")
-    return compile_expr(parse_expr(source), model.readout_resolver(s_dim=s_dim))
+    return compile_query(source, model.readout_resolver(s_dim=s_dim))
 
 
 def _read(compiled: CompiledExpr, point: Point, s=None) -> float:
@@ -343,8 +360,21 @@ def _apply_hold_override(model: Model, default: list[int], hold) -> list[int]:
     return [r for r in free if r not in held]
 
 
+def _read_all(model: Model, readouts: dict[str, str] | None, point: Point,
+              compiled: dict[str, CompiledExpr]) -> dict[str, float]:
+    """Every readout at ``point``; ``compiled`` keeps each readout's
+    compiled form for the other branches of the same query."""
+    values = {}
+    for name, source in (readouts or {}).items():
+        if name not in compiled:
+            compiled[name] = _compile_readout(model, source)
+        values[name] = _read(compiled[name], point)
+    return values
+
+
 def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
-             readouts: dict[str, str] | None, hold, cfg: SolverConfig | None):
+             readouts: dict[str, str] | None, hold, cfg: SolverConfig | None,
+             compiled: dict[str, CompiledExpr] | None = None):
     free = _apply_hold_override(model, _default_free(model, edited), hold)
     for ref in free:
         if ref in edited.clamps:
@@ -359,14 +389,11 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
     predict_cfg = replace(cfg or SolverConfig(), init="point")
     eq = solve(edited.objective, clamps=clamps, free=free,
                cfg=predict_cfg, init_point=explanation.point)
-    values = {}
-    for name, source in (readouts or {}).items():
-        values[name] = evaluate_readout(model, source, eq.point)
     return CounterfactualResult(
         pre=explanation.point.copy(),
         post=eq.point,
         surgeries=edited.surgeries,
-        readouts=values,
+        readouts=_read_all(model, readouts, eq.point, {} if compiled is None else compiled),
         explanation=explanation,
         equilibrium=eq,
         free=tuple(free),
@@ -419,10 +446,11 @@ class SelectionResult:
 def _branch_results(model, explanation, surgery: DisjunctiveSurgery,
                     readouts, hold, cfg):
     results = {}
+    compiled: dict[str, CompiledExpr] = {}  # each readout compiled once per query
     for value in surgery.values:
         edited = apply_surgery(model, hard(model, surgery.target, value))
         try:
-            results[value] = _predict(model, explanation, edited, readouts, hold, cfg)
+            results[value] = _predict(model, explanation, edited, readouts, hold, cfg, compiled)
         except SolverError as err:
             raise SolverError(f"branch {surgery.target}:={list(value)} failed: {err}",
                               diagnostics=getattr(err, "diagnostics", {})) from err
@@ -454,16 +482,15 @@ def disjunctive_select(model: Model, evidence, target: str, values,
     """Score branches by post-surgery equilibrium energy plus a weighted
     selection cost; commit at tau=0 (ties -> lexicographically smaller
     value) or blend with softmin weights at tau>0."""
-    surgery = disjunctive(model, target, values, rho=rho, control=control, tau=tau)
+    surgery, cost = _disjunctive(model, target, values, rho, control, tau)
     explanation = abduct(model, evidence, cfg)
     branches = _branch_results(model, explanation, surgery, readouts or {}, hold, cfg)
 
     energies: dict[tuple[float, ...], float] = {}
     for value, res in branches.items():
         e = res.equilibrium.energy
-        if surgery.control is not None and surgery.rho:
-            e += surgery.rho * evaluate_readout(model, surgery.control,
-                                                explanation.point, s=value)
+        if cost is not None and surgery.rho:
+            e += surgery.rho * _read(cost, explanation.point, s=value)
         energies[value] = float(e)
 
     ordered = sorted(energies)  # lexicographic over value vectors

@@ -20,7 +20,7 @@ from .diagnostics import _max_abs, _penalty, nondesc_pairs
 from .engine import (Objective, ObjectiveTerm, Point, _evaluate_term,
                      _require_nondescendant)
 from .errors import QueryError, SingularSystemError, SolverError
-from .expr import compile_expr, parse_expr
+from .expr import compile_query
 from .model import Model
 from .solver import SolverConfig, finite_number
 
@@ -129,8 +129,7 @@ class _Field:
                 continue
             if name in soft:
                 s = soft[name]
-                replacement = compile_expr(parse_expr(s.expr),
-                                           model.term_resolver(model.local_term(name)))
+                replacement = compile_query(s.expr, model.term_resolver(model.local_term(name)))
                 self.rows.append(("term", ObjectiveTerm.blend(
                     name, s.lam, components[name].compiled, replacement)))
             else:

@@ -11,6 +11,11 @@ evaluates only the terms that read one of them and adds each into the
 positions it reads, so coordinates a term never mentions contribute exact
 zeros and the assembled Hessian is bitwise symmetric; it returns no
 energy value, which ``value`` computes.
+
+A :class:`Point` may also hold a batch of points, ``x`` of shape
+``(dim, B)``.  ``value``, ``term_jet`` and ``derivatives`` then carry a
+trailing batch axis on everything they return, and each batch entry is
+bitwise what its point alone gives.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ __all__ = [
 class Point:
     """Values of every coordinate, held in one flat float array ``x`` in
     stacked (z, u, theta) order; ``z``, ``u`` and ``theta`` are views into
-    it, so writing one of them writes ``x``."""
+    it, so writing one of them writes ``x``.  Blocks of shape ``(n, B)``
+    make a batch of B points, ``x`` of shape ``(dim, B)``."""
 
     z: np.ndarray
     u: np.ndarray
@@ -58,6 +64,16 @@ class Point:
         return cls(z=np.zeros(model.nz) if z is None else z,
                    u=np.zeros(model.nu) if u is None else u,
                    theta=model.theta_defaults() if theta is None else theta)
+
+    @classmethod
+    def from_flat(cls, model: Model, x: np.ndarray) -> "Point":
+        """The point, or batch of points, whose flat vector is a copy of
+        ``x``, shape ``(dim,)`` or ``(dim, B)``."""
+        point = cls.__new__(cls)
+        point.x = np.array(x, dtype=float)
+        nz, nu = model.nz, model.nu
+        point.z, point.u, point.theta = point.x[:nz], point.x[nz:nz + nu], point.x[nz + nu:]
+        return point
 
     def copy(self) -> "Point":
         return Point(self.z, self.u, self.theta)
@@ -118,7 +134,7 @@ class Objective:
         return any(t.owner == "global" for t in self.terms)
 
     def check_point(self, point: Point) -> None:
-        if point.x.shape != (self.dim,):
+        if point.x.ndim > 2 or point.x.shape[0] != self.dim:
             raise QueryError("point does not match the model's flat coordinate maps")
         if not np.all(np.isfinite(point.x)):
             raise QueryError("point contains non-finite entries")
@@ -127,11 +143,11 @@ class Objective:
 
     def value(self, point: Point) -> float:
         self.check_point(point)
-        values = point.x.tolist()
+        values = point.x.tolist() if point.x.ndim == 1 else point.x
         total = 0.0
         for term in self.terms:
             total += _evaluate_term(term, values)
-        return total
+        return total if point.x.ndim == 1 else np.broadcast_to(total, point.x.shape[1:])
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
                  active: Sequence[int], order: int) -> Jet:
@@ -141,10 +157,15 @@ class Objective:
         slot = {ref: j for j, ref in enumerate(active)}
         k = len(active)
         x = point.x
-        leaves = {ref: seed(x.item(ref), slot[ref], k, order) if ref in slot
-                  else x.item(ref) for ref in term.refs}
+        read = x.item if x.ndim == 1 else x.__getitem__
+        leaves = {ref: seed(read(ref), slot[ref], k, order) if ref in slot
+                  else read(ref) for ref in term.refs}
         total = _evaluate_term(term, leaves)
-        return total if isinstance(total, Jet) else lift(total, k, order)
+        if isinstance(total, Jet):
+            return total
+        if x.ndim > 1:
+            total = np.broadcast_to(total, x.shape[1:])
+        return lift(total, k, order)
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,
@@ -154,32 +175,35 @@ class Objective:
 
         ``grad``, ``hess`` and ``third`` (and every ``owner_hess`` block)
         are indexed by position in ``active``, with repeated indices removed
-        in order: shapes (k,), (k, k) and (k, k, k).  ``active=None`` means
-        every flat index, ``range(dim)``.  Coordinates not in ``active``
-        enter as constants.
+        in order: shapes (k,), (k, k) and (k, k, k), each with a trailing
+        batch axis for a batch of points.  ``active=None`` means every flat
+        index, ``range(dim)``.  Coordinates not in ``active`` enter as
+        constants.
         """
         self.check_point(point)
         refs = tuple(dict.fromkeys(range(self.dim) if active is None else active))
         slot = {ref: j for j, ref in enumerate(refs)}
         k = len(refs)
-        grad = np.zeros(k)
-        hess = np.zeros((k, k)) if order >= 2 else None
-        third = np.zeros((k, k, k)) if order >= 3 else None
+        batch = point.x.shape[1:]
+        grad = np.zeros((k,) + batch)
+        hess = np.zeros((k, k) + batch) if order >= 2 else None
+        third = np.zeros((k, k, k) + batch) if order >= 3 else None
         owner_hess = {} if attribution else None
         for term in self.terms:
             term_active = [r for r in term.refs if r in slot]
             if not term_active:
                 continue
             jet = self.term_jet(term, point, term_active, order)
-            g = [slot[r] for r in term_active]
+            g = np.array([slot[r] for r in term_active])
             grad[g] += jet.grad
             if order >= 2:
-                hess[np.ix_(g, g)] += jet.hess
+                rows = g[:, None]  # with g: the (g, g) block, as np.ix_(g, g)
+                hess[rows, g] += jet.hess
                 if owner_hess is not None:
-                    block = owner_hess.setdefault(term.owner, np.zeros((k, k)))
-                    block[np.ix_(g, g)] += jet.hess
+                    block = owner_hess.setdefault(term.owner, np.zeros((k, k) + batch))
+                    block[rows, g] += jet.hess
             if order >= 3:
-                third[np.ix_(g, g, g)] += jet.third
+                third[g[:, None, None], rows, g] += jet.third
         return _Derivatives(refs, grad, hess, third, owner_hess)
 
     def first_order(self, point: Point) -> FirstOrder:

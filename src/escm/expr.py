@@ -23,10 +23,13 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from .errors import EnergyDomainError, ExprSyntaxError
+import numpy as np
+
+from .errors import EnergyDomainError, ExprSyntaxError, QueryError, UnknownSymbolError
 from .jets import jexp, jlog, jpow, jsq, jtanh
 
-__all__ = ["Expr", "parse_expr", "compile_expr", "CompiledExpr", "Env", "FUNCTIONS"]
+__all__ = ["Expr", "parse_expr", "compile_expr", "compile_query", "CompiledExpr", "Env",
+           "FUNCTIONS"]
 
 FUNCTIONS = ("exp", "log", "tanh", "sq", "pow")
 
@@ -138,6 +141,10 @@ class Bin(Node):
             return a - b
         if op == "*":
             return a * b
+        if isinstance(b, np.ndarray) or (isinstance(a, np.ndarray) and b == 0.0):
+            # a batch divides without raising; check its divisor here
+            if np.any(b == 0.0):
+                raise EnergyDomainError("division by zero", fragment=env.fragment(self))
         try:
             return a / b
         except ZeroDivisionError:
@@ -385,9 +392,21 @@ def compile_expr(expr: Expr, resolve: Callable[[Sym], int | float]) -> CompiledE
     return CompiledExpr(expr, tuple(sorted(refs)))
 
 
+def compile_query(source: str, resolve: Callable[[Sym], int | float]) -> CompiledExpr:
+    """Parse and compile expression text that a query supplies (a readout,
+    a soft-edit replacement, a selection cost).  Text that fails to parse
+    or names an unknown symbol is the query's fault: :class:`QueryError`,
+    where the same text in a model file is a model error."""
+    try:
+        return compile_expr(parse_expr(source), resolve)
+    except (ExprSyntaxError, UnknownSymbolError) as err:
+        raise QueryError(str(err)) from err
+
+
 class Env:
     """Evaluation environment: ``leaves[i]`` is the float or jet bound to
-    flat index ``i``."""
+    flat index ``i``, or the ``(B,)`` array or batched jet of a batch of
+    points."""
 
     __slots__ = ("leaves", "source")
 

@@ -10,6 +10,15 @@ Inputs are never mutated; every operation allocates fresh arrays or reuses
 operand arrays only when they are provably unchanged (adding a constant).
 Hessians are assembled from symmetric outer products, which keeps them
 bitwise symmetric.
+
+A jet may also carry a trailing batch axis, one entry per point: value
+``(B,)``, grad ``(k, B)``, hess ``(k, k, B)``, third ``(k, k, k, B)``.  The
+same formulas broadcast over it, and the scalar functions evaluate each
+entry through Python's float arithmetic, so every batch entry is bitwise
+the jet of its point alone (vector-mode Taylor arithmetic; Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A domain check
+fails when any entry is outside the domain, with the message that entry
+alone would give.  Frozen batched values are plain ``(B,)`` arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +32,35 @@ from .errors import EnergyDomainError
 __all__ = ["Jet", "seed", "lift", "jexp", "jlog", "jtanh", "jsq", "jpow"]
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.outer over the leading axis, broadcast over a trailing batch axis
+    return a[:, None] * b[None, :]
+
+
 def _outer_sym(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a_i b_j + b_i a_j: bitwise symmetric because float addition commutes.
-    return np.outer(a, b) + np.outer(b, a)
+    return _outer(a, b) + _outer(b, a)
+
+
+def _each(fn, v):
+    """``fn`` of a float, or of every entry of a batch through Python
+    floats, so a batch entry is bitwise the scalar result."""
+    if isinstance(v, np.ndarray):
+        return np.array([fn(a) for a in v.tolist()])
+    return fn(v)
+
+
+def _first(v, hit):
+    """The first value of ``v`` for which ``hit`` holds, or None; a float
+    ``v`` is its own only entry."""
+    if isinstance(v, np.ndarray):
+        idx = np.flatnonzero(hit(v))
+        return v.item(idx[0]) if idx.size else None
+    return v if hit(v) else None
+
+
+def _is_zero(v) -> bool:
+    return _first(v, lambda a: a == 0.0) is not None
 
 
 def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -45,6 +80,7 @@ class Jet:
     """
 
     __slots__ = ("value", "grad", "hess", "third")
+    __array_ufunc__ = None  # ndarray op Jet defers to the Jet's reflected op
 
     def __init__(self, value: float, grad: np.ndarray,
                  hess: np.ndarray | None = None, third: np.ndarray | None = None):
@@ -111,7 +147,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._recip()
-        if other == 0.0:
+        if _is_zero(other):
             raise EnergyDomainError("division by zero")
         return Jet(self.value / other, self.grad / other,
                    self.hess / other if self.hess is not None else None,
@@ -122,9 +158,9 @@ class Jet:
 
     def _recip(self) -> "Jet":
         v = self.value
-        if v == 0.0:
+        if _is_zero(v):
             raise EnergyDomainError("division by zero")
-        return self._chain(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4)
+        return self._chain(1.0 / v, -1.0 / _pow(v, 2), 2.0 / _pow(v, 3), -6.0 / _pow(v, 4))
 
     # -- chain rule for scalar functions ----------------------------------
 
@@ -132,7 +168,7 @@ class Jet:
         g = f1 * self.grad
         h = t = None
         if self.hess is not None:
-            h = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
+            h = f1 * self.hess + f2 * _outer(self.grad, self.grad)
         if self.third is not None:
             gg = self.grad
             t = (f1 * self.third + f2 * _sym3(self.hess, gg)
@@ -141,7 +177,14 @@ class Jet:
 
 
 def seed(value: float, slot: int, k: int, order: int) -> Jet:
-    """Jet for an active coordinate occupying ``slot`` of ``k``."""
+    """Jet for an active coordinate occupying ``slot`` of ``k``; a ``(B,)``
+    array ``value`` gives a batched jet."""
+    if isinstance(value, np.ndarray):
+        g = np.zeros((k,) + value.shape)
+        g[slot] = 1.0
+        h = np.zeros((k, k) + value.shape) if order >= 2 else None
+        t = np.zeros((k, k, k) + value.shape) if order >= 3 else None
+        return Jet(value.astype(float), g, h, t)
     g = np.zeros(k)
     g[slot] = 1.0
     h = np.zeros((k, k)) if order >= 2 else None
@@ -150,37 +193,47 @@ def seed(value: float, slot: int, k: int, order: int) -> Jet:
 
 
 def lift(value: float, k: int, order: int) -> Jet:
-    """Jet for a frozen (constant) value."""
+    """Jet for a frozen (constant) value; a ``(B,)`` array ``value`` gives
+    a batched jet."""
+    if isinstance(value, np.ndarray):
+        h = np.zeros((k, k) + value.shape) if order >= 2 else None
+        t = np.zeros((k, k, k) + value.shape) if order >= 3 else None
+        return Jet(value.astype(float), np.zeros((k,) + value.shape), h, t)
     h = np.zeros((k, k)) if order >= 2 else None
     t = np.zeros((k, k, k)) if order >= 3 else None
     return Jet(float(value), np.zeros(k), h, t)
 
 
+def _pow(v, n: int):
+    return _each(lambda a: a ** n, v)
+
+
 # Whitelisted scalar functions; each dispatches on float vs Jet so that
-# all-frozen subtrees stay in plain float arithmetic.
+# all-frozen subtrees stay in plain float (or batch array) arithmetic.
 
 def jexp(x):
     if isinstance(x, Jet):
-        e = math.exp(x.value)
+        e = _each(math.exp, x.value)
         return x._chain(e, e, e, e)
-    return math.exp(x)
+    return _each(math.exp, x)
 
 
 def jlog(x):
     v = x.value if isinstance(x, Jet) else x
-    if v <= 0.0:
-        raise EnergyDomainError(f"log of non-positive value {v!r}")
+    bad = _first(v, lambda a: a <= 0.0)
+    if bad is not None:
+        raise EnergyDomainError(f"log of non-positive value {bad!r}")
     if isinstance(x, Jet):
-        return x._chain(math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
-    return math.log(v)
+        return x._chain(_each(math.log, v), 1.0 / v, -1.0 / _pow(v, 2), 2.0 / _pow(v, 3))
+    return _each(math.log, v)
 
 
 def jtanh(x):
     if isinstance(x, Jet):
-        t = math.tanh(x.value)
+        t = _each(math.tanh, x.value)
         d1 = 1.0 - t * t
         return x._chain(t, d1, -2.0 * t * d1, -2.0 * d1 * (1.0 - 3.0 * t * t))
-    return math.tanh(x)
+    return _each(math.tanh, x)
 
 
 def jsq(x):
@@ -192,11 +245,11 @@ def jsq(x):
 def jpow(x, n: int):
     """Integer power with exact derivatives; negative n requires x != 0."""
     if not isinstance(x, Jet):
-        if n < 0 and x == 0.0:
+        if n < 0 and _is_zero(x):
             raise EnergyDomainError("zero raised to a negative power")
-        return float(x) ** n
+        return _pow(x, n) if isinstance(x, np.ndarray) else float(x) ** n
     v = x.value
-    if n < 0 and v == 0.0:
+    if n < 0 and _is_zero(v):
         raise EnergyDomainError("zero raised to a negative power")
 
     def dcoef(k: int) -> float:
@@ -207,8 +260,8 @@ def jpow(x, n: int):
             c *= (n - j)
         if c == 0.0:
             return 0.0
-        if v == 0.0 and n - k < 0:
+        if n - k < 0 and _is_zero(v):
             raise EnergyDomainError("zero raised to a negative power")
-        return c * v ** (n - k)
+        return c * _pow(v, n - k)
 
     return x._chain(dcoef(0), dcoef(1), dcoef(2), dcoef(3))

@@ -8,21 +8,31 @@ must reproduce the energy equilibrium, before and after hard/soft surgery.
 The checks here exercise exactly that equality and are deliberately built
 on a different numerical route (bracketed scalar root-finding) than the
 equilibrium solver they validate.
+
+The checks evaluate their draws in chunks.  On the energy side a chunk
+takes its undamped Newton steps together (``solver.newton_batch``) and a
+draw that leaves that path is solved alone.  On the SCM side the route is
+still bracketed root finding, now over a batch of draws: each draw runs
+the bracket expansion and a port of ``scipy.optimize.brentq`` on Python
+floats, and the slopes all of them need next are one batched jet
+evaluation.  Every draw's numbers, and the error of the first draw that
+fails, are bitwise those of evaluating the draws one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _read,
                      apply_surgery)
 from .engine import Objective, ObjectiveTerm, Point
-from .errors import ClassViolationError, NonConvexBlockError, QueryError
+from .errors import ClassViolationError, EnergyDomainError, NonConvexBlockError, QueryError
 from .model import Model
-from .solver import SolverConfig, finite_number, solve
+from .expr import Env
+from .solver import SolverConfig, finite_number, newton_batch, solve
 
 __all__ = [
     "InducedScm",
@@ -37,49 +47,156 @@ __all__ = [
 ]
 
 _BRACKET_LIMIT = 1e12
+_XTOL, _RTOL, _MAXITER = 1e-14, 4 * np.finfo(float).eps, 100
+_CHUNK = 256  # draws evaluated together; bounds the batch arrays of a check
 
 
-def _scalar_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
-                   ref: int, node: str) -> float:
-    """Argmin of a strictly convex scalar slice via bracketed root finding."""
-    p = point.copy()  # ``ref`` moves along the slice; the rest stays at ``point``
+def _brentq_steps(xpre: float, xcur: float, fpre: float, fcur: float):
+    """``scipy.optimize.brentq(f, xpre, xcur, xtol=1e-14, rtol=4*eps)``
+    given f at both ends, as a coroutine: it yields each point where it
+    needs f, is sent f there, and returns the root.
 
-    def dphi(x: float) -> float:
-        p.x[ref] = x
-        return float(objective.term_jet(term, p, [ref], order=1).grad[0])
+    A line-by-line port of scipy's brentq.c, so the iterates, the root and
+    the errors raised are the same as scipy's.
+    """
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # for values that are neither 0 nor NaN, signbit(f) is f < 0
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
-    x0 = point.x.item(ref)
-    # Strictly convex slices may still have zero curvature at isolated
-    # points (quartics at their minimum); only negative curvature disproves
-    # convexity outright.
-    curv = float(objective.term_jet(term, point, [ref], order=2).hess[0, 0])
-    if curv < 0.0:
-        raise NonConvexBlockError(node, f"z={x0:g}")
-    g0 = dphi(x0)
-    if g0 == 0.0:
-        return x0
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # C gets inf or nan here, and so bisects below
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def _argmin_steps(x0: float, g0: float, node: str):
+    """Root of the slope of a strictly convex scalar slice, from its slope
+    ``g0 != 0`` at ``x0``, as a coroutine like :func:`_brentq_steps`."""
     # The derivative of a strictly convex coercive slice is increasing and
     # changes sign; expand away from x0 in the downhill direction.
     step = 1.0
     if g0 > 0.0:
-        lo, hi = x0 - step, x0
-        while dphi(lo) > 0.0:
+        lo, hi, f_hi = x0 - step, x0, g0
+        f_lo = yield lo
+        while f_lo > 0.0:
             step *= 2.0
             lo = x0 - step
             if step > _BRACKET_LIMIT:
                 raise NonConvexBlockError(node, f"z={x0:g}")
+            f_lo = yield lo
     else:
-        lo, hi = x0, x0 + step
-        while dphi(hi) < 0.0:
+        lo, f_lo, hi = x0, g0, x0 + step
+        f_hi = yield hi
+        while f_hi < 0.0:
             step *= 2.0
             hi = x0 + step
             if step > _BRACKET_LIMIT:
                 raise NonConvexBlockError(node, f"z={x0:g}")
-    root = brentq(dphi, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    p.x[ref] = root
-    if float(objective.term_jet(term, p, [ref], order=2).hess[0, 0]) < 0.0:
-        raise NonConvexBlockError(node, f"z={root:g}")
-    return float(root)
+            f_hi = yield hi
+    return (yield from _brentq_steps(lo, hi, f_lo, f_hi))
+
+
+def _lockstep(steps: dict[int, object], evaluate) -> tuple[dict[int, float], dict[int, Exception]]:
+    """Run coroutines like :func:`_argmin_steps` side by side; every
+    round, ``evaluate(keys, points)`` computes the values all of them wait
+    for as one batch.  Returns each coroutine's result or error by key."""
+    results: dict[int, float] = {}
+    errors: dict[int, Exception] = {}
+    sent = dict.fromkeys(steps)  # the value each coroutine is sent next
+    while sent:
+        waiting = {}
+        for key, value in sent.items():
+            try:
+                waiting[key] = steps[key].send(value)
+            except StopIteration as stop:
+                results[key] = stop.value
+            except Exception as err:  # that coroutine's error; the others go on
+                errors[key] = err
+        keys = list(waiting)
+        sent = dict(zip(keys, evaluate(keys, list(waiting.values())).tolist())) if keys else {}
+    return results, errors
+
+
+def _scalar_argmins(objective: Objective, term: ObjectiveTerm, x: np.ndarray,
+                    ref: int, node: str) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Argmins of strictly convex scalar slices via bracketed root finding,
+    one per column of ``x`` (dim, B): coordinate ``ref`` moves, the rest
+    stays.  Every column takes the steps it takes alone; the slopes they
+    need are evaluated as one batch per round.  Returns the roots and,
+    keyed by column, the error a column meets; a domain error raises for
+    the whole batch."""
+    model = objective.model
+    p = x.copy()  # row ``ref`` moves along the slices
+
+    def jet(cols, order):
+        return objective.term_jet(term, Point.from_flat(model, p[:, cols]), [ref], order)
+
+    def slope(cols, values):
+        p[ref, cols] = values
+        return jet(cols, 1).grad[0]
+
+    at_x0 = jet(slice(None), 2)  # its gradient is bitwise the order-1 one
+    x0, g0 = x[ref].tolist(), at_x0.grad[0].tolist()
+    errors: dict[int, Exception] = {}
+    steps = {}
+    for j, curvature in enumerate(at_x0.hess[0, 0].tolist()):
+        # Strictly convex slices may still have zero curvature at isolated
+        # points (quartics at their minimum); only negative curvature
+        # disproves convexity outright.
+        if curvature < 0.0:
+            errors[j] = NonConvexBlockError(node, f"z={x0[j]:g}")
+        elif g0[j] != 0.0:
+            steps[j] = _argmin_steps(x0[j], g0[j], node)
+    found, failed = _lockstep(steps, slope)
+    errors.update(failed)
+    roots = x[ref].copy()
+    if found:
+        cols = list(found)
+        p[ref, cols] = roots[cols] = list(found.values())
+        for j, curvature in zip(cols, jet(cols, 2).hess[0, 0].tolist()):
+            if curvature < 0.0:
+                errors[j] = NonConvexBlockError(node, f"z={found[j]:g}")
+    return roots, errors
 
 
 def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
@@ -87,7 +204,10 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     """Argmin of a local term over its own coordinate block, parents and
     exogenous values frozen at ``point``."""
     if len(refs) == 1:
-        return np.array([_scalar_argmin(objective, term, point, refs[0], node)])
+        roots, errors = _scalar_argmins(objective, term, point.x[:, None], refs[0], node)
+        if errors:
+            raise errors[0]
+        return roots
     # Multi-component block: guarded Newton on the block gradient.
     p = point.copy()
     for _ in range(100):
@@ -149,14 +269,81 @@ class InducedScm:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.model.nu,):
             raise QueryError("context u has the wrong length")
-        terms = {t.owner: t for t in edited.objective.terms}
-        point = Point.for_model(self.model, u=u, theta=theta)
-        for ref, value in edited.clamps.items():
-            point.x[ref] = value
+        z, errors = self._forward_many(u[:, None], [edited], theta)
+        if errors:
+            raise errors[0]
+        return z[:, 0]
+
+    def _forward_many(self, u: np.ndarray, edits: list[EditedEnergy],
+                      theta=None) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Forward passes for the contexts ``u[:, j]`` (nu, B), each under
+        its own applied edit ``edits[j]``; returns z (nz, B) and the error
+        each failing pass meets, keyed by column.
+
+        Node by node, the passes that share the node's term run as one
+        batch: a hard target keeps its clamp, a soft target's blend is its
+        own sub-batch.  A failing pass stops at its failing node.
+        """
+        model = self.model
+        x = _context_batch(model, u, theta)
+        by_edit: dict[int, tuple[EditedEnergy, list[int]]] = {}
+        for j, edited in enumerate(edits):
+            by_edit.setdefault(id(edited), (edited, []))[1].append(j)
+        for edited, cols in by_edit.values():
+            for ref, value in edited.clamps.items():
+                x[ref, cols] = value
+        terms = {key: {t.owner: t for t in edited.objective.terms}
+                 for key, (edited, _) in by_edit.items()}
+        errors: dict[int, Exception] = {}
         for node in self.order:
-            if node not in edited.hard_targets:
-                point.x[self.model.coord_indices(node)] = self.mechanism(node, point, terms[node])
-        return point.z.copy()
+            refs = model.coord_indices(node)
+            groups: dict[int, tuple[ObjectiveTerm, list[int]]] = {}
+            for key, (edited, cols) in by_edit.items():
+                if node not in edited.hard_targets:
+                    term = terms[key][node]
+                    groups.setdefault(id(term), (term, []))[1].extend(
+                        j for j in cols if j not in errors)
+            for term, cols in groups.values():
+                if not cols:
+                    continue
+                cols = np.array(sorted(cols))
+                values, failed = self._responses(node, term, x[:, cols])
+                ok = np.array([i not in failed for i in range(len(cols))], dtype=bool)
+                x[np.ix_(refs, cols[ok])] = values[:, ok]
+                errors.update((int(cols[i]), err) for i, err in failed.items())
+        return x[:model.nz], errors
+
+    def _responses(self, node: str, term: ObjectiveTerm,
+                   x: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Best responses of ``node`` under ``term`` at every column of
+        ``x`` (dim, b), as a (block, b) array, and the error each failing
+        column meets."""
+        refs = self.model.coord_indices(node)
+        if len(refs) == 1:
+            try:
+                roots, errors = _scalar_argmins(self._objective, term, x, refs[0], node)
+                return roots[None, :], errors
+            except EnergyDomainError:
+                pass  # a column left the term's domain: find it below
+        # a vector block, or a batch with a domain error: each column alone
+        values, errors = x[refs].copy(), {}
+        for j in range(x.shape[1]):
+            try:
+                values[:, j] = _block_argmin(self._objective, term,
+                                             Point.from_flat(self.model, x[:, j]), refs, node)
+            except Exception as err:  # raised by the check, in draw order
+                errors[j] = err
+        return values, errors
+
+
+def _context_batch(model: Model, u: np.ndarray, theta=None) -> np.ndarray:
+    """Flat points (dim, B) with z = 0, the contexts ``u`` (nu, B) and
+    ``theta`` (default: the model's defaults) in every column."""
+    x = np.zeros((model.dim, u.shape[1]))
+    x[model.coords("u")] = u
+    theta = model.theta_defaults() if theta is None else np.asarray(theta, dtype=float)
+    x[model.coords("theta")] = theta[:, None]
+    return x
 
 
 def _require_separable(model: Model, what: str) -> None:
@@ -279,28 +466,103 @@ def _energy_side(model: Model, u: np.ndarray, surgeries,
     return eq.point.z.copy()
 
 
+def _energy_sides(model: Model, u: np.ndarray, edited: EditedEnergy,
+                  cfg: SolverConfig) -> tuple[np.ndarray, dict[int, Exception]]:
+    """:func:`_energy_side` for the contexts ``u[:, j]`` (nu, B) under one
+    applied edit; returns z (nz, B) and the error each failing draw meets.
+
+    The draws take their undamped Newton steps as one batch; a draw that
+    leaves that path starts again alone in :func:`_energy_side`, so every
+    z is bitwise the per-draw one.
+    """
+    free = [i for i in model.coords("z") if i not in edited.clamps]
+    x = _context_batch(model, u)
+    for ref, value in edited.clamps.items():
+        x[ref] = value
+    # x holds the start solve takes for init "zeros"; a lone draw is
+    # quickest in solve's float arithmetic
+    if cfg.init == "zeros" and u.shape[1] > 1:
+        x, alone = newton_batch(edited.objective, free, x, cfg)
+    else:
+        alone = np.ones(u.shape[1], dtype=bool)
+    errors: dict[int, Exception] = {}
+    for j in np.flatnonzero(alone).tolist():
+        try:
+            x[:model.nz, j] = _energy_side(model, u[:, j], edited, cfg)
+        except Exception as err:  # raised by the check, in draw order
+            errors[j] = err
+    return x[:model.nz], errors
+
+
+def _edit_key(edited: EditedEnergy):
+    """Trials whose surgeries are equal share an edit; a trial whose
+    surgeries cannot be hashed shares it with no other."""
+    try:
+        hash(edited.surgeries)
+    except TypeError:
+        return id(edited)
+    return edited.surgeries
+
+
+def _first_failure(count: int, *errors: dict[int, Exception]) -> int:
+    """The first draw with an error in any of ``errors``, or ``count``."""
+    return min((j for found in errors for j in found), default=count)
+
+
 def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
                       surgery_generator=None, tol: float = 1e-8,
                       cfg: SolverConfig | None = None) -> EquivalenceReport:
     """Compare energy equilibria with induced-SCM forward solutions over
-    seeded random contexts and surgeries."""
+    seeded random contexts and surgeries.
+
+    Every trial's context and edit are drawn first, in trial order; then
+    trials run in chunks, the energy side batched over trials that share
+    an edit and the forward pass over trials that share a node's term.
+    The report is bitwise the one of running the trials one by one, and
+    so is the error raised, that of the first trial that fails.
+    """
     _require_separable(model, "the equivalence check")
     scm = induce_scm(model)
     rng = np.random.default_rng(seed)
     generator = surgery_generator or _default_surgery
     cfg = cfg or SolverConfig()
+    contexts, edits = [], []
+    late = None  # an error in drawing or applying a trial's edit
+    for t in range(trials):
+        try:
+            u = rng.uniform(-2.0, 2.0, size=model.nu)
+            edited = apply_surgery(model, generator(rng, model, t))
+        except Exception as err:  # raised after the trials before it ran
+            late = err
+            break
+        contexts.append(u)
+        edits.append(edited)
     records = []
     worst = 0.0
-    for t in range(trials):
-        u = rng.uniform(-2.0, 2.0, size=model.nu)
-        surgeries = generator(rng, model, t)
-        edited = apply_surgery(model, surgeries)
-        z_energy = _energy_side(model, u, edited, cfg)
-        z_scm = scm._forward(u, edited)
-        deviation = float(np.max(np.abs(z_energy - z_scm))) if model.nz else 0.0
-        worst = max(worst, deviation)
-        kind = surgeries[0].kind if surgeries else "observational"
-        records.append({"trial": t, "kind": kind, "deviation": deviation})
+    for first in range(0, len(edits), _CHUNK):
+        chunk = edits[first:first + _CHUNK]
+        u = np.array(contexts[first:first + _CHUNK]).reshape(len(chunk), model.nu).T
+        z_energy = np.zeros((model.nz, len(chunk)))
+        errors: dict[int, Exception] = {}
+        by_edit: dict[object, list[int]] = {}
+        for j, edited in enumerate(chunk):
+            by_edit.setdefault(_edit_key(edited), []).append(j)
+        for cols in by_edit.values():
+            z, found = _energy_sides(model, u[:, cols], chunk[cols[0]], cfg)
+            z_energy[:, cols] = z
+            errors.update((cols[i], err) for i, err in found.items())
+        z_scm, scm_errors = scm._forward_many(u, chunk)
+        bad = _first_failure(len(chunk), errors, scm_errors)
+        if bad < len(chunk):  # a draw meets its energy side first
+            raise errors.get(bad) or scm_errors[bad]
+        deviations = np.max(np.abs(z_energy - z_scm), axis=0) if model.nz \
+            else np.zeros(len(chunk))
+        for j, (edited, deviation) in enumerate(zip(chunk, deviations.tolist())):
+            worst = max(worst, deviation)
+            kind = edited.surgeries[0].kind if edited.surgeries else "observational"
+            records.append({"trial": first + j, "kind": kind, "deviation": deviation})
+    if late is not None:
+        raise late
     return EquivalenceReport(records, worst, tol, worst <= tol, seed)
 
 
@@ -338,12 +600,42 @@ def _build_sampler(model: Model, spec: dict):
         else:
             raise QueryError(f"unknown distribution {dist!r} for {v.name!r}")
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return np.concatenate([np.zeros(0)] + [
-            rng.uniform(a, b, size=dim) if kind == "uniform" else a + b * rng.standard_normal(dim)
-            for kind, a, b, dim in draws])
+    def sample(rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` draws, taken one after another, as the columns of a
+        (nu, count) array."""
+        values: list[float] = []
+        for _ in range(count):
+            for kind, a, b, dim in draws:
+                values.extend((rng.uniform(a, b, size=dim) if kind == "uniform"
+                               else a + b * rng.standard_normal(dim)).tolist())
+        return np.array(values).reshape(count, model.nu).T
 
     return sample
+
+
+def _statistic_values(model: Model, readouts: dict, u: np.ndarray,
+                      z_energy: np.ndarray, z_scm: np.ndarray) -> dict[str, tuple]:
+    """Every statistic at every draw, on both sides: name -> (energy
+    values, SCM values), each (B,).  A readout that leaves its domain at
+    some draw raises the error the draws read one by one would raise."""
+    x_energy, x_scm = _context_batch(model, u), _context_batch(model, u)
+    x_energy[:model.nz], x_scm[:model.nz] = z_energy, z_scm
+    try:
+        return {name: (np.max(z_energy, axis=0), np.max(z_scm, axis=0)) if compiled is None
+                else (_read_batch(compiled, x_energy), _read_batch(compiled, x_scm))
+                for name, compiled in readouts.items()}
+    except EnergyDomainError:
+        for j in range(u.shape[1]):  # raises at the first draw that fails
+            for compiled in readouts.values():
+                if compiled is not None:
+                    _read(compiled, Point.from_flat(model, x_energy[:, j]))
+                    _read(compiled, Point.from_flat(model, x_scm[:, j]))
+        raise
+
+
+def _read_batch(compiled, x: np.ndarray) -> np.ndarray:
+    """A compiled readout at every column of ``x`` (dim, B)."""
+    return np.broadcast_to(compiled.evaluate(Env(x)), x.shape[1:])
 
 
 def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
@@ -354,7 +646,9 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     under the energy semantics and the induced-SCM semantics.
 
     Pairing means identical draws must map to identical outcomes; this is
-    a pointwise check, not a distributional test.
+    a pointwise check, not a distributional test.  Draws are sampled one
+    by one and evaluated in chunks; the report, and the error of the first
+    failing draw, are bitwise those of evaluating the draws one by one.
     """
     _require_separable(model, "the pushforward check")
     scm = induce_scm(model)
@@ -369,21 +663,23 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     values_energy: dict[str, list[float]] = {k: [] for k in statistics}
     values_scm: dict[str, list[float]] = {k: [] for k in statistics}
     worst = 0.0
-    for _ in range(trials):
-        u = sample(rng)
-        z_energy = _energy_side(model, u, edited, cfg)
-        z_scm = scm._forward(u, edited)
-        worst = max(worst, float(np.max(np.abs(z_energy - z_scm))) if model.nz else 0.0)
-        p_energy = Point.for_model(model, z=z_energy, u=u)
-        p_scm = Point.for_model(model, z=z_scm, u=u)
-        for name, compiled in readouts.items():
-            if compiled is None:
-                a, b = float(np.max(z_energy)), float(np.max(z_scm))
-            else:
-                a, b = _read(compiled, p_energy), _read(compiled, p_scm)
-            values_energy[name].append(a)
-            values_scm[name].append(b)
-            worst = max(worst, abs(a - b))
+    for first in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - first)
+        u = sample(rng, count)
+        z_energy, errors = _energy_sides(model, u, edited, cfg)
+        z_scm, scm_errors = scm._forward_many(u, [edited] * count)
+        bad = _first_failure(count, errors, scm_errors)
+        stats = _statistic_values(model, readouts, u[:, :bad], z_energy[:, :bad], z_scm[:, :bad])
+        if bad < count:  # a draw meets its energy side first, its readouts last
+            raise errors.get(bad) or scm_errors[bad]
+        deviations = np.max(np.abs(z_energy - z_scm), axis=0) if model.nz else np.zeros(count)
+        pairs = {name: (a.tolist(), b.tolist()) for name, (a, b) in stats.items()}
+        for j, deviation in enumerate(deviations.tolist()):
+            worst = max(worst, deviation)
+            for name, (a, b) in pairs.items():
+                values_energy[name].append(a[j])
+                values_scm[name].append(b[j])
+                worst = max(worst, abs(a[j] - b[j]))
 
     summary = {}
     for name in statistics:

@@ -6,6 +6,10 @@ tries an undamped Newton step; on a rejected or unsolvable step the
 Levenberg shift grows geometrically, and past ``lambda_max`` the solver
 falls back to gradient descent with Armijo backtracking.  Accepted
 iterates never increase the objective.
+
+:func:`newton_batch` runs the undamped path of :func:`solve` on many
+points at once and reports the points that leave it; those are solved
+alone, so damping and line search live only in :func:`solve`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 from .engine import Objective, Point, _as_objective
 from .errors import EnergyDomainError, QueryError, SingularSystemError, SolverError
 
-__all__ = ["SolverConfig", "Equilibrium", "solve", "schur_effective_hessian", "normalize_refs"]
+__all__ = ["SolverConfig", "Equilibrium", "solve", "newton_batch", "schur_effective_hessian",
+           "normalize_refs"]
 
 
 @dataclass
@@ -258,6 +263,99 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
         clamps=dict(clamps),
         energy_trace=trace,
     )
+
+
+def _batch_values(objective: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies of the columns of ``x`` and a mask of the columns that
+    :func:`solve` could not evaluate: non-finite entries or a domain error
+    (their energy reads inf)."""
+    ok = np.all(np.isfinite(x), axis=0)
+    values = np.full(x.shape[1], np.inf)
+    if not ok.any():
+        return values, ~ok
+    try:
+        values[ok] = objective.value(Point.from_flat(objective.model, x[:, ok]))
+    except EnergyDomainError:
+        for j in np.flatnonzero(ok):  # find the columns outside the domain
+            try:
+                values[j] = objective.value(Point.from_flat(objective.model, x[:, j]))
+            except EnergyDomainError:
+                ok[j] = False
+    return values, ~ok
+
+
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped Newton steps for batched ``hess`` (k, k, B) and ``grad``
+    (k, B), and a mask of the columns whose step exists and is finite."""
+    mats = np.moveaxis(hess, -1, 0)
+    rhs = -grad.T
+    try:
+        step = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
+        ok = np.ones(grad.shape[1], dtype=bool)
+    except np.linalg.LinAlgError:  # find the singular columns
+        step = np.zeros_like(grad)
+        ok = np.zeros(grad.shape[1], dtype=bool)
+        for j in range(grad.shape[1]):
+            try:
+                step[:, j] = np.linalg.solve(mats[j], rhs[j])
+                ok[j] = True
+            except np.linalg.LinAlgError:
+                pass
+    return step, ok & np.all(np.isfinite(step), axis=0)
+
+
+def newton_batch(objective: Objective, free: list[int], x: np.ndarray,
+                 cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run :func:`solve`'s iterations on every column of ``x`` (dim, B)
+    at once, while each column's undamped Newton step is accepted.
+
+    Each column of ``x`` is a start point with its clamps already set;
+    ``free`` are flat indices.  Returns the final points and a mask of the
+    columns that left the undamped path: a rejected, singular or
+    non-finite step, a domain error, or ``cfg.max_iter`` reached.  Every
+    other column is bitwise the point :func:`solve` returns from that
+    start; a masked one must be solved alone.
+    """
+    model = objective.model
+    x = x.copy()
+    energy, handoff = _batch_values(objective, x)
+    live = np.flatnonzero(~handoff)
+    energy = energy[live]
+    iterations = 0
+    while live.size:
+        try:
+            full = objective.derivatives(Point.from_flat(model, x[:, live]), order=2, active=free)
+        except EnergyDomainError:
+            handoff[live] = True
+            break
+        residual = np.max(np.abs(full.grad), axis=0) if free else np.zeros(live.size)
+        going = ~(residual <= cfg.tol_grad)
+        if iterations >= cfg.max_iter:
+            handoff[live[going]] = True
+            break
+        live, energy, residual = live[going], energy[going], residual[going]
+        if not live.size:
+            break
+        step, ok = _newton_steps(full.hess[:, :, going], full.grad[:, going])
+        candidate = x[:, live]
+        candidate[free] += step
+        e_new, failed = _batch_values(objective, candidate)
+        ok &= ~failed
+        accept = ok & (e_new < energy)
+        flat = np.flatnonzero(ok & (e_new == energy))
+        if flat.size:
+            # flat bottom: accept only a step that strictly reduces the residual
+            try:
+                g_new = objective.derivatives(Point.from_flat(model, candidate[:, flat]),
+                                              order=1, active=free).grad
+                accept[flat] = np.max(np.abs(g_new), axis=0) < residual[flat]
+            except EnergyDomainError:
+                pass
+        handoff[live[~accept]] = True
+        x[:, live[accept]] = candidate[:, accept]
+        live, energy = live[accept], e_new[accept]
+        iterations += 1
+    return x, handoff
 
 
 def schur_effective_hessian(hess: np.ndarray, keep, mode: str = "minimize") -> np.ndarray:

@@ -313,3 +313,44 @@ def test_blend_drops_zero_weight_pieces(chain2):
         ((1.0, replacement),)
     assert ObjectiveTerm.blend("local:Z2", 0.25, original, replacement).pieces == \
         ((0.75, original), (0.25, replacement))
+
+
+def test_query_expressions_compile_once_per_query(chain2, monkeypatch):
+    """A soft edit's replacement is compiled once, by ``soft``, and a
+    disjunctive query compiles its selection cost and each readout once,
+    not once per branch; reusing the replacement leaves the surgery's
+    equality, hash and JSON form alone."""
+    from escm import causal
+    from escm.report import jsonable
+
+    counts = {"readout": 0, "replacement": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(causal, "_compile_readout", counted("readout", causal._compile_readout))
+    monkeypatch.setattr(causal, "_compile_replacement",
+                        counted("replacement", causal._compile_replacement))
+    edit = causal.surgery_from_dict(
+        chain2, {"kind": "soft", "target": "Z1", "lambda": 0.5, "expr": "0.5*sq(z.Z1 - 3)"})
+    result = counterfactual(chain2, EVIDENCE, [edit], readouts={"phi": "z.Z2"})
+    assert counts == {"readout": 1, "replacement": 1}
+    assert edit == causal.SoftSurgery("Z1", 0.5, "0.5*sq(z.Z1 - 3)", {})
+    assert hash(edit) == hash(causal.SoftSurgery("Z1", 0.5, "0.5*sq(z.Z1 - 3)", {}))
+    assert jsonable(edit) == {"target": "Z1", "lam": 0.5, "expr": "0.5*sq(z.Z1 - 3)",
+                              "params": {}}
+    assert result.readouts["phi"] == counterfactual(
+        chain2, EVIDENCE, [causal.SoftSurgery("Z1", 0.5, "0.5*sq(z.Z1 - 3)", {})],
+        readouts={"phi": "z.Z2"}).readouts["phi"]
+
+    counts.update(readout=0, replacement=0)
+    disjunctive_select(chain2, EVIDENCE, "Z1", [0.0, 1.0, -0.5], rho=0.3,
+                       control="sq(s - 0.8)", readouts={"phi": "z.Z2", "psi": "z.Z1*z.Z2"})
+    assert counts == {"readout": 3, "replacement": 0}  # the cost and two readouts
+
+    counts.update(readout=0)
+    disjunctive_envelope(chain2, EVIDENCE, "Z1", [0.0, 1.0, -0.5], {"phi": "z.Z2"})
+    assert counts["readout"] == 1

@@ -418,6 +418,23 @@ def test_parser_is_built_once_and_usage_errors_still_exit_3(capsys, chain2_path)
     ("chain2_path", ("probes", "--points", "[{}]", "--gauge", '{"scale":[1]}')),
     ("chain2_path", ("probes", "--points", "[{}]", "--gauge", '{"j":"a"}')),
     ("chain2_dyn_path", ("simulate", "--surgeries", '[{"kind":"hard"}]')),
+    # expression text in a query: a syntax error or an unknown symbol
+    ("chain2_path", ("counterfactual", "--query",
+                     '{"evidence":{"z.Z1":1},"readouts":{"phi":"z.Z1 +"}}')),
+    ("chain2_path", ("counterfactual", "--query",
+                     '{"evidence":{"z.Z1":1},"readouts":{"phi":"z.Nope"}}')),
+    ("chain2_path", ("counterfactual", "--query",
+                     '{"surgeries":[{"kind":"soft","target":"Z1","lambda":0.5,"expr":"sq(z.Z1"}]}')),
+    ("chain2_path", ("counterfactual", "--query",
+                     '{"surgeries":[{"kind":"soft","target":"Z1","lambda":0.5,"expr":"z.Nope"}]}')),
+    ("chain2_path", ("disjunct", "--query",
+                     '{"target":"Z1","values":[0,1],"mode":"select","rho":1,"control":"s +"}')),
+    ("chain2_path", ("disjunct", "--query",
+                     '{"target":"Z1","values":[0,1],"mode":"select","rho":1,"control":"z.Nope"}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--stats", '{"a":"exp(z.Z1"}', "--sampler",
+                     '{"U1":{"dist":"gauss"},"U2":{"dist":"gauss"}}')),
+    ("chain2_dyn_path", ("simulate", "--surgeries",
+                         '[{"kind":"soft","target":"Z2","lambda":0.5,"expr":"z.Nope"}]')),
 ])
 def test_malformed_json_arguments_are_query_errors(capsys, request, path_fixture, argv):
     command, *options = argv
