@@ -269,6 +269,8 @@ class InducedScm:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.model.nu,):
             raise QueryError("context u has the wrong length")
+        if theta is not None and np.shape(theta) != (self.model.ntheta,):
+            raise QueryError("theta has the wrong length")
         z, errors = self._forward_many(u[:, None], [edited], theta)
         if errors:
             raise errors[0]

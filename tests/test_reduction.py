@@ -6,6 +6,7 @@ from scipy.optimize import bisect
 
 from escm import (
     ClassViolationError,
+    QueryError,
     NonConvexBlockError,
     Point,
     abduct,
@@ -66,6 +67,9 @@ def test_scm_solve_chain2(chain2):
     assert np.allclose(scm.solve(np.array([1.0, 0.5])), [1.0, 2.5], atol=1e-12)
     z = scm.solve(np.array([1.0, 0.5]), [hard(chain2, "Z1", 0.0)])
     assert np.allclose(z, [0.0, 0.5], atol=1e-12)
+    assert np.allclose(scm.solve(np.array([1.0, 0.5]), theta=[3.0]), [1.0, 3.5], atol=1e-12)
+    with pytest.raises(QueryError):
+        scm.solve(np.array([1.0, 0.5]), theta=[3.0, 1.0])
 
 
 def test_scm_solve_edge_free_model():
