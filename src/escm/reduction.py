@@ -22,6 +22,7 @@ fails, are bitwise those of evaluating the draws one by one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 _BRACKET_LIMIT = 1e12
-_XTOL, _RTOL, _MAXITER = 1e-14, 4 * np.finfo(float).eps, 100
+_XTOL, _RTOL, _MAXITER = 1e-14, 4 * sys.float_info.epsilon, 100  # Python floats
 _CHUNK = 256  # draws evaluated together; bounds the batch arrays of a check
 
 

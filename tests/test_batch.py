@@ -179,9 +179,10 @@ _SLOPES = [
     lambda x: math.exp(x) - 3.0,
     lambda x: math.tanh(x) - 0.3,
     lambda x: 1e-200 * (x - 0.3),  # products of values underflow
+    lambda x: 1e-160 * (x - 0.3) ** 3,  # and extrapolation divides by 0
     lambda x: (x - 0.1) ** 5,
     lambda x: x + 1e-3 * math.sin(50 * x) - 0.2,
-    lambda x: float(np.floor(4 * x)) - 1.5,  # flat pieces: extrapolation divides by 0
+    lambda x: float(np.floor(4 * x)) - 1.5,  # flat pieces
     lambda x: math.nan if x > 2.0 else x - 0.4,
     lambda x: x + 2.0,  # no sign change
 ]
