@@ -20,16 +20,8 @@ import time
 from . import causal, diagnostics, dynamics, reduction
 from .corpus import write_corpus
 from .engine import Point
-from .errors import (
-    ClassViolationError,
-    EnergyDomainError,
-    EscmError,
-    ModelError,
-    NonConvexBlockError,
-    PairError,
-    QueryError,
-    SolverError,
-)
+from .errors import (EnergyDomainError, EscmError, ModelError, NonConvexBlockError, QueryError,
+                     SolverError)
 from .model import Model, parse_model
 from .report import canonical_json, jsonable, model_hash
 from .solver import SolverConfig, normalize_clamps, solve
@@ -483,7 +475,7 @@ def run(argv=None) -> int:
         # numpy raises a private subclass; report the builtin's name
         report["error"] = {"type": "MemoryError", "message": str(err)}
         code = EXIT_SOLVER
-    except (QueryError, PairError, ClassViolationError, EscmError) as err:
+    except EscmError as err:
         report["error"] = {"type": type(err).__name__, "message": str(err)}
         code = EXIT_QUERY
 

@@ -117,6 +117,8 @@ def write_corpus(out_dir, count: int = 10, nodes: int = 5, density: float = 0.4,
 
     if count < 1 or nodes < 1:
         raise QueryError("count and nodes must be positive")
+    if seed < 0:
+        raise QueryError("seed must be non-negative")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

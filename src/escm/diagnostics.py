@@ -108,6 +108,7 @@ def _lap_reports(model: Model, pairs, point: Point,
     maps to the zero slot k, which keeps the Hessian sized by what the
     terms read rather than by the model.
     """
+    finite_number(tol, "tol", low=0.0)
     sources: dict[str, list[str]] = {}
     for a, i in pairs:
         _require_nondescendant(model, a, i)
@@ -223,6 +224,7 @@ def icm_check(model: Model, i: str, point: Point,
     A parent's parameter set is usage-based (declared plus read), so a
     child parameter reused inside a parent's mechanism is correctly
     attributed to the parent side of the check."""
+    finite_number(tol, "tol", low=0.0)
     if model.var(i).kind != "endogenous":
         raise QueryError(f"{i!r} is not endogenous")
     zi = model.coord_indices(i)
@@ -552,6 +554,7 @@ def gauge_preserved(model: Model, gauge: GaugeTransform, heads=HEADS,
     same numbers as the base model at the same sample points?"""
     if points is None or not points:
         raise QueryError("gauge_preserved needs sample points")
+    finite_number(tol, "tol", low=0.0)
     gauged = apply_gauge(model, gauge)
     verdicts = {}
     for head in heads:

@@ -181,17 +181,18 @@ def integrate(model: Model, z0, u, surgeries=(), t_end: float = 10.0,
     :class:`SolverError` on a non-finite state, reporting the last finite
     time.
     """
-    if dt <= 0:
+    if finite_number(dt, "dt") <= 0:
         raise QueryError("dt must be positive")
-    if t_end < 0:
-        raise QueryError("t_end must be non-negative")
+    t_end = finite_number(t_end, "t_end", low=0.0)
+    steps = round(finite_number(t_end / dt, "t_end / dt"))
+    if (steps + 1) * max(model.nz, 1) * 8 > np.iinfo(np.intp).max:
+        raise QueryError(f"t_end / dt is {steps} steps, more than an array can hold")
     field_fn = _Field(model, surgeries)
     point = Point.for_model(model, u=u, theta=theta)
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (model.nz,):
         raise QueryError("z0 has the wrong length")
 
-    steps = int(round(t_end / dt))
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, model.nz))
     times[0] = 0.0
@@ -322,6 +323,7 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
     field Jacobian at the point (reduced once when ``eliminate`` is set).
     A theta coordinate the field does not read maps to the zero column m.
     """
+    finite_number(tol, "tol", low=0.0)
     for a, i in pairs:
         _require_nondescendant(model, a, i)
     jac, dtheta, theta_refs = _field_derivs(model, point)
@@ -385,6 +387,7 @@ class DynIcmReport:
 def dyn_icm_check(model: Model, i: str, point: Point,
                   tol: float = 1e-10) -> DynIcmReport:
     """Parent-parameter derivatives of the component F_i, first and mixed."""
+    finite_number(tol, "tol", low=0.0)
     components = _require_dynamics(model)
     if i not in components:
         raise QueryError(f"no dynamics component for {i!r}")

@@ -179,29 +179,18 @@ class Jet:
 def seed(value: float, slot: int, k: int, order: int) -> Jet:
     """Jet for an active coordinate occupying ``slot`` of ``k``; a ``(B,)``
     array ``value`` gives a batched jet."""
-    if isinstance(value, np.ndarray):
-        g = np.zeros((k,) + value.shape)
-        g[slot] = 1.0
-        h = np.zeros((k, k) + value.shape) if order >= 2 else None
-        t = np.zeros((k, k, k) + value.shape) if order >= 3 else None
-        return Jet(value.astype(float), g, h, t)
-    g = np.zeros(k)
-    g[slot] = 1.0
-    h = np.zeros((k, k)) if order >= 2 else None
-    t = np.zeros((k, k, k)) if order >= 3 else None
-    return Jet(float(value), g, h, t)
+    jet = lift(value, k, order)
+    jet.grad[slot] = 1.0
+    return jet
 
 
 def lift(value: float, k: int, order: int) -> Jet:
     """Jet for a frozen (constant) value; a ``(B,)`` array ``value`` gives
     a batched jet."""
-    if isinstance(value, np.ndarray):
-        h = np.zeros((k, k) + value.shape) if order >= 2 else None
-        t = np.zeros((k, k, k) + value.shape) if order >= 3 else None
-        return Jet(value.astype(float), np.zeros((k,) + value.shape), h, t)
-    h = np.zeros((k, k)) if order >= 2 else None
-    t = np.zeros((k, k, k)) if order >= 3 else None
-    return Jet(float(value), np.zeros(k), h, t)
+    shape = getattr(value, "shape", ())  # np.shape would build an array from a float
+    h = np.zeros((k, k) + shape) if order >= 2 else None
+    t = np.zeros((k, k, k) + shape) if order >= 3 else None
+    return Jet(value.astype(float) if shape else float(value), np.zeros((k,) + shape), h, t)
 
 
 def _pow(v, n: int):

@@ -15,8 +15,14 @@ draw that leaves that path is solved alone.  On the SCM side the route is
 still bracketed root finding, now over a batch of draws: each draw runs
 the bracket expansion and a port of ``scipy.optimize.brentq`` on Python
 floats, and the slopes all of them need next are one batched jet
-evaluation.  Every draw's numbers, and the error of the first draw that
-fails, are bitwise those of evaluating the draws one by one.
+evaluation.  Every draw's numbers are bitwise those of evaluating the
+draws one by one.
+
+A chunk runs as one batch or, if the batch raises, replays draw by draw
+on the per-draw path (:func:`_energy_side`, :meth:`InducedScm._forward`,
+``causal._read``): each draw's energy side, SCM side and readouts in
+turn, so the error raised is the one of the first draw that fails.  The
+batched helpers keep no per-draw errors; a check that fails ends there.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _read,
                      apply_surgery)
 from .engine import Objective, ObjectiveTerm, Point
-from .errors import ClassViolationError, EnergyDomainError, NonConvexBlockError, QueryError
+from .errors import ClassViolationError, EscmError, NonConvexBlockError, QueryError
 from .model import Model
 from .expr import Env
 from .solver import SolverConfig, finite_number, newton_batch, solve
@@ -137,12 +143,12 @@ def _argmin_steps(x0: float, g0: float, node: str):
     return (yield from _brentq_steps(lo, hi, f_lo, f_hi))
 
 
-def _lockstep(steps: dict[int, object], evaluate) -> tuple[dict[int, float], dict[int, Exception]]:
+def _lockstep(steps: dict[int, object], evaluate) -> dict[int, float]:
     """Run coroutines like :func:`_argmin_steps` side by side; every
     round, ``evaluate(keys, points)`` computes the values all of them wait
-    for as one batch.  Returns each coroutine's result or error by key."""
+    for as one batch.  Returns each coroutine's result by key; a
+    coroutine's error propagates."""
     results: dict[int, float] = {}
-    errors: dict[int, Exception] = {}
     sent = dict.fromkeys(steps)  # the value each coroutine is sent next
     while sent:
         waiting = {}
@@ -151,21 +157,17 @@ def _lockstep(steps: dict[int, object], evaluate) -> tuple[dict[int, float], dic
                 waiting[key] = steps[key].send(value)
             except StopIteration as stop:
                 results[key] = stop.value
-            except Exception as err:  # that coroutine's error; the others go on
-                errors[key] = err
         keys = list(waiting)
         sent = dict(zip(keys, evaluate(keys, list(waiting.values())).tolist())) if keys else {}
-    return results, errors
+    return results
 
 
 def _scalar_argmins(objective: Objective, term: ObjectiveTerm, x: np.ndarray,
-                    ref: int, node: str) -> tuple[np.ndarray, dict[int, Exception]]:
+                    ref: int, node: str) -> np.ndarray:
     """Argmins of strictly convex scalar slices via bracketed root finding,
     one per column of ``x`` (dim, B): coordinate ``ref`` moves, the rest
     stays.  Every column takes the steps it takes alone; the slopes they
-    need are evaluated as one batch per round.  Returns the roots and,
-    keyed by column, the error a column meets; a domain error raises for
-    the whole batch."""
+    need are evaluated as one batch per round."""
     model = objective.model
     p = x.copy()  # row ``ref`` moves along the slices
 
@@ -178,26 +180,24 @@ def _scalar_argmins(objective: Objective, term: ObjectiveTerm, x: np.ndarray,
 
     at_x0 = jet(slice(None), 2)  # its gradient is bitwise the order-1 one
     x0, g0 = x[ref].tolist(), at_x0.grad[0].tolist()
-    errors: dict[int, Exception] = {}
     steps = {}
     for j, curvature in enumerate(at_x0.hess[0, 0].tolist()):
         # Strictly convex slices may still have zero curvature at isolated
         # points (quartics at their minimum); only negative curvature
         # disproves convexity outright.
         if curvature < 0.0:
-            errors[j] = NonConvexBlockError(node, f"z={x0[j]:g}")
-        elif g0[j] != 0.0:
+            raise NonConvexBlockError(node, f"z={x0[j]:g}")
+        if g0[j] != 0.0:
             steps[j] = _argmin_steps(x0[j], g0[j], node)
-    found, failed = _lockstep(steps, slope)
-    errors.update(failed)
+    found = _lockstep(steps, slope)
     roots = x[ref].copy()
     if found:
         cols = list(found)
         p[ref, cols] = roots[cols] = list(found.values())
-        for j, curvature in zip(cols, jet(cols, 2).hess[0, 0].tolist()):
+        for root, curvature in zip(found.values(), jet(cols, 2).hess[0, 0].tolist()):
             if curvature < 0.0:
-                errors[j] = NonConvexBlockError(node, f"z={found[j]:g}")
-    return roots, errors
+                raise NonConvexBlockError(node, f"z={root:g}")
+    return roots
 
 
 def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
@@ -205,27 +205,20 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     """Argmin of a local term over its own coordinate block, parents and
     exogenous values frozen at ``point``."""
     if len(refs) == 1:
-        roots, errors = _scalar_argmins(objective, term, point.x[:, None], refs[0], node)
-        if errors:
-            raise errors[0]
-        return roots
+        return _scalar_argmins(objective, term, point.x[:, None], refs[0], node)
     # Multi-component block: guarded Newton on the block gradient.
     p = point.copy()
     for _ in range(100):
-        g = objective.term_jet(term, p, refs, order=1).grad
-        if float(np.max(np.abs(g))) <= 1e-12:
-            h = objective.term_jet(term, p, refs, order=2).hess
-            try:
-                np.linalg.cholesky(h)
-            except np.linalg.LinAlgError:
-                raise NonConvexBlockError(node, "block minimizer") from None
-            return p.x[refs]
-        h = objective.term_jet(term, p, refs, order=2).hess
+        jet = objective.term_jet(term, p, refs, order=2)  # its gradient is the order-1 one
+        g = jet.grad
+        done = float(np.max(np.abs(g))) <= 1e-12
         try:
-            np.linalg.cholesky(h)
-            step = np.linalg.solve(h, -g)
+            np.linalg.cholesky(jet.hess)
+            if done:
+                return p.x[refs]
+            step = np.linalg.solve(jet.hess, -g)
         except np.linalg.LinAlgError:
-            raise NonConvexBlockError(node, "block Newton") from None
+            raise NonConvexBlockError(node, "block minimizer" if done else "block Newton") from None
         t = 1.0
         base = float(g @ g)
         while t > 1e-16:
@@ -272,80 +265,58 @@ class InducedScm:
             raise QueryError("context u has the wrong length")
         if theta is not None and np.shape(theta) != (self.model.ntheta,):
             raise QueryError("theta has the wrong length")
-        z, errors = self._forward_many(u[:, None], [edited], theta)
-        if errors:
-            raise errors[0]
-        return z[:, 0]
+        return self._forward_many(u[:, None], [edited], theta)[:, 0]
 
-    def _forward_many(self, u: np.ndarray, edits: list[EditedEnergy],
-                      theta=None) -> tuple[np.ndarray, dict[int, Exception]]:
+    def _forward_many(self, u: np.ndarray, edits: list[EditedEnergy], theta=None) -> np.ndarray:
         """Forward passes for the contexts ``u[:, j]`` (nu, B), each under
-        its own applied edit ``edits[j]``; returns z (nz, B) and the error
-        each failing pass meets, keyed by column.
+        its own applied edit ``edits[j]``; returns z (nz, B).
 
         Node by node, the passes that share the node's term run as one
         batch: a hard target keeps its clamp, a soft target's blend is its
-        own sub-batch.  A failing pass stops at its failing node.
+        own sub-batch.  A scalar block's sub-batch finds its roots
+        together, a vector block's columns one by one.
         """
         model = self.model
-        x = _context_batch(model, u, theta)
-        by_edit: dict[int, tuple[EditedEnergy, list[int]]] = {}
-        for j, edited in enumerate(edits):
-            by_edit.setdefault(id(edited), (edited, []))[1].append(j)
-        for edited, cols in by_edit.values():
-            for ref, value in edited.clamps.items():
-                x[ref, cols] = value
-        terms = {key: {t.owner: t for t in edited.objective.terms}
-                 for key, (edited, _) in by_edit.items()}
-        errors: dict[int, Exception] = {}
+        by_edit = _by_edit(edits)
+        x = _context_batch(model, u, theta, by_edit)
+        owners = [{t.owner: t for t in edited.objective.terms} for edited, _ in by_edit]
         for node in self.order:
             refs = model.coord_indices(node)
             groups: dict[int, tuple[ObjectiveTerm, list[int]]] = {}
-            for key, (edited, cols) in by_edit.items():
+            for (edited, cols), terms in zip(by_edit, owners):
                 if node not in edited.hard_targets:
-                    term = terms[key][node]
-                    groups.setdefault(id(term), (term, []))[1].extend(
-                        j for j in cols if j not in errors)
+                    groups.setdefault(id(terms[node]), (terms[node], []))[1].extend(cols)
             for term, cols in groups.values():
-                if not cols:
+                cols = sorted(cols)
+                if len(refs) == 1:
+                    x[refs[0], cols] = _scalar_argmins(self._objective, term, x[:, cols],
+                                                       refs[0], node)
                     continue
-                cols = np.array(sorted(cols))
-                values, failed = self._responses(node, term, x[:, cols])
-                ok = np.array([i not in failed for i in range(len(cols))], dtype=bool)
-                x[np.ix_(refs, cols[ok])] = values[:, ok]
-                errors.update((int(cols[i]), err) for i, err in failed.items())
-        return x[:model.nz], errors
-
-    def _responses(self, node: str, term: ObjectiveTerm,
-                   x: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        """Best responses of ``node`` under ``term`` at every column of
-        ``x`` (dim, b), as a (block, b) array, and the error each failing
-        column meets."""
-        refs = self.model.coord_indices(node)
-        if len(refs) == 1:
-            try:
-                roots, errors = _scalar_argmins(self._objective, term, x, refs[0], node)
-                return roots[None, :], errors
-            except EnergyDomainError:
-                pass  # a column left the term's domain: find it below
-        # a vector block, or a batch with a domain error: each column alone
-        values, errors = x[refs].copy(), {}
-        for j in range(x.shape[1]):
-            try:
-                values[:, j] = _block_argmin(self._objective, term,
-                                             Point.from_flat(self.model, x[:, j]), refs, node)
-            except Exception as err:  # raised by the check, in draw order
-                errors[j] = err
-        return values, errors
+                for j in cols:
+                    x[refs, j] = _block_argmin(self._objective, term,
+                                               Point.from_flat(model, x[:, j]), refs, node)
+        return x[:model.nz]
 
 
-def _context_batch(model: Model, u: np.ndarray, theta=None) -> np.ndarray:
-    """Flat points (dim, B) with z = 0, the contexts ``u`` (nu, B) and
-    ``theta`` (default: the model's defaults) in every column."""
+def _by_edit(edits: list[EditedEnergy]) -> list[tuple[EditedEnergy, list[int]]]:
+    """Every distinct edit object in ``edits`` with the columns it edits."""
+    found: dict[int, tuple[EditedEnergy, list[int]]] = {}
+    for j, edited in enumerate(edits):
+        found.setdefault(id(edited), (edited, []))[1].append(j)
+    return list(found.values())
+
+
+def _context_batch(model: Model, u: np.ndarray, theta=None, by_edit=()) -> np.ndarray:
+    """Flat points (dim, B) with the contexts ``u`` (nu, B), ``theta``
+    (default: the model's defaults) in every column, and z = 0 but for
+    the clamps of each edit of ``by_edit`` in its columns."""
     x = np.zeros((model.dim, u.shape[1]))
     x[model.coords("u")] = u
     theta = model.theta_defaults() if theta is None else np.asarray(theta, dtype=float)
     x[model.coords("theta")] = theta[:, None]
+    for edited, cols in by_edit:
+        for ref, value in edited.clamps.items():
+            x[ref, cols] = value
     return x
 
 
@@ -359,6 +330,15 @@ def _require_separable(model: Model, what: str) -> None:
         raise ClassViolationError(
             f"{what} requires locality; the model carries parent-mask "
             f"violations: {model.mask_warnings[0]}")
+
+
+def _require_draws(trials: int, seed: int, tol: float) -> None:
+    """At least one trial, a seed numpy accepts and a finite tol >= 0."""
+    if trials < 1:
+        raise QueryError("trials must be at least 1")
+    if seed < 0:
+        raise QueryError("seed must be non-negative")
+    finite_number(tol, "tol", low=0.0)
 
 
 def induce_scm(model: Model, probe_points: list[Point] | None = None) -> InducedScm:
@@ -469,47 +449,66 @@ def _energy_side(model: Model, u: np.ndarray, surgeries,
     return eq.point.z.copy()
 
 
-def _energy_sides(model: Model, u: np.ndarray, edited: EditedEnergy,
-                  cfg: SolverConfig) -> tuple[np.ndarray, dict[int, Exception]]:
-    """:func:`_energy_side` for the contexts ``u[:, j]`` (nu, B) under one
-    applied edit; returns z (nz, B) and the error each failing draw meets.
+def _energy_sides(model: Model, u: np.ndarray, edits: list[EditedEnergy],
+                  cfg: SolverConfig) -> np.ndarray:
+    """:func:`_energy_side` for the contexts ``u[:, j]`` (nu, B), each
+    under its own applied edit ``edits[j]``; returns z (nz, B).
 
-    The draws take their undamped Newton steps as one batch; a draw that
-    leaves that path starts again alone in :func:`_energy_side`, so every
-    z is bitwise the per-draw one.
+    Draws whose edits keep the same terms and clamp the same coordinates
+    (hard edits on one target, say) take their undamped Newton steps as
+    one batch, each with its own clamp values; a draw that leaves that
+    path starts again alone in :func:`_energy_side`, so every z is bitwise
+    the per-draw one.
     """
-    free = [i for i in model.coords("z") if i not in edited.clamps]
-    x = _context_batch(model, u)
-    for ref, value in edited.clamps.items():
-        x[ref] = value
-    # x holds the start solve takes for init "zeros"; a lone draw is
-    # quickest in solve's float arithmetic
-    if cfg.init == "zeros" and u.shape[1] > 1:
-        x, alone = newton_batch(edited.objective, free, x, cfg)
-    else:
-        alone = np.ones(u.shape[1], dtype=bool)
-    errors: dict[int, Exception] = {}
-    for j in np.flatnonzero(alone).tolist():
-        try:
-            x[:model.nz, j] = _energy_side(model, u[:, j], edited, cfg)
-        except Exception as err:  # raised by the check, in draw order
-            errors[j] = err
-    return x[:model.nz], errors
+    by_edit = _by_edit(edits)
+    x = _context_batch(model, u, by_edit=by_edit)
+    groups: dict[tuple, tuple[EditedEnergy, list[int]]] = {}
+    for edited, cols in by_edit:
+        key = (tuple(map(id, edited.objective.terms)), tuple(edited.clamps))
+        groups.setdefault(key, (edited, []))[1].extend(cols)
+    for edited, cols in groups.values():
+        cols = sorted(cols)
+        # x holds the start solve takes for init "zeros"; a lone draw is
+        # quickest in solve's float arithmetic
+        alone = cols
+        if cfg.init == "zeros" and len(cols) > 1:
+            free = [i for i in model.coords("z") if i not in edited.clamps]
+            x[:, cols], handoff = newton_batch(edited.objective, free, x[:, cols], cfg)
+            alone = np.array(cols)[handoff].tolist()
+        for j in alone:
+            x[:model.nz, j] = _energy_side(model, u[:, j], edits[j], cfg)
+    return x[:model.nz]
 
 
-def _edit_key(edited: EditedEnergy):
-    """Trials whose surgeries are equal share an edit; a trial whose
-    surgeries cannot be hashed shares it with no other."""
+def _paired(scm: InducedScm, u: np.ndarray, edits: list[EditedEnergy], readouts: dict,
+            cfg: SolverConfig) -> tuple[list[float], dict[str, tuple[list, list]]]:
+    """Both semantics at the draws ``u[:, j]`` (nu, B), each under its own
+    applied edit ``edits[j]``: every draw's largest |z_energy - z_scm|,
+    and every readout at every draw on both sides, name -> (energy
+    values, SCM values); a readout that is None reads max z.
+
+    The draws run as one batch.  If that raises, they replay one by one,
+    each through its energy side, its SCM side and then its readouts, so
+    the error raised is the one of the first draw that fails.
+    """
+    model = scm.model
     try:
-        hash(edited.surgeries)
-    except TypeError:
-        return id(edited)
-    return edited.surgeries
-
-
-def _first_failure(count: int, *errors: dict[int, Exception]) -> int:
-    """The first draw with an error in any of ``errors``, or ``count``."""
-    return min((j for found in errors for j in found), default=count)
+        z_energy = _energy_sides(model, u, edits, cfg)
+        z_scm = scm._forward_many(u, edits)
+        x_energy, x_scm = _context_batch(model, u), _context_batch(model, u)
+        x_energy[:model.nz], x_scm[:model.nz] = z_energy, z_scm
+        stats = {name: (np.max(z_energy, axis=0), np.max(z_scm, axis=0)) if compiled is None
+                 else (_read_batch(compiled, x_energy), _read_batch(compiled, x_scm))
+                 for name, compiled in readouts.items()}
+    except Exception:  # replay: the first failing draw raises its own error
+        for j, edited in enumerate(edits):
+            sides = [_energy_side(model, u[:, j], edited, cfg), scm._forward(u[:, j], edited)]
+            for compiled in readouts.values():
+                for z in sides if compiled is not None else ():  # None reads max z
+                    _read(compiled, Point.for_model(model, z=z, u=u[:, j]))
+        raise  # the batch and its replay disagree: a bug, not a result
+    deviations = np.max(np.abs(z_energy - z_scm), axis=0) if model.nz else np.zeros(len(edits))
+    return deviations.tolist(), {name: (a.tolist(), b.tolist()) for name, (a, b) in stats.items()}
 
 
 def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
@@ -519,12 +518,14 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     seeded random contexts and surgeries.
 
     Every trial's context and edit are drawn first, in trial order; then
-    trials run in chunks, the energy side batched over trials that share
-    an edit and the forward pass over trials that share a node's term.
-    The report is bitwise the one of running the trials one by one, and
-    so is the error raised, that of the first trial that fails.
+    trials run in chunks, the energy side batched over trials whose edits
+    keep the same terms and clamp the same coordinates, and the forward
+    pass over trials that share a node's term.  The report is bitwise the
+    one of running the trials one by one, and so is the error raised,
+    that of the first trial that fails.
     """
     _require_separable(model, "the equivalence check")
+    _require_draws(trials, seed, tol)
     scm = induce_scm(model)
     rng = np.random.default_rng(seed)
     generator = surgery_generator or _default_surgery
@@ -535,7 +536,7 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
         try:
             u = rng.uniform(-2.0, 2.0, size=model.nu)
             edited = apply_surgery(model, generator(rng, model, t))
-        except Exception as err:  # raised after the trials before it ran
+        except EscmError as err:  # raised after the trials before it ran
             late = err
             break
         contexts.append(u)
@@ -545,22 +546,8 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     for first in range(0, len(edits), _CHUNK):
         chunk = edits[first:first + _CHUNK]
         u = np.array(contexts[first:first + _CHUNK]).reshape(len(chunk), model.nu).T
-        z_energy = np.zeros((model.nz, len(chunk)))
-        errors: dict[int, Exception] = {}
-        by_edit: dict[object, list[int]] = {}
-        for j, edited in enumerate(chunk):
-            by_edit.setdefault(_edit_key(edited), []).append(j)
-        for cols in by_edit.values():
-            z, found = _energy_sides(model, u[:, cols], chunk[cols[0]], cfg)
-            z_energy[:, cols] = z
-            errors.update((cols[i], err) for i, err in found.items())
-        z_scm, scm_errors = scm._forward_many(u, chunk)
-        bad = _first_failure(len(chunk), errors, scm_errors)
-        if bad < len(chunk):  # a draw meets its energy side first
-            raise errors.get(bad) or scm_errors[bad]
-        deviations = np.max(np.abs(z_energy - z_scm), axis=0) if model.nz \
-            else np.zeros(len(chunk))
-        for j, (edited, deviation) in enumerate(zip(chunk, deviations.tolist())):
+        deviations, _ = _paired(scm, u, chunk, {}, cfg)
+        for j, (edited, deviation) in enumerate(zip(chunk, deviations)):
             worst = max(worst, deviation)
             kind = edited.surgeries[0].kind if edited.surgeries else "observational"
             records.append({"trial": first + j, "kind": kind, "deviation": deviation})
@@ -593,6 +580,7 @@ def _build_sampler(model: Model, spec: dict):
         if dist == "uniform":
             lo, hi = (finite_number(entry.get(key), f"sampler {key!r} of {v.name!r}")
                       for key in ("lo", "hi"))
+            finite_number(hi - lo, f"sampler range hi - lo of {v.name!r}")
             draws.append(("uniform", lo, hi, v.dim))
         elif dist in ("gauss", "normal"):
             mu, sigma = (finite_number(entry.get(key, default), f"sampler {key!r} of {v.name!r}")
@@ -616,26 +604,6 @@ def _build_sampler(model: Model, spec: dict):
     return sample
 
 
-def _statistic_values(model: Model, readouts: dict, u: np.ndarray,
-                      z_energy: np.ndarray, z_scm: np.ndarray) -> dict[str, tuple]:
-    """Every statistic at every draw, on both sides: name -> (energy
-    values, SCM values), each (B,).  A readout that leaves its domain at
-    some draw raises the error the draws read one by one would raise."""
-    x_energy, x_scm = _context_batch(model, u), _context_batch(model, u)
-    x_energy[:model.nz], x_scm[:model.nz] = z_energy, z_scm
-    try:
-        return {name: (np.max(z_energy, axis=0), np.max(z_scm, axis=0)) if compiled is None
-                else (_read_batch(compiled, x_energy), _read_batch(compiled, x_scm))
-                for name, compiled in readouts.items()}
-    except EnergyDomainError:
-        for j in range(u.shape[1]):  # raises at the first draw that fails
-            for compiled in readouts.values():
-                if compiled is not None:
-                    _read(compiled, Point.from_flat(model, x_energy[:, j]))
-                    _read(compiled, Point.from_flat(model, x_scm[:, j]))
-        raise
-
-
 def _read_batch(compiled, x: np.ndarray) -> np.ndarray:
     """A compiled readout at every column of ``x`` (dim, B)."""
     return np.broadcast_to(compiled.evaluate(Env(x)), x.shape[1:])
@@ -654,6 +622,7 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     failing draw, are bitwise those of evaluating the draws one by one.
     """
     _require_separable(model, "the pushforward check")
+    _require_draws(trials, seed, tol)
     scm = induce_scm(model)
     sample = _build_sampler(model, sampler_spec)
     statistics = statistics or {"z_all_max": None}
@@ -663,31 +632,21 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     cfg = cfg or SolverConfig()
     edited = apply_surgery(model, surgeries)
 
-    values_energy: dict[str, list[float]] = {k: [] for k in statistics}
-    values_scm: dict[str, list[float]] = {k: [] for k in statistics}
+    values: dict[str, tuple[list, list]] = {k: ([], []) for k in statistics}  # energy, SCM
     worst = 0.0
     for first in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - first)
         u = sample(rng, count)
-        z_energy, errors = _energy_sides(model, u, edited, cfg)
-        z_scm, scm_errors = scm._forward_many(u, [edited] * count)
-        bad = _first_failure(count, errors, scm_errors)
-        stats = _statistic_values(model, readouts, u[:, :bad], z_energy[:, :bad], z_scm[:, :bad])
-        if bad < count:  # a draw meets its energy side first, its readouts last
-            raise errors.get(bad) or scm_errors[bad]
-        deviations = np.max(np.abs(z_energy - z_scm), axis=0) if model.nz else np.zeros(count)
-        pairs = {name: (a.tolist(), b.tolist()) for name, (a, b) in stats.items()}
-        for j, deviation in enumerate(deviations.tolist()):
-            worst = max(worst, deviation)
-            for name, (a, b) in pairs.items():
-                values_energy[name].append(a[j])
-                values_scm[name].append(b[j])
-                worst = max(worst, abs(a[j] - b[j]))
+        deviations, stats = _paired(scm, u, [edited] * count, readouts, cfg)
+        worst = max(worst, *deviations)
+        for name, (a, b) in stats.items():
+            values[name][0].extend(a)
+            values[name][1].extend(b)
+            worst = max(worst, *(abs(e - s) for e, s in zip(a, b)))
 
     summary = {}
     for name in statistics:
-        ve = np.asarray(values_energy[name])
-        vs = np.asarray(values_scm[name])
+        ve, vs = map(np.asarray, values[name])
         summary[name] = {
             "mean_energy": float(ve.mean()),
             "mean_scm": float(vs.mean()),

@@ -3,7 +3,7 @@
 Clamped coordinates are eliminated from the decision vector (not
 penalized), so they hold their values bit-exactly.  Each iteration first
 tries an undamped Newton step; on a rejected or unsolvable step the
-Levenberg shift grows geometrically, and past ``lambda_max`` the solver
+Levenberg shift grows geometrically, and past ``_LAMBDA_MAX`` the solver
 falls back to gradient descent with Armijo backtracking.  Accepted
 iterates never increase the objective.
 
@@ -26,21 +26,21 @@ __all__ = ["SolverConfig", "Equilibrium", "solve", "newton_batch", "schur_effect
            "normalize_refs"]
 
 
+_LAMBDA0, _LAMBDA_GROWTH, _LAMBDA_MAX = 1e-8, 10.0, 1e8  # the Levenberg shift's schedule
+_ARMIJO_C = 1e-4  # sufficient decrease of the gradient-descent fallback
+
+
 @dataclass
 class SolverConfig:
     tol_grad: float = 1e-10
     max_iter: int = 200
-    levenberg_lambda0: float = 1e-8
-    lambda_growth: float = 10.0
-    lambda_max: float = 1e8
-    armijo_c: float = 1e-4
     init: str = "zeros"  # "zeros" | "point" | "forward-scm"
 
     def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
+        if finite_number(self.tol_grad, "tol_grad") <= 0:
+            raise QueryError("tol_grad must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise QueryError("max_iter must be at least 1")
 
 
 @dataclass
@@ -118,14 +118,17 @@ def normalize_clamps(objective_or_model, clamps) -> dict[int, float]:
     return out
 
 
-def finite_number(value, what: str) -> float:
-    """``value`` as a finite float; raises :class:`QueryError` otherwise."""
+def finite_number(value, what: str, low: float | None = None) -> float:
+    """``value`` as a finite float, and at least ``low`` if that is given;
+    raises :class:`QueryError` otherwise."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise QueryError(f"{what} is not a number: {value!r}") from None
     if not np.isfinite(number):
         raise QueryError(f"{what} is not finite")
+    if low is not None and number < low:
+        raise QueryError(f"{what} must be at least {low:g}")
     return number
 
 
@@ -197,15 +200,15 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
             )
 
         accepted = None
-        while lam <= cfg.lambda_max:
+        while lam <= _LAMBDA_MAX:
             shifted = hess_free + lam * np.eye(nfree) if lam else hess_free
             try:
                 step = np.linalg.solve(shifted, -grad_free)
             except np.linalg.LinAlgError:
-                lam = max(cfg.levenberg_lambda0, lam * cfg.lambda_growth)
+                lam = max(_LAMBDA0, lam * _LAMBDA_GROWTH)
                 continue
             if not np.all(np.isfinite(step)):
-                lam = max(cfg.levenberg_lambda0, lam * cfg.lambda_growth)
+                lam = max(_LAMBDA0, lam * _LAMBDA_GROWTH)
                 continue
             candidate = point.copy()
             candidate.x[free_refs] += step
@@ -223,7 +226,7 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
                 if float(np.max(np.abs(g_new))) < residual:
                     accepted = (candidate, e_new)
                     break
-            lam = max(cfg.levenberg_lambda0, lam * cfg.lambda_growth)
+            lam = max(_LAMBDA0, lam * _LAMBDA_GROWTH)
 
         if accepted is None:
             # Regularized solve failed; gradient descent with backtracking.
@@ -237,7 +240,7 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
                 except EnergyDomainError:
                     t *= 0.5
                     continue
-                if e_new <= energy - cfg.armijo_c * t * g2:
+                if e_new <= energy - _ARMIJO_C * t * g2:
                     accepted = (candidate, e_new)
                     break
                 t *= 0.5

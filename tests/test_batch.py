@@ -3,6 +3,7 @@ points at once give bitwise the per-point results and raise the per-point
 errors."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 
 from escm import SolverConfig, equivalence_check, parse_model, pushforward_check
 from escm import reduction
-from escm.causal import apply_surgery
+from escm.causal import HardSurgery, apply_surgery
 from escm.engine import Objective, Point
 from escm.errors import EnergyDomainError, SolverError
 from escm.expr import compile_expr, parse_expr
@@ -132,15 +133,14 @@ def test_batched_newton_hands_off_draws_that_leave_the_undamped_path():
     _, alone = newton_batch(edited.objective, [0], reduction._context_batch(model, u), cfg)
     assert alone.tolist() == [False, True, True, True]
 
-    z, errors = reduction._energy_sides(model, u, edited, cfg)
-    assert sorted(errors) == [3]
-    for j in range(u.shape[1]):
-        if j in errors:
-            with pytest.raises(SolverError) as err:
-                reduction._energy_side(model, u[:, j], edited, cfg)
-            assert type(errors[j]) is SolverError and str(errors[j]) == str(err.value)
-        else:
-            assert z[:, j].tobytes() == reduction._energy_side(model, u[:, j], edited, cfg).tobytes()
+    with pytest.raises(SolverError) as batch:
+        reduction._energy_sides(model, u, [edited] * 4, cfg)
+    with pytest.raises(SolverError) as single:
+        reduction._energy_side(model, u[:, 3], edited, cfg)
+    assert str(batch.value) == str(single.value)
+    z = reduction._energy_sides(model, u[:, :3], [edited] * 3, cfg)
+    for j in range(3):
+        assert z[:, j].tobytes() == reduction._energy_side(model, u[:, j], edited, cfg).tobytes()
 
 
 def _one_by_one(monkeypatch, check):
@@ -152,6 +152,24 @@ def _one_by_one(monkeypatch, check):
     return chunked, alone
 
 
+# the bumpy slice on Z2, read through a parent Z1 that hard edits clamp
+_BUMPY_CHAIN = {
+    "variables": [{"name": "Z1", "kind": "endogenous"}, {"name": "Z2", "kind": "endogenous"},
+                  {"name": "U1", "kind": "exogenous"}, {"name": "U2", "kind": "exogenous"}],
+    "edges": [["Z1", "Z2"]],
+    "terms": [{"owner": "local:Z1", "expr": "0.5*sq(z.Z1 - u.U1)"},
+              {"owner": "local:Z2",
+               "expr": "log(1 + sq(z.Z2 - z.Z1 - u.U2)) + 0.3*sq(z.Z2) - 0.5*log(z.Z2 + 1.2)"},
+              {"owner": "exo:U1", "expr": "0.5*sq(u.U1)"},
+              {"owner": "exo:U2", "expr": "0.5*sq(u.U2)"}],
+}
+
+
+def _hard_on_z1(rng, model, index):
+    """Hard edits that all clamp Z1, each to its own value."""
+    return [HardSurgery("Z1", (float(rng.uniform(-2.0, 2.0)),))]
+
+
 def test_oracle_checks_match_their_draws_one_by_one(monkeypatch):
     # convex slices whose undamped steps may go uphill or below z = -1.2
     spec = {"variables": _BUMPY["variables"], "edges": [], "terms": [
@@ -159,17 +177,34 @@ def test_oracle_checks_match_their_draws_one_by_one(monkeypatch):
          "expr": "log(1 + sq(z.Z1 - u.U1)) + 0.3*sq(z.Z1) - 0.5*log(z.Z1 + 1.2)"},
         {"owner": "exo:U1", "expr": "0.5*sq(u.U1)"}]}
     model = parse_model(spec)
+    chain = parse_model(_BUMPY_CHAIN)
     sampler = {"U1": {"dist": "uniform", "lo": -2, "hi": 2}}
     outcomes = set()
     for seed, cfg in ((0, SolverConfig()), (1, SolverConfig()), (0, SolverConfig(max_iter=4))):
         for check in (lambda: pushforward_check(model, sampler, trials=30, seed=seed, cfg=cfg,
                                                 statistics={"z": "z.Z1", "e": "exp(z.Z1)"}),
-                      lambda: equivalence_check(model, trials=12, seed=seed, cfg=cfg)):
+                      lambda: equivalence_check(model, trials=12, seed=seed, cfg=cfg),
+                      lambda: equivalence_check(chain, trials=12, seed=seed, cfg=cfg,
+                                                surgery_generator=_hard_on_z1)):
             (report, error), (report_alone, error_alone) = _one_by_one(monkeypatch, check)
             assert report == report_alone
             assert type(error) is type(error_alone) and str(error) == str(error_alone)
             outcomes.add(type(error).__name__ if error else "report")
     assert outcomes == {"report", "SolverError", "EnergyDomainError"}
+
+
+def test_passing_checks_never_replay_their_draws(monkeypatch):
+    model = parse_model((Path(__file__).parent / "golden" / "models" / "rq10.json")
+                        .read_text(encoding="utf-8"))
+    sampler = {v.name: {"dist": "gauss"} for v in model.exogenous}
+
+    def replayed(*args, **kwargs):
+        raise AssertionError("a draw replayed alone")
+
+    monkeypatch.setattr(reduction.InducedScm, "_forward", replayed)
+    assert pushforward_check(model, sampler, trials=40, seed=3,
+                             statistics={"z": "z.Z1", "all": None}).passed
+    assert equivalence_check(model, trials=30, seed=3).passed
 
 
 # -- root finding -----------------------------------------------------------
@@ -192,13 +227,25 @@ def test_brentq_port_matches_scipy():
     rng = np.random.default_rng(1)
     cases = [(f, rng.uniform(-5.0, 0.09), rng.uniform(0.8, 5.0)) for f in _SLOPES for _ in range(20)]
     cases += [(lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0)]
-    steps = {k: reduction._brentq_steps(a, b, f(a), f(b)) for k, (f, a, b) in enumerate(cases)}
-    roots, errors = reduction._lockstep(
-        steps, lambda keys, xs: np.array([cases[k][0](x) for k, x in zip(keys, xs)]))
+
+    def roots(keys):
+        """The port's roots for the brackets ``keys``, run side by side."""
+        steps = {}
+        for k in keys:
+            f, a, b = cases[k]
+            steps[k] = reduction._brentq_steps(a, b, f(a), f(b))
+        return reduction._lockstep(
+            steps, lambda keys, xs: np.array([cases[k][0](x) for k, x in zip(keys, xs)]))
+
+    found, errors = {}, []
     for k, (f, a, b) in enumerate(cases):
         root, error = _outcome(lambda: brentq(f, a, b, xtol=1e-14, rtol=4 * np.finfo(float).eps))
+        alone, error_alone = _outcome(lambda: roots([k]))
         if error is None:
-            assert k not in errors and roots[k] == root
+            assert error_alone is None and alone[k] == root
+            found[k] = root
         else:
-            assert type(errors[k]) is type(error) and str(errors[k]) == str(error)
-    assert {type(err) for err in errors.values()} == {ValueError, RuntimeError}
+            assert type(error_alone) is type(error) and str(error_alone) == str(error)
+            errors.append(error)
+    assert {type(err) for err in errors} == {ValueError, RuntimeError}
+    assert roots(found) == found  # the brackets that succeed, run side by side

@@ -232,6 +232,13 @@ def test_gen_corpus_density_extremes(capsys, tmp_path):
         assert len(model["edges"]) == 6  # full lower-triangular DAG on 4 nodes
 
 
+def test_gen_corpus_negative_seed_is_a_query_error(capsys, tmp_path):
+    code, report = invoke(capsys, "gen-corpus", "--out", str(tmp_path / "c"), "--seed", "-1",
+                          "--no-timing")
+    assert code == 3
+    assert report["error"]["type"] == "QueryError"
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
@@ -435,6 +442,26 @@ def test_parser_is_built_once_and_usage_errors_still_exit_3(capsys, chain2_path)
                      '{"U1":{"dist":"gauss"},"U2":{"dist":"gauss"}}')),
     ("chain2_dyn_path", ("simulate", "--surgeries",
                          '[{"kind":"soft","target":"Z2","lambda":0.5,"expr":"z.Nope"}]')),
+    # numeric options outside what they can mean
+    ("chain2_path", ("solve", "--max-iter", "0")),
+    ("chain2_path", ("solve", "--tol", "-1")),
+    ("chain2_path", ("abduct", "--evidence", '{"z.Z1":1}', "--tol", "inf")),
+    ("chain2_path", ("diagnose", "--tol", "nan")),
+    ("chain2_path", ("probes", "--points", "[{}]", "--gauge", "{}", "--gauge-tol", "nan")),
+    ("chain2_path", ("pushforward", "--seed", "-1", "--sampler",
+                     '{"U1":{"dist":"gauss"},"U2":{"dist":"gauss"}}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--trials", "0", "--sampler",
+                     '{"U1":{"dist":"gauss"},"U2":{"dist":"gauss"}}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--tol", "nan", "--sampler",
+                     '{"U1":{"dist":"gauss"},"U2":{"dist":"gauss"}}')),
+    ("chain2_path", ("pushforward", "--seed", "1", "--sampler",
+                     '{"U1":{"dist":"uniform","lo":-1e308,"hi":1e308},"U2":{"dist":"gauss"}}')),
+    ("chain2_path", ("reduce-check", "--seed", "-5")),
+    ("chain2_path", ("reduce-check", "--seed", "1", "--trials", "-1")),
+    ("chain2_path", ("reduce-check", "--seed", "1", "--tol", "-1")),
+    ("chain2_dyn_path", ("simulate", "--t-end", "inf")),
+    ("chain2_dyn_path", ("simulate", "--dt", "nan")),
+    ("chain2_dyn_path", ("simulate", "--t-end", "1e300", "--dt", "1")),
 ])
 def test_malformed_json_arguments_are_query_errors(capsys, request, path_fixture, argv):
     command, *options = argv
