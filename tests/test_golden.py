@@ -76,6 +76,13 @@ CASES = {
     "diagnose_chain2": ("diagnose", "chain2", "--point", '{"z.Z1":0.3,"u.U2":-0.2}'),
     "diagnose_chain2_dyn": ("diagnose", "chain2_dyn", "--point", '{"z.Z2":1.5}'),
     "diagnose_rq10": ("diagnose", "rq10"),
+    # planted violations: every maximum and penalty below is nonzero somewhere
+    "diagnose_plant4": (
+        "diagnose", "plant4", "--mask-policy", "warn", "--point",
+        '{"z.Z1":0.3,"z.Z2[0]":-0.7,"z.Z2[1]":0.45,"z.Z4":1.1,"u.U1":-0.2,"u.U4":0.6}'),
+    "diagnose_plant4_dyn": (
+        "diagnose", "plant4_dyn", "--mask-policy", "warn", "--point",
+        '{"z.Z1":0.4,"z.Z2":-0.3,"z.Z4":0.9,"u.U4":-0.5}'),
     "probes_gauge_chain2": (
         "probes", "chain2", "--points", '[{"z.Z1":0.5,"z.Z2":-1.0},{"z.Z1":1.0,"u.U1":0.2}]',
         "--base", '{"z.Z2":0.25}',
