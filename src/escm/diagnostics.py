@@ -3,11 +3,16 @@
 Locality checks ask whether a non-descendant's state or parameters enter a
 module's effective stationarity condition: exact mixed partials of the
 pair energy must vanish.  Module i's energy does not depend on A, so the
-checks of all pairs with the same i read their blocks from one Hessian.
-Mechanism-independence checks ask whether parent parameters deform a
-module's residual: first and mixed second parameter derivatives of the
-residual must vanish.  Both are computed exactly, so clean models fail
-only at exactly zero and planted coefficients are recovered bit-for-bit.
+checks of all pairs with the same i read their blocks from one Hessian,
+and one reduction over that Hessian's gathered columns gives every pair's
+maxima.  Mechanism-independence checks ask whether parent parameters
+deform a module's residual: first and mixed second parameter derivatives
+of the residual must vanish.  They read one order-3 derivative call over
+the terms that read z_i, found from an index of readers the model builds
+once.  Both are computed exactly, so clean models read exactly zero and
+planted coefficients are recovered bit-for-bit.  The penalties sum
+squared blocks and skip a block with no nonzero entry, whose sum of
+squares is exactly 0.0.
 
 The probe heads measure what a model commits to numerically at shared
 sample points in a fixed chart: per-module energies, partials, gradients,
@@ -54,7 +59,7 @@ STRUCTURAL_TOL = 1e-10
 
 
 def _max_abs(block: np.ndarray) -> float:
-    return float(np.max(np.abs(block))) if block.size else 0.0
+    return float(np.abs(block).max()) if block.size else 0.0
 
 
 def nondesc_pairs(model: Model) -> list[tuple[str, str]]:
@@ -106,7 +111,10 @@ def _lap_reports(model: Model, pairs, point: Point,
     the z_A and theta_A of all of i's pairs holds every block.  A
     coordinate none of i's terms reads has exactly zero cross-partials and
     maps to the zero slot k, which keeps the Hessian sized by what the
-    terms read rather than by the model.
+    terms read rather than by the model.  The z_i rows of all of i's
+    blocks are gathered side by side once; each report's blocks are views
+    of them, and one ``np.maximum.reduceat`` over their column maxima gives
+    every pair's two maxima.
     """
     finite_number(tol, "tol", low=0.0)
     sources: dict[str, list[str]] = {}
@@ -116,6 +124,9 @@ def _lap_reports(model: Model, pairs, point: Point,
     named = dict.fromkeys(v for pair in pairs for v in pair)
     z_refs = {v: model.coord_indices(v) for v in named}
     theta_refs = {v: model.module_theta_refs(v) for v in named}
+    labels = {a: [_param_label(model, r) for r in theta_refs[a]]
+              for a in dict.fromkeys(a for a, _ in pairs)}
+    zero = model.dim  # stands for a coordinate with exactly zero partials
     reports = {}
     for i, sources_i in sources.items():
         objective = Objective(model, _module_terms(model, i))
@@ -123,19 +134,31 @@ def _lap_reports(model: Model, pairs, point: Point,
         wanted = z_refs[i] + [r for a in sources_i for r in z_refs[a] + theta_refs[a]]
         full = objective.derivatives(point, order=2,
                                      active=[r for r in wanted if r in read])
-        slot = {ref: j for j, ref in enumerate(full.active)}
-        k = len(slot)
-        zi_rows = np.pad(full.hess, (0, 1))[[slot.get(r, k) for r in z_refs[i]]]
+        # slot k of ``hess`` is a zero row and column: the slot of every
+        # coordinate the terms do not read, and of ``zero``
+        k = len(full.active)
+        slot = np.full(zero + 1, k)
+        slot[list(full.active)] = np.arange(k)
+        hess = np.zeros((k + 1, k + 1))
+        hess[:k, :k] = full.hess
+        # every pair's z and theta columns side by side, one segment each;
+        # an empty segment holds the zero column so reduceat reads it as 0.0
+        refs, starts = [], []
         for a in sources_i:
-            z_block = zi_rows[:, [slot.get(r, k) for r in z_refs[a]]]
-            theta_block = zi_rows[:, [slot.get(r, k) for r in theta_refs[a]]]
+            for segment in (z_refs[a], theta_refs[a]):
+                starts.append(len(refs))
+                refs.extend(segment or (zero,))
+        blocks = hess[slot[z_refs[i]]][:, slot[refs]]
+        maxima = np.maximum.reduceat(np.abs(blocks).max(axis=0), starts).tolist()
+        for n, a in enumerate(sources_i):
+            z_at, theta_at = starts[2 * n], starts[2 * n + 1]
             reports[(a, i)] = LapReport(
                 pair=(a, i),
-                z_block=z_block,
-                theta_block=theta_block,
-                theta_labels=[_param_label(model, r) for r in theta_refs[a]],
-                max_abs_z=_max_abs(z_block),
-                max_abs_theta=_max_abs(theta_block),
+                z_block=blocks[:, z_at:theta_at],
+                theta_block=blocks[:, theta_at:theta_at + len(theta_refs[a])],
+                theta_labels=list(labels[a]),
+                max_abs_z=maxima[2 * n],
+                max_abs_theta=maxima[2 * n + 1],
                 tol=tol,
             )
     return [reports[pair] for pair in pairs]
@@ -163,9 +186,14 @@ def _penalty(reports_by_sample, first, second, default: float = 0.0) -> float:
     for reports in reports_by_sample:
         for report in reports:
             key, block_1, block_2 = report._penalty_blocks()
-            total += _weight(first, key, default) * float(np.sum(block_1 ** 2))
-            total += _weight(second, key, default) * float(np.sum(block_2 ** 2))
+            total += _weight(first, key, default) * _sum_sq(block_1)
+            total += _weight(second, key, default) * _sum_sq(block_2)
     return total / len(reports_by_sample)
+
+
+def _sum_sq(block: np.ndarray) -> float:
+    # the squares of exact zeros sum to 0.0; a NaN entry takes the full path
+    return float(np.sum(block ** 2)) if block.any() else 0.0
 
 
 def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
@@ -240,19 +268,20 @@ def icm_check(model: Model, i: str, point: Point,
                          0.0, 0.0, tol)
 
     # Only terms that read z_i enter its residual, and a parameter none of
-    # them reads has exactly zero derivatives there: it maps to the zero
-    # slot k.  Shared parameters sit in both sets and hold one slot.
-    terms = [t.objective_term for t in model.terms
-             if not set(zi).isdisjoint(t.objective_term.refs)]
+    # them reads has exactly zero derivatives there: its entries stay 0.0.
+    # Shared parameters sit in both sets and hold one slot.
+    terms = model._terms_reading(zi)
     read = {r for t in terms for r in t.refs}
     full = Objective(model, terms).derivatives(
         point, order=3, active=[r for r in zi + parent_refs + own_refs if r in read])
     slot = {ref: j for j, ref in enumerate(full.active)}
-    k = len(slot)
-    rows, cols_p, cols_o = ([slot.get(r, k) for r in refs]
-                            for refs in (zi, parent_refs, own_refs))
-    first = np.pad(full.hess, (0, 1))[np.ix_(rows, cols_p)]
-    mixed = np.pad(full.third, (0, 1))[np.ix_(rows, cols_p, cols_o)]
+    (rows, at_rows), (cols_p, at_p), (cols_o, at_o) = (
+        _present(slot, refs) for refs in (zi, parent_refs, own_refs))
+    first = np.zeros((di, dp))
+    mixed = np.zeros((di, dp, do))
+    first[at_rows[:, None], at_p] = full.hess[rows[:, None], cols_p]
+    mixed[at_rows[:, None, None], at_p[:, None], at_o] = \
+        full.third[rows[:, None, None], cols_p[:, None], cols_o]
     return IcmReport(
         node=i,
         parent_params=parent_labels,
@@ -263,6 +292,14 @@ def icm_check(model: Model, i: str, point: Point,
         max_abs_mixed=_max_abs(mixed),
         tol=tol,
     )
+
+
+def _present(slot: dict[int, int], refs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of the ``refs`` that have one, and their positions in
+    ``refs``, as index arrays."""
+    at = [n for n, r in enumerate(refs) if r in slot]
+    return (np.array([slot[refs[n]] for n in at], dtype=np.intp),
+            np.array(at, dtype=np.intp))
 
 
 def icm_penalty(model: Model, samples: list[Point], alpha=1.0, beta=1.0,

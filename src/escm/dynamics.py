@@ -322,10 +322,14 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
     """``dyn_lap_check`` of every (A, i) pair, in order, sliced from one
     field Jacobian at the point (reduced once when ``eliminate`` is set).
     A theta coordinate the field does not read maps to the zero column m.
+    Each row i gives the maxima of all of its pairs: its z entries at
+    once, and its theta entries with one ``np.maximum.reduceat``.
     """
     finite_number(tol, "tol", low=0.0)
+    sources: dict[str, list[str]] = {}
     for a, i in pairs:
         _require_nondescendant(model, a, i)
+        sources.setdefault(i, []).append(a)
     jac, dtheta, theta_refs = _field_derivs(model, point)
     nodes = [v.name for v in model.endogenous]
     eliminated = tuple(eliminate)
@@ -350,21 +354,30 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
     cols = {a: [col.get(k, m) for k in model.module_theta_refs(a, dynamics=True)]
             for a in dict.fromkeys(a for a, _ in pairs)}
     dtheta = np.pad(dtheta, ((0, 0), (0, 1)))
-    reports = []
-    for a, i in pairs:
-        r, c = row[i], row[a]
-        z_block = jac[r:r + 1, c:c + 1]
-        theta_block = dtheta[np.ix_([r], cols[a])]
-        reports.append(DynLapReport(
-            pair=(a, i),
-            z_block=z_block,
-            theta_block=theta_block,
-            max_abs_z=_max_abs(z_block),
-            max_abs_theta=_max_abs(theta_block),
-            tol=tol,
-            eliminated=eliminated,
-        ))
-    return reports
+    reports = {}
+    for i, sources_i in sources.items():
+        r = row[i]
+        # every source's theta columns of row i side by side; an empty
+        # segment holds the zero column m so reduceat reads it as 0.0
+        picked, starts = [], []
+        for a in sources_i:
+            starts.append(len(picked))
+            picked.extend(cols[a] or (m,))
+        theta_row = dtheta[r:r + 1, picked]
+        max_theta = np.maximum.reduceat(np.abs(theta_row[0]), starts).tolist()
+        max_z = np.abs(jac[r, [row[a] for a in sources_i]]).tolist()
+        for n, a in enumerate(sources_i):
+            c = row[a]
+            reports[(a, i)] = DynLapReport(
+                pair=(a, i),
+                z_block=jac[r:r + 1, c:c + 1],
+                theta_block=theta_row[:, starts[n]:starts[n] + len(cols[a])],
+                max_abs_z=max_z[n],
+                max_abs_theta=max_theta[n],
+                tol=tol,
+                eliminated=eliminated,
+            )
+    return [reports[pair] for pair in pairs]
 
 
 @dataclass

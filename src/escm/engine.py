@@ -153,7 +153,8 @@ class Objective:
                  active: Sequence[int], order: int) -> Jet:
         """Evaluate one term with the given flat indices active; everything
         else is frozen at the point.  The jet is over all of ``active``,
-        with exact zeros where the term does not read a coordinate."""
+        with exact zeros where the term does not read a coordinate, and
+        carries every block its order has as an array (``Jet.dense``)."""
         slot = {ref: j for j, ref in enumerate(active)}
         k = len(active)
         x = point.x
@@ -161,11 +162,11 @@ class Objective:
         leaves = {ref: seed(read(ref), slot[ref], k, order) if ref in slot
                   else read(ref) for ref in term.refs}
         total = _evaluate_term(term, leaves)
-        if isinstance(total, Jet):
-            return total
-        if x.ndim > 1:
-            total = np.broadcast_to(total, x.shape[1:])
-        return lift(total, k, order)
+        if not isinstance(total, Jet):
+            if x.ndim > 1:
+                total = np.broadcast_to(total, x.shape[1:])
+            total = lift(total, k, order)
+        return total.dense()
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,

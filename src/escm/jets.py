@@ -6,10 +6,22 @@ Arithmetic propagates all carried orders exactly (no finite differences),
 so structural zero tests downstream can assert against 0.0 rather than a
 tolerance.
 
+A Hessian or third tensor that is exactly zero is not stored: it is None,
+and ``Jet.order`` says which orders the jet carries.  Leaves start that
+way (:func:`seed`, :func:`lift`), and the operations skip a None operand
+and a term whose Python-float coefficient is 0.0, so a block is allocated
+only once some term can make it nonzero (sparse forward mode; Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 7).  Skipping an exact
+zero leaves every nonzero entry bitwise as the dense sum gives it; only
+the sign of a zero entry, or an entry where ``0 * inf`` would have read
+NaN, may differ.  :meth:`Jet.dense` materialises absent blocks as +0.0;
+``Objective.term_jet`` returns jets in that form, so callers see full
+shapes.
+
 Inputs are never mutated; every operation allocates fresh arrays or reuses
-operand arrays only when they are provably unchanged (adding a constant).
-Hessians are assembled from symmetric outer products, which keeps them
-bitwise symmetric.
+operand arrays only when they are provably unchanged (adding a constant or
+an absent block).  Hessians are assembled from symmetric outer products,
+which keeps them bitwise symmetric.
 
 A jet may also carry a trailing batch axis, one entry per point: value
 ``(B,)``, grad ``(k, B)``, hess ``(k, k, B)``, third ``(k, k, k, B)``.  The
@@ -72,75 +84,107 @@ def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     )
 
 
+def _plus(a, b):
+    """``a + b`` where None is an all-zero block."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _minus(a, b):
+    """``a - b`` where None is an all-zero block; ``0.0 - b`` rather than
+    ``-b`` keeps a zero entry of ``b`` at +0.0."""
+    if b is None:
+        return a
+    return 0.0 - b if a is None else a - b
+
+
+def _times(f, block):
+    """``f * block``, or None for an all-zero block."""
+    return None if block is None else f * block
+
+
+def _is_float_zero(f) -> bool:
+    # only a Python-float coefficient drops its term; a batch array is kept
+    return isinstance(f, float) and f == 0.0
+
+
 class Jet:
     """Value plus derivatives with respect to ``k`` active coordinates.
 
-    ``order`` is 1, 2 or 3; ``hess``/``third`` are present only for the
-    corresponding orders.
+    ``order`` is 1, 2 or 3.  ``hess`` belongs to orders 2 and 3 and
+    ``third`` to order 3; either is None while it is exactly zero, and
+    :meth:`dense` materialises it.
     """
 
-    __slots__ = ("value", "grad", "hess", "third")
+    __slots__ = ("value", "grad", "hess", "third", "order")
     __array_ufunc__ = None  # ndarray op Jet defers to the Jet's reflected op
 
-    def __init__(self, value: float, grad: np.ndarray,
-                 hess: np.ndarray | None = None, third: np.ndarray | None = None):
+    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray | None,
+                 third: np.ndarray | None, order: int):
         self.value = value
         self.grad = grad
         self.hess = hess
         self.third = third
+        self.order = order
 
-    @property
-    def order(self) -> int:
-        if self.third is not None:
-            return 3
-        return 2 if self.hess is not None else 1
+    def dense(self) -> "Jet":
+        """The same jet with every block its order carries as an array,
+        an absent one as +0.0 of shape (k, k) or (k, k, k) plus the batch
+        axis."""
+        k, batch = self.grad.shape[0], self.grad.shape[1:]
+        hess, third = self.hess, self.third
+        if hess is None and self.order >= 2:
+            hess = np.zeros((k, k) + batch)
+        if third is None and self.order >= 3:
+            third = np.zeros((k, k, k) + batch)
+        return Jet(self.value, self.grad, hess, third, self.order)
 
     # -- addition ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            h = self.hess + other.hess if self.hess is not None else None
-            t = self.third + other.third if self.third is not None else None
-            return Jet(self.value + other.value, self.grad + other.grad, h, t)
-        return Jet(self.value + other, self.grad, self.hess, self.third)
+            return Jet(self.value + other.value, self.grad + other.grad,
+                       _plus(self.hess, other.hess), _plus(self.third, other.third),
+                       self.order)
+        return Jet(self.value + other, self.grad, self.hess, self.third, self.order)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            h = self.hess - other.hess if self.hess is not None else None
-            t = self.third - other.third if self.third is not None else None
-            return Jet(self.value - other.value, self.grad - other.grad, h, t)
-        return Jet(self.value - other, self.grad, self.hess, self.third)
+            return Jet(self.value - other.value, self.grad - other.grad,
+                       _minus(self.hess, other.hess), _minus(self.third, other.third),
+                       self.order)
+        return Jet(self.value - other, self.grad, self.hess, self.third, self.order)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        h = -self.hess if self.hess is not None else None
-        t = -self.third if self.third is not None else None
-        return Jet(-self.value, -self.grad, h, t)
+        return Jet(-self.value, -self.grad, None if self.hess is None else -self.hess,
+                   None if self.third is None else -self.third, self.order)
 
     # -- multiplication / division ---------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            h = self.hess * other if self.hess is not None else None
-            t = self.third * other if self.third is not None else None
-            return Jet(self.value * other, self.grad * other, h, t)
+            return Jet(self.value * other, self.grad * other, _times(other, self.hess),
+                       _times(other, self.third), self.order)
         v1, v2 = self.value, other.value
         g = v2 * self.grad + v1 * other.grad
         h = t = None
-        if self.hess is not None:
-            h = v2 * self.hess + v1 * other.hess + _outer_sym(self.grad, other.grad)
-        if self.third is not None:
-            t = (
-                v2 * self.third
-                + v1 * other.third
-                + _sym3(self.hess, other.grad)
-                + _sym3(other.hess, self.grad)
-            )
-        return Jet(v1 * v2, g, h, t)
+        if self.order >= 2:
+            h = _plus(_plus(_times(v2, self.hess), _times(v1, other.hess)),
+                      _outer_sym(self.grad, other.grad))
+        if self.order >= 3:
+            # summed left to right, in the order of the dense formula
+            t = _plus(_times(v2, self.third), _times(v1, other.third))
+            if self.hess is not None:
+                t = _plus(t, _sym3(self.hess, other.grad))
+            if other.hess is not None:
+                t = _plus(t, _sym3(other.hess, self.grad))
+        return Jet(v1 * v2, g, h, t, self.order)
 
     __rmul__ = __mul__
 
@@ -150,8 +194,8 @@ class Jet:
         if _is_zero(other):
             raise EnergyDomainError("division by zero")
         return Jet(self.value / other, self.grad / other,
-                   self.hess / other if self.hess is not None else None,
-                   self.third / other if self.third is not None else None)
+                   None if self.hess is None else self.hess / other,
+                   None if self.third is None else self.third / other, self.order)
 
     def __rtruediv__(self, other):
         return self._recip() * other
@@ -165,15 +209,17 @@ class Jet:
     # -- chain rule for scalar functions ----------------------------------
 
     def _chain(self, f0: float, f1: float, f2: float, f3: float) -> "Jet":
-        g = f1 * self.grad
+        gg = self.grad
         h = t = None
-        if self.hess is not None:
-            h = f1 * self.hess + f2 * _outer(self.grad, self.grad)
-        if self.third is not None:
-            gg = self.grad
-            t = (f1 * self.third + f2 * _sym3(self.hess, gg)
-                 + f3 * gg[:, None, None] * gg[None, :, None] * gg[None, None, :])
-        return Jet(f0, g, h, t)
+        if self.order >= 2 and not _is_float_zero(f2):
+            h = f2 * _outer(gg, gg)
+        if self.order >= 3:
+            t = _times(f1, self.third)
+            if self.hess is not None and not _is_float_zero(f2):
+                t = _plus(t, f2 * _sym3(self.hess, gg))
+            if not _is_float_zero(f3):
+                t = _plus(t, f3 * gg[:, None, None] * gg[None, :, None] * gg[None, None, :])
+        return Jet(f0, f1 * gg, _plus(_times(f1, self.hess), h), t, self.order)
 
 
 def seed(value: float, slot: int, k: int, order: int) -> Jet:
@@ -186,11 +232,10 @@ def seed(value: float, slot: int, k: int, order: int) -> Jet:
 
 def lift(value: float, k: int, order: int) -> Jet:
     """Jet for a frozen (constant) value; a ``(B,)`` array ``value`` gives
-    a batched jet."""
+    a batched jet.  Its Hessian and third tensor are absent (zero)."""
     shape = getattr(value, "shape", ())  # np.shape would build an array from a float
-    h = np.zeros((k, k) + shape) if order >= 2 else None
-    t = np.zeros((k, k, k) + shape) if order >= 3 else None
-    return Jet(value.astype(float) if shape else float(value), np.zeros((k,) + shape), h, t)
+    return Jet(value.astype(float) if shape else float(value), np.zeros((k,) + shape),
+               None, None, order)
 
 
 def _pow(v, n: int):

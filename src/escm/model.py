@@ -233,6 +233,7 @@ class Model:
         )
         self.mask_policy = mask_policy
         self.mask_warnings: tuple[str, ...] = tuple(mask_warnings)
+        self._readers: dict[int, list[int]] | None = None  # see _terms_reading
         self._build_indexes()
 
     # -- flat coordinate maps ---------------------------------------------
@@ -377,6 +378,17 @@ class Model:
         if term is None or term.owner_kind != "local":
             raise QueryError(f"no local term for {name!r}")
         return term
+
+    def _terms_reading(self, refs) -> list[ObjectiveTerm]:
+        """The compiled terms that read any of the flat indices ``refs``,
+        in term order, from an index of readers built on first use."""
+        if self._readers is None:
+            self._readers = {}
+            for pos, term in enumerate(self.terms):
+                for ref in term.objective_term.refs:
+                    self._readers.setdefault(ref, []).append(pos)
+        hits = sorted({pos for ref in refs for pos in self._readers.get(ref, ())})
+        return [self.terms[pos].objective_term for pos in hits]
 
     @property
     def global_term(self) -> EnergyTerm | None:

@@ -517,12 +517,13 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     """Compare energy equilibria with induced-SCM forward solutions over
     seeded random contexts and surgeries.
 
-    Every trial's context and edit are drawn first, in trial order; then
-    trials run in chunks, the energy side batched over trials whose edits
-    keep the same terms and clamp the same coordinates, and the forward
-    pass over trials that share a node's term.  The report is bitwise the
-    one of running the trials one by one, and so is the error raised,
-    that of the first trial that fails.
+    Trials run in chunks of ``_CHUNK``, each chunk's contexts and edits
+    drawn in trial order just before it runs, so memory follows the chunk
+    and not ``trials``.  In a chunk the energy side is batched over trials
+    whose edits keep the same terms and clamp the same coordinates, and
+    the forward pass over trials that share a node's term.  The report is
+    bitwise the one of running the trials one by one, and so is the error
+    raised, that of the first trial that fails.
     """
     _require_separable(model, "the equivalence check")
     _require_draws(trials, seed, tol)
@@ -530,29 +531,29 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     generator = surgery_generator or _default_surgery
     cfg = cfg or SolverConfig()
-    contexts, edits = [], []
-    late = None  # an error in drawing or applying a trial's edit
-    for t in range(trials):
-        try:
-            u = rng.uniform(-2.0, 2.0, size=model.nu)
-            edited = apply_surgery(model, generator(rng, model, t))
-        except EscmError as err:  # raised after the trials before it ran
-            late = err
-            break
-        contexts.append(u)
-        edits.append(edited)
     records = []
     worst = 0.0
-    for first in range(0, len(edits), _CHUNK):
-        chunk = edits[first:first + _CHUNK]
-        u = np.array(contexts[first:first + _CHUNK]).reshape(len(chunk), model.nu).T
-        deviations, _ = _paired(scm, u, chunk, {}, cfg)
-        for j, (edited, deviation) in enumerate(zip(chunk, deviations)):
-            worst = max(worst, deviation)
-            kind = edited.surgeries[0].kind if edited.surgeries else "observational"
-            records.append({"trial": first + j, "kind": kind, "deviation": deviation})
-    if late is not None:
-        raise late
+    for first in range(0, trials, _CHUNK):
+        contexts, chunk = [], []
+        late = None  # an error in drawing or applying a trial's edit
+        for t in range(first, min(first + _CHUNK, trials)):
+            try:
+                u = rng.uniform(-2.0, 2.0, size=model.nu)
+                edited = apply_surgery(model, generator(rng, model, t))
+            except EscmError as err:  # raised after the trials before it ran
+                late = err
+                break
+            contexts.append(u)
+            chunk.append(edited)
+        if chunk:
+            u = np.array(contexts).reshape(len(chunk), model.nu).T
+            deviations, _ = _paired(scm, u, chunk, {}, cfg)
+            for j, (edited, deviation) in enumerate(zip(chunk, deviations)):
+                worst = max(worst, deviation)
+                kind = edited.surgeries[0].kind if edited.surgeries else "observational"
+                records.append({"trial": first + j, "kind": kind, "deviation": deviation})
+        if late is not None:
+            raise late
     return EquivalenceReport(records, worst, tol, worst <= tol, seed)
 
 

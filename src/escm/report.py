@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -19,6 +20,16 @@ __all__ = ["canonical_json", "jsonable", "model_hash", "model_text"]
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays and dataclasses to plain
     JSON-safe values; non-finite floats become strings."""
+    # exact built-in types first: they are nearly every value of a report
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if kind is list:
+        return [jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -15,7 +15,7 @@ from escm import SolverConfig, equivalence_check, parse_model, pushforward_check
 from escm import reduction
 from escm.causal import HardSurgery, apply_surgery
 from escm.engine import Objective, Point
-from escm.errors import EnergyDomainError, SolverError
+from escm.errors import EnergyDomainError, QueryError, SolverError
 from escm.expr import compile_expr, parse_expr
 from escm.model import ObjectiveTerm
 from escm.solver import newton_batch
@@ -191,6 +191,39 @@ def test_oracle_checks_match_their_draws_one_by_one(monkeypatch):
             assert type(error) is type(error_alone) and str(error) == str(error_alone)
             outcomes.add(type(error).__name__ if error else "report")
     assert outcomes == {"report", "SolverError", "EnergyDomainError"}
+
+
+def test_equivalence_check_draws_each_chunk_just_before_running_it(monkeypatch):
+    model = parse_model(chain2_dict())
+    drawn = []
+
+    def counting(rng, model, index):
+        drawn.append(index)
+        if index == fail_at:
+            raise QueryError(f"no edit for trial {index}")
+        return reduction._default_surgery(rng, model, index)
+
+    ran = []  # (trials drawn so far, trials in the chunk) at each chunk
+    paired = reduction._paired
+
+    def spy(scm, u, edits, readouts, cfg):
+        ran.append((len(drawn), len(edits)))
+        return paired(scm, u, edits, readouts, cfg)
+
+    fail_at = None
+    expected = equivalence_check(model, trials=10, seed=4)
+    monkeypatch.setattr(reduction, "_paired", spy)
+    monkeypatch.setattr(reduction, "_CHUNK", 4)
+    assert equivalence_check(model, trials=10, seed=4, surgery_generator=counting) == expected
+    assert ran == [(4, 4), (8, 4), (10, 2)]
+
+    # a failing draw is raised after the trials before it have run
+    drawn.clear()
+    ran.clear()
+    fail_at = 6
+    with pytest.raises(QueryError, match="trial 6"):
+        equivalence_check(model, trials=10, seed=4, surgery_generator=counting)
+    assert ran == [(4, 4), (7, 2)]
 
 
 def test_passing_checks_never_replay_their_draws(monkeypatch):

@@ -1,5 +1,8 @@
 """Locality/independence checks, metric geometry, susceptibility, gauges."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,8 @@ from escm import (
     susceptibility,
 )
 from escm.corpus import random_quadratic_model
-from escm.diagnostics import HEADS, _lap_reports, nondesc_pairs
+from escm import dynamics
+from escm.diagnostics import HEADS, _lap_reports, _penalty, nondesc_pairs
 from escm.engine import Objective, effective_energy_pair
 from tests.conftest import chain2_dict
 from tests.genmodels import planted_case, random_interior_point, random_smooth_model
@@ -479,3 +483,126 @@ def test_lap_batch_with_dense_global_term(monkeypatch):
 def test_lap_batch_rejects_descendant_pairs(chain2):
     with pytest.raises(PairError):
         _lap_reports(chain2, [("Z2", "Z1"), ("Z1", "Z2")], Point.for_model(chain2))
+
+
+# -- per-module reductions against each report's own blocks -----------------
+
+_GOLDEN_MODELS = Path(__file__).parent / "golden" / "models"
+
+
+def _planted(name, z3_without_theta=False):
+    spec = json.loads((_GOLDEN_MODELS / f"{name}.json").read_text(encoding="utf-8"))
+    if z3_without_theta:  # Z3 then contributes empty theta blocks
+        for entry in spec["terms"] + spec.get("dynamics", []):
+            if entry.get("owner", entry.get("var")) in ("local:Z3", "Z3"):
+                entry["expr"] = entry["expr"].replace("theta.Z3.c", "0.9")
+                entry.pop("params", None)
+    return parse_model(spec, mask_policy="warn")
+
+
+def _sample_points(model):
+    """The zero point and two random points with default parameters."""
+    rng = np.random.default_rng(5)
+    points = [Point.for_model(model)]
+    for _ in range(2):
+        points.append(Point.for_model(model, z=rng.uniform(-1, 1, model.nz),
+                                      u=rng.uniform(-1, 1, model.nu)))
+    return points
+
+
+def _block_max(block):
+    return float(np.max(np.abs(block))) if block.size else 0.0
+
+
+def _sum_of_squares(reports_by_sample, weight_1, weight_2):
+    """The weighted squared Frobenius norms summed in report order,
+    averaged over the samples: what every penalty is defined as."""
+    total = 0.0
+    for reports in reports_by_sample:
+        for report in reports:
+            key, block_1, block_2 = report._penalty_blocks()
+            total += weight_1(key) * float(np.sum(block_1 ** 2))
+            total += weight_2(key) * float(np.sum(block_2 ** 2))
+    return total / len(reports_by_sample)
+
+
+def test_static_maxima_and_penalties_are_those_of_the_blocks():
+    model = _planted("plant4")
+    pairs = nondesc_pairs(model)
+    points = _sample_points(model)
+    nonzero = 0
+    lap_by_sample, icm_by_sample = [], []
+    for point in points:
+        lap = _lap_reports(model, pairs, point)
+        assert [r.pair for r in lap] == pairs
+        for report in lap:
+            assert report.max_abs_z == _block_max(report.z_block)
+            assert report.max_abs_theta == _block_max(report.theta_block)
+            pair = effective_energy_pair(model, *report.pair, point)
+            assert report.z_block.tolist() == pair.cross_zz().tolist()
+            assert report.theta_block.tolist() == pair.cross_ztheta().tolist()
+            assert len(report.theta_labels) == report.theta_block.shape[1]
+            nonzero += report.max_abs_z > 0.0
+            nonzero += report.max_abs_theta > 0.0
+        icm = [icm_check(model, node, point) for node in model.dag.nodes]
+        for report in icm:
+            assert report.max_abs_first == _block_max(report.d_residual_d_parent)
+            assert report.max_abs_mixed == _block_max(report.mixed_parent_own)
+            nonzero += report.max_abs_first > 0.0
+            nonzero += report.max_abs_mixed > 0.0
+        lap_by_sample.append(lap)
+        icm_by_sample.append(icm)
+    assert nonzero >= 10  # the plants show, so the checks above are not vacuous
+
+    lam = {pair: 0.5 + k for k, pair in enumerate(pairs[::2])}
+    assert lap_penalty(model, points, lam=lam, mu=1.7, default=0.25) == _sum_of_squares(
+        lap_by_sample, lambda key: lam.get(key, 0.25), lambda key: 1.7)
+    alpha = {"Z3": 2.5}
+    assert icm_penalty(model, points, alpha=alpha, beta=0.3) == _sum_of_squares(
+        icm_by_sample, lambda key: alpha.get(key, 0.0), lambda key: 0.3)
+    assert icm_penalty(model, points) == _sum_of_squares(
+        icm_by_sample, lambda key: 1.0, lambda key: 1.0) > 0.0
+
+
+@pytest.mark.parametrize("z3_without_theta", [False, True])
+def test_dynamic_maxima_and_penalties_are_those_of_the_blocks(z3_without_theta):
+    model = _planted("plant4_dyn", z3_without_theta)
+    assert z3_without_theta == (model.module_theta_refs("Z3", dynamics=True) == [])
+    pairs = nondesc_pairs(model)
+    points = _sample_points(model)
+    nonzero = 0
+    lap_by_sample, icm_by_sample = [], []
+    for point in points:
+        lap = dynamics._dyn_lap_reports(model, pairs, point)
+        assert [r.pair for r in lap] == pairs
+        for report in lap:
+            assert report.max_abs_z == _block_max(report.z_block)
+            assert report.max_abs_theta == _block_max(report.theta_block)
+            alone = dynamics.dyn_lap_check(model, *report.pair, point)
+            assert report.z_block.tolist() == alone.z_block.tolist()
+            assert report.theta_block.tolist() == alone.theta_block.tolist()
+            nonzero += report.max_abs_z > 0.0
+            nonzero += report.max_abs_theta > 0.0
+        icm = [dynamics.dyn_icm_check(model, node, point) for node in model.dag.nodes]
+        for report in icm:
+            assert report.max_abs_first == _block_max(report.first)
+            assert report.max_abs_mixed == _block_max(report.mixed)
+            nonzero += report.max_abs_first > 0.0
+            nonzero += report.max_abs_mixed > 0.0
+        lap_by_sample.append(lap)
+        icm_by_sample.append(icm)
+    assert nonzero >= 6
+
+    assert dynamics.dyn_lap_penalty(model, points, lam=0.75, mu=1.25) == _sum_of_squares(
+        lap_by_sample, lambda key: 0.75, lambda key: 1.25) > 0.0
+    assert dynamics.dyn_icm_penalty(model, points, alpha=1.5, beta=0.5) == _sum_of_squares(
+        icm_by_sample, lambda key: 1.5, lambda key: 0.5) > 0.0
+
+
+def test_a_zero_block_adds_an_exact_zero_and_a_nan_block_stays_nan():
+    model = _planted("plant4")
+    [report] = _lap_reports(model, [("Z2", "Z1")], Point.for_model(model))
+    assert not report.z_block.any() and not report.theta_block.any()
+    assert _penalty([[report]], 3.0, 4.0) == 0.0
+    report.z_block = np.full_like(report.z_block, np.nan)
+    assert np.isnan(_penalty([[report]], 3.0, 4.0))

@@ -13,7 +13,7 @@ from escm import (
     second_order,
 )
 from escm.engine import Objective
-from tests.conftest import assert_close_rel, fd_value_grad
+from tests.conftest import assert_close_rel, chain2_dict, fd_value_grad
 from tests.genmodels import random_interior_point, random_smooth_model
 
 
@@ -366,3 +366,66 @@ def test_terms_are_built_once_at_parse(tmp_path, capsys, monkeypatch):
     assert built_after_parse("counterfactual", "query40", "--query", json.dumps(query)) == ["Z3"]
     first, second = Objective.from_model(model), Objective.from_model(model)
     assert all(a is b for a, b in zip(first.terms, second.terms))
+
+
+# -- the jet contract: absent zero blocks, dense results ----------------------
+
+
+def test_derivatives_of_every_order_agree_bitwise_on_what_they_share():
+    rng = np.random.default_rng(23)
+    for _ in range(15):
+        model = random_smooth_model(rng, max_nodes=5)
+        objective = Objective.from_model(model)
+        p = random_interior_point(rng, model)
+        k = int(rng.integers(1, model.dim + 1))
+        active = rng.choice(model.dim, size=k, replace=False).tolist()
+        by_order = [objective.derivatives(p, order=order, active=active) for order in (1, 2, 3)]
+        for d in by_order[1:]:
+            assert d.grad.tobytes() == by_order[0].grad.tobytes()
+        assert by_order[2].hess.tobytes() == by_order[1].hess.tobytes()
+        assert by_order[0].hess is None and by_order[1].third is None
+        assert by_order[2].third.shape == (k, k, k)
+
+
+def test_a_term_linear_in_its_active_leaves_gives_positive_zero_blocks():
+    from escm.engine import ObjectiveTerm
+    from escm.expr import compile_expr, parse_expr
+
+    model = parse_model(chain2_dict())
+    active = [0, 1]  # z.Z1, z.Z2; u and theta stay frozen
+    x = np.array([0.7, -1.2, 0.3, -0.4, 2.0])
+    batch = np.stack([x, -x, 2 * x], axis=1)
+    batch[4] = 2.0  # theta.Z2.a
+    # negation, products with negative frozen values and differences:
+    # carried as dense zero blocks, these would read -0.0
+    for source in ("-(z.Z1)", "-(z.Z1) - 2.5*z.Z2 + 0.5", "(z.Z2 - u.U2)*(-3)",
+                   "theta.Z2.a*(u.U1 - z.Z1) / (-4)",
+                   "-(z.Z1) - 2.5*z.Z2 + theta.Z2.a*(u.U1 - z.Z1) - (z.Z2 - u.U2)*(-3)"):
+        term = ObjectiveTerm("global", [(1.0, compile_expr(parse_expr(source),
+                                                           model.readout_resolver()))])
+        objective = Objective(model, [term])
+        for flat, shape in ((x, ()), (batch, (3,))):
+            jet = objective.term_jet(term, Point.from_flat(model, flat), active, 3)
+            assert jet.order == 3
+            assert jet.grad.shape == (2,) + shape
+            assert jet.hess.shape == (2, 2) + shape and jet.third.shape == (2, 2, 2) + shape
+            for block in (jet.hess, jet.third):
+                assert not block.any() and not np.signbit(block).any(), source
+
+
+def test_leaves_carry_no_zero_blocks_and_dense_copies_them_out():
+    from escm.jets import jsq, lift, seed
+
+    leaf = seed(1.5, 1, 3, 3)
+    assert leaf.order == 3 and leaf.hess is None and leaf.third is None
+    assert leaf.grad.tolist() == [0.0, 1.0, 0.0]
+    batch = lift(np.array([1.0, 2.0]), 3, 2)
+    assert batch.hess is None and batch.grad.shape == (3, 2)
+    dense = batch.dense()
+    assert dense.hess.shape == (3, 3, 2) and dense.third is None
+    assert batch.hess is None  # dense() leaves its input as it was
+
+    square = jsq(leaf)  # f3 == 0.0: no third tensor, a Hessian of 2 at (1, 1)
+    assert square.third is None
+    assert square.hess.tolist() == [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+    assert (square * leaf).third is not None  # sq(x) * x = x^3
