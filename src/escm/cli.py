@@ -210,6 +210,24 @@ def _cmd_disjunct(model: Model, args) -> dict:
     raise QueryError(f"unknown disjunct mode {mode!r}")
 
 
+def _lap_payload(reports) -> list[dict]:
+    return [{
+        "pair": list(r.pair),
+        "max_abs_z": r.max_abs_z,
+        "max_abs_theta": r.max_abs_theta,
+        "passed": r.passed,
+    } for r in reports]
+
+
+def _icm_payload(reports) -> list[dict]:
+    return [{
+        "node": r.node,
+        "max_abs_first": r.max_abs_first,
+        "max_abs_mixed": r.max_abs_mixed,
+        "passed": r.passed,
+    } for r in reports]
+
+
 def _cmd_diagnose(model: Model, args) -> dict:
     point = _point_from_overrides(model, _read_json_arg(args.point, "--point"))
     tol = args.tol if args.tol is not None else diagnostics.STRUCTURAL_TOL
@@ -217,36 +235,17 @@ def _cmd_diagnose(model: Model, args) -> dict:
     lap = diagnostics._lap_reports(model, pairs, point, tol)
     icm = [diagnostics.icm_check(model, node, point, tol=tol) for node in model.dag.nodes]
     results = {
-        "lap": [{
-            "pair": list(r.pair),
-            "max_abs_z": r.max_abs_z,
-            "max_abs_theta": r.max_abs_theta,
-            "passed": r.passed,
-        } for r in lap],
-        "icm": [{
-            "node": r.node,
-            "max_abs_first": r.max_abs_first,
-            "max_abs_mixed": r.max_abs_mixed,
-            "passed": r.passed,
-        } for r in icm],
+        "lap": _lap_payload(lap),
+        "icm": _icm_payload(icm),
         # the unit-weight penalties of this one point, from the same reports
         "lap_penalty": diagnostics._penalty([lap], 1.0, 1.0),
         "icm_penalty": diagnostics._penalty([icm], 1.0, 1.0),
         "tol": tol,
     }
     if model.dynamics is not None:
-        results["dyn_lap"] = [{
-            "pair": list(r.pair),
-            "max_abs_z": r.max_abs_z,
-            "max_abs_theta": r.max_abs_theta,
-            "passed": r.passed,
-        } for r in dynamics._dyn_lap_reports(model, pairs, point, tol)]
-        results["dyn_icm"] = [{
-            "node": node,
-            "max_abs_first": (r := dynamics.dyn_icm_check(model, node, point, tol=tol)).max_abs_first,
-            "max_abs_mixed": r.max_abs_mixed,
-            "passed": r.passed,
-        } for node in model.dag.nodes]
+        results["dyn_lap"] = _lap_payload(dynamics._dyn_lap_reports(model, pairs, point, tol))
+        results["dyn_icm"] = _icm_payload(dynamics.dyn_icm_check(model, node, point, tol=tol)
+                                          for node in model.dag.nodes)
     return results
 
 

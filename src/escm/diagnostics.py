@@ -1,18 +1,21 @@
 """Modularity diagnostics, equilibrium geometry, and gauge probes.
 
-Locality checks ask whether a non-descendant's state or parameters enter a
-module's effective stationarity condition: exact mixed partials of the
-pair energy must vanish.  Module i's energy does not depend on A, so the
-checks of all pairs with the same i read their blocks from one Hessian,
-and one reduction over that Hessian's gathered columns gives every pair's
-maxima.  Mechanism-independence checks ask whether parent parameters
-deform a module's residual: first and mixed second parameter derivatives
-of the residual must vanish.  They read one order-3 derivative call over
-the terms that read z_i, found from an index of readers the model builds
-once.  Both are computed exactly, so clean models read exactly zero and
-planted coefficients are recovered bit-for-bit.  The penalties sum
-squared blocks and skip a block with no nonzero entry, whose sum of
-squares is exactly 0.0.
+A mechanism is a constraint, an energy or a vector field, and each
+modularity principle tests its residual: for an energy module the z_i
+gradient, for a vector field the component F_i.  Locality (LAP) asks that
+module i's residual not depend on the state or parameters of a node A it
+is a non-descendant of; independence (ICM) asks that parent parameters
+not deform it, to first order or mixed with i's own.  Each check builds
+its residual's exact derivative rows and hands them to one shared routine
+per principle, which gathers the blocks, reduces them and builds the
+report (:class:`LapReport`, :class:`IcmReport`).  The energy checks make
+one order-2 ``derivatives`` call per module i over its energy (LAP) and
+one order-3 call per node over the terms that read z_i (ICM); the field
+checks in ``dynamics`` read one field Jacobian per point (LAP) and one
+order-2 jet of F_i (ICM).  Clean models read exactly zero and planted
+coefficients are recovered bit-for-bit.  The penalties sum squared blocks
+and skip a block with no nonzero entry, whose sum of squares is exactly
+0.0.
 
 The probe heads measure what a model commits to numerically at shared
 sample points in a fixed chart: per-module energies, partials, gradients,
@@ -84,10 +87,12 @@ class LapReport:
     max_abs_z: float
     max_abs_theta: float
     tol: float
+    eliminated: tuple = ()  # field components solved out before the check
 
     @property
     def passed(self) -> bool:
-        return max(self.max_abs_z, self.max_abs_theta) <= self.tol
+        # a NaN maximum fails, wherever it sits
+        return self.max_abs_z <= self.tol and self.max_abs_theta <= self.tol
 
     def _penalty_blocks(self):
         return self.pair, self.z_block, self.theta_block
@@ -108,39 +113,55 @@ def _lap_reports(model: Model, pairs, point: Point,
     derivative call per module i.
 
     Module i's energy is the same for every A, so one Hessian over z_i and
-    the z_A and theta_A of all of i's pairs holds every block.  A
-    coordinate none of i's terms reads has exactly zero cross-partials and
-    maps to the zero slot k, which keeps the Hessian sized by what the
-    terms read rather than by the model.  The z_i rows of all of i's
-    blocks are gathered side by side once; each report's blocks are views
-    of them, and one ``np.maximum.reduceat`` over their column maxima gives
-    every pair's two maxima.
+    the coordinates of all of i's pairs holds every block.  A coordinate
+    none of i's terms reads has exactly zero cross-partials and maps to the
+    zero slot k, which keeps the Hessian sized by what the terms read
+    rather than by the model.
+    """
+    def residual_rows(i, refs):
+        objective = Objective(model, _module_terms(model, i))
+        read = {r for t in objective.terms for r in t.refs}
+        zi = model.coord_indices(i)
+        full = objective.derivatives(point, order=2,
+                                     active=[r for r in zi + refs if r in read])
+        # slot k of ``hess`` is a zero row and column: the slot of every
+        # coordinate the terms do not read, and of ``model.dim``
+        k = len(full.active)
+        slot = np.full(model.dim + 1, k)
+        slot[list(full.active)] = np.arange(k)
+        hess = np.zeros((k + 1, k + 1))
+        hess[:k, :k] = full.hess
+        return hess[slot[zi]], slot
+
+    return _locality_reports(model, pairs, residual_rows, tol)
+
+
+def _locality_reports(model: Model, pairs, residual_rows, tol: float,
+                      dynamics: bool = False, eliminated: tuple = ()) -> list[LapReport]:
+    """Locality reports of every (A, i) pair, in order, from the
+    derivative rows of each module's residual.
+
+    ``residual_rows(i, refs)`` is called once per module i, with the flat
+    indices of all of i's pairs' z_A and theta_A; it returns ``(rows,
+    slot)`` such that ``rows[:, slot[r]]`` is the derivative of i's residual
+    with respect to coordinate r, and ``slot[model.dim]`` is a zero column.
+    The columns of all of i's blocks are gathered side by side once; each
+    report's blocks are views of them, and one ``np.maximum.reduceat`` over
+    their column maxima gives every pair's two maxima.  ``dynamics`` picks
+    the parameter sets of ``Model.module_theta_refs``.
     """
     finite_number(tol, "tol", low=0.0)
     sources: dict[str, list[str]] = {}
     for a, i in pairs:
         _require_nondescendant(model, a, i)
         sources.setdefault(i, []).append(a)
-    named = dict.fromkeys(v for pair in pairs for v in pair)
-    z_refs = {v: model.coord_indices(v) for v in named}
-    theta_refs = {v: model.module_theta_refs(v) for v in named}
-    labels = {a: [_param_label(model, r) for r in theta_refs[a]]
-              for a in dict.fromkeys(a for a, _ in pairs)}
+    named = dict.fromkeys(a for a, _ in pairs)
+    z_refs = {a: model.coord_indices(a) for a in named}
+    theta_refs = {a: model.module_theta_refs(a, dynamics=dynamics) for a in named}
+    labels = {a: [_param_label(model, r) for r in theta_refs[a]] for a in named}
     zero = model.dim  # stands for a coordinate with exactly zero partials
     reports = {}
     for i, sources_i in sources.items():
-        objective = Objective(model, _module_terms(model, i))
-        read = {r for t in objective.terms for r in t.refs}
-        wanted = z_refs[i] + [r for a in sources_i for r in z_refs[a] + theta_refs[a]]
-        full = objective.derivatives(point, order=2,
-                                     active=[r for r in wanted if r in read])
-        # slot k of ``hess`` is a zero row and column: the slot of every
-        # coordinate the terms do not read, and of ``zero``
-        k = len(full.active)
-        slot = np.full(zero + 1, k)
-        slot[list(full.active)] = np.arange(k)
-        hess = np.zeros((k + 1, k + 1))
-        hess[:k, :k] = full.hess
         # every pair's z and theta columns side by side, one segment each;
         # an empty segment holds the zero column so reduceat reads it as 0.0
         refs, starts = [], []
@@ -148,7 +169,8 @@ def _lap_reports(model: Model, pairs, point: Point,
             for segment in (z_refs[a], theta_refs[a]):
                 starts.append(len(refs))
                 refs.extend(segment or (zero,))
-        blocks = hess[slot[z_refs[i]]][:, slot[refs]]
+        rows, slot = residual_rows(i, refs)
+        blocks = rows[:, slot[refs]]
         maxima = np.maximum.reduceat(np.abs(blocks).max(axis=0), starts).tolist()
         for n, a in enumerate(sources_i):
             z_at, theta_at = starts[2 * n], starts[2 * n + 1]
@@ -160,6 +182,7 @@ def _lap_reports(model: Model, pairs, point: Point,
                 max_abs_z=maxima[2 * n],
                 max_abs_theta=maxima[2 * n + 1],
                 tol=tol,
+                eliminated=eliminated,
             )
     return [reports[pair] for pair in pairs]
 
@@ -252,40 +275,54 @@ def icm_check(model: Model, i: str, point: Point,
     A parent's parameter set is usage-based (declared plus read), so a
     child parameter reused inside a parent's mechanism is correctly
     attributed to the parent side of the check."""
-    finite_number(tol, "tol", low=0.0)
     if model.var(i).kind != "endogenous":
         raise QueryError(f"{i!r} is not endogenous")
     zi = model.coord_indices(i)
+
+    def residual_derivatives(params):
+        # Only terms that read z_i enter its residual, and a parameter none
+        # of them reads has exactly zero derivatives there.
+        terms = model._terms_reading(zi)
+        read = {r for t in terms for r in t.refs}
+        full = Objective(model, terms).derivatives(
+            point, order=3, active=[r for r in zi + params if r in read])
+        return full.hess, full.third, {ref: j for j, ref in enumerate(full.active)}
+
+    return _independence_report(model, i, residual_derivatives, tol)
+
+
+def _independence_report(model: Model, i: str, residual_derivatives, tol: float,
+                         dynamics: bool = False) -> IcmReport:
+    """The independence report of node i from the parameter derivatives of
+    its residual.
+
+    ``residual_derivatives(params)`` is called with the flat indices of the
+    parent and own parameters, unless i has no parent parameter.  It
+    returns ``(first, second, slot)``: the residual's row for a z_i
+    coordinate r has the derivatives ``first[slot[r], slot[p]]`` and
+    ``second[slot[r], slot[p], slot[q]]`` in parameters p and q, and a
+    coordinate without a slot has exactly zero derivatives.  A parameter
+    shared by parent and own sets holds one slot.  ``dynamics`` picks the
+    parameter sets of ``Model.module_theta_refs``.
+    """
+    finite_number(tol, "tol", low=0.0)
     parent_refs = list(dict.fromkeys(k for p in model.dag.parents(i)
-                                     for k in model.module_theta_refs(p)))
-    parent_labels = [_param_label(model, r) for r in parent_refs]
-    own_refs = model.module_theta_refs(i)
-    own_labels = [_param_label(model, r) for r in own_refs]
-
-    di, dp, do = len(zi), len(parent_refs), len(own_refs)
-    if dp == 0:
-        return IcmReport(i, [], own_labels, np.zeros((di, 0)), np.zeros((di, 0, do)),
-                         0.0, 0.0, tol)
-
-    # Only terms that read z_i enter its residual, and a parameter none of
-    # them reads has exactly zero derivatives there: its entries stay 0.0.
-    # Shared parameters sit in both sets and hold one slot.
-    terms = model._terms_reading(zi)
-    read = {r for t in terms for r in t.refs}
-    full = Objective(model, terms).derivatives(
-        point, order=3, active=[r for r in zi + parent_refs + own_refs if r in read])
-    slot = {ref: j for j, ref in enumerate(full.active)}
-    (rows, at_rows), (cols_p, at_p), (cols_o, at_o) = (
-        _present(slot, refs) for refs in (zi, parent_refs, own_refs))
-    first = np.zeros((di, dp))
-    mixed = np.zeros((di, dp, do))
-    first[at_rows[:, None], at_p] = full.hess[rows[:, None], cols_p]
-    mixed[at_rows[:, None, None], at_p[:, None], at_o] = \
-        full.third[rows[:, None, None], cols_p[:, None], cols_o]
+                                     for k in model.module_theta_refs(p, dynamics=dynamics)))
+    own_refs = model.module_theta_refs(i, dynamics=dynamics)
+    zi = model.coord_indices(i)
+    first = np.zeros((len(zi), len(parent_refs)))
+    mixed = np.zeros((len(zi), len(parent_refs), len(own_refs)))
+    if parent_refs:
+        d1, d2, slot = residual_derivatives(parent_refs + own_refs)
+        (rows, at_rows), (cols_p, at_p), (cols_o, at_o) = (
+            _present(slot, refs) for refs in (zi, parent_refs, own_refs))
+        first[at_rows[:, None], at_p] = d1[rows[:, None], cols_p]
+        mixed[at_rows[:, None, None], at_p[:, None], at_o] = \
+            d2[rows[:, None, None], cols_p[:, None], cols_o]
     return IcmReport(
         node=i,
-        parent_params=parent_labels,
-        own_params=own_labels,
+        parent_params=[_param_label(model, r) for r in parent_refs],
+        own_params=[_param_label(model, r) for r in own_refs],
         d_residual_d_parent=first,
         mixed_parent_own=mixed,
         max_abs_first=_max_abs(first),

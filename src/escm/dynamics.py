@@ -6,8 +6,11 @@ as feedback control, replacing the target's component with
 ``gain * (value - z_target)``; soft interventions blend in a replacement
 field.  Integration is classical fixed-step fourth-order Runge-Kutta.
 
-The dynamic locality check reads dF_i/dz_A and dF_i/dtheta_A from one
-exact field Jacobian per point, shared by every (A, i) pair.
+The dynamic checks test the field's residual F_i with the shared routines
+of ``diagnostics``: locality reads dF_i/dz_A and dF_i/dtheta_A from one
+exact field Jacobian per point, shared by every (A, i) pair and reduced
+once when components are eliminated; independence reads one order-2 jet
+of F_i over the parent and own parameters.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _max_abs, _penalty, nondesc_pairs
-from .engine import (Objective, ObjectiveTerm, Point, _evaluate_term,
-                     _require_nondescendant)
+from .diagnostics import (IcmReport, LapReport, _independence_report, _locality_reports,
+                          _penalty, nondesc_pairs)
+from .engine import Objective, ObjectiveTerm, Point, _evaluate_term
 from .errors import QueryError, SingularSystemError, SolverError
 from .expr import compile_query
 from .model import Model
@@ -148,29 +151,24 @@ class _Field:
 
     def jacobian(self, z: np.ndarray, point: Point) -> np.ndarray:
         point.z[:] = z
-        return self.derivatives(point)[0]
+        return self.derivatives(point)
 
-    def derivatives(self, point: Point, theta_refs=()):
-        """dF/dz (n, n) and dF/dtheta (n, len(theta_refs)) at the point,
-        exactly, with one order-1 jet per component; ``theta_refs`` are
-        flat indices."""
-        col = {ref: j for j, ref in enumerate(theta_refs)}
-        z = self.model.coords("z")
+    def derivatives(self, point: Point, theta_refs=()) -> np.ndarray:
+        """dF/dz and dF/dtheta side by side, (n, n + len(theta_refs)), at
+        the point, exactly, with one order-1 jet per component;
+        ``theta_refs`` are flat indices."""
         n = len(self.rows)
-        jac = np.zeros((n, n))
-        dtheta = np.zeros((n, len(col)))
+        col = dict(zip(theta_refs, range(n, n + len(theta_refs))))
+        col.update((ref, ref) for ref in self.model.coords("z"))  # z sits at [0, nz)
+        out = np.zeros((n, n + len(theta_refs)))
         for k, (kind, payload) in enumerate(self.rows):
             if kind == "hard":
-                jac[k, k] = -payload.gain
+                out[k, k] = -payload.gain
                 continue
-            active = [r for r in payload.refs if r in z or r in col]
+            active = [r for r in payload.refs if r in col]
             jet = self.objective.term_jet(payload, point, active, order=1)
-            for ref, g in zip(active, jet.grad):
-                if ref in z:
-                    jac[k, ref] = g  # z sits at [0, nz) of the flat order
-                else:
-                    dtheta[k, col[ref]] = g
-        return jac, dtheta
+            out[k, [col[r] for r in active]] = jet.grad
+        return out
 
 
 def integrate(model: Model, z0, u, surgeries=(), t_end: float = 10.0,
@@ -276,35 +274,50 @@ def steady_state(model: Model, u, surgeries=(), cfg: SolverConfig | None = None,
 # Dynamic locality / independence checks
 
 
-@dataclass
-class DynLapReport:
-    pair: tuple[str, str]
-    z_block: np.ndarray
-    theta_block: np.ndarray
-    max_abs_z: float
-    max_abs_theta: float
-    tol: float
-    eliminated: tuple[str, ...] = ()
+def _field_rows(model: Model, point: Point, eliminated: tuple = ()):
+    """``(table, slot, row)`` with ``table[row[i], slot[r]]`` the exact
+    dF_i/dr for a z or theta coordinate r, from one field Jacobian at the
+    point; ``slot[model.dim]`` is a zero column.
 
-    @property
-    def passed(self) -> bool:
-        return max(self.max_abs_z, self.max_abs_theta) <= self.tol
-
-    def _penalty_blocks(self):
-        return self.pair, self.z_block, self.theta_block
-
-
-def _field_derivs(model: Model, point: Point):
-    """dF/dz and dF/dtheta over every theta coordinate the field reads."""
+    With ``eliminated`` nodes, the rows are those of the reduced field
+    obtained by solving those components' stationarity and chaining
+    through them.
+    """
     field_fn = _Field(model)
     thetas = model.coords("theta")
     theta_refs = sorted({r for _, term in field_fn.rows for r in term.refs if r in thetas})
-    jac, dtheta = field_fn.derivatives(point, theta_refs)
-    return jac, dtheta, theta_refs
+    table = np.pad(field_fn.derivatives(point, theta_refs), ((0, 0), (0, 1)))
+    nodes = field_fn.nodes
+    keep = [k for k, name in enumerate(nodes) if name not in eliminated]
+    if eliminated:
+        drop = [nodes.index(name) for name in eliminated]
+        try:
+            chained = np.linalg.solve(table[np.ix_(drop, drop)], table[drop])
+        except np.linalg.LinAlgError:
+            raise SingularSystemError("eliminated block is singular") from None
+        table = table[keep] - table[np.ix_(keep, drop)] @ chained
+    n = len(nodes)
+    slot = np.full(model.dim + 1, table.shape[1] - 1)
+    slot[:n] = np.arange(n)  # z sits at [0, nz) of the flat order
+    slot[theta_refs] = n + np.arange(len(theta_refs))
+    return table, slot, {nodes[k]: r for r, k in enumerate(keep)}
+
+
+def _eliminated(model: Model, eliminate, pairs) -> tuple:
+    """``eliminate`` as a tuple of distinct endogenous names that no pair
+    names."""
+    nodes = [v.name for v in model.endogenous]
+    eliminated = () if isinstance(eliminate, str) else tuple(eliminate)
+    if isinstance(eliminate, str) or any(name not in nodes for name in eliminated) \
+            or len(set(eliminated)) < len(eliminated):
+        raise QueryError(f"eliminate must list distinct endogenous variables, not {eliminate!r}")
+    if any(a in eliminated or i in eliminated for a, i in pairs):
+        raise QueryError("cannot eliminate the pair coordinates themselves")
+    return eliminated
 
 
 def dyn_lap_check(model: Model, a: str, i: str, point: Point,
-                  tol: float = 1e-10, eliminate=()) -> DynLapReport:
+                  tol: float = 1e-10, eliminate=()) -> LapReport:
     """Exact partials dF_i/dz_a and dF_i/dtheta_a; i must be a
     non-descendant of a.  Both are entries of the field Jacobian at the
     point, which ``escm diagnose`` and ``dyn_lap_penalty`` build once and
@@ -318,114 +331,35 @@ def dyn_lap_check(model: Model, a: str, i: str, point: Point,
 
 
 def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
-                     eliminate=()) -> list[DynLapReport]:
-    """``dyn_lap_check`` of every (A, i) pair, in order, sliced from one
-    field Jacobian at the point (reduced once when ``eliminate`` is set).
-    A theta coordinate the field does not read maps to the zero column m.
-    Each row i gives the maxima of all of its pairs: its z entries at
-    once, and its theta entries with one ``np.maximum.reduceat``.
-    """
-    finite_number(tol, "tol", low=0.0)
-    sources: dict[str, list[str]] = {}
-    for a, i in pairs:
-        _require_nondescendant(model, a, i)
-        sources.setdefault(i, []).append(a)
-    jac, dtheta, theta_refs = _field_derivs(model, point)
-    nodes = [v.name for v in model.endogenous]
-    eliminated = tuple(eliminate)
-    if eliminated:
-        if any(a in eliminated or i in eliminated for a, i in pairs):
-            raise QueryError("cannot eliminate the pair coordinates themselves")
-        index = {name: k for k, name in enumerate(nodes)}
-        drop = [index[name] for name in eliminated]
-        keep = [k for k in range(len(nodes)) if k not in set(drop)]
-        j_cc = jac[np.ix_(drop, drop)]
-        try:
-            solve_cf = np.linalg.solve(j_cc, jac[np.ix_(drop, keep)])
-            solve_ct = np.linalg.solve(j_cc, dtheta[drop])
-        except np.linalg.LinAlgError:
-            raise SingularSystemError("eliminated block is singular") from None
-        j_kd = jac[np.ix_(keep, drop)]
-        jac, dtheta = jac[np.ix_(keep, keep)] - j_kd @ solve_cf, dtheta[keep] - j_kd @ solve_ct
-        nodes = [nodes[k] for k in keep]
-    row = {name: k for k, name in enumerate(nodes)}
-    col = {ref: j for j, ref in enumerate(theta_refs)}
-    m = len(col)
-    cols = {a: [col.get(k, m) for k in model.module_theta_refs(a, dynamics=True)]
-            for a in dict.fromkeys(a for a, _ in pairs)}
-    dtheta = np.pad(dtheta, ((0, 0), (0, 1)))
-    reports = {}
-    for i, sources_i in sources.items():
-        r = row[i]
-        # every source's theta columns of row i side by side; an empty
-        # segment holds the zero column m so reduceat reads it as 0.0
-        picked, starts = [], []
-        for a in sources_i:
-            starts.append(len(picked))
-            picked.extend(cols[a] or (m,))
-        theta_row = dtheta[r:r + 1, picked]
-        max_theta = np.maximum.reduceat(np.abs(theta_row[0]), starts).tolist()
-        max_z = np.abs(jac[r, [row[a] for a in sources_i]]).tolist()
-        for n, a in enumerate(sources_i):
-            c = row[a]
-            reports[(a, i)] = DynLapReport(
-                pair=(a, i),
-                z_block=jac[r:r + 1, c:c + 1],
-                theta_block=theta_row[:, starts[n]:starts[n] + len(cols[a])],
-                max_abs_z=max_z[n],
-                max_abs_theta=max_theta[n],
-                tol=tol,
-                eliminated=eliminated,
-            )
-    return [reports[pair] for pair in pairs]
-
-
-@dataclass
-class DynIcmReport:
-    node: str
-    first: np.ndarray   # dF_i/dtheta_PA(i)
-    mixed: np.ndarray   # d2F_i/(dtheta_PA(i) dtheta_i)
-    max_abs_first: float
-    max_abs_mixed: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_abs_first, self.max_abs_mixed) <= self.tol
-
-    def _penalty_blocks(self):
-        return self.node, self.first, self.mixed
+                     eliminate=()) -> list[LapReport]:
+    """``dyn_lap_check`` of every (A, i) pair, in order, read from one
+    field Jacobian at the point (reduced once when ``eliminate`` is set)."""
+    eliminated = _eliminated(model, eliminate, pairs)
+    table, slot, row = _field_rows(model, point, eliminated)
+    return _locality_reports(model, pairs,
+                             lambda i, refs: (table[row[i]:row[i] + 1], slot),
+                             tol, dynamics=True, eliminated=eliminated)
 
 
 def dyn_icm_check(model: Model, i: str, point: Point,
-                  tol: float = 1e-10) -> DynIcmReport:
-    """Parent-parameter derivatives of the component F_i, first and mixed."""
-    finite_number(tol, "tol", low=0.0)
+                  tol: float = 1e-10) -> IcmReport:
+    """Parent-parameter derivatives of the component F_i, first and mixed:
+    ``d_residual_d_parent`` holds dF_i/dtheta_PA(i) and
+    ``mixed_parent_own`` d2F_i/(dtheta_PA(i) dtheta_i)."""
     components = _require_dynamics(model)
     if i not in components:
         raise QueryError(f"no dynamics component for {i!r}")
-    parent_refs = list(dict.fromkeys(k for p in model.dag.parents(i)
-                                     for k in model.module_theta_refs(p, dynamics=True)))
-    own_refs = model.module_theta_refs(i, dynamics=True)
-    dp, do = len(parent_refs), len(own_refs)
-    if dp == 0:
-        return DynIcmReport(i, np.zeros((1, 0)), np.zeros((1, 0, do)), 0.0, 0.0, tol)
-    # shared parameters may sit in both sets; evaluate on unique slots
-    active = list(dict.fromkeys(parent_refs + own_refs))
-    slot = {ref: k for k, ref in enumerate(active)}
-    jet = Objective.from_model(model).term_jet(components[i].objective_term, point,
-                                               active, order=2)
-    cols_p = [slot[r] for r in parent_refs]
-    first = jet.grad[None, cols_p]
-    mixed = jet.hess[np.ix_(cols_p, [slot[r] for r in own_refs])][None]
-    return DynIcmReport(
-        node=i,
-        first=first,
-        mixed=mixed,
-        max_abs_first=_max_abs(first),
-        max_abs_mixed=_max_abs(mixed),
-        tol=tol,
-    )
+
+    def residual_derivatives(params):
+        # F_i is the residual's one row, at slot 0 of the row axis
+        active = list(dict.fromkeys(params))
+        jet = Objective.from_model(model).term_jet(components[i].objective_term, point,
+                                                   active, order=2)
+        slot = {ref: k for k, ref in enumerate(active)}
+        slot[model.coord_indices(i)[0]] = 0
+        return jet.grad[None], jet.hess[None], slot
+
+    return _independence_report(model, i, residual_derivatives, tol, dynamics=True)
 
 
 def dyn_lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0) -> float:

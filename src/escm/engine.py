@@ -127,9 +127,6 @@ class Objective:
     def from_model(cls, model: Model) -> "Objective":
         return cls(model, [t.objective_term for t in model.terms])
 
-    def owners(self) -> list[str]:
-        return [t.owner for t in self.terms]
-
     def has_global(self) -> bool:
         return any(t.owner == "global" for t in self.terms)
 

@@ -20,6 +20,7 @@ one into its index and ``coord_label`` back.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
@@ -73,8 +74,7 @@ class Dag:
             lst.sort(key=order.__getitem__)
         for lst in self._children.values():
             lst.sort(key=order.__getitem__)
-        self._assert_acyclic()
-        self._topo = self._topo_sort()
+        self._topo = self._topo_sort(order)
         self._desc: dict[str, frozenset[str]] = {}
 
     def parents(self, node: str) -> tuple[str, ...]:
@@ -109,57 +109,29 @@ class Dag:
         if node not in self._parents:
             raise QueryError(f"unknown variable {node!r}")
 
-    def _assert_acyclic(self) -> None:
-        # Iterative DFS with colors; on a back edge, report the cycle found.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in self.nodes}
-        parent_on_path: dict[str, str | None] = {}
-        for root in self.nodes:
-            if color[root] != WHITE:
-                continue
-            stack: list[tuple[str, int]] = [(root, 0)]
-            parent_on_path[root] = None
-            while stack:
-                node, child_idx = stack[-1]
-                if child_idx == 0:
-                    color[node] = GRAY
-                kids = self._children[node]
-                if child_idx < len(kids):
-                    stack[-1] = (node, child_idx + 1)
-                    kid = kids[child_idx]
-                    if color[kid] == GRAY:
-                        cycle = [kid]
-                        cursor = node
-                        while cursor != kid:
-                            cycle.append(cursor)
-                            cursor = parent_on_path[cursor]
-                        cycle.reverse()
-                        raise CycleError(cycle)
-                    if color[kid] == WHITE:
-                        parent_on_path[kid] = node
-                        stack.append((kid, 0))
-                else:
-                    color[node] = BLACK
-                    stack.pop()
-
-    def _topo_sort(self) -> list[str]:
-        # Kahn's algorithm; the ready set keeps declaration order, so ties
-        # break deterministically.
+    def _topo_sort(self, position: dict[str, int]) -> list[str]:
+        # Kahn's algorithm; the ready heap holds declaration positions, so
+        # ties break deterministically (a sorted list is already a heap).
         indeg = {n: len(self._parents[n]) for n in self.nodes}
-        ready = [n for n in self.nodes if indeg[n] == 0]
+        ready = [position[n] for n in self.nodes if indeg[n] == 0]
         out: list[str] = []
         while ready:
-            node = ready.pop(0)
+            node = self.nodes[heapq.heappop(ready)]
             out.append(node)
             for kid in self._children[node]:
                 indeg[kid] -= 1
                 if indeg[kid] == 0:
-                    # insert keeping declaration order among ready nodes
-                    pos = 0
-                    decl = self.nodes.index(kid)
-                    while pos < len(ready) and self.nodes.index(ready[pos]) < decl:
-                        pos += 1
-                    ready.insert(pos, kid)
+                    heapq.heappush(ready, position[kid])
+        if len(out) < len(self.nodes):
+            # every node left has a parent left, so walking to such parents
+            # revisits a node: the path from its first visit is a cycle
+            node, seen = next(n for n in self.nodes if indeg[n]), {}
+            while node not in seen:
+                seen[node] = len(seen)
+                node = next(p for p in self._parents[node] if indeg[p])
+            cycle = list(seen)[seen[node]:][::-1]
+            first = cycle.index(min(cycle, key=position.__getitem__))
+            raise CycleError(cycle[first:] + cycle[:first])
         return out
 
 

@@ -436,12 +436,9 @@ def _default_surgery(rng: np.random.Generator, model: Model, index: int):
     return [SoftSurgery(node, lam, shifted_local_source(model, node, delta), {})]
 
 
-def _energy_side(model: Model, u: np.ndarray, surgeries,
+def _energy_side(model: Model, u: np.ndarray, edited: EditedEnergy,
                  cfg: SolverConfig) -> np.ndarray:
-    """Equilibrium z in context ``u`` under ``surgeries``, given as a list
-    or as the ``EditedEnergy`` they were already applied to."""
-    edited = surgeries if isinstance(surgeries, EditedEnergy) else \
-        apply_surgery(model, surgeries)
+    """Equilibrium z in context ``u`` under an applied edit."""
     clamps = dict(edited.clamps)
     clamps.update(zip(model.coords("u"), u.tolist()))
     free = [i for i in model.coords("z") if i not in edited.clamps]

@@ -334,7 +334,7 @@ def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, mo
     pairs = diagnostics.nondesc_pairs(chain2_z3)
     assert len(pairs) > len({i for _, i in pairs})  # some module is i twice
 
-    derivatives, field_derivs = Objective.derivatives, dynamics._field_derivs
+    derivatives, field_rows = Objective.derivatives, dynamics._field_rows
     icm_check = diagnostics.icm_check
     for name, model in models.items():
         path = tmp_path / f"{name}.json"
@@ -347,14 +347,14 @@ def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, mo
 
         def counted_field(*args, **kwargs):
             calls["field"] += 1
-            return field_derivs(*args, **kwargs)
+            return field_rows(*args, **kwargs)
 
         def counted_icm(*args, **kwargs):
             calls["icm"] += 1
             return icm_check(*args, **kwargs)
 
         monkeypatch.setattr(Objective, "derivatives", counted_derivatives)
-        monkeypatch.setattr(dynamics, "_field_derivs", counted_field)
+        monkeypatch.setattr(dynamics, "_field_rows", counted_field)
         monkeypatch.setattr(diagnostics, "icm_check", counted_icm)
         code, report = invoke(capsys, "diagnose", str(path), "--no-timing")
         monkeypatch.undo()

@@ -585,8 +585,8 @@ def test_dynamic_maxima_and_penalties_are_those_of_the_blocks(z3_without_theta):
             nonzero += report.max_abs_theta > 0.0
         icm = [dynamics.dyn_icm_check(model, node, point) for node in model.dag.nodes]
         for report in icm:
-            assert report.max_abs_first == _block_max(report.first)
-            assert report.max_abs_mixed == _block_max(report.mixed)
+            assert report.max_abs_first == _block_max(report.d_residual_d_parent)
+            assert report.max_abs_mixed == _block_max(report.mixed_parent_own)
             nonzero += report.max_abs_first > 0.0
             nonzero += report.max_abs_mixed > 0.0
         lap_by_sample.append(lap)
@@ -606,3 +606,11 @@ def test_a_zero_block_adds_an_exact_zero_and_a_nan_block_stays_nan():
     assert _penalty([[report]], 3.0, 4.0) == 0.0
     report.z_block = np.full_like(report.z_block, np.nan)
     assert np.isnan(_penalty([[report]], 3.0, 4.0))
+
+
+@pytest.mark.parametrize("maxima", [(np.nan, 0.0), (0.0, np.nan)])
+def test_a_nan_maximum_fails_the_locality_check(maxima):
+    model = _planted("plant4")
+    [report] = _lap_reports(model, [("Z2", "Z1")], Point.for_model(model))
+    report.max_abs_z, report.max_abs_theta = maxima
+    assert not report.passed

@@ -1,5 +1,8 @@
 """Trajectories, steady states, and dynamic locality/independence checks."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,22 @@ def test_dyn_lap_elimination_option(chain2_dyn):
                       eliminate=("Z1",))
 
 
+_GOLDEN_MODELS = Path(__file__).parent / "golden" / "models"
+
+
+@pytest.mark.parametrize("name, eliminate", [
+    ("chain2_dyn", ("Nope",)),   # unknown
+    ("chain2_dyn", ("U1",)),     # exogenous
+    ("chain2_dyn", "Z3"),        # a bare string, not a sequence of names
+    ("plant4_dyn", ("Z4", "Z4")),
+])
+def test_dyn_lap_rejects_bad_eliminate(name, eliminate):
+    spec = json.loads((_GOLDEN_MODELS / f"{name}.json").read_text(encoding="utf-8"))
+    model = parse_model(spec, mask_policy="warn")
+    with pytest.raises(QueryError, match="eliminate"):
+        dyn_lap_check(model, "Z2", "Z1", Point.for_model(model), eliminate=eliminate)
+
+
 def test_dyn_icm_clean_and_planted(chain2_dyn):
     clean = dyn_icm_check(chain2_dyn, "Z2", Point.for_model(chain2_dyn))
     assert clean.passed  # Z1's mechanism has no parameters
@@ -177,7 +196,11 @@ def test_dyn_icm_clean_and_planted(chain2_dyn):
     ]
     model = parse_model(spec)
     report = dyn_icm_check(model, "Z2", Point.for_model(model))
-    assert report.first.ravel().tolist() == [0.4]
+    # own parameters are usage-based: F_Z2 reads the parent's b as well
+    assert (report.node, report.parent_params, report.own_params) == \
+        ("Z2", ["Z1.b"], ["Z1.b", "Z2.a"])
+    assert report.d_residual_d_parent.ravel().tolist() == [0.4]
+    assert report.mixed_parent_own.tolist() == [[[0.0, 0.0]]]
     assert not report.passed
 
 
@@ -318,3 +341,46 @@ def test_dyn_lap_batch_with_elimination():
     assert not reports[pairs.index(where)].passed
     with pytest.raises(QueryError):
         _dyn_lap_reports(model, pairs + [("Z3", "Z1")], point, eliminate=eliminate)
+
+
+def test_gradient_flow_field_gives_the_negated_static_locality_blocks():
+    """F_i = -dlocal_i/dz_i written out by hand: every dynamic locality
+    block is the negated static block, planted violations included."""
+    spec = {
+        "variables": [{"name": f"Z{k}", "kind": "endogenous"} for k in range(1, 5)]
+        + [{"name": f"U{k}", "kind": "exogenous"} for k in range(1, 5)],
+        "edges": [["Z1", "Z2"], ["Z2", "Z3"], ["Z1", "Z3"]],
+        "terms": [
+            {"owner": "local:Z1", "params": {"k": 1.3},
+             "expr": "0.5*sq(z.Z1 - theta.Z1.k*u.U1) + 0.25*theta.Z4.w*z.Z1*z.Z4"},
+            {"owner": "local:Z2", "params": {"a": 0.7},
+             "expr": "0.5*sq(z.Z2 - theta.Z2.a*z.Z1 - u.U2)"},
+            {"owner": "local:Z3", "params": {"c": 0.8, "d": -0.6},
+             "expr": "0.5*sq(z.Z3 - theta.Z3.c*z.Z2 - theta.Z1.k*theta.Z3.d*z.Z1 - u.U3)"},
+            {"owner": "local:Z4", "params": {"w": 1.5},
+             "expr": "0.5*theta.Z4.w*sq(z.Z4 - u.U4)"},
+        ] + [{"owner": f"exo:U{k}", "expr": f"0.5*sq(u.U{k})"} for k in range(1, 5)],
+        "dynamics": [
+            {"var": "Z1", "expr": "-(z.Z1 - theta.Z1.k*u.U1) - 0.25*theta.Z4.w*z.Z4"},
+            {"var": "Z2", "expr": "-(z.Z2 - theta.Z2.a*z.Z1 - u.U2)"},
+            {"var": "Z3", "expr": "-(z.Z3 - theta.Z3.c*z.Z2 - theta.Z1.k*theta.Z3.d*z.Z1 - u.U3)"},
+            {"var": "Z4", "expr": "-theta.Z4.w*(z.Z4 - u.U4)"},
+        ],
+    }
+    model = parse_model(spec, mask_policy="warn")
+    pairs = nondesc_pairs(model)
+    rng = np.random.default_rng(9)
+    nonzero = 0
+    for _ in range(5):
+        point = Point.for_model(model, z=rng.uniform(-1, 1, model.nz),
+                                u=rng.uniform(-1, 1, model.nu))
+        for static, dynamic in zip(_lap_reports(model, pairs, point),
+                                   _dyn_lap_reports(model, pairs, point)):
+            assert dynamic.pair == static.pair
+            assert dynamic.theta_labels == static.theta_labels
+            for got, want in ((dynamic.z_block, static.z_block),
+                              (dynamic.theta_block, static.theta_block)):
+                assert got.shape == want.shape
+                assert (got == -want).all()
+            nonzero += (static.max_abs_z > 0) + (static.max_abs_theta > 0)
+    assert nonzero >= 15  # both plants show at every point

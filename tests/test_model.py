@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,3 +253,44 @@ def test_dynamics_validation():
         parse_model(bad)
     warned = parse_model(bad, mask_policy="warn")
     assert warned.mask_warnings
+
+
+def _earliest_ready_order(nodes, edges):
+    """Repeatedly take the earliest-declared node whose parents are all
+    placed; None when some node never becomes ready (a cycle)."""
+    placed = []
+    while len(placed) < len(nodes):
+        ready = [n for n in nodes if n not in placed
+                 and all(p in placed for p, c in edges if c == n)]
+        if not ready:
+            return None
+        placed.append(ready[0])
+    return placed
+
+
+def test_dag_order_and_cycles_on_random_edge_sets():
+    from escm.model import Dag
+
+    rng = np.random.default_rng(17)
+    acyclic = cyclic = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        nodes = [f"N{k}" for k in rng.permutation(n)]
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+        if rng.random() < 0.5:  # forward edges of a random order: acyclic
+            rank = rng.permutation(n)
+            pairs = [(a, b) for a, b in pairs if rank[a] < rank[b]]
+        edges = [(nodes[a], nodes[b]) for a, b in pairs]
+        want = _earliest_ready_order(nodes, edges)
+        if want is not None:
+            assert Dag(nodes, edges).topo_order() == want
+            acyclic += 1
+            continue
+        with pytest.raises(CycleError) as err:
+            Dag(nodes, edges)
+        cycle = err.value.cycle
+        assert len(set(cycle)) == len(cycle) >= 1
+        assert all((cycle[k - 1], cycle[k]) in edges for k in range(len(cycle)))
+        assert cycle[0] == min(cycle, key=nodes.index)
+        cyclic += 1
+    assert acyclic > 200 and cyclic > 100

@@ -10,6 +10,7 @@ from escm import (
     NonConvexBlockError,
     Point,
     abduct,
+    apply_surgery,
     contraction_factor,
     counterfactual,
     equivalence_check,
@@ -102,7 +103,7 @@ def test_equivalence_chain2_hard_sweep(chain2):
         from escm.reduction import _energy_side
         from escm.solver import SolverConfig
 
-        z_energy = _energy_side(chain2, u, surgeries, SolverConfig())
+        z_energy = _energy_side(chain2, u, apply_surgery(chain2, surgeries), SolverConfig())
         z_scm = scm.solve(u, surgeries)
         worst = max(worst, float(np.max(np.abs(z_energy - z_scm))))
     assert worst < 1e-8
