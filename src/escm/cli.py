@@ -333,9 +333,18 @@ def _cmd_gen_corpus(args) -> dict:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that also prints a usage error as a JSON report."""
+
+    def error(self, message):
+        sys.stdout.write(canonical_json({"error": {"type": "QueryError", "message": message}})
+                         + "\n")
+        super().error(message)  # the usage text on stderr, and exit 2
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="escm",
         description="Energy-structured causal models: equilibria, surgery, "
                     "counterfactuals, diagnostics.")

@@ -9,14 +9,16 @@ The checks here exercise exactly that equality and are deliberately built
 on a different numerical route (bracketed scalar root-finding) than the
 equilibrium solver they validate.
 
-The checks evaluate their draws in chunks.  On the energy side a chunk
-takes its undamped Newton steps together (``solver.newton_batch``) and a
-draw that leaves that path is solved alone.  On the SCM side the route is
-still bracketed root finding, now over a batch of draws: each draw runs
-the bracket expansion and a port of ``scipy.optimize.brentq`` on Python
-floats, and the slopes all of them need next are one batched jet
-evaluation.  Every draw's numbers are bitwise those of evaluating the
-draws one by one.
+The checks evaluate their draws in chunks.  On the energy side the
+draws of a chunk whose edits share their terms run through the solver's
+Newton loop as one batch, damped steps included, so no draw is handed
+off or solved again.  The energy side starts from zeros, never from the
+forward sweep, so the checks refuse any other ``SolverConfig.init``:
+from the sweep it would compare the sweep with itself.  On the SCM side the route is still bracketed root finding, now
+over a batch of draws: each draw runs the bracket expansion and a port
+of ``scipy.optimize.brentq`` on Python floats, and the slopes all of
+them need next are one batched jet evaluation.  Every draw's numbers are
+bitwise those of evaluating the draws one by one.
 
 A chunk runs as one batch or, if the batch raises, replays draw by draw
 on the per-draw path (:func:`_energy_side`, :meth:`InducedScm._forward`,
@@ -39,7 +41,7 @@ from .engine import Objective, ObjectiveTerm, Point
 from .errors import ClassViolationError, EscmError, NonConvexBlockError, QueryError
 from .model import Model
 from .expr import Env
-from .solver import SolverConfig, finite_number, newton_batch, solve
+from .solver import SolverConfig, _newton, finite_number, solve
 
 __all__ = [
     "InducedScm",
@@ -332,13 +334,19 @@ def _require_separable(model: Model, what: str) -> None:
             f"violations: {model.mask_warnings[0]}")
 
 
-def _require_draws(trials: int, seed: int, tol: float) -> None:
-    """At least one trial, a seed numpy accepts and a finite tol >= 0."""
+def _require_draws(trials: int, seed: int, tol: float,
+                   cfg: SolverConfig | None) -> SolverConfig:
+    """At least one trial, a seed numpy accepts, a finite tol >= 0 and a
+    solver started from zeros; returns the solver configuration."""
     if trials < 1:
         raise QueryError("trials must be at least 1")
     if seed < 0:
         raise QueryError("seed must be non-negative")
     finite_number(tol, "tol", low=0.0)
+    cfg = cfg or SolverConfig()
+    if cfg.init != "zeros":
+        raise QueryError(f"the oracle checks solve from zeros, not from {cfg.init!r}")
+    return cfg
 
 
 def induce_scm(model: Model, probe_points: list[Point] | None = None) -> InducedScm:
@@ -452,10 +460,10 @@ def _energy_sides(model: Model, u: np.ndarray, edits: list[EditedEnergy],
     under its own applied edit ``edits[j]``; returns z (nz, B).
 
     Draws whose edits keep the same terms and clamp the same coordinates
-    (hard edits on one target, say) take their undamped Newton steps as
-    one batch, each with its own clamp values; a draw that leaves that
-    path starts again alone in :func:`_energy_side`, so every z is bitwise
-    the per-draw one.
+    (hard edits on one target, say) are solved as one batch by the Newton
+    loop ``solve`` runs, each with its own clamp values, so every z is
+    bitwise the per-draw one.  A lone draw is solved by ``solve`` itself,
+    which runs that loop on one column and is the span perfbench traces.
     """
     by_edit = _by_edit(edits)
     x = _context_batch(model, u, by_edit=by_edit)
@@ -464,16 +472,14 @@ def _energy_sides(model: Model, u: np.ndarray, edits: list[EditedEnergy],
         key = (tuple(map(id, edited.objective.terms)), tuple(edited.clamps))
         groups.setdefault(key, (edited, []))[1].extend(cols)
     for edited, cols in groups.values():
+        if len(cols) == 1:
+            x[:model.nz, cols[0]] = _energy_side(model, u[:, cols[0]], edited, cfg)
+            continue
         cols = sorted(cols)
-        # x holds the start solve takes for init "zeros"; a lone draw is
-        # quickest in solve's float arithmetic
-        alone = cols
-        if cfg.init == "zeros" and len(cols) > 1:
-            free = [i for i in model.coords("z") if i not in edited.clamps]
-            x[:, cols], handoff = newton_batch(edited.objective, free, x[:, cols], cfg)
-            alone = np.array(cols)[handoff].tolist()
-        for j in alone:
-            x[:model.nz, j] = _energy_side(model, u[:, j], edits[j], cfg)
+        block = x[:, cols]  # the starts solve takes from zeros
+        _newton(edited.objective, [i for i in model.coords("z") if i not in edited.clamps],
+                block, cfg)
+        x[:, cols] = block
     return x[:model.nz]
 
 
@@ -523,11 +529,10 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     raised, that of the first trial that fails.
     """
     _require_separable(model, "the equivalence check")
-    _require_draws(trials, seed, tol)
+    cfg = _require_draws(trials, seed, tol, cfg)
     scm = induce_scm(model)
     rng = np.random.default_rng(seed)
     generator = surgery_generator or _default_surgery
-    cfg = cfg or SolverConfig()
     records = []
     worst = 0.0
     for first in range(0, trials, _CHUNK):
@@ -620,14 +625,13 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     failing draw, are bitwise those of evaluating the draws one by one.
     """
     _require_separable(model, "the pushforward check")
-    _require_draws(trials, seed, tol)
+    cfg = _require_draws(trials, seed, tol, cfg)
     scm = induce_scm(model)
     sample = _build_sampler(model, sampler_spec)
     statistics = statistics or {"z_all_max": None}
     readouts = {name: None if source is None else _compile_readout(model, source)
                 for name, source in statistics.items()}
     rng = np.random.default_rng(seed)
-    cfg = cfg or SolverConfig()
     edited = apply_surgery(model, surgeries)
 
     values: dict[str, tuple[list, list]] = {k: ([], []) for k in statistics}  # energy, SCM

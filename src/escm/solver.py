@@ -1,15 +1,18 @@
 """Equilibrium solving: damped Newton over the free coordinates.
 
 Clamped coordinates are eliminated from the decision vector (not
-penalized), so they hold their values bit-exactly.  Each iteration first
-tries an undamped Newton step; on a rejected or unsolvable step the
-Levenberg shift grows geometrically, and past ``_LAMBDA_MAX`` the solver
-falls back to gradient descent with Armijo backtracking.  Accepted
-iterates never increase the objective.
-
-:func:`newton_batch` runs the undamped path of :func:`solve` on many
-points at once and reports the points that leave it; those are solved
-alone, so damping and line search live only in :func:`solve`.
+penalized), so they hold their values bit-exactly.  One loop,
+:func:`_newton`, runs the iterations from a batch of start points, the
+columns of a (dim, B) array: :func:`solve` runs it on one column, the
+oracle checks on the draws of a chunk.  Each iteration takes every live
+column's undamped Newton step as one batch.  A column whose step is
+rejected or unsolvable takes the damped fallback alone and in place: the
+Levenberg shift grows geometrically from ``_LAMBDA0``, and past
+``_LAMBDA_MAX`` gradient descent with Armijo backtracking takes over.
+Accepted iterates never increase the objective, and every column's
+iterates are bitwise those of running it alone.  A lone live column is
+evaluated on its 1-D point, in Python floats, which is quicker than a
+batch of one.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ import numpy as np
 from .engine import Objective, Point, _as_objective
 from .errors import EnergyDomainError, QueryError, SingularSystemError, SolverError
 
-__all__ = ["SolverConfig", "Equilibrium", "solve", "newton_batch", "schur_effective_hessian",
-           "normalize_refs"]
+__all__ = ["SolverConfig", "Equilibrium", "solve", "schur_effective_hessian", "normalize_refs"]
 
 
 _LAMBDA0, _LAMBDA_GROWTH, _LAMBDA_MAX = 1e-8, 10.0, 1e8  # the Levenberg shift's schedule
@@ -179,186 +181,165 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
         raise QueryError("duplicate free coordinates")
 
     point = _initial_point(objective, cfg, init_point, clamps)
-    nfree = len(free_refs)
-
-    energy = objective.value(point)
-    trace = [energy]
-    iterations = 0
-    lam = 0.0
-
-    while True:
-        full = objective.derivatives(point, order=2, active=free_refs)
-        grad_free, hess_free = full.grad, full.hess
-        residual = float(np.max(np.abs(grad_free))) if nfree else 0.0
-        if residual <= cfg.tol_grad:
-            break
-        if iterations >= cfg.max_iter:
-            raise SolverError(
-                f"no convergence after {cfg.max_iter} iterations (residual {residual:.3e})",
-                diagnostics={"residual": residual, "iterations": iterations,
-                             "energy": energy, "point": point},
-            )
-
-        accepted = None
-        while lam <= _LAMBDA_MAX:
-            shifted = hess_free + lam * np.eye(nfree) if lam else hess_free
-            try:
-                step = np.linalg.solve(shifted, -grad_free)
-            except np.linalg.LinAlgError:
-                lam = max(_LAMBDA0, lam * _LAMBDA_GROWTH)
-                continue
-            if not np.all(np.isfinite(step)):
-                lam = max(_LAMBDA0, lam * _LAMBDA_GROWTH)
-                continue
-            candidate = point.copy()
-            candidate.x[free_refs] += step
-            try:
-                e_new = objective.value(candidate)
-            except EnergyDomainError:
-                e_new = np.inf
-            if e_new < energy:
-                accepted = (candidate, e_new)
-                break
-            if e_new == energy:
-                # Flat bottom: accept only if the step strictly reduces the
-                # residual, preserving energy monotonicity.
-                g_new = objective.derivatives(candidate, order=1, active=free_refs).grad
-                if float(np.max(np.abs(g_new))) < residual:
-                    accepted = (candidate, e_new)
-                    break
-            lam = max(_LAMBDA0, lam * _LAMBDA_GROWTH)
-
-        if accepted is None:
-            # Regularized solve failed; gradient descent with backtracking.
-            g2 = float(grad_free @ grad_free)
-            t = 1.0
-            while t >= 1e-18:
-                candidate = point.copy()
-                candidate.x[free_refs] -= t * grad_free
-                try:
-                    e_new = objective.value(candidate)
-                except EnergyDomainError:
-                    t *= 0.5
-                    continue
-                if e_new <= energy - _ARMIJO_C * t * g2:
-                    accepted = (candidate, e_new)
-                    break
-                t *= 0.5
-            if accepted is None:
-                raise SingularSystemError(
-                    "damping escalation past lambda_max and line search both failed",
-                    diagnostics={"residual": residual, "iterations": iterations,
-                                 "energy": energy, "point": point},
-                )
-
-        point, energy = accepted
-        trace.append(energy)
-        iterations += 1
-        lam = 0.0  # reset after acceptance
-
+    traces, residuals, hessians = _newton(objective, free_refs, point.x[:, None], cfg)
     return Equilibrium(
         point=point,
-        residual=residual,
-        iterations=iterations,
-        energy=energy,
+        residual=residuals[0],
+        iterations=len(traces[0]) - 1,
+        energy=traces[0][-1],
         free=tuple(free_refs),
-        hessian=hess_free,
+        hessian=hessians[0],
         clamps=dict(clamps),
-        energy_trace=trace,
+        energy_trace=traces[0],
     )
 
 
-def _batch_values(objective: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Energies of the columns of ``x`` and a mask of the columns that
-    :func:`solve` could not evaluate: non-finite entries or a domain error
-    (their energy reads inf)."""
-    ok = np.all(np.isfinite(x), axis=0)
-    values = np.full(x.shape[1], np.inf)
-    if not ok.any():
-        return values, ~ok
-    try:
-        values[ok] = objective.value(Point.from_flat(objective.model, x[:, ok]))
-    except EnergyDomainError:
-        for j in np.flatnonzero(ok):  # find the columns outside the domain
-            try:
-                values[j] = objective.value(Point.from_flat(objective.model, x[:, j]))
-            except EnergyDomainError:
-                ok[j] = False
-    return values, ~ok
+def _newton(objective: Objective, free: list[int], x: np.ndarray,
+            cfg: SolverConfig) -> tuple[list[list[float]], list[float], list[np.ndarray]]:
+    """Minimize ``objective`` over the flat indices ``free`` from every
+    column of ``x`` (dim, B), a start point with its clamps set; ``x``
+    ends holding the minimizers.
 
-
-def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Undamped Newton steps for batched ``hess`` (k, k, B) and ``grad``
-    (k, B), and a mask of the columns whose step exists and is finite."""
-    mats = np.moveaxis(hess, -1, 0)
-    rhs = -grad.T
-    try:
-        step = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
-        ok = np.ones(grad.shape[1], dtype=bool)
-    except np.linalg.LinAlgError:  # find the singular columns
-        step = np.zeros_like(grad)
-        ok = np.zeros(grad.shape[1], dtype=bool)
-        for j in range(grad.shape[1]):
-            try:
-                step[:, j] = np.linalg.solve(mats[j], rhs[j])
-                ok[j] = True
-            except np.linalg.LinAlgError:
-                pass
-    return step, ok & np.all(np.isfinite(step), axis=0)
-
-
-def newton_batch(objective: Objective, free: list[int], x: np.ndarray,
-                 cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run :func:`solve`'s iterations on every column of ``x`` (dim, B)
-    at once, while each column's undamped Newton step is accepted.
-
-    Each column of ``x`` is a start point with its clamps already set;
-    ``free`` are flat indices.  Returns the final points and a mask of the
-    columns that left the undamped path: a rejected, singular or
-    non-finite step, a domain error, or ``cfg.max_iter`` reached.  Every
-    other column is bitwise the point :func:`solve` returns from that
-    start; a masked one must be solved alone.
+    Returns each column's energy trace (its start energy, then one entry
+    per accepted iterate), and its residual and free Hessian at its
+    minimizer.  Every column's iterates are bitwise those of running it
+    alone.  Raises as :func:`solve` documents, for the first column that
+    fails.
     """
     model = objective.model
-    x = x.copy()
-    energy, handoff = _batch_values(objective, x)
-    live = np.flatnonzero(~handoff)
-    energy = energy[live]
+    k = len(free)
+    live = list(range(x.shape[1]))  # the columns still iterating
+    energy = np.atleast_1d(objective.value(_at(model, x))).tolist()
+    traces = [[e] for e in energy]
+    residuals, hessians = [0.0] * len(live), [None] * len(live)
     iterations = 0
-    while live.size:
-        try:
-            full = objective.derivatives(Point.from_flat(model, x[:, live]), order=2, active=free)
-        except EnergyDomainError:
-            handoff[live] = True
-            break
-        residual = np.max(np.abs(full.grad), axis=0) if free else np.zeros(live.size)
-        going = ~(residual <= cfg.tol_grad)
+    while True:
+        cols = slice(None) if len(live) == x.shape[1] else live  # a slice does not copy
+        full = objective.derivatives(_at(model, x[:, cols]), order=2, active=free)
+        grad, hess = full.grad.reshape(k, len(live)), full.hess.reshape(k, k, len(live))
+        residual = _residuals(grad)
+        stop = [r <= cfg.tol_grad for r in residual]
+        if any(stop):
+            for i in (i for i, s in enumerate(stop) if s):
+                residuals[live[i]], hessians[live[i]] = residual[i], hess[:, :, i]
+            if all(stop):
+                return traces, residuals, hessians
+            going = [i for i, s in enumerate(stop) if not s]
+            live, energy, residual = ([seq[i] for i in going] for seq in (live, energy, residual))
+            cols, grad, hess = live, grad[:, going], hess[:, :, going]
         if iterations >= cfg.max_iter:
-            handoff[live[going]] = True
-            break
-        live, energy, residual = live[going], energy[going], residual[going]
-        if not live.size:
-            break
-        step, ok = _newton_steps(full.hess[:, :, going], full.grad[:, going])
-        candidate = x[:, live]
+            raise SolverError(
+                f"no convergence after {cfg.max_iter} iterations (residual {residual[0]:.3e})",
+                diagnostics={"residual": residual[0], "iterations": iterations,
+                             "energy": energy[0], "point": Point.from_flat(model, x[:, live[0]])})
+
+        step, ok = _steps(hess, grad)
+        candidate = x[:, cols].copy()
         candidate[free] += step
-        e_new, failed = _batch_values(objective, candidate)
-        ok &= ~failed
-        accept = ok & (e_new < energy)
-        flat = np.flatnonzero(ok & (e_new == energy))
-        if flat.size:
-            # flat bottom: accept only a step that strictly reduces the residual
-            try:
-                g_new = objective.derivatives(Point.from_flat(model, candidate[:, flat]),
-                                              order=1, active=free).grad
-                accept[flat] = np.max(np.abs(g_new), axis=0) < residual[flat]
-            except EnergyDomainError:
-                pass
-        handoff[live[~accept]] = True
-        x[:, live[accept]] = candidate[:, accept]
-        live, energy = live[accept], e_new[accept]
+        e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
+        for i in (i for i, a in enumerate(accept) if not a):
+            found = _damped(objective, free, x[:, live[i]:live[i] + 1], grad[:, i:i + 1],
+                            hess[:, :, i], energy[i:i + 1], residual[i:i + 1])
+            if found is None:
+                raise SingularSystemError(
+                    "damping escalation past lambda_max and line search both failed",
+                    diagnostics={"residual": residual[i], "iterations": iterations,
+                                 "energy": energy[i],
+                                 "point": Point.from_flat(model, x[:, live[i]])})
+            candidate[:, i:i + 1], e_new[i] = found
+        x[:, cols], energy = candidate, e_new
+        for j, e in zip(live, energy):
+            traces[j].append(e)
         iterations += 1
-    return x, handoff
+
+
+def _damped(objective: Objective, free: list[int], x: np.ndarray, grad: np.ndarray,
+            hess: np.ndarray, energy: list[float], residual: list[float]):
+    """The fallback step from the column ``x`` (dim, 1), of gradient
+    ``grad`` (k, 1), free Hessian ``hess`` (k, k), ``energy`` and
+    ``residual`` ([float]), whose undamped Newton step was rejected: the
+    Levenberg shift grows geometrically from ``_LAMBDA0``, and past
+    ``_LAMBDA_MAX`` gradient descent with Armijo backtracking takes over.
+    Returns the accepted candidate (dim, 1) and its energy, or None if
+    none is accepted."""
+    eye = np.eye(len(free))
+    lam = _LAMBDA0
+    while lam <= _LAMBDA_MAX:
+        step, ok = _steps((hess + lam * eye)[:, :, None], grad)
+        candidate = x.copy()
+        candidate[free] += step
+        e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
+        if accept[0]:
+            return candidate, e_new[0]
+        lam *= _LAMBDA_GROWTH
+    g2 = float(grad[:, 0] @ grad[:, 0])
+    t = 1.0
+    while t >= 1e-18:
+        candidate = x.copy()
+        candidate[free] -= t * grad
+        e_new = _energies(objective, candidate)[0]
+        if e_new <= energy[0] - _ARMIJO_C * t * g2:
+            return candidate, e_new
+        t *= 0.5
+    return None
+
+
+def _try_candidates(objective: Objective, free: list[int], x: np.ndarray, ok: list[bool],
+                    energy: list[float], residual: list[float]) -> tuple[list[float], list[bool]]:
+    """Energies of the candidates, the columns of ``x`` (dim, m), at
+    points of ``energy`` and ``residual``, and whether each is accepted.
+    A candidate whose step is not ``ok`` is not evaluated and reads inf.
+    One is accepted if its energy is lower, or on a flat bottom (the same
+    energy) if its residual is strictly lower, so accepted iterates never
+    increase the energy."""
+    tried = [i for i, o in enumerate(ok) if o]
+    e_new = [np.inf] * len(ok)
+    if tried:
+        for i, e in zip(tried, _energies(objective, x if len(tried) == len(ok) else x[:, tried])):
+            e_new[i] = e
+    accept = [e < e0 for e, e0 in zip(e_new, energy)]
+    flat = [i for i in tried if e_new[i] == energy[i]]
+    if flat:
+        grad = objective.derivatives(_at(objective.model, x[:, flat]), order=1, active=free).grad
+        for i, r in zip(flat, _residuals(grad.reshape(len(free), len(flat)))):
+            accept[i] = r < residual[i]
+    return e_new, accept
+
+
+def _at(model, x: np.ndarray) -> Point:
+    """The points of the columns of ``x`` (dim, m).  A single column is
+    evaluated on its 1-D point: Python-float arithmetic is quicker than a
+    batch of one."""
+    return Point.from_flat(model, x[:, 0] if x.shape[1] == 1 else x)
+
+
+def _energies(objective: Objective, x: np.ndarray) -> list[float]:
+    """Energies of the columns of ``x`` (dim, m); a column outside the
+    energy's domain reads inf."""
+    try:
+        return np.atleast_1d(objective.value(_at(objective.model, x))).tolist()
+    except EnergyDomainError:
+        if x.shape[1] == 1:
+            return [np.inf]
+        return [e for j in range(x.shape[1]) for e in _energies(objective, x[:, j:j + 1])]
+
+
+def _residuals(grad: np.ndarray) -> list[float]:
+    """max|g| of each column of ``grad`` (k, m)."""
+    return abs(grad).max(0).tolist() if len(grad) else [0.0] * grad.shape[1]
+
+
+def _steps(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """Newton steps for ``hess`` (k, k, m) and ``grad`` (k, m), and for
+    each column whether its step exists and is finite."""
+    try:
+        step = np.linalg.solve(hess.transpose(2, 0, 1), -grad.T[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:
+        if grad.shape[1] == 1:
+            return np.zeros_like(grad), [False]
+        parts = [_steps(hess[:, :, j:j + 1], grad[:, j:j + 1]) for j in range(grad.shape[1])]
+        return np.hstack([step for step, _ in parts]), [ok for _, (ok,) in parts]
+    return step, np.isfinite(step).all(0).tolist()
 
 
 def schur_effective_hessian(hess: np.ndarray, keep, mode: str = "minimize") -> np.ndarray:

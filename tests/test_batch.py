@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from escm import SolverConfig, equivalence_check, parse_model, pushforward_check
-from escm import reduction
+from escm import SolverConfig, equivalence_check, parse_model, pushforward_check, solve
+from escm import reduction, solver
 from escm.causal import HardSurgery, apply_surgery
 from escm.engine import Objective, Point
 from escm.errors import EnergyDomainError, QueryError, SolverError
 from escm.expr import compile_expr, parse_expr
 from escm.model import ObjectiveTerm
-from escm.solver import newton_batch
 from tests.conftest import chain2_dict
 
 # -- jets -------------------------------------------------------------------
@@ -122,7 +121,11 @@ _BUMPY = {
 }
 
 
-def test_batched_newton_hands_off_draws_that_leave_the_undamped_path():
+def _solved_alone(*args, **kwargs):
+    raise AssertionError("a draw was solved alone")
+
+
+def test_batched_newton_takes_damped_steps_in_place(monkeypatch):
     model = parse_model(_BUMPY)
     edited = apply_surgery(model, [])
     # u = 0.0 converges in 3 undamped steps; 0.8 needs a damped first step;
@@ -130,8 +133,22 @@ def test_batched_newton_hands_off_draws_that_leave_the_undamped_path():
     # would need a sixth undamped step and meets max_iter
     u = np.array([[0.0, 0.8, -1.0, 0.58]])
     cfg = SolverConfig(max_iter=5)
-    _, alone = newton_batch(edited.objective, [0], reduction._context_batch(model, u), cfg)
-    assert alone.tolist() == [False, True, True, True]
+    alone = [solve(edited.objective, clamps={"u.U1": v}, free=["z.Z1"], cfg=cfg).point.z
+             for v in u[0, :3].tolist()]
+    damped = []  # u of every column that takes a damped step
+    fallback = solver._damped
+
+    def spy(objective, free, x, *args):
+        damped.append(float(x[model.coords("u")[0], 0]))
+        return fallback(objective, free, x, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_damped", spy)
+        patch.setattr(reduction, "_energy_side", _solved_alone)
+        z = reduction._energy_sides(model, u[:, :3], [edited] * 3, cfg)
+    assert set(damped) == {0.8, -1.0}
+    for j in range(3):
+        assert z[:, j].tobytes() == alone[j].tobytes()
 
     with pytest.raises(SolverError) as batch:
         reduction._energy_sides(model, u, [edited] * 4, cfg)
@@ -141,6 +158,27 @@ def test_batched_newton_hands_off_draws_that_leave_the_undamped_path():
     z = reduction._energy_sides(model, u[:, :3], [edited] * 3, cfg)
     for j in range(3):
         assert z[:, j].tobytes() == reduction._energy_side(model, u[:, j], edited, cfg).tobytes()
+
+
+def test_a_solve_evaluates_the_energy_once_at_its_start_and_once_per_candidate(monkeypatch):
+    # perfbench's solver.solve.accept_ratio reads iterations over these
+    # evaluations less one; a candidate outside the domain counts once
+    model = parse_model(_BUMPY)
+    calls = []
+    value = Objective.value
+
+    def counting(objective, point):
+        calls.append(point.x.ndim)
+        return value(objective, point)
+
+    monkeypatch.setattr(Objective, "value", counting)
+    counts = []
+    for u in (0.0, 0.8, -1.0, 0.58, 2.0, -1.5):
+        calls.clear()
+        eq = solve(model, clamps={"u.U1": u})
+        counts.append((len(calls), eq.iterations))
+        assert set(calls) == {1}  # a lone point is evaluated in floats
+    assert counts == [(4, 3), (18, 4), (15, 5), (7, 6), (24, 5), (25, 7)]
 
 
 def _one_by_one(monkeypatch, check):

@@ -52,16 +52,38 @@ def test_validate_cycle_exit_code(capsys, tmp_path):
     assert "cycle" in report["error"]["message"]
 
 
+def assert_usage_error(capsys, argv, message):
+    """Exit 3, argparse's usage text on stderr and, on stdout, one JSON
+    error object whose message is argparse's, which starts with
+    ``message``."""
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert report == {"error": {"type": "QueryError", "message": report["error"]["message"]}}
+    assert report["error"]["message"].startswith(message)
+    assert captured.err.startswith("usage: escm")
+    assert captured.err.endswith(f"error: {report['error']['message']}\n")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
-    assert run(["frobnicate"]) == 3
+    assert_usage_error(capsys, ["frobnicate"], "argument command: invalid choice")
 
 
 def test_unknown_flag_is_usage_error(capsys, chain2_path):
-    assert run(["solve", chain2_path, "--does-not-exist"]) == 3
+    assert_usage_error(capsys, ["solve", chain2_path, "--does-not-exist"],
+                       "unrecognized arguments: --does-not-exist")
 
 
 def test_missing_seed_is_usage_error(capsys, chain2_path):
-    assert run(["reduce-check", chain2_path, "--trials", "3"]) == 3
+    assert_usage_error(capsys, ["reduce-check", chain2_path, "--trials", "3"],
+                       "the following arguments are required: --seed")
+
+
+def test_value_read_as_an_option_is_usage_error(capsys, chain2_path):
+    # argparse reads a value that begins with "-" as an option
+    assert_usage_error(capsys, ["solve", chain2_path, "--tol", "-1e+308"],
+                       "argument --tol: expected one argument")
 
 
 def test_query_error_exit_code(capsys, chain2_path):
@@ -241,6 +263,8 @@ def test_gen_corpus_negative_seed_is_a_query_error(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+    captured = capsys.readouterr()  # the help text, and no JSON report
+    assert captured.out.startswith("usage: escm") and captured.err == ""
 
 
 def test_report_carries_diagnostics_field(capsys, chain2_path):

@@ -1,5 +1,7 @@
 """Induced structural equations vs energy equilibria."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect
@@ -9,6 +11,7 @@ from escm import (
     QueryError,
     NonConvexBlockError,
     Point,
+    SolverConfig,
     abduct,
     apply_surgery,
     contraction_factor,
@@ -122,6 +125,20 @@ def test_equivalence_refuses_global_coupling(chain2_z3):
     with pytest.raises(ClassViolationError) as err:
         equivalence_check(chain2_z3, trials=3, seed=0)
     assert "global" in str(err.value)
+
+
+@pytest.mark.parametrize("init", ["forward-scm", "point"])
+def test_oracle_checks_refuse_a_start_other_than_zeros(init):
+    # started at the forward sweep, the energy side would be compared with
+    # the sweep itself: a deviation of exactly 0.0 that checks nothing
+    model = parse_model((Path(__file__).parent / "golden" / "models" / "rq10.json")
+                        .read_text(encoding="utf-8"))
+    cfg = SolverConfig(init=init)
+    with pytest.raises(QueryError, match="from zeros"):
+        equivalence_check(model, trials=12, seed=3, cfg=cfg)
+    sampler = {v.name: {"dist": "gauss"} for v in model.exogenous}
+    with pytest.raises(QueryError, match="from zeros"):
+        pushforward_check(model, sampler, trials=12, seed=3, cfg=cfg)
 
 
 def test_pointwise_reduction_property():
