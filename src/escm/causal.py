@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .codegen import expr_value
 from .engine import Objective, ObjectiveTerm, Point
 from .errors import EnergyDomainError, QueryError, SolverError
-from .expr import CompiledExpr, Env, compile_query
+from .expr import CompiledExpr, compile_query
 from .model import Model
 from .solver import (Equilibrium, SolverConfig, finite_number, normalize_clamps,
                      normalize_refs, solve)
@@ -329,7 +330,7 @@ def _read(compiled: CompiledExpr, point: Point, s=None) -> float:
     values = point.x.tolist()
     if s is not None:
         values += [float(v) for v in s]
-    return float(compiled.evaluate(Env(values)))
+    return float(expr_value(compiled, values))
 
 
 def evaluate_readout(model: Model, source: str, point: Point, s=None) -> float:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codegen import term_value
 from .diagnostics import (IcmReport, LapReport, _independence_report, _locality_reports,
                           _penalty, nondesc_pairs)
-from .engine import Objective, ObjectiveTerm, Point, _evaluate_term
+from .engine import Objective, ObjectiveTerm, Point
 from .errors import QueryError, SingularSystemError, SolverError
 from .expr import compile_query
 from .model import Model
@@ -146,7 +147,7 @@ class _Field:
             if kind == "hard":
                 out[k] = payload.gain * (payload.value - z[k])
             else:
-                out[k] = _evaluate_term(payload, values)
+                out[k] = term_value(payload, values)
         return out
 
     def jacobian(self, z: np.ndarray, point: Point) -> np.ndarray:

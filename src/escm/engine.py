@@ -1,16 +1,17 @@
 """Energy evaluation with exact first, second and third derivatives.
 
-All differentiation is forward-mode on the expression AST (see
-:mod:`escm.jets`): no symbolic expansion, no finite differences.  Each
-model term is compiled once at parse into an :class:`ObjectiveTerm`, which
-every evaluation reads; only surgery builds new ones.  A caller names the
-coordinates it differentiates with respect to; the result is indexed by
-position in that list, so its size follows the query and not the model.
-``term_jet`` always returns a jet over those coordinates.  ``derivatives``
-evaluates only the terms that read one of them and adds each into the
-positions it reads, so coordinates a term never mentions contribute exact
-zeros and the assembled Hessian is bitwise symmetric; it returns no
-energy value, which ``value`` computes.
+All differentiation is forward mode, run by the straight-line code that
+:mod:`escm.codegen` generates once per term shape: no symbolic expansion,
+no finite differences.  Each model term is compiled once at parse into an
+:class:`ObjectiveTerm`, which every evaluation reads; only surgery builds
+new ones.  A caller names the coordinates it differentiates with respect
+to; the result is indexed by position in that list, so its size follows
+the query and not the model.  ``term_jet`` always returns a dense
+:class:`~escm.jets.Jet` over those coordinates.  ``derivatives`` calls
+``term_jet`` once for every term that reads one of them and adds each jet
+into the positions the term reads, so coordinates a term never mentions
+contribute exact zeros and the assembled Hessian is bitwise symmetric; it
+returns no energy value, which ``value`` computes.
 
 A :class:`Point` may also hold a batch of points, ``x`` of shape
 ``(dim, B)``.  ``value``, ``term_jet`` and ``derivatives`` then carry a
@@ -25,9 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EnergyDomainError, PairError, QueryError
-from .expr import Env
-from .jets import Jet, lift, seed
+from . import codegen
+from .errors import PairError, QueryError
+from .jets import Jet
 from .model import Model, ObjectiveTerm
 
 __all__ = [
@@ -66,11 +67,12 @@ class Point:
                    theta=model.theta_defaults() if theta is None else theta)
 
     @classmethod
-    def from_flat(cls, model: Model, x: np.ndarray) -> "Point":
+    def from_flat(cls, model: Model, x: np.ndarray, copy: bool = True) -> "Point":
         """The point, or batch of points, whose flat vector is a copy of
-        ``x``, shape ``(dim,)`` or ``(dim, B)``."""
+        ``x``, shape ``(dim,)`` or ``(dim, B)``; with ``copy=False`` it is
+        ``x`` itself, a float array, so writing the point writes ``x``."""
         point = cls.__new__(cls)
-        point.x = np.array(x, dtype=float)
+        point.x = np.array(x, dtype=float) if copy else x
         nz, nu = model.nz, model.nu
         point.z, point.u, point.theta = point.x[:nz], point.x[nz:nz + nu], point.x[nz + nu:]
         return point
@@ -122,6 +124,7 @@ class Objective:
         self.model = model
         self.terms = tuple(terms)
         self.dim = model.dim
+        self._plans: dict = {}  # see _plan
 
     @classmethod
     def from_model(cls, model: Model) -> "Objective":
@@ -133,7 +136,7 @@ class Objective:
     def check_point(self, point: Point) -> None:
         if point.x.ndim > 2 or point.x.shape[0] != self.dim:
             raise QueryError("point does not match the model's flat coordinate maps")
-        if not np.all(np.isfinite(point.x)):
+        if not np.isfinite(point.x).all():
             raise QueryError("point contains non-finite entries")
 
     # -- evaluation ----------------------------------------------------------
@@ -143,7 +146,7 @@ class Objective:
         values = point.x.tolist() if point.x.ndim == 1 else point.x
         total = 0.0
         for term in self.terms:
-            total += _evaluate_term(term, values)
+            total += codegen.term_value(term, values)
         return total if point.x.ndim == 1 else np.broadcast_to(total, point.x.shape[1:])
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
@@ -152,18 +155,13 @@ class Objective:
         else is frozen at the point.  The jet is over all of ``active``,
         with exact zeros where the term does not read a coordinate, and
         carries every block its order has as an array (``Jet.dense``)."""
-        slot = {ref: j for j, ref in enumerate(active)}
-        k = len(active)
         x = point.x
-        read = x.item if x.ndim == 1 else x.__getitem__
-        leaves = {ref: seed(read(ref), slot[ref], k, order) if ref in slot
-                  else read(ref) for ref in term.refs}
-        total = _evaluate_term(term, leaves)
-        if not isinstance(total, Jet):
-            if x.ndim > 1:
-                total = np.broadcast_to(total, x.shape[1:])
-            total = lift(total, k, order)
-        return total.dense()
+        value, grad, hess, third = codegen.term_jet(term, x, active, order)
+        if grad is None:  # the term reads no active coordinate
+            value = (np.broadcast_to(value, x.shape[1:]).astype(float) if x.ndim > 1
+                     else float(value))
+            grad = np.zeros((len(active),) + x.shape[1:])
+        return Jet(value, grad, hess, third, order).dense()
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,
@@ -180,22 +178,16 @@ class Objective:
         """
         self.check_point(point)
         refs = tuple(dict.fromkeys(range(self.dim) if active is None else active))
-        slot = {ref: j for j, ref in enumerate(refs)}
         k = len(refs)
         batch = point.x.shape[1:]
         grad = np.zeros((k,) + batch)
         hess = np.zeros((k, k) + batch) if order >= 2 else None
         third = np.zeros((k, k, k) + batch) if order >= 3 else None
         owner_hess = {} if attribution else None
-        for term in self.terms:
-            term_active = [r for r in term.refs if r in slot]
-            if not term_active:
-                continue
+        for term, term_active, g, rows in self._plan(refs):
             jet = self.term_jet(term, point, term_active, order)
-            g = np.array([slot[r] for r in term_active])
             grad[g] += jet.grad
             if order >= 2:
-                rows = g[:, None]  # with g: the (g, g) block, as np.ix_(g, g)
                 hess[rows, g] += jet.hess
                 if owner_hess is not None:
                     block = owner_hess.setdefault(term.owner, np.zeros((k, k) + batch))
@@ -203,6 +195,25 @@ class Objective:
             if order >= 3:
                 third[g[:, None, None], rows, g] += jet.third
         return _Derivatives(refs, grad, hess, third, owner_hess)
+
+    def _plan(self, refs: tuple[int, ...]) -> list:
+        """(term, its active refs, their positions in ``refs``, the same as
+        a column) for every term that reads one of ``refs``; the column
+        with the positions indexes the term's (g, g) block, as
+        ``np.ix_(g, g)``.  A Newton solve asks for the same ``refs`` at
+        every iteration, so the last few plans are kept."""
+        plan = self._plans.get(refs)
+        if plan is None:
+            if len(self._plans) >= 8:
+                self._plans.clear()
+            slot = {ref: j for j, ref in enumerate(refs)}
+            plan = self._plans[refs] = []
+            for term in self.terms:
+                term_active = tuple(r for r in term.refs if r in slot)
+                if term_active:
+                    g = np.array([slot[r] for r in term_active])
+                    plan.append((term, term_active, g, g[:, None]))
+        return plan
 
     def first_order(self, point: Point) -> FirstOrder:
         grad = self.derivatives(point, order=1).grad
@@ -221,24 +232,6 @@ class Objective:
         }
         return SecondOrder(h_zz=full.hess[zz], h_zu=full.hess[zu],
                            h_ztheta=full.hess[ztheta], attribution=attribution)
-
-
-def _evaluate_term(term: ObjectiveTerm, leaves):
-    """Weighted sum of ``term``'s pieces, each flat index ``i`` it reads
-    bound to the float or jet ``leaves[i]``; a domain error is re-raised
-    naming the term's owner."""
-    env = Env(leaves)
-    total = None
-    try:
-        for coeff, compiled in term.pieces:
-            piece = coeff * compiled.evaluate(env)
-            total = piece if total is None else total + piece
-    except EnergyDomainError as err:
-        if err.owner is not None:
-            raise
-        raise EnergyDomainError(err.base_message, owner=term.owner,
-                                fragment=err.fragment) from None
-    return total
 
 
 def _as_objective(target) -> Objective:

@@ -16,6 +16,10 @@ Every whitelisted function is twice continuously differentiable on its
 domain; ``log`` checks positivity at evaluation time.  The ``s`` symbol is
 only legal in selection-cost expressions, where it names the candidate
 value of a set-valued intervention.
+
+This module parses text into an AST and resolves every symbol to a flat
+index or a constant (:func:`compile_expr`); it evaluates nothing.
+:mod:`escm.codegen` turns compiled expressions into Python functions.
 """
 
 from __future__ import annotations
@@ -23,20 +27,19 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-import numpy as np
+from .errors import ExprSyntaxError, QueryError, UnknownSymbolError
 
-from .errors import EnergyDomainError, ExprSyntaxError, QueryError, UnknownSymbolError
-from .jets import jexp, jlog, jpow, jsq, jtanh
-
-__all__ = ["Expr", "parse_expr", "compile_expr", "compile_query", "CompiledExpr", "Env",
-           "FUNCTIONS"]
+__all__ = ["Expr", "parse_expr", "compile_expr", "compile_query", "CompiledExpr", "FUNCTIONS"]
 
 FUNCTIONS = ("exp", "log", "tanh", "sq", "pow")
 
+# leading whitespace, then one token: the first alternative that matches;
+# ``bad`` takes any other character
 _TOKEN_RE = re.compile(
-    r"(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[-+*/(),.\[\]]))"
+    r"(\s*)(?:((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"  # num
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # name
+    r"|([-+*/(),.\[\]])"  # punct
+    r"|(\S))"  # bad
 )
 
 
@@ -50,18 +53,22 @@ class _Token:
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """Every token of ``source``, in one regex scan; the matches tile the
+    text up to trailing whitespace, so a running sum of their lengths gives
+    each token's position."""
     tokens = []
     pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
+    for space, num, name, punct, bad in _TOKEN_RE.findall(source):
+        pos += len(space)
+        if bad:
             raise ExprSyntaxError("unexpected character", source, pos)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), pos))
-        pos = m.end()
+        if num:
+            tokens.append(_Token("num", num, pos))
+        elif name:
+            tokens.append(_Token("name", name, pos))
+        else:
+            tokens.append(_Token("punct", punct, pos))
+        pos += len(num or name or punct)
     return tokens
 
 
@@ -79,9 +86,6 @@ class Num(Node):
     def __init__(self, value: float, start: int, end: int):
         self.value = value
         self.start, self.end = start, end
-
-    def eval(self, env):
-        return self.value
 
     def children(self):
         return ()
@@ -101,9 +105,6 @@ class Sym(Node):
         self.ref = None
         self.const = None
 
-    def eval(self, env):
-        return self.const if self.ref is None else env.leaves[self.ref]
-
     def children(self):
         return ()
 
@@ -114,9 +115,6 @@ class Neg(Node):
     def __init__(self, child: Node, start: int, end: int):
         self.child = child
         self.start, self.end = start, end
-
-    def eval(self, env):
-        return -self.child.eval(env)
 
     def children(self):
         return (self.child,)
@@ -131,29 +129,6 @@ class Bin(Node):
         self.right = right
         self.start, self.end = left.start, right.end
 
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if isinstance(b, np.ndarray) or (isinstance(a, np.ndarray) and b == 0.0):
-            # a batch divides without raising; check its divisor here
-            if np.any(b == 0.0):
-                raise EnergyDomainError("division by zero", fragment=env.fragment(self))
-        try:
-            return a / b
-        except ZeroDivisionError:
-            raise EnergyDomainError("division by zero", fragment=env.fragment(self)) from None
-        except EnergyDomainError as err:
-            if err.fragment is not None:
-                raise
-            raise EnergyDomainError(err.base_message, fragment=env.fragment(self)) from None
-
     def children(self):
         return (self.left, self.right)
 
@@ -166,19 +141,8 @@ class Pow(Node):
         self.exponent = exponent
         self.start, self.end = start, end
 
-    def eval(self, env):
-        try:
-            return jpow(self.base.eval(env), self.exponent)
-        except EnergyDomainError as err:
-            if err.fragment is not None:
-                raise
-            raise EnergyDomainError(err.base_message, fragment=env.fragment(self)) from None
-
     def children(self):
         return (self.base,)
-
-
-_CALL_IMPL: dict[str, Callable] = {"exp": jexp, "log": jlog, "tanh": jtanh, "sq": jsq}
 
 
 class Call(Node):
@@ -188,14 +152,6 @@ class Call(Node):
         self.fn = fn
         self.child = child
         self.start, self.end = start, end
-
-    def eval(self, env):
-        try:
-            return _CALL_IMPL[self.fn](self.child.eval(env))
-        except EnergyDomainError as err:
-            if err.fragment is not None:
-                raise
-            raise EnergyDomainError(err.base_message, fragment=env.fragment(self)) from None
 
     def children(self):
         return (self.child,)
@@ -231,15 +187,16 @@ class Expr:
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokenize(source)
+        # a sentinel closes the list; its text equals no token's text
+        self.tokens = _tokenize(source) + [_Token("end", " ", len(source))]
         self.i = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.i]
+        if tok.kind == "end":
             raise ExprSyntaxError("unexpected end of expression", self.source, len(self.source))
         self.i += 1
         return tok
@@ -253,28 +210,28 @@ class _Parser:
     def parse(self) -> Node:
         node = self.expr()
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", self.source, tok.pos)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while (tok := self.peek()) is not None and tok.text in "+-":
-            self.next()
+        while (tok := self.tokens[self.i]).text in "+-":
+            self.i += 1
             node = Bin(tok.text, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while (tok := self.peek()) is not None and tok.text in "*/":
-            self.next()
+        while (tok := self.tokens[self.i]).text in "*/":
+            self.i += 1
             node = Bin(tok.text, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok is not None and tok.text == "-":
-            self.next()
+        tok = self.tokens[self.i]
+        if tok.text == "-":
+            self.i += 1
             child = self.unary()
             return Neg(child, tok.pos, child.end)
         return self.atom()
@@ -284,8 +241,7 @@ class _Parser:
         if tok.kind == "num":
             return Num(float(tok.text), tok.pos, tok.pos + len(tok.text))
         if tok.kind == "name":
-            nxt = self.peek()
-            if nxt is not None and nxt.text == "(":
+            if self.tokens[self.i].text == "(":
                 return self.call(tok)
             return self.symbol(tok)
         if tok.text == "(":
@@ -322,16 +278,16 @@ class _Parser:
     def symbol(self, head: _Token) -> Sym:
         parts = [head.text]
         end = head.pos + len(head.text)
-        while (tok := self.peek()) is not None and tok.text == ".":
-            self.next()
+        while self.tokens[self.i].text == ".":
+            self.i += 1
             part = self.next()
             if part.kind != "name":
                 raise ExprSyntaxError("expected name after '.'", self.source, part.pos)
             parts.append(part.text)
             end = part.pos + len(part.text)
         comp = None
-        if (tok := self.peek()) is not None and tok.text == "[":
-            self.next()
+        if self.tokens[self.i].text == "[":
+            self.i += 1
             idx = self.next()
             if idx.kind != "num" or not float(idx.text).is_integer():
                 raise ExprSyntaxError("component index must be an integer", self.source, idx.pos)
@@ -357,21 +313,20 @@ class CompiledExpr:
     """Expression with every symbol resolved to a coordinate or constant.
 
     ``refs`` lists the distinct flat indices the expression reads, sorted.
+    ``code`` holds what :mod:`escm.codegen` built to evaluate it alone, as
+    a readout, on first use.
     """
 
-    __slots__ = ("expr", "refs")
+    __slots__ = ("expr", "refs", "code")
 
     def __init__(self, expr: Expr, refs: tuple[int, ...]):
         self.expr = expr
         self.refs = refs
+        self.code = None
 
     @property
     def source(self) -> str:
         return self.expr.source
-
-    def evaluate(self, env: "Env"):
-        env.source = self.expr.source
-        return self.expr.root.eval(env)
 
 
 def compile_expr(expr: Expr, resolve: Callable[[Sym], int | float]) -> CompiledExpr:
@@ -401,18 +356,3 @@ def compile_query(source: str, resolve: Callable[[Sym], int | float]) -> Compile
         return compile_expr(parse_expr(source), resolve)
     except (ExprSyntaxError, UnknownSymbolError) as err:
         raise QueryError(str(err)) from err
-
-
-class Env:
-    """Evaluation environment: ``leaves[i]`` is the float or jet bound to
-    flat index ``i``, or the ``(B,)`` array or batched jet of a batch of
-    points."""
-
-    __slots__ = ("leaves", "source")
-
-    def __init__(self, leaves):
-        self.leaves = leaves
-        self.source = ""
-
-    def fragment(self, node: Node) -> str:
-        return self.source[node.start:node.end]

@@ -141,15 +141,17 @@ class ObjectiveTerm:
     ``parse_model`` builds one for every model term and dynamics component,
     with a single piece of weight 1; edit code builds the others, such as
     the two-piece blends of soft surgery.  ``refs`` holds the sorted flat
-    indices its pieces read.
+    indices its pieces read.  ``code`` holds what :mod:`escm.codegen` built
+    for it, on first evaluation.
     """
 
-    __slots__ = ("owner", "pieces", "refs")
+    __slots__ = ("owner", "pieces", "refs", "code")
 
-    def __init__(self, owner: str, pieces: Sequence[tuple[float, CompiledExpr]]):
+    def __init__(self, owner: str | None, pieces: Sequence[tuple[float, CompiledExpr]]):
         self.owner = owner
         self.pieces = tuple(pieces)
         self.refs = tuple(sorted({ref for _, compiled in self.pieces for ref in compiled.refs}))
+        self.code = None
 
     @classmethod
     def blend(cls, owner: str, lam: float, original: CompiledExpr,

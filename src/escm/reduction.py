@@ -37,10 +37,10 @@ import numpy as np
 
 from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _read,
                      apply_surgery)
+from .codegen import expr_value
 from .engine import Objective, ObjectiveTerm, Point
 from .errors import ClassViolationError, EscmError, NonConvexBlockError, QueryError
 from .model import Model
-from .expr import Env
 from .solver import SolverConfig, _newton, finite_number, solve
 
 __all__ = [
@@ -609,7 +609,7 @@ def _build_sampler(model: Model, spec: dict):
 
 def _read_batch(compiled, x: np.ndarray) -> np.ndarray:
     """A compiled readout at every column of ``x`` (dim, B)."""
-    return np.broadcast_to(compiled.evaluate(Env(x)), x.shape[1:])
+    return np.broadcast_to(expr_value(compiled, x), x.shape[1:])
 
 
 def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,

@@ -208,8 +208,9 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
     """
     model = objective.model
     k = len(free)
+    rows = np.array(free, dtype=np.intp)
     live = list(range(x.shape[1]))  # the columns still iterating
-    energy = np.atleast_1d(objective.value(_at(model, x))).tolist()
+    energy = _values(objective, x)
     traces = [[e] for e in energy]
     residuals, hessians = [0.0] * len(live), [None] * len(live)
     iterations = 0
@@ -235,7 +236,7 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
 
         step, ok = _steps(hess, grad)
         candidate = x[:, cols].copy()
-        candidate[free] += step
+        candidate[rows] += step
         e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
         for i in (i for i, a in enumerate(accept) if not a):
             found = _damped(objective, free, x[:, live[i]:live[i] + 1], grad[:, i:i + 1],
@@ -292,10 +293,12 @@ def _try_candidates(objective: Objective, free: list[int], x: np.ndarray, ok: li
     One is accepted if its energy is lower, or on a flat bottom (the same
     energy) if its residual is strictly lower, so accepted iterates never
     increase the energy."""
-    tried = [i for i, o in enumerate(ok) if o]
-    e_new = [np.inf] * len(ok)
-    if tried:
-        for i, e in zip(tried, _energies(objective, x if len(tried) == len(ok) else x[:, tried])):
+    if all(ok):
+        tried, e_new = range(len(ok)), _energies(objective, x)
+    else:
+        tried = [i for i, o in enumerate(ok) if o]
+        e_new = [np.inf] * len(ok)
+        for i, e in zip(tried, _energies(objective, x[:, tried]) if tried else ()):
             e_new[i] = e
     accept = [e < e0 for e, e0 in zip(e_new, energy)]
     flat = [i for i in tried if e_new[i] == energy[i]]
@@ -307,17 +310,24 @@ def _try_candidates(objective: Objective, free: list[int], x: np.ndarray, ok: li
 
 
 def _at(model, x: np.ndarray) -> Point:
-    """The points of the columns of ``x`` (dim, m).  A single column is
+    """The points of the columns of ``x`` (dim, m), as a view: ``value``
+    and ``derivatives`` never write to a point.  A single column is
     evaluated on its 1-D point: Python-float arithmetic is quicker than a
     batch of one."""
-    return Point.from_flat(model, x[:, 0] if x.shape[1] == 1 else x)
+    return Point.from_flat(model, x[:, 0] if x.shape[1] == 1 else x, copy=False)
+
+
+def _values(objective: Objective, x: np.ndarray) -> list[float]:
+    """Energies of the columns of ``x`` (dim, m)."""
+    energy = objective.value(_at(objective.model, x))
+    return [energy] if x.shape[1] == 1 else energy.tolist()
 
 
 def _energies(objective: Objective, x: np.ndarray) -> list[float]:
     """Energies of the columns of ``x`` (dim, m); a column outside the
     energy's domain reads inf."""
     try:
-        return np.atleast_1d(objective.value(_at(objective.model, x))).tolist()
+        return _values(objective, x)
     except EnergyDomainError:
         if x.shape[1] == 1:
             return [np.inf]

@@ -1,0 +1,108 @@
+"""Generated derivative code: it holds no text from the model, blocks are
+unrolled only up to ``MAX_UNROLLED`` entries, and terms of one shape share
+one code object."""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+
+from escm import codegen, parse_model
+from escm.engine import Objective, Point
+
+# Names that are legal in a model file and dangerous in Python source.
+_VARS = ["__import__", "os", "t0", "exec", "sys"]
+_HOSTILE = {
+    "variables": ([{"name": n, "kind": "endogenous", "dim": 1} for n in _VARS]
+                  + [{"name": f"U_{n}", "kind": "exogenous", "dim": 1} for n in _VARS]),
+    "edges": [["__import__", "os"], ["os", "t0"], ["t0", "exec"], ["exec", "sys"]],
+    "terms": [
+        {"owner": "local:__import__",
+         "expr": "0.5*sq(z.__import__ - theta.__import__.__class__ - u.U___import__)",
+         "params": {"__class__": 0.125}},
+        {"owner": "local:os",
+         "expr": "0.25*sq(z.os - theta.os.system*tanh(z.__import__) - u.U_os)"
+                 " + 0.0625*exp(0.375*z.os)",
+         "params": {"system": 1.375}},
+        {"owner": "local:t0",
+         "expr": "0.5*sq(z.t0 - u.U_t0) + 0.1875*log(2.5 + sq(z.os - 0.3125))"
+                 " + 0.4375*pow(z.t0, 3)/(1.6875 + sq(u.U_t0))"},
+        {"owner": "local:exec",
+         "expr": "0.5*sq(z.exec - theta.exec.eval*z.t0 - u.U_exec) + pow(2.125 + z.exec, -2)",
+         "params": {"eval": 0.8125}},
+        {"owner": "local:sys", "expr": "0.5*sq(z.sys - z.exec*z.exec - u.U_sys)"},
+        *({"owner": f"exo:U_{n}", "expr": f"0.5*sq(u.U_{n})"} for n in _VARS),
+    ],
+}
+
+_TOKEN = re.compile(
+    r"\s+|def term\(|[akv]\d+|one|zero|bs|L|K|None|return|try:|except ZeroDivisionError:"
+    r"|_ar|_d2|_d3|_outer_sym|_outer|_sym3|_exp|_tanh|_log|_pwz|_pw|_nzb|_nz|_dv|_divzero"
+    r"|\d+\.0|\d+|[-+*/=,():\[\]]")
+
+
+def _allowed(line: str) -> bool:
+    pos = 0
+    while pos < len(line):
+        m = _TOKEN.match(line, pos)
+        if m is None:
+            return False
+        pos = m.end()
+    return True
+
+
+def test_generated_source_holds_no_model_text():
+    model = parse_model(_HOSTILE)
+    objective = Objective.from_model(model)
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, size=model.dim)
+    x[model.coords("theta")] = model.theta_defaults()
+    point = Point.from_flat(model, x)
+    words = set(_VARS) | {f"U_{n}" for n in _VARS} | {"__class__", "system", "eval"}
+    literals = set(re.findall(r"\d+\.\d+", str(_HOSTILE["terms"]))) - {"0.0", "1.0", "2.0"}
+    for term, entry in zip(objective.terms, _HOSTILE["terms"]):
+        for active, order in ((term.refs, 3), (term.refs[::2], 2), (term.refs, 1), ((), 0)):
+            if order:
+                objective.term_jet(term, point, active, order)
+            source = codegen.source(term, active, order)
+            for line in source.splitlines():
+                assert _allowed(line), line
+            names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source))
+            assert not names & words
+            assert entry["expr"] not in source
+            assert not any(lit in source for lit in literals)
+        assert objective.value(point) == objective.value(point)
+
+
+def test_wide_blocks_are_numpy_expressions():
+    # a square of a 7-coordinate sum: its Hessian has 28 distinct entries
+    spec = {"variables": [{"name": f"Z{k}", "kind": "endogenous", "dim": 1} for k in range(7)],
+            "edges": [],
+            "terms": [{"owner": "global", "expr": "sq(" + " + ".join(
+                f"z.Z{k}" for k in range(7)) + ")"}]
+            + [{"owner": f"local:Z{k}", "expr": f"0.5*sq(z.Z{k})"} for k in range(7)]}
+    model = parse_model(spec)
+    term = model.global_term.objective_term
+    wide = codegen.source(term, term.refs, 3)
+    narrow = codegen.source(term, term.refs[:2], 2)
+    assert "_outer(" in wide and wide.count("\n") < 40
+    assert "_outer(" not in narrow
+
+
+def test_terms_of_one_shape_share_one_code_object():
+    spec = {"variables": [{"name": n, "kind": "endogenous", "dim": 1} for n in "ABCD"],
+            "edges": [["A", "B"], ["C", "D"]],
+            "terms": [{"owner": "local:A", "expr": "0.5*sq(z.A)"},
+                      {"owner": "local:B", "expr": "0.75*sq(z.B - 2.5*z.A)"},
+                      {"owner": "local:C", "expr": "0.5*sq(z.C)"},
+                      {"owner": "local:D", "expr": "1.25*sq(z.D - 0.5*z.C)"}]}
+    model = parse_model(spec)
+    objective = Objective.from_model(model)
+    point = Point.for_model(model, z=np.array([0.5, -1.0, 2.0, 0.25]))
+    b, d = model.local_term("B").objective_term, model.local_term("D").objective_term
+    jb = objective.term_jet(b, point, b.refs, 2)
+    jd = objective.term_jet(d, point, d.refs, 2)
+    fb, fd = (t.code.function(t.refs, 2, False) for t in (b, d))
+    assert fb is fd
+    assert jb.value == 0.75 * (-1.0 - 2.5 * 0.5) ** 2
+    assert jd.value == 1.25 * (0.25 - 0.5 * 2.0) ** 2

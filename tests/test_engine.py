@@ -411,21 +411,3 @@ def test_a_term_linear_in_its_active_leaves_gives_positive_zero_blocks():
             assert jet.hess.shape == (2, 2) + shape and jet.third.shape == (2, 2, 2) + shape
             for block in (jet.hess, jet.third):
                 assert not block.any() and not np.signbit(block).any(), source
-
-
-def test_leaves_carry_no_zero_blocks_and_dense_copies_them_out():
-    from escm.jets import jsq, lift, seed
-
-    leaf = seed(1.5, 1, 3, 3)
-    assert leaf.order == 3 and leaf.hess is None and leaf.third is None
-    assert leaf.grad.tolist() == [0.0, 1.0, 0.0]
-    batch = lift(np.array([1.0, 2.0]), 3, 2)
-    assert batch.hess is None and batch.grad.shape == (3, 2)
-    dense = batch.dense()
-    assert dense.hess.shape == (3, 3, 2) and dense.third is None
-    assert batch.hess is None  # dense() leaves its input as it was
-
-    square = jsq(leaf)  # f3 == 0.0: no third tensor, a Hessian of 2 at (1, 1)
-    assert square.third is None
-    assert square.hess.tolist() == [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
-    assert (square * leaf).third is not None  # sq(x) * x = x^3

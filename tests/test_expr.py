@@ -5,13 +5,14 @@ import math
 import pytest
 
 from escm import EnergyDomainError, ExprSyntaxError, UnknownSymbolError, parse_model
-from escm.expr import Env, compile_expr, parse_expr
+from escm.codegen import expr_value
+from escm.expr import compile_expr, parse_expr
 from tests.conftest import chain2_dict
 
 
 def eval_const(source: str) -> float:
     compiled = compile_expr(parse_expr(source), lambda sym: ("const", 1.0))
-    return compiled.evaluate(Env({}))
+    return expr_value(compiled, [])
 
 
 def test_precedence_and_unary():
