@@ -57,8 +57,7 @@ from .errors import EnergyDomainError
 from .expr import Bin, Call, Neg, Num, Pow, Sym
 from .jets import _outer, _outer_sym, _sym3
 
-__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "term_jet", "source",
-           "cache_info"]
+__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "term_jet", "source"]
 
 # A Hessian or third block with more entries than this is one numpy
 # expression instead of one line per entry.
@@ -250,7 +249,7 @@ class _TermCode:
                 consts.append(coeff)
             shape.append((one, _shape(compiled.expr.root, local, consts, self.nodes,
                                       compiled.expr.source)))
-        self.shape = (len(refs), tuple(shape))
+        self.shape = _number((len(refs), tuple(shape)))
         self.consts = tuple(consts)
         self.functions: dict = {}
 
@@ -336,34 +335,36 @@ def term_jet(term, x: np.ndarray, active, order: int):
 # ---------------------------------------------------------------------------
 # Generation
 
-_CODES: dict = {}      # (shape, slots, k, order) -> code object
-_FUNCTIONS: dict = {}  # (shape, slots, k, order, batch) -> function
-_LINES = [0]
+_SHAPES: list = []     # every shape seen, numbered so that keys below hash quickly
+_NUMBERS: dict = {}    # shape -> its number
+_CODES: dict = {}      # (shape number, slots, k, order) -> code object
+_FUNCTIONS: dict = {}  # (shape number, slots, k, order, batch) -> function
 
 
 def source(term, active, order: int) -> str:
     """The generated source that evaluates ``term`` with respect to the
     flat indices ``active`` at ``order``."""
     code = _code(term)
-    return generate(code.shape, *code.slots(tuple(active), order), order)
+    return generate(_SHAPES[code.shape], *code.slots(tuple(active), order), order)
 
 
-def cache_info() -> dict:
-    """How many code objects were generated in this process, and their
-    total source lines."""
-    return {"codes": len(_CODES), "lines": _LINES[0]}
+def _number(shape) -> int:
+    number = _NUMBERS.get(shape)
+    if number is None:
+        number = _NUMBERS[shape] = len(_SHAPES)
+        _SHAPES.append(shape)
+    return number
 
 
-def _function(shape, slots, k, order, batch):
+def _function(shape: int, slots, k, order, batch):
     key = (shape, slots, k, order)
     fn = _FUNCTIONS.get(key + (batch,))
     if fn is None:
         code = _CODES.get(key)
         if code is None:
-            source = generate(shape, slots, k, order)
+            source = generate(_SHAPES[shape], slots, k, order)
             module = compile(source, "<escm term>", "exec")
             code = _CODES[key] = next(c for c in module.co_consts if isinstance(c, types.CodeType))
-            _LINES[0] += source.count("\n")
         fn = _FUNCTIONS[key + (batch,)] = types.FunctionType(
             code, _BATCH if batch else _SCALAR, "term")
     return fn

@@ -124,7 +124,6 @@ class Objective:
         self.model = model
         self.terms = tuple(terms)
         self.dim = model.dim
-        self._plans: dict = {}  # see _plan
 
     @classmethod
     def from_model(cls, model: Model) -> "Objective":
@@ -178,16 +177,22 @@ class Objective:
         """
         self.check_point(point)
         refs = tuple(dict.fromkeys(range(self.dim) if active is None else active))
+        slot = {ref: j for j, ref in enumerate(refs)}
         k = len(refs)
         batch = point.x.shape[1:]
         grad = np.zeros((k,) + batch)
         hess = np.zeros((k, k) + batch) if order >= 2 else None
         third = np.zeros((k, k, k) + batch) if order >= 3 else None
         owner_hess = {} if attribution else None
-        for term, term_active, g, rows in self._plan(refs):
+        for term in self.terms:
+            term_active = [r for r in term.refs if r in slot]
+            if not term_active:
+                continue
             jet = self.term_jet(term, point, term_active, order)
+            g = np.array([slot[r] for r in term_active])
             grad[g] += jet.grad
             if order >= 2:
+                rows = g[:, None]  # with g: the (g, g) block, as np.ix_(g, g)
                 hess[rows, g] += jet.hess
                 if owner_hess is not None:
                     block = owner_hess.setdefault(term.owner, np.zeros((k, k) + batch))
@@ -195,25 +200,6 @@ class Objective:
             if order >= 3:
                 third[g[:, None, None], rows, g] += jet.third
         return _Derivatives(refs, grad, hess, third, owner_hess)
-
-    def _plan(self, refs: tuple[int, ...]) -> list:
-        """(term, its active refs, their positions in ``refs``, the same as
-        a column) for every term that reads one of ``refs``; the column
-        with the positions indexes the term's (g, g) block, as
-        ``np.ix_(g, g)``.  A Newton solve asks for the same ``refs`` at
-        every iteration, so the last few plans are kept."""
-        plan = self._plans.get(refs)
-        if plan is None:
-            if len(self._plans) >= 8:
-                self._plans.clear()
-            slot = {ref: j for j, ref in enumerate(refs)}
-            plan = self._plans[refs] = []
-            for term in self.terms:
-                term_active = tuple(r for r in term.refs if r in slot)
-                if term_active:
-                    g = np.array([slot[r] for r in term_active])
-                    plan.append((term, term_active, g, g[:, None]))
-        return plan
 
     def first_order(self, point: Point) -> FirstOrder:
         grad = self.derivatives(point, order=1).grad

@@ -208,7 +208,6 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
     """
     model = objective.model
     k = len(free)
-    rows = np.array(free, dtype=np.intp)
     live = list(range(x.shape[1]))  # the columns still iterating
     energy = _values(objective, x)
     traces = [[e] for e in energy]
@@ -236,7 +235,7 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
 
         step, ok = _steps(hess, grad)
         candidate = x[:, cols].copy()
-        candidate[rows] += step
+        candidate[free] += step
         e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
         for i in (i for i, a in enumerate(accept) if not a):
             found = _damped(objective, free, x[:, live[i]:live[i] + 1], grad[:, i:i + 1],
