@@ -411,3 +411,16 @@ def test_a_term_linear_in_its_active_leaves_gives_positive_zero_blocks():
             assert jet.hess.shape == (2, 2) + shape and jet.third.shape == (2, 2, 2) + shape
             for block in (jet.hess, jet.third):
                 assert not block.any() and not np.signbit(block).any(), source
+
+
+def test_dense_fills_absent_blocks_with_positive_zeros_and_keeps_its_input():
+    from escm.jets import Jet
+
+    grad = np.zeros((3, 2))
+    grad[1] = 1.0
+    jet = Jet(np.array([1.0, 2.0]), grad, None, None, 3)
+    dense = jet.dense()
+    assert dense.hess.shape == (3, 3, 2) and dense.third.shape == (3, 3, 3, 2)
+    assert not dense.hess.any() and not np.signbit(dense.third).any()
+    assert jet.hess is None and jet.third is None and dense.grad is grad
+    assert Jet(1.5, grad[:, 0], None, None, 2).dense().third is None
