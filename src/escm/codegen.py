@@ -5,10 +5,10 @@ Python function generated from its compiled expression trees (source
 transformation; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 SIAM 2008, ch. 6).  The function is generated for one *shape*: the trees
 with every constant replaced by its position in the term's constant tuple
-and every coordinate by its position in the term's ``refs``, the slot each
-coordinate takes among the active ones (or none), and the derivative order
-0 to 3.  Terms of one shape share one code object, compiled on first use
-and kept for the life of the process.
+and every coordinate by the order in which the term first reads it, the
+slot each coordinate takes among the active ones (or none), and the
+derivative order 0 to 3.  Terms of one shape share one code object,
+compiled on first use and kept for the life of the process.
 
 The generated code applies the forward-mode rules of a truncated Taylor
 value one operation at a time, with the operands of a post-order walk of
@@ -199,7 +199,9 @@ def _pow_params(n: int) -> list:
 
 def _shape(node, local: dict[int, int], consts: list, nodes: list, source: str):
     """The shape tuple of ``node``; appends its constants to ``consts`` and
-    (source, node) to ``nodes``, both in preorder."""
+    (source, node) to ``nodes``, both in preorder, and numbers each flat
+    index in ``local`` when first read, so the numbering follows the text
+    and not the coordinate layout."""
     nodes.append((source, node))
     if isinstance(node, Num):
         consts.append(node.value)
@@ -208,7 +210,7 @@ def _shape(node, local: dict[int, int], consts: list, nodes: list, source: str):
         if node.ref is None:
             consts.append(node.const)
             return ("c",)
-        return ("x", local[node.ref])
+        return ("x", local.setdefault(node.ref, len(local)))
     if isinstance(node, Neg):
         return ("neg", _shape(node.child, local, consts, nodes, source))
     if isinstance(node, Bin):
@@ -230,16 +232,9 @@ class _TermCode:
 
     __slots__ = ("owner", "refs", "index", "gather", "shape", "consts", "nodes", "functions")
 
-    def __init__(self, owner, pieces, refs):
+    def __init__(self, owner, pieces):
         self.owner = owner
-        self.refs = refs
-        self.index = np.array(refs, dtype=np.intp)
-        if len(refs) == 1:
-            ref = refs[0]
-            self.gather = lambda values: (values[ref],)
-        else:
-            self.gather = itemgetter(*refs) if refs else (lambda values: ())
-        local = {ref: j for j, ref in enumerate(refs)}
+        local: dict[int, int] = {}  # flat index -> leaf number, in order of first use
         consts: list = []
         self.nodes: list = []
         shape = []
@@ -249,8 +244,15 @@ class _TermCode:
                 consts.append(coeff)
             shape.append((one, _shape(compiled.expr.root, local, consts, self.nodes,
                                       compiled.expr.source)))
-        self.shape = _number((len(refs), tuple(shape)))
+        self.shape = _number((len(local), tuple(shape)))
         self.consts = tuple(consts)
+        self.refs = refs = tuple(local)
+        self.index = np.array(refs, dtype=np.intp)
+        if len(refs) == 1:
+            ref = refs[0]
+            self.gather = lambda values: (values[ref],)
+        else:
+            self.gather = itemgetter(*refs) if refs else (lambda values: ())
         self.functions: dict = {}
 
     def function(self, active, order: int, batch: bool):
@@ -278,7 +280,7 @@ class _TermCode:
 def _code(term) -> _TermCode:
     code = term.code
     if code is None:
-        code = term.code = _TermCode(term.owner, term.pieces, term.refs)
+        code = term.code = _TermCode(term.owner, term.pieces)
     return code
 
 
@@ -299,7 +301,7 @@ def expr_value(compiled, values):
     :func:`term_value` gives it; a domain error names no owner."""
     code = compiled.code
     if code is None:
-        code = compiled.code = _TermCode(None, ((1.0, compiled),), compiled.refs)
+        code = compiled.code = _TermCode(None, ((1.0, compiled),))
     return _value(code, values)
 
 
