@@ -14,13 +14,13 @@ The generated code applies the forward-mode rules of a truncated Taylor
 value one operation at a time, with the operands of a post-order walk of
 the tree, and keeps each subexpression's static sparsity: a slot that a
 subexpression does not read gets no line, and a Hessian or third-order
-block that is structurally zero is never formed.  A subexpression that
-reads no active slot is one Python expression; gradient entries and
-chain-rule coefficients are one line each, and an intermediate that is
-read once is substituted where it is read.  That may run an operation that
-cannot raise later than the walk does; the ones that may raise keep the
-walk's order, so the first failure is the walk's.  A Hessian or third
-block is unrolled into one line per entry only while it has at most
+block that is structurally zero is never formed.  Every operation (a
+value, a gradient entry, a chain-rule coefficient) is one assignment, in
+the order of the walk.  Expressions nest one way only: :func:`_inline`
+substitutes an intermediate that is read once and cannot raise where it
+is read.  An operation that may raise stays its own assignment and keeps
+its place, so the first failure is the walk's.  A Hessian or third block
+is unrolled into one line per entry only while it has at most
 ``MAX_UNROLLED`` entries; a larger block is one numpy expression over the
 term's full slot layout (:func:`escm.jets._outer`, ``_outer_sym`` and
 ``_sym3``), the dense formula itself.  Dropping a structurally zero
@@ -28,10 +28,11 @@ operand leaves every entry bitwise what the dense sum gives, except that a
 zero entry may differ in sign.
 
 The same code object runs one point in Python floats and a batch of points
-on ``(B,)`` arrays: it is bound to one of two helper tables.  In a batch,
-``exp``, ``log``, ``tanh`` and integer powers evaluate entry by entry in
-Python floats, so every batch entry is bitwise its point alone, and a
-domain check reports the first failing entry.
+on ``(B,)`` arrays: when it is compiled, it is bound to each of two helper
+tables, as two functions cached together.  In a batch, ``exp``, ``log``,
+``tanh`` and integer powers evaluate entry by entry in Python floats, so
+every batch entry is bitwise its point alone, and a domain check reports
+the first failing entry.
 
 Generated source holds no text from a model: only generated names (``a``
 leaves, ``k`` constants, ``v`` intermediates), integer slots, a few fixed
@@ -228,7 +229,7 @@ def _shape(node, local: dict[int, int], consts: list, nodes: list, source: str):
 
 class _TermCode:
     """What evaluating one term needs: its shape, constants and leaf
-    gatherers, and the functions for each (active, order, batch) seen."""
+    gatherers, and the pair of functions for each (active, order) seen."""
 
     __slots__ = ("owner", "refs", "index", "gather", "shape", "consts", "nodes", "functions")
 
@@ -256,12 +257,11 @@ class _TermCode:
         self.functions: dict = {}
 
     def function(self, active, order: int, batch: bool):
-        key = (tuple(active), order, batch)
-        fn = self.functions.get(key)
-        if fn is None:
-            fn = self.functions[key] = _function(self.shape, *self.slots(key[0], order), order,
-                                                 batch)
-        return fn
+        key = (tuple(active), order)
+        pair = self.functions.get(key)
+        if pair is None:
+            pair = self.functions[key] = _functions(self.shape, *self.slots(key[0], order), order)
+        return pair[batch]
 
     def slots(self, active: tuple, order: int) -> tuple[tuple[int, ...], int]:
         """The slot of each ref among ``active`` (-1 for none), and the
@@ -339,8 +339,7 @@ def term_jet(term, x: np.ndarray, active, order: int):
 
 _SHAPES: list = []     # every shape seen, numbered so that keys below hash quickly
 _NUMBERS: dict = {}    # shape -> its number
-_CODES: dict = {}      # (shape number, slots, k, order) -> code object
-_FUNCTIONS: dict = {}  # (shape number, slots, k, order, batch) -> function
+_FUNCTIONS: dict = {}  # (shape number, slots, k, order) -> (function on floats, on batches)
 
 
 def source(term, active, order: int) -> str:
@@ -358,18 +357,15 @@ def _number(shape) -> int:
     return number
 
 
-def _function(shape: int, slots, k, order, batch):
+def _functions(shape: int, slots, k, order) -> tuple:
     key = (shape, slots, k, order)
-    fn = _FUNCTIONS.get(key + (batch,))
-    if fn is None:
-        code = _CODES.get(key)
-        if code is None:
-            source = generate(_SHAPES[shape], slots, k, order)
-            module = compile(source, "<escm term>", "exec")
-            code = _CODES[key] = next(c for c in module.co_consts if isinstance(c, types.CodeType))
-        fn = _FUNCTIONS[key + (batch,)] = types.FunctionType(
-            code, _BATCH if batch else _SCALAR, "term")
-    return fn
+    pair = _FUNCTIONS.get(key)
+    if pair is None:
+        module = compile(generate(_SHAPES[shape], slots, k, order), "<escm term>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+        pair = _FUNCTIONS[key] = (types.FunctionType(code, _SCALAR, "term"),
+                                  types.FunctionType(code, _BATCH, "term"))
+    return pair
 
 
 def _tuple(items) -> str:
@@ -378,27 +374,20 @@ def _tuple(items) -> str:
 
 
 class _Val:
-    """A generated subexpression.  ``v`` is the text of its value: a name,
-    or for a frozen subexpression (one that reads no active slot) possibly
-    a whole expression of precedence ``p`` (5 a name, 4 a call, 3 unary
-    minus, 2 ``*`` ``/``, 1 ``+`` ``-``) that may raise if ``r`` and nests
-    ``d`` parentheses deep.  One that reads an active slot also has its
-    gradient ({slot: name}) and its Hessian and third blocks, each None
-    (zero), a dict of unrolled entries (Hessian keys i <= j; third keys
-    every ordered triple) or the name of a dense array over all ``k``
-    slots."""
+    """A generated subexpression: the name ``v`` of its value and, if it
+    reads an active slot, its gradient ({slot: name}) and its Hessian and
+    third blocks, each None (zero), a dict of unrolled entries (Hessian keys
+    i <= j; third keys every ordered triple) or the name of a dense array
+    over all ``k`` slots."""
 
-    __slots__ = ("v", "g", "h", "t", "vec", "p", "r", "d")
+    __slots__ = ("v", "g", "h", "t", "vec")
 
-    def __init__(self, v, g=None, h=None, t=None, p=5, r=False, d=0):
+    def __init__(self, v, g=None, h=None, t=None):
         self.v, self.g, self.h, self.t = v, g, h, t
         self.vec = None
-        self.p, self.r, self.d = p, r, d
 
 
 _ZERO = "0.0"  # a coefficient that is exactly 0.0: its terms are skipped
-_MAX_NESTING = 40  # parentheses in one frozen expression, far below Python's limit
-_MAX_TEXT = 2000   # characters in one frozen expression
 
 
 class _Gen:
@@ -416,34 +405,6 @@ class _Gen:
         self.names += 1
         self.lines.append((indent, name, expr, raises))
         return name
-
-    def name(self, x: _Val) -> str:
-        """The value of ``x`` as a name, computing an expression here."""
-        if x.p < 5:
-            x.v, x.p, x.r, x.d = self.let(x.v, raises=x.r), 5, False, 0
-        return x.v
-
-    def operand(self, x: _Val, p: int) -> str:
-        """The value of ``x`` as an operand of an operator of precedence
-        ``p`` (0 for a call's argument); a deep or long expression is
-        computed on a line of its own."""
-        if x.d > _MAX_NESTING or len(x.v) > _MAX_TEXT:
-            self.name(x)
-        return x.v if x.p >= p else f"({x.v})"
-
-    def infix(self, a: _Val, op: str, b: _Val, p: int) -> tuple[str, int]:
-        """``a op b`` for an operator of precedence ``p``, left-associative,
-        and its nesting depth."""
-        if a.r and (b.d > _MAX_NESTING or len(b.v) > _MAX_TEXT):
-            self.name(a)  # it fails, if at all, before b, which gets a line
-        text = f"{self.operand(a, p)} {op} {self.operand(b, p + 1)}"
-        return text, max(a.d + (a.p < p), b.d + (b.p <= p))
-
-    def call_text(self, fn: str, x: _Val, *args) -> _Val:
-        """The frozen call ``fn(x, *args)``, which may raise unless it is
-        ``_tanh``."""
-        text = ", ".join((self.operand(x, 0),) + tuple(map(str, args)))
-        return _Val(f"{fn}({text})", p=4, r=x.r or fn != "_tanh", d=x.d + 1)
 
     # -- blocks ---------------------------------------------------------------
 
@@ -563,16 +524,17 @@ class _Gen:
 
     def scaled(self, x: _Val, c: str, op: str = "*") -> _Val:
         """A jet times (or divided by) the name ``c`` of a non-jet."""
-        h = self.map(x.h, f"{c} * {{}}" if op == "*" else f"{{}} / {c}")
-        t = self.map(x.t, f"{c} * {{}}" if op == "*" else f"{{}} / {c}")
-        v, d = self.infix(x, op, _Val(c), 2)
-        return _Val(v, {s: self.let(f"{n} {op} {c}") for s, n in x.g.items()}, h, t, 2, d=d)
+        fmt = f"{c} * {{}}" if op == "*" else f"{{}} / {c}"
+        return _Val(self.let(f"{x.v} {op} {c}"),
+                    {s: self.let(f"{n} {op} {c}") for s, n in x.g.items()},
+                    self.map(x.h, fmt), self.map(x.t, fmt))
 
     def negated(self, x: _Val) -> _Val:
-        return _Val(f"-{self.operand(x, 3)}", {s: self.let(f"-{n}") for s, n in x.g.items()},
-                    self.map(x.h, "-{}"), self.map(x.t, "-{}"), 3, d=x.d + (x.p < 3))
+        return _Val(self.let(f"-{x.v}"), {s: self.let(f"-{n}") for s, n in x.g.items()},
+                    self.map(x.h, "-{}"), self.map(x.t, "-{}"))
 
     def plus(self, a: _Val, b: _Val, op: str) -> _Val:
+        v = self.let(f"{a.v} {op} {b.v}")
         g = dict(a.g)
         for s, nb in b.g.items():
             na = a.g.get(s)
@@ -580,12 +542,11 @@ class _Gen:
                 g[s] = self.let(f"{na} {op} {nb}")
             else:
                 g[s] = nb if op == "+" else self.let(f"0.0 - {nb}")
-        v, d = self.infix(a, op, b, 1)
         return _Val(v, dict(sorted(g.items())),
-                    self.add(a.h, b.h, 2, op), self.add(a.t, b.t, 3, op), 1, d=d)
+                    self.add(a.h, b.h, 2, op), self.add(a.t, b.t, 3, op))
 
     def times(self, a: _Val, b: _Val) -> _Val:
-        self.name(a), self.name(b)
+        v = self.let(f"{a.v} * {b.v}")
         g = {}
         for s in sorted(a.g.keys() | b.g.keys()):
             ga, gb = a.g.get(s), b.g.get(s)
@@ -605,7 +566,7 @@ class _Gen:
                 t = self.add(t, self.sym3(a.h, b), 3)
             if b.h is not None:
                 t = self.add(t, self.sym3(b.h, a), 3)
-        return _Val(f"{a.v} * {b.v}", g, h, t, 2)
+        return _Val(v, g, h, t)
 
     def chain(self, x: _Val, f0: str, f1: str, f2: str, f3: str) -> _Val:
         """f(x) from the coefficients f0..f3 of f at x's value."""
@@ -642,47 +603,32 @@ class _Gen:
             return self.power(node, shape[1], shape[2])
         if kind == "neg":
             x = self.emit(shape[1])
-            if x.g is None:
-                return _Val(f"-{self.operand(x, 3)}", p=3, r=x.r, d=x.d + (x.p < 3))
-            return self.negated(x)
+            return _Val(self.let(f"-{x.v}")) if x.g is None else self.negated(x)
         if kind in ("+", "-", "*", "/"):
             a = self.emit(shape[1])
-            if a.g is None and a.r:  # it fails, if at all, before the right side
-                self.name(a)
             return self.binary(node, kind, a, self.emit(shape[2]))
-        x = self.emit(shape[1])
-        return self.call(node, kind, x)
+        return self.call(node, kind, self.emit(shape[1]))
 
     def binary(self, node: int, op: str, a: _Val, b: _Val) -> _Val:
         if a.g is None and b.g is None:
             if op == "/":
-                if a.r and (b.d > _MAX_NESTING or len(b.v) > _MAX_TEXT):
-                    self.name(a)  # it fails, if at all, before b, which gets a line
-                a_text, b_text = self.operand(a, 0), self.operand(b, 0)
-                return _Val(f"_dv({a_text}, {b_text}, {node})", p=4, r=True,
-                            d=max(a.d, b.d) + 1)
-            p = 1 if op in "+-" else 2
-            text, d = self.infix(a, op, b, p)
-            return _Val(text, p=p, r=a.r or b.r, d=d)
+                return _Val(self.let(f"_dv({a.v}, {b.v}, {node})", raises=True))
+            return _Val(self.let(f"{a.v} {op} {b.v}"))
         if op in "+-":
             if b.g is None:
-                if b.r:  # it fails, if at all, here
-                    self.name(b)
-                v, d = self.infix(a, op, b, 1)
-                return _Val(v, a.g, a.h, a.t, 1, d=d)
+                return _Val(self.let(f"{a.v} {op} {b.v}"), a.g, a.h, a.t)
             if a.g is None:
                 if op == "-":  # (-b) + a
                     b = self.negated(b)
-                v, d = self.infix(b, "+", a, 1)
-                return _Val(v, b.g, b.h, b.t, 1, d=d)
+                return _Val(self.let(f"{b.v} + {a.v}"), b.g, b.h, b.t)
             return self.plus(a, b, op)
         if op == "*":
             if b.g is None:
-                return self.scaled(a, self.name(b))
+                return self.scaled(a, b.v)
             if a.g is None:
-                return self.scaled(b, self.name(a))
+                return self.scaled(b, a.v)
             return self.times(a, b)
-        self.lines.append(f"_nz({self.name(b)}, {node})")
+        self.lines.append(f"_nz({b.v}, {node})")
         if b.g is None:
             return self.scaled(a, b.v, "/")
         v = b.v
@@ -693,7 +639,7 @@ class _Gen:
         self.lines += ["except ZeroDivisionError:",
                        f"    _divzero({node})"]
         recip = self.chain(b, *f)
-        return self.times(a, recip) if a.g is not None else self.scaled(recip, self.name(a))
+        return self.times(a, recip) if a.g is not None else self.scaled(recip, a.v)
 
     def power(self, node: int, cls: int, child) -> _Val:
         # parameters: n, then (coefficient, exponent) per nonzero order
@@ -702,9 +648,8 @@ class _Gen:
         x = self.emit(child)
         if x.g is None:
             if cls < 0:
-                return self.call_text("_pwz", x, params[0], node)
-            return self.call_text("_pw", x, params[0])
-        self.name(x)
+                return _Val(self.let(f"_pwz({x.v}, {params[0]}, {node})", raises=True))
+            return _Val(self.let(f"_pw({x.v}, {params[0]})", raises=True))
         if cls < 0:
             self.lines.append(f"_nzb({x.v}, {node})")
         f = [self.let(f"{params[1 + 2 * j]} * _pw({x.v}, {params[2 + 2 * j]})", raises=True)
@@ -713,19 +658,21 @@ class _Gen:
         return self.chain(x, *f)
 
     def call(self, node: int, fn: str, x: _Val) -> _Val:
-        if x.g is None:
-            if fn == "sq":
-                v = self.name(x)
-                return _Val(f"{v} * {v}", p=2)
-            return self.call_text("_log", x, node) if fn == "log" else self.call_text(f"_{fn}", x)
-        v = self.name(x)
+        v = x.v
         if fn == "sq":
-            return self.chain(x, self.let(f"{v} * {v}"), self.let(f"2.0 * {v}"), "2.0", _ZERO)
+            f0 = self.let(f"{v} * {v}")
+        elif fn == "log":
+            f0 = self.let(f"_log({v}, {node})", raises=True)
+        else:
+            f0 = self.let(f"_{fn}({v})", raises=fn == "exp")
+        if x.g is None:
+            return _Val(f0)
+        if fn == "sq":
+            return self.chain(x, f0, self.let(f"2.0 * {v}"), "2.0", _ZERO)
         if fn == "log":
-            return self.chain(x, self.let(f"_log({v}, {node})", raises=True),
-                              self.let(f"1.0 / {v}"), self.let(f"-1.0 / _pw({v}, 2)", raises=True),
+            return self.chain(x, f0, self.let(f"1.0 / {v}"),
+                              self.let(f"-1.0 / _pw({v}, 2)", raises=True),
                               self.let(f"2.0 / _pw({v}, 3)", raises=True))
-        f0 = self.let(f"_{fn}({v})", raises=fn == "exp")
         if fn == "exp":
             return self.chain(x, f0, f0, f0, f0)
         d1 = self.let(f"1.0 - {f0} * {f0}")
@@ -740,16 +687,10 @@ def generate(shape, slots, k: int, order: int) -> str:
     nleaf, pieces = shape
     total = None
     for one, tree in pieces:
-        if total is not None and total.g is None and total.r:
-            gen.name(total)  # it fails, if at all, before the next piece
-        coeff = None if one else gen.consts(1)[0]
+        coeff = None if one else _Val(gen.consts(1)[0])
         piece = gen.emit(tree)
         if coeff is not None:
-            if piece.g is not None:
-                piece = gen.scaled(piece, coeff)
-            else:
-                text, d = gen.infix(_Val(coeff), "*", piece, 2)
-                piece = _Val(text, p=2, r=piece.r, d=d)
+            piece = gen.binary(-1, "*", coeff, piece)
         total = piece if total is None else gen.binary(-1, "+", total, piece)
     head = ["def term(L, K, one, zero, bs):" if order else "def term(L, K):"]
     if nleaf:
@@ -775,10 +716,14 @@ _MAX_INLINED = 300  # characters of one substituted intermediate
 def _inline(lines: list) -> list[str]:
     """The source lines of ``lines``, with every intermediate that is read
     once and cannot raise substituted, parenthesised, where it is read,
-    while its text stays under ``_MAX_INLINED`` characters.  Each operation
-    keeps its operands and so its rounding; it only runs later, and nothing
-    that may raise moves, so a failure is still the first one of the
-    post-order walk.  Python compiles the shorter source faster."""
+    while its text stays under ``_MAX_INLINED`` characters.  This is the one
+    way generated code nests expressions.  A substituted operation keeps its
+    operands and so its rounding; it only runs later.  An assignment that
+    may raise is never substituted, so every raising operation runs where
+    the post-order walk puts it and the first failure is the walk's.  Each
+    level of nesting costs a pair of parentheses, so the length bound keeps
+    every line far inside what Python's parser accepts; and Python compiles
+    the shorter source faster."""
     uses = Counter(_TEMP.findall("\n".join(
         line[2] if isinstance(line, tuple) else line for line in lines)))
     subst: dict[str, str] = {}

@@ -567,7 +567,7 @@ def _per_term_z_derivs(model: Model, point: Point, order: int):
     return out
 
 
-def _head_payload(target, head: str, point: Point, base: Point | None):
+def _head_payload(target, head: str, point: Point):
     order = 2 if head == "H_Hess" else 1
     if isinstance(target, GaugedModel):
         raw = _per_term_z_derivs(target.model, target.pullback_point(point), order)
@@ -609,10 +609,10 @@ def probe(target, head: str, points: list[Point], base: Point | None = None) -> 
     if not points:
         raise QueryError("probe needs at least one sample point")
     base_point = base if base is not None else points[0]
-    base_payload = _head_payload(target, head, base_point, None) if head == "H_deltaE" else None
+    base_payload = _head_payload(target, head, base_point) if head == "H_deltaE" else None
     outputs = []
     for point in points:
-        payload = _head_payload(target, head, point, base_point)
+        payload = _head_payload(target, head, point)
         if head == "H_deltaE":
             payload = {owner: float(payload[owner]) - float(base_payload[owner])
                        for owner in payload}

@@ -15,7 +15,8 @@ The grammar is deliberately small so that models stay diffable text:
 Every whitelisted function is twice continuously differentiable on its
 domain; ``log`` checks positivity at evaluation time.  The ``s`` symbol is
 only legal in selection-cost expressions, where it names the candidate
-value of a set-valued intervention.
+value of a set-valued intervention.  An expression nests at most
+``MAX_DEPTH`` levels deep.
 
 This module parses text into an AST and resolves every symbol to a flat
 index or a constant (:func:`compile_expr`); it evaluates nothing.
@@ -29,9 +30,17 @@ from typing import Callable
 
 from .errors import ExprSyntaxError, QueryError, UnknownSymbolError
 
-__all__ = ["Expr", "parse_expr", "compile_expr", "compile_query", "CompiledExpr", "FUNCTIONS"]
+__all__ = ["Expr", "parse_expr", "compile_expr", "compile_query", "CompiledExpr", "FUNCTIONS",
+           "MAX_DEPTH"]
 
 FUNCTIONS = ("exp", "log", "tanh", "sq", "pow")
+
+# The deepest an expression may nest: in its tree, and in parentheses,
+# calls and minus signs open at once in its text.  More than twice the
+# deepest term of a 160-node corpus model (56 to 66 levels over seeds 0-9
+# at density 0.3), and shallow enough that parsing, code generation and
+# evaluation stay inside Python's default recursion limit.
+MAX_DEPTH = 150
 
 # leading whitespace, then one token: the first alternative that matches;
 # ``bad`` takes any other character
@@ -77,11 +86,15 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class Node:
+    """An AST node: its span ``start:end`` in the source, and its
+    ``height``, the levels of the tree it roots (1 for a leaf)."""
+
     __slots__ = ("start", "end")
 
 
 class Num(Node):
     __slots__ = ("value",)
+    height = 1
 
     def __init__(self, value: float, start: int, end: int):
         self.value = value
@@ -96,6 +109,7 @@ class Sym(Node):
     or ``const`` to the value it is bound to."""
 
     __slots__ = ("parts", "comp", "text", "ref", "const")
+    height = 1
 
     def __init__(self, parts: tuple[str, ...], comp: int | None, text: str, start: int, end: int):
         self.parts = parts
@@ -110,10 +124,11 @@ class Sym(Node):
 
 
 class Neg(Node):
-    __slots__ = ("child",)
+    __slots__ = ("child", "height")
 
     def __init__(self, child: Node, start: int, end: int):
         self.child = child
+        self.height = child.height + 1
         self.start, self.end = start, end
 
     def children(self):
@@ -121,12 +136,13 @@ class Neg(Node):
 
 
 class Bin(Node):
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "height")
 
     def __init__(self, op: str, left: Node, right: Node):
         self.op = op
         self.left = left
         self.right = right
+        self.height = max(left.height, right.height) + 1
         self.start, self.end = left.start, right.end
 
     def children(self):
@@ -134,10 +150,11 @@ class Bin(Node):
 
 
 class Pow(Node):
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "height")
 
     def __init__(self, base: Node, exponent: int, start: int, end: int):
         self.base = base
+        self.height = base.height + 1
         self.exponent = exponent
         self.start, self.end = start, end
 
@@ -146,11 +163,12 @@ class Pow(Node):
 
 
 class Call(Node):
-    __slots__ = ("fn", "child")
+    __slots__ = ("fn", "child", "height")
 
     def __init__(self, fn: str, child: Node, start: int, end: int):
         self.fn = fn
         self.child = child
+        self.height = child.height + 1
         self.start, self.end = start, end
 
     def children(self):
@@ -190,6 +208,7 @@ class _Parser:
         # a sentinel closes the list; its text equals no token's text
         self.tokens = _tokenize(source) + [_Token("end", " ", len(source))]
         self.i = 0
+        self.depth = 0  # calls of unary() open: each paren, call or minus nests one
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -230,11 +249,17 @@ class _Parser:
 
     def unary(self) -> Node:
         tok = self.tokens[self.i]
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.source, tok.pos)
         if tok.text == "-":
             self.i += 1
             child = self.unary()
-            return Neg(child, tok.pos, child.end)
-        return self.atom()
+            node = Neg(child, tok.pos, child.end)
+        else:
+            node = self.atom()
+        self.depth -= 1
+        return node
 
     def atom(self) -> Node:
         tok = self.next()
@@ -298,11 +323,19 @@ class _Parser:
         return Sym(tuple(parts), comp, text, head.pos, end)
 
 
+def _too_deep(source: str, pos: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", source, pos)
+
+
 def parse_expr(source: str) -> Expr:
-    """Parse expression text; raises :class:`ExprSyntaxError` with position."""
+    """Parse expression text; raises :class:`ExprSyntaxError` with position,
+    also for an expression nested deeper than :data:`MAX_DEPTH`."""
     if not isinstance(source, str) or not source.strip():
         raise ExprSyntaxError("empty expression", source if isinstance(source, str) else "", 0)
-    return Expr(source, _Parser(source).parse())
+    root = _Parser(source).parse()
+    if root.height > MAX_DEPTH:  # a chain of binary operators nests in the tree only
+        raise _too_deep(source, root.start)
+    return Expr(source, root)
 
 
 # ---------------------------------------------------------------------------

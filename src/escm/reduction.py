@@ -14,10 +14,11 @@ draws of a chunk whose edits share their terms run through the solver's
 Newton loop as one batch, damped steps included, so no draw is handed
 off or solved again.  The energy side starts from zeros, never from the
 forward sweep, so the checks refuse any other ``SolverConfig.init``:
-from the sweep it would compare the sweep with itself.  On the SCM side the route is still bracketed root finding, now
-over a batch of draws: each draw runs the bracket expansion and a port
-of ``scipy.optimize.brentq`` on Python floats, and the slopes all of
-them need next are one batched jet evaluation.  Every draw's numbers are
+from the sweep it would compare the sweep with itself.  On the SCM side
+the route is still bracketed root finding, now over a batch of draws:
+each draw runs the bracket expansion and a port of
+``scipy.optimize.brentq`` on Python floats, and the slopes all of them
+need next are one batched jet evaluation.  Every draw's numbers are
 bitwise those of evaluating the draws one by one.
 
 A chunk runs as one batch or, if the batch raises, replays draw by draw

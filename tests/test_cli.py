@@ -493,3 +493,27 @@ def test_malformed_json_arguments_are_query_errors(capsys, request, path_fixture
     code, report = invoke(capsys, command, path, *options, "--no-timing")
     assert code == 3
     assert report["error"]["type"] == "QueryError"
+
+
+_DEEP = "(" * 250 + "z.Z0" + ")" * 250
+
+
+@pytest.mark.parametrize("expr, argv, exit_code", [
+    ("sq(" + _DEEP + ")", ("validate",), 1),
+    (" + ".join(["0.5*z.Z0*z.Z0"] * 1000), ("solve",), 1),
+    ("0.5*sq(z.Z0)", ("counterfactual", "--readouts", json.dumps({"r": _DEEP})), 3),
+])
+def test_deeply_nested_expressions_exit_with_one_json_error(capsys, tmp_path, expr, argv,
+                                                            exit_code):
+    spec = {"variables": [{"name": "Z0", "kind": "endogenous", "dim": 1}], "edges": [],
+            "terms": [{"owner": "local:Z0", "expr": expr}]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    command, *options = argv
+    code = run([command, str(path), *options, "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert "nested deeper than" in json.loads(lines[0])["error"]["message"]
+    assert "Traceback" not in captured.err

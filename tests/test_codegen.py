@@ -4,12 +4,16 @@ one code object."""
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
+import pytest
 
-from escm import codegen, parse_model
+from escm import ExprSyntaxError, codegen, parse_model
 from escm.engine import Objective, Point
+from escm.expr import MAX_DEPTH, compile_expr, parse_expr
+from escm.model import ObjectiveTerm
 
 # Names that are legal in a model file and dangerous in Python source.
 _VARS = ["__import__", "os", "t0", "exec", "sys"]
@@ -106,3 +110,95 @@ def test_terms_of_one_shape_share_one_code_object():
     assert fb is fd
     assert jb.value == 0.75 * (-1.0 - 2.5 * 0.5) ** 2
     assert jd.value == 1.25 * (0.25 - 0.5 * 2.0) ** 2
+
+
+def _nested_calls(depth: int) -> tuple[str, list[str]]:
+    """``depth`` levels of sq and tanh calls around z.Z0, and the calls
+    from the innermost out."""
+    fns = ["sq" if j % 50 == 0 else "tanh" for j in range(depth - 1)]
+    text = "z.Z0"
+    for fn in fns:
+        text = f"{fn}({text})"
+    return text, fns
+
+
+def _calls_jet(fns, x):
+    """Value and first three derivatives of the nested calls at ``x``."""
+    v, d1, d2, d3 = x, 1.0, 0.0, 0.0
+    for fn in fns:
+        if fn == "sq":
+            f0, f1, f2, f3 = v * v, 2.0 * v, 2.0, 0.0
+        else:
+            t = math.tanh(v)
+            f0, f1 = t, 1.0 - t * t
+            f2, f3 = -2.0 * t * f1, -2.0 * f1 * (1.0 - 3.0 * t * t)
+        v, d1, d2, d3 = (f0, f1 * d1, f2 * d1 * d1 + f1 * d2,
+                         f3 * d1 ** 3 + 3.0 * f2 * d1 * d2 + f1 * d3)
+    return v, d1, d2, d3
+
+
+def _cycle(depth: int, sep: str) -> str:
+    """A left-deep chain of ``depth`` levels over z.Z0, z.Z1, z.Z2: a
+    product of single leaves, or a sum of products of two."""
+    if sep == "*":
+        return "*".join(f"z.Z{j % 3}" for j in range(depth))
+    return " + ".join(f"z.Z{j % 3}*z.Z{(j + 1) % 3}" for j in range(depth - 1))
+
+
+# each form nested exactly MAX_DEPTH levels, and an expression equal to it
+# that nests shallowly; None means the nested calls, checked by the chain rule
+_AT_LIMIT = {
+    "parentheses": ("(" * (MAX_DEPTH - 1) + "z.Z0" + ")" * (MAX_DEPTH - 1), "z.Z0"),
+    "calls": (_nested_calls(MAX_DEPTH)[0], None),
+    "sum": (_cycle(MAX_DEPTH, "+"), " + ".join(
+        f"{(MAX_DEPTH - 1 - j + 2) // 3}.0*z.Z{j}*z.Z{(j + 1) % 3}" for j in range(3))),
+    "product": (_cycle(MAX_DEPTH, "*"), "*".join(
+        f"pow(z.Z{j}, {(MAX_DEPTH - j + 2) // 3})" for j in range(3))),
+}
+_DEEPER = {
+    "parentheses": "(" * MAX_DEPTH + "z.Z0" + ")" * MAX_DEPTH,
+    "calls": _nested_calls(MAX_DEPTH + 1)[0],
+    "sum": _cycle(MAX_DEPTH + 1, "+"),
+    "product": _cycle(MAX_DEPTH + 1, "*"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_AT_LIMIT))
+def test_expressions_at_the_depth_limit_evaluate(form):
+    deep, shallow = _AT_LIMIT[form]
+    with pytest.raises(ExprSyntaxError, match="nested deeper than"):
+        parse_expr(_DEEPER[form])
+    model = parse_model({"variables": [{"name": f"Z{j}", "kind": "endogenous", "dim": 1}
+                                       for j in range(3)],
+                         "edges": [], "terms": [{"owner": f"local:Z{j}", "expr": f"sq(z.Z{j})"}
+                                                for j in range(3)]})
+
+    def objective(source):
+        term = ObjectiveTerm("global", [(1.0, compile_expr(parse_expr(source),
+                                                           model.readout_resolver()))])
+        return Objective(model, [term]), term
+
+    deep_objective, term = objective(deep)
+    z = np.array([1.25, 0.75, 1.0625])
+    point = Point.for_model(model, z=z)
+    jet = deep_objective.term_jet(term, point, term.refs, 3)
+    if shallow is None:
+        want = _calls_jet(_nested_calls(MAX_DEPTH)[1], z[0])
+        assert deep_objective.value(point) == jet.value == want[0]
+        got = (jet.grad[0], jet.hess[0, 0], jet.third[0, 0, 0])
+        np.testing.assert_allclose(got, want[1:], rtol=1e-12)
+    else:
+        shallow_objective, shallow_term = objective(shallow)
+        assert shallow_term.refs == term.refs
+        want = shallow_objective.term_jet(shallow_term, point, term.refs, 3)
+        assert math.isclose(deep_objective.value(point), want.value, rel_tol=1e-12)
+        for got_block, want_block in zip((jet.value, jet.grad, jet.hess, jet.third),
+                                         (want.value, want.grad, want.hess, want.third)):
+            np.testing.assert_allclose(got_block, want_block, rtol=1e-12, atol=1e-12)
+    # three points at once give bitwise what each gives alone
+    x = np.stack([point.x, point.x * 0.5, point.x * 1.5], axis=1)
+    batch = deep_objective.derivatives(Point.from_flat(model, x), order=2)
+    for j in range(3):
+        alone = deep_objective.derivatives(Point.from_flat(model, x[:, j]), order=2)
+        assert batch.grad[..., j].tobytes() == alone.grad.tobytes()
+        assert batch.hess[..., j].tobytes() == alone.hess.tobytes()
