@@ -43,7 +43,6 @@ from .diagnostics import (
 )
 from .dynamics import (
     DynHardSurgery,
-    DynSoftSurgery,
     SteadyState,
     Trajectory,
     dyn_icm_check,

@@ -1,11 +1,12 @@
 """Surgery and the abduction-intervention-prediction pipeline.
 
 Hard surgery removes the target's local term and clamps its coordinates
-(children still read the clamped value).  Soft surgery blends the original
-local term with a replacement without deleting edges.  Set-valued surgery
-is kept as a family of hard branches: the envelope reports the family and
-its bounds, and an optional selection cost with a softmin temperature
-commits to (or blends) a branch.
+(children still read the clamped value).  Soft surgery blends the target's
+mechanism, a local term or a ``dynamics`` field component, with a
+replacement without deleting edges.  Set-valued surgery is kept as a
+family of hard branches: the envelope reports the family and its bounds,
+and an optional selection cost with a softmin temperature commits to (or
+blends) a branch.
 
 Prediction re-minimizes descendants of the edited mechanisms while holding
 the abducted exogenous configuration and all non-descendants fixed; the
@@ -24,7 +25,7 @@ from .codegen import expr_value
 from .engine import Objective, ObjectiveTerm, Point
 from .errors import EnergyDomainError, QueryError, SolverError
 from .expr import CompiledExpr, compile_query
-from .model import Model
+from .model import Model, VariableDecl
 from .solver import (Equilibrium, SolverConfig, finite_number, normalize_clamps,
                      normalize_refs, solve)
 
@@ -100,20 +101,33 @@ class DisjunctiveSurgery:
 Surgery = HardSurgery | SoftSurgery | DisjunctiveSurgery
 
 
+def _targets(model: Model, targets) -> list[VariableDecl]:
+    """The declarations of surgery targets, which must be endogenous and distinct."""
+    decls = [model.var(target) for target in targets]
+    for decl in decls:
+        if decl.kind != "endogenous":
+            raise QueryError(f"surgery target {decl.name!r} is not endogenous")
+    if len({decl.name for decl in decls}) != len(decls):
+        raise QueryError("multiple surgeries on the same target")
+    return decls
+
+
+def _weight(lam) -> float:
+    """A soft surgery weight: a finite number in [0, 1]."""
+    lam = finite_number(lam, "soft surgery weight")
+    if not 0.0 <= lam <= 1.0:
+        raise QueryError("soft surgery weight must lie in [0, 1]")
+    return lam
+
+
 def hard(model: Model, target: str, value) -> HardSurgery:
-    decl = model.var(target)
-    if decl.kind != "endogenous":
-        raise QueryError(f"surgery target {target!r} is not endogenous")
+    [decl] = _targets(model, [target])
     return HardSurgery(target, _as_vector(value, decl.dim, f"do({target})"))
 
 
 def soft(model: Model, target: str, lam: float, expr: str, params=None) -> SoftSurgery:
-    decl = model.var(target)
-    if decl.kind != "endogenous":
-        raise QueryError(f"surgery target {target!r} is not endogenous")
-    lam = finite_number(lam, "soft surgery weight")
-    if not 0.0 <= lam <= 1.0:
-        raise QueryError("soft surgery weight must lie in [0, 1]")
+    _targets(model, [target])
+    lam = _weight(lam)
     if not isinstance(expr, str):
         raise QueryError(f"soft surgery expression {expr!r} is not a string")
     if not isinstance(params or {}, dict):
@@ -135,9 +149,7 @@ def disjunctive(model: Model, target: str, values, rho=0.0, control=None, tau=0.
 def _disjunctive(model: Model, target: str, values, rho, control,
                  tau) -> tuple[DisjunctiveSurgery, CompiledExpr | None]:
     """:func:`disjunctive`, plus the compiled selection cost (or None)."""
-    decl = model.var(target)
-    if decl.kind != "endogenous":
-        raise QueryError(f"surgery target {target!r} is not endogenous")
+    [decl] = _targets(model, [target])
     if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
         raise QueryError(f"disjunctive values must be a list, not {values!r}")
     vecs = sorted({_as_vector(v, decl.dim, f"do({target} in S)") for v in values})
@@ -195,6 +207,13 @@ def _replacement(model: Model, surgery: SoftSurgery) -> CompiledExpr:
     return _compile_replacement(model, surgery.target, surgery.expr, surgery.params)
 
 
+def _blend(model: Model, surgery: SoftSurgery, original: CompiledExpr) -> ObjectiveTerm:
+    """``original`` (the target's local term or field component) blended
+    with the surgery's replacement at its weight."""
+    return ObjectiveTerm.blend(surgery.target, _weight(surgery.lam), original,
+                               _replacement(model, surgery))
+
+
 @dataclass
 class EditedEnergy:
     """Objective after surgery, plus the clamp set hard surgery induces."""
@@ -216,34 +235,24 @@ def apply_surgery(model: Model, surgeries) -> EditedEnergy:
     Set-valued surgeries are families of edits, not a single edit; expand
     them through :func:`disjunctive_envelope` or :func:`disjunctive_select`.
     """
-    if isinstance(surgeries, (HardSurgery, SoftSurgery, DisjunctiveSurgery)):
-        surgeries = [surgeries]
-    surgeries = tuple(surgeries)
+    surgeries = (surgeries,) if isinstance(surgeries, Surgery) else tuple(surgeries)
     if not all(isinstance(s, (HardSurgery, SoftSurgery)) for s in surgeries):
         raise QueryError("only hard and soft surgeries edit the energy; expand a disjunctive "
                          "one branchwise (use disjunctive_envelope or disjunctive_select)")
-    targets = [s.target for s in surgeries]
-    if len(set(targets)) != len(targets):
-        raise QueryError("multiple surgeries on the same target")
+    decls = _targets(model, [s.target for s in surgeries])
 
     terms = {t.label: t.objective_term for t in model.terms}
     clamps: dict[int, float] = {}
     hard_targets: list[str] = []
     soft_targets: list[str] = []
-    for s in surgeries:
-        decl = model.var(s.target)
-        if decl.kind != "endogenous":
-            raise QueryError(f"surgery target {s.target!r} is not endogenous")
+    for s, decl in zip(surgeries, decls):
         if isinstance(s, HardSurgery):
             value = _as_vector(s.value, decl.dim, f"do({s.target})")
             del terms[s.target]  # children still read the clamped value
             clamps.update(zip(model.coord_indices(s.target), value))
             hard_targets.append(s.target)
         else:
-            if not 0.0 <= s.lam <= 1.0:
-                raise QueryError("soft surgery weight must lie in [0, 1]")
-            terms[s.target] = ObjectiveTerm.blend(
-                s.target, s.lam, model.local_term(s.target).compiled, _replacement(model, s))
+            terms[s.target] = _blend(model, s, model.local_term(s.target).compiled)
             soft_targets.append(s.target)
 
     return EditedEnergy(Objective(model, terms.values()), clamps,

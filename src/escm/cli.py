@@ -34,7 +34,8 @@ EXIT_QUERY = 3
 
 def _read_model(path: str, mask_policy: str = "strict") -> Model:
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as err:
         raise QueryError(f"cannot read model file {path!r}: {err}") from None
     return parse_model(text, mask_policy=mask_policy)
@@ -139,7 +140,7 @@ def _cmd_abduct(model: Model, args) -> dict:
     }
 
 
-def _load_query(model: Model, args) -> dict:
+def _load_query(args) -> dict:
     query = _read_json_arg(args.query, "--query") if args.query else {}
     if getattr(args, "evidence", None):
         query["evidence"] = _read_json_arg(args.evidence, "--evidence")
@@ -155,7 +156,7 @@ def _load_query(model: Model, args) -> dict:
 
 
 def _cmd_counterfactual(model: Model, args) -> dict:
-    query = _load_query(model, args)
+    query = _load_query(args)
     surgeries = [causal.surgery_from_dict(model, s) for s in query.get("surgeries", [])]
     result = causal.counterfactual(
         model,
@@ -175,7 +176,7 @@ def _cmd_counterfactual(model: Model, args) -> dict:
 
 
 def _cmd_disjunct(model: Model, args) -> dict:
-    query = _load_query(model, args)
+    query = _load_query(args)
     for key in ("target", "values"):
         if key not in query:
             raise QueryError(f"disjunct query is missing {key!r}")

@@ -3,8 +3,9 @@
 Dynamics are declared per endogenous variable (scalar variables only) and
 obey the same parent mask as local energy terms.  Hard interventions act
 as feedback control, replacing the target's component with
-``gain * (value - z_target)``; soft interventions blend in a replacement
-field.  Integration is classical fixed-step fourth-order Runge-Kutta.
+``gain * (value - z_target)``; a soft intervention is a ``causal.SoftSurgery``
+that blends the target's component as ``causal.apply_surgery`` blends a local
+term.  Integration is classical fixed-step fourth-order Runge-Kutta.
 
 The dynamic checks test the field's residual F_i with the shared routines
 of ``diagnostics``: locality reads dF_i/dz_A and dF_i/dtheta_A from one
@@ -19,19 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .causal import SoftSurgery, _blend, _targets, surgery_from_dict
 from .codegen import term_value
 from .diagnostics import (IcmReport, LapReport, _independence_report, _locality_reports,
                           _penalty, nondesc_pairs)
-from .engine import Objective, ObjectiveTerm, Point
+from .engine import Objective, Point
 from .errors import QueryError, SingularSystemError, SolverError
-from .expr import compile_query
 from .model import Model
 from .solver import SolverConfig, finite_number
 
 __all__ = [
     "Trajectory",
     "DynHardSurgery",
-    "DynSoftSurgery",
     "SteadyState",
     "dyn_surgery_from_dict",
     "integrate",
@@ -58,35 +58,14 @@ class DynHardSurgery:
             raise QueryError("feedback gain must be positive")
 
 
-@dataclass(frozen=True)
-class DynSoftSurgery:
-    """Blend the target's field with a replacement at weight ``lam``."""
-
-    target: str
-    lam: float
-    expr: str
-
-    kind = "soft"
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise QueryError("soft surgery weight must lie in [0, 1]")
-        if not isinstance(self.expr, str):
-            raise QueryError(f"soft surgery expression {self.expr!r} is not a string")
-
-
 def dyn_surgery_from_dict(model: Model, data: dict):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise QueryError(f"bad dynamic surgery payload {data!r}")
-    target = data.get("target")
-    model.var(target)  # a QueryError unless it names a variable
-    if data["kind"] == "hard":
-        return DynHardSurgery(target, finite_number(data.get("value"), "feedback value"),
+    """A field edit from its JSON form: ``hard`` is feedback control with a
+    gain; any other payload goes to :func:`causal.surgery_from_dict`."""
+    if isinstance(data, dict) and data.get("kind") == "hard":
+        return DynHardSurgery(data.get("target"),
+                              finite_number(data.get("value"), "feedback value"),
                               finite_number(data.get("gain", 10.0), "feedback gain"))
-    if data["kind"] == "soft":
-        return DynSoftSurgery(target, finite_number(data.get("lambda", data.get("lam")),
-                                                    "soft surgery weight"), data.get("expr"))
-    raise QueryError(f"unknown dynamic surgery kind {data['kind']!r}")
+    return surgery_from_dict(model, data)
 
 
 @dataclass
@@ -114,28 +93,18 @@ class _Field:
         self.model = model
         self.objective = Objective.from_model(model)  # evaluates the rows' jets
         self.nodes = [v.name for v in model.endogenous]
+        surgeries = tuple(surgeries)
+        if not all(isinstance(s, (DynHardSurgery, SoftSurgery)) for s in surgeries):
+            raise QueryError("dynamic surgeries must be DynHardSurgery or SoftSurgery")
+        _targets(model, [s.target for s in surgeries])
+        edits = {s.target: s for s in surgeries}
         self.rows: list[tuple[str, object]] = []
-        hard: dict[str, DynHardSurgery] = {}
-        soft: dict[str, DynSoftSurgery] = {}
-        for s in surgeries:
-            if isinstance(s, DynHardSurgery):
-                hard[s.target] = s
-            elif isinstance(s, DynSoftSurgery):
-                soft[s.target] = s
-            else:
-                raise QueryError("dynamic surgeries must be DynHardSurgery or DynSoftSurgery")
-        for name in list(hard) + list(soft):
-            if name not in components:
-                raise QueryError(f"dynamic surgery target {name!r} has no component")
         for name in self.nodes:
-            if name in hard:
-                self.rows.append(("hard", hard[name]))
-                continue
-            if name in soft:
-                s = soft[name]
-                replacement = compile_query(s.expr, model.term_resolver(model.local_term(name)))
-                self.rows.append(("term", ObjectiveTerm.blend(
-                    name, s.lam, components[name].compiled, replacement)))
+            s = edits.get(name)
+            if isinstance(s, DynHardSurgery):
+                self.rows.append(("hard", s))
+            elif s is not None:
+                self.rows.append(("term", _blend(model, s, components[name].compiled)))
             else:
                 self.rows.append(("term", components[name].objective_term))
 

@@ -20,11 +20,19 @@ class SchemaError(ModelError):
     """Malformed model file (missing keys, wrong types, bad owner tags)."""
 
 
+#: the most characters of expression text an ExprSyntaxError message quotes;
+#: longer text is cut to a window around the position, marked with "..."
+EXCERPT_WIDTH = 80
+
+
 class ExprSyntaxError(ModelError):
     """Expression text failed to parse; carries the offending position."""
 
     def __init__(self, message: str, source: str, position: int):
-        super().__init__(f"{message} at position {position}: {source!r}")
+        start = max(0, min(position - EXCERPT_WIDTH // 2, len(source) - EXCERPT_WIDTH))
+        end = start + EXCERPT_WIDTH
+        excerpt = "..." * (start > 0) + repr(source[start:end]) + "..." * (end < len(source))
+        super().__init__(f"{message} at position {position}: {excerpt}")
         self.source = source
         self.position = position
 

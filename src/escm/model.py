@@ -198,15 +198,14 @@ class DynComponent:
 class Model:
     """Validated, immutable energy-structured causal model."""
 
-    def __init__(self, variables, dag, terms, dynamics, mask_policy, mask_warnings):
+    def __init__(self, variables, dag, terms, dynamics):
         self.variables: tuple[VariableDecl, ...] = tuple(variables)
         self.dag: Dag = dag
         self.terms: tuple[EnergyTerm, ...] = tuple(terms)
         self.dynamics: tuple[DynComponent, ...] | None = (
             tuple(dynamics) if dynamics is not None else None
         )
-        self.mask_policy = mask_policy
-        self.mask_warnings: tuple[str, ...] = tuple(mask_warnings)
+        self.mask_warnings: tuple[str, ...] = ()  # parse_model fills it after compiling
         self._readers: dict[int, list[int]] | None = None  # see _terms_reading
         self._build_indexes()
 
@@ -597,7 +596,7 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
         _require(not absent, f"dynamics must cover every endogenous variable; missing {absent}")
 
     warnings: list[str] = [] if mask_policy == "warn" else None
-    model = Model(variables, dag, terms, dynamics, mask_policy, warnings if warnings else [])
+    model = Model(variables, dag, terms, dynamics)
 
     # Compile after the full parameter table exists so that terms may refer
     # to parameters declared later in the file.

@@ -517,3 +517,4 @@ def test_deeply_nested_expressions_exit_with_one_json_error(capsys, tmp_path, ex
     assert len(lines) == 1
     assert "nested deeper than" in json.loads(lines[0])["error"]["message"]
     assert "Traceback" not in captured.err
+    assert len(captured.out.encode()) < 1000  # an excerpt, not the whole source

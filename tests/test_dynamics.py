@@ -8,12 +8,12 @@ import pytest
 
 from escm import (
     DynHardSurgery,
-    DynSoftSurgery,
     Point,
     QueryError,
     SolverError,
     integrate,
     parse_model,
+    soft,
     solve,
     steady_state,
 )
@@ -27,6 +27,7 @@ from escm.dynamics import (
     dyn_surgery_from_dict,
 )
 from escm.engine import Objective, ObjectiveTerm, effective_energy_pair
+from escm.cli import run
 from tests.conftest import chain2_dict
 from escm.corpus import random_quadratic_model
 
@@ -120,14 +121,14 @@ def test_energy_descends_along_blockwise_flow():
 def test_soft_dynamic_surgery_blends(chain2_dyn):
     replacement = "-(z.Z1 - 4)"
     full = steady_state(chain2_dyn, [1.0, 0.5],
-                        [DynSoftSurgery("Z1", 1.0, replacement)])
+                        [soft(chain2_dyn, "Z1", 1.0, replacement)])
     assert full.z[0] == pytest.approx(4.0, abs=1e-10)
     half = steady_state(chain2_dyn, [1.0, 0.5],
-                        [DynSoftSurgery("Z1", 0.5, replacement)])
+                        [soft(chain2_dyn, "Z1", 0.5, replacement)])
     # blended field: -(z-1)/2 - (z-4)/2 = 0 at z = 2.5
     assert half.z[0] == pytest.approx(2.5, abs=1e-10)
     identity = steady_state(chain2_dyn, [1.0, 0.5],
-                            [DynSoftSurgery("Z1", 0.0, replacement)])
+                            [soft(chain2_dyn, "Z1", 0.0, replacement)])
     assert identity.z[0] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -225,6 +226,32 @@ def test_dyn_surgery_from_dict(chain2_dyn):
     with pytest.raises(QueryError):
         dyn_surgery_from_dict(chain2_dyn, {"kind": "hard", "target": "Z1",
                                            "value": 0.0, "gain": -1.0})
+
+
+_DUPLICATE_EDITS = {
+    "hard+soft": [{"kind": "hard", "target": "Z1", "value": 3},
+                  {"kind": "soft", "target": "Z1", "lambda": 0.5, "expr": "-z.Z1"}],
+    "hard+hard": [{"kind": "hard", "target": "Z1", "value": 3},
+                  {"kind": "hard", "target": "Z1", "value": -3}],
+}
+
+
+@pytest.mark.parametrize("payload", _DUPLICATE_EDITS.values(), ids=_DUPLICATE_EDITS.keys())
+def test_field_edits_reject_duplicate_targets(chain2_dyn, capsys, payload):
+    surgeries = [dyn_surgery_from_dict(chain2_dyn, s) for s in payload]
+    with pytest.raises(QueryError, match="multiple surgeries on the same target"):
+        integrate(chain2_dyn, [0.0, 0.0], [1.0, 0.5], surgeries, t_end=0.1, dt=0.05)
+    with pytest.raises(QueryError, match="multiple surgeries on the same target"):
+        steady_state(chain2_dyn, [1.0, 0.5], surgeries)
+
+    code = run(["simulate", str(_GOLDEN_MODELS / "chain2_dyn.json"),
+                "--surgeries", json.dumps(payload), "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "QueryError"
+    assert "Traceback" not in captured.err
 
 
 def test_requires_dynamics(chain2):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from escm import EnergyDomainError, ExprSyntaxError, UnknownSymbolError, parse_model
+from escm.errors import EXCERPT_WIDTH
 from escm.codegen import expr_value
 from escm.expr import compile_expr, parse_expr
 from tests.conftest import chain2_dict
@@ -40,6 +41,21 @@ def test_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("1 + * 2")
     assert err.value.position == 4
+
+
+def test_syntax_error_quotes_a_bounded_excerpt():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("1 + * 2")
+    assert str(err.value) == "unexpected token '*' at position 4: '1 + * 2'"
+    source = "z.Z1 + " * 100 + "* 2"
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(source)
+    assert err.value.source == source and err.value.position == 700
+    assert str(err.value) == ("unexpected token '*' at position 700: ..."
+                              + repr(source[-EXCERPT_WIDTH:]))
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("* " + source)
+    assert str(err.value).endswith(repr(("* " + source)[:EXCERPT_WIDTH]) + "...")
 
 
 def test_unknown_function_rejected():
