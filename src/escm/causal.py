@@ -128,13 +128,8 @@ def hard(model: Model, target: str, value) -> HardSurgery:
 def soft(model: Model, target: str, lam: float, expr: str, params=None) -> SoftSurgery:
     _targets(model, [target])
     lam = _weight(lam)
-    if not isinstance(expr, str):
-        raise QueryError(f"soft surgery expression {expr!r} is not a string")
-    if not isinstance(params or {}, dict):
-        raise QueryError("soft surgery params must map names to numbers")
-    params = {k: finite_number(v, f"soft surgery param {k!r}") for k, v in (params or {}).items()}
     # compile now so mask violations surface at construction time
-    replacement = _compile_replacement(model, target, expr, params)
+    params, replacement = _compile_replacement(model, target, expr, params)
     surgery = SoftSurgery(target, lam, expr, params)
     # kept for apply_surgery; not a field, so equality, hash and JSON form
     # stay those of the four fields
@@ -179,32 +174,39 @@ def surgery_from_dict(model: Model, data: dict) -> Surgery:
     raise QueryError(f"unknown surgery kind {kind!r}")
 
 
-def _compile_replacement(model: Model, target: str, expr: str,
-                         params: dict[str, float]) -> CompiledExpr:
-    """Compile a replacement local term for ``target``.
+def _compile_replacement(model: Model, target: str, expr,
+                         params) -> tuple[dict[str, float], CompiledExpr]:
+    """Check and compile a replacement local term for ``target``: ``expr``
+    must be a string and ``params`` (or None) map names to finite numbers.
+    Returns the params as floats and the compiled replacement.
 
     The replacement obeys the target's parent mask.  Its own parameters are
     bound to their supplied values as constants so that the model's flat
     theta map (and with it every Point) stays valid for the edited energy.
     """
+    if not isinstance(expr, str):
+        raise QueryError(f"soft surgery expression {expr!r} is not a string")
+    if not isinstance(params or {}, dict):
+        raise QueryError("soft surgery params must map names to numbers")
+    params = {k: finite_number(v, f"soft surgery param {k!r}") for k, v in (params or {}).items()}
     base = model.term_resolver(model.local_term(target))
 
     def resolve(sym):
         if (sym.parts[0] == "theta" and len(sym.parts) == 3
                 and sym.parts[1] == target and sym.parts[2] in params):
-            return float(params[sym.parts[2]])
+            return params[sym.parts[2]]
         return base(sym)
 
-    return compile_query(expr, resolve)
+    return params, compile_query(expr, resolve)
 
 
 def _replacement(model: Model, surgery: SoftSurgery) -> CompiledExpr:
     """The compiled replacement of a soft surgery: the one :func:`soft`
-    kept for this model, else compiled now."""
+    kept for this model, else checked and compiled now."""
     owner, compiled = getattr(surgery, "_compiled", (None, None))
     if owner is model:
         return compiled
-    return _compile_replacement(model, surgery.target, surgery.expr, surgery.params)
+    return _compile_replacement(model, surgery.target, surgery.expr, surgery.params)[1]
 
 
 def _blend(model: Model, surgery: SoftSurgery, original: CompiledExpr) -> ObjectiveTerm:

@@ -38,7 +38,7 @@ Generated source holds no text from a model: only generated names (``a``
 leaves, ``k`` constants, ``v`` intermediates), integer slots, a few fixed
 float literals and the helpers below.  A domain failure raises
 :class:`DomainFault` with the preorder index of the failing node, which
-:func:`term_value` and :func:`term_jet` turn into the
+:func:`term_value`, :func:`term_jet` and :func:`active_blocks` turn into the
 :class:`~escm.errors.EnergyDomainError` naming the term's owner and the
 failing subexpression.
 """
@@ -58,7 +58,8 @@ from .errors import EnergyDomainError
 from .expr import Bin, Call, Neg, Num, Pow, Sym
 from .jets import _outer, _outer_sym, _sym3
 
-__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "term_jet", "source"]
+__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "term_jet",
+           "active_blocks", "source"]
 
 # A Hessian or third block with more entries than this is one numpy
 # expression instead of one line per entry.
@@ -332,6 +333,33 @@ def term_jet(term, x: np.ndarray, active, order: int):
         return fn(*args)
     except DomainFault as fault:
         raise code.error(fault) from None
+
+
+def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> list:
+    """(owner, positions, grad, hess, third) of every term in ``terms``
+    that reads a flat index in ``slot``, in term order, at the flat point
+    ``x``, (dim,) or (dim, B).  ``slot`` maps each active flat index to its
+    position; ``positions`` lists the term's active indices' positions, in
+    the order of the term's sorted refs, and the blocks are :func:`term_jet`'s
+    with respect to those indices.  Terms that read none are not run."""
+    if x.ndim > 1:
+        n = x.shape[1]
+        values, batch, tail = x, True, (np.ones(n), np.zeros(n), (n,))
+    else:
+        values, batch, tail = x.tolist(), False, (1.0, 0.0, ())
+    out = []
+    code = None
+    try:
+        for term in terms:
+            active = [r for r in term.refs if r in slot]
+            if active:
+                code = _code(term)
+                _, grad, hess, third = code.function(active, order, batch)(
+                    code.gather(values), code.consts, *tail)
+                out.append((term.owner, [slot[r] for r in active], grad, hess, third))
+    except DomainFault as fault:
+        raise code.error(fault) from None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,7 @@ def integrate(model: Model, z0, u, surgeries=(), t_end: float = 10.0,
     steps = round(finite_number(t_end / dt, "t_end / dt"))
     if (steps + 1) * max(model.nz, 1) * 8 > np.iinfo(np.intp).max:
         raise QueryError(f"t_end / dt is {steps} steps, more than an array can hold")
+    surgeries = tuple(surgeries)  # read twice: by the field and for the events
     field_fn = _Field(model, surgeries)
     point = Point.for_model(model, u=u, theta=theta)
     z = np.asarray(z0, dtype=float).copy()

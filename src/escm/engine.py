@@ -6,12 +6,16 @@ no finite differences.  Each model term is compiled once at parse into an
 :class:`ObjectiveTerm`, which every evaluation reads; only surgery builds
 new ones.  A caller names the coordinates it differentiates with respect
 to; the result is indexed by position in that list, so its size follows
-the query and not the model.  ``term_jet`` always returns a dense
-:class:`~escm.jets.Jet` over those coordinates.  ``derivatives`` calls
-``term_jet`` once for every term that reads one of them and adds each jet
-into the positions the term reads, so coordinates a term never mentions
-contribute exact zeros and the assembled Hessian is bitwise symmetric; it
-returns no energy value, which ``value`` computes.
+the query and not the model.  ``term_jet`` evaluates one term and always
+returns a dense :class:`~escm.jets.Jet` over those coordinates.
+``derivatives`` builds no jets: it runs the generated code of every term
+that reads one of them (:func:`escm.codegen.active_blocks`) and adds each
+kind of block, gradient, Hessian or third tensor, into its output with one
+``np.bincount`` over the positions the terms read, in term order.  So
+coordinates a term never mentions contribute exact zeros, a structurally
+zero block is skipped, the sums are those of adding the terms one after
+another, and the assembled Hessian is bitwise symmetric.  It returns no
+energy value, which ``value`` computes.
 
 A :class:`Point` may also hold a batch of points, ``x`` of shape
 ``(dim, B)``.  ``value``, ``term_jet`` and ``derivatives`` then carry a
@@ -21,6 +25,7 @@ bitwise what its point alone gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -177,29 +182,10 @@ class Objective:
         """
         self.check_point(point)
         refs = tuple(dict.fromkeys(range(self.dim) if active is None else active))
-        slot = {ref: j for j, ref in enumerate(refs)}
         k = len(refs)
-        batch = point.x.shape[1:]
-        grad = np.zeros((k,) + batch)
-        hess = np.zeros((k, k) + batch) if order >= 2 else None
-        third = np.zeros((k, k, k) + batch) if order >= 3 else None
-        owner_hess = {} if attribution else None
-        for term in self.terms:
-            term_active = [r for r in term.refs if r in slot]
-            if not term_active:
-                continue
-            jet = self.term_jet(term, point, term_active, order)
-            g = np.array([slot[r] for r in term_active])
-            grad[g] += jet.grad
-            if order >= 2:
-                rows = g[:, None]  # with g: the (g, g) block, as np.ix_(g, g)
-                hess[rows, g] += jet.hess
-                if owner_hess is not None:
-                    block = owner_hess.setdefault(term.owner, np.zeros((k, k) + batch))
-                    block[rows, g] += jet.hess
-            if order >= 3:
-                third[g[:, None, None], rows, g] += jet.third
-        return _Derivatives(refs, grad, hess, third, owner_hess)
+        blocks = codegen.active_blocks(self.terms, point.x,
+                                       {ref: j for j, ref in enumerate(refs)}, order)
+        return _Derivatives(refs, *_assemble(blocks, order, attribution, k, point.x.shape[1:]))
 
     def first_order(self, point: Point) -> FirstOrder:
         grad = self.derivatives(point, order=1).grad
@@ -218,6 +204,84 @@ class Objective:
         }
         return SecondOrder(h_zz=full.hess[zz], h_zu=full.hess[zu],
                            h_ztheta=full.hess[ztheta], attribution=attribution)
+
+
+def _assemble(blocks, order: int, attribution: bool, k: int, batch: tuple):
+    """grad, hess, third and owner_hess, as ``derivatives`` returns them,
+    from the blocks of :func:`escm.codegen.active_blocks`.
+
+    Each kind of block goes into its output in one ``np.bincount`` over
+    flat targets (:func:`_scatter`).  The targets of every rank come from
+    the concatenated positions with a fixed number of numpy calls: an entry
+    of rank r, read row-major in its term's block, opens a row of rank
+    r + 1 over its term's positions.  Ranks above the highest that has a
+    block, such as the third rank of quadratic terms, need no targets."""
+    values = [[block[1 + rank] for block in blocks if block[1 + rank] is not None]
+              for rank in range(1, order + 1)]
+    top = order
+    while top and not values[top - 1]:
+        top -= 1
+    flat: list[int] = []
+    # for rank r = 1, 2, per entry of that rank in term order: its term's
+    # size, and where its row of rank r + 1 starts less where its term's
+    # positions start in ``flat``
+    width: tuple[list[int], list[int]] = ([], [])
+    shift: tuple[list[int], list[int]] = ([], [])
+    n2 = n3 = 0  # entries of rank 2 and 3 so far
+    for block in blocks:
+        positions = block[1]
+        s, start = len(positions), len(flat)
+        flat += positions
+        if top >= 2:
+            width[0].extend([s] * s)
+            shift[0].extend(range(n2 - start, n2 - start + s * s, s))
+            n2 += s * s
+        if top >= 3:
+            width[1].extend([s] * (s * s))
+            shift[1].extend(range(n3 - start, n3 - start + s * s * s, s))
+            n3 += s * s * s
+    position = np.array(flat, dtype=np.intp)
+    target = position  # the flat target of every entry of the current rank
+    totals = (len(flat), n2, n3)
+    sums = [None, None, None]
+    owner_hess = {} if attribution else None
+    for rank in range(1, order + 1):
+        if 1 < rank <= top:
+            w, drop = np.array((width[rank - 2], shift[rank - 2]), dtype=np.intp)
+            col = np.arange(totals[rank - 1]) - drop.repeat(w)
+            target = (target * k).repeat(w) + position[col]
+        # above ``top`` no block is present and ``target`` goes unread
+        sums[rank - 1] = _scatter(target, values[rank - 1], blocks, rank, (k,) * rank, batch)
+        if rank == 2 and attribution:
+            # one block per owner of an evaluated term, in order of its first
+            owners = {owner: n for n, owner in
+                      enumerate(dict.fromkeys(block[0] for block in blocks))}
+            grouped = target
+            if values[1]:
+                group = np.array([owners[block[0]] for block in blocks], dtype=np.intp)
+                grouped = target + group.repeat([len(block[1]) ** 2 for block in blocks]) * (k * k)
+            owner_hess = dict(zip(owners, _scatter(grouped, values[1], blocks, 2,
+                                                   (len(owners), k, k), batch)))
+    return sums[0], sums[1], sums[2], owner_hess
+
+
+def _scatter(target, values: list, blocks, rank: int, shape: tuple, batch: tuple) -> np.ndarray:
+    """An array of ``shape + batch`` holding the sum of the rank-``rank``
+    blocks ``values``, those of ``blocks`` that are present, where entry i
+    of all the blocks of ``blocks`` goes to ``target[i]``.  ``np.bincount``
+    adds in input order from +0.0, so every output entry is the sum the
+    terms give one after another; an absent (structurally zero) block is
+    skipped, which changes no such sum."""
+    shape += batch
+    if not values:
+        return np.zeros(shape)
+    if len(values) < len(blocks):
+        present = np.array([block[1 + rank] is not None for block in blocks])
+        target = target[present.repeat([len(block[1]) ** rank for block in blocks])]
+    if batch:  # a block entry holds one value per point, last
+        target = (target[:, None] * batch[0] + np.arange(batch[0])).ravel()
+    return np.bincount(target, np.concatenate(values, axis=None),
+                       math.prod(shape)).reshape(shape)
 
 
 def _as_objective(target) -> Objective:

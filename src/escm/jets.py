@@ -9,7 +9,8 @@ tolerance.
 A Hessian or third tensor that is exactly zero is not stored: it is None,
 and ``Jet.order`` says which orders the jet carries.  :meth:`Jet.dense`
 materialises absent blocks as +0.0; ``Objective.term_jet`` returns jets in
-that form, so callers see full shapes.
+that form, so callers see full shapes.  ``Objective.derivatives`` builds no
+jets: it adds the generated code's blocks directly and skips absent ones.
 
 A jet may also carry a trailing batch axis, one entry per point: value
 ``(B,)``, grad ``(k, B)``, hess ``(k, k, B)``, third ``(k, k, k, B)``

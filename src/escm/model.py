@@ -242,6 +242,7 @@ class Model:
         self._coords["theta"] = range(first, len(labels))
         self._theta_defaults = tuple(defaults)
         self._coord_labels = labels
+        self._coord_index = {label: index for index, label in enumerate(labels)}
         self.nz, self.nu, self.ntheta = (len(r) for r in self._coords.values())
         self.dim = len(labels)
 
@@ -320,7 +321,11 @@ class Model:
 
     def parse_coord(self, label: str) -> int:
         """Resolve "z.Z1", "z.V[2]", "u.U1" or "theta.Z2.a", read as an
-        expression symbol, to its flat index."""
+        expression symbol, to its flat index.  A label as ``coord_label``
+        spells it is looked up; only other spellings are parsed."""
+        index = self._coord_index.get(label) if isinstance(label, str) else None
+        if index is not None:
+            return index
         try:
             root = parse_expr(label).root
             if isinstance(root, Sym):

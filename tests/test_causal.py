@@ -8,6 +8,7 @@ from escm import (
     QueryError,
     abduct,
     apply_surgery,
+    causal,
     counterfactual,
     disjunctive,
     disjunctive_envelope,
@@ -16,6 +17,7 @@ from escm import (
     parse_model,
     soft,
     solve,
+    steady_state,
 )
 from escm.engine import Objective
 from tests.conftest import chain2_dict
@@ -102,6 +104,24 @@ def test_soft_lambda_one_replaces(chain2):
 def test_soft_replacement_respects_mask(chain2):
     with pytest.raises(Exception):
         soft(chain2, "Z1", 0.5, "0.5*sq(z.Z1 - z.Z2)")  # child state masked out
+
+
+_UNCHECKED_SOFT = {
+    "expr": (("Z1", 0.5, 5), "soft surgery expression 5 is not a string"),
+    "param": (("Z2", 0.5, "0.5*sq(z.Z2 - theta.Z2.q)", {"q": "x"}),
+              "soft surgery param 'q' is not a number: 'x'"),
+}
+
+
+@pytest.mark.parametrize("args, message", _UNCHECKED_SOFT.values(), ids=_UNCHECKED_SOFT.keys())
+def test_a_directly_built_soft_surgery_is_checked_as_soft_checks_it(chain2, chain2_dyn,
+                                                                     args, message):
+    surgery = causal.SoftSurgery(*args)
+    for edit in (lambda: soft(chain2, *args), lambda: apply_surgery(chain2, [surgery]),
+                 lambda: steady_state(chain2_dyn, [1.0, 0.5], [surgery])):
+        with pytest.raises(QueryError) as err:
+            edit()
+        assert str(err.value) == message
 
 
 def test_duplicate_targets_rejected(chain2):

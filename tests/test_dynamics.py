@@ -55,6 +55,15 @@ def test_feedback_control_drives_target(chain2_dyn):
     assert traj.events == [{"t": 0.0, "surgery": "hard:Z1"}]
 
 
+def test_surgeries_given_as_a_generator_are_applied_and_reported(chain2_dyn):
+    edits = [DynHardSurgery("Z1", 0.0, gain=10.0)]
+    from_list = integrate(chain2_dyn, [1.0, 2.5], [1.0, 0.5], edits, t_end=1.0, dt=0.1)
+    traj = integrate(chain2_dyn, [1.0, 2.5], [1.0, 0.5], (s for s in edits),
+                     t_end=1.0, dt=0.1)
+    assert traj.events == [{"t": 0.0, "surgery": "hard:Z1"}]
+    assert np.array_equal(traj.states, from_list.states)
+
+
 def test_feedback_exponential_rate(chain2_dyn):
     kappa = 10.0
     dt = 0.005

@@ -280,16 +280,18 @@ def test_pair_energy_evaluates_derivatives_once(chain2_z3, monkeypatch):
 
 
 def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkeypatch):
+    from escm import codegen
     from escm.jets import Jet
 
+    # every term evaluation looks up its generated function once
     calls = []
-    term_jet = Objective.term_jet
+    function = codegen._TermCode.function
 
-    def counted(self, term, *args, **kwargs):
-        calls.append(term)
-        return term_jet(self, term, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return function(self, *args, **kwargs)
 
-    monkeypatch.setattr(Objective, "term_jet", counted)
+    monkeypatch.setattr(codegen._TermCode, "function", counted)
     rng = np.random.default_rng(17)
     for _ in range(10):
         model = random_smooth_model(rng)
@@ -313,7 +315,7 @@ def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkey
         for sub in (active, [model.coords("u")[0]], list(model.coords("theta"))):
             calls.clear()
             objective.derivatives(p, order=2, active=sub)
-            assert calls == [t for t in objective.terms if not set(t.refs).isdisjoint(sub)]
+            assert calls == [t.code for t in objective.terms if not set(t.refs).isdisjoint(sub)]
 
 
 def test_terms_are_built_once_at_parse(tmp_path, capsys, monkeypatch):

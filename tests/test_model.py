@@ -177,12 +177,17 @@ def test_vector_variables_flatten_deterministically():
 
 
 def test_parse_coord_errors(chain2):
-    with pytest.raises(QueryError):
-        chain2.parse_coord("z.U1")
-    with pytest.raises(QueryError):
-        chain2.parse_coord("theta.Z2.zzz")
-    with pytest.raises(QueryError):
-        chain2.parse_coord("w.Z1")
+    for label, message in [
+        ("z.U1", "cannot parse coordinate 'z.U1': unknown endogenous variable in symbol 'z.U1'"),
+        ("theta.Z2.zzz", "cannot parse coordinate 'theta.Z2.zzz': unknown parameter "
+                         "'theta.Z2.zzz'"),
+        ("w.Z1", "cannot parse coordinate 'w.Z1': unknown symbol 'w.Z1'"),
+        ("z.Z1+1", "cannot parse coordinate 'z.Z1+1'"),
+        ([1], "cannot parse coordinate [1]: empty expression at position 0: ''"),
+    ]:
+        with pytest.raises(QueryError) as err:
+            chain2.parse_coord(label)
+        assert str(err.value) == message
 
 
 def test_invalid_json_is_schema_error():

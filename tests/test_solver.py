@@ -14,6 +14,7 @@ from escm import (
     schur_effective_hessian,
     solve,
 )
+from escm.corpus import random_quadratic_model
 from escm.solver import normalize_clamps, normalize_refs
 
 
@@ -251,7 +252,12 @@ def test_parse_coord_and_coord_label_round_trip():
     labels = [model.coord_label(i) for i in range(model.dim)]
     assert labels == ["z.V[0]", "z.V[1]", "z.V[2]", "z.W", "u.A[0]", "u.A[1]",
                       "theta.W.a", "theta.W.b"]
-    assert [model.parse_coord(label) for label in labels] == list(range(model.dim))
+    corpus = parse_model(random_quadratic_model(np.random.default_rng(0), 12, density=0.3))
+    for m in (model, corpus):
+        for index in range(m.dim):
+            label = m.coord_label(index)
+            assert m.parse_coord(label) == index
+            assert m.parse_coord(label.replace(".", " . ")) == index  # parsed, not looked up
     for bad in (-1, model.dim):
         with pytest.raises(QueryError):
             model.coord_label(bad)
