@@ -8,14 +8,30 @@ is a non-descendant of; independence (ICM) asks that parent parameters
 not deform it, to first order or mixed with i's own.  Each check builds
 its residual's exact derivative rows and hands them to one shared routine
 per principle, which gathers the blocks, reduces them and builds the
-report (:class:`LapReport`, :class:`IcmReport`).  The energy checks make
-one order-2 ``derivatives`` call per module i over its energy (LAP) and
-one order-3 call per node over the terms that read z_i (ICM); the field
-checks in ``dynamics`` read one field Jacobian per point (LAP) and one
-order-2 jet of F_i (ICM).  Clean models read exactly zero and planted
-coefficients are recovered bit-for-bit.  The penalties sum squared blocks
-and skip a block with no nonzero entry, whose sum of squares is exactly
-0.0.
+report (:class:`LapReport`, :class:`IcmReport`).
+
+A check differentiates only the terms that reach a block it reports: a
+term that does not read a block's row and column coordinates adds exactly
+0.0 to it.  The energy checks make one order-2 ``derivatives`` call per
+module i over its terms that read z_i and a coordinate of one of i's pairs
+(LAP), and one order-3 call per node over the terms that read z_i and a
+parent parameter (ICM); the field checks in ``dynamics`` read one field
+Jacobian per point (LAP) and one order-2 jet of F_i if it reads a parent
+parameter (ICM).  Where no term is left, the call is skipped and the
+blocks are exact zeros, so clean models make no derivative call at all.
+Every entry is bitwise what differentiating every term gives, and planted
+coefficients are recovered bit-for-bit.
+
+The domain rule: each check still evaluates, once per report, the energy
+(order 0) of every term it would differentiate without the filter, in the
+order it would, so a point outside a term's domain raises
+:class:`~escm.errors.EnergyDomainError` as before.  A term whose energy is
+defined at the point but whose derivative is not, such as ``1/z.Z1`` at
+1e-200, raises only where it enters a reported block.
+
+The penalties sum squared blocks and skip a block whose report maximum is
+exactly 0.0, whose sum of squares is exactly 0.0; a NaN maximum takes the
+full path.
 
 The probe heads measure what a model commits to numerically at shared
 sample points in a fixed chart: per-module energies, partials, gradients,
@@ -30,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Objective, Point, _as_objective, _module_terms,
-                     _require_nondescendant)
-from .errors import IndefiniteMetricError, QueryError, SingularSystemError
+from .codegen import term_value
+from .engine import Objective, Point, _as_objective, _module_terms
+from .errors import IndefiniteMetricError, PairError, QueryError, SingularSystemError
 from .model import Model
 from .solver import Equilibrium, finite_number, normalize_refs, schur_effective_hessian
 
@@ -97,6 +113,9 @@ class LapReport:
     def _penalty_blocks(self):
         return self.pair, self.z_block, self.theta_block
 
+    def _penalty_maxima(self):
+        return self.max_abs_z, self.max_abs_theta
+
 
 def lap_check(model: Model, a: str, i: str, point: Point,
               tol: float = STRUCTURAL_TOL) -> LapReport:
@@ -109,21 +128,35 @@ def lap_check(model: Model, a: str, i: str, point: Point,
 
 def _lap_reports(model: Model, pairs, point: Point,
                  tol: float = STRUCTURAL_TOL) -> list[LapReport]:
-    """``lap_check`` of every (A, i) pair, in order, with one order-2
-    derivative call per module i.
+    """``lap_check`` of every (A, i) pair, in order, with at most one
+    order-2 derivative call per module i.
 
     Module i's energy is the same for every A, so one Hessian over z_i and
-    the coordinates of all of i's pairs holds every block.  A coordinate
-    none of i's terms reads has exactly zero cross-partials and maps to the
-    zero slot k, which keeps the Hessian sized by what the terms read
-    rather than by the model.
+    the coordinates of all of i's pairs holds every block.  Only the terms
+    that read z_i and one of those pair coordinates are differentiated: any
+    other term adds nothing to a block, and a module with no such term has
+    exactly zero blocks and makes no call.  A coordinate the differentiated
+    terms do not read has exactly zero cross-partials and maps to the zero
+    slot k, which keeps the Hessian sized by what the terms read rather
+    than by the model.
     """
+    energies = _Energies(model, point)
+
     def residual_rows(i, refs):
-        objective = Objective(model, _module_terms(model, i))
-        read = {r for t in objective.terms for r in t.refs}
         zi = model.coord_indices(i)
-        full = objective.derivatives(point, order=2,
-                                     active=[r for r in zi + refs if r in read])
+        zi_refs, pair_refs = set(zi), set(refs)
+        terms = _module_terms(model, i)
+        # the energy of every term an unfiltered call would differentiate
+        energies.evaluate([t for t in terms if not zi_refs.isdisjoint(t.refs)
+                           or not pair_refs.isdisjoint(t.refs)])
+        # only a term that reads z_i and a pair coordinate reaches a block
+        terms = [t for t in terms if not zi_refs.isdisjoint(t.refs)
+                 and not pair_refs.isdisjoint(t.refs)]
+        if not terms:
+            return None
+        read = {r for t in terms for r in t.refs}
+        full = Objective(model, terms).derivatives(
+            point, order=2, active=[r for r in zi + refs if r in read])
         # slot k of ``hess`` is a zero row and column: the slot of every
         # coordinate the terms do not read, and of ``model.dim``
         k = len(full.active)
@@ -136,6 +169,30 @@ def _lap_reports(model: Model, pairs, point: Point,
     return _locality_reports(model, pairs, residual_rows, tol)
 
 
+class _Energies:
+    """The energy of each term at one point, evaluated at most once.
+
+    The domain rule of the module docstring: a check first evaluates the
+    energy of every term it would differentiate without the filter, so a
+    point outside a term's domain raises as it would if every such term
+    were differentiated.
+    """
+
+    def __init__(self, model: Model, point: Point):
+        self.model, self.point = model, point
+        self.values = None  # the point as floats, once it has been checked
+        self.seen: set[int] = set()
+
+    def evaluate(self, terms) -> None:
+        if self.values is None:
+            Objective(self.model, ()).check_point(self.point)
+            self.values = self.point.x.tolist()
+        for term in terms:
+            if id(term) not in self.seen:
+                self.seen.add(id(term))
+                term_value(term, self.values)
+
+
 def _locality_reports(model: Model, pairs, residual_rows, tol: float,
                       dynamics: bool = False, eliminated: tuple = ()) -> list[LapReport]:
     """Locality reports of every (A, i) pair, in order, from the
@@ -144,16 +201,21 @@ def _locality_reports(model: Model, pairs, residual_rows, tol: float,
     ``residual_rows(i, refs)`` is called once per module i, with the flat
     indices of all of i's pairs' z_A and theta_A; it returns ``(rows,
     slot)`` such that ``rows[:, slot[r]]`` is the derivative of i's residual
-    with respect to coordinate r, and ``slot[model.dim]`` is a zero column.
-    The columns of all of i's blocks are gathered side by side once; each
+    with respect to coordinate r, and ``slot[model.dim]`` is a zero column,
+    or None when every one of those derivatives is exactly zero.  The
+    columns of all of i's blocks are gathered side by side once; each
     report's blocks are views of them, and one ``np.maximum.reduceat`` over
     their column maxima gives every pair's two maxima.  ``dynamics`` picks
     the parameter sets of ``Model.module_theta_refs``.
     """
     finite_number(tol, "tol", low=0.0)
     sources: dict[str, list[str]] = {}
+    descendants: dict[str, frozenset[str]] = {}  # of each source A, looked up once
     for a, i in pairs:
-        _require_nondescendant(model, a, i)
+        if i != a and a not in descendants:
+            descendants[a] = model.descendants(a)
+        if i == a or i in descendants[a]:
+            raise PairError(f"{i!r} is {a!r} or one of its descendants")
         sources.setdefault(i, []).append(a)
     named = dict.fromkeys(a for a, _ in pairs)
     z_refs = {a: model.coord_indices(a) for a in named}
@@ -169,9 +231,14 @@ def _locality_reports(model: Model, pairs, residual_rows, tol: float,
             for segment in (z_refs[a], theta_refs[a]):
                 starts.append(len(refs))
                 refs.extend(segment or (zero,))
-        rows, slot = residual_rows(i, refs)
-        blocks = rows[:, slot[refs]]
-        maxima = np.maximum.reduceat(np.abs(blocks).max(axis=0), starts).tolist()
+        found = residual_rows(i, refs)
+        if found is None:
+            blocks = np.zeros((len(model.coord_indices(i)), len(refs)))
+            maxima = [0.0] * len(starts)
+        else:
+            rows, slot = found
+            blocks = rows[:, slot[refs]]
+            maxima = np.maximum.reduceat(np.abs(blocks).max(axis=0), starts).tolist()
         for n, a in enumerate(sources_i):
             z_at, theta_at = starts[2 * n], starts[2 * n + 1]
             reports[(a, i)] = LapReport(
@@ -209,14 +276,16 @@ def _penalty(reports_by_sample, first, second, default: float = 0.0) -> float:
     for reports in reports_by_sample:
         for report in reports:
             key, block_1, block_2 = report._penalty_blocks()
-            total += _weight(first, key, default) * _sum_sq(block_1)
-            total += _weight(second, key, default) * _sum_sq(block_2)
+            max_1, max_2 = report._penalty_maxima()
+            total += _weight(first, key, default) * _sum_sq(block_1, max_1)
+            total += _weight(second, key, default) * _sum_sq(block_2, max_2)
     return total / len(reports_by_sample)
 
 
-def _sum_sq(block: np.ndarray) -> float:
-    # the squares of exact zeros sum to 0.0; a NaN entry takes the full path
-    return float(np.sum(block ** 2)) if block.any() else 0.0
+def _sum_sq(block: np.ndarray, max_abs: float) -> float:
+    # a block whose largest |entry| is 0.0 holds exact zeros, whose squares
+    # sum to 0.0; a NaN maximum takes the full path
+    return 0.0 if max_abs == 0.0 else float(np.sum(block ** 2))
 
 
 def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
@@ -264,6 +333,9 @@ class IcmReport:
     def _penalty_blocks(self):
         return self.node, self.d_residual_d_parent, self.mixed_parent_own
 
+    def _penalty_maxima(self):
+        return self.max_abs_first, self.max_abs_mixed
+
 
 def icm_check(model: Model, i: str, point: Point,
               tol: float = STRUCTURAL_TOL) -> IcmReport:
@@ -279,13 +351,19 @@ def icm_check(model: Model, i: str, point: Point,
         raise QueryError(f"{i!r} is not endogenous")
     zi = model.coord_indices(i)
 
-    def residual_derivatives(params):
-        # Only terms that read z_i enter its residual, and a parameter none
-        # of them reads has exactly zero derivatives there.
+    def residual_derivatives(parent_refs, own_refs):
+        # Only terms that read z_i enter its residual, and of those only the
+        # terms that read a parent parameter reach a reported block; a
+        # parameter none of them reads has exactly zero derivatives there.
         terms = model._terms_reading(zi)
+        _Energies(model, point).evaluate(terms)
+        parents = set(parent_refs)
+        terms = [t for t in terms if not parents.isdisjoint(t.refs)]
+        if not terms:
+            return None
         read = {r for t in terms for r in t.refs}
         full = Objective(model, terms).derivatives(
-            point, order=3, active=[r for r in zi + params if r in read])
+            point, order=3, active=[r for r in zi + parent_refs + own_refs if r in read])
         return full.hess, full.third, {ref: j for j, ref in enumerate(full.active)}
 
     return _independence_report(model, i, residual_derivatives, tol)
@@ -296,10 +374,11 @@ def _independence_report(model: Model, i: str, residual_derivatives, tol: float,
     """The independence report of node i from the parameter derivatives of
     its residual.
 
-    ``residual_derivatives(params)`` is called with the flat indices of the
-    parent and own parameters, unless i has no parent parameter.  It
-    returns ``(first, second, slot)``: the residual's row for a z_i
-    coordinate r has the derivatives ``first[slot[r], slot[p]]`` and
+    ``residual_derivatives(parent_refs, own_refs)`` is called with the flat
+    indices of the parent and own parameters, unless i has no parent
+    parameter.  It returns None when every derivative the report reads is
+    exactly zero, or ``(first, second, slot)``: the residual's row for a
+    z_i coordinate r has the derivatives ``first[slot[r], slot[p]]`` and
     ``second[slot[r], slot[p], slot[q]]`` in parameters p and q, and a
     coordinate without a slot has exactly zero derivatives.  A parameter
     shared by parent and own sets holds one slot.  ``dynamics`` picks the
@@ -312,21 +391,24 @@ def _independence_report(model: Model, i: str, residual_derivatives, tol: float,
     zi = model.coord_indices(i)
     first = np.zeros((len(zi), len(parent_refs)))
     mixed = np.zeros((len(zi), len(parent_refs), len(own_refs)))
-    if parent_refs:
-        d1, d2, slot = residual_derivatives(parent_refs + own_refs)
+    max_first = max_mixed = 0.0
+    found = residual_derivatives(parent_refs, own_refs) if parent_refs else None
+    if found is not None:
+        d1, d2, slot = found
         (rows, at_rows), (cols_p, at_p), (cols_o, at_o) = (
             _present(slot, refs) for refs in (zi, parent_refs, own_refs))
         first[at_rows[:, None], at_p] = d1[rows[:, None], cols_p]
         mixed[at_rows[:, None, None], at_p[:, None], at_o] = \
             d2[rows[:, None, None], cols_p[:, None], cols_o]
+        max_first, max_mixed = _max_abs(first), _max_abs(mixed)
     return IcmReport(
         node=i,
         parent_params=[_param_label(model, r) for r in parent_refs],
         own_params=[_param_label(model, r) for r in own_refs],
         d_residual_d_parent=first,
         mixed_parent_own=mixed,
-        max_abs_first=_max_abs(first),
-        max_abs_mixed=_max_abs(mixed),
+        max_abs_first=max_first,
+        max_abs_mixed=max_mixed,
         tol=tol,
     )
 

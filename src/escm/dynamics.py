@@ -11,7 +11,8 @@ The dynamic checks test the field's residual F_i with the shared routines
 of ``diagnostics``: locality reads dF_i/dz_A and dF_i/dtheta_A from one
 exact field Jacobian per point, shared by every (A, i) pair and reduced
 once when components are eliminated; independence reads one order-2 jet
-of F_i over the parent and own parameters.
+of F_i over the parent and own parameters, or, when F_i reads no parent
+parameter, evaluates only its value and reports exact zeros.
 """
 
 from __future__ import annotations
@@ -321,11 +322,16 @@ def dyn_icm_check(model: Model, i: str, point: Point,
     if i not in components:
         raise QueryError(f"no dynamics component for {i!r}")
 
-    def residual_derivatives(params):
-        # F_i is the residual's one row, at slot 0 of the row axis
-        active = list(dict.fromkeys(params))
-        jet = Objective.from_model(model).term_jet(components[i].objective_term, point,
-                                                   active, order=2)
+    def residual_derivatives(parent_refs, own_refs):
+        # F_i is the residual's one row, at slot 0 of the row axis; if it
+        # reads no parent parameter, every block is exactly zero and only
+        # its value is evaluated, which keeps a domain error
+        term = components[i].objective_term
+        if set(parent_refs).isdisjoint(term.refs):
+            term_value(term, point.x.tolist())
+            return None
+        active = list(dict.fromkeys(parent_refs + own_refs))
+        jet = Objective.from_model(model).term_jet(term, point, active, order=2)
         slot = {ref: k for k, ref in enumerate(active)}
         slot[model.coord_indices(i)[0]] = 0
         return jet.grad[None], jet.hess[None], slot

@@ -155,6 +155,23 @@ def test_diagnose_command(capsys, chain2_path):
     assert all(entry["passed"] for entry in report["results"]["lap"])
 
 
+def test_diagnose_exits_2_on_a_domain_error_outside_every_block(capsys, tmp_path):
+    """Z1's local term reads nothing of its pair (Z2, Z1), so no block
+    differentiates it; its log still leaves its domain at the zero point."""
+    spec = chain2_dict()
+    spec["terms"][0]["expr"] = "0.5*sq(z.Z1 - u.U1) - log(z.Z1)"
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, report = invoke(capsys, "diagnose", str(path), "--no-timing")
+    assert code == 2
+    assert report["error"] == {
+        "type": "EnergyDomainError",
+        "message": "log of non-positive value 0.0 at subexpression 'log(z.Z1)' in term 'Z1'"}
+    code, report = invoke(capsys, "diagnose", str(path), "--point", '{"z.Z1":1}',
+                          "--no-timing")
+    assert code == 0 and report["results"]["lap_penalty"] == 0.0
+
+
 def test_probes_command_with_gauge(capsys, chain2_path):
     points = canonical_json([{"z.Z1": 0.5, "z.Z2": -1.0}, {"z.Z1": 1.0}])
     gauge = canonical_json({"offset": {"Z1": 5.0}})
@@ -346,9 +363,9 @@ def test_threads_option_is_gone(capsys, chain2_path):
 
 
 def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, monkeypatch):
-    """One order-2 derivative call per module that is i in a pair, one
-    field derivative pass per report with dynamics, one icm_check per node,
-    and penalties equal to lap_penalty/icm_penalty."""
+    """One order-2 derivative call per module whose terms reach one of its
+    pairs' blocks, one field derivative pass per report with dynamics, one
+    icm_check per node, and penalties equal to lap_penalty/icm_penalty."""
     from escm import Point, diagnostics, dynamics
     from escm.engine import Objective
 
@@ -383,7 +400,9 @@ def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, mo
         code, report = invoke(capsys, "diagnose", str(path), "--no-timing")
         monkeypatch.undo()
         assert code == 0
-        assert calls == {"order2": len({i for _, i in pairs}),
+        # the global term 0.3*z.Z1*z.Z3 reaches the blocks of modules Z1
+        # and Z3; no term reads z_Z2 and a coordinate of Z2's pair (Z3, Z2)
+        assert calls == {"order2": 2,
                          "field": int(model.dynamics is not None),
                          "icm": len(model.dag.nodes)}
         point = Point.for_model(model)

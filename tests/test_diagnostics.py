@@ -604,7 +604,9 @@ def test_a_zero_block_adds_an_exact_zero_and_a_nan_block_stays_nan():
     [report] = _lap_reports(model, [("Z2", "Z1")], Point.for_model(model))
     assert not report.z_block.any() and not report.theta_block.any()
     assert _penalty([[report]], 3.0, 4.0) == 0.0
+    # a NaN entry makes a NaN maximum, as the checks compute it
     report.z_block = np.full_like(report.z_block, np.nan)
+    report.max_abs_z = np.nan
     assert np.isnan(_penalty([[report]], 3.0, 4.0))
 
 
