@@ -3,12 +3,14 @@
 Every energy term, readout and vector-field component is evaluated by a
 Python function generated from its compiled expression trees (source
 transformation; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-SIAM 2008, ch. 6).  The function is generated for one *shape*: the trees
-with every constant replaced by its position in the term's constant tuple
-and every coordinate by the order in which the term first reads it, the
-slot each coordinate takes among the active ones (or none), and the
-derivative order 0 to 3.  Terms of one shape share one code object,
-compiled on first use and kept for the life of the process.
+SIAM 2008, ch. 6).  The function is generated for one *shape*: the form
+of each piece (its tree in prefix notation, which the parser built with
+the tree; constants are taken in order from the term's constant tuple),
+the leaf each symbol reads (numbered in the order the term first reads
+its coordinates, or none for a symbol bound to a constant), the slot each
+coordinate takes among the active ones (or none), and the derivative
+order 0 to 3.  Terms of one shape share one code object, compiled on
+first use and kept for the life of the process.
 
 The generated code applies the forward-mode rules of a truncated Taylor
 value one operation at a time, with the operands of a post-order walk of
@@ -40,7 +42,11 @@ float literals and the helpers below.  A domain failure raises
 :class:`DomainFault` with the preorder index of the failing node, which
 :func:`term_value`, :func:`term_jet` and :func:`active_blocks` turn into the
 :class:`~escm.errors.EnergyDomainError` naming the term's owner and the
-failing subexpression.
+failing subexpression.  A float operation out of range (``exp`` of 1000,
+``pow`` of 1e200) raises ``OverflowError`` or, where a power a derivative
+divides by underflows, ``ZeroDivisionError``; both become an
+:class:`~escm.errors.EnergyDomainError` for "numeric overflow" naming the
+owner.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EnergyDomainError
-from .expr import Bin, Call, Neg, Num, Pow, Sym
+from .expr import FORM_CALLS, Bin, Call, Neg, Pow
 from .jets import _outer, _outer_sym, _sym3
 
 __all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "term_jet",
@@ -186,68 +192,51 @@ _BATCH = dict(_COMMON, _exp=lambda v: _each(math.exp, v), _tanh=lambda v: _each(
 # Shapes
 
 
-def _pow_params(n: int) -> list:
-    """``n`` followed by (coefficient, exponent) of every derivative order
-    k <= 3 whose falling factorial n(n-1)...(n-k+1) is nonzero."""
-    out: list = [n]
-    c = 1.0
-    for k in range(4):
-        if k:
-            c *= (n - k + 1)
-        if c != 0.0:
-            out += [c, n - k]
-    return out
-
-
-def _shape(node, local: dict[int, int], consts: list, nodes: list, source: str):
-    """The shape tuple of ``node``; appends its constants to ``consts`` and
-    (source, node) to ``nodes``, both in preorder, and numbers each flat
-    index in ``local`` when first read, so the numbering follows the text
-    and not the coordinate layout."""
-    nodes.append((source, node))
-    if isinstance(node, Num):
-        consts.append(node.value)
-        return ("c",)
-    if isinstance(node, Sym):
-        if node.ref is None:
-            consts.append(node.const)
-            return ("c",)
-        return ("x", local.setdefault(node.ref, len(local)))
-    if isinstance(node, Neg):
-        return ("neg", _shape(node.child, local, consts, nodes, source))
-    if isinstance(node, Bin):
-        left = _shape(node.left, local, consts, nodes, source)
-        return (node.op, left, _shape(node.right, local, consts, nodes, source))
-    if isinstance(node, Pow):
-        n = node.exponent
-        consts.extend(_pow_params(n))
-        return ("pow", -1 if n < 0 else min(n, 3),
-                _shape(node.base, local, consts, nodes, source))
-    if isinstance(node, Call):
-        return (node.fn, _shape(node.child, local, consts, nodes, source))
-    raise TypeError(f"unknown node {type(node).__name__}")
+def _preorder(root):
+    """The nodes of a tree in preorder, the order generated code numbers
+    them in."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Bin):
+            stack += (node.right, node.left)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, (Neg, Call)):
+            stack.append(node.child)
 
 
 class _TermCode:
     """What evaluating one term needs: its shape, constants and leaf
-    gatherers, and the pair of functions for each (active, order) seen."""
+    gatherers, and the pair of functions for each (active, order) seen.
 
-    __slots__ = ("owner", "refs", "index", "gather", "shape", "consts", "nodes", "functions")
+    The term's shape is its leaf count and, for each piece, whether its
+    weight is one, its form (see :data:`escm.expr.FORM_CALLS`), and for
+    each of its symbols in text order the term's leaf number of the
+    coordinate it reads (-1 for a symbol bound to a constant).  Leaves are
+    numbered in the order the term's text first reads them, so a
+    coordinate two pieces read is one leaf."""
+
+    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "functions")
 
     def __init__(self, owner, pieces):
         self.owner = owner
+        self.pieces = pieces
         local: dict[int, int] = {}  # flat index -> leaf number, in order of first use
         consts: list = []
-        self.nodes: list = []
         shape = []
         for coeff, compiled in pieces:
             one = coeff == 1.0  # 1.0 * x is x bitwise: the weight is skipped
             if not one:
                 consts.append(coeff)
-            shape.append((one, _shape(compiled.expr.root, local, consts, self.nodes,
-                                      compiled.expr.source)))
+            consts += compiled.consts
+            leaves = tuple(-1 if ref < 0 else local.setdefault(ref, len(local))
+                           for ref in compiled.reads)
+            shape.append((one, compiled.expr.form, leaves))
         self.shape = _number((len(local), tuple(shape)))
-        self.consts = tuple(consts)
+        one_piece = len(pieces) == 1 and pieces[0][0] == 1.0
+        self.consts = pieces[0][1].consts if one_piece else tuple(consts)
         self.refs = refs = tuple(local)
         self.index = np.array(refs, dtype=np.intp)
         if len(refs) == 1:
@@ -272,10 +261,21 @@ class _TermCode:
         slot = {ref: j for j, ref in enumerate(active)}
         return tuple(slot.get(ref, -1) for ref in self.refs), len(active)
 
+    def overflow(self) -> EnergyDomainError:
+        """What an ``OverflowError`` or ``ZeroDivisionError`` of the
+        generated code means: a float result out of range, or a power that
+        a derivative divides by underflowed to zero.  Division by a zero
+        value is a :class:`DomainFault` instead."""
+        return EnergyDomainError("numeric overflow", owner=self.owner)
+
     def error(self, fault: DomainFault) -> EnergyDomainError:
-        source, node = self.nodes[fault.node]
+        source, node = [(compiled.source, node) for _, compiled in self.pieces
+                        for node in _preorder(compiled.expr.root)][fault.node]
         return EnergyDomainError(fault.message, owner=self.owner,
                                  fragment=source[node.start:node.end])
+
+
+_ARITHMETIC = (OverflowError, ZeroDivisionError)  # raised by Python float operations
 
 
 def _code(term) -> _TermCode:
@@ -313,6 +313,8 @@ def _value(code: _TermCode, values):
         return fn(code.gather(values), code.consts)
     except DomainFault as fault:
         raise code.error(fault) from None
+    except _ARITHMETIC:
+        raise code.overflow() from None
 
 
 def term_jet(term, x: np.ndarray, active, order: int):
@@ -333,6 +335,8 @@ def term_jet(term, x: np.ndarray, active, order: int):
         return fn(*args)
     except DomainFault as fault:
         raise code.error(fault) from None
+    except _ARITHMETIC:
+        raise code.overflow() from None
 
 
 def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> list:
@@ -359,6 +363,8 @@ def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> lis
                 out.append((term.owner, [slot[r] for r in active], grad, hess, third))
     except DomainFault as fault:
         raise code.error(fault) from None
+    except _ARITHMETIC:
+        raise code.overflow() from None
     return out
 
 
@@ -416,6 +422,7 @@ class _Val:
 
 
 _ZERO = "0.0"  # a coefficient that is exactly 0.0: its terms are skipped
+_FORM_FN = {code: fn for fn, code in FORM_CALLS.items()}  # form character -> function
 
 
 class _Gen:
@@ -425,6 +432,10 @@ class _Gen:
         self.names = 0
         self.const = 0
         self.node = 0
+        self.form = ""  # the form of the piece being emitted
+        self.at = 0  # the position in it of the next node
+        self.leaves = ()  # the leaf number of each symbol of the piece
+        self.sym = 0  # symbols of the piece emitted so far
 
     def let(self, expr: str, indent: str = "", raises: bool = False) -> str:
         """A new name for ``expr``, computed here; ``raises`` if it may
@@ -618,24 +629,32 @@ class _Gen:
         self.const += count
         return names
 
-    def emit(self, shape) -> _Val:
+    def emit(self) -> _Val:
+        """The node at ``at`` in the piece's form, and its operands."""
         node = self.node
         self.node += 1
-        kind = shape[0]
+        kind = self.form[self.at]
+        self.at += 1
         if kind == "c":
             return _Val(self.consts(1)[0])
-        if kind == "x":
-            slot = self.slots[shape[1]] if self.order else -1
-            return _Val(f"a{shape[1]}", {slot: "one"} if slot >= 0 else None)
-        if kind == "pow":
-            return self.power(node, shape[1], shape[2])
-        if kind == "neg":
-            x = self.emit(shape[1])
+        if kind == "s":
+            leaf = self.leaves[self.sym]
+            self.sym += 1
+            if leaf < 0:
+                return _Val(self.consts(1)[0])
+            slot = self.slots[leaf] if self.order else -1
+            return _Val(f"a{leaf}", {slot: "one"} if slot >= 0 else None)
+        if kind == "p":
+            cls = self.form[self.at]
+            self.at += 1
+            return self.power(node, -1 if cls == "n" else int(cls))
+        if kind == "n":
+            x = self.emit()
             return _Val(self.let(f"-{x.v}")) if x.g is None else self.negated(x)
-        if kind in ("+", "-", "*", "/"):
-            a = self.emit(shape[1])
-            return self.binary(node, kind, a, self.emit(shape[2]))
-        return self.call(node, kind, self.emit(shape[1]))
+        if kind in "+-*/":
+            a = self.emit()
+            return self.binary(node, kind, a, self.emit())
+        return self.call(node, _FORM_FN[kind], self.emit())
 
     def binary(self, node: int, op: str, a: _Val, b: _Val) -> _Val:
         if a.g is None and b.g is None:
@@ -669,11 +688,12 @@ class _Gen:
         recip = self.chain(b, *f)
         return self.times(a, recip) if a.g is not None else self.scaled(recip, a.v)
 
-    def power(self, node: int, cls: int, child) -> _Val:
-        # parameters: n, then (coefficient, exponent) per nonzero order
+    def power(self, node: int, cls: int) -> _Val:
+        x = self.emit()
+        # parameters, after the base's constants: n, then (coefficient,
+        # exponent) per nonzero order
         count = 1 + 2 * (4 if cls < 0 else cls + 1)
         params = self.consts(count)
-        x = self.emit(child)
         if x.g is None:
             if cls < 0:
                 return _Val(self.let(f"_pwz({x.v}, {params[0]}, {node})", raises=True))
@@ -714,9 +734,10 @@ def generate(shape, slots, k: int, order: int) -> str:
     gen = _Gen(slots, k, order)
     nleaf, pieces = shape
     total = None
-    for one, tree in pieces:
+    for one, form, leaves in pieces:
         coeff = None if one else _Val(gen.consts(1)[0])
-        piece = gen.emit(tree)
+        gen.form, gen.at, gen.leaves, gen.sym = form, 0, leaves, 0
+        piece = gen.emit()
         if coeff is not None:
             piece = gen.binary(-1, "*", coeff, piece)
         total = piece if total is None else gen.binary(-1, "+", total, piece)

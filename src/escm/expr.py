@@ -18,9 +18,16 @@ only legal in selection-cost expressions, where it names the candidate
 value of a set-valued intervention.  An expression nests at most
 ``MAX_DEPTH`` levels deep.
 
-This module parses text into an AST and resolves every symbol to a flat
-index or a constant (:func:`compile_expr`); it evaluates nothing.
-:mod:`escm.codegen` turns compiled expressions into Python functions.
+Text is read in one pass.  One regex scan cuts it into tokens, each the
+tuple ``findall`` returns (no token objects); a dotted name such as
+``theta.Z2.a`` is one token, and a spaced spelling such as ``z . Z1`` is
+read part by part.  One precedence loop (:meth:`_Parser.expr`) reads
+``expr``, ``term`` and ``unary`` together, so only parentheses and calls
+recurse.  Alongside the tree it builds the expression's *form* (see
+``FORM_CALLS``), the part of the shape :mod:`escm.codegen` generates code
+from, and it lists the symbols and the numbers as it meets them.
+:func:`compile_expr` resolves each listed symbol to a flat index or a
+constant without walking the tree; nothing here evaluates.
 """
 
 from __future__ import annotations
@@ -42,43 +49,22 @@ FUNCTIONS = ("exp", "log", "tanh", "sq", "pow")
 # evaluation stay inside Python's default recursion limit.
 MAX_DEPTH = 150
 
-# leading whitespace, then one token: the first alternative that matches;
-# ``bad`` takes any other character
+# leading whitespace, then one token: the first alternative that matches.
+# ``findall`` gives (space, text, name) per token, ``name`` empty unless the
+# token is a name; a token that is neither a name nor punctuation is a
+# number.  Punctuation comes first, as the most common token that one
+# character decides, but "." last, after the numbers that start with one.
 _TOKEN_RE = re.compile(
-    r"(\s*)(?:((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"  # num
-    r"|([A-Za-z_][A-Za-z0-9_]*)"  # name
-    r"|([-+*/(),.\[\]])"  # punct
-    r"|(\S))"  # bad
+    r"(\s*)([-+*/(),\[\]]"  # punctuation but "."
+    r"|([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"  # name, dotted
+    r"|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"  # number
+    r"|\.)"
 )
-
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(source: str) -> list[_Token]:
-    """Every token of ``source``, in one regex scan; the matches tile the
-    text up to trailing whitespace, so a running sum of their lengths gives
-    each token's position."""
-    tokens = []
-    pos = 0
-    for space, num, name, punct, bad in _TOKEN_RE.findall(source):
-        pos += len(space)
-        if bad:
-            raise ExprSyntaxError("unexpected character", source, pos)
-        if num:
-            tokens.append(_Token("num", num, pos))
-        elif name:
-            tokens.append(_Token("name", name, pos))
-        else:
-            tokens.append(_Token("punct", punct, pos))
-        pos += len(num or name or punct)
-    return tokens
+# a character that starts no token: where the matches stop tiling the
+# text, the first one is where reading stops
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_\-+*/(),.\[\]]")
+_PUNCT = frozenset("-+*/(),.[]")
+_END = ("", "", "")  # closes the token list: the one token with empty text
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +86,11 @@ class Num(Node):
         self.value = value
         self.start, self.end = start, end
 
-    def children(self):
-        return ()
-
 
 class Sym(Node):
-    """Dotted symbol; compilation sets ``ref`` to the flat index it reads,
-    or ``const`` to the value it is bound to."""
+    """Dotted symbol: its ``parts``, component index and text."""
 
-    __slots__ = ("parts", "comp", "text", "ref", "const")
+    __slots__ = ("parts", "comp", "text")
     height = 1
 
     def __init__(self, parts: tuple[str, ...], comp: int | None, text: str, start: int, end: int):
@@ -116,11 +98,6 @@ class Sym(Node):
         self.comp = comp
         self.text = text
         self.start, self.end = start, end
-        self.ref = None
-        self.const = None
-
-    def children(self):
-        return ()
 
 
 class Neg(Node):
@@ -131,9 +108,6 @@ class Neg(Node):
         self.height = child.height + 1
         self.start, self.end = start, end
 
-    def children(self):
-        return (self.child,)
-
 
 class Bin(Node):
     __slots__ = ("op", "left", "right", "height")
@@ -142,11 +116,8 @@ class Bin(Node):
         self.op = op
         self.left = left
         self.right = right
-        self.height = max(left.height, right.height) + 1
+        self.height = (left.height if left.height > right.height else right.height) + 1
         self.start, self.end = left.start, right.end
-
-    def children(self):
-        return (self.left, self.right)
 
 
 class Pow(Node):
@@ -158,9 +129,6 @@ class Pow(Node):
         self.exponent = exponent
         self.start, self.end = start, end
 
-    def children(self):
-        return (self.base,)
-
 
 class Call(Node):
     __slots__ = ("fn", "child", "height")
@@ -171,28 +139,33 @@ class Call(Node):
         self.height = child.height + 1
         self.start, self.end = start, end
 
-    def children(self):
-        return (self.child,)
+
+# The form of an expression: its tree in prefix notation, one character per
+# node, with spans, numbers and symbols left out.  "c" is a number, "s" a
+# symbol, "n" a minus sign, "+-*/" a binary operator, "e", "l", "t" and "q"
+# exp, log, tanh and sq, and "p" a pow, followed by its exponent's class:
+# "n" for a negative exponent, else the exponent up to 3.  Generated code
+# depends on the form and not on what it leaves out (see escm.codegen).
+FORM_CALLS = {"exp": "e", "log": "l", "tanh": "t", "sq": "q"}
 
 
 class Expr:
-    """Parsed expression: source text plus AST root."""
+    """Parsed expression: source text, AST root, its ``form``, and what
+    compiling it reads, listed while parsing.  ``syms`` holds its symbols
+    in text order, one per occurrence.  ``numbers`` holds its constants in
+    the order generated code takes them: every number in text order, and
+    after each ``pow``'s base the exponent's parameters
+    (:func:`_pow_params`)."""
 
-    __slots__ = ("source", "root")
+    __slots__ = ("source", "root", "form", "syms", "numbers")
 
-    def __init__(self, source: str, root: Node):
+    def __init__(self, source: str, root: Node, form: str, syms: tuple[Sym, ...],
+                 numbers: tuple):
         self.source = source
         self.root = root
-
-    def symbols(self) -> list[Sym]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Sym):
-                out.append(node)
-            stack.extend(node.children())
-        return out
+        self.form = form
+        self.syms = syms
+        self.numbers = numbers
 
     def __repr__(self):
         return f"Expr({self.source!r})"
@@ -202,125 +175,219 @@ class Expr:
 # Parser
 
 
+def _shown(token: tuple) -> str:
+    """A token as an error message quotes it: a dotted name by its first
+    part, which is where a name stops when it is not read as a symbol."""
+    return token[2].partition(".")[0] if token[2] else token[1]
+
+
+def _number(token: tuple) -> str:
+    """The text of a number token, or "" for any other token."""
+    text = token[1]
+    return "" if token[2] or text in _PUNCT else text
+
+
 class _Parser:
+    """The tokens of one source, the index ``i`` of the next one, and the
+    symbols and numbers read so far (see :class:`Expr`)."""
+
+    __slots__ = ("source", "tokens", "starts", "i", "syms", "numbers")
+
     def __init__(self, source: str):
+        """Every token of ``source``, in one regex scan; the matches tile
+        the text up to trailing whitespace unless a character starts no
+        token, so a running sum of their lengths gives each token's
+        position in ``starts``."""
         self.source = source
-        # a sentinel closes the list; its text equals no token's text
-        self.tokens = _tokenize(source) + [_Token("end", " ", len(source))]
+        self.tokens = tokens = _TOKEN_RE.findall(source)
+        self.starts = starts = []
+        pos = 0
+        for space, text, _ in tokens:
+            pos += len(space)
+            starts.append(pos)
+            pos += len(text)
+        if pos < len(source) and not source[pos:].isspace():
+            bad = _BAD_RE.search(source)
+            raise ExprSyntaxError("unexpected character", source, bad.start())
+        tokens.append(_END)
+        starts.append(len(source))
         self.i = 0
-        self.depth = 0  # calls of unary() open: each paren, call or minus nests one
+        self.syms: list[Sym] = []
+        self.numbers: list = []
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind == "end":
+    def take(self) -> tuple[tuple, int]:
+        """The next token and its position; past the end is an error."""
+        i = self.i
+        token = self.tokens[i]
+        if not token[1]:
             raise ExprSyntaxError("unexpected end of expression", self.source, len(self.source))
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return token, self.starts[i]
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ExprSyntaxError(f"expected {text!r}, found {tok.text!r}", self.source, tok.pos)
-        return tok
+    def expect(self, text: str) -> int:
+        token, pos = self.take()
+        if token[1] != text:
+            raise ExprSyntaxError(f"expected {text!r}, found {_shown(token)!r}", self.source, pos)
+        return pos
 
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected token {tok.text!r}", self.source, tok.pos)
-        return node
+    def parse(self) -> tuple[Node, str]:
+        root, form = self.expr(0)
+        token = self.tokens[self.i]
+        if token[1]:
+            raise ExprSyntaxError(f"unexpected token {_shown(token)!r}", self.source,
+                                  self.starts[self.i])
+        return root, form
 
-    def expr(self) -> Node:
-        node = self.term()
-        while (tok := self.tokens[self.i]).text in "+-":
-            self.i += 1
-            node = Bin(tok.text, node, self.term())
-        return node
+    def expr(self, depth: int) -> tuple[Node, str]:
+        """One ``expr`` and its form, with its ``term``s and their
+        ``unary`` operands, in one precedence loop: ``product`` folds each
+        operand into the current term and ``total`` each finished term into
+        the sum, both to the left, so only parentheses and calls read a
+        further ``expr``.  ``depth`` counts the parentheses, calls and minus
+        signs open around this one: each operand, and each of its minus
+        signs, nests one level more."""
+        tokens, starts = self.tokens, self.starts
+        syms, numbers = self.syms, self.numbers
+        i = self.i
+        level = depth + 1  # every operand's, so the first one over the limit raises
+        if level > MAX_DEPTH:
+            raise _too_deep(self.source, starts[i])
+        total = product = add = mul = None
+        while True:
+            _, text, name = tokens[i]
+            nested = level  # one more for each minus sign
+            minus = None
+            if text == "-":
+                minus = []
+                while text == "-":
+                    minus.append(starts[i])
+                    i += 1
+                    nested += 1
+                    if nested > MAX_DEPTH:
+                        raise _too_deep(self.source, starts[i])
+                    _, text, name = tokens[i]
+            start = starts[i]
+            i += 1
+            if name:
+                follow = tokens[i][1]
+                if follow == "(" and "." not in name:
+                    self.i = i
+                    node, form = self.call(name, start, nested)
+                    i = self.i
+                elif follow == "." or follow == "[":
+                    self.i = i
+                    node, form = self.symbol(name, start), "s"
+                    i = self.i
+                else:
+                    node, form = Sym(tuple(name.split(".")), None, name, start,
+                                     start + len(name)), "s"
+                    syms.append(node)
+            elif text == "(":
+                self.i = i
+                node, form = self.expr(nested)
+                i = self.i
+                if tokens[i][1] != ")":
+                    self.expect(")")  # raises
+                i += 1
+            elif not text:
+                raise ExprSyntaxError("unexpected end of expression", self.source,
+                                      len(self.source))
+            elif text in _PUNCT:
+                raise ExprSyntaxError(f"unexpected token {text!r}", self.source, start)
+            else:
+                node, form = Num(float(text), start, start + len(text)), "c"
+                numbers.append(node.value)
+            if minus:
+                for pos in reversed(minus):
+                    node = Neg(node, pos, node.end)
+                form = "n" * len(minus) + form
+            if mul is None:
+                product, product_form = node, form
+            else:
+                product, product_form = Bin(mul, product, node), mul + product_form + form
+            op = tokens[i][1]
+            if op == "*" or op == "/":
+                mul = op
+                i += 1
+                continue
+            if add is None:
+                total, total_form = product, product_form
+            else:
+                total, total_form = Bin(add, total, product), add + total_form + product_form
+            if op == "+" or op == "-":
+                add, mul = op, None
+                i += 1
+                continue
+            self.i = i
+            return total, total_form
 
-    def term(self) -> Node:
-        node = self.unary()
-        while (tok := self.tokens[self.i]).text in "*/":
-            self.i += 1
-            node = Bin(tok.text, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        tok = self.tokens[self.i]
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise _too_deep(self.source, tok.pos)
-        if tok.text == "-":
-            self.i += 1
-            child = self.unary()
-            node = Neg(child, tok.pos, child.end)
-        else:
-            node = self.atom()
-        self.depth -= 1
-        return node
-
-    def atom(self) -> Node:
-        tok = self.next()
-        if tok.kind == "num":
-            return Num(float(tok.text), tok.pos, tok.pos + len(tok.text))
-        if tok.kind == "name":
-            if self.tokens[self.i].text == "(":
-                return self.call(tok)
-            return self.symbol(tok)
-        if tok.text == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", self.source, tok.pos)
-
-    def call(self, name_tok: _Token) -> Node:
-        fn = name_tok.text
+    def call(self, fn: str, start: int, depth: int) -> tuple[Node, str]:
         if fn not in FUNCTIONS:
-            raise ExprSyntaxError(f"unknown function {fn!r}", self.source, name_tok.pos)
-        self.expect("(")
-        arg = self.expr()
+            raise ExprSyntaxError(f"unknown function {fn!r}", self.source, start)
+        self.i += 1  # the "(" that made this a call
+        arg, form = self.expr(depth)
         if fn == "pow":
             self.expect(",")
-            exponent = self.integer_literal()
-            close = self.expect(")")
-            return Pow(arg, exponent, name_tok.pos, close.pos + 1)
-        close = self.expect(")")
-        return Call(fn, arg, name_tok.pos, close.pos + 1)
+            n = self.integer_literal()
+            self.numbers += _pow_params(n)
+            # exponents of 3 and more share a form, and so do negative ones
+            form = ("pn" if n < 0 else f"p{min(n, 3)}") + form
+            return Pow(arg, n, start, self.expect(")") + 1), form
+        i = self.i
+        if self.tokens[i][1] != ")":
+            self.expect(")")  # raises
+        self.i = i + 1
+        return Call(fn, arg, start, self.starts[i] + 1), FORM_CALLS[fn] + form
 
     def integer_literal(self) -> int:
-        tok = self.next()
+        token, pos = self.take()
         negative = False
-        if tok.text == "-":
+        if token[1] == "-":
             negative = True
-            tok = self.next()
-        if tok.kind != "num" or not float(tok.text).is_integer():
-            raise ExprSyntaxError("pow exponent must be an integer literal", self.source, tok.pos)
-        n = int(float(tok.text))
+            token, pos = self.take()
+        number = _number(token)
+        if not number or not float(number).is_integer():
+            raise ExprSyntaxError("pow exponent must be an integer literal", self.source, pos)
+        n = int(float(number))
         return -n if negative else n
 
-    def symbol(self, head: _Token) -> Sym:
-        parts = [head.text]
-        end = head.pos + len(head.text)
-        while self.tokens[self.i].text == ".":
+    def symbol(self, head: str, start: int) -> Sym:
+        """A symbol that goes on past its first token: spaced dots, or a
+        component index."""
+        parts = head.split(".")
+        end = start + len(head)
+        while self.tokens[self.i][1] == ".":
             self.i += 1
-            part = self.next()
-            if part.kind != "name":
-                raise ExprSyntaxError("expected name after '.'", self.source, part.pos)
-            parts.append(part.text)
-            end = part.pos + len(part.text)
+            part, pos = self.take()
+            if not part[2]:
+                raise ExprSyntaxError("expected name after '.'", self.source, pos)
+            parts += part[2].split(".")
+            end = pos + len(part[2])
         comp = None
-        if self.tokens[self.i].text == "[":
+        if self.tokens[self.i][1] == "[":
             self.i += 1
-            idx = self.next()
-            if idx.kind != "num" or not float(idx.text).is_integer():
-                raise ExprSyntaxError("component index must be an integer", self.source, idx.pos)
-            comp = int(float(idx.text))
-            close = self.expect("]")
-            end = close.pos + 1
-        text = self.source[head.pos:end]
-        return Sym(tuple(parts), comp, text, head.pos, end)
+            index, pos = self.take()
+            number = _number(index)
+            if not number or not float(number).is_integer():
+                raise ExprSyntaxError("component index must be an integer", self.source, pos)
+            comp = int(float(number))
+            end = self.expect("]") + 1
+        sym = Sym(tuple(parts), comp, self.source[start:end], start, end)
+        self.syms.append(sym)
+        return sym
+
+
+def _pow_params(n: int) -> list:
+    """``n`` followed by (coefficient, exponent) of every derivative order
+    k <= 3 whose falling factorial n(n-1)...(n-k+1) is nonzero."""
+    out: list = [n]
+    c = 1.0
+    for k in range(4):
+        if k:
+            c *= (n - k + 1)
+        if c != 0.0:
+            out += [c, n - k]
+    return out
 
 
 def _too_deep(source: str, pos: int) -> ExprSyntaxError:
@@ -330,31 +397,38 @@ def _too_deep(source: str, pos: int) -> ExprSyntaxError:
 def parse_expr(source: str) -> Expr:
     """Parse expression text; raises :class:`ExprSyntaxError` with position,
     also for an expression nested deeper than :data:`MAX_DEPTH`."""
-    if not isinstance(source, str) or not source.strip():
+    if not isinstance(source, str) or not source or source.isspace():
         raise ExprSyntaxError("empty expression", source if isinstance(source, str) else "", 0)
-    root = _Parser(source).parse()
+    parser = _Parser(source)
+    root, form = parser.parse()
     if root.height > MAX_DEPTH:  # a chain of binary operators nests in the tree only
         raise _too_deep(source, root.start)
-    return Expr(source, root)
+    return Expr(source, root, form, tuple(parser.syms), tuple(parser.numbers))
 
 
 # ---------------------------------------------------------------------------
-# Compilation and evaluation
+# Compilation
 
 
 class CompiledExpr:
     """Expression with every symbol resolved to a coordinate or constant.
 
-    ``refs`` lists the distinct flat indices the expression reads, sorted.
-    ``code`` holds what :mod:`escm.codegen` built to evaluate it alone, as
-    a readout, on first use.
+    ``reads`` holds, for each symbol in text order, the flat index it
+    reads, or -1 where it is bound to a constant; ``refs`` lists the
+    distinct flat indices, sorted.  ``consts`` holds the expression's
+    numbers with each bound symbol's value in its place.  With the
+    expression's ``form`` this is all :mod:`escm.codegen` needs; ``code``
+    holds what it built to evaluate the expression alone, as a readout, on
+    first use.
     """
 
-    __slots__ = ("expr", "refs", "code")
+    __slots__ = ("expr", "reads", "refs", "consts", "code")
 
-    def __init__(self, expr: Expr, refs: tuple[int, ...]):
+    def __init__(self, expr: Expr, reads: tuple[int, ...], refs: tuple[int, ...], consts: tuple):
         self.expr = expr
+        self.reads = reads
         self.refs = refs
+        self.consts = consts
         self.code = None
 
     @property
@@ -367,17 +441,55 @@ def compile_expr(expr: Expr, resolve: Callable[[Sym], int | float]) -> CompiledE
 
     ``resolve`` maps a :class:`Sym` to the ``int`` flat index it reads, or
     to a ``float`` constant it is bound to; it raises for undeclared or
-    masked-out symbols.
+    masked-out symbols.  Symbols are resolved last to first in the text,
+    so the first error raised, and the order of warnings a resolver
+    collects, follow the text backwards.  No tree is walked: the parser
+    listed the symbols and the numbers.
     """
-    refs = set()
-    for sym in expr.symbols():
-        ref = resolve(sym)
-        if isinstance(ref, int):
-            sym.ref, sym.const = ref, None
-            refs.add(ref)
+    values = list(map(resolve, reversed(expr.syms)))
+    values.reverse()
+    if set(map(type, values)) <= _INT:
+        return CompiledExpr(expr, tuple(values), tuple(sorted(set(values))), expr.numbers)
+    values = [value if isinstance(value, int) else float(value) for value in values]
+    consts = list(expr.numbers)
+    for at, value in reversed(list(zip(_gaps(expr.form), values))):  # right to left keeps each gap
+        if type(value) is float:
+            consts.insert(at, value)
+    reads = tuple(-1 if type(value) is float else value for value in values)
+    return CompiledExpr(expr, reads, tuple(sorted({ref for ref in reads if ref >= 0})),
+                        tuple(consts))
+
+
+_INT = frozenset((int,))
+
+
+def _gaps(form: str) -> list[int]:
+    """For each symbol of an expression's form, in text order, how many of
+    its numbers come before it: where the symbol's value goes among them
+    when it is bound to a constant."""
+    gaps: list[int] = []
+    count = 0
+
+    def walk(at: int) -> int:  # the position past the node at ``at``
+        nonlocal count
+        kind = form[at]
+        if kind == "c":
+            count += 1
+        elif kind == "s":
+            gaps.append(count)
+        elif kind == "p":  # the exponent's parameters follow the base's numbers
+            cls = form[at + 1]
+            at = walk(at + 2)
+            count += len(_pow_params(-1 if cls == "n" else int(cls)))
+            return at
+        elif kind in "+-*/":
+            return walk(walk(at + 1))
         else:
-            sym.ref, sym.const = None, float(ref)
-    return CompiledExpr(expr, tuple(sorted(refs)))
+            return walk(at + 1)
+        return at + 1
+
+    walk(0)
+    return gaps
 
 
 def compile_query(source: str, resolve: Callable[[Sym], int | float]) -> CompiledExpr:

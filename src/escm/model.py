@@ -70,10 +70,10 @@ class Dag:
         for parent, child in edges:
             self._parents[child].append(parent)
             self._children[parent].append(child)
-        for lst in self._parents.values():
-            lst.sort(key=order.__getitem__)
-        for lst in self._children.values():
-            lst.sort(key=order.__getitem__)
+        for lists in (self._parents, self._children):
+            for lst in lists.values():
+                if len(lst) > 1:
+                    lst.sort(key=order.__getitem__)
         self._topo = self._topo_sort(order)
         self._desc: dict[str, frozenset[str]] = {}
 
@@ -149,8 +149,9 @@ class ObjectiveTerm:
 
     def __init__(self, owner: str | None, pieces: Sequence[tuple[float, CompiledExpr]]):
         self.owner = owner
-        self.pieces = tuple(pieces)
-        self.refs = tuple(sorted({ref for _, compiled in self.pieces for ref in compiled.refs}))
+        self.pieces = pieces = tuple(pieces)
+        self.refs = (pieces[0][1].refs if len(pieces) == 1 else
+                     tuple(sorted({ref for _, compiled in pieces for ref in compiled.refs})))
         self.code = None
 
     @classmethod
@@ -207,6 +208,7 @@ class Model:
         )
         self.mask_warnings: tuple[str, ...] = ()  # parse_model fills it after compiling
         self._readers: dict[int, list[int]] | None = None  # see _terms_reading
+        self._located: dict[str, int] = {}  # symbol text -> flat index, see _locate
         self._build_indexes()
 
     # -- flat coordinate maps ---------------------------------------------
@@ -220,12 +222,16 @@ class Model:
         labels: list[str] = []
         self._coords: dict[str, range] = {}
         self._start: dict[str, int] = {}  # variable -> flat index of its first component
-        for space, decls in {"z": self.endogenous, "u": self.exogenous}.items():
+        self._var_at: list[str] = []  # z or u flat index -> its variable
+        for space, decls in (("z", self.endogenous), ("u", self.exogenous)):
             first = len(labels)
             for v in decls:
                 self._start[v.name] = len(labels)
-                labels += [f"{space}.{v.name}" + (f"[{k}]" if v.dim > 1 else "")
-                           for k in range(v.dim)]
+                if v.dim == 1:
+                    labels.append(f"{space}.{v.name}")
+                else:
+                    labels += [f"{space}.{v.name}[{k}]" for k in range(v.dim)]
+                self._var_at += [v.name] * v.dim
             self._coords[space] = range(first, len(labels))
 
         self._theta_index: dict[tuple[str, str], int] = {}  # (owner, name) -> flat index
@@ -233,12 +239,12 @@ class Model:
         defaults: list[float] = []
         first = len(labels)
         for term in self.terms:
-            start = len(labels)
-            for name in sorted(term.params):
-                self._theta_index[(term.label, name)] = len(labels)
-                labels.append(f"theta.{term.label}.{name}")
-                defaults.append(float(term.params[name]))
-            self._theta_refs[term.label] = range(start, len(labels))
+            owner, params, start = term.owner, term.params, len(labels)
+            for name in sorted(params):
+                self._theta_index[(owner, name)] = len(labels)
+                labels.append(f"theta.{owner}.{name}")
+                defaults.append(float(params[name]))
+            self._theta_refs[owner] = range(start, len(labels))
         self._coords["theta"] = range(first, len(labels))
         self._theta_defaults = tuple(defaults)
         self._coord_labels = labels
@@ -246,12 +252,10 @@ class Model:
         self.nz, self.nu, self.ntheta = (len(r) for r in self._coords.values())
         self.dim = len(labels)
 
-        self.term_by_label = {t.label: t for t in self.terms}
+        self.term_by_label = {t.owner: t for t in self.terms}
         # endo <-> exo pairing by declaration position
-        self._paired_exo = {}
-        for i, endo in enumerate(self.endogenous):
-            if i < len(self.exogenous):
-                self._paired_exo[endo.name] = self.exogenous[i].name
+        self._paired_exo = {endo.name: exo.name
+                            for endo, exo in zip(self.endogenous, self.exogenous)}
 
     def var(self, name: str) -> VariableDecl:
         try:
@@ -391,63 +395,75 @@ class Model:
             raise UnknownSymbolError(f"component out of range in symbol {sym.text!r}")
         return self._start[name] + comp
 
-    def resolver(self, *, z_allowed=None, u_allowed=None, context="", warnings=None, s_dim=None):
-        """Build a symbol resolver with optional z/u masks.
+    def _locate(self, sym: Sym, s_dim: int | None) -> int:
+        """The flat index ``sym`` reads, with no mask; a z, u or theta
+        symbol is looked up once per text and kept in ``_located``."""
+        head = sym.parts[0]
+        if head == "theta":
+            if len(sym.parts) != 3 or sym.comp is not None:
+                raise UnknownSymbolError(f"malformed parameter symbol {sym.text!r}")
+            ref = self._theta_index.get((sym.parts[1], sym.parts[2]))
+            if ref is None:
+                raise UnknownSymbolError(f"unknown parameter {sym.text!r}")
+        elif head == "z" or head == "u":
+            if len(sym.parts) != 2:
+                raise UnknownSymbolError(f"malformed symbol {sym.text!r}")
+            ref = self._resolve_var_sym(sym, head, sym.parts[1])
+        elif head == "s" and len(sym.parts) == 1:
+            if s_dim is None:
+                raise UnknownSymbolError("symbol 's' is only valid in selection costs")
+            comp = sym.comp if sym.comp is not None else 0
+            if not 0 <= comp < s_dim:
+                raise UnknownSymbolError(f"component out of range in symbol {sym.text!r}")
+            return self.dim + comp
+        else:
+            raise UnknownSymbolError(f"unknown symbol {sym.text!r}")
+        self._located[sym.text] = ref
+        return ref
+
+    def resolver(self, *, allowed=None, context="", warnings=None, s_dim=None):
+        """Build a symbol resolver with an optional parent mask.
 
         The resolver maps a symbol to its flat index; the selection-cost
         symbol ``s[k]`` resolves past the point, to ``dim + k``.
-        ``z_allowed``/``u_allowed`` are sets of variable names or None for
-        unrestricted.  Parameter symbols resolve against the whole table:
-        cross-module parameter sharing is representable (it is what the
-        mechanism-independence diagnostics exist to detect).  ``warnings``
-        collects mask violations instead of raising when provided.
+        ``allowed`` is the set of variables whose z or u coordinates a
+        symbol may read, or None for unrestricted.  Parameter symbols
+        resolve against the whole table: cross-module parameter sharing is
+        representable (it is what the mechanism-independence diagnostics
+        exist to detect).
+        ``warnings`` collects mask violations instead of raising when
+        provided.
         """
+        located, var_at = self._located, self._var_at
+        theta = len(var_at)  # every z and u index lies below
 
         def resolve(sym: Sym):
-            head = sym.parts[0]
-            if head == "theta":
-                if len(sym.parts) != 3 or sym.comp is not None:
-                    raise UnknownSymbolError(f"malformed parameter symbol {sym.text!r}")
-                owner, name = sym.parts[1], sym.parts[2]
-                if (owner, name) not in self._theta_index:
-                    raise UnknownSymbolError(f"unknown parameter {sym.text!r}")
-                return self._theta_index[(owner, name)]
-            if head in _SPACE_OF.values():
-                if len(sym.parts) != 2:
-                    raise UnknownSymbolError(f"malformed symbol {sym.text!r}")
-                name = sym.parts[1]
-                ref = self._resolve_var_sym(sym, head, name)
-                allowed = z_allowed if head == "z" else u_allowed
-                if allowed is not None and name not in allowed:
-                    message = f"symbol {sym.text!r} outside the parent mask of {context}"
-                    if warnings is None:
-                        raise MaskViolationError(message)
-                    warnings.append(message)
-                return ref
-            if head == "s" and len(sym.parts) == 1:
-                if s_dim is None:
-                    raise UnknownSymbolError("symbol 's' is only valid in selection costs")
-                comp = sym.comp if sym.comp is not None else 0
-                if not 0 <= comp < s_dim:
-                    raise UnknownSymbolError(f"component out of range in symbol {sym.text!r}")
-                return self.dim + comp
-            raise UnknownSymbolError(f"unknown symbol {sym.text!r}")
+            ref = located.get(sym.text)
+            if ref is None:
+                ref = self._locate(sym, s_dim)
+            if allowed is not None and ref < theta and var_at[ref] not in allowed:
+                message = f"symbol {sym.text!r} outside the parent mask of {context}"
+                if warnings is None:
+                    raise MaskViolationError(message)
+                warnings.append(message)
+            return ref
 
         return resolve
 
     def term_resolver(self, term: EnergyTerm, warnings=None):
+        """The resolver of a term's mask: a local term reads its own
+        variable, its parents and its paired exogenous variable; an exo
+        term its own variable alone, and its violations always raise."""
         if term.owner_kind == "global":
             return self.resolver()
         if term.owner_kind == "exo":
-            return self.resolver(z_allowed=frozenset(), u_allowed={term.owner},
-                                 context=f"exo term {term.owner}", warnings=None)
-        z_ok = {term.owner, *self.dag.parents(term.owner)}
-        u_ok = set()
-        paired = self.paired_exo(term.owner)
+            return self.resolver(allowed={term.owner}, context=f"exo term {term.owner}")
+        allowed = {term.owner, *self.dag.parents(term.owner)}
+        paired = self._paired_exo.get(term.owner)
         if paired is not None:
-            u_ok.add(paired)
-        return self.resolver(z_allowed=z_ok, u_allowed=u_ok,
-                             context=f"local term {term.owner}", warnings=warnings)
+            allowed.add(paired)
+        return self.resolver(allowed=allowed, context=f"local term {term.owner}",
+                             warnings=warnings)
 
     def readout_resolver(self, s_dim: int | None = None):
         return self.resolver(s_dim=s_dim)
@@ -484,11 +500,6 @@ class Model:
 # Parsing / validation
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
 def parse_model(text, mask_policy: str = "strict") -> Model:
     """Parse and validate a model file.
 
@@ -496,7 +507,8 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
     ``mask_policy="warn"``, parent-mask violations in local terms and
     vector-field components are recorded on ``model.mask_warnings`` instead
     of raising; this is how locality-violating diagnostic fixtures are
-    constructed on purpose.
+    constructed on purpose.  Checks run in file order, and the first that
+    fails raises; every lookup is a set or dict lookup.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -505,114 +517,149 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
             raise SchemaError(f"invalid JSON: {err}") from None
     else:
         data = text
-    _require(isinstance(data, dict), "model file must be a JSON object")
+    if not isinstance(data, dict):
+        raise SchemaError("model file must be a JSON object")
     if mask_policy not in ("strict", "warn"):
         raise ValueError("mask_policy must be 'strict' or 'warn'")
     unknown = set(data) - {"variables", "edges", "terms", "dynamics"}
-    _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+    if unknown:
+        raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
 
     raw_vars = data.get("variables")
-    _require(isinstance(raw_vars, list) and raw_vars, "'variables' must be a non-empty list")
+    if not (isinstance(raw_vars, list) and raw_vars):
+        raise SchemaError("'variables' must be a non-empty list")
     variables: list[VariableDecl] = []
-    seen_names: set[str] = set()
+    kinds: dict[str, str] = {}  # variable name -> kind
     for item in raw_vars:
-        _require(isinstance(item, dict), "variable entries must be objects")
+        if not isinstance(item, dict):
+            raise SchemaError("variable entries must be objects")
         name = item.get("name")
         kind = item.get("kind")
         dim = item.get("dim", 1)
-        _require(isinstance(name, str) and _IDENT_RE.match(name), f"bad variable name {name!r}")
-        _require(name != "global", "'global' is a reserved name")
-        _require(kind in ("endogenous", "exogenous"), f"bad kind for variable {name!r}")
-        _require(isinstance(dim, int) and dim >= 1, f"dim of {name!r} must be a positive integer")
-        _require(name not in seen_names, f"duplicate variable name {name!r}")
-        seen_names.add(name)
+        if not (isinstance(name, str) and _IDENT_RE.match(name)):
+            raise SchemaError(f"bad variable name {name!r}")
+        if name == "global":
+            raise SchemaError("'global' is a reserved name")
+        if kind not in ("endogenous", "exogenous"):
+            raise SchemaError(f"bad kind for variable {name!r}")
+        if not (isinstance(dim, int) and dim >= 1):
+            raise SchemaError(f"dim of {name!r} must be a positive integer")
+        if name in kinds:
+            raise SchemaError(f"duplicate variable name {name!r}")
+        kinds[name] = kind
         variables.append(VariableDecl(name, kind, dim))
 
     endo_names = [v.name for v in variables if v.kind == "endogenous"]
-    _require(len(endo_names) > 0, "at least one endogenous variable is required")
+    if not endo_names:
+        raise SchemaError("at least one endogenous variable is required")
 
     raw_edges = data.get("edges", [])
-    _require(isinstance(raw_edges, list), "'edges' must be a list")
-    edges: list[tuple[str, str]] = []
+    if not isinstance(raw_edges, list):
+        raise SchemaError("'edges' must be a list")
+    edges: dict[tuple[str, str], None] = {}  # in file order
     for item in raw_edges:
-        _require(isinstance(item, (list, tuple)) and len(item) == 2, f"bad edge {item!r}")
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise SchemaError(f"bad edge {item!r}")
         parent, child = item
         for end in (parent, child):
-            _require(end in seen_names, f"edge references undeclared variable {end!r}")
-            _require(end in endo_names, f"edge endpoint {end!r} is not endogenous")
-        _require(parent != child, f"self-edge on {parent!r}")
-        _require((parent, child) not in edges, f"duplicate edge {item!r}")
-        edges.append((parent, child))
+            if end not in kinds:
+                raise SchemaError(f"edge references undeclared variable {end!r}")
+            if kinds[end] != "endogenous":
+                raise SchemaError(f"edge endpoint {end!r} is not endogenous")
+        if parent == child:
+            raise SchemaError(f"self-edge on {parent!r}")
+        if (parent, child) in edges:
+            raise SchemaError(f"duplicate edge {item!r}")
+        edges[(parent, child)] = None
 
-    dag = Dag(endo_names, edges)
+    dag = Dag(endo_names, list(edges))
 
     raw_terms = data.get("terms")
-    _require(isinstance(raw_terms, list), "'terms' must be a list")
+    if not isinstance(raw_terms, list):
+        raise SchemaError("'terms' must be a list")
     terms: list[EnergyTerm] = []
     for item in raw_terms:
-        _require(isinstance(item, dict), "term entries must be objects")
+        if not isinstance(item, dict):
+            raise SchemaError("term entries must be objects")
         owner_tag = item.get("owner")
-        _require(isinstance(owner_tag, str), "term owner must be a string")
+        if not isinstance(owner_tag, str):
+            raise SchemaError("term owner must be a string")
         if owner_tag == "global":
             owner_kind, owner = "global", "global"
         else:
-            _require(":" in owner_tag, f"bad term owner {owner_tag!r}")
-            owner_kind, owner = owner_tag.split(":", 1)
-            _require(owner_kind in ("local", "exo"), f"bad term owner {owner_tag!r}")
-            _require(owner in seen_names, f"term owner {owner!r} is undeclared")
+            owner_kind, colon, owner = owner_tag.partition(":")
+            if not colon or owner_kind not in ("local", "exo"):
+                raise SchemaError(f"bad term owner {owner_tag!r}")
+            if owner not in kinds:
+                raise SchemaError(f"term owner {owner!r} is undeclared")
             expected = "endogenous" if owner_kind == "local" else "exogenous"
-            actual = next(v.kind for v in variables if v.name == owner)
-            _require(actual == expected, f"term owner {owner!r} is not {expected}")
+            if kinds[owner] != expected:
+                raise SchemaError(f"term owner {owner!r} is not {expected}")
         params = item.get("params", {})
-        _require(isinstance(params, dict), f"params of term {owner!r} must be an object")
+        if not isinstance(params, dict):
+            raise SchemaError(f"params of term {owner!r} must be an object")
+        values = {}
         for pname, pval in params.items():
-            _require(isinstance(pname, str) and _IDENT_RE.match(pname),
-                     f"bad parameter name {pname!r} in term {owner!r}")
-            _require(isinstance(pval, (int, float)) and not isinstance(pval, bool),
-                     f"parameter {pname!r} of term {owner!r} must be numeric")
+            if not (isinstance(pname, str) and _IDENT_RE.match(pname)):
+                raise SchemaError(f"bad parameter name {pname!r} in term {owner!r}")
+            if not isinstance(pval, (int, float)) or isinstance(pval, bool):
+                raise SchemaError(f"parameter {pname!r} of term {owner!r} must be numeric")
+            values[pname] = float(pval)
         source = item.get("expr")
-        _require(isinstance(source, str), f"term {owner!r} is missing an 'expr' string")
-        terms.append(EnergyTerm(owner_kind, owner,
-                                parse_expr(source),
-                                {k: float(v) for k, v in params.items()}))
+        if not isinstance(source, str):
+            raise SchemaError(f"term {owner!r} is missing an 'expr' string")
+        terms.append(EnergyTerm(owner_kind, owner, parse_expr(source), values))
 
     owners_local = [t.owner for t in terms if t.owner_kind == "local"]
     owners_exo = [t.owner for t in terms if t.owner_kind == "exo"]
     n_global = sum(1 for t in terms if t.owner_kind == "global")
-    _require(len(set(owners_local)) == len(owners_local), "duplicate local term")
-    _require(len(set(owners_exo)) == len(owners_exo), "duplicate exo term")
-    _require(n_global <= 1, "at most one global term is allowed")
-    missing = [n for n in endo_names if n not in owners_local]
-    _require(not missing, f"endogenous variables without a local term: {missing}")
+    if len(set(owners_local)) != len(owners_local):
+        raise SchemaError("duplicate local term")
+    if len(set(owners_exo)) != len(owners_exo):
+        raise SchemaError("duplicate exo term")
+    if n_global > 1:
+        raise SchemaError("at most one global term is allowed")
+    local = set(owners_local)
+    missing = [n for n in endo_names if n not in local]
+    if missing:
+        raise SchemaError(f"endogenous variables without a local term: {missing}")
 
     raw_dyn = data.get("dynamics")
     dynamics: list[DynComponent] | None = None
     if raw_dyn is not None:
-        _require(isinstance(raw_dyn, list), "'dynamics' must be a list")
+        if not isinstance(raw_dyn, list):
+            raise SchemaError("'dynamics' must be a list")
         dynamics = []
         for item in raw_dyn:
-            _require(isinstance(item, dict) and isinstance(item.get("var"), str)
-                     and isinstance(item.get("expr"), str), f"bad dynamics entry {item!r}")
-            _require(item["var"] in endo_names, f"dynamics for non-endogenous {item['var']!r}")
+            if not (isinstance(item, dict) and isinstance(item.get("var"), str)
+                    and isinstance(item.get("expr"), str)):
+                raise SchemaError(f"bad dynamics entry {item!r}")
+            if kinds.get(item["var"]) != "endogenous":
+                raise SchemaError(f"dynamics for non-endogenous {item['var']!r}")
             dynamics.append(DynComponent(item["var"], parse_expr(item["expr"])))
-        dyn_vars = [d.var for d in dynamics]
-        _require(len(set(dyn_vars)) == len(dyn_vars), "duplicate dynamics component")
+        dyn_vars = {d.var for d in dynamics}
+        if len(dyn_vars) != len(dynamics):
+            raise SchemaError("duplicate dynamics component")
         absent = [n for n in endo_names if n not in dyn_vars]
-        _require(not absent, f"dynamics must cover every endogenous variable; missing {absent}")
+        if absent:
+            raise SchemaError(f"dynamics must cover every endogenous variable; missing {absent}")
 
     warnings: list[str] = [] if mask_policy == "warn" else None
     model = Model(variables, dag, terms, dynamics)
 
     # Compile after the full parameter table exists so that terms may refer
-    # to parameters declared later in the file.
+    # to parameters declared later in the file.  A vector-field component
+    # obeys its local term's mask.
+    local_resolvers = {}
     for term in model.terms:
-        term.compiled = compile_expr(term.expr, model.term_resolver(term, warnings=warnings))
+        resolve = model.term_resolver(term, warnings=warnings)
+        if term.owner_kind == "local":
+            local_resolvers[term.owner] = resolve
+        term.compiled = compile_expr(term.expr, resolve)
         term.objective_term = ObjectiveTerm(term.label, [(1.0, term.compiled)])
     if model.dynamics is not None:
         for comp in model.dynamics:
-            local = model.local_term(comp.var)
-            comp.compiled = compile_expr(
-                comp.expr, model.term_resolver(local, warnings=warnings))
+            comp.compiled = compile_expr(comp.expr, local_resolvers[comp.var])
             comp.objective_term = ObjectiveTerm(comp.var, [(1.0, comp.compiled)])
     model.mask_warnings = tuple(warnings or [])
     return model

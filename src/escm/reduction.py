@@ -419,10 +419,10 @@ def shifted_local_source(model: Model, node: str, delta: float) -> str:
     minimum.  Blending in an unrelated replacement does not, in general.
     """
     expr = model.local_term(node).expr
-    spans = [(sym.start, sym.end) for sym in expr.symbols()
+    spans = [(sym.start, sym.end) for sym in expr.syms
              if sym.parts[0] == "z" and len(sym.parts) == 2 and sym.parts[1] == node]
     src = expr.source
-    for start, end in sorted(spans, reverse=True):
+    for start, end in reversed(spans):
         src = src[:start] + f"({src[start:end]} - ({float(delta)!r}))" + src[end:]
     return src
 

@@ -537,3 +537,21 @@ def test_deeply_nested_expressions_exit_with_one_json_error(capsys, tmp_path, ex
     assert "nested deeper than" in json.loads(lines[0])["error"]["message"]
     assert "Traceback" not in captured.err
     assert len(captured.out.encode()) < 1000  # an excerpt, not the whole source
+
+
+@pytest.mark.parametrize("expr, z1", [
+    ("- log(z.Z1)", 1e-200),          # log's second derivative divides by an underflowed square
+    ("exp(z.Z1)", 1000.0),
+    ("pow(z.Z1, 3)", 1e200),
+    ("pow(z.Z1, -2)", 1e-200),
+])
+def test_numeric_overflow_in_an_energy_exits_2(capsys, tmp_path, expr, z1):
+    spec = chain2_dict()
+    spec["terms"][0]["expr"] = f"0.5*sq(z.Z1 - u.U1) + {expr}"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, report = invoke(capsys, "probes", str(path), "--heads", "H_Hess",
+                          "--points", json.dumps([{"z.Z1": z1}]), "--no-timing")
+    assert code == 2
+    assert report["error"] == {"message": "numeric overflow in term 'Z1'",
+                               "type": "EnergyDomainError"}

@@ -111,3 +111,20 @@ def test_unknown_symbol_has_name():
 def _chain2_resolver():
     model = parse_model(chain2_dict())
     return model.readout_resolver()
+
+
+def test_bound_symbols_take_their_place_among_the_numbers():
+    # a symbol bound to a constant sits between the numbers around it, and
+    # a pow's exponent parameters follow its base's constants
+    model = parse_model(chain2_dict())
+    base = model.readout_resolver()
+    a = 0.25
+
+    def resolve(sym):
+        return a if sym.text == "theta.Z2.a" else base(sym)
+
+    source = "2*theta.Z2.a*pow(z.Z1 - theta.Z2.a, 3) + 3*pow(theta.Z2.a, -2) + z.Z2/theta.Z2.a"
+    compiled = compile_expr(parse_expr(source), resolve)
+    assert compiled.refs == (0, 1) and compiled.reads == (-1, 0, -1, -1, 1, -1)
+    z1, z2 = 0.7, -1.3
+    assert expr_value(compiled, [z1, z2]) == 2 * a * (z1 - a) ** 3 + 3 * a ** -2 + z2 / a

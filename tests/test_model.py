@@ -101,6 +101,38 @@ def test_parent_mask_enforced_for_z_symbols():
     assert len(model.mask_warnings) == 1
 
 
+def _three_nodes(expr: str) -> dict:
+    """Z1, Z2, Z3 with no edges, each with its paired U; Z1's local term
+    is ``expr``."""
+    return {"variables": [{"name": f"{space}{k}", "kind": kind}
+                          for space, kind in (("Z", "endogenous"), ("U", "exogenous"))
+                          for k in (1, 2, 3)],
+            "edges": [],
+            "terms": [{"owner": "local:Z1", "expr": expr},
+                      {"owner": "local:Z2", "expr": "sq(z.Z2 - u.U2)"},
+                      {"owner": "local:Z3", "expr": "sq(z.Z3 - u.U3)"}]}
+
+
+def test_symbols_are_checked_from_the_last_in_the_text():
+    # mask warnings reach every report in this order, and the first
+    # error raised names the last bad symbol of the text
+    spec = _three_nodes("sq(z.Z1) + z.Z2*z.Z3 + u.U2")
+    model = parse_model(spec, mask_policy="warn")
+    assert model.mask_warnings == tuple(
+        f"symbol {name!r} outside the parent mask of local term Z1"
+        for name in ("u.U2", "z.Z3", "z.Z2"))
+    with pytest.raises(MaskViolationError, match="'u.U2'"):
+        parse_model(spec)
+    with pytest.raises(UnknownSymbolError) as err:
+        parse_model(_three_nodes("z.Q1 + z.Q2"))
+    assert str(err.value) == "unknown endogenous variable in symbol 'z.Q2'"
+
+
+def test_a_symbol_is_checked_at_each_occurrence():
+    model = parse_model(_three_nodes("z.Z2 + sq(z.Z1) + z . Z2"), mask_policy="warn")
+    assert [w.split("'")[1] for w in model.mask_warnings] == ["z . Z2", "z.Z2"]
+
+
 def test_unpaired_exogenous_not_readable():
     spec = chain2_dict()
     spec["terms"][0]["expr"] = "0.5*sq(z.Z1 - u.U2)"  # U2 pairs with Z2

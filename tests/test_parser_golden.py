@@ -1,0 +1,250 @@
+"""Golden parses: every expression string in ``tests/golden/parser.json``
+must parse to its committed tree, with every node's span, or fail with its
+committed ``ExprSyntaxError`` message and position, byte for byte.
+
+The strings are a seeded mix of valid and invalid expressions: random
+expressions with random spacing (spaced dotted symbols, component indices,
+every number spelling, every function), mutations of them (a character
+dropped, doubled, swapped or replaced, the text cut short), hand-picked
+edge cases, and nesting at and past ``MAX_DEPTH`` (parentheses, calls,
+minus signs, operator chains).  The file was recorded from the
+recursive-descent parser that the precedence loop replaced.  Regenerate it
+with ``PYTHONPATH=src python tests/test_parser_golden.py`` only for a
+change that is meant to change what the grammar accepts, and say which
+cases moved.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from pathlib import Path
+
+from escm.errors import ExprSyntaxError
+from escm.expr import MAX_DEPTH, Bin, Call, Neg, Num, Pow, Sym, _gaps, _pow_params, parse_expr
+
+GOLDEN = Path(__file__).parent / "golden" / "parser.json"
+SEED = 17
+RANDOM_CASES = 2500
+MUTATIONS = 2000
+
+
+def dump(node) -> list:
+    """A node as nested lists: kind, payload, span, children."""
+    span = [node.start, node.end]
+    if isinstance(node, Num):
+        return ["num", repr(node.value), *span]
+    if isinstance(node, Sym):
+        return ["sym", node.text, list(node.parts), node.comp, *span]
+    if isinstance(node, Neg):
+        return ["neg", *span, dump(node.child)]
+    if isinstance(node, Bin):
+        return ["bin", node.op, *span, dump(node.left), dump(node.right)]
+    if isinstance(node, Pow):
+        return ["pow", node.exponent, *span, dump(node.base)]
+    if isinstance(node, Call):
+        return ["call", node.fn, *span, dump(node.child)]
+    raise TypeError(f"unknown node {type(node).__name__}")
+
+
+def outcome(source: str) -> list:
+    try:
+        return ["tree", dump(parse_expr(source).root)]
+    except ExprSyntaxError as err:
+        return ["error", str(err), err.position]
+
+
+# ---------------------------------------------------------------------------
+# The strings
+
+
+_NAMES = ["Z1", "Z2", "U1", "V", "a", "c_Z2", "_x", "exp", "log", "s", "z", "theta", "Q9"]
+_NUMBERS = ["0", "1", "2.5", "1.", ".5", "1e-3", "2.5E+2", "007", "3.0e0", "1e400", "0.125"]
+
+
+def _space(rng: random.Random) -> str:
+    return rng.choice(["", "", "", " ", "  ", "\t", "\n"])
+
+
+def _symbol(rng: random.Random) -> str:
+    dot = lambda: rng.choice([".", ".", ".", " . ", ". ", " ."])  # noqa: E731
+    kind = rng.randrange(8)
+    if kind < 3:
+        text = rng.choice(["z", "u"]) + dot() + rng.choice(_NAMES)
+    elif kind == 3:
+        text = "theta" + dot() + rng.choice(_NAMES) + dot() + rng.choice(_NAMES)
+    elif kind == 4:
+        text = rng.choice(["z", "u"]) + dot() + "V" + _space(rng) + "[" + _space(rng) + rng.choice(
+            ["0", "1", "2", "2.0", "1e0", "-1", "1.5", "a", ""]) + _space(rng) + "]"
+    elif kind == 5:
+        text = rng.choice(["s", "s[0]", "s[1]", "s [ 2 ]"])
+    elif kind == 6:
+        text = rng.choice(["z.Z1.a", "theta.Z2", "u", "z.exp", "theta.a.b.c"])
+    else:
+        text = rng.choice(_NAMES)
+    return text
+
+
+def _expression(rng: random.Random, depth: int) -> str:
+    """A random expression of the grammar, nested at most ``depth`` deep."""
+    roll = rng.random() if depth > 0 else rng.random() * 0.45
+    sp = lambda: _space(rng)  # noqa: E731
+    if roll < 0.2:
+        return rng.choice(_NUMBERS)
+    if roll < 0.45:
+        return _symbol(rng)
+    if roll < 0.55:
+        return "-" + sp() + _expression(rng, depth - 1)
+    if roll < 0.65:
+        return "(" + sp() + _expression(rng, depth - 1) + sp() + ")"
+    if roll < 0.75:
+        fn = rng.choice(["exp", "log", "tanh", "sq"])
+        return fn + sp() + "(" + sp() + _expression(rng, depth - 1) + sp() + ")"
+    if roll < 0.8:
+        n = rng.choice(["2", "3", "-2", "- 1", "0", "1", "4", "2.0", "1e1", "-0"])
+        return "pow(" + _expression(rng, depth - 1) + "," + sp() + n + sp() + ")"
+    op = rng.choice(["+", "-", "*", "/"])
+    return _expression(rng, depth - 1) + sp() + op + sp() + _expression(rng, depth - 1)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    if not text:
+        return rng.choice("+-*/().,[]")
+    at = rng.randrange(len(text))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return text[:at] + text[at + 1:]
+    if kind == 1:
+        return text[:at] + text[at] + text[at:]
+    if kind == 2 and at + 1 < len(text):
+        return text[:at] + text[at + 1] + text[at] + text[at + 2:]
+    if kind == 3:
+        return text[:at]
+    extra = rng.choice("+-*/().,[]eE0._zx @$#é٣ ;!'")
+    return text[:at] + extra + text[at:]
+
+
+_EDGES = [
+    "", " ", "\t\n", "z.Z1", "z . Z1", "z. Z1", "z .Z1", "theta . Z2 . a", "theta.Z2 . a",
+    "theta . Z2.a", "z.exp(1)", "exp.x(1)", "sq .x(1)", "z(1)", "sq(z.exp(1))", "z.Z1(2)",
+    "u.V[2.0]", "u.V[-1]", "u.V[1e0]", "u.V[1.5]", "u.V[a]", "u.V[", "u.V[2", "u.V[2)",
+    "u.V 2]", "pow(x, -2)", "pow(x, - 2)", "pow(x, 2.0)", "pow(x, 0.5)", "pow(x, z.Z2)",
+    "pow(x)", "pow(x, 2", "pow(x 2)", "pow(x, --2)", "pow(x, -)", "1.", ".5", "1e-3",
+    "1e", "1.e5", "1.5.2", "z.1", "z.Z1.5", "z..Z1", "z.", "z.Z1.", "2z.Z1", "z.Z1 z.Z2",
+    "1 + * 2", "1 + 2 )", "(1 + 2", "(1, 2)", "abs(z.Z1)", "relu(z.Z1)", "exp()",
+    "exp(1,2)", "exp 1", "--1", "- - - z.Z1", "-(-(z.Z1))", "-z.Z1*z.Z2", "a@b", "$",
+    "z.Z1 + é", "٣ + 1", "1 + 2", "z.Z1;", "1 +", "*", ")", "(", "[", "]", ",",
+    ".", "s", "s[1]", "s.1", "theta.Z2.a.b", "z.Z1[0].a", "z.Z1[0][1]", "x-1", "x--1",
+    "x+-+1", "1/2/3", "1-2-3", "2*(3+4)*5", "exp(log(tanh(sq(1))))", "1 2", "1e999",
+]
+
+
+def _depth_cases() -> list[str]:
+    out = []
+    for k in (MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, MAX_DEPTH + 5):
+        out += [
+            "(" * k + "z.Z1" + ")" * k,
+            "(" * k + "z.Z1",
+            "(" * k + ")" * k,
+            "sq(" * k + "z.Z1" + ")" * k,
+            "pow(" * k + "z.Z1" + ", 2)" * k,
+            "-" * k + "z.Z1",
+            "- " * k + "(z.Z1 + 1)",
+            "-(" * k + "z.Z1" + ")" * k,
+            "+".join(["z.Z1"] * k),
+            "*".join(["z.Z1"] * k),
+            " - ".join(["1"] * k),
+            "/".join(["2"] * k),
+            " + ".join(["z.Z1*z.Z2"] * k),
+            "z.Z1" + "*z.Z1" * (k - 1) + " + " + "(" * 3 + "1" + ")" * 3,
+            "(" * (k // 2) + "+".join(["1"] * (k // 2 + 1)) + ")" * (k // 2),
+            "(" * k + "z.Z1" + ")" * (k - 1) + " +",
+            "tanh(" * k + "@" + ")" * k,
+            "sq(" * (k - 3) + "-(" * 2 + "z.Z1" + ")" * (k - 1),
+        ]
+    return out
+
+
+def cases() -> list[str]:
+    rng = random.Random(SEED)
+    valid = [_expression(rng, rng.randrange(1, 7)) for _ in range(RANDOM_CASES)]
+    mutated = [_mutate(rng, rng.choice(valid + _EDGES)) for _ in range(MUTATIONS)]
+    return _EDGES + _depth_cases() + valid + mutated
+
+
+# ---------------------------------------------------------------------------
+# The test
+
+
+def test_every_string_parses_as_recorded():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden["max_depth"] == MAX_DEPTH
+    wrong = [(source, want, outcome(source)) for source, want in golden["cases"]
+             if outcome(source) != want]
+    assert not wrong, f"{len(wrong)} of {len(golden['cases'])} differ; first: {wrong[0]}"
+
+
+def _sym_leaves(node) -> list:
+    if isinstance(node, Sym):
+        return [node]
+    if isinstance(node, Bin):
+        return _sym_leaves(node.left) + _sym_leaves(node.right)
+    child = getattr(node, "child", None) or getattr(node, "base", None)
+    return _sym_leaves(child) if child is not None else []
+
+
+def test_the_parser_lists_every_symbol_in_text_order():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for source, want in golden["cases"]:
+        if want[0] == "tree":
+            expr = parse_expr(source)
+            assert list(expr.syms) == _sym_leaves(expr.root), source
+
+
+def _numbers_before(node, count: int, out: list) -> int:
+    """Walk the tree in text order, counting numbers (a pow's exponent
+    parameters after its base) and appending the count at each symbol."""
+    if isinstance(node, Num):
+        return count + 1
+    if isinstance(node, Sym):
+        out.append(count)
+        return count
+    if isinstance(node, Bin):
+        return _numbers_before(node.right, _numbers_before(node.left, count, out), out)
+    if isinstance(node, Pow):
+        return _numbers_before(node.base, count, out) + len(_pow_params(node.exponent))
+    return _numbers_before(node.child, count, out)
+
+
+def test_the_form_places_each_symbol_among_the_numbers():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for source, want in golden["cases"]:
+        if want[0] == "tree":
+            expr = parse_expr(source)
+            gaps: list = []
+            assert _numbers_before(expr.root, 0, gaps) == len(expr.numbers), source
+            assert _gaps(expr.form) == gaps, source
+
+
+def test_the_recorded_strings_are_the_generated_ones():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [source for source, _ in golden["cases"]] == cases()
+
+
+def test_the_golden_covers_trees_and_errors():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    kinds = [want[0] for _, want in golden["cases"]]
+    assert kinds.count("tree") > 1000 and kinds.count("error") > 1000
+    messages = {want[1].split(" at position")[0] for _, want in golden["cases"]
+                if want[0] == "error"}
+    assert f"expression nested deeper than {MAX_DEPTH} levels" in messages
+    assert len(messages) > 20
+
+
+if __name__ == "__main__":
+    records = [[source, outcome(source)] for source in cases()]
+    GOLDEN.write_text(json.dumps({"max_depth": MAX_DEPTH, "cases": records},
+                                 ensure_ascii=True, separators=(",", ":")) + "\n",
+                      encoding="utf-8")
+    sys.stdout.write(f"wrote {len(records)} cases to {GOLDEN}\n")

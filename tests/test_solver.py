@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import bisect
 
 from escm import (
+    EnergyDomainError,
     Point,
     QueryError,
     SingularSystemError,
@@ -12,6 +13,7 @@ from escm import (
     SolverError,
     parse_model,
     schur_effective_hessian,
+    evaluate,
     solve,
 )
 from escm.corpus import random_quadratic_model
@@ -73,6 +75,19 @@ def test_free_and_clamped_must_be_disjoint(chain2):
         solve(chain2, clamps={"z.Z1": 0.0}, free=["z.Z1", "z.Z2"])
     with pytest.raises(QueryError):
         solve(chain2, free=["theta.Z2.a"])
+
+
+def test_an_overflowing_trial_point_is_rejected():
+    # from 0 the Newton step is about 2.2e4, where exp overflows: the trial
+    # reads an infinite energy, and damped steps reach the minimum near 10
+    model = parse_model(one_var("1e-12*sq(z.Z1) - z.Z1 + exp(z.Z1 - 10)"))
+    start = Point.for_model(model)
+    trial = Point.for_model(model, z=[1.0 / (2e-12 + np.exp(-10.0))])
+    with pytest.raises(EnergyDomainError, match="numeric overflow in term 'Z1'"):
+        evaluate(model, trial)
+    eq = solve(model, init_point=start)
+    assert eq.point.z[0] == pytest.approx(10.0, abs=1e-9)
+    assert eq.residual <= 1e-10
 
 
 def test_non_convergence_raises_with_diagnostics():
