@@ -24,10 +24,17 @@ is read.  An operation that may raise stays its own assignment and keeps
 its place, so the first failure is the walk's.  A Hessian or third block
 is unrolled into one line per entry only while it has at most
 ``MAX_UNROLLED`` entries; a larger block is one numpy expression over the
-term's full slot layout (:func:`escm.jets._outer`, ``_outer_sym`` and
-``_sym3``), the dense formula itself.  Dropping a structurally zero
+term's full slot layout (:func:`_outer`, :func:`_outer_sym` and
+:func:`_sym3`), the dense formula itself.  Dropping a structurally zero
 operand leaves every entry bitwise what the dense sum gives, except that a
 zero entry may differ in sign.
+
+A generated function returns ``value, grad, hess, third``.  Each block is
+flat: an unrolled one is the tuple of its entries over all ``k`` slots,
+row-major, and one past ``MAX_UNROLLED`` is the ndarray its numpy formula
+builds; ``np.asarray(block).reshape`` and ``np.concatenate(..., axis=None)``
+read either the same way.  A block that is structurally zero, or above the
+order, is None.
 
 The same code object runs one point in Python floats and a batch of points
 on ``(B,)`` arrays: when it is compiled, it is bound to each of two helper
@@ -40,7 +47,7 @@ Generated source holds no text from a model: only generated names (``a``
 leaves, ``k`` constants, ``v`` intermediates), integer slots, a few fixed
 float literals and the helpers below.  A domain failure raises
 :class:`DomainFault` with the preorder index of the failing node, which
-:func:`term_value`, :func:`term_jet` and :func:`active_blocks` turn into the
+:func:`term_value` and :func:`active_blocks` turn into the
 :class:`~escm.errors.EnergyDomainError` naming the term's owner and the
 failing subexpression.  A float operation out of range (``exp`` of 1000,
 ``pow`` of 1e200) raises ``OverflowError`` or, where a power a derivative
@@ -62,10 +69,9 @@ import numpy as np
 
 from .errors import EnergyDomainError
 from .expr import FORM_CALLS, Bin, Call, Neg, Pow
-from .jets import _outer, _outer_sym, _sym3
 
-__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "term_jet",
-           "active_blocks", "source"]
+__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "active_blocks",
+           "source"]
 
 # A Hessian or third block with more entries than this is one numpy
 # expression instead of one line per entry.
@@ -164,6 +170,25 @@ def _b_pow_negative(v, n, node):
 def _b_div(a, b, node):
     _b_nonzero(b, node)
     return a / b
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.outer over the leading axis, broadcast over a trailing batch axis
+    return a[:, None] * b[None, :]
+
+
+def _outer_sym(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a_i b_j + b_i a_j: bitwise symmetric because float addition commutes.
+    return _outer(a, b) + _outer(b, a)
+
+
+def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # T_abc = h_ab g_c + h_ac g_b + h_bc g_a for symmetric h.
+    return (
+        h[:, :, None] * g[None, None, :]
+        + h[:, None, :] * g[None, :, None]
+        + h[None, :, :] * g[:, None, None]
+    )
 
 
 def _dense2(k, bs, rows, cols, vals):
@@ -317,35 +342,14 @@ def _value(code: _TermCode, values):
         raise code.overflow() from None
 
 
-def term_jet(term, x: np.ndarray, active, order: int):
-    """(value, grad, hess, third) of ``term`` at the flat point ``x``,
-    (dim,) or (dim, B), with respect to the flat indices ``active``.  The
-    blocks its order has are indexed by position in ``active``; a
-    structurally zero Hessian or third block is None, and so are all three
-    when the term reads no active coordinate."""
-    code = _code(term)
-    if x.ndim > 1:
-        n = x.shape[1]
-        fn = code.function(active, order, True)
-        args = (x.take(code.index, axis=0), code.consts, np.ones(n), np.zeros(n), (n,))
-    else:
-        fn = code.function(active, order, False)
-        args = (x.take(code.index).tolist(), code.consts, 1.0, 0.0, ())
-    try:
-        return fn(*args)
-    except DomainFault as fault:
-        raise code.error(fault) from None
-    except _ARITHMETIC:
-        raise code.overflow() from None
-
-
 def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> list:
-    """(owner, positions, grad, hess, third) of every term in ``terms``
-    that reads a flat index in ``slot``, in term order, at the flat point
-    ``x``, (dim,) or (dim, B).  ``slot`` maps each active flat index to its
-    position; ``positions`` lists the term's active indices' positions, in
-    the order of the term's sorted refs, and the blocks are :func:`term_jet`'s
-    with respect to those indices.  Terms that read none are not run."""
+    """(owner, positions, value, grad, hess, third) of every term in
+    ``terms`` that reads a flat index in ``slot``, in term order, at the
+    flat point ``x``, (dim,) or (dim, B).  ``slot`` maps each active flat
+    index to its position; ``positions`` lists the term's active indices'
+    positions, in the order of the term's sorted refs, and the blocks, flat
+    as generated code returns them, are with respect to those indices, up
+    to ``order``.  Terms that read none are not run."""
     if x.ndim > 1:
         n = x.shape[1]
         values, batch, tail = x, True, (np.ones(n), np.zeros(n), (n,))
@@ -358,9 +362,9 @@ def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> lis
             active = [r for r in term.refs if r in slot]
             if active:
                 code = _code(term)
-                _, grad, hess, third = code.function(active, order, batch)(
-                    code.gather(values), code.consts, *tail)
-                out.append((term.owner, [slot[r] for r in active], grad, hess, third))
+                out.append((term.owner, [slot[r] for r in active],
+                            *code.function(active, order, batch)(
+                                code.gather(values), code.consts, *tail)))
     except DomainFault as fault:
         raise code.error(fault) from None
     except _ARITHMETIC:
@@ -453,16 +457,29 @@ class _Gen:
             x.vec = self.let(f"_ar({_tuple(x.g.get(s, 'zero') for s in range(self.k))})")
         return x.vec
 
+    def entries(self, blk: dict, rank: int) -> list[str]:
+        """Every entry of an unrolled block over all ``k`` slots, row-major."""
+        r = range(self.k)
+        if rank == 2:
+            return [blk.get((min(i, j), max(i, j)), "zero") for i in r for j in r]
+        return [blk.get((a, b, c), "zero") for a in r for b in r for c in r]
+
+    def flat(self, blk, rank: int) -> str:
+        """A block as generated code returns it: the tuple of its entries
+        while it is unrolled, else one array over all ``k`` slots."""
+        if isinstance(blk, dict) and self.k ** rank <= MAX_UNROLLED:
+            return _tuple(self.entries(blk, rank))
+        return self.dense(blk, rank)
+
     def dense(self, blk, rank: int) -> str:
         """A block as one array over all ``k`` slots."""
         if not isinstance(blk, dict):
             return blk
         if self.k ** rank <= MAX_UNROLLED:  # a nested tuple of every entry
-            r = range(self.k)
-            if rank == 2:
-                get = lambda i, j: blk.get((min(i, j), max(i, j)), "zero")  # noqa: E731
-                return self.let(f"_ar({_tuple(_tuple(get(i, j) for j in r) for i in r)})")
-            return self.let(f"_ar({_tuple(_tuple(_tuple(blk.get((a, b, c), 'zero') for c in r) for b in r) for a in r)})")
+            nested = self.entries(blk, rank)
+            for _ in range(rank - 1):
+                nested = [_tuple(nested[i:i + self.k]) for i in range(0, len(nested), self.k)]
+            return self.let(f"_ar({_tuple(nested)})")
         if rank == 2:
             rows, cols, vals = [], [], []
             for (i, j), name in blk.items():
@@ -751,9 +768,10 @@ def generate(shape, slots, k: int, order: int) -> str:
     elif total.g is None:
         tail = [f"return {total.v}, None, None, None"]
     else:
-        h = "None" if order < 2 or total.h is None else gen.dense(total.h, 2)
-        t = "None" if order < 3 or total.t is None else gen.dense(total.t, 3)
-        tail = [f"return {total.v}, {gen.vec(total)}, {h}, {t}"]
+        g = total.vec or _tuple(total.g.get(s, "zero") for s in range(k))
+        h = "None" if order < 2 or total.h is None else gen.flat(total.h, 2)
+        t = "None" if order < 3 or total.t is None else gen.flat(total.t, 3)
+        tail = [f"return {total.v}, {g}, {h}, {t}"]
     body = _inline(gen.lines + tail)
     return "\n".join(head + [f"    {line}" for line in body]) + "\n"
 

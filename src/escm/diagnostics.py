@@ -639,13 +639,13 @@ def _per_term_z_derivs(model: Model, point: Point, order: int):
     out = {}
     for term in objective.terms:
         idx = [r for r in term.refs if r in z]  # z sits at [0, nz) of the flat order
-        jet = objective.term_jet(term, point, idx, order)
+        value, g, h, _ = objective.term_jet(term, point, idx, order)
         grad = np.zeros(model.nz)
         hess = np.zeros((model.nz, model.nz))
-        grad[idx] = jet.grad
+        grad[idx] = g
         if order >= 2:
-            hess[np.ix_(idx, idx)] = jet.hess
-        out[term.owner] = (jet.value, grad, hess)
+            hess[np.ix_(idx, idx)] = h
+        out[term.owner] = (value, grad, hess)
     return out
 
 

@@ -137,8 +137,8 @@ class _Field:
                 out[k, k] = -payload.gain
                 continue
             active = [r for r in payload.refs if r in col]
-            jet = self.objective.term_jet(payload, point, active, order=1)
-            out[k, [col[r] for r in active]] = jet.grad
+            out[k, [col[r] for r in active]] = self.objective.term_jet(
+                payload, point, active, order=1)[1]
         return out
 
 
@@ -331,10 +331,10 @@ def dyn_icm_check(model: Model, i: str, point: Point,
             term_value(term, point.x.tolist())
             return None
         active = list(dict.fromkeys(parent_refs + own_refs))
-        jet = Objective.from_model(model).term_jet(term, point, active, order=2)
+        _, grad, hess, _ = Objective.from_model(model).term_jet(term, point, active, order=2)
         slot = {ref: k for k, ref in enumerate(active)}
         slot[model.coord_indices(i)[0]] = 0
-        return jet.grad[None], jet.hess[None], slot
+        return grad[None], hess[None], slot
 
     return _independence_report(model, i, residual_derivatives, tol, dynamics=True)
 

@@ -6,12 +6,13 @@ no finite differences.  Each model term is compiled once at parse into an
 :class:`ObjectiveTerm`, which every evaluation reads; only surgery builds
 new ones.  A caller names the coordinates it differentiates with respect
 to; the result is indexed by position in that list, so its size follows
-the query and not the model.  ``term_jet`` evaluates one term and always
-returns a dense :class:`~escm.jets.Jet` over those coordinates.
-``derivatives`` builds no jets: it runs the generated code of every term
-that reads one of them (:func:`escm.codegen.active_blocks`) and adds each
-kind of block, gradient, Hessian or third tensor, into its output with one
-``np.bincount`` over the positions the terms read, in term order.  So
+the query and not the model.  Both derivative methods run generated code
+through :func:`escm.codegen.active_blocks`, which evaluates only the terms
+that read one of those coordinates.  ``term_jet`` evaluates one term and
+returns ``value, grad, hess, third`` as dense arrays over all of them.
+``derivatives`` adds each kind of block, gradient, Hessian or third
+tensor, into its output with one ``np.bincount`` over the positions the
+terms read, in term order.  So
 coordinates a term never mentions contribute exact zeros, a structurally
 zero block is skipped, the sums are those of adding the terms one after
 another, and the assembled Hessian is bitwise symmetric.  It returns no
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import codegen
 from .errors import PairError, QueryError
-from .jets import Jet
 from .model import Model, ObjectiveTerm
 
 __all__ = [
@@ -154,18 +154,38 @@ class Objective:
         return total if point.x.ndim == 1 else np.broadcast_to(total, point.x.shape[1:])
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
-                 active: Sequence[int], order: int) -> Jet:
-        """Evaluate one term with the given flat indices active; everything
-        else is frozen at the point.  The jet is over all of ``active``,
-        with exact zeros where the term does not read a coordinate, and
-        carries every block its order has as an array (``Jet.dense``)."""
+                 active: Sequence[int], order: int) -> tuple:
+        """``value, grad, hess, third`` of one term with the given flat
+        indices active; everything else is frozen at the point.  Each block
+        up to ``order`` is an array over all of ``active``, (k,), (k, k) or
+        (k, k, k) plus the batch axis, holding +0.0 where the term does not
+        read a coordinate; a block above ``order`` is None."""
         x = point.x
-        value, grad, hess, third = codegen.term_jet(term, x, active, order)
-        if grad is None:  # the term reads no active coordinate
-            value = (np.broadcast_to(value, x.shape[1:]).astype(float) if x.ndim > 1
-                     else float(value))
-            grad = np.zeros((len(active),) + x.shape[1:])
-        return Jet(value, grad, hess, third, order).dense()
+        k, batch = len(active), x.shape[1:]
+        blocks = codegen.active_blocks([term], x, dict(zip(active, range(k))), order)
+        if blocks:
+            _, positions, value, grad, hess, third = blocks[0]
+            if batch and value.base is not None:  # a row of ``x``: the term is one symbol
+                value = value.copy()
+        else:  # the term reads no active coordinate
+            value = codegen.term_value(term, x if batch else x.tolist())
+            value = np.full(batch, value) if batch else float(value)
+            positions, grad, hess, third = [], None, None, None
+        whole = positions == [*range(k)]
+
+        def dense(block, rank):
+            shape = (k,) * rank + batch
+            if block is None:
+                return np.zeros(shape)
+            if whole:
+                return np.asarray(block).reshape(shape)
+            out = np.zeros(shape)
+            out[np.ix_(*[positions] * rank)] = np.asarray(block).reshape(
+                (len(positions),) * rank + batch)
+            return out
+
+        return (value, dense(grad, 1), dense(hess, 2) if order >= 2 else None,
+                dense(third, 3) if order >= 3 else None)
 
     def derivatives(self, point: Point, order: int = 2,
                     attribution: bool = False,
@@ -216,7 +236,7 @@ def _assemble(blocks, order: int, attribution: bool, k: int, batch: tuple):
     of rank r, read row-major in its term's block, opens a row of rank
     r + 1 over its term's positions.  Ranks above the highest that has a
     block, such as the third rank of quadratic terms, need no targets."""
-    values = [[block[1 + rank] for block in blocks if block[1 + rank] is not None]
+    values = [[block[2 + rank] for block in blocks if block[2 + rank] is not None]
               for rank in range(1, order + 1)]
     top = order
     while top and not values[top - 1]:
@@ -276,7 +296,7 @@ def _scatter(target, values: list, blocks, rank: int, shape: tuple, batch: tuple
     if not values:
         return np.zeros(shape)
     if len(values) < len(blocks):
-        present = np.array([block[1 + rank] is not None for block in blocks])
+        present = np.array([block[2 + rank] is not None for block in blocks])
         target = target[present.repeat([len(block[1]) ** rank for block in blocks])]
     if batch:  # a block entry holds one value per point, last
         target = (target[:, None] * batch[0] + np.arange(batch[0])).ravel()

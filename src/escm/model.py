@@ -47,7 +47,7 @@ __all__ = [
     "nondescendants",
 ]
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SPACE_OF = {"endogenous": "z", "exogenous": "u"}  # variable kind -> coordinate space
 
 
@@ -536,7 +536,7 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
         name = item.get("name")
         kind = item.get("kind")
         dim = item.get("dim", 1)
-        if not (isinstance(name, str) and _IDENT_RE.match(name)):
+        if not (isinstance(name, str) and _IDENT_RE.fullmatch(name)):
             raise SchemaError(f"bad variable name {name!r}")
         if name == "global":
             raise SchemaError("'global' is a reserved name")
@@ -600,7 +600,7 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
             raise SchemaError(f"params of term {owner!r} must be an object")
         values = {}
         for pname, pval in params.items():
-            if not (isinstance(pname, str) and _IDENT_RE.match(pname)):
+            if not (isinstance(pname, str) and _IDENT_RE.fullmatch(pname)):
                 raise SchemaError(f"bad parameter name {pname!r} in term {owner!r}")
             if not isinstance(pval, (int, float)) or isinstance(pval, bool):
                 raise SchemaError(f"parameter {pname!r} of term {owner!r} must be numeric")

@@ -174,17 +174,18 @@ def _scalar_argmins(objective: Objective, term: ObjectiveTerm, x: np.ndarray,
     model = objective.model
     p = x.copy()  # row ``ref`` moves along the slices
 
-    def jet(cols, order):
-        return objective.term_jet(term, Point.from_flat(model, p[:, cols]), [ref], order)
+    def jet(cols, order):  # term_jet keeps no reference to the point it is given
+        return objective.term_jet(term, Point.from_flat(model, p[:, cols], copy=False),
+                                  [ref], order)
 
     def slope(cols, values):
         p[ref, cols] = values
-        return jet(cols, 1).grad[0]
+        return jet(cols, 1)[1][0]
 
-    at_x0 = jet(slice(None), 2)  # its gradient is bitwise the order-1 one
-    x0, g0 = x[ref].tolist(), at_x0.grad[0].tolist()
+    _, g0, h0, _ = jet(slice(None), 2)  # its gradient is bitwise the order-1 one
+    x0, g0 = x[ref].tolist(), g0[0].tolist()
     steps = {}
-    for j, curvature in enumerate(at_x0.hess[0, 0].tolist()):
+    for j, curvature in enumerate(h0[0, 0].tolist()):
         # Strictly convex slices may still have zero curvature at isolated
         # points (quartics at their minimum); only negative curvature
         # disproves convexity outright.
@@ -197,7 +198,7 @@ def _scalar_argmins(objective: Objective, term: ObjectiveTerm, x: np.ndarray,
     if found:
         cols = list(found)
         p[ref, cols] = roots[cols] = list(found.values())
-        for root, curvature in zip(found.values(), jet(cols, 2).hess[0, 0].tolist()):
+        for root, curvature in zip(found.values(), jet(cols, 2)[2][0, 0].tolist()):
             if curvature < 0.0:
                 raise NonConvexBlockError(node, f"z={root:g}")
     return roots
@@ -212,14 +213,13 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     # Multi-component block: guarded Newton on the block gradient.
     p = point.copy()
     for _ in range(100):
-        jet = objective.term_jet(term, p, refs, order=2)  # its gradient is the order-1 one
-        g = jet.grad
+        _, g, h, _ = objective.term_jet(term, p, refs, order=2)  # g is the order-1 one
         done = float(np.max(np.abs(g))) <= 1e-12
         try:
-            np.linalg.cholesky(jet.hess)
+            np.linalg.cholesky(h)
             if done:
                 return p.x[refs]
-            step = np.linalg.solve(jet.hess, -g)
+            step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             raise NonConvexBlockError(node, "block minimizer" if done else "block Newton") from None
         t = 1.0
@@ -227,7 +227,7 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
         while t > 1e-16:
             cand = p.copy()
             cand.x[refs] += t * step
-            g_new = objective.term_jet(term, cand, refs, order=1).grad
+            g_new = objective.term_jet(term, cand, refs, order=1)[1]
             if float(g_new @ g_new) < base:
                 p = cand
                 break
@@ -361,7 +361,7 @@ def induce_scm(model: Model, probe_points: list[Point] | None = None) -> Induced
         term = model.local_term(node).objective_term
         refs = model.coord_indices(node)
         for p in probes:
-            h = objective.term_jet(term, p, refs, order=2).hess
+            h = objective.term_jet(term, p, refs, order=2)[2]
             # negative curvature disproves blockwise convexity; zero is
             # inconclusive (e.g. quartics at their minimum) and admitted
             if float(np.min(np.linalg.eigvalsh(h))) < 0.0:
@@ -680,7 +680,7 @@ def contraction_factor(model: Model, points: list[Point], iterations: int = 60) 
             parent_refs = [i for p in parents for i in model.coord_indices(p)]
             refs = own + parent_refs
             h = objective.term_jet(model.local_term(node).objective_term, point, refs,
-                                   order=2).hess
+                                   order=2)[2]
             h_oo = h[: len(own), : len(own)]
             h_op = h[: len(own), len(own):]
             try:

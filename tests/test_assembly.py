@@ -25,14 +25,14 @@ def _reference(objective: Objective, point: Point, active, order: int):
         term_active = [r for r in term.refs if r in slot]
         if not term_active:
             continue
-        jet = objective.term_jet(term, point, term_active, order)
+        _, term_grad, term_hess, term_third = objective.term_jet(term, point, term_active, order)
         g = np.array([slot[r] for r in term_active])
-        grad[g] += jet.grad
+        grad[g] += term_grad
         if order >= 2:
-            hess[np.ix_(g, g)] += jet.hess
-            owner_hess.setdefault(term.owner, np.zeros((k, k) + batch))[np.ix_(g, g)] += jet.hess
+            hess[np.ix_(g, g)] += term_hess
+            owner_hess.setdefault(term.owner, np.zeros((k, k) + batch))[np.ix_(g, g)] += term_hess
         if order >= 3:
-            third[np.ix_(g, g, g)] += jet.third
+            third[np.ix_(g, g, g)] += term_third
     return refs, grad, hess, third, owner_hess
 
 

@@ -47,10 +47,7 @@ def _outcome(fn):
 
 
 def _arrays(jet):
-    if not hasattr(jet, "grad"):
-        return [np.asarray(jet, dtype=float)]
-    return [np.asarray(a, dtype=float) for a in (jet.value, jet.grad, jet.hess, jet.third)
-            if a is not None]
+    return [np.asarray(a, dtype=float) for a in jet if a is not None]
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

@@ -112,8 +112,8 @@ def _reference_icm(model, node, point, dynamics=False):
     objective = Objective.from_model(model)
     if dynamics:
         (field,) = [c for c in model.dynamics if c.var == node]
-        jet = objective.term_jet(field.objective_term, point, active, order=2)
-        return jet.grad[p][None], jet.hess[np.ix_(p, o)][None]
+        _, grad, hess, _ = objective.term_jet(field.objective_term, point, active, order=2)
+        return grad[p][None], hess[np.ix_(p, o)][None]
     full = objective.derivatives(point, order=3, active=active)
     rows = [at[r] for r in zi]
     return full.hess[np.ix_(rows, p)], full.third[np.ix_(rows, p, o)]

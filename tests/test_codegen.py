@@ -1,6 +1,6 @@
 """Generated derivative code: it holds no text from the model, blocks are
-unrolled only up to ``MAX_UNROLLED`` entries, and terms of one shape share
-one code object."""
+unrolled only up to ``MAX_UNROLLED`` entries and returned flat, and terms
+of one shape share one code object."""
 
 from __future__ import annotations
 
@@ -93,6 +93,21 @@ def test_wide_blocks_are_numpy_expressions():
     assert "_outer(" not in narrow
 
 
+def test_unrolled_blocks_are_returned_as_flat_tuples():
+    spec = {"variables": [{"name": n, "kind": "endogenous", "dim": 1} for n in "AB"],
+            "edges": [["A", "B"]],
+            "terms": [{"owner": "local:A", "expr": "0.5*sq(z.A)"},
+                      {"owner": "local:B", "expr": "0.5*sq(z.B - theta.B.a*tanh(z.A))",
+                       "params": {"a": 0.5}}]}
+    model = parse_model(spec)
+    term = model.local_term("B").objective_term
+    for active in (term.refs, term.refs[1:]):
+        for order in (1, 2, 3):
+            source = codegen.source(term, active, order)
+            (ret,) = [line for line in source.splitlines() if line.lstrip().startswith("return")]
+            assert "_ar(" not in ret
+
+
 def test_terms_of_one_shape_share_one_code_object():
     spec = {"variables": [{"name": n, "kind": "endogenous", "dim": 1} for n in "ABCD"],
             "edges": [["A", "B"], ["C", "D"]],
@@ -108,8 +123,8 @@ def test_terms_of_one_shape_share_one_code_object():
     jd = objective.term_jet(d, point, d.refs, 2)
     fb, fd = (t.code.function(t.refs, 2, False) for t in (b, d))
     assert fb is fd
-    assert jb.value == 0.75 * (-1.0 - 2.5 * 0.5) ** 2
-    assert jd.value == 1.25 * (0.25 - 0.5 * 2.0) ** 2
+    assert jb[0] == 0.75 * (-1.0 - 2.5 * 0.5) ** 2
+    assert jd[0] == 1.25 * (0.25 - 0.5 * 2.0) ** 2
 
 
 def _nested_calls(depth: int) -> tuple[str, list[str]]:
@@ -184,16 +199,15 @@ def test_expressions_at_the_depth_limit_evaluate(form):
     jet = deep_objective.term_jet(term, point, term.refs, 3)
     if shallow is None:
         want = _calls_jet(_nested_calls(MAX_DEPTH)[1], z[0])
-        assert deep_objective.value(point) == jet.value == want[0]
-        got = (jet.grad[0], jet.hess[0, 0], jet.third[0, 0, 0])
+        assert deep_objective.value(point) == jet[0] == want[0]
+        got = (jet[1][0], jet[2][0, 0], jet[3][0, 0, 0])
         np.testing.assert_allclose(got, want[1:], rtol=1e-12)
     else:
         shallow_objective, shallow_term = objective(shallow)
         assert shallow_term.refs == term.refs
         want = shallow_objective.term_jet(shallow_term, point, term.refs, 3)
-        assert math.isclose(deep_objective.value(point), want.value, rel_tol=1e-12)
-        for got_block, want_block in zip((jet.value, jet.grad, jet.hess, jet.third),
-                                         (want.value, want.grad, want.hess, want.third)):
+        assert math.isclose(deep_objective.value(point), want[0], rel_tol=1e-12)
+        for got_block, want_block in zip(jet, want):
             np.testing.assert_allclose(got_block, want_block, rtol=1e-12, atol=1e-12)
     # three points at once give bitwise what each gives alone
     x = np.stack([point.x, point.x * 0.5, point.x * 1.5], axis=1)

@@ -96,12 +96,12 @@ def _derivative_actives(name, model):
 
 
 def _jet_arrays(prefix, jet, order):
-    out = {f"{prefix}/value": np.asarray(jet.value, dtype=float),
-           f"{prefix}/grad": jet.grad}
+    value, grad, hess, third = jet
+    out = {f"{prefix}/value": np.asarray(value, dtype=float), f"{prefix}/grad": grad}
     if order >= 2:
-        out[f"{prefix}/hess"] = jet.hess
+        out[f"{prefix}/hess"] = hess
     if order >= 3:
-        out[f"{prefix}/third"] = jet.third
+        out[f"{prefix}/third"] = third
     return out
 
 

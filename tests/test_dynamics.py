@@ -288,8 +288,8 @@ def _per_pair_reference(model, a, i, point, eliminate=()):
         term = ObjectiveTerm(name, [(1.0, components[name].compiled)])
         active = [r for r in term.refs if r in model.coords("z")] + \
                  [r for r in theta_refs if r in term.refs]
-        jet = objective.term_jet(term, point, active, order=1)
-        for ref, g in zip(active, getattr(jet, "grad", ())):
+        grad = objective.term_jet(term, point, active, order=1)[1]
+        for ref, g in zip(active, grad):
             if ref in model.coords("z"):
                 jac[k, ref] = g
             else:

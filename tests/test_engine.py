@@ -96,7 +96,7 @@ def test_additivity_over_terms():
     p = random_interior_point(rng, model)
     total = evaluate(model, p).value
     objective = Objective.from_model(model)
-    by_term = sum(objective.term_jet(t, p, [], order=1).value for t in objective.terms)
+    by_term = sum(objective.term_jet(t, p, [], order=1)[0] for t in objective.terms)
     assert total == pytest.approx(by_term, rel=1e-15)
 
 
@@ -281,7 +281,6 @@ def test_pair_energy_evaluates_derivatives_once(chain2_z3, monkeypatch):
 
 def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkeypatch):
     from escm import codegen
-    from escm.jets import Jet
 
     # every term evaluation looks up its generated function once
     calls = []
@@ -302,14 +301,13 @@ def test_term_jet_of_an_unread_term_is_a_zero_jet_and_derivatives_skip_it(monkey
         unread = [t for t in objective.terms if set(t.refs).isdisjoint(active)]
         assert unread  # every exogenous term reads only its u
         for term in unread:
-            jet = objective.term_jet(term, p, active, 3)
-            assert isinstance(jet, Jet)
-            assert np.array_equal(jet.grad, np.zeros(k))
-            assert np.array_equal(jet.hess, np.zeros((k, k)))
-            assert np.array_equal(jet.third, np.zeros((k, k, k)))
-            assert jet.value == Objective(model, [term]).value(p)
+            value, grad, hess, third = objective.term_jet(term, p, active, 3)
+            assert np.array_equal(grad, np.zeros(k))
+            assert np.array_equal(hess, np.zeros((k, k)))
+            assert np.array_equal(third, np.zeros((k, k, k)))
+            assert value == Objective(model, [term]).value(p)
         # the shares add up, in term order, to the energy bit for bit
-        assert sum(objective.term_jet(t, p, active, 3).value
+        assert sum(objective.term_jet(t, p, active, 3)[0]
                    for t in objective.terms) == objective.value(p)
 
         for sub in (active, [model.coords("u")[0]], list(model.coords("theta"))):
@@ -407,22 +405,45 @@ def test_a_term_linear_in_its_active_leaves_gives_positive_zero_blocks():
                                                            model.readout_resolver()))])
         objective = Objective(model, [term])
         for flat, shape in ((x, ()), (batch, (3,))):
-            jet = objective.term_jet(term, Point.from_flat(model, flat), active, 3)
-            assert jet.order == 3
-            assert jet.grad.shape == (2,) + shape
-            assert jet.hess.shape == (2, 2) + shape and jet.third.shape == (2, 2, 2) + shape
-            for block in (jet.hess, jet.third):
+            _, grad, hess, third = objective.term_jet(term, Point.from_flat(model, flat),
+                                                      active, 3)
+            assert grad.shape == (2,) + shape
+            assert hess.shape == (2, 2) + shape and third.shape == (2, 2, 2) + shape
+            for block in (hess, third):
                 assert not block.any() and not np.signbit(block).any(), source
 
 
-def test_dense_fills_absent_blocks_with_positive_zeros_and_keeps_its_input():
-    from escm.jets import Jet
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_term_jet_is_dense_over_active_up_to_its_order(batch):
+    model = parse_model(chain2_dict())
+    term = model.local_term("Z2").objective_term  # quadratic in z, reads no u.U1
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(model.dim,) + batch)
+    x[model.coords("theta")] = 2.0
+    point = Point.from_flat(model, x)
+    active = [2, 1, 0]  # u.U1, z.Z2, z.Z1: an unread coordinate, and out of term order
+    k = len(active)
+    for order in (1, 2, 3):
+        jet = Objective(model, [term]).term_jet(term, point, active, order)
+        assert type(jet) is tuple and len(jet) == 4 and np.shape(jet[0]) == batch
+        for rank, block in enumerate(jet[1:], 1):
+            if rank > order:
+                assert block is None
+                continue
+            assert block.shape == (k,) * rank + batch
+            # u.U1's row, and the third block, are structurally zero: +0.0
+            for zero in (block[0], block) if rank == 3 else (block[0],):
+                assert not zero.any() and not np.signbit(zero).any()
+        assert jet[1][1:].any()
 
-    grad = np.zeros((3, 2))
-    grad[1] = 1.0
-    jet = Jet(np.array([1.0, 2.0]), grad, None, None, 3)
-    dense = jet.dense()
-    assert dense.hess.shape == (3, 3, 2) and dense.third.shape == (3, 3, 3, 2)
-    assert not dense.hess.any() and not np.signbit(dense.third).any()
-    assert jet.hess is None and jet.third is None and dense.grad is grad
-    assert Jet(1.5, grad[:, 0], None, None, 2).dense().third is None
+
+def test_term_jet_value_of_a_one_symbol_term_is_not_a_view_of_the_batch():
+    from escm.engine import ObjectiveTerm
+    from escm.expr import compile_expr, parse_expr
+
+    model = parse_model(chain2_dict())
+    term = ObjectiveTerm("global", [(1.0, compile_expr(parse_expr("z.Z1"),
+                                                       model.readout_resolver()))])
+    point = Point.from_flat(model, np.arange(10.0).reshape(model.dim, 2))
+    for active in ([0], [1]):  # read, and not read
+        value = Objective(model, [term]).term_jet(term, point, active, 1)[0]
+        assert value.tolist() == [0.0, 1.0] and not np.shares_memory(value, point.x)

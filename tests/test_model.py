@@ -170,6 +170,17 @@ def test_edges_must_be_endogenous():
         parse_model(spec)
 
 
+def test_a_name_ending_in_a_newline_is_rejected():
+    spec = chain2_dict()
+    spec["variables"][0]["name"] = "Z1\n"
+    with pytest.raises(SchemaError, match="bad variable name"):
+        parse_model(spec)
+    spec = chain2_dict()
+    spec["terms"][1]["params"] = {"a\n": 2}
+    with pytest.raises(SchemaError, match="bad parameter name"):
+        parse_model(spec)
+
+
 def test_round_trip_serialization(chain2):
     text = model_text(chain2)
     again = parse_model(text)
