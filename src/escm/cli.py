@@ -324,10 +324,11 @@ def _cmd_simulate(model: Model, args) -> dict:
 
 
 def _cmd_gen_corpus(args) -> dict:
-    manifest = write_corpus(args.out, count=args.count, nodes=args.nodes,
-                            density=args.density, seed=args.seed,
-                            dynamics=args.dynamics)
-    return manifest
+    try:
+        return write_corpus(args.out, count=args.count, nodes=args.nodes,
+                            density=args.density, seed=args.seed, dynamics=args.dynamics)
+    except OSError as err:
+        raise QueryError(f"cannot write corpus to {args.out!r}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Straight-line derivative code, generated once per term shape.
 
 Every energy term, readout and vector-field component is evaluated by a
-Python function generated from its compiled expression trees (source
+Python function generated from its compiled expressions (source
 transformation; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 SIAM 2008, ch. 6).  The function is generated for one *shape*: the form
-of each piece (its tree in prefix notation, which the parser built with
-the tree; constants are taken in order from the term's constant tuple),
+of each piece (its tree in prefix notation, as the parser lists it;
+constants are taken in order from the term's constant tuple),
 the leaf each symbol reads (numbered in the order the term first reads
 its coordinates, or none for a symbol bound to a constant), the slot each
 coordinate takes among the active ones (or none), and the derivative
@@ -13,21 +13,20 @@ order 0 to 3.  Terms of one shape share one code object, compiled on
 first use and kept for the life of the process.
 
 The generated code applies the forward-mode rules of a truncated Taylor
-value one operation at a time, with the operands of a post-order walk of
-the tree, and keeps each subexpression's static sparsity: a slot that a
-subexpression does not read gets no line, and a Hessian or third-order
-block that is structurally zero is never formed.  Every operation (a
-value, a gradient entry, a chain-rule coefficient) is one assignment, in
-the order of the walk.  Expressions nest one way only: :func:`_inline`
-substitutes an intermediate that is read once and cannot raise where it
-is read.  An operation that may raise stays its own assignment and keeps
-its place, so the first failure is the walk's.  A Hessian or third block
-is unrolled into one line per entry only while it has at most
-``MAX_UNROLLED`` entries; a larger block is one numpy expression over the
-term's full slot layout (:func:`_outer`, :func:`_outer_sym` and
-:func:`_sym3`), the dense formula itself.  Dropping a structurally zero
-operand leaves every entry bitwise what the dense sum gives, except that a
-zero entry may differ in sign.
+value one operation at a time, in a post-order walk of the form, and keeps
+each subexpression's static sparsity: a slot that a subexpression does not
+read gets no line, and a Hessian or third-order block that is structurally
+zero is never formed.  Every operation (a value, a gradient entry, a
+chain-rule coefficient) is one assignment, in the order of the walk.
+Expressions nest one way only: :func:`_inline` substitutes an intermediate
+that is read once and cannot raise where it is read.  An operation that
+may raise stays its own assignment and keeps its place, so the first
+failure is the walk's.  A Hessian or third block is unrolled into one line
+per entry only while it has at most ``MAX_UNROLLED`` entries; a larger
+block is one numpy expression over the term's full slot layout
+(:func:`_outer`, :func:`_outer_sym` and :func:`_sym3`), the dense formula
+itself.  Dropping a structurally zero operand leaves every entry bitwise
+what the dense sum gives, except that a zero entry may differ in sign.
 
 A generated function returns ``value, grad, hess, third``.  Each block is
 flat: an unrolled one is the tuple of its entries over all ``k`` slots,
@@ -46,10 +45,11 @@ the first failing entry.
 Generated source holds no text from a model: only generated names (``a``
 leaves, ``k`` constants, ``v`` intermediates), integer slots, a few fixed
 float literals and the helpers below.  A domain failure raises
-:class:`DomainFault` with the preorder index of the failing node, which
-:func:`term_value` and :func:`active_blocks` turn into the
-:class:`~escm.errors.EnergyDomainError` naming the term's owner and the
-failing subexpression.  A float operation out of range (``exp`` of 1000,
+:class:`DomainFault` with the post-order index of the failing node among
+the nodes of all the term's pieces, which :func:`term_value` and
+:func:`active_blocks` turn into the :class:`~escm.errors.EnergyDomainError`
+naming the term's owner and the failing subexpression: the span the parser
+listed at that index.  A float operation out of range (``exp`` of 1000,
 ``pow`` of 1e200) raises ``OverflowError`` or, where a power a derivative
 divides by underflows, ``ZeroDivisionError``; both become an
 :class:`~escm.errors.EnergyDomainError` for "numeric overflow" naming the
@@ -68,7 +68,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EnergyDomainError
-from .expr import FORM_CALLS, Bin, Call, Neg, Pow
+from .expr import FORM_CALLS
 
 __all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "active_blocks",
            "source"]
@@ -79,7 +79,7 @@ MAX_UNROLLED = 16
 
 
 class DomainFault(Exception):
-    """Raised by generated code: node ``node`` (preorder) left its domain."""
+    """Raised by generated code: node ``node`` (post-order) left its domain."""
 
     def __init__(self, node: int, message: str):
         super().__init__(node, message)
@@ -217,21 +217,6 @@ _BATCH = dict(_COMMON, _exp=lambda v: _each(math.exp, v), _tanh=lambda v: _each(
 # Shapes
 
 
-def _preorder(root):
-    """The nodes of a tree in preorder, the order generated code numbers
-    them in."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Bin):
-            stack += (node.right, node.left)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, (Neg, Call)):
-            stack.append(node.child)
-
-
 class _TermCode:
     """What evaluating one term needs: its shape, constants and leaf
     gatherers, and the pair of functions for each (active, order) seen.
@@ -294,10 +279,17 @@ class _TermCode:
         return EnergyDomainError("numeric overflow", owner=self.owner)
 
     def error(self, fault: DomainFault) -> EnergyDomainError:
-        source, node = [(compiled.source, node) for _, compiled in self.pieces
-                        for node in _preorder(compiled.expr.root)][fault.node]
+        """The fault of node ``fault.node``, numbered in post-order over the
+        nodes of all pieces, quoting its span."""
+        node = fault.node
+        for _, compiled in self.pieces:
+            spans = compiled.expr.spans
+            if 2 * node < len(spans):
+                break
+            node -= len(spans) // 2
+        start, end = spans[2 * node:2 * node + 2]
         return EnergyDomainError(fault.message, owner=self.owner,
-                                 fragment=source[node.start:node.end])
+                                 fragment=compiled.source[start:end])
 
 
 _ARITHMETIC = (OverflowError, ZeroDivisionError)  # raised by Python float operations
@@ -647,31 +639,37 @@ class _Gen:
         return names
 
     def emit(self) -> _Val:
-        """The node at ``at`` in the piece's form, and its operands."""
-        node = self.node
-        self.node += 1
+        """The node at ``at`` in the piece's form, after its operands: it
+        is numbered ``node`` in post-order, the order of the spans the
+        parser lists."""
         kind = self.form[self.at]
         self.at += 1
         if kind == "c":
-            return _Val(self.consts(1)[0])
-        if kind == "s":
+            out = _Val(self.consts(1)[0])
+        elif kind == "s":
             leaf = self.leaves[self.sym]
             self.sym += 1
             if leaf < 0:
-                return _Val(self.consts(1)[0])
-            slot = self.slots[leaf] if self.order else -1
-            return _Val(f"a{leaf}", {slot: "one"} if slot >= 0 else None)
-        if kind == "p":
+                out = _Val(self.consts(1)[0])
+            else:
+                slot = self.slots[leaf] if self.order else -1
+                out = _Val(f"a{leaf}", {slot: "one"} if slot >= 0 else None)
+        elif kind == "p":
             cls = self.form[self.at]
             self.at += 1
-            return self.power(node, -1 if cls == "n" else int(cls))
-        if kind == "n":
+            out = self.power(-1 if cls == "n" else int(cls))
+        elif kind == "n":
             x = self.emit()
-            return _Val(self.let(f"-{x.v}")) if x.g is None else self.negated(x)
-        if kind in "+-*/":
+            out = _Val(self.let(f"-{x.v}")) if x.g is None else self.negated(x)
+        elif kind in "+-*/":
             a = self.emit()
-            return self.binary(node, kind, a, self.emit())
-        return self.call(node, _FORM_FN[kind], self.emit())
+            b = self.emit()
+            out = self.binary(self.node, kind, a, b)
+        else:
+            x = self.emit()
+            out = self.call(self.node, _FORM_FN[kind], x)
+        self.node += 1
+        return out
 
     def binary(self, node: int, op: str, a: _Val, b: _Val) -> _Val:
         if a.g is None and b.g is None:
@@ -705,8 +703,9 @@ class _Gen:
         recip = self.chain(b, *f)
         return self.times(a, recip) if a.g is not None else self.scaled(recip, a.v)
 
-    def power(self, node: int, cls: int) -> _Val:
+    def power(self, cls: int) -> _Val:
         x = self.emit()
+        node = self.node
         # parameters, after the base's constants: n, then (coefficient,
         # exponent) per nonzero order
         count = 1 + 2 * (4 if cls < 0 else cls + 1)

@@ -23,11 +23,12 @@ tuple ``findall`` returns (no token objects); a dotted name such as
 ``theta.Z2.a`` is one token, and a spaced spelling such as ``z . Z1`` is
 read part by part.  One precedence loop (:meth:`_Parser.expr`) reads
 ``expr``, ``term`` and ``unary`` together, so only parentheses and calls
-recurse.  Alongside the tree it builds the expression's *form* (see
-``FORM_CALLS``), the part of the shape :mod:`escm.codegen` generates code
-from, and it lists the symbols and the numbers as it meets them.
-:func:`compile_expr` resolves each listed symbol to a flat index or a
-constant without walking the tree; nothing here evaluates.
+recurse.  It builds no tree: it builds the expression's *form* (see
+``FORM_CALLS``), the tree in prefix notation that :mod:`escm.codegen`
+generates code from, and lists the symbols and the numbers as it meets
+them and the span of each node as it completes it, so an :class:`Expr` is
+one flat record.  :func:`compile_expr` resolves each listed symbol to a
+flat index or a constant; nothing here evaluates.
 """
 
 from __future__ import annotations
@@ -68,76 +69,24 @@ _END = ("", "", "")  # closes the token list: the one token with empty text
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Parsed expressions
 
 
-class Node:
-    """An AST node: its span ``start:end`` in the source, and its
-    ``height``, the levels of the tree it roots (1 for a leaf)."""
+class Sym:
+    """A symbol as its text spells it: its dotted ``parts``, component
+    index and text, its span ``start:end`` in the source, and ``gap``, how
+    many of the expression's numbers come before it, which is where its
+    value goes among them when it is bound to a constant."""
 
-    __slots__ = ("start", "end")
+    __slots__ = ("parts", "comp", "text", "start", "end", "gap")
 
-
-class Num(Node):
-    __slots__ = ("value",)
-    height = 1
-
-    def __init__(self, value: float, start: int, end: int):
-        self.value = value
-        self.start, self.end = start, end
-
-
-class Sym(Node):
-    """Dotted symbol: its ``parts``, component index and text."""
-
-    __slots__ = ("parts", "comp", "text")
-    height = 1
-
-    def __init__(self, parts: tuple[str, ...], comp: int | None, text: str, start: int, end: int):
+    def __init__(self, parts: tuple[str, ...], comp: int | None, text: str, start: int, end: int,
+                 gap: int):
         self.parts = parts
         self.comp = comp
         self.text = text
         self.start, self.end = start, end
-
-
-class Neg(Node):
-    __slots__ = ("child", "height")
-
-    def __init__(self, child: Node, start: int, end: int):
-        self.child = child
-        self.height = child.height + 1
-        self.start, self.end = start, end
-
-
-class Bin(Node):
-    __slots__ = ("op", "left", "right", "height")
-
-    def __init__(self, op: str, left: Node, right: Node):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.height = (left.height if left.height > right.height else right.height) + 1
-        self.start, self.end = left.start, right.end
-
-
-class Pow(Node):
-    __slots__ = ("base", "exponent", "height")
-
-    def __init__(self, base: Node, exponent: int, start: int, end: int):
-        self.base = base
-        self.height = base.height + 1
-        self.exponent = exponent
-        self.start, self.end = start, end
-
-
-class Call(Node):
-    __slots__ = ("fn", "child", "height")
-
-    def __init__(self, fn: str, child: Node, start: int, end: int):
-        self.fn = fn
-        self.child = child
-        self.height = child.height + 1
-        self.start, self.end = start, end
+        self.gap = gap
 
 
 # The form of an expression: its tree in prefix notation, one character per
@@ -150,22 +99,27 @@ FORM_CALLS = {"exp": "e", "log": "l", "tanh": "t", "sq": "q"}
 
 
 class Expr:
-    """Parsed expression: source text, AST root, its ``form``, and what
-    compiling it reads, listed while parsing.  ``syms`` holds its symbols
-    in text order, one per occurrence.  ``numbers`` holds its constants in
-    the order generated code takes them: every number in text order, and
-    after each ``pow``'s base the exponent's parameters
-    (:func:`_pow_params`)."""
+    """Parsed expression: its source text, its ``form``, and what compiling
+    it and reporting a fault in it read, listed while parsing.  ``syms``
+    holds its symbols in text order, one per occurrence.  ``numbers`` holds
+    its constants in the order generated code takes them: every number in
+    text order, and after each ``pow``'s base the exponent's parameters
+    (:func:`_pow_params`).  ``spans`` holds the start and end of each node
+    of the form, flat and in post-order, the order generated code numbers
+    the nodes in: node ``j`` is ``source[spans[2*j]:spans[2*j + 1]]``.  A
+    binary node's span runs from its left operand's start to its right
+    operand's end, a minus sign's from the sign to its operand's end, and a
+    call's or a ``pow``'s from its name to its closing parenthesis."""
 
-    __slots__ = ("source", "root", "form", "syms", "numbers")
+    __slots__ = ("source", "form", "syms", "numbers", "spans")
 
-    def __init__(self, source: str, root: Node, form: str, syms: tuple[Sym, ...],
-                 numbers: tuple):
+    def __init__(self, source: str, form: str, syms: tuple[Sym, ...], numbers: tuple,
+                 spans: tuple[int, ...]):
         self.source = source
-        self.root = root
         self.form = form
         self.syms = syms
         self.numbers = numbers
+        self.spans = spans
 
     def __repr__(self):
         return f"Expr({self.source!r})"
@@ -189,9 +143,9 @@ def _number(token: tuple) -> str:
 
 class _Parser:
     """The tokens of one source, the index ``i`` of the next one, and the
-    symbols and numbers read so far (see :class:`Expr`)."""
+    symbols, numbers and spans read so far (see :class:`Expr`)."""
 
-    __slots__ = ("source", "tokens", "starts", "i", "syms", "numbers")
+    __slots__ = ("source", "tokens", "starts", "i", "syms", "numbers", "spans")
 
     def __init__(self, source: str):
         """Every token of ``source``, in one regex scan; the matches tile
@@ -214,6 +168,7 @@ class _Parser:
         self.i = 0
         self.syms: list[Sym] = []
         self.numbers: list = []
+        self.spans: list[int] = []
 
     def take(self) -> tuple[tuple, int]:
         """The next token and its position; past the end is an error."""
@@ -230,29 +185,31 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}, found {_shown(token)!r}", self.source, pos)
         return pos
 
-    def parse(self) -> tuple[Node, str]:
-        root, form = self.expr(0)
+    def parse(self) -> tuple[str, int]:
+        form, height = self.expr(0)
         token = self.tokens[self.i]
         if token[1]:
             raise ExprSyntaxError(f"unexpected token {_shown(token)!r}", self.source,
                                   self.starts[self.i])
-        return root, form
+        return form, height
 
-    def expr(self, depth: int) -> tuple[Node, str]:
-        """One ``expr`` and its form, with its ``term``s and their
-        ``unary`` operands, in one precedence loop: ``product`` folds each
-        operand into the current term and ``total`` each finished term into
-        the sum, both to the left, so only parentheses and calls read a
-        further ``expr``.  ``depth`` counts the parentheses, calls and minus
-        signs open around this one: each operand, and each of its minus
-        signs, nests one level more."""
+    def expr(self, depth: int) -> tuple[str, int]:
+        """One ``expr``: its form and its height, the levels of its tree,
+        with its ``term``s and their ``unary`` operands read in one
+        precedence loop: ``product`` folds each operand into the current
+        term and ``total`` each finished term into the sum, both to the
+        left, so only parentheses and calls read a further ``expr``.  Each
+        node's span is listed as the node is completed, which is post-order.
+        ``depth`` counts the parentheses, calls and minus signs open around
+        this one: each operand, and each of its minus signs, nests one level
+        more."""
         tokens, starts = self.tokens, self.starts
-        syms, numbers = self.syms, self.numbers
+        syms, numbers, spans = self.syms, self.numbers, self.spans
         i = self.i
         level = depth + 1  # every operand's, so the first one over the limit raises
         if level > MAX_DEPTH:
             raise _too_deep(self.source, starts[i])
-        total = product = add = mul = None
+        add = mul = None
         while True:
             _, text, name = tokens[i]
             nested = level  # one more for each minus sign
@@ -272,19 +229,21 @@ class _Parser:
                 follow = tokens[i][1]
                 if follow == "(" and "." not in name:
                     self.i = i
-                    node, form = self.call(name, start, nested)
+                    form, height = self.call(name, start, nested)
                     i = self.i
                 elif follow == "." or follow == "[":
                     self.i = i
-                    node, form = self.symbol(name, start), "s"
+                    self.symbol(name, start)
+                    form, height = "s", 1
                     i = self.i
                 else:
-                    node, form = Sym(tuple(name.split(".")), None, name, start,
-                                     start + len(name)), "s"
-                    syms.append(node)
+                    end = start + len(name)
+                    syms.append(Sym(tuple(name.split(".")), None, name, start, end, len(numbers)))
+                    spans += (start, end)
+                    form, height = "s", 1
             elif text == "(":
                 self.i = i
-                node, form = self.expr(nested)
+                form, height = self.expr(nested)
                 i = self.i
                 if tokens[i][1] != ")":
                     self.expect(")")  # raises
@@ -295,49 +254,60 @@ class _Parser:
             elif text in _PUNCT:
                 raise ExprSyntaxError(f"unexpected token {text!r}", self.source, start)
             else:
-                node, form = Num(float(text), start, start + len(text)), "c"
-                numbers.append(node.value)
+                numbers.append(float(text))
+                spans += (start, start + len(text))
+                form, height = "c", 1
+            end = spans[-1]  # the operand's, and every node's it completes
             if minus:
                 for pos in reversed(minus):
-                    node = Neg(node, pos, node.end)
+                    spans += (pos, end)
                 form = "n" * len(minus) + form
+                height += len(minus)
             if mul is None:
-                product, product_form = node, form
+                product_start, product_form, product_height = spans[-2], form, height
             else:
-                product, product_form = Bin(mul, product, node), mul + product_form + form
+                spans += (product_start, end)
+                product_form = mul + product_form + form
+                product_height = max(product_height, height) + 1
             op = tokens[i][1]
             if op == "*" or op == "/":
                 mul = op
                 i += 1
                 continue
             if add is None:
-                total, total_form = product, product_form
+                total_start, total_form, total_height = product_start, product_form, product_height
             else:
-                total, total_form = Bin(add, total, product), add + total_form + product_form
+                spans += (total_start, end)
+                total_form = add + total_form + product_form
+                total_height = max(total_height, product_height) + 1
             if op == "+" or op == "-":
                 add, mul = op, None
                 i += 1
                 continue
             self.i = i
-            return total, total_form
+            return total_form, total_height
 
-    def call(self, fn: str, start: int, depth: int) -> tuple[Node, str]:
+    def call(self, fn: str, start: int, depth: int) -> tuple[str, int]:
         if fn not in FUNCTIONS:
             raise ExprSyntaxError(f"unknown function {fn!r}", self.source, start)
         self.i += 1  # the "(" that made this a call
-        arg, form = self.expr(depth)
+        form, height = self.expr(depth)
         if fn == "pow":
             self.expect(",")
             n = self.integer_literal()
             self.numbers += _pow_params(n)
             # exponents of 3 and more share a form, and so do negative ones
             form = ("pn" if n < 0 else f"p{min(n, 3)}") + form
-            return Pow(arg, n, start, self.expect(")") + 1), form
-        i = self.i
-        if self.tokens[i][1] != ")":
-            self.expect(")")  # raises
-        self.i = i + 1
-        return Call(fn, arg, start, self.starts[i] + 1), FORM_CALLS[fn] + form
+            end = self.expect(")") + 1
+        else:
+            i = self.i
+            if self.tokens[i][1] != ")":
+                self.expect(")")  # raises
+            self.i = i + 1
+            form = FORM_CALLS[fn] + form
+            end = self.starts[i] + 1
+        self.spans += (start, end)
+        return form, height + 1
 
     def integer_literal(self) -> int:
         token, pos = self.take()
@@ -351,7 +321,7 @@ class _Parser:
         n = int(float(number))
         return -n if negative else n
 
-    def symbol(self, head: str, start: int) -> Sym:
+    def symbol(self, head: str, start: int) -> None:
         """A symbol that goes on past its first token: spaced dots, or a
         component index."""
         parts = head.split(".")
@@ -372,9 +342,9 @@ class _Parser:
                 raise ExprSyntaxError("component index must be an integer", self.source, pos)
             comp = int(float(number))
             end = self.expect("]") + 1
-        sym = Sym(tuple(parts), comp, self.source[start:end], start, end)
-        self.syms.append(sym)
-        return sym
+        self.syms.append(Sym(tuple(parts), comp, self.source[start:end], start, end,
+                             len(self.numbers)))
+        self.spans += (start, end)
 
 
 def _pow_params(n: int) -> list:
@@ -400,10 +370,11 @@ def parse_expr(source: str) -> Expr:
     if not isinstance(source, str) or not source or source.isspace():
         raise ExprSyntaxError("empty expression", source if isinstance(source, str) else "", 0)
     parser = _Parser(source)
-    root, form = parser.parse()
-    if root.height > MAX_DEPTH:  # a chain of binary operators nests in the tree only
-        raise _too_deep(source, root.start)
-    return Expr(source, root, form, tuple(parser.syms), tuple(parser.numbers))
+    form, height = parser.parse()
+    spans = parser.spans
+    if height > MAX_DEPTH:  # a chain of binary operators nests in the tree only
+        raise _too_deep(source, spans[-2])
+    return Expr(source, form, tuple(parser.syms), tuple(parser.numbers), tuple(spans))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +414,8 @@ def compile_expr(expr: Expr, resolve: Callable[[Sym], int | float]) -> CompiledE
     to a ``float`` constant it is bound to; it raises for undeclared or
     masked-out symbols.  Symbols are resolved last to first in the text,
     so the first error raised, and the order of warnings a resolver
-    collects, follow the text backwards.  No tree is walked: the parser
-    listed the symbols and the numbers.
+    collects, follow the text backwards.  A symbol bound to a constant takes
+    its place among the numbers at the symbol's ``gap``.
     """
     values = list(map(resolve, reversed(expr.syms)))
     values.reverse()
@@ -452,44 +423,15 @@ def compile_expr(expr: Expr, resolve: Callable[[Sym], int | float]) -> CompiledE
         return CompiledExpr(expr, tuple(values), tuple(sorted(set(values))), expr.numbers)
     values = [value if isinstance(value, int) else float(value) for value in values]
     consts = list(expr.numbers)
-    for at, value in reversed(list(zip(_gaps(expr.form), values))):  # right to left keeps each gap
+    for sym, value in reversed(list(zip(expr.syms, values))):  # right to left keeps each gap
         if type(value) is float:
-            consts.insert(at, value)
+            consts.insert(sym.gap, value)
     reads = tuple(-1 if type(value) is float else value for value in values)
     return CompiledExpr(expr, reads, tuple(sorted({ref for ref in reads if ref >= 0})),
                         tuple(consts))
 
 
 _INT = frozenset((int,))
-
-
-def _gaps(form: str) -> list[int]:
-    """For each symbol of an expression's form, in text order, how many of
-    its numbers come before it: where the symbol's value goes among them
-    when it is bound to a constant."""
-    gaps: list[int] = []
-    count = 0
-
-    def walk(at: int) -> int:  # the position past the node at ``at``
-        nonlocal count
-        kind = form[at]
-        if kind == "c":
-            count += 1
-        elif kind == "s":
-            gaps.append(count)
-        elif kind == "p":  # the exponent's parameters follow the base's numbers
-            cls = form[at + 1]
-            at = walk(at + 2)
-            count += len(_pow_params(-1 if cls == "n" else int(cls)))
-            return at
-        elif kind in "+-*/":
-            return walk(walk(at + 1))
-        else:
-            return walk(at + 1)
-        return at + 1
-
-    walk(0)
-    return gaps
 
 
 def compile_query(source: str, resolve: Callable[[Sym], int | float]) -> CompiledExpr:

@@ -331,9 +331,9 @@ class Model:
         if index is not None:
             return index
         try:
-            root = parse_expr(label).root
-            if isinstance(root, Sym):
-                return self.resolver()(root)
+            expr = parse_expr(label)
+            if expr.form == "s":
+                return self.resolver()(expr.syms[0])
         except (ExprSyntaxError, UnknownSymbolError) as err:
             raise QueryError(f"cannot parse coordinate {label!r}: {err}") from None
         raise QueryError(f"cannot parse coordinate {label!r}")

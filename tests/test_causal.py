@@ -93,6 +93,28 @@ def test_soft_lambda_zero_is_identity(chain2):
         assert edited.objective.value(p) == base.value(p)
 
 
+def test_a_domain_fault_in_either_piece_of_a_soft_edit_quotes_that_piece():
+    from escm import EnergyDomainError
+
+    model = parse_model({
+        "variables": [{"name": "A", "kind": "endogenous", "dim": 1},
+                      {"name": "B", "kind": "endogenous", "dim": 1}],
+        "edges": [["A", "B"]],
+        "terms": [{"owner": "local:A", "expr": "0.5*sq(z.A)"},
+                  {"owner": "local:B", "expr": "0.5*sq(z.B - 1/(z.A + 1))"}]})
+    objective = apply_surgery(model, soft(model, "B", 0.5, "0.5*sq(z.B - log(z.A))")).objective
+    # at z.A = -1 both pieces fail, and the original piece's division comes
+    # first; a binary node's span ends where its right operand's does
+    for a, want in ((0.0, "log of non-positive value 0.0 at subexpression 'log(z.A)'"),
+                    (-1.0, "division by zero at subexpression '1/(z.A + 1'")):
+        point = Point.for_model(model, z=[a, 0.5])
+        for evaluate in (lambda: objective.value(point),
+                         lambda: objective.derivatives(point, order=2)):
+            with pytest.raises(EnergyDomainError) as caught:
+                evaluate()
+            assert str(caught.value) == f"{want} in term 'B'"
+
+
 def test_soft_lambda_one_replaces(chain2):
     edited = apply_surgery(chain2, soft(chain2, "Z1", 1.0, "0.5*sq(z.Z1 - 7)"))
     p = Point.for_model(chain2, z=[7.0, 14.5], u=[999.0, 0.5])

@@ -278,6 +278,16 @@ def test_gen_corpus_negative_seed_is_a_query_error(capsys, tmp_path):
     assert report["error"]["type"] == "QueryError"
 
 
+def test_gen_corpus_into_an_unwritable_path_is_a_query_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, report = invoke(capsys, "gen-corpus", "--out", str(blocker / "c"), "--seed", "0",
+                          "--no-timing")
+    assert code == 3
+    assert report["error"]["type"] == "QueryError"
+    assert report["error"]["message"].startswith(f"cannot write corpus to {str(blocker / 'c')!r}")
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     captured = capsys.readouterr()  # the help text, and no JSON report

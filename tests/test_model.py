@@ -226,6 +226,9 @@ def test_parse_coord_errors(chain2):
                          "'theta.Z2.zzz'"),
         ("w.Z1", "cannot parse coordinate 'w.Z1': unknown symbol 'w.Z1'"),
         ("z.Z1+1", "cannot parse coordinate 'z.Z1+1'"),
+        ("-z.Z1", "cannot parse coordinate '-z.Z1'"),
+        ("sq(z.Z1)", "cannot parse coordinate 'sq(z.Z1)'"),
+        ("2", "cannot parse coordinate '2'"),
         ([1], "cannot parse coordinate [1]: empty expression at position 0: ''"),
     ]:
         with pytest.raises(QueryError) as err:

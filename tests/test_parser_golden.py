@@ -1,6 +1,9 @@
 """Golden parses: every expression string in ``tests/golden/parser.json``
 must parse to its committed tree, with every node's span, or fail with its
-committed ``ExprSyntaxError`` message and position, byte for byte.
+committed ``ExprSyntaxError`` message and position, byte for byte.  The
+parser builds no tree: each tree is rebuilt from the flat record it lists
+(form, symbols, numbers and post-order spans), every entry of which the
+rebuild reads exactly once.
 
 The strings are a seeded mix of valid and invalid expressions: random
 expressions with random spacing (spaced dotted symbols, component indices,
@@ -22,7 +25,7 @@ import sys
 from pathlib import Path
 
 from escm.errors import ExprSyntaxError
-from escm.expr import MAX_DEPTH, Bin, Call, Neg, Num, Pow, Sym, _gaps, _pow_params, parse_expr
+from escm.expr import FORM_CALLS, MAX_DEPTH, _pow_params, parse_expr
 
 GOLDEN = Path(__file__).parent / "golden" / "parser.json"
 SEED = 17
@@ -30,27 +33,52 @@ RANDOM_CASES = 2500
 MUTATIONS = 2000
 
 
-def dump(node) -> list:
-    """A node as nested lists: kind, payload, span, children."""
-    span = [node.start, node.end]
-    if isinstance(node, Num):
-        return ["num", repr(node.value), *span]
-    if isinstance(node, Sym):
-        return ["sym", node.text, list(node.parts), node.comp, *span]
-    if isinstance(node, Neg):
-        return ["neg", *span, dump(node.child)]
-    if isinstance(node, Bin):
-        return ["bin", node.op, *span, dump(node.left), dump(node.right)]
-    if isinstance(node, Pow):
-        return ["pow", node.exponent, *span, dump(node.base)]
-    if isinstance(node, Call):
-        return ["call", node.fn, *span, dump(node.child)]
-    raise TypeError(f"unknown node {type(node).__name__}")
+_FUNCTION = {code: fn for fn, code in FORM_CALLS.items()}
+
+
+def dump(expr) -> list:
+    """The tree of a parsed expression as nested lists (kind, payload, span,
+    children), rebuilt from its form, taking symbols and numbers in text
+    order and spans in post-order."""
+    syms, numbers, spans = iter(expr.syms), iter(expr.numbers), iter(expr.spans)
+    at = 0
+
+    def span() -> list:
+        return [next(spans), next(spans)]
+
+    def node() -> list:
+        nonlocal at
+        kind = expr.form[at]
+        at += 2 if kind == "p" else 1
+        if kind == "c":
+            return ["num", repr(next(numbers)), *span()]
+        if kind == "s":
+            sym, where = next(syms), span()
+            assert [sym.start, sym.end] == where
+            return ["sym", sym.text, list(sym.parts), sym.comp, *where]
+        if kind in "+-*/":
+            left = node()
+            right = node()
+            return ["bin", kind, *span(), left, right]
+        child = node()
+        if kind == "p":  # the exponent's parameters follow the base's numbers
+            n = next(numbers)
+            for _ in _pow_params(n)[1:]:
+                next(numbers)
+            return ["pow", n, *span(), child]
+        if kind == "n":
+            return ["neg", *span(), child]
+        return ["call", _FUNCTION[kind], *span(), child]
+
+    tree = node()
+    assert at == len(expr.form)
+    assert next(syms, None) is None and next(numbers, None) is None and next(spans, None) is None
+    return tree
 
 
 def outcome(source: str) -> list:
     try:
-        return ["tree", dump(parse_expr(source).root)]
+        return ["tree", dump(parse_expr(source))]
     except ExprSyntaxError as err:
         return ["error", str(err), err.position]
 
@@ -185,46 +213,52 @@ def test_every_string_parses_as_recorded():
     assert not wrong, f"{len(wrong)} of {len(golden['cases'])} differ; first: {wrong[0]}"
 
 
-def _sym_leaves(node) -> list:
-    if isinstance(node, Sym):
-        return [node]
-    if isinstance(node, Bin):
-        return _sym_leaves(node.left) + _sym_leaves(node.right)
-    child = getattr(node, "child", None) or getattr(node, "base", None)
-    return _sym_leaves(child) if child is not None else []
+def _sym_leaves(node: list) -> list:
+    """The symbol leaves of a recorded tree in text order, as recorded."""
+    kind = node[0]
+    if kind == "sym":
+        return [node[1:]]
+    if kind == "num":
+        return []
+    if kind == "bin":
+        return _sym_leaves(node[4]) + _sym_leaves(node[5])
+    return _sym_leaves(node[-1])
 
 
 def test_the_parser_lists_every_symbol_in_text_order():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for source, want in golden["cases"]:
         if want[0] == "tree":
-            expr = parse_expr(source)
-            assert list(expr.syms) == _sym_leaves(expr.root), source
+            syms = [[sym.text, list(sym.parts), sym.comp, sym.start, sym.end]
+                    for sym in parse_expr(source).syms]
+            assert syms == _sym_leaves(want[1]), source
 
 
-def _numbers_before(node, count: int, out: list) -> int:
-    """Walk the tree in text order, counting numbers (a pow's exponent
-    parameters after its base) and appending the count at each symbol."""
-    if isinstance(node, Num):
+def _numbers_before(node: list, count: int, out: list) -> int:
+    """Walk a recorded tree in text order, counting numbers (a pow's
+    exponent parameters after its base) and appending the count at each
+    symbol."""
+    kind = node[0]
+    if kind == "num":
         return count + 1
-    if isinstance(node, Sym):
+    if kind == "sym":
         out.append(count)
         return count
-    if isinstance(node, Bin):
-        return _numbers_before(node.right, _numbers_before(node.left, count, out), out)
-    if isinstance(node, Pow):
-        return _numbers_before(node.base, count, out) + len(_pow_params(node.exponent))
-    return _numbers_before(node.child, count, out)
+    if kind == "bin":
+        return _numbers_before(node[5], _numbers_before(node[4], count, out), out)
+    if kind == "pow":
+        return _numbers_before(node[4], count, out) + len(_pow_params(node[1]))
+    return _numbers_before(node[-1], count, out)
 
 
-def test_the_form_places_each_symbol_among_the_numbers():
+def test_each_symbol_knows_its_place_among_the_numbers():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for source, want in golden["cases"]:
         if want[0] == "tree":
             expr = parse_expr(source)
             gaps: list = []
-            assert _numbers_before(expr.root, 0, gaps) == len(expr.numbers), source
-            assert _gaps(expr.form) == gaps, source
+            assert _numbers_before(want[1], 0, gaps) == len(expr.numbers), source
+            assert [sym.gap for sym in expr.syms] == gaps, source
 
 
 def test_the_recorded_strings_are_the_generated_ones():

@@ -273,6 +273,8 @@ def test_parse_coord_and_coord_label_round_trip():
             label = m.coord_label(index)
             assert m.parse_coord(label) == index
             assert m.parse_coord(label.replace(".", " . ")) == index  # parsed, not looked up
+    assert corpus.parse_coord("(z.Z1)") == corpus.parse_coord("z.Z1")  # parentheses make no node
+    assert corpus.parse_coord("((z.Z2))") == corpus.parse_coord("z.Z2")
     for bad in (-1, model.dim):
         with pytest.raises(QueryError):
             model.coord_label(bad)
