@@ -17,7 +17,7 @@ operationally exogenous is a modeling choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -398,9 +398,8 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
     held = state[~np.isin(state, [*free, *clamps])]
     clamps.update(zip(held.tolist(), explanation.point.x[held].tolist()))
 
-    predict_cfg = replace(cfg or SolverConfig(), init="point")
-    eq = solve(edited.objective, clamps=clamps, free=free,
-               cfg=predict_cfg, init_point=explanation.point)
+    eq = solve(edited.objective, clamps=clamps, free=free, cfg=cfg,
+               init_point=explanation.point)
     return CounterfactualResult(
         pre=explanation.point.copy(),
         post=eq.point,

@@ -24,7 +24,7 @@ from .errors import (EnergyDomainError, EscmError, ModelError, NonConvexBlockErr
                      SolverError)
 from .model import Model, parse_model
 from .report import canonical_json, jsonable, model_hash
-from .solver import SolverConfig, normalize_clamps, solve
+from .solver import SolverConfig, finite_number, normalize_clamps, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -258,18 +258,19 @@ def _cmd_probes(model: Model, args) -> dict:
     base = _point_from_overrides(model, _read_json_arg(args.base, "--base")) \
         if args.base else None
     heads = [h.strip() for h in args.heads.split(",")] if args.heads else list(diagnostics.HEADS)
-    results: dict = {"heads": {}}
     gauge = None
     if args.gauge:
         payload = _read_json_arg(args.gauge, "--gauge")
         gauge = diagnostics.GaugeTransform(scale=payload.get("scale", {}),
                                            offset=payload.get("offset", {}), j=payload.get("j"))
-    for head in heads:
-        report = diagnostics.probe(model, head, points, base=base)
-        results["heads"][head] = jsonable(report.outputs)
+    outputs = diagnostics._probe_heads(model, heads, points, base)
+    results: dict = {"heads": {head: jsonable(out) for head, out in outputs.items()}}
     if gauge is not None:
-        results["preserved"] = diagnostics.gauge_preserved(
-            model, gauge, heads=heads, points=points, tol=args.gauge_tol, base=base)
+        # gauge_preserved's checks, against the heads just read
+        finite_number(args.gauge_tol, "tol", low=0.0)
+        gauged = diagnostics.apply_gauge(model, gauge)
+        results["preserved"] = diagnostics._preserved(
+            outputs, diagnostics._probe_heads(gauged, heads, points, base), args.gauge_tol)
     return results
 
 

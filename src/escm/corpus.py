@@ -33,21 +33,19 @@ def _fmt(x: float) -> str:
 
 
 def random_quadratic_model(rng: np.random.Generator, n_nodes: int = 5,
-                           density: float = 0.4,
-                           weight_range: tuple[float, float] = (0.5, 2.0),
-                           coupling_range: tuple[float, float] = (0.5, 2.0),
-                           signed: bool = True,
-                           dynamics: bool = False) -> dict:
-    """Model-file dict for a random strongly convex quadratic DAG model."""
+                           density: float = 0.4, dynamics: bool = False) -> dict:
+    """Model-file dict for a random strongly convex quadratic DAG model:
+    weights in [0.5, 2] and couplings of magnitude [0.5, 2], each sign with
+    probability 1/2."""
     if not 1 <= n_nodes:
         raise QueryError("n_nodes must be at least 1")
     if not 0.0 <= density <= 1.0:
         raise QueryError("density must lie in [0, 1]")
-    if dynamics:
-        # Unit weights and weak couplings keep sym(I - C) positive
-        # definite, so the blockwise flow descends the total energy.
-        weight_range = (1.0, 1.0)
-        coupling_range = (0.05, 0.12)
+    # With dynamics, unit weights and weak couplings keep sym(I - C)
+    # positive definite, so the blockwise flow descends the total energy;
+    # the draws are the same either way.
+    weight_range = (1.0, 1.0) if dynamics else (0.5, 2.0)
+    coupling_range = (0.05, 0.12) if dynamics else (0.5, 2.0)
 
     names = [f"Z{k + 1}" for k in range(n_nodes)]
     variables = [{"name": n, "kind": "endogenous", "dim": 1} for n in names]
@@ -70,7 +68,7 @@ def random_quadratic_model(rng: np.random.Generator, n_nodes: int = 5,
         residual = [f"z.{name}"]
         for p in parents[name]:
             c = float(rng.uniform(*coupling_range))
-            if signed and rng.uniform() < 0.5:
+            if rng.uniform() < 0.5:
                 c = -c
             params[f"c_{p}"] = c
             residual.append(f"- theta.{name}.c_{p}*z.{p}")
@@ -105,13 +103,12 @@ def random_point(rng: np.random.Generator, model: Model, scale: float = 1.0):
 
 
 def write_corpus(out_dir, count: int = 10, nodes: int = 5, density: float = 0.4,
-                 seed: int = 0, dynamics: bool = False,
-                 contexts_per_model: int = 3) -> dict:
+                 seed: int = 0, dynamics: bool = False) -> dict:
     """Write seeded model files plus forward-solve fixtures.
 
-    Fixtures pair each model with random contexts and the z vector obtained
-    by one topological pass of the induced structural equations; they are
-    the oracle side for equivalence testing.  Returns the manifest.
+    Fixtures pair each model with three random contexts and the z vector
+    obtained by one topological pass of the induced structural equations;
+    they are the oracle side for equivalence testing.  Returns the manifest.
     """
     from .reduction import induce_scm
 
@@ -130,7 +127,7 @@ def write_corpus(out_dir, count: int = 10, nodes: int = 5, density: float = 0.4,
         model = parse_model(spec)
         scm = induce_scm(model)
         contexts = []
-        for _ in range(contexts_per_model):
+        for _ in range(3):
             u = rng.uniform(-2.0, 2.0, size=model.nu)
             z = scm.solve(u)
             contexts.append({

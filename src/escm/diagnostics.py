@@ -38,6 +38,15 @@ sample points in a fixed chart: per-module energies, partials, gradients,
 differences against a base point, and Hessians.  A gauge transform
 (per-module positive scale and offset plus an invertible linear latent
 map) is "preserved" by a head when the head's numbers do not move.
+
+Every requested head is read from one pass over the terms per point: each
+term is differentiated once in the z coordinates it reads, at order 2 when
+``H_Hess`` is requested and at order 1 otherwise, and ``H_deltaE`` adds
+one pass at its base point (by default the first sample point), read
+before the sample points.  On a gauged view the pass pulls each point's z
+back through J^{-1} and turns each owner's value, gradient and Hessian
+into a E + b, a J^{-T} g and a J^{-T} H J^{-1}.  ``gauge_preserved``
+compares one pass over the model with one over its gauged view.
 """
 
 from __future__ import annotations
@@ -605,19 +614,6 @@ class GaugedModel:
         self.gauge = gauge
         self._j_inv = None if gauge.j is None else np.linalg.inv(gauge.j)
 
-    def pullback_point(self, point: Point) -> Point:
-        if self._j_inv is None:
-            return point.copy()
-        pulled = point.copy()
-        pulled.z[:] = self._j_inv @ point.z
-        return pulled
-
-    def scale_of(self, owner: str) -> float:
-        return float(self.gauge.scale.get(owner, 1.0))
-
-    def offset_of(self, owner: str) -> float:
-        return float(self.gauge.offset.get(owner, 0.0))
-
 
 def apply_gauge(model: Model, gauge: GaugeTransform) -> GaugedModel:
     """Gauged view evaluating each term as a_i E_i(J^{-1} w) + b_i."""
@@ -628,55 +624,66 @@ def apply_gauge(model: Model, gauge: GaugeTransform) -> GaugedModel:
 class ProbeReport:
     head: str
     outputs: list[dict[str, object]]
-    base_z: np.ndarray | None = None
 
 
-def _per_term_z_derivs(model: Model, point: Point, order: int):
-    """value/gradient/Hessian of each term with respect to the flat z
-    vector, keyed by owner."""
+# where each head but H_deltaE reads a term's (value, gradient, Hessian)
+_HEAD_SLOT = {"H_E": 0, "H_dE": 1, "H_gradE": 1, "H_Hess": 2}
+
+
+def _probe_heads(target, heads, points: list[Point],
+                 base: Point | None = None) -> dict[str, list[dict[str, object]]]:
+    """The outputs of every requested head, keyed by head, from one pass
+    over the terms per point; see the module docstring."""
+    for head in heads:
+        if head not in HEADS:
+            raise QueryError(f"unknown probe head {head!r} (expected one of {HEADS})")
+    if not points:
+        raise QueryError("probe needs at least one sample point")
+    out: dict[str, list] = {head: [] for head in heads}
+    if not out:
+        return out
+    gauge = target.gauge if isinstance(target, GaugedModel) else None
+    model = target if gauge is None else target.model
+    jinv = None if gauge is None else target._j_inv
     objective = Objective.from_model(model)
-    z = model.coords("z")
-    out = {}
-    for term in objective.terms:
-        idx = [r for r in term.refs if r in z]  # z sits at [0, nz) of the flat order
-        value, g, h, _ = objective.term_jet(term, point, idx, order)
-        grad = np.zeros(model.nz)
-        hess = np.zeros((model.nz, model.nz))
-        grad[idx] = g
-        if order >= 2:
-            hess[np.ix_(idx, idx)] = h
-        out[term.owner] = (value, grad, hess)
-    return out
+    order = 2 if "H_Hess" in out else 1
+    nz = model.nz
 
+    def read(point: Point) -> dict:
+        """owner -> (value, gradient, Hessian) of every term at the point;
+        the Hessian is None at order 1."""
+        if jinv is not None:
+            point = point.copy()
+            point.z[:] = jinv @ point.z
+        found = {}
+        for term in objective.terms:
+            idx = [r for r in term.refs if r < nz]  # z sits at [0, nz) of the flat order
+            value, g, h, _ = objective.term_jet(term, point, idx, order)
+            grad = np.zeros(nz)
+            grad[idx] = g
+            hess = None
+            if order == 2:
+                hess = np.zeros((nz, nz))
+                hess[np.ix_(idx, idx)] = h
+            if gauge is not None:
+                a = float(gauge.scale.get(term.owner, 1.0))
+                value = a * value + float(gauge.offset.get(term.owner, 0.0))
+                grad = a * (grad if jinv is None else jinv.T @ grad)
+                if hess is not None:
+                    hess = a * (hess if jinv is None else jinv.T @ hess @ jinv)
+            found[term.owner] = (float(value), grad, hess)
+        return found
 
-def _head_payload(target, head: str, point: Point):
-    order = 2 if head == "H_Hess" else 1
-    if isinstance(target, GaugedModel):
-        raw = _per_term_z_derivs(target.model, target.pullback_point(point), order)
-        payload = {}
-        jinv = target._j_inv
-        for owner, (value, grad, hess) in raw.items():
-            a = target.scale_of(owner)
-            value = a * value + target.offset_of(owner)
-            grad = a * grad if jinv is None else a * (jinv.T @ grad)
-            if head == "H_Hess":
-                hess = a * hess if jinv is None else a * (jinv.T @ hess @ jinv)
-            payload[owner] = (value, grad, hess)
-    else:
-        payload = _per_term_z_derivs(target, point, order)
-
-    out = {}
-    for owner, (value, grad, hess) in payload.items():
-        if head == "H_E":
-            out[owner] = float(value)
-        elif head in ("H_dE", "H_gradE"):
-            out[owner] = np.asarray(grad, dtype=float)
-        elif head == "H_Hess":
-            out[owner] = np.asarray(hess, dtype=float)
-        elif head == "H_deltaE":
-            out[owner] = float(value)  # differenced against base by caller
-        else:
-            raise QueryError(f"unknown probe head {head!r}")
+    if "H_deltaE" in out:
+        at_base = read(points[0] if base is None else base)
+    for point in points:
+        found = read(point)
+        for head, outputs in out.items():
+            if head == "H_deltaE":
+                outputs.append({owner: value - at_base[owner][0]
+                                for owner, (value, _, _) in found.items()})
+            else:
+                outputs.append({owner: entry[_HEAD_SLOT[head]] for owner, entry in found.items()})
     return out
 
 
@@ -686,21 +693,7 @@ def probe(target, head: str, points: list[Point], base: Point | None = None) -> 
     ``target`` is a model or a gauged view; for ``H_deltaE`` the base point
     defaults to the first sample point.
     """
-    if head not in HEADS:
-        raise QueryError(f"unknown probe head {head!r} (expected one of {HEADS})")
-    if not points:
-        raise QueryError("probe needs at least one sample point")
-    base_point = base if base is not None else points[0]
-    base_payload = _head_payload(target, head, base_point) if head == "H_deltaE" else None
-    outputs = []
-    for point in points:
-        payload = _head_payload(target, head, point)
-        if head == "H_deltaE":
-            payload = {owner: float(payload[owner]) - float(base_payload[owner])
-                       for owner in payload}
-        outputs.append(payload)
-    return ProbeReport(head=head, outputs=outputs,
-                       base_z=base_point.z.copy() if head == "H_deltaE" else None)
+    return ProbeReport(head=head, outputs=_probe_heads(target, [head], points, base)[head])
 
 
 def gauge_preserved(model: Model, gauge: GaugeTransform, heads=HEADS,
@@ -712,12 +705,17 @@ def gauge_preserved(model: Model, gauge: GaugeTransform, heads=HEADS,
         raise QueryError("gauge_preserved needs sample points")
     finite_number(tol, "tol", low=0.0)
     gauged = apply_gauge(model, gauge)
+    return _preserved(_probe_heads(model, heads, points, base),
+                      _probe_heads(gauged, heads, points, base), tol)
+
+
+def _preserved(reference: dict, gauged: dict, tol: float) -> dict[str, bool]:
+    """Per-head verdicts: is every output of ``gauged`` within ``tol`` of
+    the same output of ``reference``?  Both are ``_probe_heads`` results."""
     verdicts = {}
-    for head in heads:
-        ref = probe(model, head, points, base)
-        alt = probe(gauged, head, points, base)
+    for head, outputs in reference.items():
         worst = 0.0
-        for payload_ref, payload_alt in zip(ref.outputs, alt.outputs):
+        for payload_ref, payload_alt in zip(outputs, gauged[head]):
             for owner in payload_ref:
                 delta = np.max(np.abs(np.asarray(payload_ref[owner], dtype=float)
                                       - np.asarray(payload_alt[owner], dtype=float)))

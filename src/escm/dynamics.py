@@ -55,6 +55,8 @@ class DynHardSurgery:
     kind = "hard"
 
     def __post_init__(self):
+        object.__setattr__(self, "value", finite_number(self.value, "feedback value"))
+        object.__setattr__(self, "gain", finite_number(self.gain, "feedback gain"))
         if not self.gain > 0:
             raise QueryError("feedback gain must be positive")
 
@@ -63,9 +65,7 @@ def dyn_surgery_from_dict(model: Model, data: dict):
     """A field edit from its JSON form: ``hard`` is feedback control with a
     gain; any other payload goes to :func:`causal.surgery_from_dict`."""
     if isinstance(data, dict) and data.get("kind") == "hard":
-        return DynHardSurgery(data.get("target"),
-                              finite_number(data.get("value"), "feedback value"),
-                              finite_number(data.get("gain", 10.0), "feedback gain"))
+        return DynHardSurgery(data.get("target"), data.get("value"), data.get("gain", 10.0))
     return surgery_from_dict(model, data)
 
 

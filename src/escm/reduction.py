@@ -248,13 +248,10 @@ class InducedScm:
         self.order = self.model.dag.topo_order()
         self._objective = Objective.from_model(self.model)
 
-    def mechanism(self, node: str, point: Point,
-                  override: ObjectiveTerm | None = None) -> np.ndarray:
+    def mechanism(self, node: str, point: Point) -> np.ndarray:
         """f_node: best response given parent and exogenous values in ``point``."""
-        term = override if override is not None else \
-            self.model.local_term(node).objective_term
-        return _block_argmin(self._objective, term, point,
-                             self.model.coord_indices(node), node)
+        return _block_argmin(self._objective, self.model.local_term(node).objective_term,
+                             point, self.model.coord_indices(node), node)
 
     def solve(self, u, surgeries=(), theta=None) -> np.ndarray:
         """One topological forward pass; returns the full z vector."""
@@ -350,22 +347,20 @@ def _require_draws(trials: int, seed: int, tol: float,
     return cfg
 
 
-def induce_scm(model: Model, probe_points: list[Point] | None = None) -> InducedScm:
+def induce_scm(model: Model) -> InducedScm:
     """Build the induced structural equations; verifies blockwise convexity
-    at the probe points (default: the origin)."""
+    at the origin."""
     _require_separable(model, "the induced structural model")
     scm = InducedScm(model)
-    probes = probe_points or [Point.for_model(model)]
+    origin = Point.for_model(model)
     objective = Objective.from_model(model)
     for node in scm.order:
         term = model.local_term(node).objective_term
-        refs = model.coord_indices(node)
-        for p in probes:
-            h = objective.term_jet(term, p, refs, order=2)[2]
-            # negative curvature disproves blockwise convexity; zero is
-            # inconclusive (e.g. quartics at their minimum) and admitted
-            if float(np.min(np.linalg.eigvalsh(h))) < 0.0:
-                raise NonConvexBlockError(node, "probe point")
+        h = objective.term_jet(term, origin, model.coord_indices(node), order=2)[2]
+        # negative curvature disproves blockwise convexity; zero is
+        # inconclusive (e.g. quartics at their minimum) and admitted
+        if float(np.min(np.linalg.eigvalsh(h))) < 0.0:
+            raise NonConvexBlockError(node, "probe point")
     return scm
 
 

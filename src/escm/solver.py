@@ -36,7 +36,7 @@ _ARMIJO_C = 1e-4  # sufficient decrease of the gradient-descent fallback
 class SolverConfig:
     tol_grad: float = 1e-10
     max_iter: int = 200
-    init: str = "zeros"  # "zeros" | "point" | "forward-scm"
+    init: str = "zeros"  # "zeros" | "forward-scm": the start when no point is given
 
     def __post_init__(self):
         if finite_number(self.tol_grad, "tol_grad") <= 0:
@@ -137,12 +137,10 @@ def finite_number(value, what: str, low: float | None = None) -> float:
 def _initial_point(objective: Objective, cfg: SolverConfig,
                    init_point: Point | None, clamps: dict[int, float]) -> Point:
     model = objective.model
-    if cfg.init == "zeros":
-        point = Point.for_model(model)
-    elif cfg.init == "point":
-        if init_point is None:
-            raise QueryError("init='point' requires an initial point")
+    if init_point is not None:
         point = init_point.copy()
+    elif cfg.init == "zeros":
+        point = Point.for_model(model)
     elif cfg.init == "forward-scm":
         from .reduction import forward_init  # local import: avoids a cycle
 
@@ -159,7 +157,9 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     """Minimize an energy over ``free`` coordinates with ``clamps`` fixed.
 
     ``target`` is a model or an edited objective.  ``free`` defaults to
-    every z- and u-coordinate that is not clamped.  Raises
+    every z- and u-coordinate that is not clamped.  The solve starts from a
+    copy of ``init_point``, theta included, when one is given, and from
+    ``cfg.init`` otherwise; clamps overwrite the start.  Raises
     :class:`SolverError` (with diagnostics attached) on non-convergence and
     :class:`SingularSystemError` when damping escalation is exhausted.
     """

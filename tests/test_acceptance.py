@@ -12,7 +12,6 @@ import numpy as np
 from escm import (
     GaugeTransform,
     Point,
-    SolverConfig,
     abduct,
     counterfactual,
     disjunctive_envelope,
@@ -288,14 +287,13 @@ def test_criterion_6_susceptibility():
         pu, pd = eq.point.copy(), eq.point.copy()
         getattr(pu, wref[0])[wref[1]] += h
         getattr(pd, wref[0])[wref[1]] -= h
-        cfg = SolverConfig(init="point")
         clamps_up = dict(clamps)
         clamps_dn = dict(clamps)
         if wref[0] == "u":
             clamps_up[wref] = float(pu.u[wref[1]])
             clamps_dn[wref] = float(pd.u[wref[1]])
-        eq_up = solve(model, clamps=clamps_up, cfg=cfg, init_point=pu)
-        eq_dn = solve(model, clamps=clamps_dn, cfg=cfg, init_point=pd)
+        eq_up = solve(model, clamps=clamps_up, init_point=pu)
+        eq_dn = solve(model, clamps=clamps_dn, init_point=pd)
         fd = (eq_up.point.z - eq_dn.point.z) / (2 * h)
         worst = max(worst, float(np.max(np.abs(response - fd))))
 

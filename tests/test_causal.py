@@ -208,10 +208,7 @@ def test_autonomy_check_resolving_nondescendants(chain2):
     edited = apply_surgery(chain2, hard(chain2, "Z2", 9.0))
     clamps = dict(edited.clamps)
     clamps.update({("u", k): result.pre.u[k] for k in range(2)})
-    from escm import SolverConfig
-
-    eq = solve(edited.objective, clamps=clamps, free=[("z", 0)],
-               cfg=SolverConfig(init="point"), init_point=result.post)
+    eq = solve(edited.objective, clamps=clamps, free=[("z", 0)], init_point=result.post)
     assert abs(eq.point.z[0] - result.post.z[0]) < 1e-8
 
 

@@ -12,7 +12,6 @@ from escm import (
     PairError,
     Point,
     QueryError,
-    SolverConfig,
     apply_gauge,
     causal_metric,
     gauge_preserved,
@@ -29,7 +28,7 @@ from escm import (
 )
 from escm.corpus import random_quadratic_model
 from escm import dynamics
-from escm.diagnostics import HEADS, _lap_reports, _penalty, nondesc_pairs
+from escm.diagnostics import HEADS, _lap_reports, _penalty, _probe_heads, nondesc_pairs
 from escm.engine import Objective, effective_energy_pair
 from tests.conftest import chain2_dict
 from tests.genmodels import planted_case, random_interior_point, random_smooth_model
@@ -255,10 +254,8 @@ def test_susceptibility_matches_resolve(chain2):
     from escm.engine import Point as P
 
     eq_up = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5},
-                  cfg=SolverConfig(init="point"),
                   init_point=P(eq.point.z.copy(), eq.point.u.copy(), theta_up))
     eq_dn = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5},
-                  cfg=SolverConfig(init="point"),
                   init_point=P(eq.point.z.copy(), eq.point.u.copy(), theta_dn))
     fd = (eq_up.point.z - eq_dn.point.z) / (2 * h)
     assert np.allclose(response, fd, atol=1e-6)
@@ -379,6 +376,53 @@ def test_singular_gauge_rejected():
 def test_probe_unknown_owner_rejected(chain2):
     with pytest.raises(QueryError):
         apply_gauge(chain2, GaugeTransform(scale={"nope": 2.0}))
+
+
+def _assert_same_output(got, want):
+    """Two probe outputs of one head, compared bit for bit."""
+    assert list(got) == list(want)
+    for owner in want:
+        assert type(got[owner]) is type(want[owner])
+        assert np.shape(got[owner]) == np.shape(want[owner])
+        assert np.asarray(got[owner]).tobytes() == np.asarray(want[owner]).tobytes()
+
+
+def test_a_combined_pass_reads_each_head_as_probe_does_alone():
+    """Every head read from one order-2 pass (with H_Hess) carries the bits
+    that probing that head alone gives, on the model and on a gauge with a
+    scale, an offset and a latent map."""
+    rng = np.random.default_rng(21)
+    compared = 0
+    for _ in range(6):
+        model = random_smooth_model(rng, max_nodes=4)
+        points = [random_interior_point(rng, model) for _ in range(3)]
+        base = random_interior_point(rng, model)
+        owners = [t.label for t in model.terms]
+        j = np.eye(model.nz) + 0.3 * np.triu(rng.uniform(-1, 1, (model.nz, model.nz)), 1)
+        gauge = GaugeTransform(scale={owners[0]: 2.5, owners[-1]: 0.75},
+                               offset={owners[-1]: -1.25}, j=j)
+        for target in (model, apply_gauge(model, gauge)):
+            combined = _probe_heads(target, HEADS, points, base)
+            assert list(combined) == list(HEADS)
+            for head in HEADS:
+                alone = probe(target, head, points, base).outputs
+                assert len(combined[head]) == len(alone) == len(points)
+                for got, want in zip(combined[head], alone):
+                    _assert_same_output(got, want)
+                    compared += 1
+    assert compared == 6 * 2 * len(HEADS) * 3
+
+
+def test_an_unknown_head_raises_before_any_evaluation(chain2, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluated a term")
+
+    monkeypatch.setattr(Objective, "term_jet", fail)
+    with pytest.raises(QueryError, match="unknown probe head 'H_nope'"):
+        _probe_heads(chain2, ["H_E", "H_nope"], _points(chain2, 0))
+    with pytest.raises(QueryError, match="unknown probe head"):
+        gauge_preserved(chain2, GaugeTransform(), heads=["H_E", "H_nope"],
+                        points=_points(chain2, 0))
 
 
 def test_icm_check_at_80_nodes_differentiates_only_its_coordinates():

@@ -232,9 +232,25 @@ def test_dyn_surgery_from_dict(chain2_dyn):
     s = dyn_surgery_from_dict(chain2_dyn, {"kind": "hard", "target": "Z1",
                                            "value": 1.0, "gain": 5.0})
     assert isinstance(s, DynHardSurgery) and s.gain == 5.0
+    s = DynHardSurgery("Z1", 1, gain=4)
+    assert (s.value, s.gain) == (1.0, 4.0) and type(s.value) is type(s.gain) is float
     with pytest.raises(QueryError):
         dyn_surgery_from_dict(chain2_dyn, {"kind": "hard", "target": "Z1",
                                            "value": 0.0, "gain": -1.0})
+
+
+@pytest.mark.parametrize("args, message", [
+    (("Z1", "x"), "feedback value is not a number"),
+    (("Z1", float("nan")), "feedback value is not finite"),
+    (("Z1", None), "feedback value is not a number"),
+    (("Z1", 1.0, "x"), "feedback gain is not a number"),
+    (("Z1", 1.0, float("inf")), "feedback gain is not finite"),
+    (("Z1", 1.0, 0.0), "feedback gain must be positive"),
+])
+def test_a_feedback_edit_built_directly_checks_its_numbers(chain2_dyn, args, message):
+    with pytest.raises(QueryError, match=message):
+        integrate(chain2_dyn, [0.0, 0.0], [1.0, 0.5], [DynHardSurgery(*args)],
+                  t_end=0.1, dt=0.05)
 
 
 _DUPLICATE_EDITS = {

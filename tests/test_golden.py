@@ -125,6 +125,33 @@ def test_report_matches_golden(name):
     assert report_of(name) == expected
 
 
+def test_golden_probes_read_every_head_from_one_pass_per_point(monkeypatch):
+    """chain2 has four terms; the golden probes command reads two points
+    and a base point once for the model and once for its gauged view, so
+    it differentiates each term 6 times with --gauge and 3 times without,
+    at order 2 only when H_Hess is asked for."""
+    from escm.engine import Objective
+
+    orders = []
+    term_jet = Objective.term_jet
+
+    def counted(self, term, point, active, order):
+        orders.append(order)
+        return term_jet(self, term, point, active, order)
+
+    monkeypatch.setattr(Objective, "term_jet", counted)
+    command, model, *options = CASES["probes_gauge_chain2"]
+    assert options[-2] == "--gauge"
+    for argv, bound, order in ((options, 24, 2), (options[:-2], 12, 2),
+                               (options[:-2] + ["--heads", "H_E,H_gradE"], 8, 1)):
+        orders.clear()
+        with redirect_stdout(io.StringIO()):
+            assert run([command, str(GOLDEN / "models" / f"{model}.json"), *argv,
+                        "--no-timing"]) == 0
+        assert len(orders) <= bound, (argv, len(orders))
+        assert orders == [order] * bound  # four terms per pass, not fewer
+
+
 if __name__ == "__main__":
     out = GOLDEN / "reports"
     out.mkdir(parents=True, exist_ok=True)

@@ -113,6 +113,19 @@ def test_forward_scm_init_lands_on_solution(chain2):
     assert np.allclose(eq.point.z, [1.0, 2.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("init", ["zeros", "forward-scm"])
+def test_a_given_initial_point_is_the_start_theta_included(chain2, init):
+    # z.Z2 = a*z.Z1 + u.U2 with the start's a = 3, not the default 2
+    start = Point.for_model(chain2, z=[0.5, 0.5], theta=chain2.theta_defaults() + 1.0)
+    eq = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5}, cfg=SolverConfig(init=init),
+               init_point=start)
+    assert np.allclose(eq.point.z, [1.0, 3.5], atol=1e-12)
+    assert eq.point.theta.tolist() == [3.0]
+    assert start.z.tolist() == [0.5, 0.5]  # the start is copied, not moved
+    with pytest.raises(QueryError, match="unknown init mode 'point'"):
+        solve(chain2, cfg=SolverConfig(init="point"))
+
+
 def test_fully_clamped_solve_is_an_echo(chain2):
     eq = solve(chain2, clamps={"z.Z1": 1.0, "z.Z2": 2.0, "u.U1": 0.0, "u.U2": 0.0})
     assert eq.iterations == 0
