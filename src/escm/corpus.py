@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import QueryError
-from .model import Model, parse_model
+from .model import parse_model
 from .report import canonical_json, model_hash, model_text
 
-__all__ = ["random_quadratic_model", "random_point", "write_corpus"]
+__all__ = ["random_quadratic_model", "write_corpus"]
 
 
 def _fmt(x: float) -> str:
@@ -89,17 +89,6 @@ def random_quadratic_model(rng: np.random.Generator, n_nodes: int = 5,
     if dynamics:
         out["dynamics"] = dynamics_entries
     return out
-
-
-def random_point(rng: np.random.Generator, model: Model, scale: float = 1.0):
-    """Random full point (z, u, default theta) for derivative checks."""
-    from .engine import Point
-
-    return Point(
-        z=rng.uniform(-scale, scale, size=model.nz),
-        u=rng.uniform(-scale, scale, size=model.nu),
-        theta=model.theta_defaults(),
-    )
 
 
 def write_corpus(out_dir, count: int = 10, nodes: int = 5, density: float = 0.4,

@@ -33,6 +33,7 @@ flat index or a constant; nothing here evaluates.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable
 
@@ -254,7 +255,10 @@ class _Parser:
             elif text in _PUNCT:
                 raise ExprSyntaxError(f"unexpected token {text!r}", self.source, start)
             else:
-                numbers.append(float(text))
+                number = float(text)
+                if number == math.inf:
+                    raise ExprSyntaxError(f"number {text!r} is out of range", self.source, start)
+                numbers.append(number)
                 spans += (start, start + len(text))
                 form, height = "c", 1
             end = spans[-1]  # the operand's, and every node's it completes

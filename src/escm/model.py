@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -604,7 +605,13 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
                 raise SchemaError(f"bad parameter name {pname!r} in term {owner!r}")
             if not isinstance(pval, (int, float)) or isinstance(pval, bool):
                 raise SchemaError(f"parameter {pname!r} of term {owner!r} must be numeric")
-            values[pname] = float(pval)
+            try:
+                value = float(pval)
+            except OverflowError:  # an int past the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise SchemaError(f"parameter {pname!r} of term {owner!r} must be finite")
+            values[pname] = value
         source = item.get("expr")
         if not isinstance(source, str):
             raise SchemaError(f"term {owner!r} is missing an 'expr' string")

@@ -5,9 +5,12 @@ convex in its own coordinate), each local energy induces a best-response
 map: the argmin of the local term given parents and the paired exogenous
 value.  Solving the resulting structural equations by one topological pass
 must reproduce the energy equilibrium, before and after hard/soft surgery.
-The checks here exercise exactly that equality and are deliberately built
-on a different numerical route (bracketed scalar root-finding) than the
-equilibrium solver they validate.
+The checks here exercise exactly that equality.  The forward pass is a
+per-node scalar route apart from the joint Newton solve it validates:
+each scalar best response takes safeguarded Newton steps on its own slice
+inside a sign bracket and falls back to bracket expansion and a port of
+``scipy.optimize.brentq`` when a step leaves the bracket or the energy's
+domain, the curvature is not positive, or a few steps do not converge.
 
 The checks evaluate their draws in chunks.  On the energy side the
 draws of a chunk whose edits share their terms run through the solver's
@@ -15,17 +18,19 @@ Newton loop as one batch, damped steps included, so no draw is handed
 off or solved again.  The energy side starts from zeros, never from the
 forward sweep, so the checks refuse any other ``SolverConfig.init``:
 from the sweep it would compare the sweep with itself.  On the SCM side
-the route is still bracketed root finding, now over a batch of draws:
-each draw runs the bracket expansion and a port of
-``scipy.optimize.brentq`` on Python floats, and the slopes all of them
-need next are one batched jet evaluation.  Every draw's numbers are
-bitwise those of evaluating the draws one by one.
+the draws that share a node's term find their roots together: each runs
+its own steps on Python floats, and the slopes and curvatures all of them
+need next are one batched evaluation of the term's generated code.  Every
+draw's numbers are bitwise those of evaluating the draws one by one.
 
 A chunk runs as one batch or, if the batch raises, replays draw by draw
 on the per-draw path (:func:`_energy_side`, :meth:`InducedScm._forward`,
 ``causal._read``): each draw's energy side, SCM side and readouts in
 turn, so the error raised is the one of the first draw that fails.  The
 batched helpers keep no per-draw errors; a check that fails ends there.
+The one exception is a Newton step out of the energy's domain, which ends
+only its own draw's Newton steps: :func:`_lockstep` evaluates the points
+of a round that raises one by one and hands each its own error.
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codegen
 from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _read,
                      apply_surgery)
-from .codegen import expr_value
 from .engine import Objective, ObjectiveTerm, Point
-from .errors import ClassViolationError, EscmError, NonConvexBlockError, QueryError
+from .errors import (ClassViolationError, EnergyDomainError, EscmError, NonConvexBlockError,
+                     QueryError)
 from .model import Model
 from .solver import SolverConfig, _newton, finite_number, solve
 
@@ -58,6 +64,7 @@ __all__ = [
 
 _BRACKET_LIMIT = 1e12
 _XTOL, _RTOL, _MAXITER = 1e-14, 4 * sys.float_info.epsilon, 100  # Python floats
+_NEWTON = 5  # Newton steps a scalar argmin takes before it brackets
 _CHUNK = 256  # draws evaluated together; bounds the batch arrays of a check
 
 
@@ -119,9 +126,10 @@ def _brentq_steps(xpre: float, xcur: float, fpre: float, fcur: float):
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
-def _argmin_steps(x0: float, g0: float, node: str):
+def _bracket_steps(x0: float, g0: float, node: str):
     """Root of the slope of a strictly convex scalar slice, from its slope
-    ``g0 != 0`` at ``x0``, as a coroutine like :func:`_brentq_steps`."""
+    ``g0 != 0`` at ``x0``, by bracket expansion and Brent's method, as a
+    coroutine like :func:`_brentq_steps`."""
     # The derivative of a strictly convex coercive slice is increasing and
     # changes sign; expand away from x0 in the downhill direction.
     step = 1.0
@@ -146,62 +154,136 @@ def _argmin_steps(x0: float, g0: float, node: str):
     return (yield from _brentq_steps(lo, hi, f_lo, f_hi))
 
 
-def _lockstep(steps: dict[int, object], evaluate) -> dict[int, float]:
-    """Run coroutines like :func:`_argmin_steps` side by side; every
+def _on_slopes(steps):
+    """A coroutine that is sent slopes, driven by (slope, curvature) pairs."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send((yield x)[0])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _argmin_steps(x0: float, g0: float, h0: float, node: str):
+    """Root of the slope of a strictly convex scalar slice, from its slope
+    ``g0 != 0`` and curvature ``h0`` at ``x0``, as a coroutine: it yields
+    each point where it needs them, is sent (slope, curvature) there, and
+    returns the root with the curvature there, or None if it has not
+    evaluated it.
+
+    Safeguarded Newton (Press et al., *Numerical Recipes*, 3rd ed., §9.4,
+    ``rtsafe``): every evaluation narrows the sign bracket, which starts as
+    far out as :func:`_bracket_steps` would look, and the slice stops
+    where its next step is within Brent's tolerance.  A curvature that is
+    not positive, a step that leaves the bracket or the energy's domain,
+    or ``_NEWTON`` steps without converging hand over to Brent's method:
+    on the bracket once both its ends are evaluated, else from ``x0`` by
+    :func:`_bracket_steps`, as if no Newton step had been taken."""
+    ends = [x0 - _BRACKET_LIMIT, x0 + _BRACKET_LIMIT]  # the root lies between
+    slopes = [math.nan, math.nan]  # the slope at each end once evaluated
+    x, g, h = x0, g0, h0
+    for newton in range(_NEWTON + 1):
+        if math.isnan(g):
+            break
+        ends[g > 0.0], slopes[g > 0.0] = x, g
+        step = -g / h if h > 0.0 else math.nan
+        if newton == _NEWTON or not ends[0] < x + step < ends[1]:
+            break
+        try:
+            g, h = yield x + step
+        except EnergyDomainError:  # the step left the energy's domain
+            break
+        x += step
+        if g == 0.0 or abs(g) <= h * (_XTOL + _RTOL * abs(x)) / 2:  # the next step is within delta
+            return x, h
+    if slopes[0] < 0.0 < slopes[1]:
+        return (yield from _on_slopes(_brentq_steps(*ends, *slopes))), None
+    return (yield from _on_slopes(_bracket_steps(x0, g0, node))), None
+
+
+def _lockstep(steps: dict[int, object], evaluate) -> dict[int, object]:
+    """Run coroutines like :func:`_brentq_steps` side by side; every
     round, ``evaluate(keys, points)`` computes the values all of them wait
-    for as one batch.  Returns each coroutine's result by key; a
+    for as one batch.  If that raises :class:`EnergyDomainError`, every
+    point is evaluated alone, and the error of each that raises alone is
+    thrown into its coroutine.  Returns each coroutine's result by key; a
     coroutine's error propagates."""
-    results: dict[int, float] = {}
-    sent = dict.fromkeys(steps)  # the value each coroutine is sent next
+    results: dict[int, object] = {}
+    sent = dict.fromkeys(steps, (None, None))  # the value or error each is sent next
     while sent:
         waiting = {}
-        for key, value in sent.items():
+        for key, (value, error) in sent.items():
             try:
-                waiting[key] = steps[key].send(value)
+                waiting[key] = steps[key].send(value) if error is None else steps[key].throw(error)
             except StopIteration as stop:
                 results[key] = stop.value
-        keys = list(waiting)
-        sent = dict(zip(keys, evaluate(keys, list(waiting.values())).tolist())) if keys else {}
+        sent = _outcomes(evaluate, waiting) if waiting else {}
     return results
 
 
-def _scalar_argmins(objective: Objective, term: ObjectiveTerm, x: np.ndarray,
-                    ref: int, node: str) -> np.ndarray:
-    """Argmins of strictly convex scalar slices via bracketed root finding,
-    one per column of ``x`` (dim, B): coordinate ``ref`` moves, the rest
-    stays.  Every column takes the steps it takes alone; the slopes they
-    need are evaluated as one batch per round."""
-    model = objective.model
+def _outcomes(evaluate, waiting: dict) -> dict:
+    """(value, None) at every point of ``waiting`` (key -> point), as one
+    batch; if that raises a domain error, each point's (value, None) or
+    (None, error) alone, or the batch's error if no point raises alone."""
+    keys = list(waiting)
+    try:
+        return {key: (value, None)
+                for key, value in zip(keys, evaluate(keys, list(waiting.values())).tolist())}
+    except EnergyDomainError:
+        alone = {}
+        for key, point in waiting.items():
+            try:
+                alone[key] = (evaluate([key], [point]).tolist()[0], None)
+            except EnergyDomainError as error:
+                alone[key] = (None, error)
+        if all(error is None for _, error in alone.values()):
+            raise  # the batch and its points alone disagree: a bug
+        return alone
+
+
+def _scalar_argmins(term: ObjectiveTerm, x: np.ndarray, ref: int, node: str) -> np.ndarray:
+    """Argmins of strictly convex scalar slices by safeguarded Newton steps
+    (:func:`_argmin_steps`), one per column of ``x`` (dim, B): coordinate
+    ``ref`` moves, the rest stays.  Every column takes the steps it takes
+    alone; the slopes and curvatures they need are evaluated as one batch
+    per round."""
     p = x.copy()  # row ``ref`` moves along the slices
+    slot = {ref: 0}
+    alone = x.shape[1] == 1  # evaluated in Python floats, bitwise as in a batch
 
-    def jet(cols, order):  # term_jet keeps no reference to the point it is given
-        return objective.term_jet(term, Point.from_flat(model, p[:, cols], copy=False),
-                                  [ref], order)
-
-    def slope(cols, values):
+    def jets(cols, values):  # slope and curvature at ``values``, (B, 2)
         p[ref, cols] = values
-        return jet(cols, 1)[1][0]
+        out = np.zeros((len(values), 2))
+        at = p[:, 0] if alone else p[:, cols]
+        for _, _, _, grad, hess, _ in codegen.active_blocks([term], at, slot, 2):
+            # one slot: each block is None or the 1-tuple of its entry
+            for k, block in enumerate((grad, hess)):
+                if block is not None:
+                    out[:, k] = block[0]
+        return out
 
-    _, g0, h0, _ = jet(slice(None), 2)  # its gradient is bitwise the order-1 one
-    x0, g0 = x[ref].tolist(), g0[0].tolist()
+    x0 = x[ref].tolist()
     steps = {}
-    for j, curvature in enumerate(h0[0, 0].tolist()):
+    for j, (g, h) in enumerate(jets(slice(None), x0).tolist()):
         # Strictly convex slices may still have zero curvature at isolated
         # points (quartics at their minimum); only negative curvature
         # disproves convexity outright.
-        if curvature < 0.0:
+        if h < 0.0:
             raise NonConvexBlockError(node, f"z={x0[j]:g}")
-        if g0[j] != 0.0:
-            steps[j] = _argmin_steps(x0[j], g0[j], node)
-    found = _lockstep(steps, slope)
-    roots = x[ref].copy()
+        if g != 0.0:
+            steps[j] = _argmin_steps(x0[j], g, h, node)
+    found = _lockstep(steps, jets)
+    unchecked = [j for j, (_, h) in found.items() if h is None]
+    if unchecked:  # roots that Brent's method found
+        at = [found[j][0] for j in unchecked]
+        found.update(zip(unchecked, zip(at, jets(unchecked, at)[:, 1].tolist())))
+    for root, h in found.values():
+        if h < 0.0:
+            raise NonConvexBlockError(node, f"z={root:g}")
+    out = x[ref].copy()
     if found:
-        cols = list(found)
-        p[ref, cols] = roots[cols] = list(found.values())
-        for root, curvature in zip(found.values(), jet(cols, 2)[2][0, 0].tolist()):
-            if curvature < 0.0:
-                raise NonConvexBlockError(node, f"z={root:g}")
-    return roots
+        out[list(found)] = [root for root, _ in found.values()]
+    return out
 
 
 def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
@@ -209,7 +291,7 @@ def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
     """Argmin of a local term over its own coordinate block, parents and
     exogenous values frozen at ``point``."""
     if len(refs) == 1:
-        return _scalar_argmins(objective, term, point.x[:, None], refs[0], node)
+        return _scalar_argmins(term, point.x[:, None], refs[0], node)
     # Multi-component block: guarded Newton on the block gradient.
     p = point.copy()
     for _ in range(100):
@@ -289,8 +371,7 @@ class InducedScm:
             for term, cols in groups.values():
                 cols = sorted(cols)
                 if len(refs) == 1:
-                    x[refs[0], cols] = _scalar_argmins(self._objective, term, x[:, cols],
-                                                       refs[0], node)
+                    x[refs[0], cols] = _scalar_argmins(term, x[:, cols], refs[0], node)
                     continue
                 for j in cols:
                     x[refs, j] = _block_argmin(self._objective, term,
@@ -605,7 +686,7 @@ def _build_sampler(model: Model, spec: dict):
 
 def _read_batch(compiled, x: np.ndarray) -> np.ndarray:
     """A compiled readout at every column of ``x`` (dim, B)."""
-    return np.broadcast_to(expr_value(compiled, x), x.shape[1:])
+    return np.broadcast_to(codegen.expr_value(compiled, x), x.shape[1:])
 
 
 def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,

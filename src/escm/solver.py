@@ -43,6 +43,8 @@ class SolverConfig:
             raise QueryError("tol_grad must be positive")
         if self.max_iter < 1:
             raise QueryError("max_iter must be at least 1")
+        if self.init not in ("zeros", "forward-scm"):
+            raise QueryError(f"unknown init mode {self.init!r}")
 
 
 @dataclass
@@ -141,12 +143,10 @@ def _initial_point(objective: Objective, cfg: SolverConfig,
         point = init_point.copy()
     elif cfg.init == "zeros":
         point = Point.for_model(model)
-    elif cfg.init == "forward-scm":
+    else:  # "forward-scm"
         from .reduction import forward_init  # local import: avoids a cycle
 
         point = forward_init(model, clamps)
-    else:
-        raise QueryError(f"unknown init mode {cfg.init!r}")
     for ref, val in clamps.items():
         point.x[ref] = val
     return point

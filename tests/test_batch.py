@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from escm import SolverConfig, equivalence_check, parse_model, pushforward_check, solve
-from escm import reduction, solver
+from escm import codegen, reduction, solver
 from escm.causal import HardSurgery, apply_surgery
+from escm.corpus import random_quadratic_model
 from escm.engine import Objective, Point
-from escm.errors import EnergyDomainError, QueryError, SolverError
+from escm.errors import EnergyDomainError, NonConvexBlockError, QueryError, SolverError
 from escm.expr import compile_expr, parse_expr
 from escm.model import ObjectiveTerm
+from escm.reduction import forward_init
 from tests.conftest import chain2_dict
 
 # -- jets -------------------------------------------------------------------
@@ -317,3 +319,133 @@ def test_brentq_port_matches_scipy():
             errors.append(error)
     assert {type(err) for err in errors} == {ValueError, RuntimeError}
     assert roots(found) == found  # the brackets that succeed, run side by side
+
+
+# the slopes' derivatives, the curvatures of the slices, in the same order
+_CURVATURES = [
+    lambda x: 3.0 * x ** 2,
+    math.exp,
+    lambda x: 1.0 - math.tanh(x) ** 2,
+    lambda x: 1e-200,
+    lambda x: 3e-160 * (x - 0.3) ** 2,
+    lambda x: 5.0 * (x - 0.1) ** 4,
+    lambda x: 1.0 + 0.05 * math.cos(50 * x),
+    lambda x: 0.0,
+    lambda x: math.nan if x > 2.0 else 1.0,
+    lambda x: 1.0,
+]
+
+
+def _expanded_bracket(f, x0):
+    """The bracket that expanding from ``x0`` downhill finds, as the sweep
+    did before it took Newton steps."""
+    g0, step = f(x0), 1.0
+    while True:
+        end = x0 - step if g0 > 0.0 else x0 + step
+        if not (f(end) > 0.0 if g0 > 0.0 else f(end) < 0.0):
+            return (end, x0) if g0 > 0.0 else (x0, end)
+        step *= 2.0
+        if step > reduction._BRACKET_LIMIT:
+            raise NonConvexBlockError("Z", f"z={x0:g}")
+
+
+def test_newton_sweep_roots_match_scipy():
+    rng = np.random.default_rng(2)
+    cases = [(k, x0) for k in range(len(_SLOPES)) for x0 in rng.uniform(-5.0, 5.0, 20).tolist()]
+    cases.append((8, 3.0))  # NaN where it starts
+
+    def at(k, x):  # slope and curvature, an overflow raised as generated code does
+        try:
+            return [_SLOPES[k](x), _CURVATURES[k](x)]
+        except OverflowError:
+            raise EnergyDomainError("numeric overflow", owner="local:Z") from None
+
+    def roots(keys):
+        """The sweep's roots from the starts ``keys``, run side by side."""
+        steps = {key: reduction._argmin_steps(cases[key][1], *at(*cases[key]), "Z")
+                 for key in keys}
+        return reduction._lockstep(steps, lambda keys, xs: np.array(
+            [at(cases[key][0], x) for key, x in zip(keys, xs)]))
+
+    found, errors = {}, set()
+    for key, (k, x0) in enumerate(cases):
+        f = _SLOPES[k]
+        root, error = _outcome(lambda: brentq(f, *_expanded_bracket(f, x0), xtol=1e-14,
+                                              rtol=4 * np.finfo(float).eps))
+        alone, error_alone = _outcome(lambda: roots([key])[key][0])
+        if error is None:
+            assert error_alone is None
+            assert abs(alone - root) <= reduction._XTOL + reduction._RTOL * abs(root), (k, x0)
+            found[key] = alone
+        else:
+            assert type(error_alone) is type(error), (k, x0)
+            errors.add(type(error))
+    assert errors == {ValueError, RuntimeError}
+    assert {key: root for key, (root, _) in roots(found).items()} == found
+
+
+def _slice_model(expr: str):
+    return parse_model({"variables": [{"name": "Z1", "kind": "endogenous"},
+                                      {"name": "U1", "kind": "exogenous"}],
+                        "edges": [], "terms": [{"owner": "local:Z1", "expr": expr}]})
+
+
+def test_scalar_argmins_of_a_batch_are_bitwise_each_column_alone(monkeypatch):
+    """Columns that converge by Newton steps, fall back to Brent's method
+    or step out of the log's domain first each find the root they find
+    alone, bitwise."""
+    faults, fallbacks = [], []
+    active_blocks, brentq_steps = codegen.active_blocks, reduction._brentq_steps
+
+    def blocks(*args):
+        try:
+            return active_blocks(*args)
+        except EnergyDomainError as error:
+            faults.append(error)
+            raise
+
+    def brent(*args):
+        fallbacks.append(args)
+        return brentq_steps(*args)
+
+    monkeypatch.setattr(codegen, "active_blocks", blocks)
+    monkeypatch.setattr(reduction, "_brentq_steps", brent)
+    starts = np.array([[x0, u] for x0 in (-1.1, -0.5, 0.0, 1.0, 4.0)
+                       for u in (-2.0, -0.7, 1e-9, 1.3, 2.0)]).T
+    for expr in ("log(1 + sq(z.Z1 - u.U1)) + 0.3*sq(z.Z1) - 0.5*log(z.Z1 + 1.2)",
+                 "0.25*pow(z.Z1, 4) - z.Z1*u.U1"):
+        term = _slice_model(expr).local_term("Z1").objective_term
+        batch = reduction._scalar_argmins(term, starts, 0, "Z1")
+        for j in range(starts.shape[1]):
+            alone = reduction._scalar_argmins(term, starts[:, [j]], 0, "Z1")
+            assert alone.tobytes() == batch[[j]].tobytes(), (expr, starts[:, j])
+    assert faults and fallbacks
+
+
+def test_scalar_argmins_take_at_most_three_jets_on_corpus_slices(monkeypatch):
+    """A corpus slice is quadratic, so one Newton step is exact: the sweep
+    evaluates the slice at its start and at that step, and no more."""
+    model = parse_model(random_quadratic_model(np.random.default_rng(0), 10, density=0.3))
+    counts, inside = [], []  # active_blocks calls per _scalar_argmins call, and in the running one
+    active_blocks, scalar_argmins = codegen.active_blocks, reduction._scalar_argmins
+
+    def blocks(*args):
+        if inside:
+            inside[0] += 1
+        return active_blocks(*args)
+
+    def argmins(*args):
+        inside.append(0)
+        try:
+            return scalar_argmins(*args)
+        finally:
+            counts.append(inside.pop())
+
+    monkeypatch.setattr(codegen, "active_blocks", blocks)
+    monkeypatch.setattr(reduction, "_scalar_argmins", argmins)
+    sampler = {v.name: {"dist": "gauss"} for v in model.exogenous}
+    assert pushforward_check(model, sampler, trials=40, seed=1).passed
+    assert equivalence_check(model, trials=30, seed=1).passed
+    forward_init(model, dict(zip(model.coords("u"), np.linspace(-1.0, 1.0, model.nu).tolist())))
+    assert len(counts) >= 3 * model.nz  # every node in each check and in forward_init
+    assert max(counts) <= 3

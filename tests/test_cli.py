@@ -565,3 +565,23 @@ def test_numeric_overflow_in_an_energy_exits_2(capsys, tmp_path, expr, z1):
     assert code == 2
     assert report["error"] == {"message": "numeric overflow in term 'Z1'",
                                "type": "EnergyDomainError"}
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    ({"params": {"a": float("nan")}}, "SchemaError", "parameter 'a' of term 'Z2' must be finite"),
+    ({"params": {"a": float("-inf")}}, "SchemaError", "parameter 'a' of term 'Z2' must be finite"),
+    ({"params": {"a": 10 ** 400}}, "SchemaError", "parameter 'a' of term 'Z2' must be finite"),
+    ({"expr": "0.5*sq(z.Z2 - 1e400*z.Z1 - u.U2)"}, "ExprSyntaxError",
+     "number '1e400' is out of range at position 14"),
+])
+@pytest.mark.parametrize("command", ["validate", "diagnose", "solve"])
+def test_a_model_with_a_number_that_is_not_finite_exits_1(capsys, tmp_path, edit, error,
+                                                          message, command):
+    spec = chain2_dict()
+    spec["terms"][1].update(edit)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, report = invoke(capsys, command, str(path), "--no-timing")
+    assert code == 1
+    assert report["error"]["type"] == error
+    assert report["error"]["message"].startswith(message)
