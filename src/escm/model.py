@@ -521,7 +521,7 @@ def parse_model(text, mask_policy: str = "strict") -> Model:
     if not isinstance(data, dict):
         raise SchemaError("model file must be a JSON object")
     if mask_policy not in ("strict", "warn"):
-        raise ValueError("mask_policy must be 'strict' or 'warn'")
+        raise QueryError(f"mask_policy must be 'strict' or 'warn', not {mask_policy!r}")
     unknown = set(data) - {"variables", "edges", "terms", "dynamics"}
     if unknown:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")

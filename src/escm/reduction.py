@@ -8,9 +8,8 @@ must reproduce the energy equilibrium, before and after hard/soft surgery.
 The checks here exercise exactly that equality.  The forward pass is a
 per-node scalar route apart from the joint Newton solve it validates:
 each scalar best response takes safeguarded Newton steps on its own slice
-inside a sign bracket and falls back to bracket expansion and a port of
-``scipy.optimize.brentq`` when a step leaves the bracket or the energy's
-domain, the curvature is not positive, or a few steps do not converge.
+inside a sign bracket, and steps downhill or bisects where a Newton step
+would leave the bracket or not halve the last step.
 
 The checks evaluate their draws in chunks.  On the energy side the
 draws of a chunk whose edits share their terms run through the solver's
@@ -28,9 +27,9 @@ on the per-draw path (:func:`_energy_side`, :meth:`InducedScm._forward`,
 ``causal._read``): each draw's energy side, SCM side and readouts in
 turn, so the error raised is the one of the first draw that fails.  The
 batched helpers keep no per-draw errors; a check that fails ends there.
-The one exception is a Newton step out of the energy's domain, which ends
-only its own draw's Newton steps: :func:`_lockstep` evaluates the points
-of a round that raises one by one and hands each its own error.
+The one exception is a step out of the energy's domain, which only halves
+its own draw's step: :func:`_lockstep` evaluates the points of a round
+that raises one by one and hands each its own error.
 """
 
 from __future__ import annotations
@@ -63,146 +62,66 @@ __all__ = [
 ]
 
 _BRACKET_LIMIT = 1e12
-_XTOL, _RTOL, _MAXITER = 1e-14, 4 * sys.float_info.epsilon, 100  # Python floats
-_NEWTON = 5  # Newton steps a scalar argmin takes before it brackets
+_XTOL, _RTOL = 1e-14, 4 * sys.float_info.epsilon  # Python floats
 _CHUNK = 256  # draws evaluated together; bounds the batch arrays of a check
-
-
-def _brentq_steps(xpre: float, xcur: float, fpre: float, fcur: float):
-    """``scipy.optimize.brentq(f, xpre, xcur, xtol=1e-14, rtol=4*eps)``
-    given f at both ends, as a coroutine: it yields each point where it
-    needs f, is sent f there, and returns the root.
-
-    A line-by-line port of scipy's brentq.c, so the iterates, the root and
-    the errors raised are the same as scipy's.
-    """
-    for x, fx in ((xpre, fpre), (xcur, fcur)):
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    # for values that are neither 0 nor NaN, signbit(f) is f < 0
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf  # C gets inf or nan here, and so bisects below
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur
-        if math.isnan(fcur):
-            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
-    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
-
-
-def _bracket_steps(x0: float, g0: float, node: str):
-    """Root of the slope of a strictly convex scalar slice, from its slope
-    ``g0 != 0`` at ``x0``, by bracket expansion and Brent's method, as a
-    coroutine like :func:`_brentq_steps`."""
-    # The derivative of a strictly convex coercive slice is increasing and
-    # changes sign; expand away from x0 in the downhill direction.
-    step = 1.0
-    if g0 > 0.0:
-        lo, hi, f_hi = x0 - step, x0, g0
-        f_lo = yield lo
-        while f_lo > 0.0:
-            step *= 2.0
-            lo = x0 - step
-            if step > _BRACKET_LIMIT:
-                raise NonConvexBlockError(node, f"z={x0:g}")
-            f_lo = yield lo
-    else:
-        lo, f_lo, hi = x0, g0, x0 + step
-        f_hi = yield hi
-        while f_hi < 0.0:
-            step *= 2.0
-            hi = x0 + step
-            if step > _BRACKET_LIMIT:
-                raise NonConvexBlockError(node, f"z={x0:g}")
-            f_hi = yield hi
-    return (yield from _brentq_steps(lo, hi, f_lo, f_hi))
-
-
-def _on_slopes(steps):
-    """A coroutine that is sent slopes, driven by (slope, curvature) pairs."""
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send((yield x)[0])
-    except StopIteration as stop:
-        return stop.value
 
 
 def _argmin_steps(x0: float, g0: float, h0: float, node: str):
     """Root of the slope of a strictly convex scalar slice, from its slope
     ``g0 != 0`` and curvature ``h0`` at ``x0``, as a coroutine: it yields
     each point where it needs them, is sent (slope, curvature) there, and
-    returns the root with the curvature there, or None if it has not
-    evaluated it.
+    returns the root with the curvature there.
 
     Safeguarded Newton (Press et al., *Numerical Recipes*, 3rd ed., §9.4,
-    ``rtsafe``): every evaluation narrows the sign bracket, which starts as
-    far out as :func:`_bracket_steps` would look, and the slice stops
-    where its next step is within Brent's tolerance.  A curvature that is
-    not positive, a step that leaves the bracket or the energy's domain,
-    or ``_NEWTON`` steps without converging hand over to Brent's method:
-    on the bracket once both its ends are evaluated, else from ``x0`` by
-    :func:`_bracket_steps`, as if no Newton step had been taken."""
+    ``rtsafe``).  Every evaluation narrows the sign bracket, which starts
+    at x0 ± ``_BRACKET_LIMIT`` with both ends open (not evaluated).  A
+    Newton step is taken if it lies strictly inside the bracket and is at
+    most half the last step; otherwise the slice steps downhill by a
+    reach, from 1 doubling, while an end is open, and bisects once both
+    are evaluated.  A step out of the energy's domain is halved until it
+    lies inside.  With delta = (``_XTOL`` + ``_RTOL``·|x|)/2, the slice
+    stops at a Newton iterate whose next step is within delta and at most
+    half the last step, which a root of multiplicity 3 or more never
+    meets, or once bisection narrows the bracket to 2·delta.  A NaN slope
+    or curvature, or a reach out of the bracket, disproves convexity."""
     ends = [x0 - _BRACKET_LIMIT, x0 + _BRACKET_LIMIT]  # the root lies between
-    slopes = [math.nan, math.nan]  # the slope at each end once evaluated
+    shut = [False, False]  # whether the slope at each end is evaluated
     x, g, h = x0, g0, h0
-    for newton in range(_NEWTON + 1):
-        if math.isnan(g):
-            break
-        ends[g > 0.0], slopes[g > 0.0] = x, g
-        step = -g / h if h > 0.0 else math.nan
-        if newton == _NEWTON or not ends[0] < x + step < ends[1]:
-            break
-        try:
-            g, h = yield x + step
-        except EnergyDomainError:  # the step left the energy's domain
-            break
-        x += step
-        if g == 0.0 or abs(g) <= h * (_XTOL + _RTOL * abs(x)) / 2:  # the next step is within delta
+    last, reach, newton = math.inf, 1.0, False  # the last step, and whether it was Newton's
+    while True:
+        if math.isnan(g) or math.isnan(h):
+            raise NonConvexBlockError(node, f"z={x:g}")
+        if g == 0.0:
             return x, h
-    if slopes[0] < 0.0 < slopes[1]:
-        return (yield from _on_slopes(_brentq_steps(*ends, *slopes))), None
-    return (yield from _on_slopes(_bracket_steps(x0, g0, node))), None
+        ends[g > 0.0], shut[g > 0.0] = x, True
+        delta = (_XTOL + _RTOL * abs(x)) / 2
+        if newton and abs(g) <= h * min(delta, last / 2):  # next step within delta, <= last/2
+            return x, h
+        step = -g / h if h > 0.0 else math.nan
+        newton = ends[0] < x + step < ends[1] and abs(step) <= last / 2
+        if not (newton or all(shut)):  # downhill, toward the open end
+            step = reach if g < 0.0 else -reach
+            reach *= 2.0
+            if not ends[0] < x + step < ends[1]:
+                raise NonConvexBlockError(node, f"z={x0:g}")
+        elif not newton:
+            if ends[1] - ends[0] <= 2 * delta:
+                return x, h
+            step = (ends[0] + ends[1]) / 2 - x  # bisect
+        while True:
+            try:
+                g, h = yield x + step
+                break
+            except EnergyDomainError:  # the step left the energy's domain
+                step /= 2
+                if x + step == x:
+                    raise
+        x += step
+        last = abs(step)
 
 
 def _lockstep(steps: dict[int, object], evaluate) -> dict[int, object]:
-    """Run coroutines like :func:`_brentq_steps` side by side; every
+    """Run coroutines like :func:`_argmin_steps` side by side; every
     round, ``evaluate(keys, points)`` computes the values all of them wait
     for as one batch.  If that raises :class:`EnergyDomainError`, every
     point is evaluated alone, and the error of each that raises alone is
@@ -273,10 +192,6 @@ def _scalar_argmins(term: ObjectiveTerm, x: np.ndarray, ref: int, node: str) -> 
         if g != 0.0:
             steps[j] = _argmin_steps(x0[j], g, h, node)
     found = _lockstep(steps, jets)
-    unchecked = [j for j, (_, h) in found.items() if h is None]
-    if unchecked:  # roots that Brent's method found
-        at = [found[j][0] for j in unchecked]
-        found.update(zip(unchecked, zip(at, jets(unchecked, at)[:, 1].tolist())))
     for root, h in found.values():
         if h < 0.0:
             raise NonConvexBlockError(node, f"z={root:g}")

@@ -101,6 +101,11 @@ def test_parent_mask_enforced_for_z_symbols():
     assert len(model.mask_warnings) == 1
 
 
+def test_unknown_mask_policy_is_a_query_error():
+    with pytest.raises(QueryError, match="mask_policy must be 'strict' or 'warn', not 'lax'"):
+        parse_model(chain2_dict(), mask_policy="lax")
+
+
 def _three_nodes(expr: str) -> dict:
     """Z1, Z2, Z3 with no edges, each with its paired U; Z1's local term
     is ``expr``."""
