@@ -696,12 +696,12 @@ def probe(target, head: str, points: list[Point], base: Point | None = None) -> 
     return ProbeReport(head=head, outputs=_probe_heads(target, [head], points, base)[head])
 
 
-def gauge_preserved(model: Model, gauge: GaugeTransform, heads=HEADS,
-                    points: list[Point] | None = None, tol: float = 1e-9,
+def gauge_preserved(model: Model, gauge: GaugeTransform, points: list[Point],
+                    heads=HEADS, tol: float = 1e-9,
                     base: Point | None = None) -> dict[str, bool]:
     """Per-head preservation verdicts: does the gauged model report the
     same numbers as the base model at the same sample points?"""
-    if points is None or not points:
+    if not points:
         raise QueryError("gauge_preserved needs sample points")
     finite_number(tol, "tol", low=0.0)
     gauged = apply_gauge(model, gauge)

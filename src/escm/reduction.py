@@ -5,11 +5,13 @@ convex in its own coordinate), each local energy induces a best-response
 map: the argmin of the local term given parents and the paired exogenous
 value.  Solving the resulting structural equations by one topological pass
 must reproduce the energy equilibrium, before and after hard/soft surgery.
-The checks here exercise exactly that equality.  The forward pass is a
-per-node scalar route apart from the joint Newton solve it validates:
-each scalar best response takes safeguarded Newton steps on its own slice
-inside a sign bracket, and steps downhill or bisects where a Newton step
-would leave the bracket or not halve the last step.
+The checks here exercise exactly that equality.  For scalar blocks the
+forward pass is a per-node route apart from the joint Newton solve it
+validates: each scalar best response takes safeguarded Newton steps on
+its own slice inside a sign bracket, and steps downhill or bisects where a
+Newton step would leave the bracket or not halve the last step.  A vector
+block runs the solver's Newton loop on its own term, parents frozen: it
+shares the loop with the energy side, not the problem.
 
 The checks evaluate their draws in chunks.  On the energy side the
 draws of a chunk whose edits share their terms run through the solver's
@@ -45,7 +47,7 @@ from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _
                      apply_surgery)
 from .engine import Objective, ObjectiveTerm, Point
 from .errors import (ClassViolationError, EnergyDomainError, EscmError, NonConvexBlockError,
-                     QueryError)
+                     QueryError, SolverError)
 from .model import Model
 from .solver import SolverConfig, _newton, finite_number, solve
 
@@ -201,37 +203,26 @@ def _scalar_argmins(term: ObjectiveTerm, x: np.ndarray, ref: int, node: str) -> 
     return out
 
 
-def _block_argmin(objective: Objective, term: ObjectiveTerm, point: Point,
+def _block_argmin(model: Model, term: ObjectiveTerm, point: Point,
                   refs: list[int], node: str) -> np.ndarray:
     """Argmin of a local term over its own coordinate block, parents and
-    exogenous values frozen at ``point``."""
+    exogenous values frozen at ``point``.  A scalar block takes the
+    independent sweep of :func:`_scalar_argmins`; a vector block runs the
+    solver's Newton loop on its own term alone, and has no best response
+    if that loop fails or ends where the block's Hessian is not positive
+    definite."""
     if len(refs) == 1:
         return _scalar_argmins(term, point.x[:, None], refs[0], node)
-    # Multi-component block: guarded Newton on the block gradient.
-    p = point.copy()
-    for _ in range(100):
-        _, g, h, _ = objective.term_jet(term, p, refs, order=2)  # g is the order-1 one
-        done = float(np.max(np.abs(g))) <= 1e-12
-        try:
-            np.linalg.cholesky(h)
-            if done:
-                return p.x[refs]
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            raise NonConvexBlockError(node, "block minimizer" if done else "block Newton") from None
-        t = 1.0
-        base = float(g @ g)
-        while t > 1e-16:
-            cand = p.copy()
-            cand.x[refs] += t * step
-            g_new = objective.term_jet(term, cand, refs, order=1)[1]
-            if float(g_new @ g_new) < base:
-                p = cand
-                break
-            t *= 0.5
-        else:
-            raise NonConvexBlockError(node, "block line search")
-    raise NonConvexBlockError(node, "no convergence in block argmin")
+    x = point.x[:, None].copy()
+    try:
+        hess = _newton(Objective(model, [term]), refs, x, SolverConfig())[2][0]
+    except SolverError:
+        raise NonConvexBlockError(node, "block Newton") from None
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        raise NonConvexBlockError(node, "block minimizer") from None
+    return x[refs, 0]
 
 
 @dataclass
@@ -243,11 +234,10 @@ class InducedScm:
 
     def __post_init__(self):
         self.order = self.model.dag.topo_order()
-        self._objective = Objective.from_model(self.model)
 
     def mechanism(self, node: str, point: Point) -> np.ndarray:
         """f_node: best response given parent and exogenous values in ``point``."""
-        return _block_argmin(self._objective, self.model.local_term(node).objective_term,
+        return _block_argmin(self.model, self.model.local_term(node).objective_term,
                              point, self.model.coord_indices(node), node)
 
     def solve(self, u, surgeries=(), theta=None) -> np.ndarray:
@@ -289,8 +279,8 @@ class InducedScm:
                     x[refs[0], cols] = _scalar_argmins(term, x[:, cols], refs[0], node)
                     continue
                 for j in cols:
-                    x[refs, j] = _block_argmin(self._objective, term,
-                                               Point.from_flat(model, x[:, j]), refs, node)
+                    x[refs, j] = _block_argmin(model, term, Point.from_flat(model, x[:, j]),
+                                               refs, node)
         return x[:model.nz]
 
 
@@ -375,14 +365,13 @@ def forward_init(model: Model, clamps: dict[int, float]) -> Point:
     point = Point.for_model(model)
     for ref, val in clamps.items():
         point.x[ref] = val
-    objective = Objective.from_model(model)
     for node in model.dag.topo_order():
         unclamped = [r for r in model.coord_indices(node) if r not in clamps]
         if not unclamped:
             continue
         try:
             point.x[unclamped] = _block_argmin(
-                objective, model.local_term(node).objective_term, point, unclamped, node)
+                model, model.local_term(node).objective_term, point, unclamped, node)
         except NonConvexBlockError:
             continue  # leave this block at its current values
     return point
@@ -650,13 +639,13 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     return PushforwardReport(summary, worst, trials, tol, worst <= tol, seed)
 
 
-def contraction_factor(model: Model, points: list[Point], iterations: int = 60) -> float:
-    """Operator-norm estimate of the best-response Jacobian.
+def contraction_factor(model: Model, points: list[Point]) -> float:
+    """Largest operator norm of the best-response Jacobian over ``points``.
 
-    Power iteration on J^T J at each point gives the largest singular
-    value of the blockwise-argmin Jacobian; a value below one witnesses
-    the contraction-style well-posedness alternative.  (The spectral
-    radius would be useless here: on a DAG the Jacobian is nilpotent.)
+    The norm is the largest singular value of the blockwise-argmin
+    Jacobian; a value below one witnesses the contraction-style
+    well-posedness alternative.  (The spectral radius would be useless
+    here: on a DAG the Jacobian is nilpotent.)
     """
     _require_separable(model, "the contraction estimate")
     objective = Objective.from_model(model)
@@ -679,16 +668,5 @@ def contraction_factor(model: Model, points: list[Point], iterations: int = 60) 
             except np.linalg.LinAlgError:
                 raise NonConvexBlockError(node, "jacobian of the best response") from None
             jac[np.ix_(own, parent_refs)] = block  # z sits at [0, nz) of the flat order
-        vec = np.ones(model.nz) / np.sqrt(model.nz)
-        sigma = 0.0
-        gram = jac.T @ jac
-        for _ in range(iterations):
-            nxt = gram @ vec
-            norm = float(np.linalg.norm(nxt))
-            if norm == 0.0:
-                sigma = 0.0
-                break
-            sigma = norm
-            vec = nxt / norm
-        worst = max(worst, float(np.sqrt(sigma)))
+        worst = max(worst, float(np.linalg.norm(jac, 2)))
     return worst

@@ -12,6 +12,7 @@ from escm import (
     PairError,
     Point,
     QueryError,
+    abduct,
     apply_gauge,
     causal_metric,
     gauge_preserved,
@@ -28,7 +29,8 @@ from escm import (
 )
 from escm.corpus import random_quadratic_model
 from escm import dynamics
-from escm.diagnostics import HEADS, _lap_reports, _penalty, _probe_heads, nondesc_pairs
+from escm.diagnostics import (HEADS, _exact_zero_support, _lap_reports, _penalty, _probe_heads,
+                              nondesc_pairs)
 from escm.engine import Objective, effective_energy_pair
 from tests.conftest import chain2_dict
 from tests.genmodels import planted_case, random_interior_point, random_smooth_model
@@ -241,6 +243,25 @@ def test_susceptibility_chain2_context(chain2):
     assert response[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_susceptibility_dense_path_matches_reabduction():
+    """Evidence on Z2 clamps a coordinate that keeps its local term, so the
+    structural zeros do not apply and the response is a dense solve."""
+    def explained(a):
+        spec = chain2_dict()
+        spec["terms"][1]["params"]["a"] = a
+        model = parse_model(spec)
+        return model, abduct(model, {"z.Z2": 2.5})
+
+    model, expl = explained(2.0)
+    assert _exact_zero_support(Objective.from_model(model), expl.equilibrium,
+                               model.parse_coord("theta.Z2.a")) is None
+    response = susceptibility(model, expl.equilibrium, "theta.Z2.a")
+    h = 1e-6
+    fd = (explained(2.0 + h)[1].point.x - explained(2.0 - h)[1].point.x) / (2 * h)
+    assert np.allclose(response, fd[list(expl.equilibrium.free)], atol=1e-6)
+    assert np.allclose(response, [-0.3, -0.15, -0.2], atol=1e-9)
+
+
 def test_susceptibility_matches_resolve(chain2):
     eq = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5})
     response = susceptibility(chain2, eq, "theta.Z2.a")
@@ -292,6 +313,8 @@ def _points(model, seeds):
 def test_identity_gauge_preserves_everything(chain2):
     verdicts = gauge_preserved(chain2, GaugeTransform(), points=_points(chain2, 0))
     assert all(verdicts.values())
+    with pytest.raises(QueryError, match="needs sample points"):
+        gauge_preserved(chain2, GaugeTransform(), [])
 
 
 def test_offset_gauge_breaks_only_absolute_energies(chain2):

@@ -242,26 +242,78 @@ def test_shifted_local_source_shifts_argmin(chain2):
     assert z[0] == pytest.approx(1.75, abs=1e-10)
 
 
-def test_vector_block_argmin_and_equivalence():
-    spec = {
+def _vector_block_model(v_term: str, w_term: str = "0.5*sq(z.W - z.V[0] - 0.5*z.V[1] - u.U2)"):
+    """V of dim 2 with the local term ``v_term`` and a child W."""
+    return parse_model({
         "variables": [{"name": "V", "kind": "endogenous", "dim": 2},
                       {"name": "W", "kind": "endogenous", "dim": 1},
                       {"name": "U1", "kind": "exogenous", "dim": 2},
                       {"name": "U2", "kind": "exogenous", "dim": 1}],
         "edges": [["V", "W"]],
         "terms": [
-            {"owner": "local:V",
-             "expr": "0.5*sq(z.V[0] - u.U1[0]) + 0.5*sq(z.V[1] - u.U1[1])"
-                     " + 0.25*sq(z.V[0] - z.V[1])"},
-            {"owner": "local:W",
-             "expr": "0.5*sq(z.W - z.V[0] - 0.5*z.V[1] - u.U2)"},
+            {"owner": "local:V", "expr": v_term},
+            {"owner": "local:W", "expr": w_term},
             {"owner": "exo:U1", "expr": "0.5*(sq(u.U1[0]) + sq(u.U1[1]))"},
             {"owner": "exo:U2", "expr": "0.5*sq(u.U2)"},
         ],
-    }
-    model = parse_model(spec)
+    })
+
+
+def test_vector_block_argmin_and_equivalence():
+    model = _vector_block_model("0.5*sq(z.V[0] - u.U1[0]) + 0.5*sq(z.V[1] - u.U1[1])"
+                                " + 0.25*sq(z.V[0] - z.V[1])")
     report = equivalence_check(model, trials=12, seed=5)
     assert report.passed, report.max_deviation
+
+
+def test_vector_block_steps_out_of_a_log_barrier_are_rejected():
+    """A trial step that leaves the barrier's domain is a rejected step of
+    the block's Newton loop, not an error."""
+    model = _vector_block_model(
+        "-log(z.V[0] + 1) - log(z.V[1] + 1) + 3*z.V[0] + 3*z.V[1]"
+        " + 0.1*sq(z.V[0] - z.V[1]) - u.U1[0]*z.V[0]")
+    u = np.array([0.5, 0.0, -0.3])
+    clamps = dict(zip(model.coords("u"), u.tolist()))
+    joint = solve(model, clamps=clamps).point.z
+    assert np.allclose(induce_scm(model).solve(u), joint, atol=1e-8)
+    assert np.allclose(forward_init(model, clamps).z, joint, atol=1e-8)
+    report = equivalence_check(model, trials=30, seed=3,
+                               surgery_generator=lambda rng, model, index: [])
+    assert report.passed, report.max_deviation
+
+
+def test_vector_block_singular_at_its_start_has_a_best_response():
+    """A convex quartic coupling has a singular Hessian at z.V = 0; the
+    block's Newton loop shifts it and still finds the minimizer."""
+    model = _vector_block_model(
+        "0.25*pow(z.V[0] - u.U1[0], 4) + 0.25*pow(z.V[1] - z.V[0], 4)")
+    point = Point.for_model(model, u=[1.0, 0.0, 0.0])
+    z = induce_scm(model).mechanism("V", point)
+    # a cubic slope stops at tol_grad 1e-10 about (1e-10)**(1/3) short
+    assert np.allclose(z, [1.0, 1.0], atol=1e-3)
+
+
+def test_vector_block_without_a_minimizer_is_not_convex():
+    """A local term linear in z.V[1] has no best response: the block's
+    Newton loop fails, which reads as a non-convex block, never as a
+    solver error; forward_init leaves the block at its start."""
+    model = _vector_block_model("sq(z.V[0] - u.U1[0]) + u.U1[1]*z.V[1]",
+                                "0.5*sq(z.W - z.V[0]) + sq(z.V[1])")
+    scm = induce_scm(model)
+    u = np.array([0.5, 1.0, 0.0])
+    with pytest.raises(NonConvexBlockError, match="block Newton"):
+        scm.mechanism("V", Point.for_model(model, u=u))
+    with pytest.raises(NonConvexBlockError, match="block Newton"):
+        scm.solve(u)
+    # W's term bounds z.V[1] jointly, so the energy side solves and the
+    # SCM side fails
+    with pytest.raises(NonConvexBlockError, match="block Newton"):
+        equivalence_check(model, trials=3, seed=0)
+    sampler = {name: {"dist": "uniform", "lo": 0.5, "hi": 1.0} for name in ("U1", "U2")}
+    with pytest.raises(NonConvexBlockError, match="block Newton"):
+        pushforward_check(model, sampler, trials=3)
+    clamps = dict(zip(model.coords("u"), u.tolist()))
+    assert forward_init(model, clamps).z[:2].tolist() == [0.0, 0.0]
 
 
 def test_contraction_factor_small_couplings():
@@ -274,6 +326,20 @@ def test_contraction_factor_small_couplings():
     chain = parse_model(chain2_dict())
     rho_chain = contraction_factor(chain, [Point.for_model(chain)])
     assert rho_chain == pytest.approx(2.0, abs=1e-9)  # df2/dz1 = a = 2
+
+
+def test_contraction_factor_is_the_exact_spectral_norm():
+    """Z3 = 3*Z1 - 3*Z2 is the only coupling, so the Jacobian maps the
+    all-ones vector to zero; its norm is still |(3, -3)| = 3*sqrt(2)."""
+    names = ["Z1", "Z2", "Z3", "Z4"]
+    model = parse_model({
+        "variables": [{"name": n, "kind": "endogenous", "dim": 1} for n in names],
+        "edges": [["Z1", "Z3"], ["Z2", "Z3"]],
+        "terms": [{"owner": f"local:{n}", "expr": f"0.5*sq(z.{n})"} for n in ("Z1", "Z2", "Z4")]
+                 + [{"owner": "local:Z3", "expr": "0.5*sq(z.Z3 - 3*z.Z1 + 3*z.Z2)"}],
+    })
+    rho = contraction_factor(model, [Point.for_model(model)])
+    assert rho == pytest.approx(3 * np.sqrt(2), abs=1e-12)
 
 
 def test_oracle_checks_build_each_edit_and_readout_once(chain2, monkeypatch):
