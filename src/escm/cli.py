@@ -23,7 +23,7 @@ from .engine import Point
 from .errors import (EnergyDomainError, EscmError, ModelError, NonConvexBlockError, QueryError,
                      SolverError)
 from .model import Model, parse_model
-from .report import canonical_json, jsonable, model_hash
+from .report import canonical_json, model_hash
 from .solver import SolverConfig, finite_number, normalize_clamps, solve
 
 EXIT_OK = 0
@@ -211,13 +211,15 @@ def _cmd_disjunct(model: Model, args) -> dict:
     raise QueryError(f"unknown disjunct mode {mode!r}")
 
 
-def _lap_payload(reports) -> list[dict]:
+def _lap_payload(pairs, found, tol: float) -> list[dict]:
+    """Each pair's maxima and verdict (``LapReport.passed``) from its
+    ``_locality_blocks`` entry."""
     return [{
-        "pair": list(r.pair),
-        "max_abs_z": r.max_abs_z,
-        "max_abs_theta": r.max_abs_theta,
-        "passed": r.passed,
-    } for r in reports]
+        "pair": [a, i],
+        "max_abs_z": max_z,
+        "max_abs_theta": max_theta,
+        "passed": max_z <= tol and max_theta <= tol,  # a NaN maximum fails
+    } for (a, i), (*_, max_z, max_theta) in zip(pairs, found)]
 
 
 def _icm_payload(reports) -> list[dict]:
@@ -232,19 +234,21 @@ def _icm_payload(reports) -> list[dict]:
 def _cmd_diagnose(model: Model, args) -> dict:
     point = _point_from_overrides(model, _read_json_arg(args.point, "--point"))
     tol = args.tol if args.tol is not None else diagnostics.STRUCTURAL_TOL
+    finite_number(tol, "tol", low=0.0)
     pairs = diagnostics.nondesc_pairs(model)
-    lap = diagnostics._lap_reports(model, pairs, point, tol)
+    lap = diagnostics._lap_blocks(model, pairs, point)
     icm = [diagnostics.icm_check(model, node, point, tol=tol) for node in model.dag.nodes]
     results = {
-        "lap": _lap_payload(lap),
+        "lap": _lap_payload(pairs, lap, tol),
         "icm": _icm_payload(icm),
-        # the unit-weight penalties of this one point, from the same reports
-        "lap_penalty": diagnostics._penalty([lap], 1.0, 1.0),
+        # the unit-weight penalties of this one point, from the same blocks
+        "lap_penalty": diagnostics._locality_penalty(lap),
         "icm_penalty": diagnostics._penalty([icm], 1.0, 1.0),
         "tol": tol,
     }
     if model.dynamics is not None:
-        results["dyn_lap"] = _lap_payload(dynamics._dyn_lap_reports(model, pairs, point, tol))
+        results["dyn_lap"] = _lap_payload(pairs, dynamics._dyn_lap_blocks(model, pairs, point),
+                                          tol)
         results["dyn_icm"] = _icm_payload(dynamics.dyn_icm_check(model, node, point, tol=tol)
                                           for node in model.dag.nodes)
     return results
@@ -264,7 +268,7 @@ def _cmd_probes(model: Model, args) -> dict:
         gauge = diagnostics.GaugeTransform(scale=payload.get("scale", {}),
                                            offset=payload.get("offset", {}), j=payload.get("j"))
     outputs = diagnostics._probe_heads(model, heads, points, base)
-    results: dict = {"heads": {head: jsonable(out) for head, out in outputs.items()}}
+    results: dict = {"heads": outputs}
     if gauge is not None:
         # gauge_preserved's checks, against the heads just read
         finite_number(args.gauge_tol, "tol", low=0.0)
@@ -480,7 +484,7 @@ def run(argv=None) -> int:
     except (SolverError, EnergyDomainError, NonConvexBlockError) as err:
         report["error"] = {"type": type(err).__name__, "message": str(err)}
         if getattr(err, "diagnostics", None):
-            report["error"]["diagnostics"] = jsonable(err.diagnostics)
+            report["error"]["diagnostics"] = err.diagnostics
         code = EXIT_SOLVER
     except MemoryError as err:
         # numpy raises a private subclass; report the builtin's name

@@ -8,7 +8,9 @@ is a non-descendant of; independence (ICM) asks that parent parameters
 not deform it, to first order or mixed with i's own.  Each check builds
 its residual's exact derivative rows and hands them to one shared routine
 per principle, which gathers the blocks, reduces them and builds the
-report (:class:`LapReport`, :class:`IcmReport`).
+report (:class:`LapReport`, :class:`IcmReport`).  ``escm diagnose`` reads
+each pair's maxima and the locality penalty from the gathered blocks
+(``_locality_blocks``) and builds no :class:`LapReport`.
 
 A check differentiates only the terms that reach a block it reports: a
 term that does not read a block's row and column coordinates adds exactly
@@ -137,8 +139,15 @@ def lap_check(model: Model, a: str, i: str, point: Point,
 
 def _lap_reports(model: Model, pairs, point: Point,
                  tol: float = STRUCTURAL_TOL) -> list[LapReport]:
-    """``lap_check`` of every (A, i) pair, in order, with at most one
-    order-2 derivative call per module i.
+    """``lap_check`` of every (A, i) pair, in order."""
+    finite_number(tol, "tol", low=0.0)
+    return _locality_reports(model, pairs, _lap_blocks(model, pairs, point), tol)
+
+
+def _lap_blocks(model: Model, pairs, point: Point) -> list[tuple]:
+    """The locality blocks of every (A, i) pair, in order (see
+    ``_locality_blocks``), with at most one order-2 derivative call per
+    module i.
 
     Module i's energy is the same for every A, so one Hessian over z_i and
     the coordinates of all of i's pairs holds every block.  Only the terms
@@ -175,7 +184,7 @@ def _lap_reports(model: Model, pairs, point: Point,
         hess[:k, :k] = full.hess
         return hess[slot[zi]], slot
 
-    return _locality_reports(model, pairs, residual_rows, tol)
+    return _locality_blocks(model, pairs, residual_rows)
 
 
 class _Energies:
@@ -202,9 +211,9 @@ class _Energies:
                 term_value(term, self.values)
 
 
-def _locality_reports(model: Model, pairs, residual_rows, tol: float,
-                      dynamics: bool = False, eliminated: tuple = ()) -> list[LapReport]:
-    """Locality reports of every (A, i) pair, in order, from the
+def _locality_blocks(model: Model, pairs, residual_rows,
+                     dynamics: bool = False) -> list[tuple]:
+    """The locality blocks of every (A, i) pair, in order, from the
     derivative rows of each module's residual.
 
     ``residual_rows(i, refs)`` is called once per module i, with the flat
@@ -212,12 +221,13 @@ def _locality_reports(model: Model, pairs, residual_rows, tol: float,
     slot)`` such that ``rows[:, slot[r]]`` is the derivative of i's residual
     with respect to coordinate r, and ``slot[model.dim]`` is a zero column,
     or None when every one of those derivatives is exactly zero.  The
-    columns of all of i's blocks are gathered side by side once; each
-    report's blocks are views of them, and one ``np.maximum.reduceat`` over
-    their column maxima gives every pair's two maxima.  ``dynamics`` picks
-    the parameter sets of ``Model.module_theta_refs``.
+    columns of all of i's blocks are gathered side by side once, and one
+    ``np.maximum.reduceat`` over their column maxima gives every pair's two
+    maxima.  Each pair's entry is ``(blocks, z_at, theta_at, theta_end,
+    max_abs_z, max_abs_theta)``: its z block is ``blocks[:, z_at:theta_at]``
+    and its theta block ``blocks[:, theta_at:theta_end]``.  ``dynamics``
+    picks the parameter sets of ``Model.module_theta_refs``.
     """
-    finite_number(tol, "tol", low=0.0)
     sources: dict[str, list[str]] = {}
     descendants: dict[str, frozenset[str]] = {}  # of each source A, looked up once
     for a, i in pairs:
@@ -229,9 +239,8 @@ def _locality_reports(model: Model, pairs, residual_rows, tol: float,
     named = dict.fromkeys(a for a, _ in pairs)
     z_refs = {a: model.coord_indices(a) for a in named}
     theta_refs = {a: model.module_theta_refs(a, dynamics=dynamics) for a in named}
-    labels = {a: [_param_label(model, r) for r in theta_refs[a]] for a in named}
     zero = model.dim  # stands for a coordinate with exactly zero partials
-    reports = {}
+    entries = {}
     for i, sources_i in sources.items():
         # every pair's z and theta columns side by side, one segment each;
         # an empty segment holds the zero column so reduceat reads it as 0.0
@@ -249,18 +258,47 @@ def _locality_reports(model: Model, pairs, residual_rows, tol: float,
             blocks = rows[:, slot[refs]]
             maxima = np.maximum.reduceat(np.abs(blocks).max(axis=0), starts).tolist()
         for n, a in enumerate(sources_i):
-            z_at, theta_at = starts[2 * n], starts[2 * n + 1]
-            reports[(a, i)] = LapReport(
-                pair=(a, i),
-                z_block=blocks[:, z_at:theta_at],
-                theta_block=blocks[:, theta_at:theta_at + len(theta_refs[a])],
-                theta_labels=list(labels[a]),
-                max_abs_z=maxima[2 * n],
-                max_abs_theta=maxima[2 * n + 1],
-                tol=tol,
-                eliminated=eliminated,
-            )
-    return [reports[pair] for pair in pairs]
+            theta_at = starts[2 * n + 1]
+            entries[(a, i)] = (blocks, starts[2 * n], theta_at, theta_at + len(theta_refs[a]),
+                               maxima[2 * n], maxima[2 * n + 1])
+    return [entries[pair] for pair in pairs]
+
+
+def _locality_reports(model: Model, pairs, found: list[tuple], tol: float,
+                      dynamics: bool = False, eliminated: tuple = ()) -> list[LapReport]:
+    """A report per (A, i) pair from its ``_locality_blocks`` entry; each
+    report's blocks are views of its module's gathered columns."""
+    labels: dict[str, list[str]] = {}
+    reports = []
+    for (a, i), (blocks, z_at, theta_at, theta_end, max_z, max_theta) in zip(pairs, found):
+        if a not in labels:
+            labels[a] = [_param_label(model, r)
+                         for r in model.module_theta_refs(a, dynamics=dynamics)]
+        reports.append(LapReport(
+            pair=(a, i),
+            z_block=blocks[:, z_at:theta_at],
+            theta_block=blocks[:, theta_at:theta_end],
+            theta_labels=list(labels[a]),
+            max_abs_z=max_z,
+            max_abs_theta=max_theta,
+            tol=tol,
+            eliminated=eliminated,
+        ))
+    return reports
+
+
+def _locality_penalty(found: list[tuple]) -> float:
+    """``_penalty`` of one point's locality reports at unit weights, from
+    their ``_locality_blocks`` entries: the same sums, added in the same
+    order, so bitwise the same number."""
+    total = 0.0
+    for blocks, z_at, theta_at, theta_end, max_z, max_theta in found:
+        # where _sum_sq would add its exact 0.0, the block is not sliced
+        if max_z != 0.0:
+            total += float(np.sum(blocks[:, z_at:theta_at] ** 2))
+        if max_theta != 0.0:
+            total += float(np.sum(blocks[:, theta_at:theta_end] ** 2))
+    return total
 
 
 def _param_label(model: Model, index: int) -> str:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .causal import SoftSurgery, _blend, _targets, surgery_from_dict
 from .codegen import term_value
-from .diagnostics import (IcmReport, LapReport, _independence_report, _locality_reports,
-                          _penalty, nondesc_pairs)
+from .diagnostics import (IcmReport, LapReport, _independence_report, _locality_blocks,
+                          _locality_reports, _penalty, nondesc_pairs)
 from .engine import Objective, Point
 from .errors import QueryError, SingularSystemError, SolverError
 from .model import Model
@@ -306,11 +306,18 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
                      eliminate=()) -> list[LapReport]:
     """``dyn_lap_check`` of every (A, i) pair, in order, read from one
     field Jacobian at the point (reduced once when ``eliminate`` is set)."""
+    finite_number(tol, "tol", low=0.0)
     eliminated = _eliminated(model, eliminate, pairs)
-    table, slot, row = _field_rows(model, point, eliminated)
-    return _locality_reports(model, pairs,
-                             lambda i, refs: (table[row[i]:row[i] + 1], slot),
+    return _locality_reports(model, pairs, _dyn_lap_blocks(model, pairs, point, eliminated),
                              tol, dynamics=True, eliminated=eliminated)
+
+
+def _dyn_lap_blocks(model: Model, pairs, point: Point, eliminated: tuple = ()) -> list[tuple]:
+    """The locality blocks of every (A, i) pair, in order (see
+    ``diagnostics._locality_blocks``), read from one field Jacobian."""
+    table, slot, row = _field_rows(model, point, eliminated)
+    return _locality_blocks(model, pairs, lambda i, refs: (table[row[i]:row[i] + 1], slot),
+                            dynamics=True)
 
 
 def dyn_icm_check(model: Model, i: str, point: Point,

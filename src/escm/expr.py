@@ -110,7 +110,9 @@ class Expr:
     the nodes in: node ``j`` is ``source[spans[2*j]:spans[2*j + 1]]``.  A
     binary node's span runs from its left operand's start to its right
     operand's end, a minus sign's from the sign to its operand's end, and a
-    call's or a ``pow``'s from its name to its closing parenthesis."""
+    call's or a ``pow``'s from its name to its closing parenthesis; where
+    an operand is parenthesised, its start and end are its parentheses', so
+    every span is balanced."""
 
     __slots__ = ("source", "form", "syms", "numbers", "spans")
 
@@ -261,14 +263,17 @@ class _Parser:
                 numbers.append(number)
                 spans += (start, start + len(text))
                 form, height = "c", 1
-            end = spans[-1]  # the operand's, and every node's it completes
+            # the operand's text ends at its node's end or its ")", and so
+            # does every node's it completes
+            end = starts[i - 1] + 1 if text == "(" else spans[-1]
             if minus:
                 for pos in reversed(minus):
                     spans += (pos, end)
                 form = "n" * len(minus) + form
                 height += len(minus)
             if mul is None:
-                product_start, product_form, product_height = spans[-2], form, height
+                product_start = minus[0] if minus else start
+                product_form, product_height = form, height
             else:
                 spans += (product_start, end)
                 product_form = mul + product_form + form

@@ -104,9 +104,10 @@ def test_a_domain_fault_in_either_piece_of_a_soft_edit_quotes_that_piece():
                   {"owner": "local:B", "expr": "0.5*sq(z.B - 1/(z.A + 1))"}]})
     objective = apply_surgery(model, soft(model, "B", 0.5, "0.5*sq(z.B - log(z.A))")).objective
     # at z.A = -1 both pieces fail, and the original piece's division comes
-    # first; a binary node's span ends where its right operand's does
+    # first; a binary node's span ends where its right operand's does, at
+    # the operand's closing parenthesis
     for a, want in ((0.0, "log of non-positive value 0.0 at subexpression 'log(z.A)'"),
-                    (-1.0, "division by zero at subexpression '1/(z.A + 1'")):
+                    (-1.0, "division by zero at subexpression '1/(z.A + 1)'")):
         point = Point.for_model(model, z=[a, 0.5])
         for evaluate in (lambda: objective.value(point),
                          lambda: objective.derivatives(point, order=2)):

@@ -300,6 +300,24 @@ def test_report_carries_diagnostics_field(capsys, chain2_path):
     assert report["diagnostics"] == {"mask_warnings": []}
 
 
+def test_diagnose_prints_non_finite_numbers_as_strings(capsys, tmp_path):
+    """JSON has no infinity: an infinite maximum and penalty print as the
+    string "inf", and the exit code stays 0."""
+    spec = chain2_dict()
+    spec["terms"][0]["params"] = {"b": 1.0}
+    spec["terms"][1]["expr"] += " + 1e300*1e300*theta.Z1.b*z.Z2"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run(["diagnose", str(path), "--no-timing", "--mask-policy", "warn"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command":"diagnose","diagnostics":{"mask_warnings":[]},'
+        '"model_hash":"dce492a8aa70098950c57a7fd341d4d8a6e21077ec3c1e911f9632b8dbe21f2b",'
+        '"results":{"icm":[{"max_abs_first":0.0,"max_abs_mixed":0.0,"node":"Z1","passed":true},'
+        '{"max_abs_first":"inf","max_abs_mixed":0.0,"node":"Z2","passed":false}],'
+        '"icm_penalty":"inf","lap":[{"max_abs_theta":0.0,"max_abs_z":0.0,"pair":["Z2","Z1"],'
+        '"passed":true}],"lap_penalty":0.0,"tol":1e-10}}\n')
+
+
 def test_exit_code_contract_on_malformed_corpus(capsys, tmp_path):
     """Property: corrupted model files exit 1, corrupted queries exit 3,
     and stdout is always a single JSON report."""
@@ -422,6 +440,14 @@ def test_diagnose_checks_each_pair_and_node_once(capsys, tmp_path, chain2_z3, mo
         assert results["icm_penalty"] == diagnostics.icm_penalty(model, [point])
         assert [tuple(e["pair"]) for e in results["lap"]] == pairs
         assert ("dyn_lap" in results) == (model.dynamics is not None)
+        # every entry reads as the public check of its pair does
+        checks = {"lap": diagnostics.lap_check, "dyn_lap": dynamics.dyn_lap_check}
+        for section in checks.keys() & results.keys():
+            assert [tuple(e["pair"]) for e in results[section]] == pairs
+            for entry in results[section]:
+                check = checks[section](model, *entry["pair"], point)
+                assert [entry["max_abs_z"], entry["max_abs_theta"], entry["passed"]] \
+                    == [check.max_abs_z, check.max_abs_theta, check.passed], section
 
 
 def test_solver_failure_reports_diagnostics(capsys, tmp_path):

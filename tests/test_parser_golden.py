@@ -213,6 +213,21 @@ def test_every_string_parses_as_recorded():
     assert not wrong, f"{len(wrong)} of {len(golden['cases'])} differ; first: {wrong[0]}"
 
 
+def test_every_node_spans_balanced_parentheses():
+    """A node's span is the fragment a domain error quotes: where an
+    operand is parenthesised, its parent's span takes in both parentheses."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for source, want in golden["cases"]:
+        if want[0] == "tree":
+            spans = parse_expr(source).spans
+            for start, end in zip(spans[::2], spans[1::2]):
+                depth = 0
+                for char in source[start:end]:
+                    depth += (char == "(") - (char == ")")
+                    assert depth >= 0, (source, source[start:end])
+                assert depth == 0, (source, source[start:end])
+
+
 def _sym_leaves(node: list) -> list:
     """The symbol leaves of a recorded tree in text order, as recorded."""
     kind = node[0]
