@@ -242,8 +242,8 @@ def _cmd_diagnose(model: Model, args) -> dict:
         "lap": _lap_payload(pairs, lap, tol),
         "icm": _icm_payload(icm),
         # the unit-weight penalties of this one point, from the same blocks
-        "lap_penalty": diagnostics._locality_penalty(lap),
-        "icm_penalty": diagnostics._penalty([icm], 1.0, 1.0),
+        "lap_penalty": diagnostics._locality_penalty(pairs, [lap], 1.0, 1.0, 0.0),
+        "icm_penalty": diagnostics._independence_penalty([icm], 1.0, 1.0, 0.0),
         "tol": tol,
     }
     if model.dynamics is not None:

@@ -8,9 +8,10 @@ is a non-descendant of; independence (ICM) asks that parent parameters
 not deform it, to first order or mixed with i's own.  Each check builds
 its residual's exact derivative rows and hands them to one shared routine
 per principle, which gathers the blocks, reduces them and builds the
-report (:class:`LapReport`, :class:`IcmReport`).  ``escm diagnose`` reads
-each pair's maxima and the locality penalty from the gathered blocks
-(``_locality_blocks``) and builds no :class:`LapReport`.
+report (:class:`LapReport`, :class:`IcmReport`).  The locality checks and
+penalties and ``escm diagnose`` read the same gathered block entries
+(``_locality_blocks``), and diagnose builds no :class:`LapReport`; only a
+check, whose pairs its caller names, tests that they are non-descendant.
 
 A check differentiates only the terms that reach a block it reports: a
 term that does not read a block's row and column coordinates adds exactly
@@ -31,9 +32,10 @@ order it would, so a point outside a term's domain raises
 defined at the point but whose derivative is not, such as ``1/z.Z1`` at
 1e-200, raises only where it enters a reported block.
 
-The penalties sum squared blocks and skip a block whose report maximum is
-exactly 0.0, whose sum of squares is exactly 0.0; a NaN maximum takes the
-full path.
+The locality penalty reads the block entries and the independence penalty
+the :class:`IcmReport` fields.  Weights are finite numbers, so a block whose
+maximum is exactly 0.0 adds exactly 0.0 and is skipped; a NaN maximum
+takes the full path.
 
 The probe heads measure what a model commits to numerically at shared
 sample points in a fixed chart: per-module energies, partials, gradients,
@@ -58,8 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codegen import term_value
-from .engine import Objective, Point, _as_objective, _module_terms
-from .errors import IndefiniteMetricError, PairError, QueryError, SingularSystemError
+from .engine import Objective, Point, _as_objective, _module_terms, _require_nondescendant
+from .errors import IndefiniteMetricError, QueryError, SingularSystemError
 from .model import Model
 from .solver import Equilibrium, finite_number, normalize_refs, schur_effective_hessian
 
@@ -121,12 +123,6 @@ class LapReport:
         # a NaN maximum fails, wherever it sits
         return self.max_abs_z <= self.tol and self.max_abs_theta <= self.tol
 
-    def _penalty_blocks(self):
-        return self.pair, self.z_block, self.theta_block
-
-    def _penalty_maxima(self):
-        return self.max_abs_z, self.max_abs_theta
-
 
 def lap_check(model: Model, a: str, i: str, point: Point,
               tol: float = STRUCTURAL_TOL) -> LapReport:
@@ -141,6 +137,8 @@ def _lap_reports(model: Model, pairs, point: Point,
                  tol: float = STRUCTURAL_TOL) -> list[LapReport]:
     """``lap_check`` of every (A, i) pair, in order."""
     finite_number(tol, "tol", low=0.0)
+    for a, i in pairs:
+        _require_nondescendant(model, a, i)
     return _locality_reports(model, pairs, _lap_blocks(model, pairs, point), tol)
 
 
@@ -226,15 +224,11 @@ def _locality_blocks(model: Model, pairs, residual_rows,
     maxima.  Each pair's entry is ``(blocks, z_at, theta_at, theta_end,
     max_abs_z, max_abs_theta)``: its z block is ``blocks[:, z_at:theta_at]``
     and its theta block ``blocks[:, theta_at:theta_end]``.  ``dynamics``
-    picks the parameter sets of ``Model.module_theta_refs``.
+    picks the parameter sets of ``Model.module_theta_refs``.  The pairs
+    are taken as non-descendant pairs, unchecked.
     """
     sources: dict[str, list[str]] = {}
-    descendants: dict[str, frozenset[str]] = {}  # of each source A, looked up once
     for a, i in pairs:
-        if i != a and a not in descendants:
-            descendants[a] = model.descendants(a)
-        if i == a or i in descendants[a]:
-            raise PairError(f"{i!r} is {a!r} or one of its descendants")
         sources.setdefault(i, []).append(a)
     named = dict.fromkeys(a for a, _ in pairs)
     z_refs = {a: model.coord_indices(a) for a in named}
@@ -287,18 +281,21 @@ def _locality_reports(model: Model, pairs, found: list[tuple], tol: float,
     return reports
 
 
-def _locality_penalty(found: list[tuple]) -> float:
-    """``_penalty`` of one point's locality reports at unit weights, from
-    their ``_locality_blocks`` entries: the same sums, added in the same
-    order, so bitwise the same number."""
+def _locality_penalty(pairs, found_by_sample, lam, mu, default: float) -> float:
+    """Mean over samples of the weighted squared Frobenius norms of each
+    (A, i) pair's z and theta blocks, summed in pair order, from each
+    sample's ``_locality_blocks`` entries of ``pairs``; ``lam`` and ``mu``
+    weight the two blocks (see ``_weights``)."""
+    lam, mu = _weights(lam, "lam", default), _weights(mu, "mu", default)
     total = 0.0
-    for blocks, z_at, theta_at, theta_end, max_z, max_theta in found:
-        # where _sum_sq would add its exact 0.0, the block is not sliced
-        if max_z != 0.0:
-            total += float(np.sum(blocks[:, z_at:theta_at] ** 2))
-        if max_theta != 0.0:
-            total += float(np.sum(blocks[:, theta_at:theta_end] ** 2))
-    return total
+    for found in found_by_sample:
+        for pair, (blocks, z_at, theta_at, theta_end, max_z, max_theta) in zip(pairs, found):
+            w_z, w_theta = lam(pair), mu(pair)
+            if max_z != 0.0:
+                total += w_z * float(np.sum(blocks[:, z_at:theta_at] ** 2))
+            if max_theta != 0.0:
+                total += w_theta * float(np.sum(blocks[:, theta_at:theta_end] ** 2))
+    return total / len(found_by_sample)
 
 
 def _param_label(model: Model, index: int) -> str:
@@ -306,33 +303,16 @@ def _param_label(model: Model, index: int) -> str:
     return model.coord_label(index)[len("theta."):]
 
 
-def _weight(weights, key, default: float) -> float:
+def _weights(weights, name: str, default: float):
+    """The weight of a pair or node as a function of its key, from a scalar
+    (None reads 1.0) or a dict with ``default`` for missing keys; each is
+    checked to be a finite number, a dict value when it is looked up (the
+    penalties look up every key, a zero block's too)."""
     if isinstance(weights, dict):
-        return float(weights.get(key, default))
-    return 1.0 if weights is None else float(weights)
-
-
-def _penalty(reports_by_sample, first, second, default: float = 0.0) -> float:
-    """Mean over samples of the weighted squared Frobenius norms of each
-    report's two blocks, summed in report order.
-
-    ``first``/``second`` weight the two blocks: a scalar, or a dict keyed by
-    the report's pair or node with ``default`` for missing keys.
-    """
-    total = 0.0
-    for reports in reports_by_sample:
-        for report in reports:
-            key, block_1, block_2 = report._penalty_blocks()
-            max_1, max_2 = report._penalty_maxima()
-            total += _weight(first, key, default) * _sum_sq(block_1, max_1)
-            total += _weight(second, key, default) * _sum_sq(block_2, max_2)
-    return total / len(reports_by_sample)
-
-
-def _sum_sq(block: np.ndarray, max_abs: float) -> float:
-    # a block whose largest |entry| is 0.0 holds exact zeros, whose squares
-    # sum to 0.0; a NaN maximum takes the full path
-    return 0.0 if max_abs == 0.0 else float(np.sum(block ** 2))
+        default = finite_number(default, "default")
+        return lambda key: finite_number(weights.get(key, default), f"{name}[{key!r}]")
+    weight = 1.0 if weights is None else finite_number(weights, name)
+    return lambda key: weight
 
 
 def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
@@ -340,14 +320,14 @@ def lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0,
     """Mean over samples of the weighted squared Frobenius norms of both
     cross-partial blocks, summed over all non-descendant pairs.
 
-    ``lam``/``mu`` may be scalars or dicts keyed by the (A, i) pair;
+    ``lam``/``mu`` may be finite scalars or dicts keyed by the (A, i) pair;
     ``default`` is the weight for pairs missing from a dict.
     """
     if not samples:
         raise QueryError("lap_penalty needs at least one sample point")
     pairs = nondesc_pairs(model)
-    return _penalty([_lap_reports(model, pairs, point) for point in samples],
-                    lam, mu, default)
+    return _locality_penalty(pairs, [_lap_blocks(model, pairs, point) for point in samples],
+                             lam, mu, default)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +356,6 @@ class IcmReport:
     @property
     def passed(self) -> bool:
         return self.passed_first and self.passed_mixed
-
-    def _penalty_blocks(self):
-        return self.node, self.d_residual_d_parent, self.mixed_parent_own
-
-    def _penalty_maxima(self):
-        return self.max_abs_first, self.max_abs_mixed
 
 
 def icm_check(model: Model, i: str, point: Point,
@@ -474,8 +448,24 @@ def icm_penalty(model: Model, samples: list[Point], alpha=1.0, beta=1.0,
     parent-parameter derivatives and the mixed parent-own interactions."""
     if not samples:
         raise QueryError("icm_penalty needs at least one sample point")
-    return _penalty([[icm_check(model, node, point) for node in model.dag.nodes]
-                     for point in samples], alpha, beta, default)
+    icm = [[icm_check(model, node, point) for node in model.dag.nodes] for point in samples]
+    return _independence_penalty(icm, alpha, beta, default)
+
+
+def _independence_penalty(reports_by_sample, alpha, beta, default: float) -> float:
+    """Mean over samples of the weighted squared norms of each report's
+    first and mixed blocks, summed in report order; ``alpha`` and ``beta``
+    weight the two blocks (see ``_weights``)."""
+    alpha, beta = _weights(alpha, "alpha", default), _weights(beta, "beta", default)
+    total = 0.0
+    for reports in reports_by_sample:
+        for report in reports:
+            w_first, w_mixed = alpha(report.node), beta(report.node)
+            if report.max_abs_first != 0.0:
+                total += w_first * float(np.sum(report.d_residual_d_parent ** 2))
+            if report.max_abs_mixed != 0.0:
+                total += w_mixed * float(np.sum(report.mixed_parent_own ** 2))
+    return total / len(reports_by_sample)
 
 
 # ---------------------------------------------------------------------------

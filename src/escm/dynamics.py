@@ -10,9 +10,10 @@ term.  Integration is classical fixed-step fourth-order Runge-Kutta.
 The dynamic checks test the field's residual F_i with the shared routines
 of ``diagnostics``: locality reads dF_i/dz_A and dF_i/dtheta_A from one
 exact field Jacobian per point, shared by every (A, i) pair and reduced
-once when components are eliminated; independence reads one order-2 jet
-of F_i over the parent and own parameters, or, when F_i reads no parent
-parameter, evaluates only its value and reports exact zeros.
+once when components are eliminated, whose ``_locality_blocks`` entries
+the check, its penalty and ``escm diagnose`` read; independence reads one
+order-2 jet of F_i over the parent and own parameters, or, when F_i reads
+no parent parameter, evaluates only its value and reports exact zeros.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import numpy as np
 
 from .causal import SoftSurgery, _blend, _targets, surgery_from_dict
 from .codegen import term_value
-from .diagnostics import (IcmReport, LapReport, _independence_report, _locality_blocks,
-                          _locality_reports, _penalty, nondesc_pairs)
-from .engine import Objective, Point
+from .diagnostics import (STRUCTURAL_TOL, IcmReport, LapReport, _independence_penalty,
+                          _independence_report, _locality_blocks, _locality_penalty,
+                          _locality_reports, nondesc_pairs)
+from .engine import Objective, Point, _require_nondescendant
 from .errors import QueryError, SingularSystemError, SolverError
 from .model import Model
 from .solver import SolverConfig, finite_number
@@ -247,9 +249,10 @@ def steady_state(model: Model, u, surgeries=(), cfg: SolverConfig | None = None,
 
 
 def _field_rows(model: Model, point: Point, eliminated: tuple = ()):
-    """``(table, slot, row)`` with ``table[row[i], slot[r]]`` the exact
-    dF_i/dr for a z or theta coordinate r, from one field Jacobian at the
-    point; ``slot[model.dim]`` is a zero column.
+    """The ``residual_rows`` of ``diagnostics._locality_blocks`` for the
+    field, from one field Jacobian at the point: ``residual_rows(i, refs)``
+    is ``(rows, slot)`` with ``rows[0, slot[r]]`` the exact dF_i/dr for a z
+    or theta coordinate r, and ``slot[model.dim]`` a zero column.
 
     With ``eliminated`` nodes, the rows are those of the reduced field
     obtained by solving those components' stationarity and chaining
@@ -272,7 +275,8 @@ def _field_rows(model: Model, point: Point, eliminated: tuple = ()):
     slot = np.full(model.dim + 1, table.shape[1] - 1)
     slot[:n] = np.arange(n)  # z sits at [0, nz) of the flat order
     slot[theta_refs] = n + np.arange(len(theta_refs))
-    return table, slot, {nodes[k]: r for r, k in enumerate(keep)}
+    row = {nodes[k]: r for r, k in enumerate(keep)}
+    return lambda i, refs: (table[row[i]:row[i] + 1], slot)
 
 
 def _eliminated(model: Model, eliminate, pairs) -> tuple:
@@ -289,7 +293,7 @@ def _eliminated(model: Model, eliminate, pairs) -> tuple:
 
 
 def dyn_lap_check(model: Model, a: str, i: str, point: Point,
-                  tol: float = 1e-10, eliminate=()) -> LapReport:
+                  tol: float = STRUCTURAL_TOL, eliminate=()) -> LapReport:
     """Exact partials dF_i/dz_a and dF_i/dtheta_a; i must be a
     non-descendant of a.  Both are entries of the field Jacobian at the
     point, which ``escm diagnose`` and ``dyn_lap_penalty`` build once and
@@ -302,26 +306,27 @@ def dyn_lap_check(model: Model, a: str, i: str, point: Point,
     return _dyn_lap_reports(model, [(a, i)], point, tol, eliminate)[0]
 
 
-def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = 1e-10,
+def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = STRUCTURAL_TOL,
                      eliminate=()) -> list[LapReport]:
     """``dyn_lap_check`` of every (A, i) pair, in order, read from one
     field Jacobian at the point (reduced once when ``eliminate`` is set)."""
     finite_number(tol, "tol", low=0.0)
     eliminated = _eliminated(model, eliminate, pairs)
-    return _locality_reports(model, pairs, _dyn_lap_blocks(model, pairs, point, eliminated),
-                             tol, dynamics=True, eliminated=eliminated)
+    residual_rows = _field_rows(model, point, eliminated)
+    for a, i in pairs:  # after the field's own errors
+        _require_nondescendant(model, a, i)
+    found = _locality_blocks(model, pairs, residual_rows, dynamics=True)
+    return _locality_reports(model, pairs, found, tol, dynamics=True, eliminated=eliminated)
 
 
-def _dyn_lap_blocks(model: Model, pairs, point: Point, eliminated: tuple = ()) -> list[tuple]:
+def _dyn_lap_blocks(model: Model, pairs, point: Point) -> list[tuple]:
     """The locality blocks of every (A, i) pair, in order (see
     ``diagnostics._locality_blocks``), read from one field Jacobian."""
-    table, slot, row = _field_rows(model, point, eliminated)
-    return _locality_blocks(model, pairs, lambda i, refs: (table[row[i]:row[i] + 1], slot),
-                            dynamics=True)
+    return _locality_blocks(model, pairs, _field_rows(model, point), dynamics=True)
 
 
 def dyn_icm_check(model: Model, i: str, point: Point,
-                  tol: float = 1e-10) -> IcmReport:
+                  tol: float = STRUCTURAL_TOL) -> IcmReport:
     """Parent-parameter derivatives of the component F_i, first and mixed:
     ``d_residual_d_parent`` holds dF_i/dtheta_PA(i) and
     ``mixed_parent_own`` d2F_i/(dtheta_PA(i) dtheta_i)."""
@@ -351,13 +356,13 @@ def dyn_lap_penalty(model: Model, samples: list[Point], lam=1.0, mu=1.0) -> floa
     if not samples:
         raise QueryError("dyn_lap_penalty needs at least one sample point")
     pairs = nondesc_pairs(model)
-    return _penalty([_dyn_lap_reports(model, pairs, point) for point in samples],
-                    lam, mu)
+    return _locality_penalty(pairs, [_dyn_lap_blocks(model, pairs, point) for point in samples],
+                             lam, mu, 0.0)
 
 
 def dyn_icm_penalty(model: Model, samples: list[Point], alpha=1.0, beta=1.0) -> float:
     """Sampled penalty mirroring the static independence aggregation."""
     if not samples:
         raise QueryError("dyn_icm_penalty needs at least one sample point")
-    return _penalty([[dyn_icm_check(model, node, point) for node in model.dag.nodes]
-                     for point in samples], alpha, beta)
+    icm = [[dyn_icm_check(model, node, point) for node in model.dag.nodes] for point in samples]
+    return _independence_penalty(icm, alpha, beta, 0.0)

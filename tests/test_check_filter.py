@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from escm import EnergyDomainError, Point, parse_model
 from escm.corpus import random_quadratic_model
-from escm.diagnostics import (_lap_reports, _penalty, icm_check, icm_penalty, lap_check,
-                              lap_penalty, nondesc_pairs)
+from escm.diagnostics import (_independence_penalty, _lap_blocks, _lap_reports,
+                              _locality_penalty, icm_check, icm_penalty, lap_check, lap_penalty,
+                              nondesc_pairs)
 from escm.dynamics import dyn_icm_check, dyn_icm_penalty
 from escm.engine import Objective, _module_terms
 from tests.genmodels import _f
@@ -158,7 +159,9 @@ def test_filtered_reports_are_bitwise_the_unfiltered_ones(seed, nodes, dynamics,
         _same(report.theta_block, theta_block)
         assert (report.max_abs_z, report.max_abs_theta) == (_max_abs(z_block),
                                                            _max_abs(theta_block))
-    assert _penalty([lap], 1.0, 1.0) == lap_penalty(model, [point]) == _reference_penalty(want)
+    found = [_lap_blocks(model, pairs, point)]  # the entries escm diagnose reads
+    assert _locality_penalty(pairs, found, 1.0, 1.0, 0.0) == lap_penalty(model, [point]) \
+        == _reference_penalty(want)
 
     checks = [(icm_check, False, icm_penalty)]
     if dynamics:
@@ -171,7 +174,8 @@ def test_filtered_reports_are_bitwise_the_unfiltered_ones(seed, nodes, dynamics,
             _same(report.mixed_parent_own, mixed)
             assert (report.max_abs_first, report.max_abs_mixed) == (_max_abs(first),
                                                                    _max_abs(mixed))
-        assert _penalty([icm], 1.0, 1.0) == penalty(model, [point]) == _reference_penalty(want)
+        assert _independence_penalty([icm], 1.0, 1.0, 0.0) == penalty(model, [point]) \
+            == _reference_penalty(want)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from escm import (
 )
 from escm.corpus import random_quadratic_model
 from escm import dynamics
-from escm.diagnostics import (HEADS, _exact_zero_support, _lap_reports, _penalty, _probe_heads,
-                              nondesc_pairs)
+from escm.diagnostics import (HEADS, _exact_zero_support, _independence_penalty, _lap_blocks,
+                              _lap_reports, _locality_penalty, _probe_heads, nondesc_pairs)
 from escm.engine import Objective, effective_energy_pair
 from tests.conftest import chain2_dict
 from tests.genmodels import planted_case, random_interior_point, random_smooth_model
@@ -581,13 +581,22 @@ def _block_max(block):
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 
-def _sum_of_squares(reports_by_sample, weight_1, weight_2):
-    """The weighted squared Frobenius norms summed in report order,
+def _lap_fields(report):
+    return report.pair, report.z_block, report.theta_block
+
+
+def _icm_fields(report):
+    return report.node, report.d_residual_d_parent, report.mixed_parent_own
+
+
+def _sum_of_squares(reports_by_sample, fields, weight_1, weight_2):
+    """The weighted squared Frobenius norms of each report's two blocks
+    (``fields`` reads its key and blocks), summed in report order and
     averaged over the samples: what every penalty is defined as."""
     total = 0.0
     for reports in reports_by_sample:
         for report in reports:
-            key, block_1, block_2 = report._penalty_blocks()
+            key, block_1, block_2 = fields(report)
             total += weight_1(key) * float(np.sum(block_1 ** 2))
             total += weight_2(key) * float(np.sum(block_2 ** 2))
     return total / len(reports_by_sample)
@@ -623,12 +632,12 @@ def test_static_maxima_and_penalties_are_those_of_the_blocks():
 
     lam = {pair: 0.5 + k for k, pair in enumerate(pairs[::2])}
     assert lap_penalty(model, points, lam=lam, mu=1.7, default=0.25) == _sum_of_squares(
-        lap_by_sample, lambda key: lam.get(key, 0.25), lambda key: 1.7)
+        lap_by_sample, _lap_fields, lambda key: lam.get(key, 0.25), lambda key: 1.7)
     alpha = {"Z3": 2.5}
     assert icm_penalty(model, points, alpha=alpha, beta=0.3) == _sum_of_squares(
-        icm_by_sample, lambda key: alpha.get(key, 0.0), lambda key: 0.3)
+        icm_by_sample, _icm_fields, lambda key: alpha.get(key, 0.0), lambda key: 0.3)
     assert icm_penalty(model, points) == _sum_of_squares(
-        icm_by_sample, lambda key: 1.0, lambda key: 1.0) > 0.0
+        icm_by_sample, _icm_fields, lambda key: 1.0, lambda key: 1.0) > 0.0
 
 
 @pytest.mark.parametrize("z3_without_theta", [False, True])
@@ -661,20 +670,44 @@ def test_dynamic_maxima_and_penalties_are_those_of_the_blocks(z3_without_theta):
     assert nonzero >= 6
 
     assert dynamics.dyn_lap_penalty(model, points, lam=0.75, mu=1.25) == _sum_of_squares(
-        lap_by_sample, lambda key: 0.75, lambda key: 1.25) > 0.0
+        lap_by_sample, _lap_fields, lambda key: 0.75, lambda key: 1.25) > 0.0
     assert dynamics.dyn_icm_penalty(model, points, alpha=1.5, beta=0.5) == _sum_of_squares(
-        icm_by_sample, lambda key: 1.5, lambda key: 0.5) > 0.0
+        icm_by_sample, _icm_fields, lambda key: 1.5, lambda key: 0.5) > 0.0
 
 
 def test_a_zero_block_adds_an_exact_zero_and_a_nan_block_stays_nan():
     model = _planted("plant4")
-    [report] = _lap_reports(model, [("Z2", "Z1")], Point.for_model(model))
-    assert not report.z_block.any() and not report.theta_block.any()
-    assert _penalty([[report]], 3.0, 4.0) == 0.0
+    pairs = [("Z2", "Z1")]
+    [entry] = _lap_blocks(model, pairs, Point.for_model(model))
+    blocks, z_at, theta_at, theta_end, _, max_theta = entry
+    assert not blocks[:, z_at:theta_at].any() and not blocks[:, theta_at:theta_end].any()
+    assert _locality_penalty(pairs, [[entry]], 3.0, 4.0, 0.0) == 0.0
     # a NaN entry makes a NaN maximum, as the checks compute it
-    report.z_block = np.full_like(report.z_block, np.nan)
-    report.max_abs_z = np.nan
-    assert np.isnan(_penalty([[report]], 3.0, 4.0))
+    entry = (np.full_like(blocks, np.nan), z_at, theta_at, theta_end, np.nan, max_theta)
+    assert np.isnan(_locality_penalty(pairs, [[entry]], 3.0, 4.0, 0.0))
+    # the independence penalty follows the same rule
+    report = icm_check(model, "Z2", Point.for_model(model))
+    assert report.d_residual_d_parent.size and not report.d_residual_d_parent.any()
+    assert _independence_penalty([[report]], 3.0, 4.0, 0.0) == 0.0
+    report.d_residual_d_parent = np.full_like(report.d_residual_d_parent, np.nan)
+    report.max_abs_first = np.nan
+    assert np.isnan(_independence_penalty([[report]], 3.0, 4.0, 0.0))
+
+
+@pytest.mark.parametrize("weights", [
+    {"lam": "x"}, {"mu": [1.0]}, {"lam": np.inf}, {"mu": np.nan},
+    {"lam": {("Z1", "Z4"): "x"}}, {"mu": {("Z4", "Z1"): np.inf}},
+    {"lam": {}, "default": np.nan}, {"alpha": "x"}, {"beta": [1.0]},
+    {"alpha": np.inf}, {"beta": {"Z3": np.nan}}, {"alpha": {}, "default": "x"},
+])
+def test_penalty_weights_must_be_finite_numbers(weights):
+    model = _planted("plant4_dyn")
+    static, field = ((lap_penalty, dynamics.dyn_lap_penalty) if {"lam", "mu"} & weights.keys()
+                     else (icm_penalty, dynamics.dyn_icm_penalty))
+    # the field penalties take no default
+    for penalty in [static] if "default" in weights else [static, field]:
+        with pytest.raises(QueryError, match="is not"):
+            penalty(model, [Point.for_model(model)], **weights)
 
 
 @pytest.mark.parametrize("maxima", [(np.nan, 0.0), (0.0, np.nan)])

@@ -8,6 +8,7 @@ import pytest
 
 from escm import (
     DynHardSurgery,
+    PairError,
     Point,
     QueryError,
     SolverError,
@@ -145,6 +146,15 @@ def test_dyn_lap_clean_pair(chain2_dyn):
     report = dyn_lap_check(chain2_dyn, "Z2", "Z1", Point.for_model(chain2_dyn))
     assert report.max_abs_z == 0.0
     assert report.passed
+
+
+def test_dyn_lap_rejects_descendant_pairs(chain2, chain2_dyn):
+    for a, i in [("Z1", "Z2"), ("Z1", "Z1")]:
+        with pytest.raises(PairError, match="or one of its descendants"):
+            dyn_lap_check(chain2_dyn, a, i, Point.for_model(chain2_dyn))
+    # a model without dynamics is refused before its pairs are read
+    with pytest.raises(QueryError, match="model declares no dynamics"):
+        dyn_lap_check(chain2, "Z1", "Z2", Point.for_model(chain2))
 
 
 def test_dyn_lap_planted_violation():
