@@ -315,6 +315,8 @@ def _dyn_lap_reports(model: Model, pairs, point: Point, tol: float = STRUCTURAL_
     residual_rows = _field_rows(model, point, eliminated)
     for a, i in pairs:  # after the field's own errors
         _require_nondescendant(model, a, i)
+        model.var(i)  # an i with no field row raises what lap_check raises
+        model.local_term(i)
     found = _locality_blocks(model, pairs, residual_rows, dynamics=True)
     return _locality_reports(model, pairs, found, tol, dynamics=True, eliminated=eliminated)
 

@@ -13,20 +13,22 @@ Newton step would leave the bracket or not halve the last step.  A vector
 block runs the solver's Newton loop on its own term, parents frozen: it
 shares the loop with the energy side, not the problem.
 
-The checks evaluate their draws in chunks.  On the energy side the
-draws of a chunk whose edits share their terms run through the solver's
-Newton loop as one batch, damped steps included, so no draw is handed
-off or solved again.  The energy side starts from zeros, never from the
-forward sweep, so the checks refuse any other ``SolverConfig.init``:
-from the sweep it would compare the sweep with itself.  On the SCM side
-the draws that share a node's term find their roots together: each runs
-its own steps on Python floats, and the slopes and curvatures all of them
-need next are one batched evaluation of the term's generated code.  Every
-draw's numbers are bitwise those of evaluating the draws one by one.
+The checks evaluate their draws in chunks, and every path runs on a
+batch of draws, whatever its size: one draw is a batch of one.  On the
+energy side the draws of a chunk whose edits share their terms run
+through the solver's Newton loop as one batch, damped steps included, so
+no draw is handed off or solved again.  The energy side starts from
+zeros, never from the forward sweep, so the checks refuse any other
+``SolverConfig.init``: from the sweep it would compare the sweep with
+itself.  On the SCM side the draws that share a node's term find their
+best responses together: at a scalar block each runs its own steps on
+Python floats, and the slopes and curvatures all of them need next are
+one batched evaluation of the term's generated code; a vector block runs
+its draws as the columns of one Newton batch.  Every draw's numbers are
+bitwise those of evaluating the draws one by one.
 
-A chunk runs as one batch or, if the batch raises, replays draw by draw
-on the per-draw path (:func:`_energy_side`, :meth:`InducedScm._forward`,
-``causal._read``): each draw's energy side, SCM side and readouts in
+A chunk runs as one batch or, if the batch raises, replays the same code
+one draw at a time: each draw's energy side, SCM side and readouts in
 turn, so the error raised is the one of the first draw that fails.  The
 batched helpers keep no per-draw errors; a check that fails ends there.
 The one exception is a step out of the energy's domain, which only halves
@@ -43,13 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codegen
-from .causal import (EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, _read,
-                     apply_surgery)
+from .causal import EditedEnergy, HardSurgery, SoftSurgery, _compile_readout, apply_surgery
 from .engine import Objective, ObjectiveTerm, Point
 from .errors import (ClassViolationError, EnergyDomainError, EscmError, NonConvexBlockError,
                      QueryError, SolverError)
 from .model import Model
-from .solver import SolverConfig, _newton, finite_number, solve
+from .solver import SolverConfig, _newton, finite_number
 
 __all__ = [
     "InducedScm",
@@ -203,26 +204,28 @@ def _scalar_argmins(term: ObjectiveTerm, x: np.ndarray, ref: int, node: str) -> 
     return out
 
 
-def _block_argmin(model: Model, term: ObjectiveTerm, point: Point,
+def _block_argmin(model: Model, term: ObjectiveTerm, x: np.ndarray,
                   refs: list[int], node: str) -> np.ndarray:
-    """Argmin of a local term over its own coordinate block, parents and
-    exogenous values frozen at ``point``.  A scalar block takes the
-    independent sweep of :func:`_scalar_argmins`; a vector block runs the
-    solver's Newton loop on its own term alone, and has no best response
-    if that loop fails or ends where the block's Hessian is not positive
-    definite."""
+    """Argmins of a local term over its own coordinate block, one per
+    column of ``x`` (dim, B), parents and exogenous values frozen there;
+    returns (len(refs), B).  A scalar block takes the independent sweep of
+    :func:`_scalar_argmins`; a vector block runs the solver's Newton loop
+    on its own term alone, all columns as one batch, and has no best
+    response if that loop fails or ends where a column's block Hessian is
+    not positive definite."""
     if len(refs) == 1:
-        return _scalar_argmins(term, point.x[:, None], refs[0], node)
-    x = point.x[:, None].copy()
+        return _scalar_argmins(term, x, refs[0], node)[None]
+    x = x.copy()
     try:
-        hess = _newton(Objective(model, [term]), refs, x, SolverConfig())[2][0]
+        hessians = _newton(Objective(model, [term]), refs, x, SolverConfig())[2]
     except SolverError:
         raise NonConvexBlockError(node, "block Newton") from None
-    try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        raise NonConvexBlockError(node, "block minimizer") from None
-    return x[refs, 0]
+    for hess in hessians:
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            raise NonConvexBlockError(node, "block minimizer") from None
+    return x[refs]
 
 
 @dataclass
@@ -238,15 +241,11 @@ class InducedScm:
     def mechanism(self, node: str, point: Point) -> np.ndarray:
         """f_node: best response given parent and exogenous values in ``point``."""
         return _block_argmin(self.model, self.model.local_term(node).objective_term,
-                             point, self.model.coord_indices(node), node)
+                             point.x[:, None], self.model.coord_indices(node), node)[:, 0]
 
     def solve(self, u, surgeries=(), theta=None) -> np.ndarray:
         """One topological forward pass; returns the full z vector."""
-        return self._forward(u, apply_surgery(self.model, surgeries), theta)
-
-    def _forward(self, u, edited: EditedEnergy, theta=None) -> np.ndarray:
-        """The forward pass of :meth:`solve` under an applied edit: hard
-        targets keep their clamps, every other node its edited term."""
+        edited = apply_surgery(self.model, surgeries)
         u = np.asarray(u, dtype=float)
         if u.shape != (self.model.nu,):
             raise QueryError("context u has the wrong length")
@@ -256,12 +255,12 @@ class InducedScm:
 
     def _forward_many(self, u: np.ndarray, edits: list[EditedEnergy], theta=None) -> np.ndarray:
         """Forward passes for the contexts ``u[:, j]`` (nu, B), each under
-        its own applied edit ``edits[j]``; returns z (nz, B).
+        its own applied edit ``edits[j]``: hard targets keep their clamps,
+        every other node its edited term; returns z (nz, B).
 
         Node by node, the passes that share the node's term run as one
-        batch: a hard target keeps its clamp, a soft target's blend is its
-        own sub-batch.  A scalar block's sub-batch finds its roots
-        together, a vector block's columns one by one.
+        :func:`_block_argmin` batch, whatever its size: a hard target keeps
+        its clamp, a soft target's blend is its own batch.
         """
         model = self.model
         by_edit = _by_edit(edits)
@@ -275,12 +274,7 @@ class InducedScm:
                     groups.setdefault(id(terms[node]), (terms[node], []))[1].extend(cols)
             for term, cols in groups.values():
                 cols = sorted(cols)
-                if len(refs) == 1:
-                    x[refs[0], cols] = _scalar_argmins(term, x[:, cols], refs[0], node)
-                    continue
-                for j in cols:
-                    x[refs, j] = _block_argmin(model, term, Point.from_flat(model, x[:, j]),
-                                               refs, node)
+                x[np.ix_(refs, cols)] = _block_argmin(model, term, x[:, cols], refs, node)
         return x[:model.nz]
 
 
@@ -371,7 +365,8 @@ def forward_init(model: Model, clamps: dict[int, float]) -> Point:
             continue
         try:
             point.x[unclamped] = _block_argmin(
-                model, model.local_term(node).objective_term, point, unclamped, node)
+                model, model.local_term(node).objective_term, point.x[:, None], unclamped,
+                node)[:, 0]
         except NonConvexBlockError:
             continue  # leave this block at its current values
     return point
@@ -425,26 +420,15 @@ def _default_surgery(rng: np.random.Generator, model: Model, index: int):
     return [SoftSurgery(node, lam, shifted_local_source(model, node, delta), {})]
 
 
-def _energy_side(model: Model, u: np.ndarray, edited: EditedEnergy,
-                 cfg: SolverConfig) -> np.ndarray:
-    """Equilibrium z in context ``u`` under an applied edit."""
-    clamps = dict(edited.clamps)
-    clamps.update(zip(model.coords("u"), u.tolist()))
-    free = [i for i in model.coords("z") if i not in edited.clamps]
-    eq = solve(edited.objective, clamps=clamps, free=free, cfg=cfg)
-    return eq.point.z.copy()
-
-
 def _energy_sides(model: Model, u: np.ndarray, edits: list[EditedEnergy],
                   cfg: SolverConfig) -> np.ndarray:
-    """:func:`_energy_side` for the contexts ``u[:, j]`` (nu, B), each
-    under its own applied edit ``edits[j]``; returns z (nz, B).
+    """Equilibrium z for the contexts ``u[:, j]`` (nu, B), each under its
+    own applied edit ``edits[j]``; returns z (nz, B).
 
     Draws whose edits keep the same terms and clamp the same coordinates
-    (hard edits on one target, say) are solved as one batch by the Newton
-    loop ``solve`` runs, each with its own clamp values, so every z is
-    bitwise the per-draw one.  A lone draw is solved by ``solve`` itself,
-    which runs that loop on one column and is the span perfbench traces.
+    (hard edits on one target, say) are solved as one batch, of one draw
+    or many, by the Newton loop ``solve`` runs, each from zeros with its
+    own clamp values, so every z is bitwise the one ``solve`` finds.
     """
     by_edit = _by_edit(edits)
     x = _context_batch(model, u, by_edit=by_edit)
@@ -453,9 +437,6 @@ def _energy_sides(model: Model, u: np.ndarray, edits: list[EditedEnergy],
         key = (tuple(map(id, edited.objective.terms)), tuple(edited.clamps))
         groups.setdefault(key, (edited, []))[1].extend(cols)
     for edited, cols in groups.values():
-        if len(cols) == 1:
-            x[:model.nz, cols[0]] = _energy_side(model, u[:, cols[0]], edited, cfg)
-            continue
         cols = sorted(cols)
         block = x[:, cols]  # the starts solve takes from zeros
         _newton(edited.objective, [i for i in model.coords("z") if i not in edited.clamps],
@@ -471,26 +452,30 @@ def _paired(scm: InducedScm, u: np.ndarray, edits: list[EditedEnergy], readouts:
     and every readout at every draw on both sides, name -> (energy
     values, SCM values); a readout that is None reads max z.
 
-    The draws run as one batch.  If that raises, they replay one by one,
-    each through its energy side, its SCM side and then its readouts, so
-    the error raised is the one of the first draw that fails.
+    The draws run as one batch.  If that raises, the same code runs on
+    one draw at a time, so the error raised is the one of the first draw
+    that fails.
     """
-    model = scm.model
     try:
-        z_energy = _energy_sides(model, u, edits, cfg)
-        z_scm = scm._forward_many(u, edits)
-        x_energy, x_scm = _context_batch(model, u), _context_batch(model, u)
-        x_energy[:model.nz], x_scm[:model.nz] = z_energy, z_scm
-        stats = {name: (np.max(z_energy, axis=0), np.max(z_scm, axis=0)) if compiled is None
-                 else (_read_batch(compiled, x_energy), _read_batch(compiled, x_scm))
-                 for name, compiled in readouts.items()}
+        return _paired_batch(scm, u, edits, readouts, cfg)
     except Exception:  # replay: the first failing draw raises its own error
-        for j, edited in enumerate(edits):
-            sides = [_energy_side(model, u[:, j], edited, cfg), scm._forward(u[:, j], edited)]
-            for compiled in readouts.values():
-                for z in sides if compiled is not None else ():  # None reads max z
-                    _read(compiled, Point.for_model(model, z=z, u=u[:, j]))
+        for j in range(len(edits)):
+            _paired_batch(scm, u[:, j:j + 1], edits[j:j + 1], readouts, cfg)
         raise  # the batch and its replay disagree: a bug, not a result
+
+
+def _paired_batch(scm: InducedScm, u: np.ndarray, edits: list[EditedEnergy], readouts: dict,
+                  cfg: SolverConfig) -> tuple[list[float], dict[str, tuple[list, list]]]:
+    """:func:`_paired` of the draws as one batch: the energy side, then the
+    SCM side, then the readouts."""
+    model = scm.model
+    z_energy = _energy_sides(model, u, edits, cfg)
+    z_scm = scm._forward_many(u, edits)
+    x_energy, x_scm = _context_batch(model, u), _context_batch(model, u)
+    x_energy[:model.nz], x_scm[:model.nz] = z_energy, z_scm
+    stats = {name: (np.max(z_energy, axis=0), np.max(z_scm, axis=0)) if compiled is None
+             else (_read_batch(compiled, x_energy), _read_batch(compiled, x_scm))
+             for name, compiled in readouts.items()}
     deviations = np.max(np.abs(z_energy - z_scm), axis=0) if model.nz else np.zeros(len(edits))
     return deviations.tolist(), {name: (a.tolist(), b.tolist()) for name, (a, b) in stats.items()}
 

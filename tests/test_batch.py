@@ -121,10 +121,6 @@ _BUMPY = {
 }
 
 
-def _solved_alone(*args, **kwargs):
-    raise AssertionError("a draw was solved alone")
-
-
 def test_batched_newton_takes_damped_steps_in_place(monkeypatch):
     model = parse_model(_BUMPY)
     edited = apply_surgery(model, [])
@@ -136,16 +132,22 @@ def test_batched_newton_takes_damped_steps_in_place(monkeypatch):
     alone = [solve(edited.objective, clamps={"u.U1": v}, free=["z.Z1"], cfg=cfg).point.z
              for v in u[0, :3].tolist()]
     damped = []  # u of every column that takes a damped step
-    fallback = solver._damped
+    batches = []  # the columns of every Newton run
+    fallback, newton = solver._damped, reduction._newton
 
     def spy(objective, free, x, *args):
         damped.append(float(x[model.coords("u")[0], 0]))
         return fallback(objective, free, x, *args)
 
+    def batched(objective, free, x, cfg):
+        batches.append(x.shape[1])
+        return newton(objective, free, x, cfg)
+
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_damped", spy)
-        patch.setattr(reduction, "_energy_side", _solved_alone)
+        patch.setattr(reduction, "_newton", batched)
         z = reduction._energy_sides(model, u[:, :3], [edited] * 3, cfg)
+    assert batches == [3]
     assert set(damped) == {0.8, -1.0}
     for j in range(3):
         assert z[:, j].tobytes() == alone[j].tobytes()
@@ -153,11 +155,11 @@ def test_batched_newton_takes_damped_steps_in_place(monkeypatch):
     with pytest.raises(SolverError) as batch:
         reduction._energy_sides(model, u, [edited] * 4, cfg)
     with pytest.raises(SolverError) as single:
-        reduction._energy_side(model, u[:, 3], edited, cfg)
+        solve(edited.objective, clamps={"u.U1": u[0, 3]}, free=["z.Z1"], cfg=cfg)
     assert str(batch.value) == str(single.value)
     z = reduction._energy_sides(model, u[:, :3], [edited] * 3, cfg)
     for j in range(3):
-        assert z[:, j].tobytes() == reduction._energy_side(model, u[:, j], edited, cfg).tobytes()
+        assert z[:, j].tobytes() == alone[j].tobytes()
 
 
 def test_a_solve_evaluates_the_energy_once_at_its_start_and_once_per_candidate(monkeypatch):
@@ -269,13 +271,18 @@ def test_passing_checks_never_replay_their_draws(monkeypatch):
                         .read_text(encoding="utf-8"))
     sampler = {v.name: {"dist": "gauss"} for v in model.exogenous}
 
-    def replayed(*args, **kwargs):
-        raise AssertionError("a draw replayed alone")
+    draws = []  # the draws of every energy-side run
+    energy_sides = reduction._energy_sides
 
-    monkeypatch.setattr(reduction.InducedScm, "_forward", replayed)
+    def counting(model, u, edits, cfg):
+        draws.append(len(edits))
+        return energy_sides(model, u, edits, cfg)
+
+    monkeypatch.setattr(reduction, "_energy_sides", counting)
     assert pushforward_check(model, sampler, trials=40, seed=3,
                              statistics={"z": "z.Z1", "all": None}).passed
     assert equivalence_check(model, trials=30, seed=3).passed
+    assert draws == [40, 30]  # one run per chunk, none on a draw alone
 
 
 # -- root finding -----------------------------------------------------------

@@ -201,6 +201,18 @@ def test_counterfactual_soft_endpoint_matches_hard(chain2):
     assert abs(soft_result.readouts["phi"] - hard_result.readouts["phi"]) <= 1e-8
 
 
+def test_a_soft_replacement_binds_its_own_parameters(chain2):
+    # theta.Z2.b is bound to its value as a constant, so the edit is the one
+    # with 3.0 written in, and the model's theta map keeps its one entry
+    results = [counterfactual(chain2, EVIDENCE, [soft(chain2, "Z2", 0.5, expr, params)],
+                              readouts={"phi": "z.Z2"})
+               for expr, params in (("0.5*sq(z.Z2 - theta.Z2.b*z.Z1)", {"b": 3.0}),
+                                    ("0.5*sq(z.Z2 - 3.0*z.Z1)", None))]
+    assert results[0].readouts == results[1].readouts == {"phi": 2.625}
+    assert results[0].post.x.tobytes() == results[1].post.x.tobytes()
+    assert chain2.ntheta == 1
+
+
 def test_autonomy_check_resolving_nondescendants(chain2):
     # context evidence: the abducted point is an observational equilibrium
     context = {"u.U1": 1.0, "u.U2": 0.5}

@@ -93,6 +93,34 @@ def test_wide_blocks_are_numpy_expressions():
     assert "_outer(" not in narrow
 
 
+def test_dense_formulas_give_the_unrolled_entries(monkeypatch):
+    # a product of two sums has a 5x5 outer-sum Hessian block, and the
+    # exp of a 3-coordinate sum a 3x3x3 cube: both past MAX_UNROLLED
+    spec = {"variables": [{"name": n, "kind": "endogenous", "dim": 1} for n in "ABCDE"],
+            "edges": [],
+            "terms": [{"owner": "global",
+                       "expr": "(z.A + z.B + z.C)*(z.D + z.E) + exp(0.3*(z.A + z.B + z.C))"}]
+            + [{"owner": f"local:{n}", "expr": f"0.5*sq(z.{n})"} for n in "ABCDE"]}
+    x = np.array([0.25, -0.5, 1.0, 0.75, -1.25])
+
+    def jet(model):
+        term = model.global_term.objective_term
+        point = Point.for_model(model, z=x)
+        return codegen.source(term, term.refs, 3), Objective.from_model(model).term_jet(
+            term, point, term.refs, 3)
+
+    dense_source, dense = jet(parse_model(spec))
+    assert "_outer_sym(" in dense_source
+    assert "[:, None, None] * " in dense_source  # the cube g_a g_b g_c
+    monkeypatch.setattr(codegen, "MAX_UNROLLED", 1000)
+    monkeypatch.setattr(codegen, "_FUNCTIONS", {})
+    unrolled_source, unrolled = jet(parse_model(spec))  # a new model: no code kept
+    assert "_outer_sym(" not in unrolled_source and "[:, None, None]" not in unrolled_source
+    assert dense[0] == unrolled[0]
+    for got, want in zip(dense[1:], unrolled[1:]):
+        assert got.shape == want.shape and (got == want).all()
+
+
 def test_unrolled_blocks_are_returned_as_flat_tuples():
     spec = {"variables": [{"name": n, "kind": "endogenous", "dim": 1} for n in "AB"],
             "edges": [["A", "B"]],

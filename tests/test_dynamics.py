@@ -18,7 +18,7 @@ from escm import (
     solve,
     steady_state,
 )
-from escm.diagnostics import _lap_reports, nondesc_pairs
+from escm.diagnostics import _lap_reports, lap_check, nondesc_pairs
 from escm.dynamics import (
     _dyn_lap_reports,
     dyn_icm_check,
@@ -155,6 +155,18 @@ def test_dyn_lap_rejects_descendant_pairs(chain2, chain2_dyn):
     # a model without dynamics is refused before its pairs are read
     with pytest.raises(QueryError, match="model declares no dynamics"):
         dyn_lap_check(chain2, "Z1", "Z2", Point.for_model(chain2))
+
+
+@pytest.mark.parametrize("name", ["Nope", "U1", 3, None, ("z", 9), "z.Z1"])
+def test_dyn_lap_names_a_bad_second_name_as_lap_check_does(chain2, chain2_dyn, name):
+    errors = []
+    for check in (lap_check, dyn_lap_check):
+        with pytest.raises(QueryError) as err:
+            check(chain2_dyn, "Z1", name, Point.for_model(chain2_dyn))
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    with pytest.raises(QueryError, match="model declares no dynamics"):
+        dyn_lap_check(chain2, "Z1", name, Point.for_model(chain2))
 
 
 def test_dyn_lap_planted_violation():

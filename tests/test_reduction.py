@@ -103,10 +103,10 @@ def test_equivalence_chain2_hard_sweep(chain2):
         u = rng.uniform(-2, 2, size=2)
         value = float(rng.uniform(-2, 2))
         surgeries = [hard(chain2, "Z1", value)]
-        from escm.reduction import _energy_side
-        from escm.solver import SolverConfig
-
-        z_energy = _energy_side(chain2, u, apply_surgery(chain2, surgeries), SolverConfig())
+        edited = apply_surgery(chain2, surgeries)
+        clamps = {**edited.clamps, **dict(zip(chain2.coords("u"), u.tolist()))}
+        free = [i for i in chain2.coords("z") if i not in edited.clamps]
+        z_energy = solve(edited.objective, clamps=clamps, free=free).point.z
         z_scm = scm.solve(u, surgeries)
         worst = max(worst, float(np.max(np.abs(z_energy - z_scm))))
     assert worst < 1e-8
