@@ -300,10 +300,11 @@ def abduct(model: Model, evidence: Evidence | dict, cfg: SolverConfig | None = N
     else free, from a deterministic zero initialization (the minimal-norm
     tie-break among solver-reachable minimizers).
     """
-    if not isinstance(evidence, Evidence):
-        evidence = Evidence.from_dict(model, evidence)
+    # one check for both forms: a directly built Evidence is not trusted
+    evidence = Evidence.from_dict(
+        model, evidence.clamps if isinstance(evidence, Evidence) else evidence)
     cfg = cfg or SolverConfig()
-    eq = solve(model, clamps=evidence.clamps, cfg=cfg)
+    eq = solve(model, clamps=evidence.clamps, cfg=cfg, _checked=True)
     return Explanation(
         model=model,
         point=eq.point,
@@ -398,8 +399,9 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
     held = state[~np.isin(state, [*free, *clamps])]
     clamps.update(zip(held.tolist(), explanation.point.x[held].tolist()))
 
+    # without a hold override, ``free`` and ``clamps`` are flat and disjoint
     eq = solve(edited.objective, clamps=clamps, free=free, cfg=cfg,
-               init_point=explanation.point)
+               init_point=explanation.point, _checked=hold is None)
     return CounterfactualResult(
         pre=explanation.point.copy(),
         post=eq.point,

@@ -219,7 +219,8 @@ _BATCH = dict(_COMMON, _exp=lambda v: _each(math.exp, v), _tanh=lambda v: _each(
 
 class _TermCode:
     """What evaluating one term needs: its shape, constants and leaf
-    gatherers, and the pair of functions for each (active, order) seen.
+    gatherers, the pair of functions of order 0, ``values``, and the pair
+    of functions for each (active, order) seen.
 
     The term's shape is its leaf count and, for each piece, whether its
     weight is one, its form (see :data:`escm.expr.FORM_CALLS`), and for
@@ -228,7 +229,8 @@ class _TermCode:
     numbered in the order the term's text first reads them, so a
     coordinate two pieces read is one leaf."""
 
-    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "functions")
+    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "values",
+                 "functions")
 
     def __init__(self, owner, pieces):
         self.owner = owner
@@ -254,6 +256,7 @@ class _TermCode:
             self.gather = lambda values: (values[ref],)
         else:
             self.gather = itemgetter(*refs) if refs else (lambda values: ())
+        self.values = _functions(self.shape, (), 0, 0)
         self.functions: dict = {}
 
     def function(self, active, order: int, batch: bool):
@@ -324,14 +327,36 @@ def expr_value(compiled, values):
 
 
 def _value(code: _TermCode, values):
-    batch = not isinstance(values, list)
-    fn = code.function((), 0, batch)
+    fn = code.values[not isinstance(values, list)]
     try:
         return fn(code.gather(values), code.consts)
     except DomainFault as fault:
         raise code.error(fault) from None
     except _ARITHMETIC:
         raise code.overflow() from None
+
+
+def _term_values(terms, x: np.ndarray) -> list:
+    """The value of every term of ``terms`` at the flat point ``x``, (dim,)
+    or (dim, B), in term order, as :func:`term_value` gives it."""
+    values, batch = (x, True) if x.ndim > 1 else (x.tolist(), False)
+    return _run([(code, code.values[batch]) for code in map(_code, terms)], values)
+
+
+def _run(runs, values, tail=()) -> list:
+    """``function(gather(values), consts, *tail)`` of every (code,
+    function) of ``runs``, in order; the first fault raises its term's
+    :class:`~escm.errors.EnergyDomainError`."""
+    out = []
+    code = None
+    try:
+        for code, fn in runs:
+            out.append(fn(code.gather(values), code.consts, *tail))
+    except DomainFault as fault:
+        raise code.error(fault) from None
+    except _ARITHMETIC:
+        raise code.overflow() from None
+    return out
 
 
 def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> list:
@@ -362,6 +387,53 @@ def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> lis
     except _ARITHMETIC:
         raise code.overflow() from None
     return out
+
+
+class _ActiveTerms:
+    """The terms of ``terms`` that read a flat index in ``slot``, ready to
+    run at many points: ``index`` holds their places in ``terms``, and
+    ``owners`` and ``positions`` their owners and their active indices'
+    positions, as :func:`active_blocks` lists them.  The functions of each
+    (order, batch) are looked up on first use.  :func:`active_blocks` is
+    the same run for one point, with no set-up to keep."""
+
+    def __init__(self, terms, slot: dict[int, int]):
+        self.index: list[int] = []
+        self.owners: list = []
+        self.positions: list[list[int]] = []
+        self._active: list[tuple] = []  # (code, active indices) of each term
+        self._runs: dict = {}
+        reads, position = slot.__contains__, slot.__getitem__
+        for n, term in enumerate(terms):
+            active = list(filter(reads, term.refs))
+            if active:
+                self.index.append(n)
+                self.owners.append(term.owner)
+                self.positions.append(list(map(position, active)))
+                self._active.append((_code(term), active))
+
+    def _functions(self, order: int, batch: bool) -> list:
+        runs = self._runs.get((order, batch))
+        if runs is None:
+            runs = self._runs[order, batch] = [
+                (code, code.function(active, order, batch) if order else code.values[batch])
+                for code, active in self._active]
+        return runs
+
+    def values(self, x: np.ndarray) -> list:
+        """Every term's value at the flat point ``x``, as :func:`term_value`
+        gives it."""
+        batch = x.ndim > 1
+        return _run(self._functions(0, batch), x if batch else x.tolist())
+
+    def blocks(self, x: np.ndarray, order: int) -> list:
+        """Every term's (value, grad, hess, third) at the flat point ``x``,
+        as :func:`active_blocks` lists them."""
+        if x.ndim > 1:
+            n = x.shape[1]
+            return _run(self._functions(order, True), x,
+                        (np.ones(n), np.zeros(n), (n,)))
+        return _run(self._functions(order, False), x.tolist(), (1.0, 0.0, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,28 +6,38 @@ no finite differences.  Each model term is compiled once at parse into an
 :class:`ObjectiveTerm`, which every evaluation reads; only surgery builds
 new ones.  A caller names the coordinates it differentiates with respect
 to; the result is indexed by position in that list, so its size follows
-the query and not the model.  Both derivative methods run generated code
-through :func:`escm.codegen.active_blocks`, which evaluates only the terms
-that read one of those coordinates.  ``term_jet`` evaluates one term and
-returns ``value, grad, hess, third`` as dense arrays over all of them.
-``derivatives`` adds each kind of block, gradient, Hessian or third
-tensor, into its output with one ``np.bincount`` over the positions the
-terms read, in term order.  So
-coordinates a term never mentions contribute exact zeros, a structurally
-zero block is skipped, the sums are those of adding the terms one after
-another, and the assembled Hessian is bitwise symmetric.  It returns no
-energy value, which ``value`` computes.
+the query and not the model.  Both derivative methods evaluate only the
+terms that read one of those coordinates.  ``term_jet`` evaluates one
+term and returns ``value, grad, hess, third`` as dense arrays over all of
+them.  ``derivatives`` adds each kind of block, gradient, Hessian or third
+tensor, into its output with one ``np.bincount`` over the flat targets of
+a :class:`_Layout`, in term order.  So coordinates a term never mentions
+contribute exact zeros, a structurally zero block is skipped, the sums
+are those of adding the terms one after another, and the assembled
+Hessian is bitwise symmetric.  It returns no energy value, which ``value``
+computes.
 
 A :class:`Point` may also hold a batch of points, ``x`` of shape
 ``(dim, B)``.  ``value``, ``term_jet`` and ``derivatives`` then carry a
 trailing batch axis on everything they return, and each batch entry is
 bitwise what its point alone gives.
+
+A solve evaluates its objective many times at points that differ only in
+its free coordinates.  :class:`_Planned` is the objective planned for one
+solve: the terms that read no free coordinate are evaluated once, at the
+start, and keep their values, and the layout of each order is built once.
+Its ``value`` and ``derivatives`` are those of :class:`Objective`, so a
+tracer of ``Objective.value`` sees the solve's evaluations, and they give
+bitwise what the whole objective gives.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -147,11 +157,12 @@ class Objective:
 
     def value(self, point: Point) -> float:
         self.check_point(point)
-        values = point.x.tolist() if point.x.ndim == 1 else point.x
-        total = 0.0
-        for term in self.terms:
-            total += codegen.term_value(term, values)
-        return total if point.x.ndim == 1 else np.broadcast_to(total, point.x.shape[1:])
+        return self._energy(point.x)
+
+    def _energy(self, x: np.ndarray):
+        """``value`` at the checked flat point ``x``; :class:`_Planned`
+        evaluates it from its plan."""
+        return _total(codegen._term_values(self.terms, x), x)
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
                  active: Sequence[int], order: int) -> tuple:
@@ -202,10 +213,15 @@ class Objective:
         """
         self.check_point(point)
         refs = tuple(dict.fromkeys(range(self.dim) if active is None else active))
-        k = len(refs)
-        blocks = codegen.active_blocks(self.terms, point.x,
-                                       {ref: j for j, ref in enumerate(refs)}, order)
-        return _Derivatives(refs, *_assemble(blocks, order, attribution, k, point.x.shape[1:]))
+        return _Derivatives(refs, *self._assembled(point.x, refs, order, attribution))
+
+    def _assembled(self, x: np.ndarray, refs: tuple, order: int, attribution: bool):
+        """grad, hess, third and owner_hess of ``derivatives`` at the checked
+        flat point ``x``; :class:`_Planned` evaluates them from its plan."""
+        active = codegen._ActiveTerms(self.terms, {ref: j for j, ref in enumerate(refs)})
+        blocks = active.blocks(x, order)
+        return _Layout(active, blocks, order, len(refs), attribution).assemble(blocks,
+                                                                              x.shape[1:])
 
     def first_order(self, point: Point) -> FirstOrder:
         grad = self.derivatives(point, order=1).grad
@@ -226,82 +242,171 @@ class Objective:
                            h_ztheta=full.hess[ztheta], attribution=attribution)
 
 
-def _assemble(blocks, order: int, attribution: bool, k: int, batch: tuple):
-    """grad, hess, third and owner_hess, as ``derivatives`` returns them,
-    from the blocks of :func:`escm.codegen.active_blocks`.
+class _Planned(Objective):
+    """``objective`` planned for one solve that moves only the flat
+    indices ``free``, from a batch of start columns.
 
-    Each kind of block goes into its output in one ``np.bincount`` over
-    flat targets (:func:`_scatter`).  The targets of every rank come from
-    the concatenated positions with a fixed number of numpy calls: an entry
-    of rank r, read row-major in its term's block, opens a row of rank
-    r + 1 over its term's positions.  Ranks above the highest that has a
-    block, such as the third rank of quadratic terms, need no targets."""
-    values = [[block[2 + rank] for block in blocks if block[2 + rank] is not None]
-              for rank in range(1, order + 1)]
-    top = order
-    while top and not values[top - 1]:
-        top -= 1
-    flat: list[int] = []
-    # for rank r = 1, 2, per entry of that rank in term order: its term's
-    # size, and where its row of rank r + 1 starts less where its term's
-    # positions start in ``flat``
-    width: tuple[list[int], list[int]] = ([], [])
-    shift: tuple[list[int], list[int]] = ([], [])
-    n2 = n3 = 0  # entries of rank 2 and 3 so far
-    for block in blocks:
-        positions = block[1]
-        s, start = len(positions), len(flat)
-        flat += positions
-        if top >= 2:
-            width[0].extend([s] * s)
-            shift[0].extend(range(n2 - start, n2 - start + s * s, s))
-            n2 += s * s
-        if top >= 3:
-            width[1].extend([s] * (s * s))
-            shift[1].extend(range(n3 - start, n3 - start + s * s * s, s))
-            n3 += s * s * s
-    position = np.array(flat, dtype=np.intp)
-    target = position  # the flat target of every entry of the current rank
-    totals = (len(flat), n2, n3)
-    sums = [None, None, None]
-    owner_hess = {} if attribution else None
-    for rank in range(1, order + 1):
-        if 1 < rank <= top:
-            w, drop = np.array((width[rank - 2], shift[rank - 2]), dtype=np.intp)
-            col = np.arange(totals[rank - 1]) - drop.repeat(w)
-            target = (target * k).repeat(w) + position[col]
-        # above ``top`` no block is present and ``target`` goes unread
-        sums[rank - 1] = _scatter(target, values[rank - 1], blocks, rank, (k,) * rank, batch)
-        if rank == 2 and attribution:
-            # one block per owner of an evaluated term, in order of its first
-            owners = {owner: n for n, owner in
-                      enumerate(dict.fromkeys(block[0] for block in blocks))}
-            grouped = target
-            if values[1]:
-                group = np.array([owners[block[0]] for block in blocks], dtype=np.intp)
-                grouped = target + group.repeat([len(block[1]) ** 2 for block in blocks]) * (k * k)
-            owner_hess = dict(zip(owners, _scatter(grouped, values[1], blocks, 2,
-                                                   (len(owners), k, k), batch)))
-    return sums[0], sums[1], sums[2], owner_hess
+    The first ``value`` call is at the start columns: it evaluates every
+    term and keeps the value of each term that reads no free coordinate,
+    which no point of the solve can change.  Every later call evaluates
+    only the terms that read a free coordinate, and sums them with the
+    kept values in their places, in term order from +0.0: bitwise what
+    :meth:`Objective.value` gives.  ``derivatives`` with respect to
+    ``free`` evaluates the same terms only and scatters their blocks by
+    the :class:`_Layout` of its order, built on the first call of that
+    order.  :meth:`columns` gives the objective planned for some of the
+    columns, which shares all of this.  One column is evaluated on its
+    1-D point, in Python floats, and several on their (dim, m) batch; a
+    column's entry of a batch is bitwise its value alone."""
+
+    def __init__(self, objective: Objective, free):
+        super().__init__(objective.model, objective.terms)
+        self.free = tuple(free)
+        self.moving = codegen._ActiveTerms(self.terms, {ref: j for j, ref in enumerate(free)})
+        self.layouts: dict[int, _Layout] = {}
+        self.width = 0  # the number of columns
+        self.kept: list | None = None  # per term: its value at the start, or None if it moves
+
+    def columns(self, idx: list[int]) -> "_Planned":
+        """This objective planned for its columns ``idx``, in increasing
+        order, after its start."""
+        if len(idx) == self.width:
+            return self
+        view = copy.copy(self)
+        view.width = len(idx)
+        pick = (lambda value: value.item(idx[0])) if len(idx) == 1 else (lambda value: value[idx])
+        view.kept = [pick(value) if isinstance(value, np.ndarray) else value
+                     for value in self.kept]
+        return view
+
+    def _energy(self, x: np.ndarray):
+        if self.kept is None:  # the start: every term runs
+            each = codegen._term_values(self.terms, x)
+            self.width = x.shape[1] if x.ndim > 1 else 1
+            # a batch value may be a view of ``x``: keep a copy
+            self.kept = [value.copy() if isinstance(value, np.ndarray) else value
+                         for value in each]
+            for n in self.moving.index:
+                self.kept[n] = None
+        else:
+            each = list(self.kept)
+            for n, value in zip(self.moving.index, self.moving.values(x)):
+                each[n] = value
+        return _total(each, x)
+
+    def _assembled(self, x: np.ndarray, refs: tuple, order: int, attribution: bool):
+        if refs != self.free or attribution:
+            return super()._assembled(x, refs, order, attribution)
+        blocks = self.moving.blocks(x, order)
+        layout = self.layouts.get(order)
+        if layout is None:
+            layout = self.layouts[order] = _Layout(self.moving, blocks, order, len(refs), False)
+        return layout.assemble(blocks, x.shape[1:])
 
 
-def _scatter(target, values: list, blocks, rank: int, shape: tuple, batch: tuple) -> np.ndarray:
-    """An array of ``shape + batch`` holding the sum of the rank-``rank``
-    blocks ``values``, those of ``blocks`` that are present, where entry i
-    of all the blocks of ``blocks`` goes to ``target[i]``.  ``np.bincount``
-    adds in input order from +0.0, so every output entry is the sum the
-    terms give one after another; an absent (structurally zero) block is
-    skipped, which changes no such sum."""
-    shape += batch
-    if not values:
-        return np.zeros(shape)
-    if len(values) < len(blocks):
-        present = np.array([block[2 + rank] is not None for block in blocks])
-        target = target[present.repeat([len(block[1]) ** rank for block in blocks])]
-    if batch:  # a block entry holds one value per point, last
-        target = (target[:, None] * batch[0] + np.arange(batch[0])).ravel()
-    return np.bincount(target, np.concatenate(values, axis=None),
-                       math.prod(shape)).reshape(shape)
+def _total(values: list, x: np.ndarray):
+    """The energy at the flat point ``x`` whose terms have ``values``:
+    their sum in term order, from +0.0, with the batch shape of ``x``."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total if x.ndim == 1 else np.broadcast_to(total, x.shape[1:])
+
+
+class _Layout:
+    """Where ``derivatives`` adds up the blocks of the terms ``active``
+    (a :class:`escm.codegen._ActiveTerms`) at ``order``: the flat target
+    of each entry of each rank, and with ``attribution`` of each Hessian
+    entry in its owner's block.
+
+    A layout depends only on each term's positions and on which of its
+    blocks are present, ``blocks`` at one point: both are fixed by the term
+    and its active indices, so it serves the blocks of every point.  The
+    targets of every rank come from the concatenated positions with a
+    fixed number of numpy calls: an entry of rank r, read row-major in its
+    term's block, opens a row of rank r + 1 over its term's positions.
+    Ranks above the highest that has a block, such as the third rank of
+    quadratic terms, get none."""
+
+    def __init__(self, active, blocks, order: int, k: int, attribution: bool):
+        self.order, self.k = order, k
+        present = [[block[rank] is not None for block in blocks] for rank in range(1, order + 1)]
+        # per rank: whether every block is present, and whether every
+        # present block is a tuple of entries (not a numpy block)
+        self.whole = [all(flags) for flags in present]
+        self.tuples = [all(type(block[rank]) is tuple for block in blocks
+                           if block[rank] is not None) for rank in range(1, order + 1)]
+        top = order
+        while top and not any(present[top - 1]):
+            top -= 1
+        sizes = np.array([len(positions) for positions in active.positions], dtype=np.intp)
+        position = np.fromiter(chain.from_iterable(active.positions), np.intp, sizes.sum())
+        start = np.cumsum(sizes) - sizes  # where each term's positions start
+        target = position  # the flat target of every entry of the current rank
+        self.targets: list[np.ndarray | None] = [None] * order
+        # with attribution, the Hessian entries of each owner of an
+        # evaluated term form one block, in order of the owner's first term
+        # (none below order 2)
+        self.owners = None if not attribution else {} if order < 2 else {
+            owner: n for n, owner in enumerate(dict.fromkeys(active.owners))}
+        self.grouped = None
+        for rank in range(1, top + 1):
+            if rank > 1:
+                count = sizes ** (rank - 1)  # each term's entries of the rank below
+                width = sizes.repeat(count)  # the row each of them opens
+                shift = np.cumsum(width) - width - start.repeat(count)
+                target = (target * k).repeat(width) + position[
+                    np.arange(width.sum()) - shift.repeat(width)]
+            self.targets[rank - 1] = _of_present(target, present[rank - 1], sizes, rank)
+            if rank == 2 and attribution:
+                group = np.array([self.owners[owner] for owner in active.owners], dtype=np.intp)
+                self.grouped = _of_present(target + group.repeat(sizes * sizes) * (k * k),
+                                           present[1], sizes, 2)
+
+    def assemble(self, blocks, batch: tuple):
+        """grad, hess, third and owner_hess, as ``derivatives`` returns
+        them, from ``blocks``: each kind of block goes into its output in
+        one :meth:`_sum`."""
+        k = self.k
+        sums = [None, None, None]
+        for rank in range(1, self.order + 1):
+            sums[rank - 1] = self._sum(blocks, rank, self.targets[rank - 1], (k,) * rank, batch)
+        owner_hess = None
+        if self.owners is not None:
+            owner_hess = dict(zip(self.owners, self._sum(
+                blocks, 2, self.grouped, (len(self.owners), k, k), batch)))
+        return sums[0], sums[1], sums[2], owner_hess
+
+    def _sum(self, blocks, rank: int, target, shape: tuple, batch: tuple) -> np.ndarray:
+        """An array of ``shape + batch`` holding the sum of the rank-``rank``
+        blocks of ``blocks``, where entry i of the present ones goes to
+        ``target[i]``.  ``np.bincount`` adds in input order from +0.0, so
+        every output entry is the sum the terms give one after another; an
+        absent (structurally zero) block is skipped, which changes no such
+        sum."""
+        shape += batch
+        if target is None:
+            return np.zeros(shape)
+        values = map(itemgetter(rank), blocks)
+        if not self.whole[rank - 1]:
+            values = [block for block in values if block is not None]
+        if batch:  # a block entry holds one value per point, last
+            target = (target[:, None] * batch[0] + np.arange(batch[0])).ravel()
+            flat = np.concatenate(list(values), axis=None)
+        elif self.tuples[rank - 1]:  # floats: quicker than np.concatenate
+            flat = np.fromiter(chain.from_iterable(values), float, len(target))
+        else:
+            flat = np.concatenate(list(values), axis=None)
+        return np.bincount(target, flat, math.prod(shape)).reshape(shape)
+
+
+def _of_present(target: np.ndarray, present: list[bool], sizes: np.ndarray, rank: int):
+    """The entries of ``target`` that belong to present blocks of rank
+    ``rank``, for blocks over ``sizes`` positions each; None if no block
+    is present."""
+    if all(present):
+        return target if present else None
+    return target[np.array(present).repeat(sizes ** rank)] if any(present) else None
 
 
 def _as_objective(target) -> Objective:

@@ -550,25 +550,35 @@ def _build_sampler(model: Model, spec: dict):
             lo, hi = (finite_number(entry.get(key), f"sampler {key!r} of {v.name!r}")
                       for key in ("lo", "hi"))
             finite_number(hi - lo, f"sampler range hi - lo of {v.name!r}")
-            draws.append(("uniform", lo, hi, v.dim))
+            draws.append(("uniform", lo, hi, v.dim, v.name))
         elif dist in ("gauss", "normal"):
             mu, sigma = (finite_number(entry.get(key, default), f"sampler {key!r} of {v.name!r}")
                          for key, default in (("mu", 0.0), ("sigma", 1.0)))
             if sigma < 0:
                 raise QueryError(f"negative sigma for {v.name!r}")
-            draws.append(("gauss", mu, sigma, v.dim))
+            draws.append(("gauss", mu, sigma, v.dim, v.name))
         else:
             raise QueryError(f"unknown distribution {dist!r} for {v.name!r}")
 
     def sample(rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` draws, taken one after another, as the columns of a
-        (nu, count) array."""
+        (nu, count) array; raises :class:`QueryError` naming the entry of
+        the first value that overflows."""
         values: list[float] = []
         for _ in range(count):
-            for kind, a, b, dim in draws:
-                values.extend((rng.uniform(a, b, size=dim) if kind == "uniform"
-                               else a + b * rng.standard_normal(dim)).tolist())
-        return np.array(values).reshape(count, model.nu).T
+            for kind, a, b, dim, _ in draws:
+                if kind == "uniform":
+                    values.extend(rng.uniform(a, b, size=dim).tolist())
+                else:  # in floats: an overflow is inf, and numpy does not warn
+                    values.extend([a + b * v for v in rng.standard_normal(dim).tolist()])
+        u = np.array(values)
+        bad = np.flatnonzero(~np.isfinite(u))
+        if bad.size:  # only a Gaussian overflows: a uniform range is finite
+            _, mu, sigma, _, name = [entry for entry in draws
+                                     for _ in range(entry[3])][bad[0] % model.nu]
+            raise QueryError(f"sampler entry for {name!r} draws a non-finite value "
+                             f"(mu {mu:g}, sigma {sigma:g})")
+        return u.reshape(count, model.nu).T
 
     return sample
 

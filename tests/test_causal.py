@@ -73,6 +73,43 @@ def test_abduction_fully_clamped_echoes(chain2):
     assert explanation.free == ()
 
 
+_EVIDENCE_CASES = {
+    "out of range": ({99: 1.0}, "coordinate 99 is out of range"),
+    "a label": ({"z.Z2": 2.5}, None),
+    "not a number": ({1: "x"}, "clamp value for 1 is not a number: 'x'"),
+    "a parameter": ({4: 1.0}, "evidence on parameters is not supported"),
+    "not finite": ({1: float("nan")}, "clamp value for 1 is not finite"),
+}
+
+
+@pytest.mark.parametrize("clamps, message", _EVIDENCE_CASES.values(),
+                         ids=_EVIDENCE_CASES.keys())
+def test_a_directly_built_evidence_is_checked_as_a_dict_is(chain2, clamps, message):
+    # on chain2, flat index 4 is theta.Z2.a
+    outcomes = []
+    for evidence in (causal.Evidence(dict(clamps)), dict(clamps)):
+        try:
+            outcomes.append(abduct(chain2, evidence).point.x.tobytes())
+        except QueryError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
+    if message is not None:
+        assert outcomes[0] == message
+
+
+_HOLD_ERRORS = {
+    "theta": (["theta.Z2.a"], "theta coordinates cannot be solved for"),
+    "duplicate": (["z.Z2", "z.Z2"], "duplicate free coordinates"),
+}
+
+
+@pytest.mark.parametrize("free, message", _HOLD_ERRORS.values(), ids=_HOLD_ERRORS.keys())
+def test_a_hold_override_free_list_is_checked_as_solve_checks_it(chain2, free, message):
+    with pytest.raises(QueryError) as raised:
+        counterfactual(chain2, {"z.Z2": 2.5}, [hard(chain2, "Z1", 1.0)], hold={"free": free})
+    assert str(raised.value) == message
+
+
 def test_hard_surgery_bookkeeping(chain2):
     edited = apply_surgery(chain2, hard(chain2, "Z1", 0.0))
     assert [t.owner for t in edited.objective.terms] == ["Z2", "U1", "U2"]

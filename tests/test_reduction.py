@@ -316,6 +316,16 @@ def test_vector_block_without_a_minimizer_is_not_convex():
     assert forward_init(model, clamps).z[:2].tolist() == [0.0, 0.0]
 
 
+def test_an_overflowing_gaussian_sampler_entry_is_named(chain2, recwarn):
+    sampler = {"U1": {"dist": "gauss"},
+               "U2": {"dist": "gauss", "mu": 1e308, "sigma": 1e308}}
+    with pytest.raises(QueryError) as raised:
+        pushforward_check(chain2, sampler, trials=20, seed=0)
+    assert str(raised.value) == ("sampler entry for 'U2' draws a non-finite value "
+                                 "(mu 1e+308, sigma 1e+308)")
+    assert not recwarn.list  # numpy does not warn of the overflow
+
+
 def test_contraction_factor_small_couplings():
     rng = np.random.default_rng(2)
     spec = random_quadratic_model(rng, n_nodes=5, density=0.6, dynamics=True)

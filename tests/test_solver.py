@@ -77,6 +77,22 @@ def test_free_and_clamped_must_be_disjoint(chain2):
         solve(chain2, free=["theta.Z2.a"])
 
 
+_FREE_LIST_ERRORS = {
+    "theta": ({"free": ["theta.Z2.a"]}, "theta coordinates cannot be solved for"),
+    "duplicate": ({"free": ["z.Z2", "z.Z2"]}, "duplicate free coordinates"),
+    "clamped": ({"clamps": {"z.Z2": 1.0}, "free": ["z.Z2"]},
+                "coordinate z.Z2 is both free and clamped"),
+}
+
+
+@pytest.mark.parametrize("kwargs, message", _FREE_LIST_ERRORS.values(),
+                         ids=_FREE_LIST_ERRORS.keys())
+def test_each_bad_free_list_has_its_message(chain2, kwargs, message):
+    with pytest.raises(QueryError) as raised:
+        solve(chain2, **kwargs)
+    assert str(raised.value) == message
+
+
 def test_an_overflowing_trial_point_is_rejected():
     # from 0 the Newton step is about 2.2e4, where exp overflows: the trial
     # reads an infinite energy, and damped steps reach the minimum near 10
