@@ -304,7 +304,7 @@ def abduct(model: Model, evidence: Evidence | dict, cfg: SolverConfig | None = N
     evidence = Evidence.from_dict(
         model, evidence.clamps if isinstance(evidence, Evidence) else evidence)
     cfg = cfg or SolverConfig()
-    eq = solve(model, clamps=evidence.clamps, cfg=cfg, _checked=True)
+    eq = solve(model, clamps=evidence.clamps, cfg=cfg)
     return Explanation(
         model=model,
         point=eq.point,
@@ -399,9 +399,8 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
     held = state[~np.isin(state, [*free, *clamps])]
     clamps.update(zip(held.tolist(), explanation.point.x[held].tolist()))
 
-    # without a hold override, ``free`` and ``clamps`` are flat and disjoint
     eq = solve(edited.objective, clamps=clamps, free=free, cfg=cfg,
-               init_point=explanation.point, _checked=hold is None)
+               init_point=explanation.point)
     return CounterfactualResult(
         pre=explanation.point.copy(),
         post=eq.point,

@@ -219,8 +219,7 @@ _BATCH = dict(_COMMON, _exp=lambda v: _each(math.exp, v), _tanh=lambda v: _each(
 
 class _TermCode:
     """What evaluating one term needs: its shape, constants and leaf
-    gatherers, the pair of functions of order 0, ``values``, and the pair
-    of functions for each (active, order) seen.
+    gatherers, and the pair of functions for each (active, order) seen.
 
     The term's shape is its leaf count and, for each piece, whether its
     weight is one, its form (see :data:`escm.expr.FORM_CALLS`), and for
@@ -229,8 +228,7 @@ class _TermCode:
     numbered in the order the term's text first reads them, so a
     coordinate two pieces read is one leaf."""
 
-    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "values",
-                 "functions")
+    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "functions")
 
     def __init__(self, owner, pieces):
         self.owner = owner
@@ -256,7 +254,6 @@ class _TermCode:
             self.gather = lambda values: (values[ref],)
         else:
             self.gather = itemgetter(*refs) if refs else (lambda values: ())
-        self.values = _functions(self.shape, (), 0, 0)
         self.functions: dict = {}
 
     def function(self, active, order: int, batch: bool):
@@ -327,20 +324,14 @@ def expr_value(compiled, values):
 
 
 def _value(code: _TermCode, values):
-    fn = code.values[not isinstance(values, list)]
-    try:
-        return fn(code.gather(values), code.consts)
-    except DomainFault as fault:
-        raise code.error(fault) from None
-    except _ARITHMETIC:
-        raise code.overflow() from None
+    return _run([(code, code.function((), 0, not isinstance(values, list)))], values)[0]
 
 
 def _term_values(terms, x: np.ndarray) -> list:
     """The value of every term of ``terms`` at the flat point ``x``, (dim,)
     or (dim, B), in term order, as :func:`term_value` gives it."""
     values, batch = (x, True) if x.ndim > 1 else (x.tolist(), False)
-    return _run([(code, code.values[batch]) for code in map(_code, terms)], values)
+    return _run([(code, code.function((), 0, batch)) for code in map(_code, terms)], values)
 
 
 def _run(runs, values, tail=()) -> list:
@@ -350,8 +341,12 @@ def _run(runs, values, tail=()) -> list:
     out = []
     code = None
     try:
-        for code, fn in runs:
-            out.append(fn(code.gather(values), code.consts, *tail))
+        if tail:
+            for code, fn in runs:
+                out.append(fn(code.gather(values), code.consts, *tail))
+        else:  # a call that unpacks an empty tail is slower than a plain one
+            for code, fn in runs:
+                out.append(fn(code.gather(values), code.consts))
     except DomainFault as fault:
         raise code.error(fault) from None
     except _ARITHMETIC:
@@ -367,47 +362,26 @@ def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> lis
     positions, in the order of the term's sorted refs, and the blocks, flat
     as generated code returns them, are with respect to those indices, up
     to ``order``.  Terms that read none are not run."""
-    if x.ndim > 1:
-        n = x.shape[1]
-        values, batch, tail = x, True, (np.ones(n), np.zeros(n), (n,))
-    else:
-        values, batch, tail = x.tolist(), False, (1.0, 0.0, ())
-    out = []
-    code = None
-    try:
-        for term in terms:
-            active = [r for r in term.refs if r in slot]
-            if active:
-                code = _code(term)
-                out.append((term.owner, [slot[r] for r in active],
-                            *code.function(active, order, batch)(
-                                code.gather(values), code.consts, *tail)))
-    except DomainFault as fault:
-        raise code.error(fault) from None
-    except _ARITHMETIC:
-        raise code.overflow() from None
-    return out
+    active = _ActiveTerms(terms, slot)
+    return [(owner, positions, *block) for owner, positions, block
+            in zip(active.owners, active.positions, active.blocks(x, order))]
 
 
 class _ActiveTerms:
     """The terms of ``terms`` that read a flat index in ``slot``, ready to
-    run at many points: ``index`` holds their places in ``terms``, and
-    ``owners`` and ``positions`` their owners and their active indices'
-    positions, as :func:`active_blocks` lists them.  The functions of each
-    (order, batch) are looked up on first use.  :func:`active_blocks` is
-    the same run for one point, with no set-up to keep."""
+    run at many points: ``owners`` and ``positions`` hold their owners and
+    their active indices' positions, as :func:`active_blocks` lists them.
+    The functions of each (order, batch) are looked up on first use."""
 
     def __init__(self, terms, slot: dict[int, int]):
-        self.index: list[int] = []
         self.owners: list = []
         self.positions: list[list[int]] = []
         self._active: list[tuple] = []  # (code, active indices) of each term
         self._runs: dict = {}
         reads, position = slot.__contains__, slot.__getitem__
-        for n, term in enumerate(terms):
+        for term in terms:
             active = list(filter(reads, term.refs))
             if active:
-                self.index.append(n)
                 self.owners.append(term.owner)
                 self.positions.append(list(map(position, active)))
                 self._active.append((_code(term), active))
@@ -415,16 +389,9 @@ class _ActiveTerms:
     def _functions(self, order: int, batch: bool) -> list:
         runs = self._runs.get((order, batch))
         if runs is None:
-            runs = self._runs[order, batch] = [
-                (code, code.function(active, order, batch) if order else code.values[batch])
-                for code, active in self._active]
+            runs = self._runs[order, batch] = [(code, code.function(active, order, batch))
+                                               for code, active in self._active]
         return runs
-
-    def values(self, x: np.ndarray) -> list:
-        """Every term's value at the flat point ``x``, as :func:`term_value`
-        gives it."""
-        batch = x.ndim > 1
-        return _run(self._functions(0, batch), x if batch else x.tolist())
 
     def blocks(self, x: np.ndarray, order: int) -> list:
         """Every term's (value, grad, hess, third) at the flat point ``x``,

@@ -22,18 +22,17 @@ A :class:`Point` may also hold a batch of points, ``x`` of shape
 trailing batch axis on everything they return, and each batch entry is
 bitwise what its point alone gives.
 
-A solve evaluates its objective many times at points that differ only in
-its free coordinates.  :class:`_Planned` is the objective planned for one
-solve: the terms that read no free coordinate are evaluated once, at the
-start, and keep their values, and the layout of each order is built once.
-Its ``value`` and ``derivatives`` are those of :class:`Objective`, so a
-tracer of ``Objective.value`` sees the solve's evaluations, and they give
-bitwise what the whole objective gives.
+A solve takes its derivatives many times with respect to one free list.
+:class:`_Planned` is the objective planned for one solve: it finds the
+terms that read a free coordinate once and builds the layout of each
+order once.  Its ``value`` and ``derivatives`` are those of
+:class:`Objective`, so a tracer of ``Objective.derivatives`` sees the
+solve's evaluations, and they give bitwise what the whole objective
+gives.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -157,12 +156,11 @@ class Objective:
 
     def value(self, point: Point) -> float:
         self.check_point(point)
-        return self._energy(point.x)
-
-    def _energy(self, x: np.ndarray):
-        """``value`` at the checked flat point ``x``; :class:`_Planned`
-        evaluates it from its plan."""
-        return _total(codegen._term_values(self.terms, x), x)
+        x = point.x
+        total = 0.0
+        for value in codegen._term_values(self.terms, x):
+            total += value
+        return total if x.ndim == 1 else np.broadcast_to(total, x.shape[1:])
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
                  active: Sequence[int], order: int) -> tuple:
@@ -243,74 +241,25 @@ class Objective:
 
 
 class _Planned(Objective):
-    """``objective`` planned for one solve that moves only the flat
-    indices ``free``, from a batch of start columns.
-
-    The first ``value`` call is at the start columns: it evaluates every
-    term and keeps the value of each term that reads no free coordinate,
-    which no point of the solve can change.  Every later call evaluates
-    only the terms that read a free coordinate, and sums them with the
-    kept values in their places, in term order from +0.0: bitwise what
-    :meth:`Objective.value` gives.  ``derivatives`` with respect to
-    ``free`` evaluates the same terms only and scatters their blocks by
-    the :class:`_Layout` of its order, built on the first call of that
-    order.  :meth:`columns` gives the objective planned for some of the
-    columns, which shares all of this.  One column is evaluated on its
-    1-D point, in Python floats, and several on their (dim, m) batch; a
-    column's entry of a batch is bitwise its value alone."""
+    """``objective`` planned for one solve, which takes its derivatives
+    only with respect to the flat indices ``free`` and with no
+    attribution: the terms that read a free coordinate are found once
+    (:class:`escm.codegen._ActiveTerms`), and the :class:`_Layout` of each
+    order is built on the first call of that order.  ``value`` and
+    ``derivatives`` are those of :class:`Objective`, and give bitwise what
+    it gives."""
 
     def __init__(self, objective: Objective, free):
         super().__init__(objective.model, objective.terms)
-        self.free = tuple(free)
         self.moving = codegen._ActiveTerms(self.terms, {ref: j for j, ref in enumerate(free)})
         self.layouts: dict[int, _Layout] = {}
-        self.width = 0  # the number of columns
-        self.kept: list | None = None  # per term: its value at the start, or None if it moves
-
-    def columns(self, idx: list[int]) -> "_Planned":
-        """This objective planned for its columns ``idx``, in increasing
-        order, after its start."""
-        if len(idx) == self.width:
-            return self
-        view = copy.copy(self)
-        view.width = len(idx)
-        pick = (lambda value: value.item(idx[0])) if len(idx) == 1 else (lambda value: value[idx])
-        view.kept = [pick(value) if isinstance(value, np.ndarray) else value
-                     for value in self.kept]
-        return view
-
-    def _energy(self, x: np.ndarray):
-        if self.kept is None:  # the start: every term runs
-            each = codegen._term_values(self.terms, x)
-            self.width = x.shape[1] if x.ndim > 1 else 1
-            # a batch value may be a view of ``x``: keep a copy
-            self.kept = [value.copy() if isinstance(value, np.ndarray) else value
-                         for value in each]
-            for n in self.moving.index:
-                self.kept[n] = None
-        else:
-            each = list(self.kept)
-            for n, value in zip(self.moving.index, self.moving.values(x)):
-                each[n] = value
-        return _total(each, x)
 
     def _assembled(self, x: np.ndarray, refs: tuple, order: int, attribution: bool):
-        if refs != self.free or attribution:
-            return super()._assembled(x, refs, order, attribution)
         blocks = self.moving.blocks(x, order)
         layout = self.layouts.get(order)
         if layout is None:
             layout = self.layouts[order] = _Layout(self.moving, blocks, order, len(refs), False)
         return layout.assemble(blocks, x.shape[1:])
-
-
-def _total(values: list, x: np.ndarray):
-    """The energy at the flat point ``x`` whose terms have ``values``:
-    their sum in term order, from +0.0, with the batch shape of ``x``."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total if x.ndim == 1 else np.broadcast_to(total, x.shape[1:])
 
 
 class _Layout:

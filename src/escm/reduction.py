@@ -170,14 +170,14 @@ def _scalar_argmins(term: ObjectiveTerm, x: np.ndarray, ref: int, node: str) -> 
     alone; the slopes and curvatures they need are evaluated as one batch
     per round."""
     p = x.copy()  # row ``ref`` moves along the slices
-    slot = {ref: 0}
+    active = codegen._ActiveTerms([term], {ref: 0})
     alone = x.shape[1] == 1  # evaluated in Python floats, bitwise as in a batch
 
     def jets(cols, values):  # slope and curvature at ``values``, (B, 2)
         p[ref, cols] = values
         out = np.zeros((len(values), 2))
         at = p[:, 0] if alone else p[:, cols]
-        for _, _, _, grad, hess, _ in codegen.active_blocks([term], at, slot, 2):
+        for _, grad, hess, _ in active.blocks(at, 2):
             # one slot: each block is None or the 1-tuple of its entry
             for k, block in enumerate((grad, hess)):
                 if block is not None:

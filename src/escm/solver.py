@@ -10,21 +10,18 @@ rejected or unsolvable takes the damped fallback alone and in place: the
 Levenberg shift grows geometrically from ``_LAMBDA0``, and past
 ``_LAMBDA_MAX`` gradient descent with Armijo backtracking takes over.
 Accepted iterates never increase the objective, and every column's
-iterates are bitwise those of running it alone.
-
-The loop plans its term work once (:class:`escm.engine._Planned`): a term
-that reads no free coordinate is evaluated once, at the start, and its
-value is kept; every later energy and derivative evaluates only the terms
-that read a free coordinate, and gives bitwise what the whole objective
-gives.  Whatever columns are live, one column or several, they are
-evaluated through the same plan: one column on its 1-D point, in Python
-floats, several as a batch.  :func:`solve` checks its inputs;
-``causal.abduct`` and ``causal.counterfactual`` pass flat clamps they
-have checked already and skip those checks.
+iterates are bitwise those of running it alone.  A lone live column is
+evaluated on its 1-D point, in Python floats, which is quicker than a
+batch of one.  The loop plans its derivative work once
+(:class:`escm.engine._Planned`): the terms that read a free coordinate are
+found once per run and each order's scatter layout is built once, so a
+derivative call evaluates and adds up only those terms, bitwise as the
+whole objective does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,7 +94,11 @@ def normalize_refs(objective_or_model, items) -> list[int]:
     model = objective_or_model.model if isinstance(objective_or_model, Objective) \
         else objective_or_model
     out: list[int] = []
+    dim = model.dim
     for item in items:
+        if type(item) is int and 0 <= item < dim:  # a flat index, the common case
+            out.append(item)
+            continue
         if isinstance(item, str):
             out.append(model.parse_coord(item))
             continue
@@ -137,7 +138,7 @@ def finite_number(value, what: str, low: float | None = None) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise QueryError(f"{what} is not a number: {value!r}") from None
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise QueryError(f"{what} is not finite")
     if low is not None and number < low:
         raise QueryError(f"{what} must be at least {low:g}")
@@ -161,7 +162,7 @@ def _initial_point(objective: Objective, cfg: SolverConfig,
 
 
 def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
-          init_point: Point | None = None, *, _checked: bool = False) -> Equilibrium:
+          init_point: Point | None = None) -> Equilibrium:
     """Minimize an energy over ``free`` coordinates with ``clamps`` fixed.
 
     ``target`` is a model or an edited objective.  ``free`` defaults to
@@ -170,30 +171,23 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     ``cfg.init`` otherwise; clamps overwrite the start.  Raises
     :class:`SolverError` (with diagnostics attached) on non-convergence and
     :class:`SingularSystemError` when damping escalation is exhausted.
-
-    ``_checked`` skips the checks of ``clamps`` and ``free`` for callers
-    in this package that hold flat indices already: clamps mapping flat
-    indices to finite floats, and free z and u indices, none clamped or
-    repeated.
     """
     objective = _as_objective(target)
     model = objective.model
     cfg = cfg or SolverConfig()
-    clamps = (clamps or {}) if _checked else normalize_clamps(objective, clamps or {})
+    clamps = normalize_clamps(objective, clamps or {})
 
     if free is None:
         free_refs = [i for i in (*model.coords("z"), *model.coords("u")) if i not in clamps]
-    elif _checked:
-        free_refs = list(free)
     else:
         free_refs = normalize_refs(objective, free)
-        for ref in free_refs:
-            if ref in model.coords("theta"):
-                raise QueryError("theta coordinates cannot be solved for")
-            if ref in clamps:
-                raise QueryError(f"coordinate {model.coord_label(ref)} is both free and clamped")
-        if len(set(free_refs)) != len(free_refs):
-            raise QueryError("duplicate free coordinates")
+    for ref in free_refs:
+        if ref in model.coords("theta"):
+            raise QueryError("theta coordinates cannot be solved for")
+        if ref in clamps:
+            raise QueryError(f"coordinate {model.coord_label(ref)} is both free and clamped")
+    if len(set(free_refs)) != len(free_refs):
+        raise QueryError("duplicate free coordinates")
 
     point = _initial_point(objective, cfg, init_point, clamps)
     traces, residuals, hessians = _newton(objective, free_refs, point.x[:, None], cfg)
@@ -224,7 +218,7 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
     model = objective.model
     k = len(free)
     live = list(range(x.shape[1]))  # the columns still iterating
-    objective = _Planned(objective, free)  # for the live columns
+    objective = _Planned(objective, free)  # for every derivative of the run
     energy = _values(objective, x)
     traces = [[e] for e in energy]
     residuals, hessians = [0.0] * len(live), [None] * len(live)
@@ -243,7 +237,6 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
             going = [i for i, s in enumerate(stop) if not s]
             live, energy, residual = ([seq[i] for i in going] for seq in (live, energy, residual))
             cols, grad, hess = live, grad[:, going], hess[:, :, going]
-            objective = objective.columns(going)
         if iterations >= cfg.max_iter:
             raise SolverError(
                 f"no convergence after {cfg.max_iter} iterations (residual {residual[0]:.3e})",
@@ -255,8 +248,7 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
         candidate[free] += step
         e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
         for i in (i for i, a in enumerate(accept) if not a):
-            found = _damped(objective.columns([i]), free, x[:, live[i]:live[i] + 1],
-                            grad[:, i:i + 1],
+            found = _damped(objective, free, x[:, live[i]:live[i] + 1], grad[:, i:i + 1],
                             hess[:, :, i], energy[i:i + 1], residual[i:i + 1])
             if found is None:
                 raise SingularSystemError(
@@ -271,7 +263,7 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
         iterations += 1
 
 
-def _damped(objective: _Planned, free: list[int], x: np.ndarray, grad: np.ndarray,
+def _damped(objective: Objective, free: list[int], x: np.ndarray, grad: np.ndarray,
             hess: np.ndarray, energy: list[float], residual: list[float]):
     """The fallback step from the column ``x`` (dim, 1), of gradient
     ``grad`` (k, 1), free Hessian ``hess`` (k, k), ``energy`` and
@@ -302,7 +294,7 @@ def _damped(objective: _Planned, free: list[int], x: np.ndarray, grad: np.ndarra
     return None
 
 
-def _try_candidates(objective: _Planned, free: list[int], x: np.ndarray, ok: list[bool],
+def _try_candidates(objective: Objective, free: list[int], x: np.ndarray, ok: list[bool],
                     energy: list[float], residual: list[float]) -> tuple[list[float], list[bool]]:
     """Energies of the candidates, the columns of ``x`` (dim, m), at
     points of ``energy`` and ``residual``, and whether each is accepted.
@@ -315,14 +307,12 @@ def _try_candidates(objective: _Planned, free: list[int], x: np.ndarray, ok: lis
     else:
         tried = [i for i, o in enumerate(ok) if o]
         e_new = [np.inf] * len(ok)
-        for i, e in zip(tried, _energies(objective.columns(tried), x[:, tried])
-                        if tried else ()):
+        for i, e in zip(tried, _energies(objective, x[:, tried]) if tried else ()):
             e_new[i] = e
     accept = [e < e0 for e, e0 in zip(e_new, energy)]
     flat = [i for i in tried if e_new[i] == energy[i]]
     if flat:
-        grad = objective.columns(flat).derivatives(_at(objective.model, x[:, flat]), order=1,
-                                                   active=free).grad
+        grad = objective.derivatives(_at(objective.model, x[:, flat]), order=1, active=free).grad
         for i, r in zip(flat, _residuals(grad.reshape(len(free), len(flat)))):
             accept[i] = r < residual[i]
     return e_new, accept
@@ -342,7 +332,7 @@ def _values(objective: Objective, x: np.ndarray) -> list[float]:
     return [energy] if x.shape[1] == 1 else energy.tolist()
 
 
-def _energies(objective: _Planned, x: np.ndarray) -> list[float]:
+def _energies(objective: Objective, x: np.ndarray) -> list[float]:
     """Energies of the columns of ``x`` (dim, m); a column outside the
     energy's domain reads inf."""
     try:
@@ -350,8 +340,7 @@ def _energies(objective: _Planned, x: np.ndarray) -> list[float]:
     except EnergyDomainError:
         if x.shape[1] == 1:
             return [np.inf]
-        return [e for j in range(x.shape[1])
-                for e in _energies(objective.columns([j]), x[:, j:j + 1])]
+        return [e for j in range(x.shape[1]) for e in _energies(objective, x[:, j:j + 1])]
 
 
 def _residuals(grad: np.ndarray) -> list[float]:

@@ -374,11 +374,11 @@ def test_scalar_argmins_of_a_batch_are_bitwise_each_column_alone(monkeypatch):
     bisection steps, or step out of the log's domain first each find the
     root they find alone, bitwise."""
     faults, off_newton = [], []  # off_newton: points that are not a Newton step
-    active_blocks, argmin_steps = codegen.active_blocks, reduction._argmin_steps
+    run_blocks, argmin_steps = codegen._ActiveTerms.blocks, reduction._argmin_steps
 
     def blocks(*args):
         try:
-            return active_blocks(*args)
+            return run_blocks(*args)
         except EnergyDomainError as error:
             faults.append(error)
             raise
@@ -399,7 +399,7 @@ def test_scalar_argmins_of_a_batch_are_bitwise_each_column_alone(monkeypatch):
             else:
                 x, (g, h) = point, sent
 
-    monkeypatch.setattr(codegen, "active_blocks", blocks)
+    monkeypatch.setattr(codegen._ActiveTerms, "blocks", blocks)
     monkeypatch.setattr(reduction, "_argmin_steps", steps_noted)
     starts = np.array([[x0, u] for x0 in (-1.1, -0.5, 0.0, 1.0, 4.0)
                        for u in (-2.0, -0.7, 1e-9, 1.3, 2.0)]).T
@@ -417,13 +417,13 @@ def test_scalar_argmins_take_at_most_three_jets_on_corpus_slices(monkeypatch):
     """A corpus slice is quadratic, so one Newton step is exact: the sweep
     evaluates the slice at its start and at that step, and no more."""
     model = parse_model(random_quadratic_model(np.random.default_rng(0), 10, density=0.3))
-    counts, inside = [], []  # active_blocks calls per _scalar_argmins call, and in the running one
-    active_blocks, scalar_argmins = codegen.active_blocks, reduction._scalar_argmins
+    counts, inside = [], []  # jets per _scalar_argmins call, and in the running one
+    run_blocks, scalar_argmins = codegen._ActiveTerms.blocks, reduction._scalar_argmins
 
     def blocks(*args):
         if inside:
             inside[0] += 1
-        return active_blocks(*args)
+        return run_blocks(*args)
 
     def argmins(*args):
         inside.append(0)
@@ -432,7 +432,7 @@ def test_scalar_argmins_take_at_most_three_jets_on_corpus_slices(monkeypatch):
         finally:
             counts.append(inside.pop())
 
-    monkeypatch.setattr(codegen, "active_blocks", blocks)
+    monkeypatch.setattr(codegen._ActiveTerms, "blocks", blocks)
     monkeypatch.setattr(reduction, "_scalar_argmins", argmins)
     sampler = {v.name: {"dist": "gauss"} for v in model.exogenous}
     assert pushforward_check(model, sampler, trials=40, seed=1).passed

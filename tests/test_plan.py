@@ -1,8 +1,9 @@
-"""An objective planned for one solve (``engine._Planned``) evaluates only
-the terms that read a free coordinate, yet its energies and derivatives
-are bitwise what ``Objective.value`` and ``Objective.derivatives`` give at
-every point the solve can reach: the start columns with their free
-coordinates moved.  Its domain errors are theirs too."""
+"""An objective planned for one solve (``engine._Planned``) finds the terms
+that read a free coordinate and builds each order's scatter layout once,
+yet its energies and derivatives are bitwise what ``Objective.value`` and
+``Objective.derivatives`` give at every point the solve can reach: the
+start columns with their free coordinates moved.  Its domain errors are
+theirs too."""
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_a_planned_objective_is_bitwise_the_objective_where_its_solve_goes(seed,
     # some of the columns, as stopped columns and damped steps leave them
     for cols in ([0], [width - 1], [0, width - 1]):
         if len(cols) <= width:
-            _same_everywhere(objective, planned.columns(cols), free, x[:, cols])
+            _same_everywhere(objective, planned, free, x[:, cols])
 
 
 _BARRIER = {
@@ -84,9 +85,9 @@ def _outcome(fn):
 # (free names, start columns of (Z1, Z2, U1), the free values it moves to)
 _CASES = {
     "a free barrier left": (["Z1"], [[0.0, 0.0, 0.5]], [[-2.0]]),
-    "a kept barrier left at the start": (["Z2"], [[-2.0, 0.0, 0.5]], [[0.1]]),
-    "a kept term fails before a free one": (["Z2"], [[-2.0, -3.0, 0.5]], [[0.0]]),
-    "a free term fails before a kept one": (["Z1"], [[-2.0, 0.0, -2.0]], [[0.0]]),
+    "a fixed barrier left at the start": (["Z2"], [[-2.0, 0.0, 0.5]], [[0.1]]),
+    "a fixed term fails before a free one": (["Z2"], [[-2.0, -3.0, 0.5]], [[0.0]]),
+    "a free term fails before a fixed one": (["Z1"], [[-2.0, 0.0, -2.0]], [[0.0]]),
     "one column of a batch left": (["Z1", "Z2"], [[0.0, 0.0, 0.5], [0.1, 0.2, 0.0]],
                                    [[0.3, -1.5], [0.2, -2.5]]),
 }
