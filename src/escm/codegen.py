@@ -609,10 +609,11 @@ class _Gen:
 
     # -- jet rules ------------------------------------------------------------
 
-    def scaled(self, x: _Val, c: str, op: str = "*") -> _Val:
-        """A jet times (or divided by) the name ``c`` of a non-jet."""
+    def scaled(self, x: _Val, c: str, op: str = "*", value: str | None = None) -> _Val:
+        """A jet times (or divided by) the name ``c`` of a non-jet; its
+        value is ``value`` if given."""
         fmt = f"{c} * {{}}" if op == "*" else f"{{}} / {c}"
-        return _Val(self.let(f"{x.v} {op} {c}"),
+        return _Val(value or self.let(f"{x.v} {op} {c}"),
                     {s: self.let(f"{n} {op} {c}") for s, n in x.g.items()},
                     self.map(x.h, fmt), self.map(x.t, fmt))
 
@@ -632,8 +633,9 @@ class _Gen:
         return _Val(v, dict(sorted(g.items())),
                     self.add(a.h, b.h, 2, op), self.add(a.t, b.t, 3, op))
 
-    def times(self, a: _Val, b: _Val) -> _Val:
-        v = self.let(f"{a.v} * {b.v}")
+    def times(self, a: _Val, b: _Val, value: str | None = None) -> _Val:
+        """The product of two jets; its value is ``value`` if given."""
+        v = value or self.let(f"{a.v} * {b.v}")
         g = {}
         for s in sorted(a.g.keys() | b.g.keys()):
             ga, gb = a.g.get(s), b.g.get(s)
@@ -740,7 +742,10 @@ class _Gen:
         self.lines += ["except ZeroDivisionError:",
                        f"    _divzero({node})"]
         recip = self.chain(b, *f)
-        return self.times(a, recip) if a.g is not None else self.scaled(recip, a.v)
+        value = self.let(f"{a.v} / {v}")  # the quotient as order 0 computes it
+        if a.g is None:
+            return self.scaled(recip, a.v, value=value)
+        return self.times(a, recip, value)
 
     def power(self, cls: int) -> _Val:
         x = self.emit()

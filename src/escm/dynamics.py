@@ -283,8 +283,11 @@ def _eliminated(model: Model, eliminate, pairs) -> tuple:
     """``eliminate`` as a tuple of distinct endogenous names that no pair
     names."""
     nodes = [v.name for v in model.endogenous]
-    eliminated = () if isinstance(eliminate, str) else tuple(eliminate)
-    if isinstance(eliminate, str) or any(name not in nodes for name in eliminated) \
+    try:
+        eliminated = None if isinstance(eliminate, str) else tuple(eliminate)
+    except TypeError:  # not iterable
+        eliminated = None
+    if eliminated is None or any(name not in nodes for name in eliminated) \
             or len(set(eliminated)) < len(eliminated):
         raise QueryError(f"eliminate must list distinct endogenous variables, not {eliminate!r}")
     if any(a in eliminated or i in eliminated for a, i in pairs):
@@ -333,7 +336,7 @@ def dyn_icm_check(model: Model, i: str, point: Point,
     ``d_residual_d_parent`` holds dF_i/dtheta_PA(i) and
     ``mixed_parent_own`` d2F_i/(dtheta_PA(i) dtheta_i)."""
     components = _require_dynamics(model)
-    if i not in components:
+    if not isinstance(i, str) or i not in components:
         raise QueryError(f"no dynamics component for {i!r}")
 
     def residual_derivatives(parent_refs, own_refs):

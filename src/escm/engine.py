@@ -375,6 +375,9 @@ def second_order(target, point: Point) -> SecondOrder:
 
 
 def _require_nondescendant(model: Model, a: str, i: str) -> None:
+    if not isinstance(i, str):  # not a name, and perhaps not hashable
+        model.descendants(a)  # as for any i, a bad ``a`` is named first
+        model.var(i)  # raises QueryError
     if i == a or i in model.descendants(a):
         raise PairError(f"{i!r} is {a!r} or one of its descendants")
 

@@ -209,6 +209,10 @@ class Model:
         )
         self.mask_warnings: tuple[str, ...] = ()  # parse_model fills it after compiling
         self._readers: dict[int, list[int]] | None = None  # see _terms_reading
+        self._module_thetas: dict[tuple[str, bool], tuple[int, ...]] = {}  # module_theta_refs
+        # set by reduction.induce_scm once every local term has passed its
+        # convexity probe; a model that fails is probed again on every call
+        self._convex_probed = False
         self._located: dict[str, int] = {}  # symbol text -> flat index, see _locate
         self._build_indexes()
 
@@ -295,20 +299,25 @@ class Model:
 
         These coincide for well-separated models; they differ exactly when
         parameters are shared across mechanisms, which is what the
-        independence diagnostics must attribute correctly.
+        independence diagnostics must attribute correctly.  Each set is
+        computed on first use and kept; the caller gets a new list.
         """
-        if owner not in self._theta_refs:
-            raise QueryError(f"no term owned by {owner!r}")
-        thetas = self._coords["theta"]
-        idx = set(self._theta_refs[owner])
-        term = self.term_by_label.get(owner)
-        if term is not None and term.compiled is not None:
-            idx |= {r for r in term.compiled.refs if r in thetas}
-        if dynamics and self.dynamics is not None:
-            for comp in self.dynamics:
-                if comp.var == owner and comp.compiled is not None:
-                    idx |= {r for r in comp.compiled.refs if r in thetas}
-        return sorted(idx)
+        key = (owner, bool(dynamics))
+        refs = self._module_thetas.get(key)
+        if refs is None:
+            if owner not in self._theta_refs:
+                raise QueryError(f"no term owned by {owner!r}")
+            thetas = self._coords["theta"]
+            idx = set(self._theta_refs[owner])
+            term = self.term_by_label.get(owner)
+            if term is not None and term.compiled is not None:
+                idx |= {r for r in term.compiled.refs if r in thetas}
+            if dynamics and self.dynamics is not None:
+                for comp in self.dynamics:
+                    if comp.var == owner and comp.compiled is not None:
+                        idx |= {r for r in comp.compiled.refs if r in thetas}
+            refs = self._module_thetas[key] = tuple(sorted(idx))
+        return list(refs)
 
     def labels(self, space: str) -> list[str]:
         """Labels of one space's coordinates without the space prefix."""

@@ -11,7 +11,10 @@ validates: each scalar best response takes safeguarded Newton steps on
 its own slice inside a sign bracket, and steps downhill or bisects where a
 Newton step would leave the bracket or not halve the last step.  A vector
 block runs the solver's Newton loop on its own term, parents frozen: it
-shares the loop with the energy side, not the problem.
+shares the loop with the energy side, not the problem.  Blockwise
+convexity is probed at the origin when :func:`induce_scm` first builds a
+model's equations; a model that passes keeps the verdict, so the repeated
+checks of one model object probe it once.
 
 The checks evaluate their draws in chunks, and every path runs on a
 batch of draws, whatever its size: one draw is a batch of one.  On the
@@ -329,9 +332,16 @@ def _require_draws(trials: int, seed: int, tol: float,
 
 def induce_scm(model: Model) -> InducedScm:
     """Build the induced structural equations; verifies blockwise convexity
-    at the origin."""
+    at the origin.
+
+    The probe is a fact about the model, so it runs on the first call for
+    a model object only: once every block passes, the model keeps the
+    verdict and later calls build the equations without probing.  A model
+    whose probe fails is probed again, and fails again, on every call."""
     _require_separable(model, "the induced structural model")
     scm = InducedScm(model)
+    if model._convex_probed:
+        return scm
     origin = Point.for_model(model)
     objective = Objective.from_model(model)
     for node in scm.order:
@@ -341,6 +351,7 @@ def induce_scm(model: Model) -> InducedScm:
         # inconclusive (e.g. quartics at their minimum) and admitted
         if float(np.min(np.linalg.eigvalsh(h))) < 0.0:
             raise NonConvexBlockError(node, "probe point")
+    model._convex_probed = True
     return scm
 
 

@@ -138,6 +138,8 @@ def finite_number(value, what: str, low: float | None = None) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise QueryError(f"{what} is not a number: {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        raise QueryError(f"{what} is not finite") from None
     if not math.isfinite(number):
         raise QueryError(f"{what} is not finite")
     if low is not None and number < low:

@@ -1,0 +1,77 @@
+"""Fuzz of the public Python checks and penalties on chain2 with dynamics:
+names, pairs, ``eliminate`` values and penalty weights of any shape,
+hashable or not.  Whatever the arguments, a call returns or raises an
+``EscmError``; no ``TypeError`` or other bare exception escapes."""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from escm import (
+    EscmError,
+    Point,
+    dyn_icm_check,
+    dyn_lap_check,
+    effective_energy_pair,
+    icm_check,
+    icm_penalty,
+    lap_check,
+    lap_penalty,
+    parse_model,
+)
+from escm.dynamics import dyn_icm_penalty, dyn_lap_penalty
+from tests.conftest import CHAIN2_DYNAMICS, chain2_dict
+
+_SPEC = chain2_dict()
+_SPEC["dynamics"] = CHAIN2_DYNAMICS
+MODEL = parse_model(_SPEC)
+POINT = Point.for_model(MODEL, z=[0.5, -0.3], u=[0.2, 0.1])
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(["Z1", "Z2", "U1", "U2", "Nope", "global", "z.Z1", "",
+                               10 ** 400]))  # an int beyond the float range
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.tuples(inner, inner)
+                       | st.dictionaries(_SCALARS.filter(lambda v: v == v), inner, max_size=3),
+                       max_leaves=6)
+_NAMES = st.sampled_from(["Z1", "Z2"]) | _VALUES
+_KEYS = (st.tuples(st.sampled_from(["Z1", "Z2"]), st.sampled_from(["Z1", "Z2"]))
+         | st.tuples(_SCALARS, _SCALARS) | _SCALARS)  # pairs, nodes and others
+_WEIGHTS = _VALUES | st.dictionaries(_KEYS, _VALUES, max_size=3)
+
+
+def _only_escm_errors(*calls):
+    for call in calls:
+        try:
+            call()
+        except EscmError:
+            pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=_NAMES, i=_NAMES, eliminate=_VALUES | st.lists(_NAMES, max_size=3))
+@example(a="Z2", i=["Z1"], eliminate=None)
+def test_a_check_of_any_names_raises_only_escm_errors(a, i, eliminate):
+    _only_escm_errors(
+        lambda: lap_check(MODEL, a, i, POINT),
+        lambda: dyn_lap_check(MODEL, a, i, POINT),
+        lambda: dyn_lap_check(MODEL, "Z2", "Z1", POINT, eliminate=eliminate),
+        lambda: dyn_lap_check(MODEL, a, i, POINT, eliminate=eliminate),
+        lambda: icm_check(MODEL, i, POINT),
+        lambda: dyn_icm_check(MODEL, i, POINT),
+        lambda: effective_energy_pair(MODEL, a, i, POINT).cross_zz(),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(first=_WEIGHTS, second=_WEIGHTS, default=_VALUES)
+@example(first=10 ** 400, second={("Z2", "Z1"): 10 ** 400}, default=10 ** 400)
+def test_a_penalty_of_any_weights_raises_only_escm_errors(first, second, default):
+    _only_escm_errors(
+        lambda: lap_penalty(MODEL, [POINT], lam=first, mu=second, default=default),
+        lambda: icm_penalty(MODEL, [POINT], alpha=first, beta=second, default=default),
+        lambda: dyn_lap_penalty(MODEL, [POINT], lam=first, mu=second),
+        lambda: dyn_icm_penalty(MODEL, [POINT], alpha=first, beta=second),
+    )

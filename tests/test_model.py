@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,3 +351,56 @@ def test_dag_order_and_cycles_on_random_edge_sets():
         assert cycle[0] == min(cycle, key=nodes.index)
         cyclic += 1
     assert acyclic > 200 and cyclic > 100
+
+
+def _module_theta_refs_uncached(model, owner, dynamics):
+    """A module's parameter set computed from scratch: the parameters its
+    term declares, those it reads, and with ``dynamics`` those its field
+    component reads."""
+    term = model.term_by_label[owner]
+    thetas = set(model.coords("theta"))
+    refs = {model.parse_coord(f"theta.{owner}.{name}") for name in term.params}
+    refs |= thetas & set(term.compiled.refs)
+    if dynamics:
+        for comp in model.dynamics or ():
+            if comp.var == owner:
+                refs |= thetas & set(comp.compiled.refs)
+    return sorted(refs)
+
+
+def _shared_parameter_model():
+    """chain2 whose Z1 term and field component read Z2's parameter, and
+    whose Z1 component reads a parameter of its own term."""
+    spec = chain2_dict()
+    spec["terms"][0].update(expr="0.5*sq(z.Z1 - theta.Z2.a*theta.Z1.b*u.U1)", params={"b": 1})
+    spec["dynamics"] = [{"var": "Z1", "expr": "-(z.Z1 - theta.Z2.a*u.U1)"},
+                        {"var": "Z2", "expr": "-(z.Z2 - theta.Z1.b*z.Z1 - u.U2)"}]
+    return parse_model(spec)
+
+
+def test_module_theta_refs_are_the_uncached_sets_and_callers_own_them():
+    models = [parse_model(path.read_text(), mask_policy="warn") for path in
+              sorted((Path(__file__).parent / "golden" / "models").glob("*.json"))]
+    models.append(_shared_parameter_model())
+    shared = 0
+    for model in models:
+        for owner in model.term_by_label:
+            for dynamics in (False, True):
+                expected = _module_theta_refs_uncached(model, owner, dynamics)
+                first = model.module_theta_refs(owner, dynamics=dynamics)
+                assert first == expected
+                first.append(-1)
+                first.clear()
+                again = model.module_theta_refs(owner, dynamics=dynamics)
+                assert again == expected and again is not first
+                shared += len(expected) > len(model.term_by_label[owner].params)
+        with pytest.raises(QueryError, match="no term owned"):
+            model.module_theta_refs("Nope")
+        with pytest.raises(QueryError, match="no term owned"):
+            model.module_theta_refs("Nope")
+    assert shared  # the shared model reads parameters it does not declare
+    model = models[-1]
+    a, b = model.parse_coord("theta.Z2.a"), model.parse_coord("theta.Z1.b")
+    assert model.module_theta_refs("Z1") == model.module_theta_refs("Z1", True) == sorted([a, b])
+    assert model.module_theta_refs("Z2") == [a]
+    assert model.module_theta_refs("Z2", dynamics=True) == sorted([a, b])

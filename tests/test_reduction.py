@@ -382,3 +382,50 @@ def test_oracle_checks_build_each_edit_and_readout_once(chain2, monkeypatch):
     counts.update(apply=0)
     equivalence_check(chain2, trials=7, seed=3)
     assert counts["apply"] == 7
+
+
+def test_convexity_is_probed_once_per_model_object(monkeypatch):
+    """The first oracle check of a model probes each node's term once;
+    later checks of the same object probe nothing, and a model parsed again
+    from the same text is probed again.  The reports are unchanged."""
+    from escm.engine import Objective
+
+    probes = []
+    term_jet = Objective.term_jet
+
+    def spy(self, *args, **kwargs):
+        probes.append(args[0].owner)
+        return term_jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(Objective, "term_jet", spy)
+    text = (Path(__file__).parent / "golden" / "models" / "rq10.json").read_text()
+    model = parse_model(text)
+    nodes = sorted(model.dag.nodes)
+    sampler = {v.name: {"dist": "uniform", "lo": -1, "hi": 1} for v in model.exogenous}
+    first = pushforward_check(model, sampler, trials=5, seed=1)
+    assert sorted(probes) == nodes
+    second = pushforward_check(model, sampler, trials=5, seed=1)
+    equivalence_check(model, trials=5, seed=2)
+    induce_scm(model)
+    assert sorted(probes) == nodes
+    assert second == first
+
+    again = parse_model(text)
+    assert equivalence_check(again, trials=5, seed=2) == equivalence_check(model, trials=5, seed=2)
+    assert sorted(probes) == sorted(nodes * 2)
+
+
+def test_a_non_convex_model_fails_its_probe_on_every_call():
+    model = parse_model({
+        "variables": [{"name": "Z1", "kind": "endogenous"},
+                      {"name": "U1", "kind": "exogenous"}],
+        "edges": [],
+        "terms": [{"owner": "local:Z1", "expr": "-sq(z.Z1) + z.Z1*u.U1"}],
+    })
+    for _ in range(2):
+        with pytest.raises(NonConvexBlockError, match="probe point"):
+            induce_scm(model)
+        with pytest.raises(NonConvexBlockError, match="probe point"):
+            equivalence_check(model, trials=2)
+        with pytest.raises(NonConvexBlockError, match="probe point"):
+            pushforward_check(model, {"U1": {"dist": "gauss"}}, trials=2)
