@@ -303,12 +303,11 @@ def abduct(model: Model, evidence: Evidence | dict, cfg: SolverConfig | None = N
     # one check for both forms: a directly built Evidence is not trusted
     evidence = Evidence.from_dict(
         model, evidence.clamps if isinstance(evidence, Evidence) else evidence)
-    cfg = cfg or SolverConfig()
     eq = solve(model, clamps=evidence.clamps, cfg=cfg)
     return Explanation(
         model=model,
         point=eq.point,
-        selector=f"min-norm(init={cfg.init})",
+        selector="min-norm(init=zeros)",
         clamped=tuple(eq.clamps),
         free=eq.free,
         residual=eq.residual,
@@ -335,6 +334,16 @@ def _compile_readout(model: Model, source, s_dim: int | None = None) -> Compiled
     if not isinstance(source, str):
         raise QueryError(f"readout {source!r} is not an expression string")
     return compile_query(source, model.readout_resolver(s_dim=s_dim))
+
+
+def _compile_readouts(model: Model, readouts) -> dict[str, CompiledExpr]:
+    """Each of a query's readouts compiled once; ``{}`` for None, and a
+    :class:`QueryError` unless ``readouts`` maps names to expressions."""
+    if readouts is None:
+        return {}
+    if not isinstance(readouts, dict):
+        raise QueryError("readouts must map names to expressions")
+    return {name: _compile_readout(model, source) for name, source in readouts.items()}
 
 
 def _read(compiled: CompiledExpr, point: Point, s=None) -> float:
@@ -373,21 +382,8 @@ def _apply_hold_override(model: Model, default: list[int], hold) -> list[int]:
     return [r for r in free if r not in held]
 
 
-def _read_all(model: Model, readouts: dict[str, str] | None, point: Point,
-              compiled: dict[str, CompiledExpr]) -> dict[str, float]:
-    """Every readout at ``point``; ``compiled`` keeps each readout's
-    compiled form for the other branches of the same query."""
-    values = {}
-    for name, source in (readouts or {}).items():
-        if name not in compiled:
-            compiled[name] = _compile_readout(model, source)
-        values[name] = _read(compiled[name], point)
-    return values
-
-
 def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
-             readouts: dict[str, str] | None, hold, cfg: SolverConfig | None,
-             compiled: dict[str, CompiledExpr] | None = None):
+             readouts: dict[str, CompiledExpr], hold, cfg: SolverConfig | None):
     free = _apply_hold_override(model, _default_free(model, edited), hold)
     for ref in free:
         if ref in edited.clamps:
@@ -405,7 +401,7 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
         pre=explanation.point.copy(),
         post=eq.point,
         surgeries=edited.surgeries,
-        readouts=_read_all(model, readouts, eq.point, {} if compiled is None else compiled),
+        readouts={name: _read(compiled, eq.point) for name, compiled in readouts.items()},
         explanation=explanation,
         equilibrium=eq,
         free=tuple(free),
@@ -421,6 +417,7 @@ def counterfactual(model: Model, evidence, surgeries, readouts=None,
     abducted values, and descendants (plus softly edited targets)
     re-minimize.  ``hold`` overrides that partition.
     """
+    readouts = _compile_readouts(model, readouts)
     explanation = abduct(model, evidence, cfg)
     edited = apply_surgery(model, surgeries)
     return _predict(model, explanation, edited, readouts, hold, cfg)
@@ -458,11 +455,10 @@ class SelectionResult:
 def _branch_results(model, explanation, surgery: DisjunctiveSurgery,
                     readouts, hold, cfg):
     results = {}
-    compiled: dict[str, CompiledExpr] = {}  # each readout compiled once per query
     for value in surgery.values:
         edited = apply_surgery(model, hard(model, surgery.target, value))
         try:
-            results[value] = _predict(model, explanation, edited, readouts, hold, cfg, compiled)
+            results[value] = _predict(model, explanation, edited, readouts, hold, cfg)
         except SolverError as err:
             raise SolverError(f"branch {surgery.target}:={list(value)} failed: {err}",
                               diagnostics=getattr(err, "diagnostics", {})) from err
@@ -473,11 +469,12 @@ def _branch_results(model, explanation, surgery: DisjunctiveSurgery,
 
 
 def disjunctive_envelope(model: Model, evidence, target: str, values,
-                         readouts: dict[str, str], hold=None,
+                         readouts: dict[str, str] | None, hold=None,
                          cfg: SolverConfig | None = None) -> EnvelopeResult:
     """Run every singleton branch from one abducted context and report the
     family plus [min, max] per readout (the family is not collapsed)."""
     surgery = disjunctive(model, target, values)
+    readouts = _compile_readouts(model, readouts)
     explanation = abduct(model, evidence, cfg)
     branches = _branch_results(model, explanation, surgery, readouts, hold, cfg)
     envelopes = {}
@@ -495,8 +492,9 @@ def disjunctive_select(model: Model, evidence, target: str, values,
     selection cost; commit at tau=0 (ties -> lexicographically smaller
     value) or blend with softmin weights at tau>0."""
     surgery, cost = _disjunctive(model, target, values, rho, control, tau)
+    readouts = _compile_readouts(model, readouts)
     explanation = abduct(model, evidence, cfg)
-    branches = _branch_results(model, explanation, surgery, readouts or {}, hold, cfg)
+    branches = _branch_results(model, explanation, surgery, readouts, hold, cfg)
 
     energies: dict[tuple[float, ...], float] = {}
     for value, res in branches.items():
@@ -518,7 +516,7 @@ def disjunctive_select(model: Model, evidence, target: str, values,
         weights = {v: raw[v] / total for v in ordered}
         selected = None
         readout_values = {}
-        for name in (readouts or {}):
+        for name in readouts:
             readout_values[name] = float(
                 sum(weights[v] * branches[v].readouts[name] for v in ordered))
     return SelectionResult(

@@ -20,15 +20,14 @@ The checks evaluate their draws in chunks, and every path runs on a
 batch of draws, whatever its size: one draw is a batch of one.  On the
 energy side the draws of a chunk whose edits share their terms run
 through the solver's Newton loop as one batch, damped steps included, so
-no draw is handed off or solved again.  The energy side starts from
-zeros, never from the forward sweep, so the checks refuse any other
-``SolverConfig.init``: from the sweep it would compare the sweep with
-itself.  On the SCM side the draws that share a node's term find their
-best responses together: at a scalar block each runs its own steps on
-Python floats, and the slopes and curvatures all of them need next are
-one batched evaluation of the term's generated code; a vector block runs
-its draws as the columns of one Newton batch.  Every draw's numbers are
-bitwise those of evaluating the draws one by one.
+no draw is handed off or solved again.  The energy side always starts
+from zeros, never from the forward sweep, so a check never compares the
+sweep with itself.  On the SCM side the draws that share a node's term
+find their best responses together: at a scalar block each runs its own
+steps on Python floats, and the slopes and curvatures all of them need
+next are one batched evaluation of the term's generated code; a vector
+block runs its draws as the columns of one Newton batch.  Every draw's
+numbers are bitwise those of evaluating the draws one by one.
 
 A chunk runs as one batch or, if the batch raises, replays the same code
 one draw at a time: each draw's energy side, SCM side and readouts in
@@ -53,7 +52,7 @@ from .engine import Objective, ObjectiveTerm, Point
 from .errors import (ClassViolationError, EnergyDomainError, EscmError, NonConvexBlockError,
                      QueryError, SolverError)
 from .model import Model
-from .solver import SolverConfig, _newton, finite_number
+from .solver import SolverConfig, _is_int, _newton, finite_number
 
 __all__ = [
     "InducedScm",
@@ -315,19 +314,18 @@ def _require_separable(model: Model, what: str) -> None:
             f"violations: {model.mask_warnings[0]}")
 
 
-def _require_draws(trials: int, seed: int, tol: float,
-                   cfg: SolverConfig | None) -> SolverConfig:
-    """At least one trial, a seed numpy accepts, a finite tol >= 0 and a
-    solver started from zeros; returns the solver configuration."""
+def _require_draws(trials: int, seed: int, tol: float) -> None:
+    """At least one trial, an integer seed numpy accepts and a finite
+    tol >= 0."""
+    if not _is_int(trials):
+        raise QueryError(f"trials is not an integer: {trials!r}")
     if trials < 1:
         raise QueryError("trials must be at least 1")
+    if not _is_int(seed):
+        raise QueryError(f"seed is not an integer: {seed!r}")
     if seed < 0:
         raise QueryError("seed must be non-negative")
     finite_number(tol, "tol", low=0.0)
-    cfg = cfg or SolverConfig()
-    if cfg.init != "zeros":
-        raise QueryError(f"the oracle checks solve from zeros, not from {cfg.init!r}")
-    return cfg
 
 
 def induce_scm(model: Model) -> InducedScm:
@@ -506,7 +504,8 @@ def equivalence_check(model: Model, trials: int = 100, seed: int = 0,
     raised, that of the first trial that fails.
     """
     _require_separable(model, "the equivalence check")
-    cfg = _require_draws(trials, seed, tol, cfg)
+    _require_draws(trials, seed, tol)
+    cfg = cfg or SolverConfig()
     scm = induce_scm(model)
     rng = np.random.default_rng(seed)
     generator = surgery_generator or _default_surgery
@@ -549,6 +548,8 @@ class PushforwardReport:
 def _build_sampler(model: Model, spec: dict):
     """Independent per-variable exogenous sampler from a JSON spec; a draw
     stacks the variables' blocks in declaration order, the order of u."""
+    if not isinstance(spec, dict):
+        raise QueryError("sampler spec must map exogenous variables to entries")
     draws = []
     for v in model.exogenous:
         entry = spec.get(v.name)
@@ -612,9 +613,12 @@ def pushforward_check(model: Model, sampler_spec: dict, trials: int = 1000,
     failing draw, are bitwise those of evaluating the draws one by one.
     """
     _require_separable(model, "the pushforward check")
-    cfg = _require_draws(trials, seed, tol, cfg)
+    _require_draws(trials, seed, tol)
+    cfg = cfg or SolverConfig()
     scm = induce_scm(model)
     sample = _build_sampler(model, sampler_spec)
+    if not isinstance(statistics, (dict, type(None))):
+        raise QueryError("statistics must map names to expressions")
     statistics = statistics or {"z_all_max": None}
     readouts = {name: None if source is None else _compile_readout(model, source)
                 for name, source in statistics.items()}

@@ -41,15 +41,14 @@ _ARMIJO_C = 1e-4  # sufficient decrease of the gradient-descent fallback
 class SolverConfig:
     tol_grad: float = 1e-10
     max_iter: int = 200
-    init: str = "zeros"  # "zeros" | "forward-scm": the start when no point is given
 
     def __post_init__(self):
         if finite_number(self.tol_grad, "tol_grad") <= 0:
             raise QueryError("tol_grad must be positive")
+        if not _is_int(self.max_iter):
+            raise QueryError(f"max_iter is not an integer: {self.max_iter!r}")
         if self.max_iter < 1:
             raise QueryError("max_iter must be at least 1")
-        if self.init not in ("zeros", "forward-scm"):
-            raise QueryError(f"unknown init mode {self.init!r}")
 
 
 @dataclass
@@ -147,22 +146,6 @@ def finite_number(value, what: str, low: float | None = None) -> float:
     return number
 
 
-def _initial_point(objective: Objective, cfg: SolverConfig,
-                   init_point: Point | None, clamps: dict[int, float]) -> Point:
-    model = objective.model
-    if init_point is not None:
-        point = init_point.copy()
-    elif cfg.init == "zeros":
-        point = Point.for_model(model)
-    else:  # "forward-scm"
-        from .reduction import forward_init  # local import: avoids a cycle
-
-        point = forward_init(model, clamps)
-    for ref, val in clamps.items():
-        point.x[ref] = val
-    return point
-
-
 def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
           init_point: Point | None = None) -> Equilibrium:
     """Minimize an energy over ``free`` coordinates with ``clamps`` fixed.
@@ -170,9 +153,10 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     ``target`` is a model or an edited objective.  ``free`` defaults to
     every z- and u-coordinate that is not clamped.  The solve starts from a
     copy of ``init_point``, theta included, when one is given, and from
-    ``cfg.init`` otherwise; clamps overwrite the start.  Raises
-    :class:`SolverError` (with diagnostics attached) on non-convergence and
-    :class:`SingularSystemError` when damping escalation is exhausted.
+    zeros with the model's default parameters otherwise; clamps overwrite
+    the start.  Raises :class:`SolverError` (with diagnostics attached)
+    on non-convergence and :class:`SingularSystemError` when damping
+    escalation is exhausted.
     """
     objective = _as_objective(target)
     model = objective.model
@@ -191,7 +175,9 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     if len(set(free_refs)) != len(free_refs):
         raise QueryError("duplicate free coordinates")
 
-    point = _initial_point(objective, cfg, init_point, clamps)
+    point = Point.for_model(model) if init_point is None else init_point.copy()
+    for ref, val in clamps.items():
+        point.x[ref] = val
     traces, residuals, hessians = _newton(objective, free_refs, point.x[:, None], cfg)
     return Equilibrium(
         point=point,

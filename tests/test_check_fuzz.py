@@ -1,7 +1,9 @@
-"""Fuzz of the public Python checks and penalties on chain2 with dynamics:
-names, pairs, ``eliminate`` values and penalty weights of any shape,
-hashable or not.  Whatever the arguments, a call returns or raises an
-``EscmError``; no ``TypeError`` or other bare exception escapes."""
+"""Fuzz of the public Python checks, penalties, queries and oracle checks
+on chain2 with dynamics: names, pairs, ``eliminate`` values, penalty
+weights, readouts, sampler specs, statistics, trial counts, seeds and
+solver budgets of any shape, hashable or not.  Whatever the arguments, a
+call returns or raises an ``EscmError``; no ``TypeError`` or other bare
+exception escapes."""
 
 from __future__ import annotations
 
@@ -11,14 +13,21 @@ from hypothesis import strategies as st
 from escm import (
     EscmError,
     Point,
+    SolverConfig,
+    counterfactual,
+    disjunctive_envelope,
+    disjunctive_select,
     dyn_icm_check,
     dyn_lap_check,
     effective_energy_pair,
+    equivalence_check,
+    hard,
     icm_check,
     icm_penalty,
     lap_check,
     lap_penalty,
     parse_model,
+    pushforward_check,
 )
 from escm.dynamics import dyn_icm_penalty, dyn_lap_penalty
 from tests.conftest import CHAIN2_DYNAMICS, chain2_dict
@@ -74,4 +83,35 @@ def test_a_penalty_of_any_weights_raises_only_escm_errors(first, second, default
         lambda: icm_penalty(MODEL, [POINT], alpha=first, beta=second, default=default),
         lambda: dyn_lap_penalty(MODEL, [POINT], lam=first, mu=second),
         lambda: dyn_icm_penalty(MODEL, [POINT], alpha=first, beta=second),
+    )
+
+
+EVIDENCE = {"z.Z2": 1.0}
+SAMPLER = {"U1": {"dist": "uniform", "lo": -1, "hi": 1}, "U2": {"dist": "gauss"}}
+# a trial count runs that many draws, so an integer one stays small
+_COUNTS = st.integers(-2, 3) | _VALUES.filter(
+    lambda v: not isinstance(v, int) or isinstance(v, bool))
+_SAMPLERS = _VALUES | st.fixed_dictionaries({"U1": _VALUES, "U2": st.just({"dist": "gauss"})})
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(readouts=_VALUES, sampler=_SAMPLERS, statistics=_VALUES, trials=_COUNTS,
+       seed=_VALUES, max_iter=_VALUES)
+@example(readouts=["z.Z1"], sampler=[1], statistics=["z.Z1"], trials=2.5, seed=1.5,
+         max_iter="a")
+@example(readouts="z.Z1", sampler=SAMPLER, statistics={"a": "z.Z1"}, trials="3", seed=0,
+         max_iter=2.5)
+@example(readouts=None, sampler=SAMPLER, statistics=None, trials=2, seed=1.5, max_iter=None)
+def test_a_query_or_oracle_check_of_any_inputs_raises_only_escm_errors(
+        readouts, sampler, statistics, trials, seed, max_iter):
+    edit = hard(MODEL, "Z1", 0.0)
+    _only_escm_errors(
+        lambda: counterfactual(MODEL, EVIDENCE, [edit], readouts=readouts),
+        lambda: disjunctive_envelope(MODEL, EVIDENCE, "Z1", [0.0, 1.0], readouts),
+        lambda: disjunctive_select(MODEL, EVIDENCE, "Z1", [0.0, 1.0], readouts=readouts),
+        lambda: pushforward_check(MODEL, sampler, trials=2, seed=0),
+        lambda: pushforward_check(MODEL, SAMPLER, trials=2, statistics=statistics, seed=0),
+        lambda: pushforward_check(MODEL, SAMPLER, trials=trials, seed=seed),
+        lambda: equivalence_check(MODEL, trials=trials, seed=seed),
+        lambda: SolverConfig(max_iter=max_iter),
     )

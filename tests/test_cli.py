@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from escm import parse_model
+from escm import cli, parse_model
 from escm.cli import run
+from escm.reduction import forward_init
 from escm.report import canonical_json
+from escm.solver import normalize_clamps, solve
 from tests.conftest import CHAIN2_DYNAMICS, chain2_dict
 
 
@@ -40,6 +42,30 @@ def test_solve_command(capsys, chain2_path):
     assert report["results"]["z"]["Z1"] == pytest.approx(1.0, abs=1e-10)
     assert report["results"]["z"]["Z2"] == pytest.approx(2.5, abs=1e-10)
     assert "timing" not in report
+
+
+@pytest.mark.parametrize("init", ["zeros", "forward-scm"])
+def test_solve_init_forward_scm_starts_at_the_sweep(capsys, monkeypatch, chain2_path, init):
+    """``--init forward-scm`` starts the solve at ``forward_init``'s point
+    under the context's clamps; ``--init zeros`` passes no start."""
+    starts = []
+
+    def spy(*args, init_point=None, **kwargs):
+        starts.append(init_point)
+        return solve(*args, init_point=init_point, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    context = {"z.Z1": 1.0, "u.U1": 1.0, "u.U2": 0.5}
+    code, report = invoke(capsys, "solve", chain2_path, "--context", json.dumps(context),
+                          "--init", init, "--no-timing")
+    assert code == 0
+    model = parse_model(chain2_dict())
+    if init == "zeros":
+        assert starts == [None]
+    else:
+        [start] = starts
+        assert start.x.tolist() == forward_init(model, normalize_clamps(model, context)).x.tolist()
+        assert report["results"]["iterations"] == 0
 
 
 def test_validate_cycle_exit_code(capsys, tmp_path):

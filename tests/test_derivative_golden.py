@@ -9,7 +9,9 @@ walk that generated derivative code replaced, and every entry must match
 byte for byte, except the sign of a ``term_jet`` entry that is exactly
 zero.  Regenerate them with
 ``PYTHONPATH=src python tests/test_derivative_golden.py`` only for a
-change that is meant to move derivative bits, and say which entries moved.
+change that is meant to move derivative bits, and say which entries moved:
+it prints their keys and rewrites only those, keeping every other stored
+array as it is.
 """
 
 from __future__ import annotations
@@ -228,8 +230,27 @@ def test_fixtures_hold_nonzero_blocks(key):
     assert np.any(_expected()[key] != 0.0)
 
 
+def regenerate() -> list[str]:
+    """Record every entry again and return the keys of those that moved,
+    were added or were dropped.  An entry whose compared bytes and shape
+    are unchanged keeps its stored array, so the file is rewritten only
+    if some key is returned, and then differs only in those entries."""
+    stored = _expected() if ARRAYS.exists() else {}
+    actual = record()
+    moved = [key for key in actual if key not in stored
+             or actual[key].shape != stored[key].shape
+             or _bytes(key, actual[key]) != _bytes(key, stored[key])]
+    dropped = [key for key in stored if key not in actual]
+    if moved or dropped:
+        keep = set(stored).difference(moved)
+        np.savez_compressed(ARRAYS, **{key: stored[key] if key in keep else array
+                                       for key, array in actual.items()})
+    return moved + dropped
+
+
 if __name__ == "__main__":
-    np.savez_compressed(ARRAYS, **record())
+    changed = regenerate()
+    print(f"{ARRAYS}: {len(changed)} entries moved", *changed, sep="\n")
     ERRORS.write_text(json.dumps(record_errors(), indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
-    print(f"wrote {ARRAYS} and {ERRORS}")
+    print(f"wrote {ERRORS}")

@@ -11,7 +11,6 @@ from escm import (
     QueryError,
     NonConvexBlockError,
     Point,
-    SolverConfig,
     abduct,
     apply_surgery,
     contraction_factor,
@@ -125,22 +124,6 @@ def test_equivalence_refuses_global_coupling(chain2_z3):
     with pytest.raises(ClassViolationError) as err:
         equivalence_check(chain2_z3, trials=3, seed=0)
     assert "global" in str(err.value)
-
-
-@pytest.mark.parametrize("init, message", [
-    pytest.param("forward-scm", "from zeros", id="forward-scm"),
-    pytest.param("point", "unknown init mode 'point'", id="point"),  # refused by the config
-])
-def test_oracle_checks_refuse_a_start_other_than_zeros(init, message):
-    # started at the forward sweep, the energy side would be compared with
-    # the sweep itself: a deviation of exactly 0.0 that checks nothing
-    model = parse_model((Path(__file__).parent / "golden" / "models" / "rq10.json")
-                        .read_text(encoding="utf-8"))
-    with pytest.raises(QueryError, match=message):
-        equivalence_check(model, trials=12, seed=3, cfg=SolverConfig(init=init))
-    sampler = {v.name: {"dist": "gauss"} for v in model.exogenous}
-    with pytest.raises(QueryError, match=message):
-        pushforward_check(model, sampler, trials=12, seed=3, cfg=SolverConfig(init=init))
 
 
 def test_pointwise_reduction_property():

@@ -1,5 +1,7 @@
 """Equilibrium solver behavior and effective Hessians."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect
@@ -17,6 +19,7 @@ from escm import (
     solve,
 )
 from escm.corpus import random_quadratic_model
+from escm.reduction import forward_init
 from escm.solver import normalize_clamps, normalize_refs
 
 
@@ -123,8 +126,8 @@ def test_unbounded_energy_fails_cleanly():
 
 
 def test_forward_scm_init_lands_on_solution(chain2):
-    cfg = SolverConfig(init="forward-scm")
-    eq = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5}, cfg=cfg)
+    clamps = normalize_clamps(chain2, {"u.U1": 1.0, "u.U2": 0.5})
+    eq = solve(chain2, clamps=clamps, init_point=forward_init(chain2, clamps))
     assert eq.iterations == 0  # the warm start is already stationary
     assert np.allclose(eq.point.z, [1.0, 2.5], atol=1e-12)
 
@@ -132,14 +135,25 @@ def test_forward_scm_init_lands_on_solution(chain2):
 @pytest.mark.parametrize("init", ["zeros", "forward-scm"])
 def test_a_given_initial_point_is_the_start_theta_included(chain2, init):
     # z.Z2 = a*z.Z1 + u.U2 with the start's a = 3, not the default 2
-    start = Point.for_model(chain2, z=[0.5, 0.5], theta=chain2.theta_defaults() + 1.0)
-    eq = solve(chain2, clamps={"u.U1": 1.0, "u.U2": 0.5}, cfg=SolverConfig(init=init),
-               init_point=start)
+    clamps = {"u.U1": 1.0, "u.U2": 0.5}
+    start = (Point.for_model(chain2) if init == "zeros"
+             else forward_init(chain2, normalize_clamps(chain2, clamps)))
+    start.theta[:] += 1.0
+    z_start = start.z.tolist()
+    eq = solve(chain2, clamps=clamps, init_point=start)
     assert np.allclose(eq.point.z, [1.0, 3.5], atol=1e-12)
     assert eq.point.theta.tolist() == [3.0]
-    assert start.z.tolist() == [0.5, 0.5]  # the start is copied, not moved
-    with pytest.raises(QueryError, match="unknown init mode 'point'"):
-        solve(chain2, cfg=SolverConfig(init="point"))
+    assert start.z.tolist() == z_start  # the start is copied, not moved
+    # with no point the solve starts from zeros at the default parameters
+    assert np.allclose(solve(chain2, clamps=clamps).point.z, [1.0, 2.5], atol=1e-12)
+
+
+def test_the_solver_config_holds_only_the_stopping_rule():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol_grad", "max_iter"]
+    for bad in ("a", 2.5, True, None):
+        with pytest.raises(QueryError, match="max_iter is not an integer"):
+            SolverConfig(max_iter=bad)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_fully_clamped_solve_is_an_echo(chain2):
