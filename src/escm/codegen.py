@@ -33,7 +33,11 @@ flat: an unrolled one is the tuple of its entries over all ``k`` slots,
 row-major, and one past ``MAX_UNROLLED`` is the ndarray its numpy formula
 builds; ``np.asarray(block).reshape`` and ``np.concatenate(..., axis=None)``
 read either the same way.  A block that is structurally zero, or above the
-order, is None.
+order, is None.  From the assignments it generates, the generator also
+reads whether the Hessian an order-2 function returns reads a leaf in an
+active slot; one that does not is bitwise the same at points that differ
+only in their active coordinates, and its functions are in
+``_FIXED_HESSIAN``.
 
 The same code object runs one point in Python floats and a batch of points
 on ``(B,)`` arrays: when it is compiled, it is bound to each of two helper
@@ -219,7 +223,8 @@ _BATCH = dict(_COMMON, _exp=lambda v: _each(math.exp, v), _tanh=lambda v: _each(
 
 class _TermCode:
     """What evaluating one term needs: its shape, constants and leaf
-    gatherers, and the pair of functions for each (active, order) seen.
+    gatherers, the pair of functions of order 0 (``value``), and the pair
+    of functions for each (active, order) seen.
 
     The term's shape is its leaf count and, for each piece, whether its
     weight is one, its form (see :data:`escm.expr.FORM_CALLS`), and for
@@ -228,7 +233,8 @@ class _TermCode:
     numbered in the order the term's text first reads them, so a
     coordinate two pieces read is one leaf."""
 
-    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "functions")
+    __slots__ = ("owner", "pieces", "refs", "index", "gather", "shape", "consts", "value",
+                 "functions")
 
     def __init__(self, owner, pieces):
         self.owner = owner
@@ -254,6 +260,7 @@ class _TermCode:
             self.gather = lambda values: (values[ref],)
         else:
             self.gather = itemgetter(*refs) if refs else (lambda values: ())
+        self.value = _functions(self.shape, (), 0, 0)
         self.functions: dict = {}
 
     def function(self, active, order: int, batch: bool):
@@ -291,8 +298,15 @@ class _TermCode:
         return EnergyDomainError(fault.message, owner=self.owner,
                                  fragment=compiled.source[start:end])
 
+    def failure(self, error: Exception) -> EnergyDomainError:
+        """The :class:`~escm.errors.EnergyDomainError` of one of ``_FAULTS``
+        raised by the term's generated code."""
+        return self.error(error) if isinstance(error, DomainFault) else self.overflow()
 
-_ARITHMETIC = (OverflowError, ZeroDivisionError)  # raised by Python float operations
+
+# what generated code raises: a domain fault, or a Python float operation out
+# of range
+_FAULTS = (DomainFault, OverflowError, ZeroDivisionError)
 
 
 def _code(term) -> _TermCode:
@@ -324,33 +338,42 @@ def expr_value(compiled, values):
 
 
 def _value(code: _TermCode, values):
-    return _run([(code, code.function((), 0, not isinstance(values, list)))], values)[0]
+    return _values((code,), values, not isinstance(values, list))[0]
 
 
 def _term_values(terms, x: np.ndarray) -> list:
     """The value of every term of ``terms`` at the flat point ``x``, (dim,)
     or (dim, B), in term order, as :func:`term_value` gives it."""
     values, batch = (x, True) if x.ndim > 1 else (x.tolist(), False)
-    return _run([(code, code.function((), 0, batch)) for code in map(_code, terms)], values)
+    return _values(map(_code, terms), values, batch)
 
 
-def _run(runs, values, tail=()) -> list:
+def _values(codes, values, batch: bool) -> list:
+    """The value of every code of ``codes``, in order, where flat index
+    ``i`` holds ``values[i]``: a list of floats, or with ``batch`` a (dim, B)
+    array; the first fault raises its term's
+    :class:`~escm.errors.EnergyDomainError`."""
+    out = []
+    code = None
+    try:
+        for code in codes:
+            out.append(code.value[batch](code.gather(values), code.consts))
+    except _FAULTS as error:
+        raise code.failure(error) from None
+    return out
+
+
+def _run(runs, values, tail) -> list:
     """``function(gather(values), consts, *tail)`` of every (code,
     function) of ``runs``, in order; the first fault raises its term's
     :class:`~escm.errors.EnergyDomainError`."""
     out = []
     code = None
     try:
-        if tail:
-            for code, fn in runs:
-                out.append(fn(code.gather(values), code.consts, *tail))
-        else:  # a call that unpacks an empty tail is slower than a plain one
-            for code, fn in runs:
-                out.append(fn(code.gather(values), code.consts))
-    except DomainFault as fault:
-        raise code.error(fault) from None
-    except _ARITHMETIC:
-        raise code.overflow() from None
+        for code, fn in runs:
+            out.append(fn(code.gather(values), code.consts, *tail))
+    except _FAULTS as error:
+        raise code.failure(error) from None
     return out
 
 
@@ -370,37 +393,57 @@ def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> lis
 class _ActiveTerms:
     """The terms of ``terms`` that read a flat index in ``slot``, ready to
     run at many points: ``owners`` and ``positions`` hold their owners and
-    their active indices' positions, as :func:`active_blocks` lists them.
-    The functions of each (order, batch) are looked up on first use."""
+    their active indices' positions, as :func:`active_blocks` lists them,
+    and ``where`` their places in ``terms``; ``rest`` holds the places of
+    the other terms.  The functions of each (order, batch) are looked up on
+    first use."""
 
     def __init__(self, terms, slot: dict[int, int]):
         self.owners: list = []
         self.positions: list[list[int]] = []
-        self._active: list[tuple] = []  # (code, active indices) of each term
+        self.where: list[int] = []
+        self.rest: list[int] = []
+        self.codes: list[_TermCode] = []
+        self._active: list[list[int]] = []  # the active indices of each term
         self._runs: dict = {}
         reads, position = slot.__contains__, slot.__getitem__
-        for term in terms:
+        for n, term in enumerate(terms):
             active = list(filter(reads, term.refs))
             if active:
                 self.owners.append(term.owner)
                 self.positions.append(list(map(position, active)))
-                self._active.append((_code(term), active))
+                self.where.append(n)
+                self.codes.append(_code(term))
+                self._active.append(active)
+            else:
+                self.rest.append(n)
 
     def _functions(self, order: int, batch: bool) -> list:
         runs = self._runs.get((order, batch))
         if runs is None:
             runs = self._runs[order, batch] = [(code, code.function(active, order, batch))
-                                               for code, active in self._active]
+                                               for code, active in zip(self.codes, self._active)]
         return runs
 
     def blocks(self, x: np.ndarray, order: int) -> list:
         """Every term's (value, grad, hess, third) at the flat point ``x``,
-        as :func:`active_blocks` lists them."""
+        as :func:`active_blocks` lists them; ``order`` is at least 1."""
         if x.ndim > 1:
             n = x.shape[1]
             return _run(self._functions(order, True), x,
                         (np.ones(n), np.zeros(n), (n,)))
         return _run(self._functions(order, False), x.tolist(), (1.0, 0.0, ()))
+
+    def values(self, x: np.ndarray) -> list:
+        """Every term's value at the flat point ``x``, as :func:`term_value`
+        gives it."""
+        batch = x.ndim > 1
+        return _values(self.codes, x if batch else x.tolist(), batch)
+
+    def fixed_hessian(self, batch: bool) -> bool:
+        """Whether no term's Hessian block reads an active index: then
+        every block is bitwise the same at points that differ only there."""
+        return all(fn in _FIXED_HESSIAN for _, fn in self._functions(2, batch))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +452,7 @@ class _ActiveTerms:
 _SHAPES: list = []     # every shape seen, numbered so that keys below hash quickly
 _NUMBERS: dict = {}    # shape -> its number
 _FUNCTIONS: dict = {}  # (shape number, slots, k, order) -> (function on floats, on batches)
+_FIXED_HESSIAN: set = set()  # the functions whose Hessian reads no active slot
 
 
 def source(term, active, order: int) -> str:
@@ -430,10 +474,13 @@ def _functions(shape: int, slots, k, order) -> tuple:
     key = (shape, slots, k, order)
     pair = _FUNCTIONS.get(key)
     if pair is None:
-        module = compile(generate(_SHAPES[shape], slots, k, order), "<escm term>", "exec")
+        text, fixed = _generated(_SHAPES[shape], slots, k, order)
+        module = compile(text, "<escm term>", "exec")
         code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
         pair = _FUNCTIONS[key] = (types.FunctionType(code, _SCALAR, "term"),
                                   types.FunctionType(code, _BATCH, "term"))
+        if fixed:
+            _FIXED_HESSIAN.update(pair)
     return pair
 
 
@@ -791,6 +838,12 @@ class _Gen:
 
 def generate(shape, slots, k: int, order: int) -> str:
     """Python source of the function ``term`` for one term shape."""
+    return _generated(shape, slots, k, order)[0]
+
+
+def _generated(shape, slots, k: int, order: int) -> tuple[str, bool]:
+    """The source :func:`generate` gives, and, at order 2, whether the
+    Hessian it returns reads no active slot (False at other orders)."""
     gen = _Gen(slots, k, order)
     nleaf, pieces = shape
     total = None
@@ -806,17 +859,34 @@ def generate(shape, slots, k: int, order: int) -> str:
         head.append(f"    {', '.join(f'a{j}' for j in range(nleaf))}, = L")
     if gen.const:
         head.append(f"    {', '.join(f'k{j}' for j in range(gen.const))}, = K")
+    h = "None"
     if not order:
         tail = [f"return {total.v}"]
     elif total.g is None:
         tail = [f"return {total.v}, None, None, None"]
     else:
         g = total.vec or _tuple(total.g.get(s, "zero") for s in range(k))
-        h = "None" if order < 2 or total.h is None else gen.flat(total.h, 2)
+        if order >= 2 and total.h is not None:
+            h = gen.flat(total.h, 2)
         t = "None" if order < 3 or total.t is None else gen.flat(total.t, 3)
         tail = [f"return {total.v}, {g}, {h}, {t}"]
+    fixed = order == 2 and not _reads_active(gen.lines, slots, h)
     body = _inline(gen.lines + tail)
-    return "\n".join(head + [f"    {line}" for line in body]) + "\n"
+    return "\n".join(head + [f"    {line}" for line in body]) + "\n", fixed
+
+
+_NAMES = re.compile(r"\b[av]\d+\b")  # leaves and intermediates
+
+
+def _reads_active(lines: list, slots, expr: str) -> bool:
+    """Whether ``expr`` reads a leaf in an active slot, itself or through
+    the assignments of ``lines``: the generator's own data flow, with no
+    evaluation."""
+    moving = {f"a{leaf}" for leaf, slot in enumerate(slots) if slot >= 0}
+    for line in lines:
+        if isinstance(line, tuple) and not moving.isdisjoint(_NAMES.findall(line[2])):
+            moving.add(line[1])
+    return not moving.isdisjoint(_NAMES.findall(expr))
 
 
 _TEMP = re.compile(r"\bv\d+\b")

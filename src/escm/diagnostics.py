@@ -63,7 +63,8 @@ from .codegen import term_value
 from .engine import Objective, Point, _as_objective, _module_terms, _require_nondescendant
 from .errors import IndefiniteMetricError, QueryError, SingularSystemError
 from .model import Model
-from .solver import Equilibrium, finite_number, normalize_refs, schur_effective_hessian
+from .solver import (Equilibrium, finite_array, finite_number, normalize_refs,
+                     schur_effective_hessian)
 
 __all__ = [
     "LapReport",
@@ -517,8 +518,15 @@ def causal_metric(target, eq: Equilibrium, subset=None, scales=None,
 
 def metric_in_chart(metric: np.ndarray, chart_jacobian: np.ndarray) -> np.ndarray:
     """Congruence transform of the metric under a linear chart z = J zeta."""
-    j = np.asarray(chart_jacobian, dtype=float)
-    return j.T @ np.asarray(metric, dtype=float) @ j
+    metric = finite_array(metric, "metric")
+    j = finite_array(chart_jacobian, "chart Jacobian")
+    if metric.ndim != 2 or j.ndim != 2 or not metric.shape[0] == metric.shape[1] == j.shape[0]:
+        raise QueryError("the metric must be square, with one chart Jacobian row per row")
+    with np.errstate(all="ignore"):
+        out = j.T @ metric @ j
+    if not np.isfinite(out).all():
+        raise QueryError("the metric in the chart overflows")
+    return out
 
 
 def _exact_zero_support(objective: Objective, eq: Equilibrium,

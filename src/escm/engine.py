@@ -22,19 +22,27 @@ A :class:`Point` may also hold a batch of points, ``x`` of shape
 trailing batch axis on everything they return, and each batch entry is
 bitwise what its point alone gives.
 
-A solve takes its derivatives many times with respect to one free list.
-:class:`_Planned` is the objective planned for one solve: it finds the
-terms that read a free coordinate once and builds the layout of each
-order once.  Its ``value`` and ``derivatives`` are those of
-:class:`Objective`, so a tracer of ``Objective.derivatives`` sees the
-solve's evaluations, and they give bitwise what the whole objective
-gives.
+A solve takes its energies and derivatives many times with respect to
+one free list.  :class:`_Planned` is the objective planned for one solve:
+it finds the terms that read a free coordinate once, builds one layout,
+and keeps the values of the other terms for each point's held
+coordinates.  Each iterate is evaluated once: ``value`` runs the moving
+terms at order 2 and adds their values to the kept ones in term order,
+and ``derivatives`` at that point assembles the blocks of that run.  A
+Hessian that no free coordinate can move (codegen decides that from the
+generated code) is kept too, and later iterates run at order 1.  Its
+``value`` and ``derivatives`` are those of :class:`Objective`, reached
+through the private ``_summed`` and ``_assembled``, so a tracer of
+``Objective.value`` and ``Objective.derivatives`` sees the solve's
+evaluations, and they give bitwise what the whole objective gives.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -42,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import codegen
-from .errors import PairError, QueryError
+from .errors import EnergyDomainError, PairError, QueryError
 from .model import Model, ObjectiveTerm
 
 __all__ = [
@@ -156,11 +164,12 @@ class Objective:
 
     def value(self, point: Point) -> float:
         self.check_point(point)
-        x = point.x
-        total = 0.0
-        for value in codegen._term_values(self.terms, x):
-            total += value
-        return total if x.ndim == 1 else np.broadcast_to(total, x.shape[1:])
+        return self._summed(point.x)
+
+    def _summed(self, x: np.ndarray):
+        """``value`` at the checked flat point ``x``: every term's value,
+        added in term order; :class:`_Planned` evaluates it from its plan."""
+        return _sum(codegen._term_values(self.terms, x), x)
 
     def term_jet(self, term: ObjectiveTerm, point: Point,
                  active: Sequence[int], order: int) -> tuple:
@@ -242,24 +251,123 @@ class Objective:
 
 class _Planned(Objective):
     """``objective`` planned for one solve, which takes its derivatives
-    only with respect to the flat indices ``free`` and with no
-    attribution: the terms that read a free coordinate are found once
-    (:class:`escm.codegen._ActiveTerms`), and the :class:`_Layout` of each
-    order is built on the first call of that order.  ``value`` and
-    ``derivatives`` are those of :class:`Objective`, and give bitwise what
-    it gives."""
+    only with respect to the flat indices ``free`` and with no attribution.
+
+    The terms that read a free coordinate, the *moving* terms, are found
+    once (:class:`escm.codegen._ActiveTerms`), and one :class:`_Layout` is
+    built, on the first call, of the highest order the solve asks for.  The
+    other terms read only held coordinates, those that are not free, so
+    their values are computed once for each point's held coordinates and
+    kept.
+    ``value`` runs only the moving terms, at order 2, and keeps their
+    blocks: the energy adds the kept values and theirs in term order, and a
+    ``derivatives`` call at the same point assembles the kept blocks.  If
+    no moving term's Hessian reads a free coordinate
+    (:meth:`escm.codegen._ActiveTerms.fixed_hessian`), the Hessian depends
+    only on the held coordinates: it is kept with their values, and later
+    points with those held coordinates run the moving terms at order 1.
+    ``trials`` is the same plan for trial points, mostly rejected, whose
+    energies are the whole objective's order-0 sums and which keep
+    nothing.
+
+    ``value`` and ``derivatives`` are those of :class:`Objective`, and give
+    bitwise what it gives: every order gives a term the same value, and
+    where a moving term raises at order 2 or 1, the moving terms are run
+    again at order 0, in term order after the other terms passed, which
+    raises the error of the whole sum or gives its value.
+    """
 
     def __init__(self, objective: Objective, free):
         super().__init__(objective.model, objective.terms)
         self.moving = codegen._ActiveTerms(self.terms, {ref: j for j, ref in enumerate(free)})
-        self.layouts: dict[int, _Layout] = {}
+        self.held: list[tuple[int, int]] = []  # the held flat indices, as runs [start, stop)
+        start = 0
+        for ref in sorted(free):
+            if ref > start:
+                self.held.append((start, ref))
+            start = ref + 1
+        if start < self.dim:
+            self.held.append((start, self.dim))
+        self.layout: _Layout | None = None  # of the highest order yet; it serves the lower
+        # (shape, held coordinates) -> [every term's value, the moving ones
+        # None; the Hessian, while it reads no free coordinate]
+        self.kept: dict[tuple, list] = {}
+        self.last = None  # (shape, point, its entry, order, blocks) of the last ``value``
+        self.keeps = True
+        self.reuses = None  # whether Hessians are kept; known from the first order-2 blocks
+
+    @cached_property
+    def trials(self) -> "_Planned":
+        """This plan for trial points: their energies are the whole
+        objective's, and nothing is kept."""
+        trials = copy.copy(self)
+        trials.keeps, trials.last = False, None
+        return trials
+
+    def _key(self, x: np.ndarray, point: bytes) -> tuple:
+        """The key in ``kept`` of the flat point ``x``, whose bytes are
+        ``point``: its shape and the bytes of its held coordinates."""
+        row = 8 if x.ndim == 1 else 8 * x.shape[1]  # the bytes of one flat index
+        return x.shape, b"".join([point[row * start:row * stop] for start, stop in self.held])
+
+    def _entry(self, x: np.ndarray, point: bytes) -> list:
+        """The entry of ``kept`` for the flat point ``x``, whose bytes are
+        ``point``, with the values of the terms that read only held
+        coordinates computed on first use."""
+        key = self._key(x, point)
+        entry = self.kept.get(key)
+        if entry is None:
+            batch = x.ndim > 1
+            rest = self.moving.rest
+            codes = [codegen._code(self.terms[n]) for n in rest]
+            values = [None] * len(self.terms)
+            for n, value in zip(rest, codegen._values(codes, x if batch else x.tolist(), batch)):
+                # a row of ``x``, from a term that is one symbol, is copied
+                values[n] = value.copy() if batch and isinstance(value, np.ndarray) else value
+            entry = self.kept[key] = [values, None]
+        return entry
+
+    def _summed(self, x: np.ndarray):
+        if not self.keeps:
+            return super()._summed(x)
+        point = x.tobytes()
+        try:
+            entry = self._entry(x, point)
+        except EnergyDomainError:  # the whole sum names its first failing term
+            return super()._summed(x)
+        order = 2 if entry[1] is None else 1
+        try:
+            blocks = self.moving.blocks(x, order)
+        except EnergyDomainError:  # order 0 decides: the other terms passed, so this
+            moving = self.moving.values(x)  # raises what the whole sum does
+        else:
+            self.last = x.shape, point, entry, order, blocks
+            moving = map(itemgetter(0), blocks)
+        values = entry[0].copy()
+        for n, value in zip(self.moving.where, moving):
+            values[n] = value
+        return _sum(values, x)
 
     def _assembled(self, x: np.ndarray, refs: tuple, order: int, attribution: bool):
-        blocks = self.moving.blocks(x, order)
-        layout = self.layouts.get(order)
-        if layout is None:
-            layout = self.layouts[order] = _Layout(self.moving, blocks, order, len(refs), False)
-        return layout.assemble(blocks, x.shape[1:])
+        point = x.tobytes()
+        last = self.last
+        if last is not None and not (last[1] == point and last[0] == x.shape):
+            last = None
+        entry = None
+        if order == 2 and self.reuses is not False:  # a point never summed keeps no Hessian
+            entry = last[2] if last is not None else self.kept.get(self._key(x, point))
+        hess = entry[1] if entry is not None else None
+        run = order if hess is None else 1
+        blocks = last[4] if last is not None and last[3] == run else self.moving.blocks(x, run)
+        if self.layout is None or self.layout.order < run:
+            self.layout = _Layout(self.moving, blocks, run, len(refs), False)
+        grad, new, third, _ = self.layout.assemble(blocks, x.shape[1:], run)
+        if entry is not None and hess is None:
+            if self.reuses is None:
+                self.reuses = self.moving.fixed_hessian(x.ndim > 1)
+            if self.reuses:
+                entry[1] = new
+        return grad, new if hess is None else hess, third, None
 
 
 class _Layout:
@@ -312,13 +420,15 @@ class _Layout:
                 self.grouped = _of_present(target + group.repeat(sizes * sizes) * (k * k),
                                            present[1], sizes, 2)
 
-    def assemble(self, blocks, batch: tuple):
+    def assemble(self, blocks, batch: tuple, order: int | None = None):
         """grad, hess, third and owner_hess, as ``derivatives`` returns
-        them, from ``blocks``: each kind of block goes into its output in
-        one :meth:`_sum`."""
+        them, from ``blocks`` up to ``order`` (the layout's if None): each
+        kind of block goes into its output in one :meth:`_sum`.  Blocks of a
+        lower order than the layout's serve: a gradient's place does not
+        depend on the order."""
         k = self.k
         sums = [None, None, None]
-        for rank in range(1, self.order + 1):
+        for rank in range(1, (order or self.order) + 1):
             sums[rank - 1] = self._sum(blocks, rank, self.targets[rank - 1], (k,) * rank, batch)
         owner_hess = None
         if self.owners is not None:
@@ -347,6 +457,15 @@ class _Layout:
         else:
             flat = np.concatenate(list(values), axis=None)
         return np.bincount(target, flat, math.prod(shape)).reshape(shape)
+
+
+def _sum(values: list, x: np.ndarray):
+    """``values`` added one after another from 0.0, as the energy at the
+    flat point ``x``: a float, or for a batch an array over its points."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total if x.ndim == 1 else np.broadcast_to(total, x.shape[1:])
 
 
 def _of_present(target: np.ndarray, present: list[bool], sizes: np.ndarray, rank: int):

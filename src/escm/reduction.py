@@ -52,7 +52,7 @@ from .engine import Objective, ObjectiveTerm, Point
 from .errors import (ClassViolationError, EnergyDomainError, EscmError, NonConvexBlockError,
                      QueryError, SolverError)
 from .model import Model
-from .solver import SolverConfig, _is_int, _newton, finite_number
+from .solver import SolverConfig, _is_int, _newton, finite_array, finite_number
 
 __all__ = [
     "InducedScm",
@@ -248,11 +248,13 @@ class InducedScm:
     def solve(self, u, surgeries=(), theta=None) -> np.ndarray:
         """One topological forward pass; returns the full z vector."""
         edited = apply_surgery(self.model, surgeries)
-        u = np.asarray(u, dtype=float)
+        u = finite_array(u, "context u")
         if u.shape != (self.model.nu,):
             raise QueryError("context u has the wrong length")
-        if theta is not None and np.shape(theta) != (self.model.ntheta,):
-            raise QueryError("theta has the wrong length")
+        if theta is not None:
+            theta = finite_array(theta, "theta")
+            if theta.shape != (self.model.ntheta,):
+                raise QueryError("theta has the wrong length")
         return self._forward_many(u[:, None], [edited], theta)[:, 0]
 
     def _forward_many(self, u: np.ndarray, edits: list[EditedEnergy], theta=None) -> np.ndarray:
@@ -659,8 +661,12 @@ def contraction_factor(model: Model, points: list[Point]) -> float:
     """
     _require_separable(model, "the contraction estimate")
     objective = Objective.from_model(model)
+    if not (isinstance(points, (list, tuple))
+            and all(isinstance(p, Point) and p.x.ndim == 1 for p in points)):
+        raise QueryError("points must be a list of Points of one point each")
     worst = 0.0
     for point in points:
+        objective.check_point(point)
         jac = np.zeros((model.nz, model.nz))
         for node in model.dag.topo_order():
             own = model.coord_indices(node)

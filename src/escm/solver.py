@@ -12,11 +12,16 @@ Levenberg shift grows geometrically from ``_LAMBDA0``, and past
 Accepted iterates never increase the objective, and every column's
 iterates are bitwise those of running it alone.  A lone live column is
 evaluated on its 1-D point, in Python floats, which is quicker than a
-batch of one.  The loop plans its derivative work once
-(:class:`escm.engine._Planned`): the terms that read a free coordinate are
-found once per run and each order's scatter layout is built once, so a
-derivative call evaluates and adds up only those terms, bitwise as the
-whole objective does.
+batch of one.  The loop plans its work once (:class:`escm.engine._Planned`):
+the terms that read a free coordinate are found once per run, and the
+values of the others once per start.  Each iterate is evaluated once: the
+energy at the start and at each undamped candidate comes from one run of
+the moving terms, whose blocks the derivative call at the accepted
+candidate then adds up, bitwise as the whole objective does.  Where no
+moving term's Hessian reads a free coordinate, the first Hessian serves
+the whole run and later iterates run at order 1.  Damped trials, which
+are mostly rejected, take the whole objective's order-0 energies, as
+before the plan kept anything.
 """
 
 from __future__ import annotations
@@ -146,6 +151,18 @@ def finite_number(value, what: str, low: float | None = None) -> float:
     return number
 
 
+def finite_array(value, what: str) -> np.ndarray:
+    """``value`` as an array of finite floats; raises :class:`QueryError`
+    otherwise."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise QueryError(f"{what} is not an array of numbers") from None
+    if not np.isfinite(array).all():
+        raise QueryError(f"{what} is not finite")
+    return array
+
+
 def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
           init_point: Point | None = None) -> Equilibrium:
     """Minimize an energy over ``free`` coordinates with ``clamps`` fixed.
@@ -175,7 +192,12 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     if len(set(free_refs)) != len(free_refs):
         raise QueryError("duplicate free coordinates")
 
-    point = Point.for_model(model) if init_point is None else init_point.copy()
+    if init_point is None:
+        point = Point.for_model(model)
+    elif isinstance(init_point, Point) and init_point.x.shape == (model.dim,):
+        point = init_point.copy()
+    else:
+        raise QueryError("init_point must be a Point of the model")
     for ref, val in clamps.items():
         point.x[ref] = val
     traces, residuals, hessians = _newton(objective, free_refs, point.x[:, None], cfg)
@@ -206,7 +228,7 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
     model = objective.model
     k = len(free)
     live = list(range(x.shape[1]))  # the columns still iterating
-    objective = _Planned(objective, free)  # for every derivative of the run
+    objective = _Planned(objective, free)  # for every energy and derivative of the run
     energy = _values(objective, x)
     traces = [[e] for e in energy]
     residuals, hessians = [0.0] * len(live), [None] * len(live)
@@ -236,8 +258,8 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
         candidate[free] += step
         e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
         for i in (i for i, a in enumerate(accept) if not a):
-            found = _damped(objective, free, x[:, live[i]:live[i] + 1], grad[:, i:i + 1],
-                            hess[:, :, i], energy[i:i + 1], residual[i:i + 1])
+            found = _damped(objective.trials, free, x[:, live[i]:live[i] + 1],
+                            grad[:, i:i + 1], hess[:, :, i], energy[i:i + 1], residual[i:i + 1])
             if found is None:
                 raise SingularSystemError(
                     "damping escalation past lambda_max and line search both failed",
@@ -270,7 +292,8 @@ def _damped(objective: Objective, free: list[int], x: np.ndarray, grad: np.ndarr
         if accept[0]:
             return candidate, e_new[0]
         lam *= _LAMBDA_GROWTH
-    g2 = float(grad[:, 0] @ grad[:, 0])
+    with np.errstate(over="ignore"):  # an unbounded energy's gradient may square to inf
+        g2 = float(grad[:, 0] @ grad[:, 0])
     t = 1.0
     while t >= 1e-18:
         candidate = x.copy()
@@ -356,13 +379,16 @@ def schur_effective_hessian(hess: np.ndarray, keep, mode: str = "minimize") -> n
     ``H_ff - H_fc H_cc^{-1} H_cf``.  ``mode="clamp"`` holds the complement
     fixed and returns the plain ``H_ff`` submatrix.
     """
-    hess = np.asarray(hess, dtype=float)
-    n = hess.shape[0]
-    if hess.shape != (n, n):
+    hess = finite_array(hess, "hessian")
+    if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
         raise QueryError("hessian must be square")
-    keep = list(keep)
-    if any(not 0 <= k < n for k in keep):
-        raise QueryError("keep indices out of range")
+    n = hess.shape[0]
+    try:
+        keep = list(keep)
+    except TypeError:
+        raise QueryError("keep must be a list of indices") from None
+    if not all(_is_int(k) and 0 <= k < n for k in keep):
+        raise QueryError(f"keep indices must be integers in [0, {n})")
     if len(set(keep)) != len(keep):
         raise QueryError("duplicate keep indices")
     drop = [j for j in range(n) if j not in set(keep)]
@@ -378,4 +404,8 @@ def schur_effective_hessian(hess: np.ndarray, keep, mode: str = "minimize") -> n
         solved = np.linalg.solve(h_cc, h_cf)
     except np.linalg.LinAlgError:
         raise SingularSystemError("eliminated block is singular") from None
-    return h_ff - h_fc @ solved
+    with np.errstate(all="ignore"):
+        out = h_ff - h_fc @ solved
+    if not np.isfinite(out).all():
+        raise SingularSystemError("the effective Hessian overflows")
+    return out

@@ -1,12 +1,14 @@
-"""Fuzz of the public Python checks, penalties, queries and oracle checks
-on chain2 with dynamics: names, pairs, ``eliminate`` values, penalty
-weights, readouts, sampler specs, statistics, trial counts, seeds and
-solver budgets of any shape, hashable or not.  Whatever the arguments, a
+"""Fuzz of the public Python checks, penalties, queries, oracle checks and
+matrix helpers on chain2 with dynamics: names, pairs, ``eliminate`` values,
+penalty weights, readouts, sampler specs, statistics, trial counts, seeds,
+solver budgets, contexts, start points, sample points, matrices and index
+lists of any shape, hashable or not.  Whatever the arguments, a
 call returns or raises an ``EscmError``; no ``TypeError`` or other bare
 exception escapes."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +30,12 @@ from escm import (
     lap_penalty,
     parse_model,
     pushforward_check,
+    schur_effective_hessian,
+    solve,
 )
+from escm.diagnostics import metric_in_chart
 from escm.dynamics import dyn_icm_penalty, dyn_lap_penalty
+from escm.reduction import contraction_factor, induce_scm, scm_solve
 from tests.conftest import CHAIN2_DYNAMICS, chain2_dict
 
 _SPEC = chain2_dict()
@@ -114,4 +120,26 @@ def test_a_query_or_oracle_check_of_any_inputs_raises_only_escm_errors(
         lambda: pushforward_check(MODEL, SAMPLER, trials=trials, seed=seed),
         lambda: equivalence_check(MODEL, trials=trials, seed=seed),
         lambda: SolverConfig(max_iter=max_iter),
+    )
+
+
+SCM = induce_scm(MODEL)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(first=_VALUES, second=_VALUES)
+@example(first="ab", second="a")
+@example(first=None, second="x")
+@example(first=[[1e308]], second=[[1e308]])
+def test_a_solve_or_matrix_helper_of_any_arguments_raises_only_escm_errors(first, second):
+    _only_escm_errors(
+        lambda: scm_solve(SCM, first),
+        lambda: scm_solve(SCM, [0.1, 0.2], theta=first),
+        lambda: contraction_factor(MODEL, first),
+        lambda: contraction_factor(MODEL, [POINT, first]),
+        lambda: schur_effective_hessian(first, second),
+        lambda: schur_effective_hessian(np.eye(2), first, mode=second),
+        lambda: metric_in_chart(first, second),
+        lambda: metric_in_chart(np.eye(2), first),
+        lambda: solve(MODEL, init_point=first),
     )

@@ -1,6 +1,7 @@
 """Equilibrium solver behavior and effective Hessians."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from escm import (
 from escm.corpus import random_quadratic_model
 from escm.reduction import forward_init
 from escm.solver import normalize_clamps, normalize_refs
+from tests.genmodels import random_smooth_model
 
 
 def one_var(expr: str) -> dict:
@@ -123,6 +125,25 @@ def test_unbounded_energy_fails_cleanly():
     model = parse_model(one_var("-sq(z.Z1) + z.Z1"))
     with pytest.raises(SolverError):
         solve(model, cfg=SolverConfig(max_iter=50))
+
+
+def test_an_unbounded_energy_fails_the_same_with_warnings_as_errors():
+    # the damped fallback of this model's solve squares a gradient of about
+    # 1e210, which overflows; it is the ninth of this seed's first 150
+    # models to do so
+    rng = np.random.default_rng(5)
+    model = [random_smooth_model(rng, 6) for _ in range(67)][-1]
+    outcomes = []
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(SingularSystemError) as raised:
+                solve(model)
+        diagnostics = dict(raised.value.diagnostics)
+        diagnostics["point"] = diagnostics["point"].x.tobytes()
+        outcomes.append((str(raised.value), diagnostics))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][1]["residual"] > 1e200
 
 
 def test_forward_scm_init_lands_on_solution(chain2):
