@@ -23,12 +23,20 @@ trailing batch axis on everything they return, and each batch entry is
 bitwise what its point alone gives.
 
 A solve takes its energies and derivatives many times with respect to
-one free list.  :class:`_Planned` is the objective planned for one solve:
-it finds the terms that read a free coordinate once, builds one layout,
-and keeps the values of the other terms for each point's held
-coordinates.  Each iterate is evaluated once: ``value`` runs the moving
-terms at order 2 and adds their values to the kept ones in term order,
-and ``derivatives`` at that point assembles the blocks of that run.  A
+one free list, and the solves of a query repeat terms and free lists.
+So the work splits in two.  A :class:`_Plan` is the structure of solves
+over one terms tuple and free list: the terms that read a free
+coordinate with their generated functions, the layout, and whether any
+of their Hessians reads a free coordinate.  It holds no point value.  A
+model keeps the plans of objectives made only of its own terms, as hard
+edits' are, at most ``_PLANS`` of them, the least recently used going
+first; a soft edit's blend is a new term on every edit, so its plan is
+made per solve and not kept.  :class:`_Planned` is the objective planned
+for one solve: it takes its model's plan and keeps, for itself alone,
+the values of the other terms for each point's held coordinates.  Each
+iterate is evaluated once: ``value`` runs the moving terms at order 2
+and adds their values to the kept ones in term order, and
+``derivatives`` at that point assembles the blocks of that run.  A
 Hessian that no free coordinate can move (codegen decides that from the
 generated code) is kept too, and later iterates run at order 1.  Its
 ``value`` and ``derivatives`` are those of :class:`Objective`, reached
@@ -249,16 +257,69 @@ class Objective:
                            h_ztheta=full.hess[ztheta], attribution=attribution)
 
 
+_PLANS = 16  # the most plans a model keeps; the least recently used goes first
+
+
+class _Plan:
+    """The structure of solves over ``terms`` with respect to the flat
+    indices ``free``; it holds no point value.  It holds the terms that
+    read a free coordinate, the *moving* terms
+    (:class:`escm.codegen._ActiveTerms`, with the function table of each
+    order), the codes of the other terms, the held flat indices (those
+    that are not free) as runs [start, stop), the :class:`_Layout` of the
+    highest order yet asked, and whether no moving Hessian reads a free
+    coordinate (None until the first order-2 blocks).  Block presence and
+    that flag come from the generated code, so one plan serves every point
+    of every solve over the same terms and free list."""
+
+    __slots__ = ("moving", "rest", "held", "layout", "reuses")
+
+    def __init__(self, terms: tuple, free, dim: int):
+        self.moving = codegen._ActiveTerms(terms, {ref: j for j, ref in enumerate(free)})
+        self.rest = [codegen._code(terms[n]) for n in self.moving.rest]
+        self.held: list[tuple[int, int]] = []
+        start = 0
+        for ref in sorted(free):
+            if ref > start:
+                self.held.append((start, ref))
+            start = ref + 1
+        if start < dim:
+            self.held.append((start, dim))
+        self.layout: _Layout | None = None  # it serves the lower orders too
+        self.reuses: bool | None = None
+
+
+def _plan(objective: Objective, free) -> _Plan:
+    """The plan of solves of ``objective`` over ``free``.  Its model keeps
+    the plans of objectives made only of its own terms, as a hard edit's
+    are, and at most ``_PLANS`` of them; a plan of other terms, such as a
+    soft edit's blend, which is new on every edit, is not kept."""
+    model = objective.model
+    plans = model._plans
+    key = objective.terms, tuple(free)
+    plan = plans.get(key)
+    if plan is not None:
+        plans.move_to_end(key)
+        return plan
+    plan = _Plan(objective.terms, free, objective.dim)
+    own = {term.objective_term for term in model.terms}
+    if own.issuperset(objective.terms):
+        plans[key] = plan
+        if len(plans) > _PLANS:
+            plans.popitem(last=False)
+    return plan
+
+
 class _Planned(Objective):
     """``objective`` planned for one solve, which takes its derivatives
     only with respect to the flat indices ``free`` and with no attribution.
 
-    The terms that read a free coordinate, the *moving* terms, are found
-    once (:class:`escm.codegen._ActiveTerms`), and one :class:`_Layout` is
-    built, on the first call, of the highest order the solve asks for.  The
-    other terms read only held coordinates, those that are not free, so
+    Its :class:`_Plan`, which it may share with other solves of the same
+    model, gives the moving terms, the terms that read a free coordinate,
+    and the layout.  Everything that depends on a point is this solve's
+    own and never shared: the other terms read only held coordinates, so
     their values are computed once for each point's held coordinates and
-    kept.
+    kept here.
     ``value`` runs only the moving terms, at order 2, and keeps their
     blocks: the energy adds the kept values and theirs in term order, and a
     ``derivatives`` call at the same point assembles the kept blocks.  If
@@ -279,22 +340,12 @@ class _Planned(Objective):
 
     def __init__(self, objective: Objective, free):
         super().__init__(objective.model, objective.terms)
-        self.moving = codegen._ActiveTerms(self.terms, {ref: j for j, ref in enumerate(free)})
-        self.held: list[tuple[int, int]] = []  # the held flat indices, as runs [start, stop)
-        start = 0
-        for ref in sorted(free):
-            if ref > start:
-                self.held.append((start, ref))
-            start = ref + 1
-        if start < self.dim:
-            self.held.append((start, self.dim))
-        self.layout: _Layout | None = None  # of the highest order yet; it serves the lower
+        self.plan = _plan(objective, free)
         # (shape, held coordinates) -> [every term's value, the moving ones
         # None; the Hessian, while it reads no free coordinate]
         self.kept: dict[tuple, list] = {}
         self.last = None  # (shape, point, its entry, order, blocks) of the last ``value``
         self.keeps = True
-        self.reuses = None  # whether Hessians are kept; known from the first order-2 blocks
 
     @cached_property
     def trials(self) -> "_Planned":
@@ -308,7 +359,8 @@ class _Planned(Objective):
         """The key in ``kept`` of the flat point ``x``, whose bytes are
         ``point``: its shape and the bytes of its held coordinates."""
         row = 8 if x.ndim == 1 else 8 * x.shape[1]  # the bytes of one flat index
-        return x.shape, b"".join([point[row * start:row * stop] for start, stop in self.held])
+        return x.shape, b"".join([point[row * start:row * stop]
+                                  for start, stop in self.plan.held])
 
     def _entry(self, x: np.ndarray, point: bytes) -> list:
         """The entry of ``kept`` for the flat point ``x``, whose bytes are
@@ -317,11 +369,10 @@ class _Planned(Objective):
         key = self._key(x, point)
         entry = self.kept.get(key)
         if entry is None:
-            batch = x.ndim > 1
-            rest = self.moving.rest
-            codes = [codegen._code(self.terms[n]) for n in rest]
+            batch, plan = x.ndim > 1, self.plan
             values = [None] * len(self.terms)
-            for n, value in zip(rest, codegen._values(codes, x if batch else x.tolist(), batch)):
+            for n, value in zip(plan.moving.rest, codegen._values(
+                    plan.rest, x if batch else x.tolist(), batch)):
                 # a row of ``x``, from a term that is one symbol, is copied
                 values[n] = value.copy() if batch and isinstance(value, np.ndarray) else value
             entry = self.kept[key] = [values, None]
@@ -336,36 +387,38 @@ class _Planned(Objective):
         except EnergyDomainError:  # the whole sum names its first failing term
             return super()._summed(x)
         order = 2 if entry[1] is None else 1
+        active = self.plan.moving
         try:
-            blocks = self.moving.blocks(x, order)
+            blocks = active.blocks(x, order)
         except EnergyDomainError:  # order 0 decides: the other terms passed, so this
-            moving = self.moving.values(x)  # raises what the whole sum does
+            moving = active.values(x)  # raises what the whole sum does
         else:
             self.last = x.shape, point, entry, order, blocks
             moving = map(itemgetter(0), blocks)
         values = entry[0].copy()
-        for n, value in zip(self.moving.where, moving):
+        for n, value in zip(active.where, moving):
             values[n] = value
         return _sum(values, x)
 
     def _assembled(self, x: np.ndarray, refs: tuple, order: int, attribution: bool):
+        plan = self.plan
         point = x.tobytes()
         last = self.last
         if last is not None and not (last[1] == point and last[0] == x.shape):
             last = None
         entry = None
-        if order == 2 and self.reuses is not False:  # a point never summed keeps no Hessian
+        if order == 2 and plan.reuses is not False:  # a point never summed keeps no Hessian
             entry = last[2] if last is not None else self.kept.get(self._key(x, point))
         hess = entry[1] if entry is not None else None
         run = order if hess is None else 1
-        blocks = last[4] if last is not None and last[3] == run else self.moving.blocks(x, run)
-        if self.layout is None or self.layout.order < run:
-            self.layout = _Layout(self.moving, blocks, run, len(refs), False)
-        grad, new, third, _ = self.layout.assemble(blocks, x.shape[1:], run)
+        blocks = last[4] if last is not None and last[3] == run else plan.moving.blocks(x, run)
+        if plan.layout is None or plan.layout.order < run:
+            plan.layout = _Layout(plan.moving, blocks, run, len(refs), False)
+        grad, new, third, _ = plan.layout.assemble(blocks, x.shape[1:], run)
         if entry is not None and hess is None:
-            if self.reuses is None:
-                self.reuses = self.moving.fixed_hessian(x.ndim > 1)
-            if self.reuses:
+            if plan.reuses is None:
+                plan.reuses = plan.moving.fixed_hessian(x.ndim > 1)
+            if plan.reuses:
                 entry[1] = new
         return grad, new if hess is None else hess, third, None
 

@@ -24,6 +24,7 @@ import heapq
 import json
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -209,6 +210,7 @@ class Model:
         )
         self.mask_warnings: tuple[str, ...] = ()  # parse_model fills it after compiling
         self._readers: dict[int, list[int]] | None = None  # see _terms_reading
+        self._plans: OrderedDict = OrderedDict()  # (terms, free) -> solve plan, see engine._plan
         self._module_thetas: dict[tuple[str, bool], tuple[int, ...]] = {}  # module_theta_refs
         # set by reduction.induce_scm once every local term has passed its
         # convexity probe; a model that fails is probed again on every call

@@ -13,8 +13,12 @@ Accepted iterates never increase the objective, and every column's
 iterates are bitwise those of running it alone.  A lone live column is
 evaluated on its 1-D point, in Python floats, which is quicker than a
 batch of one.  The loop plans its work once (:class:`escm.engine._Planned`):
-the terms that read a free coordinate are found once per run, and the
-values of the others once per start.  Each iterate is evaluated once: the
+the terms that read a free coordinate, and where their blocks go, come
+from the plan the model keeps for the objective's terms and the free
+list (:class:`escm.engine._Plan`, found once per run and shared by the
+runs over the same terms and free list, which a hard edit's are too),
+and the values of the other terms are computed once per start and kept
+for this run alone.  Each iterate is evaluated once: the
 energy at the start and at each undamped candidate comes from one run of
 the moving terms, whose blocks the derivative call at the accepted
 candidate then adds up, bitwise as the whole objective does.  Where no

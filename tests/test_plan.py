@@ -1,11 +1,15 @@
-"""An objective planned for one solve (``engine._Planned``) finds the terms
-that read a free coordinate and builds each order's scatter layout once,
-keeps the values of the other terms and the blocks of the last point it
-summed, and keeps Hessians that codegen flags as reading no free
-coordinate; yet its energies and derivatives are bitwise what
-``Objective.value`` and ``Objective.derivatives`` give at every point the
-solve can reach: the start columns with their free coordinates moved.  Its
-domain errors are theirs too."""
+"""An objective planned for one solve (``engine._Planned``) takes the terms
+that read a free coordinate and each order's scatter layout from a plan
+(``engine._Plan``) that its model keeps for later solves over the same
+terms and free list; it keeps the values of the other terms and the
+blocks of the last point it summed, and keeps Hessians that codegen flags
+as reading no free coordinate; yet its energies and derivatives are
+bitwise what ``Objective.value`` and ``Objective.derivatives`` give at
+every point the solve can reach: the start columns with their free
+coordinates moved.  Its domain errors are theirs too.  A plan holds no
+point value, a model keeps only plans of its own terms and at most
+``engine._PLANS`` of them, and solves that share a plan give bitwise what
+solves of a freshly parsed model give."""
 
 import json
 from pathlib import Path
@@ -15,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escm import EnergyDomainError, codegen, parse_model, solve
+from escm import (EnergyDomainError, codegen, counterfactual, disjunctive_envelope,
+                  disjunctive_select, engine, hard, parse_model, soft, solve)
 from escm.corpus import random_quadratic_model
 from escm.engine import Objective, Point, _Planned
 from escm.solver import SolverConfig, _newton
@@ -266,3 +271,147 @@ def test_a_candidate_whose_derivatives_overflow_raises_where_the_objective_does(
     assert energy < 0.0
     with pytest.raises(EnergyDomainError, match="numeric overflow in term 'Z1'"):
         derivatives(Objective.from_model(model), Point.from_flat(model, candidate))
+
+
+# -- plans kept by the model --------------------------------------------------------
+
+
+def _plans_used(monkeypatch) -> list:
+    """Every plan a solve takes, in order."""
+    used = []
+    plan = engine._plan
+
+    def recording(objective, free):
+        used.append(plan(objective, free))
+        return used[-1]
+
+    monkeypatch.setattr(engine, "_plan", recording)
+    return used
+
+
+def _kept(model, plan) -> bool:
+    return any(kept is plan for kept in model._plans.values())
+
+
+def _corpus(n: int, seed: int = 0):
+    return random_quadratic_model(np.random.default_rng(seed), n, density=0.3)
+
+
+def test_solves_of_a_model_over_one_free_list_share_a_plan(monkeypatch):
+    model = parse_model(_corpus(10))
+    used = _plans_used(monkeypatch)
+    for shift in (0.0, 0.5):
+        solve(model, clamps={f"u.U{k + 1}": 0.1 * k + shift for k in range(10)})
+    solve(model, clamps={"z.Z1": 0.3})
+    assert used[0] is used[1] and used[2] is not used[0]
+    assert len(model._plans) == 2 and _kept(model, used[0]) and _kept(model, used[2])
+
+
+def test_the_branches_of_a_disjunctive_envelope_share_one_plan(monkeypatch):
+    model = parse_model(_corpus(10))
+    used = _plans_used(monkeypatch)
+    evidence = {"z.Z1": 0.4, "z.Z3": -1.1}
+    disjunctive_envelope(model, evidence, "Z4", [-1.0, 0.25, 1.5], {"y": "z.Z10"})
+    abduction, *branches = used
+    assert len(branches) == 3 and all(plan is branches[0] for plan in branches)
+    assert abduction is not branches[0]
+    # a hard counterfactual on the same target is one more such branch
+    counterfactual(model, evidence, hard(model, "Z4", 2.0))
+    assert used[4] is abduction and used[5] is branches[0] and len(model._plans) == 2
+
+
+def test_a_soft_edit_plan_is_not_kept(monkeypatch):
+    model = parse_model(_corpus(10))
+    used = _plans_used(monkeypatch)
+    evidence = {"z.Z1": 0.4, "z.Z3": -1.1}
+    surgery = soft(model, "Z4", 0.5, "0.5*sq(z.Z4 - 1)")
+    for _ in range(2):
+        counterfactual(model, evidence, surgery)
+    abduction, blended, again, blended_again = used
+    assert again is abduction and _kept(model, abduction)
+    assert blended_again is not blended  # each edit blends a new term
+    assert not _kept(model, blended) and not _kept(model, blended_again)
+    assert len(model._plans) == 1
+
+
+def test_a_model_keeps_at_most_its_bound_of_plans_the_least_recently_used_going_first():
+    model = parse_model(_corpus(12))
+    state = [*model.coords("z"), *model.coords("u")]
+    frees = [[ref] for ref in state[:engine._PLANS + 5]]
+    for j, free in enumerate(frees):
+        solve(model, free=free)
+        assert len(model._plans) == min(j + 1, engine._PLANS)
+        if j == engine._PLANS - 1:
+            solve(model, free=frees[0])  # used again: it is the newest now
+    bound = engine._PLANS
+    kept = [list(free) for _, free in model._plans]
+    # the five solves past the bound dropped the five least recently used
+    assert kept == frees[6:bound] + [frees[0]] + frees[bound:]
+
+
+def _structure(plan) -> list:
+    """What a plan holds, by identity and size: a solve at other values
+    changes none of it once the plan has served one solve."""
+    held = [getattr(plan, name) for name in plan.__slots__]
+    return ([(id(value), len(value) if hasattr(value, "__len__") else value) for value in held]
+            + sorted(plan.moving._runs))
+
+
+def _same_equilibrium(got, want) -> None:
+    assert got.point.x.tobytes() == want.point.x.tobytes()
+    assert _bytes(got.energy_trace) == _bytes(want.energy_trace)
+    assert _bytes(got.residual) == _bytes(want.residual)
+    assert got.hessian.tobytes() == want.hessian.tobytes()
+
+
+@pytest.mark.parametrize("spec, clamps", [
+    (_BUMPY, [{"u.U1": 0.8}, {"u.U1": 0.58}, {"u.U1": -1.0}]),
+    (_corpus(12, 3), [{f"u.U{k + 1}": 0.1 * k * sign for k in range(12)}
+                      for sign in (1.0, -2.0, 0.5)]),
+], ids=["bumpy", "corpus"])
+def test_solves_sharing_a_plan_give_what_a_fresh_parse_gives(monkeypatch, spec, clamps):
+    # no kept value or Hessian passes from one solve to the next: the
+    # bumpy solves take damped steps, the corpus Hessian is kept per solve
+    model = parse_model(spec)
+    used = _plans_used(monkeypatch)
+    structure = None
+    for values in clamps:
+        eq = solve(model, clamps=values)
+        _same_equilibrium(eq, solve(parse_model(spec), clamps=values))
+        if structure is None:
+            structure = _structure(used[0])
+        assert _structure(used[0]) == structure
+    assert all(plan is used[0] for plan in used[::2])  # every other one is a fresh parse's
+
+
+def _same_result(got, want) -> None:
+    assert got.pre.x.tobytes() == want.pre.x.tobytes()
+    assert got.post.x.tobytes() == want.post.x.tobytes()
+    assert _bytes(list(got.readouts.values())) == _bytes(list(want.readouts.values()))
+    _same_equilibrium(got.equilibrium, want.equilibrium)
+
+
+_RQ10 = json.loads((Path(__file__).parent / "golden" / "models" / "rq10.json").read_text(
+    encoding="utf-8"))
+
+
+@pytest.mark.parametrize("spec, evidence, target, readouts", [
+    (_RQ10, {"z.Z1": 0.4, "z.Z3": -1.1, "z.Z6": 0.7, "z.Z9": 2.0}, "Z4",
+     {"phi": "z.Z7", "psi": "z.Z6 + 2*z.Z7 - u.U4"}),
+    (_corpus(40), {f"z.Z{k}": 0.05 * k - 1.0 for k in range(1, 41, 2)}, "Z8",
+     {"sink": "z.Z40", "mix": "z.Z8 + z.Z30"}),
+], ids=["rq10", "corpus40"])
+def test_disjunctive_branches_are_bitwise_counterfactuals_of_a_fresh_parse(spec, evidence,
+                                                                           target, readouts):
+    values = [-1.0, 0.25, 1.5]
+    model = parse_model(spec)
+    envelope = disjunctive_envelope(model, evidence, target, values, readouts)
+    select = disjunctive_select(model, evidence, target, values, tau=0.5, readouts=readouts)
+    for value in values:
+        fresh = parse_model(spec)
+        want = counterfactual(fresh, evidence, hard(fresh, target, value), readouts)
+        _same_result(envelope.branches[(value,)], want)
+        assert _bytes(select.branch_energies[(value,)]) == _bytes(want.equilibrium.energy)
+        assert select.branch_readouts[(value,)] == want.readouts
+        for explanation in (envelope.explanation, select.explanation):
+            assert explanation.point.x.tobytes() == want.explanation.point.x.tobytes()
