@@ -26,7 +26,7 @@ from .engine import Objective, ObjectiveTerm, Point
 from .errors import EnergyDomainError, QueryError, SolverError
 from .expr import CompiledExpr, compile_query
 from .model import Model, VariableDecl
-from .solver import (Equilibrium, SolverConfig, finite_number, normalize_clamps,
+from .solver import (Equilibrium, SolverConfig, _solve, finite_number, normalize_clamps,
                      normalize_refs, solve)
 
 __all__ = [
@@ -389,14 +389,14 @@ def _predict(model: Model, explanation: Explanation, edited: EditedEnergy,
         if ref in edited.clamps:
             raise QueryError(f"coordinate {model.coord_label(ref)} is clamped by a hard surgery")
 
-    # every other z and u coordinate holds its abducted value
+    # every other z and u coordinate holds its abducted value; the surgery's
+    # clamps and those values are flat indices and finite floats already
     clamps = dict(edited.clamps)
-    state = np.array([*model.coords("z"), *model.coords("u")], dtype=np.intp)
-    held = state[~np.isin(state, [*free, *clamps])]
-    clamps.update(zip(held.tolist(), explanation.point.x[held].tolist()))
+    taken = {*free, *clamps}
+    held = [i for i in (*model.coords("z"), *model.coords("u")) if i not in taken]
+    clamps.update(zip(held, explanation.point.x[held].tolist()))
 
-    eq = solve(edited.objective, clamps=clamps, free=free, cfg=cfg,
-               init_point=explanation.point)
+    eq = _solve(edited.objective, clamps, free, cfg, explanation.point)
     return CounterfactualResult(
         pre=explanation.point.copy(),
         post=eq.point,

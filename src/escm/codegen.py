@@ -34,10 +34,10 @@ row-major, and one past ``MAX_UNROLLED`` is the ndarray its numpy formula
 builds; ``np.asarray(block).reshape`` and ``np.concatenate(..., axis=None)``
 read either the same way.  A block that is structurally zero, or above the
 order, is None.  From the assignments it generates, the generator also
-reads whether the Hessian an order-2 function returns reads a leaf in an
-active slot; one that does not is bitwise the same at points that differ
-only in their active coordinates, and its functions are in
-``_FIXED_HESSIAN``.
+reads which leaves the Hessian an order-2 function returns reads.  A
+Hessian that reads no leaf in an active slot is bitwise the same at every
+point that agrees on the leaves it reads, and ``_HESSIAN_READS`` maps its
+functions to those leaves.
 
 The same code object runs one point in Python floats and a batch of points
 on ``(B,)`` arrays: when it is compiled, it is bound to each of two helper
@@ -440,10 +440,18 @@ class _ActiveTerms:
         batch = x.ndim > 1
         return _values(self.codes, x if batch else x.tolist(), batch)
 
-    def fixed_hessian(self, batch: bool) -> bool:
-        """Whether no term's Hessian block reads an active index: then
-        every block is bitwise the same at points that differ only there."""
-        return all(fn in _FIXED_HESSIAN for _, fn in self._functions(2, batch))
+    def hessian_reads(self) -> np.ndarray | None:
+        """The flat indices the terms' Hessian blocks read, sorted, if no
+        block reads an active index, and None otherwise: then every block
+        is bitwise the same at points that agree on those indices.  The
+        functions on floats and on batches share their code, and so this."""
+        reads: set[int] = set()
+        for code, fn in self._functions(2, False):
+            leaves = _HESSIAN_READS.get(fn)
+            if leaves is None:
+                return None
+            reads.update(map(code.refs.__getitem__, leaves))
+        return np.array(sorted(reads), dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +460,8 @@ class _ActiveTerms:
 _SHAPES: list = []     # every shape seen, numbered so that keys below hash quickly
 _NUMBERS: dict = {}    # shape -> its number
 _FUNCTIONS: dict = {}  # (shape number, slots, k, order) -> (function on floats, on batches)
-_FIXED_HESSIAN: set = set()  # the functions whose Hessian reads no active slot
+# each order-2 function whose Hessian reads no active slot -> the leaves it reads
+_HESSIAN_READS: dict = {}
 
 
 def source(term, active, order: int) -> str:
@@ -474,13 +483,13 @@ def _functions(shape: int, slots, k, order) -> tuple:
     key = (shape, slots, k, order)
     pair = _FUNCTIONS.get(key)
     if pair is None:
-        text, fixed = _generated(_SHAPES[shape], slots, k, order)
+        text, leaves = _generated(_SHAPES[shape], slots, k, order)
         module = compile(text, "<escm term>", "exec")
         code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
         pair = _FUNCTIONS[key] = (types.FunctionType(code, _SCALAR, "term"),
                                   types.FunctionType(code, _BATCH, "term"))
-        if fixed:
-            _FIXED_HESSIAN.update(pair)
+        if leaves is not None:
+            _HESSIAN_READS.update(dict.fromkeys(pair, leaves))
     return pair
 
 
@@ -841,9 +850,10 @@ def generate(shape, slots, k: int, order: int) -> str:
     return _generated(shape, slots, k, order)[0]
 
 
-def _generated(shape, slots, k: int, order: int) -> tuple[str, bool]:
-    """The source :func:`generate` gives, and, at order 2, whether the
-    Hessian it returns reads no active slot (False at other orders)."""
+def _generated(shape, slots, k: int, order: int) -> tuple[str, tuple | None]:
+    """The source :func:`generate` gives, and, at order 2, the leaves the
+    Hessian it returns reads if none is in an active slot (None otherwise,
+    and at other orders)."""
     gen = _Gen(slots, k, order)
     nleaf, pieces = shape
     total = None
@@ -870,23 +880,28 @@ def _generated(shape, slots, k: int, order: int) -> tuple[str, bool]:
             h = gen.flat(total.h, 2)
         t = "None" if order < 3 or total.t is None else gen.flat(total.t, 3)
         tail = [f"return {total.v}, {g}, {h}, {t}"]
-    fixed = order == 2 and not _reads_active(gen.lines, slots, h)
+    leaves = None
+    if order == 2:
+        leaves = _reads(gen.lines, h)
+        if any(slots[leaf] >= 0 for leaf in leaves):
+            leaves = None
     body = _inline(gen.lines + tail)
-    return "\n".join(head + [f"    {line}" for line in body]) + "\n", fixed
+    return "\n".join(head + [f"    {line}" for line in body]) + "\n", leaves
 
 
 _NAMES = re.compile(r"\b[av]\d+\b")  # leaves and intermediates
 
 
-def _reads_active(lines: list, slots, expr: str) -> bool:
-    """Whether ``expr`` reads a leaf in an active slot, itself or through
-    the assignments of ``lines``: the generator's own data flow, with no
-    evaluation."""
-    moving = {f"a{leaf}" for leaf, slot in enumerate(slots) if slot >= 0}
-    for line in lines:
-        if isinstance(line, tuple) and not moving.isdisjoint(_NAMES.findall(line[2])):
-            moving.add(line[1])
-    return not moving.isdisjoint(_NAMES.findall(expr))
+def _reads(lines: list, expr: str) -> tuple[int, ...]:
+    """The leaves ``expr`` reads, itself or through the assignments of
+    ``lines``, sorted: the generator's own data flow, with no evaluation.
+    Every intermediate is assigned once, after its operands, so one walk
+    back from ``expr`` finds them all."""
+    names = set(_NAMES.findall(expr))
+    for line in reversed(lines):
+        if isinstance(line, tuple) and line[1] in names:
+            names.update(_NAMES.findall(line[2]))
+    return tuple(sorted(int(name[1:]) for name in names if name[0] == "a"))
 
 
 _TEMP = re.compile(r"\bv\d+\b")

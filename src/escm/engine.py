@@ -26,22 +26,25 @@ A solve takes its energies and derivatives many times with respect to
 one free list, and the solves of a query repeat terms and free lists.
 So the work splits in two.  A :class:`_Plan` is the structure of solves
 over one terms tuple and free list: the terms that read a free
-coordinate with their generated functions, the layout, and whether any
-of their Hessians reads a free coordinate.  It holds no point value.  A
-model keeps the plans of objectives made only of its own terms, as hard
-edits' are, at most ``_PLANS`` of them, the least recently used going
-first; a soft edit's blend is a new term on every edit, so its plan is
-made per solve and not kept.  :class:`_Planned` is the objective planned
-for one solve: it takes its model's plan and keeps, for itself alone,
-the values of the other terms for each point's held coordinates.  Each
-iterate is evaluated once: ``value`` runs the moving terms at order 2
-and adds their values to the kept ones in term order, and
-``derivatives`` at that point assembles the blocks of that run.  A
-Hessian that no free coordinate can move (codegen decides that from the
-generated code) is kept too, and later iterates run at order 1.  Its
-``value`` and ``derivatives`` are those of :class:`Objective`, reached
-through the private ``_summed`` and ``_assembled``, so a tracer of
-``Objective.value`` and ``Objective.derivatives`` sees the solve's
+coordinate with their generated functions, the layout, and the
+coordinates their Hessians read when none of them is free.  It holds no
+point value but a Hessian keyed by what it reads: the last free Hessian
+assembled, under the shape and bytes of those coordinates, which codegen
+proves are all its code reads (for the corpus's weighted squares, only
+theta).  A model keeps the plans of objectives made only of its own
+terms, as hard edits' are, at most ``_PLANS`` of them, the least
+recently used going first; a soft edit's blend is a new term on every
+edit, so its plan, and with it its Hessian, is made per solve and not
+kept.  :class:`_Planned` is the objective planned for one solve: it
+takes its model's plan and keeps, for itself alone, the values of the
+other terms for each point's held coordinates.  Each iterate is
+evaluated once: ``value`` runs the moving terms and adds their values to
+the kept ones in term order, and ``derivatives`` at that point assembles
+the blocks of that run.  They run at order 1 where the plan's Hessian
+key matches, in this solve or any later one, and at order 2 elsewhere.
+Its ``value`` and ``derivatives`` are those of :class:`Objective`,
+reached through the private ``_summed`` and ``_assembled``, so a tracer
+of ``Objective.value`` and ``Objective.derivatives`` sees the solve's
 evaluations, and they give bitwise what the whole objective gives.
 """
 
@@ -262,17 +265,22 @@ _PLANS = 16  # the most plans a model keeps; the least recently used goes first
 
 class _Plan:
     """The structure of solves over ``terms`` with respect to the flat
-    indices ``free``; it holds no point value.  It holds the terms that
-    read a free coordinate, the *moving* terms
-    (:class:`escm.codegen._ActiveTerms`, with the function table of each
-    order), the codes of the other terms, the held flat indices (those
-    that are not free) as runs [start, stop), the :class:`_Layout` of the
-    highest order yet asked, and whether no moving Hessian reads a free
-    coordinate (None until the first order-2 blocks).  Block presence and
-    that flag come from the generated code, so one plan serves every point
-    of every solve over the same terms and free list."""
+    indices ``free``; it holds no point value but a Hessian keyed by what
+    it reads.  It holds the terms that read a free coordinate, the
+    *moving* terms (:class:`escm.codegen._ActiveTerms`, with the function
+    table of each order), the codes of the other terms, the held flat
+    indices (those that are not free) as runs [start, stop), the
+    :class:`_Layout` of the highest order yet asked, and ``reads``: the
+    flat indices the moving terms' Hessians read if none of them is free,
+    or None.  Block presence and ``reads`` come from the generated code,
+    so one plan serves every point of every solve over the same terms and
+    free list.  With ``reads``, ``hessian`` holds the free Hessian last
+    assembled and its key, the point's shape and the bytes of its
+    ``reads`` coordinates: the Hessian's code reads nothing else, so it is
+    bitwise the Hessian of every point with that key, in any solve of the
+    plan.  A miss replaces it."""
 
-    __slots__ = ("moving", "rest", "held", "layout", "reuses")
+    __slots__ = ("moving", "rest", "held", "layout", "reads", "hessian")
 
     def __init__(self, terms: tuple, free, dim: int):
         self.moving = codegen._ActiveTerms(terms, {ref: j for j, ref in enumerate(free)})
@@ -286,7 +294,13 @@ class _Plan:
         if start < dim:
             self.held.append((start, dim))
         self.layout: _Layout | None = None  # it serves the lower orders too
-        self.reuses: bool | None = None
+        self.reads = self.moving.hessian_reads()
+        self.hessian: tuple | None = None  # (key, free Hessian)
+
+    def key(self, x: np.ndarray) -> tuple:
+        """The key of ``hessian`` at the flat point ``x``: its shape and the
+        bytes of the coordinates ``reads`` names."""
+        return x.shape, x[self.reads].tobytes()
 
 
 def _plan(objective: Objective, free) -> _Plan:
@@ -316,17 +330,17 @@ class _Planned(Objective):
 
     Its :class:`_Plan`, which it may share with other solves of the same
     model, gives the moving terms, the terms that read a free coordinate,
-    and the layout.  Everything that depends on a point is this solve's
-    own and never shared: the other terms read only held coordinates, so
-    their values are computed once for each point's held coordinates and
-    kept here.
-    ``value`` runs only the moving terms, at order 2, and keeps their
-    blocks: the energy adds the kept values and theirs in term order, and a
+    the layout, and the Hessian its key matches.  The values of the other
+    terms are this solve's own and never shared: they read only held
+    coordinates, so they are computed once for each point's held
+    coordinates and kept here.
+    ``value`` runs only the moving terms and keeps their blocks: the
+    energy adds the kept values and theirs in term order, and a
     ``derivatives`` call at the same point assembles the kept blocks.  If
     no moving term's Hessian reads a free coordinate
-    (:meth:`escm.codegen._ActiveTerms.fixed_hessian`), the Hessian depends
-    only on the held coordinates: it is kept with their values, and later
-    points with those held coordinates run the moving terms at order 1.
+    (:meth:`escm.codegen._ActiveTerms.hessian_reads`), the plan keeps the
+    Hessian, and a point whose key matches runs the moving terms at order
+    1; any other point runs them at order 2.
     ``trials`` is the same plan for trial points, mostly rejected, whose
     energies are the whole objective's order-0 sums and which keep
     nothing.
@@ -335,16 +349,17 @@ class _Planned(Objective):
     bitwise what it gives: every order gives a term the same value, and
     where a moving term raises at order 2 or 1, the moving terms are run
     again at order 0, in term order after the other terms passed, which
-    raises the error of the whole sum or gives its value.
+    raises the error of the whole sum or gives its value.  The Hessian
+    ``derivatives`` returns may be the plan's own: a caller copies it
+    before writing to it.
     """
 
     def __init__(self, objective: Objective, free):
         super().__init__(objective.model, objective.terms)
         self.plan = _plan(objective, free)
-        # (shape, held coordinates) -> [every term's value, the moving ones
-        # None; the Hessian, while it reads no free coordinate]
+        # (shape, held coordinates) -> every term's value, the moving ones None
         self.kept: dict[tuple, list] = {}
-        self.last = None  # (shape, point, its entry, order, blocks) of the last ``value``
+        self.last = None  # (shape, point, order, blocks) of the last ``value``
         self.keeps = True
 
     @cached_property
@@ -355,71 +370,65 @@ class _Planned(Objective):
         trials.keeps, trials.last = False, None
         return trials
 
-    def _key(self, x: np.ndarray, point: bytes) -> tuple:
-        """The key in ``kept`` of the flat point ``x``, whose bytes are
-        ``point``: its shape and the bytes of its held coordinates."""
+    def _kept_values(self, x: np.ndarray, point: bytes) -> list:
+        """Every term's value at the flat point ``x``, whose bytes are
+        ``point``, the moving ones None: the values of the terms that read
+        only held coordinates are kept by the shape and bytes of those,
+        and computed on first use."""
         row = 8 if x.ndim == 1 else 8 * x.shape[1]  # the bytes of one flat index
-        return x.shape, b"".join([point[row * start:row * stop]
-                                  for start, stop in self.plan.held])
-
-    def _entry(self, x: np.ndarray, point: bytes) -> list:
-        """The entry of ``kept`` for the flat point ``x``, whose bytes are
-        ``point``, with the values of the terms that read only held
-        coordinates computed on first use."""
-        key = self._key(x, point)
-        entry = self.kept.get(key)
-        if entry is None:
-            batch, plan = x.ndim > 1, self.plan
+        plan = self.plan
+        key = x.shape, b"".join([point[row * start:row * stop] for start, stop in plan.held])
+        values = self.kept.get(key)
+        if values is None:
+            batch = x.ndim > 1
             values = [None] * len(self.terms)
             for n, value in zip(plan.moving.rest, codegen._values(
                     plan.rest, x if batch else x.tolist(), batch)):
                 # a row of ``x``, from a term that is one symbol, is copied
                 values[n] = value.copy() if batch and isinstance(value, np.ndarray) else value
-            entry = self.kept[key] = [values, None]
-        return entry
+            self.kept[key] = values
+        return values
 
     def _summed(self, x: np.ndarray):
         if not self.keeps:
             return super()._summed(x)
         point = x.tobytes()
         try:
-            entry = self._entry(x, point)
+            values = self._kept_values(x, point)
         except EnergyDomainError:  # the whole sum names its first failing term
             return super()._summed(x)
-        order = 2 if entry[1] is None else 1
-        active = self.plan.moving
+        plan = self.plan
+        kept = plan.hessian
+        order = 1 if kept is not None and kept[0] == plan.key(x) else 2
         try:
-            blocks = active.blocks(x, order)
+            blocks = plan.moving.blocks(x, order)
         except EnergyDomainError:  # order 0 decides: the other terms passed, so this
-            moving = active.values(x)  # raises what the whole sum does
+            moving = plan.moving.values(x)  # raises what the whole sum does
         else:
-            self.last = x.shape, point, entry, order, blocks
+            self.last = x.shape, point, order, blocks
             moving = map(itemgetter(0), blocks)
-        values = entry[0].copy()
-        for n, value in zip(active.where, moving):
+        values = values.copy()
+        for n, value in zip(plan.moving.where, moving):
             values[n] = value
         return _sum(values, x)
 
     def _assembled(self, x: np.ndarray, refs: tuple, order: int, attribution: bool):
         plan = self.plan
-        point = x.tobytes()
         last = self.last
-        if last is not None and not (last[1] == point and last[0] == x.shape):
+        if last is not None and not (last[0] == x.shape and last[1] == x.tobytes()):
             last = None
-        entry = None
-        if order == 2 and plan.reuses is not False:  # a point never summed keeps no Hessian
-            entry = last[2] if last is not None else self.kept.get(self._key(x, point))
-        hess = entry[1] if entry is not None else None
+        key = hess = None
+        if order == 2 and plan.reads is not None:
+            key = plan.key(x)
+            if plan.hessian is not None and plan.hessian[0] == key:
+                hess = plan.hessian[1]
         run = order if hess is None else 1
-        blocks = last[4] if last is not None and last[3] == run else plan.moving.blocks(x, run)
+        blocks = last[3] if last is not None and last[2] == run else plan.moving.blocks(x, run)
         if plan.layout is None or plan.layout.order < run:
             plan.layout = _Layout(plan.moving, blocks, run, len(refs), False)
         grad, new, third, _ = plan.layout.assemble(blocks, x.shape[1:], run)
-        if entry is not None and hess is None:
-            if plan.reuses is None:
-                plan.reuses = plan.moving.fixed_hessian(x.ndim > 1)
-            if plan.reuses:
-                entry[1] = new
+        if key is not None and hess is None:
+            plan.hessian = key, new
         return grad, new if hess is None else hess, third, None
 
 

@@ -22,10 +22,13 @@ for this run alone.  Each iterate is evaluated once: the
 energy at the start and at each undamped candidate comes from one run of
 the moving terms, whose blocks the derivative call at the accepted
 candidate then adds up, bitwise as the whole objective does.  Where no
-moving term's Hessian reads a free coordinate, the first Hessian serves
-the whole run and later iterates run at order 1.  Damped trials, which
-are mostly rejected, take the whole objective's order-0 energies, as
-before the plan kept anything.
+moving term's Hessian reads a free coordinate, the plan keeps the last
+Hessian under the coordinates it reads, and every iterate of this or a
+later run whose coordinates match there runs at order 1: the Hessian is
+the same bits.  Each returned Hessian is the run's own array, so writing
+to an :class:`Equilibrium`'s changes no later solve.  Damped trials,
+which are mostly rejected, take the whole objective's order-0 energies,
+as before the plan kept anything.
 """
 
 from __future__ import annotations
@@ -180,10 +183,15 @@ def solve(target, clamps=None, free=None, cfg: SolverConfig | None = None,
     escalation is exhausted.
     """
     objective = _as_objective(target)
+    return _solve(objective, normalize_clamps(objective, clamps or {}), free, cfg, init_point)
+
+
+def _solve(objective: Objective, clamps: dict[int, float], free, cfg: SolverConfig | None,
+           init_point: Point | None) -> Equilibrium:
+    """:func:`solve` with ``clamps`` already checked: a dict of flat
+    indices to finite floats, as :func:`normalize_clamps` returns them."""
     model = objective.model
     cfg = cfg or SolverConfig()
-    clamps = normalize_clamps(objective, clamps or {})
-
     if free is None:
         free_refs = [i for i in (*model.coords("z"), *model.coords("u")) if i not in clamps]
     else:
@@ -244,8 +252,10 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
         residual = _residuals(grad)
         stop = [r <= cfg.tol_grad for r in residual]
         if any(stop):
-            for i in (i for i, s in enumerate(stop) if s):
-                residuals[live[i]], hessians[live[i]] = residual[i], hess[:, :, i]
+            done = [i for i, s in enumerate(stop) if s]
+            # one copy, a (k, k) block per column: ``hess`` may be the plan's own
+            for i, own in zip(done, hess.transpose(2, 0, 1)[done]):
+                residuals[live[i]], hessians[live[i]] = residual[i], own
             if all(stop):
                 return traces, residuals, hessians
             going = [i for i, s in enumerate(stop) if not s]

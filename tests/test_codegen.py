@@ -1,19 +1,24 @@
 """Generated derivative code: it holds no text from the model, blocks are
-unrolled only up to ``MAX_UNROLLED`` entries and returned flat, and terms
-of one shape share one code object."""
+unrolled only up to ``MAX_UNROLLED`` entries and returned flat, terms of
+one shape share one code object, and a Hessian flagged as reading no
+active coordinate depends only on the coordinates it is said to read."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from escm import ExprSyntaxError, codegen, parse_model
+from escm import EnergyDomainError, ExprSyntaxError, codegen, parse_model
+from escm.corpus import random_quadratic_model
 from escm.engine import Objective, Point
 from escm.expr import MAX_DEPTH, compile_expr, parse_expr
 from escm.model import ObjectiveTerm
+from tests.genmodels import random_smooth_model
 
 # Names that are legal in a model file and dangerous in Python source.
 _VARS = ["__import__", "os", "t0", "exec", "sys"]
@@ -244,3 +249,60 @@ def test_expressions_at_the_depth_limit_evaluate(form):
         alone = deep_objective.derivatives(Point.from_flat(model, x[:, j]), order=2)
         assert batch.grad[..., j].tobytes() == alone.grad.tobytes()
         assert batch.hess[..., j].tobytes() == alone.hess.tobytes()
+
+
+# -- Hessians that read no active coordinate -------------------------------------
+
+_GOLDEN_MODELS = sorted((Path(__file__).parent / "golden" / "models").glob("*.json"))
+
+
+def _models():
+    for path in _GOLDEN_MODELS:
+        yield parse_model(json.loads(path.read_text(encoding="utf-8")), mask_policy="warn")
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        yield parse_model(random_quadratic_model(rng, int(rng.integers(2, 12)), density=0.3))
+    for _ in range(30):
+        yield random_smooth_model(rng, max_nodes=5)
+
+
+def _hessian(active: codegen._ActiveTerms, x: np.ndarray):
+    try:
+        return np.asarray(active.blocks(x, 2)[0][2], dtype=float).tobytes()
+    except EnergyDomainError:
+        return None
+
+
+def test_a_flagged_hessian_is_the_same_wherever_the_coordinates_it_does_not_read_go():
+    # every coordinate outside the flagged read set moves: the active ones,
+    # the term's held ones and every other one, parameters included
+    rng = np.random.default_rng(7)
+    flagged = unflagged = compared = unread = 0
+    for model in _models():
+        state = [*model.coords("z"), *model.coords("u")]
+        for term in model.terms:
+            refs = [ref for ref in term.objective_term.refs if ref in state]
+            if not refs:
+                continue
+            for _ in range(3):
+                chosen = rng.permutation(refs)[:int(rng.integers(1, len(refs) + 1))]
+                active = codegen._ActiveTerms([term.objective_term],
+                                              {int(ref): j for j, ref in enumerate(chosen)})
+                reads = active.hessian_reads()
+                if reads is None:
+                    unflagged += 1
+                    continue
+                flagged += 1
+                assert not set(reads.tolist()) & set(chosen.tolist())
+                moved = np.setdiff1d(np.arange(model.dim), reads)
+                unread += bool(set(term.objective_term.refs) - set(chosen.tolist())
+                               - set(reads.tolist()))
+                x = np.concatenate([rng.uniform(-1.0, 1.0, len(state)), model.theta_defaults()])
+                want = _hessian(active, x)
+                for _ in range(2):
+                    x[moved] = rng.uniform(-1.0, 1.0, len(moved))
+                    got = _hessian(active, x)
+                    if want is not None and got is not None:
+                        assert got == want, (term.owner, chosen)
+                        compared += 1
+    assert flagged > 300 and unflagged > 200 and compared > 600 and unread > 100

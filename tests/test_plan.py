@@ -2,12 +2,13 @@
 that read a free coordinate and each order's scatter layout from a plan
 (``engine._Plan``) that its model keeps for later solves over the same
 terms and free list; it keeps the values of the other terms and the
-blocks of the last point it summed, and keeps Hessians that codegen flags
-as reading no free coordinate; yet its energies and derivatives are
-bitwise what ``Objective.value`` and ``Objective.derivatives`` give at
-every point the solve can reach: the start columns with their free
-coordinates moved.  Its domain errors are theirs too.  A plan holds no
-point value, a model keeps only plans of its own terms and at most
+blocks of the last point it summed, and its plan keeps a Hessian that
+codegen flags as reading no free coordinate, keyed by the coordinates it
+reads; yet its energies and derivatives are bitwise what
+``Objective.value`` and ``Objective.derivatives`` give at every point the
+solve can reach: the start columns with their free coordinates moved.
+Its domain errors are theirs too.  A plan holds no point value but that
+Hessian, a model keeps only plans of its own terms and at most
 ``engine._PLANS`` of them, and solves that share a plan give bitwise what
 solves of a freshly parsed model give."""
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escm import (EnergyDomainError, codegen, counterfactual, disjunctive_envelope,
+from escm import (EnergyDomainError, abduct, codegen, counterfactual, disjunctive_envelope,
                   disjunctive_select, engine, hard, parse_model, soft, solve)
 from escm.corpus import random_quadratic_model
 from escm.engine import Objective, Point, _Planned
@@ -124,56 +125,6 @@ def test_a_planned_objective_raises_the_domain_error_of_the_objective(names, sta
         if not isinstance(want, bytes):  # no solve goes on from a start outside the domain
             break
     assert not isinstance(want, bytes)  # every case leaves the domain somewhere
-
-
-# -- kept Hessians --------------------------------------------------------------
-
-_GOLDEN_MODELS = sorted((Path(__file__).parent / "golden" / "models").glob("*.json"))
-
-
-def _models():
-    for path in _GOLDEN_MODELS:
-        yield parse_model(json.loads(path.read_text(encoding="utf-8")), mask_policy="warn")
-    rng = np.random.default_rng(31)
-    for _ in range(4):
-        yield parse_model(random_quadratic_model(rng, int(rng.integers(2, 12)), density=0.3))
-    for _ in range(30):
-        yield random_smooth_model(rng, max_nodes=5)
-
-
-def _hessian(active: codegen._ActiveTerms, x: np.ndarray):
-    try:
-        return np.asarray(active.blocks(x, 2)[0][2], dtype=float).tobytes()
-    except EnergyDomainError:
-        return None
-
-
-def test_a_hessian_codegen_calls_fixed_is_the_same_wherever_its_active_coordinates_go():
-    rng = np.random.default_rng(7)
-    flagged = unflagged = compared = 0
-    for model in _models():
-        state = [*model.coords("z"), *model.coords("u")]
-        for term in model.terms:
-            refs = [ref for ref in term.objective_term.refs if ref in state]
-            if not refs:
-                continue
-            for _ in range(3):
-                chosen = rng.permutation(refs)[:int(rng.integers(1, len(refs) + 1))]
-                active = codegen._ActiveTerms([term.objective_term],
-                                              {int(ref): j for j, ref in enumerate(chosen)})
-                if not active.fixed_hessian(False):
-                    unflagged += 1
-                    continue
-                flagged += 1
-                x = np.concatenate([rng.uniform(-1.0, 1.0, len(state)), model.theta_defaults()])
-                want = _hessian(active, x)
-                for _ in range(2):
-                    x[chosen] = rng.uniform(-1.0, 1.0, len(chosen))
-                    got = _hessian(active, x)
-                    if want is not None and got is not None:
-                        assert got == want, (term.owner, chosen)
-                        compared += 1
-    assert flagged > 300 and unflagged > 200 and compared > 600
 
 
 # -- energies of planned solves ---------------------------------------------------
@@ -370,8 +321,11 @@ def _same_equilibrium(got, want) -> None:
                       for sign in (1.0, -2.0, 0.5)]),
 ], ids=["bumpy", "corpus"])
 def test_solves_sharing_a_plan_give_what_a_fresh_parse_gives(monkeypatch, spec, clamps):
-    # no kept value or Hessian passes from one solve to the next: the
-    # bumpy solves take damped steps, the corpus Hessian is kept per solve
+    # no kept value passes from one solve to the next, and a Hessian passes
+    # only where the coordinates it reads match: the bumpy solves take
+    # damped steps and their Hessians read a free coordinate, so none is
+    # kept; the corpus Hessian reads only theta, so every solve after the
+    # first takes the plan's
     model = parse_model(spec)
     used = _plans_used(monkeypatch)
     structure = None
@@ -382,6 +336,90 @@ def test_solves_sharing_a_plan_give_what_a_fresh_parse_gives(monkeypatch, spec, 
             structure = _structure(used[0])
         assert _structure(used[0]) == structure
     assert all(plan is used[0] for plan in used[::2])  # every other one is a fresh parse's
+
+
+def _blocks_run(monkeypatch) -> list:
+    """The order of every run of a solve's moving terms, in order."""
+    orders = []
+    blocks = codegen._ActiveTerms.blocks
+
+    def counting(active, x, order):
+        orders.append(order)
+        return blocks(active, x, order)
+
+    monkeypatch.setattr(codegen._ActiveTerms, "blocks", counting)
+    return orders
+
+
+def test_a_second_abduction_over_one_free_list_runs_no_moving_term_at_order_2(monkeypatch):
+    spec = _corpus(12, 4)
+    model = parse_model(spec)
+    orders = _blocks_run(monkeypatch)
+    abduct(model, {f"z.Z{k}": 0.1 * k for k in range(1, 13, 2)})
+    assert 2 in orders
+    orders.clear()
+    evidence = {f"z.Z{k}": 1.0 - 0.2 * k for k in range(1, 13, 2)}
+    again = abduct(model, evidence)
+    assert orders and set(orders) == {1}
+    _same_equilibrium(again.equilibrium, abduct(parse_model(spec), evidence).equilibrium)
+
+
+def test_a_solve_whose_start_changes_theta_gets_the_hessian_of_a_fresh_parse():
+    spec = _corpus(10, 5)
+    model = parse_model(spec)
+    clamps = {f"u.U{k + 1}": 0.1 * k for k in range(10)}
+    first = solve(model, clamps=clamps)
+    theta = 1.5 * model.theta_defaults()
+    moved = solve(model, clamps=clamps, init_point=Point.for_model(model, theta=theta))
+    fresh = parse_model(spec)
+    _same_equilibrium(moved, solve(fresh, clamps=clamps,
+                                   init_point=Point.for_model(fresh, theta=theta)))
+    assert moved.hessian.tobytes() != first.hessian.tobytes()
+    _same_equilibrium(solve(model, clamps=clamps), first)  # and back
+
+
+_EXP = {  # the Hessian of Z2's term in z.Z2 is 2*exp(z.Z1): it reads a held z
+    "variables": [{"name": "Z1", "kind": "endogenous"}, {"name": "Z2", "kind": "endogenous"},
+                  {"name": "U1", "kind": "exogenous"}, {"name": "U2", "kind": "exogenous"}],
+    "edges": [["Z1", "Z2"]],
+    "terms": [{"owner": "local:Z1", "expr": "0.5*sq(z.Z1 - u.U1)"},
+              {"owner": "local:Z2", "expr": "exp(z.Z1)*sq(z.Z2 - u.U2)"},
+              {"owner": "exo:U1", "expr": "0.5*sq(u.U1)"},
+              {"owner": "exo:U2", "expr": "0.5*sq(u.U2)"}],
+}
+
+
+def test_a_hessian_that_reads_a_held_z_follows_its_value(monkeypatch):
+    model = parse_model(_EXP)
+    used = _plans_used(monkeypatch)
+    hessians = []
+    for z1 in (0.0, 0.5, 0.0):
+        clamps = {"z.Z1": z1, "u.U2": 0.3}
+        eq = solve(model, clamps=clamps, free=["z.Z2"])
+        _same_equilibrium(eq, solve(parse_model(_EXP), clamps=clamps, free=["z.Z2"]))
+        hessians.append(eq.hessian.tobytes())
+    assert used[0] is used[2] is used[4]
+    assert used[0].reads.tolist() == [model.parse_coord("z.Z1")]
+    assert hessians[0] != hessians[1] and hessians[0] == hessians[2]
+
+
+def test_writing_an_equilibrium_hessian_changes_no_later_solve(monkeypatch):
+    spec = _corpus(10, 6)
+    model = parse_model(spec)
+    used = _plans_used(monkeypatch)
+    clamps = [{f"u.U{k + 1}": 0.1 * k * sign for k in range(10)} for sign in (1.0, -1.0)]
+    eq = solve(model, clamps=clamps[0])
+    plan = used[0]
+    assert not np.shares_memory(eq.hessian, plan.hessian[1])
+    eq.hessian *= 2.0
+    _same_equilibrium(solve(model, clamps=clamps[1]), solve(parse_model(spec), clamps=clamps[1]))
+    # each column of a batch gets its own array too
+    free = list(model.coords("z"))
+    x = np.column_stack([eq.point.x, eq.point.x])
+    x[free, 1] = 0.0
+    hessians = _newton(Objective.from_model(model), free, x, SolverConfig())[2]
+    assert not np.shares_memory(*hessians)
+    assert not any(np.shares_memory(h, used[-1].hessian[1]) for h in hessians)
 
 
 def _same_result(got, want) -> None:
