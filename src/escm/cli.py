@@ -310,17 +310,18 @@ def _cmd_pushforward(model: Model, args) -> dict:
 
 
 def _cmd_simulate(model: Model, args) -> dict:
+    if args.stride < 1:
+        raise QueryError(f"--stride must be at least 1, not {args.stride}")
     u = _point_from_overrides(model, _read_json_arg(args.context, "--context"), "u").u
     z0 = _point_from_overrides(model, _read_json_arg(args.z0, "--z0"), "z").z
     surgeries = [dynamics.dyn_surgery_from_dict(model, s)
                  for s in (_read_json_arg(args.surgeries, "--surgeries", list) or [])]
     trajectory = dynamics.integrate(model, z0, u, surgeries,
                                     t_end=args.t_end, dt=args.dt)
-    stride = max(1, args.stride)
     return {
-        "times": [float(t) for t in trajectory.times[::stride]],
+        "times": [float(t) for t in trajectory.times[::args.stride]],
         "states": {
-            name: [float(v) for v in trajectory.states[::stride, k]]
+            name: [float(v) for v in trajectory.states[::args.stride, k]]
             for k, name in enumerate(trajectory.node_order)
         },
         "events": trajectory.events,

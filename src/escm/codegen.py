@@ -51,7 +51,7 @@ leaves, ``k`` constants, ``v`` intermediates), integer slots, a few fixed
 float literals and the helpers below.  A domain failure raises
 :class:`DomainFault` with the post-order index of the failing node among
 the nodes of all the term's pieces, which :func:`term_value` and
-:func:`active_blocks` turn into the :class:`~escm.errors.EnergyDomainError`
+:class:`_ActiveTerms` turn into the :class:`~escm.errors.EnergyDomainError`
 naming the term's owner and the failing subexpression: the span the parser
 listed at that index.  A float operation out of range (``exp`` of 1000,
 ``pow`` of 1e200) raises ``OverflowError`` or, where a power a derivative
@@ -74,8 +74,7 @@ import numpy as np
 from .errors import EnergyDomainError
 from .expr import FORM_CALLS
 
-__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "active_blocks",
-           "source"]
+__all__ = ["MAX_UNROLLED", "DomainFault", "term_value", "expr_value", "source"]
 
 # A Hessian or third block with more entries than this is one numpy
 # expression instead of one line per entry.
@@ -377,25 +376,13 @@ def _run(runs, values, tail) -> list:
     return out
 
 
-def active_blocks(terms, x: np.ndarray, slot: dict[int, int], order: int) -> list:
-    """(owner, positions, value, grad, hess, third) of every term in
-    ``terms`` that reads a flat index in ``slot``, in term order, at the
-    flat point ``x``, (dim,) or (dim, B).  ``slot`` maps each active flat
-    index to its position; ``positions`` lists the term's active indices'
-    positions, in the order of the term's sorted refs, and the blocks, flat
-    as generated code returns them, are with respect to those indices, up
-    to ``order``.  Terms that read none are not run."""
-    active = _ActiveTerms(terms, slot)
-    return [(owner, positions, *block) for owner, positions, block
-            in zip(active.owners, active.positions, active.blocks(x, order))]
-
-
 class _ActiveTerms:
-    """The terms of ``terms`` that read a flat index in ``slot``, ready to
-    run at many points: ``owners`` and ``positions`` hold their owners and
-    their active indices' positions, as :func:`active_blocks` lists them,
-    and ``where`` their places in ``terms``; ``rest`` holds the places of
-    the other terms.  The functions of each (order, batch) are looked up on
+    """The terms of ``terms`` that read a flat index in ``slot``, which
+    maps each active flat index to its position, ready to run at many
+    points: ``owners`` holds their owners, ``positions`` the positions of
+    each term's active indices, in the order of its sorted refs, and
+    ``where`` their places in ``terms``; ``rest`` holds the places of the
+    other terms.  The functions of each (order, batch) are looked up on
     first use."""
 
     def __init__(self, terms, slot: dict[int, int]):
@@ -427,7 +414,9 @@ class _ActiveTerms:
 
     def blocks(self, x: np.ndarray, order: int) -> list:
         """Every term's (value, grad, hess, third) at the flat point ``x``,
-        as :func:`active_blocks` lists them; ``order`` is at least 1."""
+        (dim,) or (dim, B), in term order, flat as generated code returns
+        them and with respect to the term's ``positions``, up to ``order``,
+        which is at least 1."""
         if x.ndim > 1:
             n = x.shape[1]
             return _run(self._functions(order, True), x,

@@ -24,25 +24,19 @@ bitwise what its point alone gives.
 
 A solve takes its energies and derivatives many times with respect to
 one free list, and the solves of a query repeat terms and free lists.
-So the work splits in two.  A :class:`_Plan` is the structure of solves
-over one terms tuple and free list: the terms that read a free
-coordinate with their generated functions, the layout, and the
-coordinates their Hessians read when none of them is free.  It holds no
-point value but a Hessian keyed by what it reads: the last free Hessian
-assembled, under the shape and bytes of those coordinates, which codegen
-proves are all its code reads (for the corpus's weighted squares, only
-theta).  A model keeps the plans of objectives made only of its own
-terms, as hard edits' are, at most ``_PLANS`` of them, the least
-recently used going first; a soft edit's blend is a new term on every
-edit, so its plan, and with it its Hessian, is made per solve and not
-kept.  :class:`_Planned` is the objective planned for one solve: it
-takes its model's plan and keeps, for itself alone, the values of the
-other terms for each point's held coordinates.  Each iterate is
-evaluated once: ``value`` runs the moving terms and adds their values to
-the kept ones in term order, and ``derivatives`` at that point assembles
-the blocks of that run.  They run at order 1 where the plan's Hessian
-key matches, in this solve or any later one, and at order 2 elsewhere.
-Its ``value`` and ``derivatives`` are those of :class:`Objective`,
+A :class:`_Plan` is the structure of solves over one terms tuple and
+free list: the terms that read a free coordinate, with their generated
+functions and layout.  It holds no point value but one free Hessian,
+under the shape and bytes of the coordinates codegen proves it reads
+when none of them is free (for the corpus's weighted squares, only
+theta).  A model holds the plans of objectives made only of its own
+terms, at most ``_PLANS``, the least recently used going first; a soft
+edit's blend is a new term on every edit, so its plan is made per solve.
+:class:`_Planned` is the objective planned for one solve.  Its ``value``
+runs the moving terms once per point, at order 1 where the plan's
+Hessian key matches and at order 2 elsewhere, and adds them in term
+order to the other terms' values, held for the last held coordinates;
+``derivatives`` at that point assembles that run's blocks.  Both are
 reached through the private ``_summed`` and ``_assembled``, so a tracer
 of ``Objective.value`` and ``Objective.derivatives`` sees the solve's
 evaluations, and they give bitwise what the whole objective gives.
@@ -50,10 +44,8 @@ evaluations, and they give bitwise what the whole objective gives.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -191,9 +183,10 @@ class Objective:
         read a coordinate; a block above ``order`` is None."""
         x = point.x
         k, batch = len(active), x.shape[1:]
-        blocks = codegen.active_blocks([term], x, dict(zip(active, range(k))), order)
-        if blocks:
-            _, positions, value, grad, hess, third = blocks[0]
+        one = codegen._ActiveTerms([term], dict(zip(active, range(k))))
+        if one.positions:
+            positions = one.positions[0]
+            value, grad, hess, third = one.blocks(x, order)[0]
             if batch and value.base is not None:  # a row of ``x``: the term is one symbol
                 value = value.copy()
         else:  # the term reads no active coordinate
@@ -260,25 +253,22 @@ class Objective:
                            h_ztheta=full.hess[ztheta], attribution=attribution)
 
 
-_PLANS = 16  # the most plans a model keeps; the least recently used goes first
+_PLANS = 16  # the most plans a model holds; the least recently used goes first
 
 
 class _Plan:
     """The structure of solves over ``terms`` with respect to the flat
-    indices ``free``; it holds no point value but a Hessian keyed by what
-    it reads.  It holds the terms that read a free coordinate, the
-    *moving* terms (:class:`escm.codegen._ActiveTerms`, with the function
-    table of each order), the codes of the other terms, the held flat
-    indices (those that are not free) as runs [start, stop), the
-    :class:`_Layout` of the highest order yet asked, and ``reads``: the
-    flat indices the moving terms' Hessians read if none of them is free,
-    or None.  Block presence and ``reads`` come from the generated code,
-    so one plan serves every point of every solve over the same terms and
-    free list.  With ``reads``, ``hessian`` holds the free Hessian last
-    assembled and its key, the point's shape and the bytes of its
-    ``reads`` coordinates: the Hessian's code reads nothing else, so it is
-    bitwise the Hessian of every point with that key, in any solve of the
-    plan.  A miss replaces it."""
+    indices ``free``: the terms that read a free coordinate, the *moving*
+    terms (:class:`escm.codegen._ActiveTerms`, with the function table of
+    each order), the codes of the other terms, the held flat indices (those
+    that are not free) as runs [start, stop), the :class:`_Layout` of the
+    highest order yet asked, and ``reads``: the flat indices the moving
+    terms' Hessians read if none of them is free, or None.  All of it comes
+    from the generated code, so one plan serves every point of every solve
+    over the same terms and free list.  With ``reads``, ``hessian`` holds
+    the free Hessian last assembled under its :meth:`key`: its code reads
+    nothing else, so it is bitwise the Hessian of every point with that
+    key.  A miss replaces it."""
 
     __slots__ = ("moving", "rest", "held", "layout", "reads", "hessian")
 
@@ -297,14 +287,19 @@ class _Plan:
         self.reads = self.moving.hessian_reads()
         self.hessian: tuple | None = None  # (key, free Hessian)
 
-    def key(self, x: np.ndarray) -> tuple:
+    def key(self, x: np.ndarray) -> tuple | None:
         """The key of ``hessian`` at the flat point ``x``: its shape and the
-        bytes of the coordinates ``reads`` names."""
-        return x.shape, x[self.reads].tobytes()
+        bytes of the coordinates ``reads`` names; None without ``reads``."""
+        return None if self.reads is None else (x.shape, x[self.reads].tobytes())
+
+    def hessian_at(self, key: tuple | None) -> np.ndarray | None:
+        """The kept Hessian if ``key`` is its key, else None."""
+        kept = self.hessian
+        return kept[1] if key is not None and kept is not None and kept[0] == key else None
 
 
 def _plan(objective: Objective, free) -> _Plan:
-    """The plan of solves of ``objective`` over ``free``.  Its model keeps
+    """The plan of solves of ``objective`` over ``free``.  Its model holds
     the plans of objectives made only of its own terms, as a hard edit's
     are, and at most ``_PLANS`` of them; a plan of other terms, such as a
     soft edit's blend, which is new on every edit, is not kept."""
@@ -329,21 +324,13 @@ class _Planned(Objective):
     only with respect to the flat indices ``free`` and with no attribution.
 
     Its :class:`_Plan`, which it may share with other solves of the same
-    model, gives the moving terms, the terms that read a free coordinate,
-    the layout, and the Hessian its key matches.  The values of the other
-    terms are this solve's own and never shared: they read only held
-    coordinates, so they are computed once for each point's held
-    coordinates and kept here.
-    ``value`` runs only the moving terms and keeps their blocks: the
-    energy adds the kept values and theirs in term order, and a
-    ``derivatives`` call at the same point assembles the kept blocks.  If
-    no moving term's Hessian reads a free coordinate
-    (:meth:`escm.codegen._ActiveTerms.hessian_reads`), the plan keeps the
-    Hessian, and a point whose key matches runs the moving terms at order
-    1; any other point runs them at order 2.
-    ``trials`` is the same plan for trial points, mostly rejected, whose
-    energies are the whole objective's order-0 sums and which keep
-    nothing.
+    model, gives the moving terms, their layout and the Hessian its key
+    matches.  The other terms read only held coordinates: their values are
+    this solve's own, held in ``kept`` for the last held coordinates and
+    computed again where those change.  ``value`` runs the moving terms at
+    order 1 where the plan's Hessian key matches and at order 2 elsewhere,
+    and holds their blocks and the key in ``last``, which a ``derivatives``
+    call at the same point assembles.
 
     ``value`` and ``derivatives`` are those of :class:`Objective`, and give
     bitwise what it gives: every order gives a term the same value, and
@@ -357,55 +344,43 @@ class _Planned(Objective):
     def __init__(self, objective: Objective, free):
         super().__init__(objective.model, objective.terms)
         self.plan = _plan(objective, free)
-        # (shape, held coordinates) -> every term's value, the moving ones None
-        self.kept: dict[tuple, list] = {}
-        self.last = None  # (shape, point, order, blocks) of the last ``value``
-        self.keeps = True
-
-    @cached_property
-    def trials(self) -> "_Planned":
-        """This plan for trial points: their energies are the whole
-        objective's, and nothing is kept."""
-        trials = copy.copy(self)
-        trials.keeps, trials.last = False, None
-        return trials
+        self.kept = None  # (held key, every term's value with the moving ones None)
+        self.last = None  # (shape, point, order, blocks, Hessian key) of the last ``value``
 
     def _kept_values(self, x: np.ndarray, point: bytes) -> list:
         """Every term's value at the flat point ``x``, whose bytes are
         ``point``, the moving ones None: the values of the terms that read
-        only held coordinates are kept by the shape and bytes of those,
-        and computed on first use."""
+        only held coordinates are held under the shape and bytes of those,
+        and computed again where they change."""
         row = 8 if x.ndim == 1 else 8 * x.shape[1]  # the bytes of one flat index
         plan = self.plan
         key = x.shape, b"".join([point[row * start:row * stop] for start, stop in plan.held])
-        values = self.kept.get(key)
-        if values is None:
-            batch = x.ndim > 1
-            values = [None] * len(self.terms)
-            for n, value in zip(plan.moving.rest, codegen._values(
-                    plan.rest, x if batch else x.tolist(), batch)):
-                # a row of ``x``, from a term that is one symbol, is copied
-                values[n] = value.copy() if batch and isinstance(value, np.ndarray) else value
-            self.kept[key] = values
+        if self.kept is not None and self.kept[0] == key:
+            return self.kept[1]
+        batch = x.ndim > 1
+        values = [None] * len(self.terms)
+        for n, value in zip(plan.moving.rest, codegen._values(
+                plan.rest, x if batch else x.tolist(), batch)):
+            # a row of ``x``, from a term that is one symbol, is copied
+            values[n] = value.copy() if batch and isinstance(value, np.ndarray) else value
+        self.kept = key, values
         return values
 
     def _summed(self, x: np.ndarray):
-        if not self.keeps:
-            return super()._summed(x)
         point = x.tobytes()
         try:
             values = self._kept_values(x, point)
         except EnergyDomainError:  # the whole sum names its first failing term
             return super()._summed(x)
         plan = self.plan
-        kept = plan.hessian
-        order = 1 if kept is not None and kept[0] == plan.key(x) else 2
+        key = plan.key(x)
+        order = 1 if plan.hessian_at(key) is not None else 2
         try:
             blocks = plan.moving.blocks(x, order)
         except EnergyDomainError:  # order 0 decides: the other terms passed, so this
             moving = plan.moving.values(x)  # raises what the whole sum does
         else:
-            self.last = x.shape, point, order, blocks
+            self.last = x.shape, point, order, blocks, key
             moving = map(itemgetter(0), blocks)
         values = values.copy()
         for n, value in zip(plan.moving.where, moving):
@@ -418,10 +393,9 @@ class _Planned(Objective):
         if last is not None and not (last[0] == x.shape and last[1] == x.tobytes()):
             last = None
         key = hess = None
-        if order == 2 and plan.reads is not None:
-            key = plan.key(x)
-            if plan.hessian is not None and plan.hessian[0] == key:
-                hess = plan.hessian[1]
+        if order == 2:
+            key = plan.key(x) if last is None else last[4]
+            hess = plan.hessian_at(key)
         run = order if hess is None else 1
         blocks = last[3] if last is not None and last[2] == run else plan.moving.blocks(x, run)
         if plan.layout is None or plan.layout.order < run:

@@ -12,23 +12,18 @@ Levenberg shift grows geometrically from ``_LAMBDA0``, and past
 Accepted iterates never increase the objective, and every column's
 iterates are bitwise those of running it alone.  A lone live column is
 evaluated on its 1-D point, in Python floats, which is quicker than a
-batch of one.  The loop plans its work once (:class:`escm.engine._Planned`):
-the terms that read a free coordinate, and where their blocks go, come
-from the plan the model keeps for the objective's terms and the free
-list (:class:`escm.engine._Plan`, found once per run and shared by the
-runs over the same terms and free list, which a hard edit's are too),
-and the values of the other terms are computed once per start and kept
-for this run alone.  Each iterate is evaluated once: the
-energy at the start and at each undamped candidate comes from one run of
-the moving terms, whose blocks the derivative call at the accepted
-candidate then adds up, bitwise as the whole objective does.  Where no
-moving term's Hessian reads a free coordinate, the plan keeps the last
-Hessian under the coordinates it reads, and every iterate of this or a
-later run whose coordinates match there runs at order 1: the Hessian is
-the same bits.  Each returned Hessian is the run's own array, so writing
-to an :class:`Equilibrium`'s changes no later solve.  Damped trials,
-which are mostly rejected, take the whole objective's order-0 energies,
-as before the plan kept anything.
+batch of one.  The loop plans its work once
+(:class:`escm.engine._Planned`): the model's plan for the objective's
+terms and the free list gives the terms that read a free coordinate and
+their layout, the other terms' values are computed once per held
+coordinates, and each iterate is evaluated once: the derivatives at an
+accepted undamped candidate add up the blocks its energy ran, bitwise as
+the whole objective does.  Where no moving term's Hessian reads a free
+coordinate, the plan holds the last Hessian, which an iterate of this or
+a later run reuses where the coordinates it reads match.  Each returned
+Hessian is the run's own array, so writing to an :class:`Equilibrium`'s
+changes no later solve.  Damped trials, which are mostly rejected, take
+the whole objective's order-0 energies.
 """
 
 from __future__ import annotations
@@ -240,14 +235,14 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
     model = objective.model
     k = len(free)
     live = list(range(x.shape[1]))  # the columns still iterating
-    objective = _Planned(objective, free)  # for every energy and derivative of the run
-    energy = _values(objective, x)
+    planned = _Planned(objective, free)  # every energy and derivative but damped trials'
+    energy = _values(planned, x)
     traces = [[e] for e in energy]
     residuals, hessians = [0.0] * len(live), [None] * len(live)
     iterations = 0
     while True:
         cols = slice(None) if len(live) == x.shape[1] else live  # a slice does not copy
-        full = objective.derivatives(_at(model, x[:, cols]), order=2, active=free)
+        full = planned.derivatives(_at(model, x[:, cols]), order=2, active=free)
         grad, hess = full.grad.reshape(k, len(live)), full.hess.reshape(k, k, len(live))
         residual = _residuals(grad)
         stop = [r <= cfg.tol_grad for r in residual]
@@ -270,9 +265,9 @@ def _newton(objective: Objective, free: list[int], x: np.ndarray,
         step, ok = _steps(hess, grad)
         candidate = x[:, cols].copy()
         candidate[free] += step
-        e_new, accept = _try_candidates(objective, free, candidate, ok, energy, residual)
+        e_new, accept = _try_candidates(planned, free, candidate, ok, energy, residual)
         for i in (i for i, a in enumerate(accept) if not a):
-            found = _damped(objective.trials, free, x[:, live[i]:live[i] + 1],
+            found = _damped(objective, free, x[:, live[i]:live[i] + 1],
                             grad[:, i:i + 1], hess[:, :, i], energy[i:i + 1], residual[i:i + 1])
             if found is None:
                 raise SingularSystemError(

@@ -245,6 +245,15 @@ def test_simulate_command(capsys, chain2_dyn_path):
     assert report["results"]["states"]["Z2"][-1] == pytest.approx(2.5, abs=1e-5)
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_simulate_stride_below_one_is_a_query_error(capsys, chain2_dyn_path, stride):
+    code, report = invoke(capsys, "simulate", chain2_dyn_path, "--t-end", "1",
+                          "--stride", stride, "--no-timing")
+    assert code == 3
+    assert report["error"] == {"type": "QueryError",
+                               "message": f"--stride must be at least 1, not {stride}"}
+
+
 def test_report_determinism(capsys, chain2_path):
     argv = ["solve", chain2_path, "--context", '{"u.U1":1,"u.U2":0.5}',
             "--no-timing"]

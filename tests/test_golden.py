@@ -35,6 +35,8 @@ CASES = {
                           "--free", "z.Z2"),
     "solve_rq10": ("solve", "rq10", "--context", _U_RQ10),
     "solve_rq10_forward_init": ("solve", "rq10", "--context", _U_RQ10, "--init", "forward-scm"),
+    # 4 iterations, 2 of them damped: the golden solve of a non-quadratic energy
+    "solve_bumpy": ("solve", "bumpy", "--context", '{"u.U1":0.8}'),
     "solve_error_rq10": ("solve", "rq10", "--context", _U_RQ10, "--max-iter", "1",
                          "--tol", "1e-30"),
     "abduct_chain2": ("abduct", "chain2", "--evidence", '{"z.Z1":1,"z.Z2":2.5}'),

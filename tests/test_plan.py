@@ -1,10 +1,11 @@
 """An objective planned for one solve (``engine._Planned``) takes the terms
 that read a free coordinate and each order's scatter layout from a plan
 (``engine._Plan``) that its model keeps for later solves over the same
-terms and free list; it keeps the values of the other terms and the
-blocks of the last point it summed, and its plan keeps a Hessian that
-codegen flags as reading no free coordinate, keyed by the coordinates it
-reads; yet its energies and derivatives are bitwise what
+terms and free list.  It holds the other terms' values for the last held
+coordinates, and the blocks and Hessian key of the last point it summed;
+its plan holds a Hessian that codegen flags as reading no free
+coordinate, keyed by the coordinates it reads.  Damped trials take the
+whole objective.  Yet its energies and derivatives are bitwise what
 ``Objective.value`` and ``Objective.derivatives`` give at every point the
 solve can reach: the start columns with their free coordinates moved.
 Its domain errors are theirs too.  A plan holds no point value but that
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escm import (EnergyDomainError, abduct, codegen, counterfactual, disjunctive_envelope,
-                  disjunctive_select, engine, hard, parse_model, soft, solve)
+                  disjunctive_select, engine, hard, parse_model, soft, solve, solver)
 from escm.corpus import random_quadratic_model
 from escm.engine import Objective, Point, _Planned
 from escm.solver import SolverConfig, _newton
@@ -132,7 +133,7 @@ def test_a_planned_objective_raises_the_domain_error_of_the_objective(names, sta
 
 def _recorded(monkeypatch):
     """Every energy an objective gives, planned or whole (as damped trials
-    take theirs), with a copy of its point."""
+    take it), with its terms and a copy of its point."""
     calls = []
     value = Objective.value
 
@@ -196,6 +197,66 @@ def test_a_planned_batch_sums_every_iterate_as_the_objective_as_columns_stop(mon
         assert len({len(trace) for trace in traces}) > 1  # the columns stop apart
         _check_energies(model, calls, traces, x)
         monkeypatch.undo()
+
+
+def test_a_solve_runs_the_other_terms_once_per_held_key_and_keys_each_point_once(monkeypatch):
+    # the bumpy solve takes 2 damped steps of 4, whose trials take the
+    # whole objective; of the corpus columns one stops at once and the
+    # other goes on alone, as one point, which changes the held key
+    corpus = parse_model(random_quadratic_model(np.random.default_rng(3), 12, density=0.3))
+    clamps = {ref: 0.1 * j for j, ref in enumerate(corpus.coords("u"))}
+    done = solve(corpus, clamps=clamps).point.x
+    corpus_x = np.column_stack([done, done])
+    corpus_x[corpus.coords("z"), 1] = 0.0
+    for model, x, damped, held_keys in ((parse_model(_BUMPY), np.array([[0.0], [0.8]]), 2, 1),
+                                        (corpus, corpus_x, 0, 2)):
+        free = list(model.coords("z"))
+        planned, points, hessians, runs, keys, trials = [], [], [], [], [], []
+        summed, assembled, values, key = (_Planned._summed, _Planned._assembled,
+                                          codegen._values, engine._Plan.key)
+
+        def summing(objective, x):
+            planned.append(objective)
+            points.append((x.shape, x.tobytes()))
+            return summed(objective, x)
+
+        def assembling(objective, x, refs, order, attribution):
+            if order == 2:
+                hessians.append((x.shape, x.tobytes()))
+            return assembled(objective, x, refs, order, attribution)
+
+        def running(codes, x, batch):
+            runs.append(codes)
+            return values(codes, x, batch)
+
+        def keying(plan, x):
+            keys.append(x)
+            return key(plan, x)
+
+        def trying(objective, *args):
+            trials.append(objective)
+            return damped_step(objective, *args)
+
+        damped_step = solver._damped
+        monkeypatch.setattr(_Planned, "_summed", summing)
+        monkeypatch.setattr(_Planned, "_assembled", assembling)
+        monkeypatch.setattr(codegen, "_values", running)
+        monkeypatch.setattr(engine._Plan, "key", keying)
+        monkeypatch.setattr(solver, "_damped", trying)
+        _newton(Objective.from_model(model), free, x, SolverConfig())
+        monkeypatch.undo()
+        (objective,) = set(planned)
+        assert len(trials) == damped and all(type(t) is Objective for t in trials)
+        # the other terms run once per held key, and the objective holds only the last
+        held = [(shape, np.delete(np.frombuffer(point).reshape(shape), free, axis=0).tobytes())
+                for shape, point in points]
+        rest = [codes for codes in runs if codes is objective.plan.rest]
+        assert len(rest) == len(dict.fromkeys(held)) == held_keys
+        assert objective.kept[0] == held[-1]
+        # each point's Hessian key is computed once: a Hessian at a summed
+        # point takes its sum's, and one after a damped step computes its own
+        assert len(keys) == len(set(points + hessians)) < len(points + hessians)
+        assert len(set(hessians) - set(points)) == damped
 
 
 def test_a_candidate_whose_derivatives_overflow_raises_where_the_objective_does(monkeypatch):
